@@ -6,14 +6,13 @@ coordinates flexible demand with the shared renewables, so it collects the
 largest welfare; the gap widens as the utility's export rate falls.
 """
 
-from dnem import rate_ratio_sweep, run, solar_day_scenario
+from dnem import rate_ratio_sweep, run_all, solar_day_scenario
 
 for with_bess in (False, True):
     label = "with storage" if with_bess else "without storage"
     scenario = solar_day_scenario(seed=42, with_bess=with_bess)
     print(f"--- {label} ---")
-    for mechanism in ("dnem", "sign_based", "standalone"):
-        _, summary = run(scenario, mechanism, compute_gains=False)
+    for mechanism, (_, summary) in run_all(scenario).items():
         print(f"{mechanism:>11}: {summary.total_welfare:10.4f} $")
     print()
 

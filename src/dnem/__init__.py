@@ -20,6 +20,7 @@ from .model import (
     RateSchedule,
     ScenarioValidationError,
     fold_central_pv,
+    stored_energy,
     validate_scenario,
 )
 from .curves import AggregateResponseCurve, aggregate_response, device_response, invert_aggregate
@@ -40,7 +41,9 @@ from .welfare import (
     coalition_audit,
     welfare_gain,
 )
-from .sim import IntervalRecord, RunSummary, random_scenario, rate_ratio_sweep, run, solar_day_scenario
+from .sim import (
+    IntervalRecord, RunSummary, random_scenario, rate_ratio_sweep, run, run_all, solar_day_scenario,
+)
 
 __all__ = [
     "__version__",
@@ -53,6 +56,7 @@ __all__ = [
     "RateSchedule",
     "ScenarioValidationError",
     "fold_central_pv",
+    "stored_energy",
     "validate_scenario",
     "AggregateResponseCurve",
     "aggregate_response",
@@ -84,5 +88,6 @@ __all__ = [
     "random_scenario",
     "rate_ratio_sweep",
     "run",
+    "run_all",
     "solar_day_scenario",
 ]

@@ -3,8 +3,10 @@
 The standalone optimum is the best a member can do alone under the utility's
 two-rate tariff.  It has the same threshold structure as the community price
 applied to the member's own response curve, so the single-member pricing
-machinery is reused here (including the storage dispatcher when the member
-owns a battery slice).
+machinery is reused here.  There is one implementation, the battery path: a
+member without storage is scheduled as the owner of an empty battery
+(``BessSpec(0.0)``), for which the storage-aware price is exactly the
+storage-free rule.
 
 The sign-based mechanism prices every member at the buy rate when the
 community is a net importer and at the sell rate otherwise, while members
@@ -18,8 +20,10 @@ import numpy as np
 
 from .bess import generalized_dnem_price, soc_step
 from .curves import AggregateResponseCurve
-from .model import BessSpec, CommunityPrice, CommunityScenario, Member, PriceZone, RateSchedule
-from .pricing import dnem_price, nem_payment
+from .model import (
+    BessSpec, CommunityPrice, CommunityScenario, Member, PriceZone, RateSchedule, stored_energy,
+)
+from .pricing import nem_payment
 from .response import MemberOutcome, member_utility, optimal_consumption
 
 __all__ = [
@@ -30,10 +34,6 @@ __all__ = [
 ]
 
 
-def _member_curve(member: Member) -> AggregateResponseCurve:
-    return AggregateResponseCurve(member.devices)
-
-
 def standalone_optimum(
     member: Member, generation: float, buy: float, sell: float
 ) -> MemberOutcome:
@@ -42,15 +42,11 @@ def standalone_optimum(
     Consumption follows the member's own two-threshold policy: consume at the
     buy-rate response when generation is scarce, track generation exactly in
     the middle band, and consume at the sell-rate response when exporting.
+    This is :func:`standalone_optimum_with_bess` for one interval with an
+    empty battery.
     """
-    price = dnem_price(_member_curve(member), generation, buy, sell)
-    consumption = optimal_consumption(member, price.value)
-    # in the net-zero branch consumption tracks generation by construction,
-    # so the float residue of the solve is dropped
-    net = 0.0 if price.is_net_zero else float(np.sum(consumption)) - generation
-    pay = nem_payment(buy, sell, net)
-    surplus = member_utility(member, consumption) - pay
-    return MemberOutcome(consumption, net, pay, surplus, reward=surplus)
+    rates = RateSchedule([buy], [sell])
+    return standalone_optimum_with_bess(member, BessSpec(0.0), np.array([generation]), rates)[0]
 
 
 def standalone_optimum_with_bess(
@@ -62,27 +58,25 @@ def standalone_optimum_with_bess(
     """Per-interval standalone outcomes for a member with its own battery.
 
     ``spec`` is the battery actually owned by the member (a community spec
-    already scaled by the member's share).  ``trace`` is the member's
-    generation per interval.  A zero-capacity spec reproduces
-    :func:`standalone_optimum` interval by interval.
+    already scaled by the member's share, or ``BessSpec(0.0)`` for a member
+    without storage).  ``trace`` is the member's generation per interval.
     """
+    curve = AggregateResponseCurve(member.devices)
     salvage = rates.salvage
     soc = spec.initial_soc
     outcomes = []
     for t in range(len(trace)):
         g = float(trace[t])
         buy, sell = float(rates.buy[t]), float(rates.sell[t])
-        price, b = generalized_dnem_price(
-            _member_curve(member), g, spec, soc, salvage, buy, sell
-        )
+        price, b = generalized_dnem_price(curve, g, spec, soc, salvage, buy, sell)
         consumption = optimal_consumption(member, price.value)
         soc = soc_step(spec, soc, b)
+        # in the net-zero zones consumption tracks generation by construction,
+        # so the float residue of the solve is dropped
         net = 0.0 if price.is_net_zero else float(np.sum(consumption)) + b - g
         pay = nem_payment(buy, sell, net)
         surplus = member_utility(member, consumption) - pay
-        reward = surplus + salvage * (
-            spec.charge_eff * max(b, 0.0) - max(-b, 0.0) / spec.discharge_eff
-        )
+        reward = surplus + salvage * stored_energy(b, spec.charge_eff, spec.discharge_eff)
         outcomes.append(MemberOutcome(consumption, net, pay, surplus, reward, battery=b))
     return outcomes
 
@@ -119,10 +113,7 @@ def sign_based_interval(
     for member, sched in zip(members, schedules):
         pay = price.value * sched.net
         surplus = member_utility(member, sched.consumption) - pay
-        reward = surplus + salvage * (
-            charge_eff * max(sched.battery, 0.0)
-            - max(-sched.battery, 0.0) / discharge_eff
-        )
+        reward = surplus + salvage * stored_energy(sched.battery, charge_eff, discharge_eff)
         outcomes.append(
             MemberOutcome(sched.consumption, sched.net, pay, surplus, reward, battery=sched.battery)
         )

@@ -14,6 +14,7 @@ plus battery output exactly absorbs the aggregate generation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .curves import (
@@ -22,7 +23,7 @@ from .curves import (
     aggregate_response,
     invert_aggregate,
 )
-from .model import BessSpec, CommunityPrice, PriceZone
+from .model import BessSpec, CommunityPrice, PriceZone, stored_energy
 from .pricing import dnem_price
 
 __all__ = [
@@ -82,7 +83,7 @@ def soc_step(spec: BessSpec, soc: float, b: float) -> float:
         raise StorageLimitError(
             f"storage output {b} outside effective limits [{-discharge}, {charge}] at soc {soc}"
         )
-    nxt = soc + spec.charge_eff * max(b, 0.0) - max(-b, 0.0) / spec.discharge_eff
+    nxt = soc + stored_energy(b, spec.charge_eff, spec.discharge_eff)
     if nxt < -EPS_QUANTITY or nxt > spec.capacity + EPS_QUANTITY:
         raise StorageLimitError(f"state of charge {nxt} leaves [0, {spec.capacity}]")
     return min(max(nxt, 0.0), spec.capacity)
@@ -163,15 +164,17 @@ def generalized_dnem_price(
     the discharge-side salvage price while the battery follows generation;
     solve with the battery idle; hold the charge-side salvage price while the
     battery follows generation; solve with a full charge absorbed; pass
-    through the sell rate.  With no usable storage this reduces exactly to
-    the storage-free rule.
+    through the sell rate.  With no usable storage this is exactly the
+    storage-free rule, and the salvage rate is not consulted.  Raises
+    ``ValueError`` for a non-finite ``g_n``.
     """
-    discharge_price, charge_price = _check_salvage(salvage, spec, buy, sell)
-    thresholds = dispatch_thresholds(curve, spec, soc, salvage)
-    discharge, charge = thresholds.eff_discharge, thresholds.eff_charge
+    discharge, charge = effective_limits(spec, soc)
     if discharge == 0.0 and charge == 0.0:
         return dnem_price(curve, g_n, buy, sell), 0.0
-
+    if not math.isfinite(g_n):
+        raise ValueError(f"aggregate generation must be finite (got {g_n})")
+    discharge_price, charge_price = _check_salvage(salvage, spec, buy, sell)
+    thresholds = dispatch_thresholds(curve, spec, soc, salvage)
     b = _dispatch(thresholds, g_n)
     lower = aggregate_response(curve, buy) - discharge
     upper = aggregate_response(curve, sell) + charge

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,8 +41,8 @@ from .model import (
     validate_scenario,
 )
 from .pricing import compute_thresholds, dnem_price
-from .sim import MECHANISMS, folded_generation, rate_ratio_sweep, run
-from .welfare import axiom_audit, coalition_audit, welfare_gain
+from .sim import MECHANISMS, folded_generation, rate_ratio_sweep, run, run_all
+from .welfare import axiom_audit, coalition_audit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -347,13 +348,15 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         )
         return EXIT_VALIDATION
 
-    records, _ = run(scenario, mechanism, compute_gains=False)
+    results = run_all(scenario)
+    records = results[mechanism][0]
+    std_records = results["standalone"][0]
     gen = folded_generation(scenario)
     with_storage = scenario.bess is not None
 
     axioms: dict[str, dict] = {}
     all_passed = True
-    for r in records:
+    for r, std in zip(records, std_records):
         buy = float(scenario.rates.buy[r.t])
         sell = float(scenario.rates.sell[r.t])
         report = axiom_audit(
@@ -362,6 +365,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
             r.per_member,
             buy,
             sell,
+            benchmark_surpluses=[o.surplus for o in std.per_member],
             check_rationality=not with_storage,
         )
         for check in report.checks:
@@ -381,7 +385,6 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
 
     rationality_horizon = None
     if with_storage:
-        std_records, _ = run(scenario, "standalone", compute_gains=False)
         worst = 0.0
         for i in range(len(scenario.members)):
             mine = sum(r.per_member[i].reward for r in records)
@@ -393,8 +396,8 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
 
     dominance = None
     if scenario.bess is None:
-        w_dnem = run(scenario, "dnem", compute_gains=False)[1].total_welfare
-        w_sign = run(scenario, "sign_based", compute_gains=False)[1].total_welfare
+        w_dnem = results["dnem"][1].total_welfare
+        w_sign = results["sign_based"][1].total_welfare
         dominance = {
             "dnem_welfare": round(w_dnem, 6),
             "sign_based_welfare": round(w_sign, 6),
@@ -489,21 +492,12 @@ def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[list[str
 
     rows = []
     for label, bess in variants:
-        variant = CommunityScenario(
-            members=scenario.members,
-            rates=scenario.rates,
-            horizon=scenario.horizon,
-            bess=bess,
-            central_pv_trace=scenario.central_pv_trace,
-        )
-        summaries = {m: run(variant, m, compute_gains=False)[1] for m in MECHANISMS}
+        variant = dataclasses.replace(scenario, bess=bess)
+        summaries = {m: summary for m, (_, summary) in run_all(variant).items()}
         base = summaries["standalone"]
         for mechanism in MECHANISMS:
             s = summaries[mechanism]
-            try:
-                gain = welfare_gain(s.total_welfare, base.total_welfare)
-            except ValueError:
-                gain = None
+            gain = s.welfare_gain_vs_standalone
             row = [mechanism, label, _fmt(s.total_welfare)]
             row.append("" if gain is None else _fmt(gain))
             for z in zone_names:

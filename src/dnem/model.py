@@ -32,6 +32,7 @@ __all__ = [
     "fold_central_pv",
     "validate_scenario",
     "salvage_rate_bounds",
+    "stored_energy",
 ]
 
 
@@ -233,6 +234,15 @@ def fold_central_pv(member: Member, central_output) -> np.ndarray:
     is ``pv_trace + central_pv_share * central_output``.
     """
     return member.pv_trace + member.central_pv_share * np.asarray(central_output, dtype=float)
+
+
+def stored_energy(b: float, charge_eff: float, discharge_eff: float) -> float:
+    """Change in stored energy (kWh) when storage output at the meter is ``b``.
+
+    Charging (``b > 0``) stores ``charge_eff * b``; discharging withdraws
+    ``-b / discharge_eff`` from the cells to deliver ``-b``.
+    """
+    return charge_eff * max(b, 0.0) - max(-b, 0.0) / discharge_eff
 
 
 def salvage_rate_bounds(rates: RateSchedule, bess: BessSpec) -> tuple[float, float]:

@@ -10,6 +10,7 @@ absorbs the aggregate generation (the net-zero zone).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .curves import AggregateResponseCurve, aggregate_response, invert_aggregate
@@ -53,8 +54,10 @@ def dnem_price(
 
     The net-zero interval is closed on both ends; at its endpoints the solved
     price coincides with the passed-through rate, so the tie-break only
-    affects the zone label.
+    affects the zone label.  Raises ``ValueError`` for a non-finite ``g_n``.
     """
+    if not math.isfinite(g_n):
+        raise ValueError(f"aggregate generation must be finite (got {g_n})")
     thresholds = compute_thresholds(curve, buy, sell)
     if g_n < thresholds.lower:
         return CommunityPrice(buy, PriceZone.NET_CONSUMPTION)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import device_response
-from .model import CommunityPrice, Member
+from .model import CommunityPrice, Member, stored_energy
 from .pricing import payment as community_payment
 
 __all__ = ["MemberOutcome", "optimal_consumption", "member_utility", "member_outcome"]
@@ -72,9 +72,7 @@ def member_outcome(
     net = float(np.sum(consumption)) + battery_output_share - generation
     pay = community_payment(price, net)
     surplus = member_utility(member, consumption) - pay
-    stored = charge_eff * max(battery_output_share, 0.0)
-    withdrawn = max(-battery_output_share, 0.0) / discharge_eff
-    reward = surplus + salvage * (stored - withdrawn)
+    reward = surplus + salvage * stored_energy(battery_output_share, charge_eff, discharge_eff)
     return MemberOutcome(
         consumption=consumption,
         net=net,

@@ -18,16 +18,12 @@ give identical outputs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .benchmark import (
-    sign_based_interval,
-    standalone_optimum,
-    standalone_optimum_with_bess,
-)
+from .benchmark import sign_based_interval, standalone_optimum_with_bess
 from .bess import generalized_dnem_price, soc_step
 from .curves import AggregateResponseCurve
 from .model import (
@@ -38,6 +34,7 @@ from .model import (
     Member,
     RateSchedule,
     fold_central_pv,
+    stored_energy,
     validate_scenario,
 )
 from .pricing import dnem_price, nem_payment
@@ -49,6 +46,7 @@ __all__ = [
     "IntervalRecord",
     "RunSummary",
     "run",
+    "run_all",
     "rate_ratio_sweep",
     "random_scenario",
     "solar_day_scenario",
@@ -101,13 +99,6 @@ def folded_generation(scenario: CommunityScenario) -> np.ndarray:
     )
 
 
-def _storage_delta(outcomes: Sequence[MemberOutcome], charge_eff, discharge_eff) -> float:
-    return sum(
-        charge_eff * max(o.battery, 0.0) - max(-o.battery, 0.0) / discharge_eff
-        for o in outcomes
-    )
-
-
 def _dnem_records(scenario: CommunityScenario, gen: np.ndarray) -> list[IntervalRecord]:
     members = scenario.members
     rates = scenario.rates
@@ -148,36 +139,23 @@ def _dnem_records(scenario: CommunityScenario, gen: np.ndarray) -> list[Interval
     return records
 
 
-def _standalone_schedules(
-    scenario: CommunityScenario, gen: np.ndarray
-) -> list[list[MemberOutcome]]:
-    rates = scenario.rates
-    per_member = []
-    for i, member in enumerate(scenario.members):
-        if scenario.bess is not None:
-            spec = scenario.bess.scaled(member.bess_share)
-            per_member.append(standalone_optimum_with_bess(member, spec, gen[i], rates))
-        else:
-            per_member.append(
-                [
-                    standalone_optimum(
-                        member, float(gen[i, t]), float(rates.buy[t]), float(rates.sell[t])
-                    )
-                    for t in range(scenario.horizon)
-                ]
-            )
-    return per_member
+def _standalone_schedules(scenario: CommunityScenario, gen: np.ndarray) -> list[list[MemberOutcome]]:
+    # a storage-free scenario gives every member an empty battery
+    bess = scenario.bess or BessSpec(0.0)
+    return [
+        standalone_optimum_with_bess(member, bess.scaled(member.bess_share), gen[i], scenario.rates)
+        for i, member in enumerate(scenario.members)
+    ]
 
 
 def _baseline_records(
-    scenario: CommunityScenario, gen: np.ndarray, mechanism: str
+    scenario: CommunityScenario, gen: np.ndarray, schedules: list, mechanism: str
 ) -> list[IntervalRecord]:
     members = list(scenario.members)
     rates = scenario.rates
     bess = scenario.bess
     charge_eff = bess.charge_eff if bess is not None else 1.0
     discharge_eff = bess.discharge_eff if bess is not None else 1.0
-    schedules = _standalone_schedules(scenario, gen)
     soc = bess.initial_soc if bess is not None else 0.0
     records = []
     for t in range(scenario.horizon):
@@ -200,7 +178,7 @@ def _baseline_records(
         d_n = sum(o.total_consumption for o in outs)
         b_n = sum(o.battery for o in outs)
         if bess is not None:
-            soc = soc + _storage_delta(outs, charge_eff, discharge_eff)
+            soc = soc + sum(stored_energy(o.battery, charge_eff, discharge_eff) for o in outs)
         records.append(
             IntervalRecord(t, price, g_n, d_n, b_n, d_n + b_n - g_n, soc, tuple(outs))
         )
@@ -211,23 +189,22 @@ def _total_welfare(records: Sequence[IntervalRecord]) -> float:
     return sum(o.reward for r in records for o in r.per_member)
 
 
-def run(
-    scenario: CommunityScenario, mechanism: str = "dnem", compute_gains: bool = True
-) -> tuple[list[IntervalRecord], RunSummary]:
-    """Simulate a scenario under one mechanism; returns records and summary.
-
-    With ``compute_gains`` the two baseline mechanisms are run on the same
-    scenario to fill the summary's welfare-gain fields.
-    """
+def _check_mechanism(mechanism: str) -> None:
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
-    scenario = validate_scenario(scenario)
-    gen = folded_generation(scenario)
-    if mechanism == "dnem":
-        records = _dnem_records(scenario, gen)
-    else:
-        records = _baseline_records(scenario, gen, mechanism)
 
+
+def _gain(total: float, baseline: float) -> Optional[float]:
+    try:
+        return welfare_gain(total, baseline)
+    except ValueError:
+        return None
+
+
+def _summary(
+    scenario: CommunityScenario, mechanism: str, records: Sequence[IntervalRecord], totals=None
+) -> RunSummary:
+    """Horizon totals of one mechanism; ``totals`` (welfare by mechanism) fills the gains."""
     total = _total_welfare(records)
     per_member = tuple(
         sum(r.per_member[i].reward for r in records)
@@ -236,35 +213,53 @@ def run(
     histogram: Counter = Counter()
     if mechanism != "standalone":
         histogram.update(r.price.zone.value for r in records)
-
-    gain_std = gain_sgn = None
-    if compute_gains:
-        baselines = {}
-        for other in ("standalone", "sign_based"):
-            if other == mechanism:
-                baselines[other] = total
-            else:
-                baselines[other] = _total_welfare(
-                    run(scenario, other, compute_gains=False)[0]
-                )
-        try:
-            gain_std = welfare_gain(total, baselines["standalone"])
-        except ValueError:
-            gain_std = None
-        try:
-            gain_sgn = welfare_gain(total, baselines["sign_based"])
-        except ValueError:
-            gain_sgn = None
-
-    summary = RunSummary(
+    return RunSummary(
         mechanism=mechanism,
         total_welfare=total,
         per_member_surplus=per_member,
-        welfare_gain_vs_standalone=gain_std,
-        welfare_gain_vs_sign_based=gain_sgn,
+        welfare_gain_vs_standalone=None if totals is None else _gain(total, totals["standalone"]),
+        welfare_gain_vs_sign_based=None if totals is None else _gain(total, totals["sign_based"]),
         zone_histogram=dict(sorted(histogram.items())),
     )
-    return records, summary
+
+
+def run_all(scenario: CommunityScenario) -> dict[str, tuple[list[IntervalRecord], RunSummary]]:
+    """Simulate a scenario under every mechanism, gains filled in.
+
+    Returns ``{mechanism: (records, summary)}``.  The standalone schedules are
+    computed once and shared by the standalone and sign-based baselines.
+    """
+    scenario = validate_scenario(scenario)
+    gen = folded_generation(scenario)
+    schedules = _standalone_schedules(scenario, gen)
+    records = {
+        "dnem": _dnem_records(scenario, gen),
+        "sign_based": _baseline_records(scenario, gen, schedules, "sign_based"),
+        "standalone": _baseline_records(scenario, gen, schedules, "standalone"),
+    }
+    totals = {m: _total_welfare(r) for m, r in records.items()}
+    return {m: (records[m], _summary(scenario, m, records[m], totals)) for m in MECHANISMS}
+
+
+def run(
+    scenario: CommunityScenario, mechanism: str = "dnem", compute_gains: bool = True
+) -> tuple[list[IntervalRecord], RunSummary]:
+    """Simulate a scenario under one mechanism; returns records and summary.
+
+    With ``compute_gains`` this is ``run_all(scenario)[mechanism]``: the
+    baseline mechanisms are run on the same scenario to fill the summary's
+    welfare-gain fields.
+    """
+    _check_mechanism(mechanism)
+    if compute_gains:
+        return run_all(scenario)[mechanism]
+    scenario = validate_scenario(scenario)
+    gen = folded_generation(scenario)
+    if mechanism == "dnem":
+        records = _dnem_records(scenario, gen)
+    else:
+        records = _baseline_records(scenario, gen, _standalone_schedules(scenario, gen), mechanism)
+    return records, _summary(scenario, mechanism, records)
 
 
 @dataclass(frozen=True)
@@ -292,24 +287,17 @@ def rate_ratio_sweep(
         if not 0 <= ratio <= 1:
             raise ValueError(f"rate ratio {ratio} outside [0, 1]")
         rates = RateSchedule(buy, ratio * buy, scenario.rates.salvage)
-        candidate = CommunityScenario(
-            members=scenario.members,
-            rates=rates,
-            horizon=scenario.horizon,
-            bess=scenario.bess,
-            central_pv_trace=scenario.central_pv_trace,
-        )
+        candidate = replace(scenario, rates=rates)
         try:
             validate_scenario(candidate)
         except Exception as exc:
             raise ValueError(f"rate ratio {ratio} infeasible: {exc}") from exc
-        _, dnem_summary = run(candidate, "dnem")
-        _, sign_summary = run(candidate, "sign_based")
+        results = run_all(candidate)
         points.append(
             SweepPoint(
                 ratio=float(ratio),
-                welfare_gain_dnem=dnem_summary.welfare_gain_vs_standalone,
-                welfare_gain_sign_based=sign_summary.welfare_gain_vs_standalone,
+                welfare_gain_dnem=results["dnem"][1].welfare_gain_vs_standalone,
+                welfare_gain_sign_based=results["sign_based"][1].welfare_gain_vs_standalone,
             )
         )
     return points
@@ -317,17 +305,15 @@ def rate_ratio_sweep(
 
 def build_welfare_report(scenario: CommunityScenario, mechanism: str = "dnem") -> WelfareReport:
     """Run a mechanism and compare it against its oracles and baselines."""
-    scenario = validate_scenario(scenario)
-    records, summary = run(scenario, mechanism)
-    std_records, _ = run(scenario, "standalone", compute_gains=False)
+    _check_mechanism(mechanism)
+    results = run_all(scenario)
+    records, summary = results[mechanism]
+    std_records = results["standalone"][0]
     gains = []
     for i, member in enumerate(scenario.members):
         base = sum(r.per_member[i].reward for r in std_records)
         mine = sum(r.per_member[i].reward for r in records)
-        try:
-            gains.append((member.id, welfare_gain(mine, base)))
-        except ValueError:
-            gains.append((member.id, None))
+        gains.append((member.id, _gain(mine, base)))
     central = None
     if scenario.bess is None:
         central = sum(

@@ -158,6 +158,15 @@ class TestGeneralizedPrice:
             b_dispatch = myopic_dispatch(CURVE, float(g), SPEC, 1.0, 0.3, 0.4, 0.2)[0]
             assert b_price == b_dispatch
 
+    def test_empty_battery_needs_no_salvage_window(self):
+        # salvage 0.5 is above the buy rate, outside the admissible window
+        for spec in (BessSpec(0.0), BessSpec(2.0, 0.95, 0.95, 0.0, 0.0, 1.0)):
+            for g in (0.5, 1.7, 2.5):
+                got = generalized_dnem_price(CURVE, g, spec, spec.initial_soc, 0.5, 0.4, 0.2)
+                assert got == (dnem_price(CURVE, g, 0.4, 0.2), 0.0)
+        with pytest.raises(ValueError, match="salvage"):
+            generalized_dnem_price(CURVE, 1.7, SPEC, 1.0, 0.5, 0.4, 0.2)
+
     def test_zero_storage_reduces_to_plain_rule(self):
         dead_specs = [
             BessSpec(0.0, 0.95, 0.95, 0.0, 0.0, 0.0),

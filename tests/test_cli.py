@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import dnem.sim
+import dnem.welfare
 from dnem.cli import EXIT_AUDIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, load_config, main, scenario_hash
 
 
@@ -191,7 +193,40 @@ class TestPrice:
         assert doc["storage"]["sigma_plus"] == pytest.approx(1.184211, abs=1e-6)
 
 
+    @pytest.mark.parametrize("g", ["nan", "inf"])
+    def test_non_finite_generation_exit_1(self, tmp_path, g):
+        path = write_config(tmp_path, ONE_MEMBER)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnem.cli", "price", "--config", path, "--g", g],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestAudit:
+    @pytest.mark.parametrize("doc", [FIVE_MEMBERS, BESS_CONFIG])
+    def test_one_standalone_schedule_per_member(self, tmp_path, monkeypatch, capsys, doc):
+        original = dnem.sim.standalone_optimum_with_bess
+        scheduled = []
+
+        def counting(member, *args):
+            scheduled.append(member.id)
+            return original(member, *args)
+
+        def forbidden(*args):
+            raise AssertionError("audit recomputed a standalone optimum")
+
+        monkeypatch.setattr(dnem.sim, "standalone_optimum_with_bess", counting)
+        monkeypatch.setattr(dnem.welfare, "standalone_optimum", forbidden)
+        path = write_config(tmp_path, doc)
+        assert main(["audit", "--config", path]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(scheduled) == sorted(m["id"] for m in doc["members"])
+
     def test_dnem_audit_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, FIVE_MEMBERS)
         code = main(

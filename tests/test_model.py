@@ -10,6 +10,7 @@ from dnem.model import (
     ScenarioValidationError,
     fold_central_pv,
     salvage_rate_bounds,
+    stored_energy,
     validate_scenario,
 )
 
@@ -177,6 +178,12 @@ class TestScaledBess:
         spec = BessSpec(2.0, 0.95, 0.9, 0.5, 0.4, 1.0).scaled(0.0)
         assert spec.capacity == 0.0
         assert spec.initial_soc == 0.0
+
+
+def test_stored_energy_applies_the_efficiency_of_the_direction():
+    assert stored_energy(0.5, 0.9, 0.8) == 0.9 * 0.5
+    assert stored_energy(-0.4, 0.9, 0.8) == -0.4 / 0.8
+    assert stored_energy(0.0, 0.9, 0.8) == 0.0
 
 
 def test_traces_are_read_only():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dnem.bess import generalized_dnem_price
 from dnem.curves import AggregateResponseCurve
-from dnem.model import DeviceUtility, PriceZone
+from dnem.model import BessSpec, DeviceUtility, PriceZone
 from dnem.pricing import compute_thresholds, dnem_price, nem_payment, payment
 from dnem.response import member_outcome, optimal_consumption
 from dnem.model import Member
@@ -177,3 +178,14 @@ class TestProfitNeutrality:
         nets = {round(o.net, 12) for o in outs}
         pays = {round(o.payment, 12) for o in outs}
         assert len(nets) == 1 and len(pays) == 1
+
+
+class TestNonFiniteGeneration:
+    @pytest.mark.parametrize("g", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected_with_and_without_storage(self, g):
+        curve = AggregateResponseCurve([DEV_A])
+        with pytest.raises(ValueError, match="finite"):
+            dnem_price(curve, g, 0.4, 0.2)
+        for spec in (BessSpec(0.0), BessSpec(2.0, 0.95, 0.95, 0.5, 0.5, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                generalized_dnem_price(curve, g, spec, spec.initial_soc, 0.3, 0.4, 0.2)

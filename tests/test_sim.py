@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import dnem.sim
 from dnem.model import (
     BessSpec,
     CommunityScenario,
@@ -11,11 +14,13 @@ from dnem.model import (
 )
 from dnem.pricing import nem_payment
 from dnem.sim import (
+    MECHANISMS,
     folded_generation,
     build_welfare_report,
     random_scenario,
     rate_ratio_sweep,
     run,
+    run_all,
     solar_day_scenario,
 )
 from dnem.welfare import axiom_audit
@@ -132,6 +137,59 @@ class TestRunInvariants:
                 welfare[mech] = s.total_welfare
             assert welfare["dnem"] == pytest.approx(welfare["standalone"], abs=1e-9)
             assert welfare["sign_based"] == pytest.approx(welfare["standalone"], abs=1e-9)
+
+
+def exact(records):
+    """Records as plain tuples, so ``==`` compares every float exactly."""
+    return [
+        (r.t, r.price, r.g_n, r.d_n, r.b_n, r.z_n, r.soc)
+        + tuple(
+            (o.consumption.tolist(), o.net, o.payment, o.surplus, o.reward, o.battery)
+            for o in r.per_member
+        )
+        for r in records
+    ]
+
+
+SHARED_BASELINE_SCENARIOS = [
+    lambda: random_scenario(4100),
+    lambda: random_scenario(4101, with_bess=True),
+    lambda: random_scenario(4102, with_bess=True, wide_bounds=True),
+    lambda: solar_day_scenario(3),
+    lambda: solar_day_scenario(3, with_bess=True),
+]
+
+
+class TestRunAll:
+    @pytest.mark.parametrize("make", SHARED_BASELINE_SCENARIOS)
+    def test_matches_run_exactly(self, make):
+        sc = make()
+        results = run_all(sc)
+        assert tuple(results) == MECHANISMS
+        for mech in MECHANISMS:
+            records, summary = results[mech]
+            ref_records, ref_summary = run(sc, mech)
+            assert summary == ref_summary
+            assert exact(records) == exact(ref_records)
+            plain_records, plain_summary = run(sc, mech, compute_gains=False)
+            assert exact(records) == exact(plain_records)
+            assert plain_summary == dataclasses.replace(
+                summary, welfare_gain_vs_standalone=None, welfare_gain_vs_sign_based=None
+            )
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_one_standalone_schedule_per_member(self, monkeypatch, with_bess):
+        original = dnem.sim.standalone_optimum_with_bess
+        scheduled = []
+
+        def counting(member, *args):
+            scheduled.append(member.id)
+            return original(member, *args)
+
+        monkeypatch.setattr(dnem.sim, "standalone_optimum_with_bess", counting)
+        sc = solar_day_scenario(4, n_members=4, horizon=12, with_bess=with_bess)
+        run(sc, "dnem")
+        assert sorted(scheduled) == sorted(m.id for m in sc.members)
 
 
 class TestStorageRuns:
