@@ -23,7 +23,7 @@ from .model import (
     stored_energy,
     validate_scenario,
 )
-from .curves import AggregateResponseCurve, aggregate_response, device_response, invert_aggregate
+from .curves import AggregateResponseCurve, device_response, invert_aggregate
 from .pricing import PricingThresholds, compute_thresholds, dnem_price, nem_payment, payment
 from .response import MemberOutcome, member_outcome, optimal_consumption
 from .benchmark import sign_based_mechanism, standalone_optimum, standalone_optimum_with_bess
@@ -59,7 +59,6 @@ __all__ = [
     "stored_energy",
     "validate_scenario",
     "AggregateResponseCurve",
-    "aggregate_response",
     "device_response",
     "invert_aggregate",
     "PricingThresholds",

@@ -17,12 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import (
-    EPS_QUANTITY,
-    AggregateResponseCurve,
-    aggregate_response,
-    invert_aggregate,
-)
+from .curves import EPS_QUANTITY, AggregateResponseCurve, invert_aggregate
 from .model import BessSpec, CommunityPrice, PriceZone, stored_energy
 from .pricing import dnem_price
 
@@ -105,8 +100,8 @@ def dispatch_thresholds(
 ) -> DispatchThresholds:
     """Thresholds of the myopic policy for the current state of charge."""
     discharge, charge = effective_limits(spec, soc)
-    follow_discharge = aggregate_response(curve, salvage / spec.discharge_eff)
-    follow_charge = aggregate_response(curve, spec.charge_eff * salvage)
+    follow_discharge = curve.response(salvage / spec.discharge_eff)
+    follow_charge = curve.response(spec.charge_eff * salvage)
     return DispatchThresholds(
         sigma_plus=follow_discharge - discharge,
         sigma_plus_z=follow_discharge,
@@ -176,8 +171,8 @@ def generalized_dnem_price(
     discharge_price, charge_price = _check_salvage(salvage, spec, buy, sell)
     thresholds = dispatch_thresholds(curve, spec, soc, salvage)
     b = _dispatch(thresholds, g_n)
-    lower = aggregate_response(curve, buy) - discharge
-    upper = aggregate_response(curve, sell) + charge
+    lower = curve.response(buy) - discharge
+    upper = curve.response(sell) + charge
     if g_n <= lower:
         price = CommunityPrice(buy, PriceZone.NET_CONSUMPTION)
     elif g_n < thresholds.sigma_plus:

@@ -54,14 +54,52 @@ class ConfigError(ValueError):
     """The configuration document is malformed or incomplete."""
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected a number (got {value!r})") from None
+
+
+def _expect(value, kind: type, name: str):
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{name}: expected {expected} (got {type(value).__name__})")
+    return value
+
+
+def _required(doc: dict, key: str, name: str):
+    if key not in doc:
+        raise ConfigError(f"{name}: missing required key {key!r}")
+    return doc[key]
+
+
+def _horizon(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"horizon: expected an integer (got {value!r})")
+    return value
+
+
 def _broadcast(value, horizon: int, name: str) -> list[float]:
     if isinstance(value, (int, float)):
-        return [float(value)] * horizon
+        return [_number(value, name)] * horizon
     if isinstance(value, list):
         if len(value) != horizon:
             raise ConfigError(f"{name}: expected {horizon} entries, got {len(value)}")
-        return [float(v) for v in value]
+        return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
     raise ConfigError(f"{name}: expected a number or a list of numbers")
+
+
+def _device(doc, name: str) -> DeviceUtility:
+    doc = _expect(doc, dict, name)
+    return DeviceUtility(
+        **{
+            key: _number(_required(doc, key, name), f"{name}.{key}")
+            for key in ("alpha", "beta", "d_min", "d_max")
+        }
+    )
 
 
 def _read_traces_csv(path: Path) -> dict[str, list[float]]:
@@ -74,7 +112,9 @@ def _read_traces_csv(path: Path) -> dict[str, list[float]]:
             columns[name] = []
         for row in reader:
             for name in reader.fieldnames:
-                columns[name].append(float(row[name]))
+                columns[name].append(
+                    _number(row[name], f"{path} line {reader.line_num} column {name!r}")
+                )
     return columns
 
 
@@ -82,7 +122,8 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
     """Parse and validate a scenario config; returns (scenario, canonical dict).
 
     The canonical dict has every trace resolved inline, so its hash pins the
-    exact inputs of a run even when traces came from a CSV file.
+    exact inputs of a run even when traces came from a CSV file.  A document
+    of the wrong shape raises :class:`ConfigError` naming the field.
     """
     path = Path(path)
     with open(path) as fh:
@@ -93,15 +134,14 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
 
-    try:
-        horizon = int(doc["horizon"])
-        rates_doc = doc["rates"]
-        members_doc = doc["members"]
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc}") from exc
+    horizon = _horizon(_required(doc, "horizon", str(path)))
+    rates_doc = _expect(_required(doc, "rates", str(path)), dict, "rates")
+    members_doc = _expect(_required(doc, "members", str(path)), list, "members")
 
     csv_columns: dict[str, list[float]] = {}
     if "traces_csv" in doc:
+        if not isinstance(doc["traces_csv"], str):
+            raise ConfigError("traces_csv: expected a file path")
         csv_path = Path(doc["traces_csv"])
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
@@ -109,24 +149,21 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
 
     buy = _broadcast(rates_doc.get("buy"), horizon, "rates.buy")
     sell = _broadcast(rates_doc.get("sell"), horizon, "rates.sell")
-    rates = RateSchedule(buy, sell, float(rates_doc.get("salvage", 0.0)))
+    rates = RateSchedule(buy, sell, _number(rates_doc.get("salvage", 0.0), "rates.salvage"))
 
     members = []
     for idx, mdoc in enumerate(members_doc):
+        tag = f"members[{idx}]"
+        mdoc = _expect(mdoc, dict, tag)
         if "id" not in mdoc:
-            raise ConfigError(f"members[{idx}]: missing id")
+            raise ConfigError(f"{tag}: missing id")
         mid = str(mdoc["id"])
         devices = tuple(
-            DeviceUtility(
-                alpha=float(d["alpha"]),
-                beta=float(d["beta"]),
-                d_min=float(d["d_min"]),
-                d_max=float(d["d_max"]),
-            )
-            for d in mdoc.get("devices", [])
+            _device(d, f"{tag}.devices[{k}]")
+            for k, d in enumerate(_expect(mdoc.get("devices", []), list, f"{tag}.devices"))
         )
         if "pv_trace" in mdoc:
-            trace = _broadcast(mdoc["pv_trace"], horizon, f"members[{idx}].pv_trace")
+            trace = _broadcast(mdoc["pv_trace"], horizon, f"{tag}.pv_trace")
         elif mid in csv_columns:
             trace = _broadcast(csv_columns[mid], horizon, f"traces_csv[{mid}]")
         else:
@@ -136,8 +173,10 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
                 id=mid,
                 devices=devices,
                 pv_trace=trace,
-                central_pv_share=float(mdoc.get("central_pv_share", 0.0)),
-                bess_share=float(mdoc.get("bess_share", 0.0)),
+                central_pv_share=_number(
+                    mdoc.get("central_pv_share", 0.0), f"{tag}.central_pv_share"
+                ),
+                bess_share=_number(mdoc.get("bess_share", 0.0), f"{tag}.bess_share"),
             )
         )
 
@@ -150,18 +189,15 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
 
     bess = None
     if "bess" in doc and doc["bess"] is not None:
-        b = doc["bess"]
-        try:
-            bess = BessSpec(
-                capacity=float(b["capacity"]),
-                charge_eff=float(b.get("charge_eff", 1.0)),
-                discharge_eff=float(b.get("discharge_eff", 1.0)),
-                max_charge=float(b.get("max_charge", 0.0)),
-                max_discharge=float(b.get("max_discharge", 0.0)),
-                initial_soc=float(b.get("initial_soc", 0.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"bess: missing required key {exc}") from exc
+        b = _expect(doc["bess"], dict, "bess")
+        bess = BessSpec(
+            capacity=_number(_required(b, "capacity", "bess"), "bess.capacity"),
+            charge_eff=_number(b.get("charge_eff", 1.0), "bess.charge_eff"),
+            discharge_eff=_number(b.get("discharge_eff", 1.0), "bess.discharge_eff"),
+            max_charge=_number(b.get("max_charge", 0.0), "bess.max_charge"),
+            max_discharge=_number(b.get("max_discharge", 0.0), "bess.max_discharge"),
+            initial_soc=_number(b.get("initial_soc", 0.0), "bess.initial_soc"),
+        )
         if members and all(m.bess_share == 0.0 for m in members):
             # equal storage shares unless the config declares them
             share = 1.0 / len(members)

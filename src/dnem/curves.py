@@ -3,9 +3,9 @@
 The central object is the aggregate response curve: for a price ``y`` it
 returns the total consumption that price-taking devices would choose, i.e.
 the sum of every device's inverse marginal utility clamped to its bounds.
-The curve is continuous, non-increasing and piecewise linear for quadratic
-devices, which lets the net-zero price be solved exactly; devices with other
-concave utilities fall back to bisection.
+Every device has a saturating quadratic utility, so the curve is
+continuous, non-increasing and piecewise linear with kinks at known prices,
+which lets the net-zero price be solved exactly.
 """
 
 from __future__ import annotations
@@ -17,21 +17,15 @@ import numpy as np
 from .model import DeviceUtility, Member
 
 __all__ = [
-    "EPS_PRICE",
     "EPS_QUANTITY",
     "TargetOutsideRangeError",
     "device_response",
     "AggregateResponseCurve",
-    "aggregate_response",
     "invert_aggregate",
 ]
 
-#: Price tolerance of the bisection fallback ($/kWh).
-EPS_PRICE = 1e-10
 #: Quantity tolerance for bracketing and balance checks (kWh).
 EPS_QUANTITY = 1e-8
-
-_MAX_BISECT_ITERS = 200
 
 
 class TargetOutsideRangeError(ValueError):
@@ -49,21 +43,30 @@ def device_response(device, price: float) -> float:
 
 
 class AggregateResponseCurve:
-    """Total price response of a flat collection of devices.
+    """Total price response of a flat collection of quadratic devices.
 
-    Immutable after construction.  When every device is a quadratic
-    :class:`~dnem.model.DeviceUtility` the evaluation is vectorised and the
-    kink prices are known, enabling exact inversion.
+    Immutable after construction.  The device parameters are held as arrays
+    so the response is one vectorised expression, and the kink prices of
+    every device (0, ``alpha - beta*d_max``, ``alpha - beta*d_min`` and
+    ``alpha``) are collected and sorted once.
     """
 
-    def __init__(self, devices: Iterable):
+    def __init__(self, devices: Iterable[DeviceUtility]):
         self.devices = tuple(devices)
-        self._quadratic = all(isinstance(d, DeviceUtility) for d in self.devices)
-        if self._quadratic and self.devices:
-            self._alpha = np.array([d.alpha for d in self.devices])
-            self._beta = np.array([d.beta for d in self.devices])
-            self._d_min = np.array([d.d_min for d in self.devices])
-            self._d_max = np.array([d.d_max for d in self.devices])
+        self._alpha = np.array([d.alpha for d in self.devices], dtype=float)
+        self._beta = np.array([d.beta for d in self.devices], dtype=float)
+        self._d_min = np.array([d.d_min for d in self.devices], dtype=float)
+        self._d_max = np.array([d.d_max for d in self.devices], dtype=float)
+        self._knots = np.unique(
+            np.concatenate(
+                (
+                    np.zeros_like(self._alpha),
+                    self._alpha - self._beta * self._d_max,
+                    self._alpha - self._beta * self._d_min,
+                    self._alpha,
+                )
+            )
+        )
 
     @classmethod
     def from_members(cls, members: Sequence[Member]) -> "AggregateResponseCurve":
@@ -71,31 +74,14 @@ class AggregateResponseCurve:
 
     def response(self, price: float) -> float:
         """Aggregate consumption at ``price`` (kWh); non-increasing in price."""
-        if not self.devices:
-            return 0.0
-        if self._quadratic:
-            f = np.clip((self._alpha - price) / self._beta, 0.0, self._alpha / self._beta)
-            return float(np.sum(np.clip(f, self._d_min, self._d_max)))
-        return sum(device_response(d, price) for d in self.devices)
+        f = np.clip((self._alpha - price) / self._beta, 0.0, self._alpha / self._beta)
+        return float(np.sum(np.clip(f, self._d_min, self._d_max)))
 
-    def knot_prices(self, lo: float, hi: float) -> np.ndarray | None:
-        """Sorted kink prices within ``[lo, hi]`` including the endpoints.
-
-        Returns ``None`` when some device does not expose its kink structure,
-        in which case callers must use bisection.
-        """
-        knots = [lo, hi]
-        for dev in self.devices:
-            get = getattr(dev, "response_knots", None)
-            if get is None:
-                return None
-            knots.extend(k for k in get() if lo < k < hi)
-        return np.unique(np.asarray(knots, dtype=float))
-
-
-def aggregate_response(curve: AggregateResponseCurve, price: float) -> float:
-    """Total consumption induced by ``price`` across all devices (kWh)."""
-    return curve.response(price)
+    def knot_prices(self, lo: float, hi: float) -> np.ndarray:
+        """Sorted kink prices within ``[lo, hi]`` including the endpoints."""
+        knots = self._knots
+        inner = knots[np.searchsorted(knots, lo, "right") : np.searchsorted(knots, hi, "left")]
+        return np.unique(np.concatenate(([lo, hi], inner)))
 
 
 def invert_aggregate(
@@ -119,13 +105,9 @@ def invert_aggregate(
     target = min(max(target, v_hi), v_lo)
 
     knots = curve.knot_prices(lo, hi)
-    if knots is None:
-        left = _bisect_edge(curve, target, lo, hi, strict=True)
-        right = _bisect_edge(curve, target, lo, hi, strict=False)
-    else:
-        values = np.array([curve.response(y) for y in knots])
-        left = _left_edge(knots, values, target)
-        right = _right_edge(knots, values, target)
+    values = np.array([curve.response(y) for y in knots])
+    left = _left_edge(knots, values, target)
+    right = _right_edge(knots, values, target)
     return 0.5 * (left + right)
 
 
@@ -147,31 +129,3 @@ def _right_edge(knots, values, target):
         return float(knots[-1])
     j = len(values) - 1 - int(np.argmax(values[::-1] >= target))
     return _interp(knots[j], values[j], knots[j + 1], values[j + 1], target)
-
-
-def _bisect_edge(curve, target, lo, hi, strict: bool) -> float:
-    """Bisect for a plateau edge on a non-increasing curve.
-
-    With ``strict`` the predicate is ``response(y) > target`` (left edge),
-    otherwise ``response(y) >= target`` (right edge); both are monotone in
-    ``y`` so plain bisection converges unconditionally.
-    """
-
-    def above(y):
-        v = curve.response(y)
-        return v > target if strict else v >= target
-
-    if not above(lo):
-        return lo
-    if above(hi):
-        return hi
-    a, b = lo, hi
-    for _ in range(_MAX_BISECT_ITERS):
-        if b - a <= EPS_PRICE:
-            break
-        mid = 0.5 * (a + b)
-        if above(mid):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)

@@ -74,11 +74,6 @@ class DeviceUtility:
     saturation point ``alpha/beta`` and flat beyond it, so marginal value
     starts at ``alpha`` ($/kWh), falls with slope ``beta`` ($/kWh^2) and never
     goes negative.  Consumption is constrained to ``[d_min, d_max]``.
-
-    Any object exposing ``value``, ``marginal``, ``inverse_marginal``,
-    ``d_min`` and ``d_max`` can stand in for this class wherever a device is
-    accepted; ``response_knots`` is optional and, when absent, price curves
-    fall back to bisection instead of exact piecewise-linear solves.
     """
 
     alpha: float
@@ -106,15 +101,6 @@ class DeviceUtility:
         """Consumption at which marginal utility equals ``y``, clamped to
         the utility's own support ``[0, alpha/beta]``."""
         return min(max((self.alpha - y) / self.beta, 0.0), self.saturation)
-
-    def response_knots(self) -> tuple[float, ...]:
-        """Prices at which the clamped response kinks (enables exact solves)."""
-        return (
-            0.0,
-            self.alpha - self.beta * self.d_max,
-            self.alpha - self.beta * self.d_min,
-            self.alpha,
-        )
 
 
 @dataclass(frozen=True)
@@ -283,7 +269,8 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     """
     issues: list[str] = []
     horizon = scenario.horizon
-    if not isinstance(horizon, int) or horizon < 1:
+    integral = isinstance(horizon, (int, np.integer)) and not isinstance(horizon, bool)
+    if not integral or horizon < 1:
         issues.append(f"horizon must be a positive integer (got {horizon})")
         raise ScenarioValidationError(issues)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import AggregateResponseCurve, aggregate_response, invert_aggregate
+from .curves import AggregateResponseCurve, invert_aggregate
 from .model import CommunityPrice, PriceZone
 
 __all__ = [
@@ -42,8 +42,8 @@ def compute_thresholds(
 ) -> PricingThresholds:
     """Evaluate the zone thresholds for one interval's rates."""
     return PricingThresholds(
-        lower=aggregate_response(curve, buy),
-        upper=aggregate_response(curve, sell),
+        lower=curve.response(buy),
+        upper=curve.response(sell),
     )
 
 

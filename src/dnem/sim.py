@@ -37,7 +37,7 @@ from .model import (
     stored_energy,
     validate_scenario,
 )
-from .pricing import dnem_price, nem_payment
+from .pricing import nem_payment
 from .response import MemberOutcome, member_outcome
 from .welfare import WelfareReport, centralized_welfare_closed_form, welfare_gain
 
@@ -102,36 +102,29 @@ def folded_generation(scenario: CommunityScenario) -> np.ndarray:
 def _dnem_records(scenario: CommunityScenario, gen: np.ndarray) -> list[IntervalRecord]:
     members = scenario.members
     rates = scenario.rates
-    bess = scenario.bess
+    # a storage-free community owns an empty battery, which prices exactly
+    # like the storage-free rule
+    bess = scenario.bess or BessSpec(0.0)
     curve = AggregateResponseCurve.from_members(members)
-    soc = bess.initial_soc if bess is not None else 0.0
+    soc = bess.initial_soc
     records = []
     for t in range(scenario.horizon):
         buy, sell = float(rates.buy[t]), float(rates.sell[t])
         g_n = float(np.sum(gen[:, t]))
-        if bess is not None:
-            price, b_n = generalized_dnem_price(
-                curve, g_n, bess, soc, rates.salvage, buy, sell
+        price, b_n = generalized_dnem_price(curve, g_n, bess, soc, rates.salvage, buy, sell)
+        outcomes = tuple(
+            member_outcome(
+                m,
+                price,
+                float(gen[i, t]),
+                m.bess_share * b_n,
+                rates.salvage,
+                bess.charge_eff,
+                bess.discharge_eff,
             )
-            outcomes = tuple(
-                member_outcome(
-                    m,
-                    price,
-                    float(gen[i, t]),
-                    m.bess_share * b_n,
-                    rates.salvage,
-                    bess.charge_eff,
-                    bess.discharge_eff,
-                )
-                for i, m in enumerate(members)
-            )
-            soc = soc_step(bess, soc, b_n)
-        else:
-            price = dnem_price(curve, g_n, buy, sell)
-            b_n = 0.0
-            outcomes = tuple(
-                member_outcome(m, price, float(gen[i, t])) for i, m in enumerate(members)
-            )
+            for i, m in enumerate(members)
+        )
+        soc = soc_step(bess, soc, b_n)
         d_n = sum(o.total_consumption for o in outcomes)
         records.append(
             IntervalRecord(t, price, g_n, d_n, b_n, d_n + b_n - g_n, soc, outcomes)

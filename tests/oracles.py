@@ -7,6 +7,7 @@ than tautology.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,3 +72,51 @@ def grid_centralized_welfare(devices, g_n, buy, sell, step=2e-3):
     z = total - g_n
     welfare = utility - np.where(z >= 0, buy * z, sell * z)
     return float(np.max(welfare))
+
+
+def pl_response(devices, y) -> Fraction:
+    """Exact total response of (alpha, beta, d_min, d_max) devices at price ``y``.
+
+    Each device takes its interior optimum ``(alpha - y)/beta``, kept inside
+    the utility's support ``[0, alpha/beta]`` and then inside its bounds.
+    """
+    y = Fraction(y)
+    total = Fraction(0)
+    for alpha, beta, d_min, d_max in devices:
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        d = min(max((alpha - y) / beta, Fraction(0)), alpha / beta)
+        total += min(max(d, Fraction(d_min)), Fraction(d_max))
+    return total
+
+
+def pl_solution_band(devices, target, lo, hi, tol=Fraction(1, 10**11)):
+    """Exact price set ``{y in [lo, hi] : |f(y) - target| <= tol}`` as (left, right).
+
+    ``f`` is :func:`pl_response`.  Each device response is linear between
+    the prices where its interior optimum crosses d_max, d_min, 0 and
+    alpha/beta, so the total is linear between consecutive such kinks and the
+    set is one interval, solved piece by piece in ``Fraction`` arithmetic.
+    ``tol`` absorbs the float rounding of a target read off a flat stretch;
+    on a falling stretch the set is a point widened by ``tol / slope``.
+    Returns ``None`` when the target is not reached on the bracket.
+    """
+    lo, hi, target = Fraction(lo), Fraction(hi), Fraction(target)
+    prices = {lo, hi}
+    for alpha, beta, d_min, d_max in devices:
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        for k in (alpha - beta * Fraction(d_max), alpha - beta * Fraction(d_min), 0, alpha):
+            if lo < k < hi:
+                prices.add(Fraction(k))
+    ys = sorted(prices)
+    vs = [pl_response(devices, y) for y in ys]
+    inside = [y for y, v in zip(ys, vs) if abs(v - target) <= tol]
+    for y0, v0, y1, v1 in zip(ys, vs, ys[1:], vs[1:]):
+        if v0 != v1:
+            # the falling piece crosses target + tol and target - tol here
+            for level in (target + tol, target - tol):
+                y = y0 + (v0 - level) * (y1 - y0) / (v0 - v1)
+                if y0 <= y <= y1:
+                    inside.append(y)
+    if not inside:
+        return None
+    return min(inside), max(inside)

@@ -116,6 +116,81 @@ class TestLoadConfig:
         assert list(sc.central_pv_trace) == [0.5, 0.7]
 
 
+def _mutated(edit):
+    doc = json.loads(json.dumps(ONE_MEMBER))
+    edit(doc)
+    return doc
+
+
+def _drop_d_min(doc):
+    del doc["members"][0]["devices"][0]["d_min"]
+
+
+def _members_as_object(doc):
+    doc["members"] = {"m1": doc["members"][0]}
+
+
+def _rates_as_list(doc):
+    doc["rates"] = [0.4, 0.2]
+
+
+def _device_as_list(doc):
+    doc["members"][0]["devices"][0] = [2.0, 1.0, 0.0, 2.0]
+
+
+def _null_alpha(doc):
+    doc["members"][0]["devices"][0]["alpha"] = None
+
+
+def _short_csv_row(doc):
+    doc["horizon"] = 2
+    del doc["members"][0]["pv_trace"]
+    doc["traces_csv"] = "traces.csv"
+
+
+class TestMalformedConfig:
+    """Each shape error exits 1 with a message naming the field, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (_drop_d_min, "members[0].devices[0]: missing required key 'd_min'"),
+            (_members_as_object, "members: expected a list"),
+            (_rates_as_list, "rates: expected an object"),
+            (_device_as_list, "members[0].devices[0]: expected an object"),
+            (_null_alpha, "members[0].devices[0].alpha: expected a number"),
+            (_short_csv_row, "line 3 column 'm1': expected a number"),
+        ],
+        ids=[
+            "missing_d_min",
+            "members_object",
+            "rates_list",
+            "device_list",
+            "null_alpha",
+            "short_csv_row",
+        ],
+    )
+    def test_shape_error_exits_1_naming_the_field(self, tmp_path, capsys, edit, field):
+        (tmp_path / "traces.csv").write_text("central_pv,m1\n0.5,1.0\n0.7\n")
+        path = write_config(tmp_path, _mutated(edit))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("horizon", [2.7, True, "1"])
+    def test_non_integral_horizon_exits_1(self, tmp_path, capsys, horizon):
+        path = write_config(tmp_path, _mutated(lambda doc: doc.update(horizon=horizon)))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        assert "horizon: expected an integer" in capsys.readouterr().err
+
+    def test_integral_float_horizon_is_accepted(self, tmp_path):
+        path = write_config(tmp_path, _mutated(lambda doc: doc.update(horizon=1.0)))
+        sc, canonical = load_config(path)
+        assert sc.horizon == 1 and type(sc.horizon) is int
+        assert canonical["horizon"] == 1
+
+
 class TestSimulate:
     def test_net_zero_row(self, tmp_path):
         path = write_config(tmp_path, ONE_MEMBER)

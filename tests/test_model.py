@@ -142,6 +142,17 @@ class TestValidateScenario:
         assert "pv_trace[1]" in text
         assert "sell exceeds buy" in text
 
+    def test_numpy_integer_horizon_accepted(self):
+        sc = make_scenario(horizon=np.int64(1))
+        assert validate_scenario(sc) is sc
+
+    @pytest.mark.parametrize("horizon", [True, np.bool_(True), 1.0, 2.7, 0, np.int64(-1)])
+    def test_bool_non_integral_or_non_positive_horizon_rejected(self, horizon):
+        # an explicit central trace keeps the constructor from sizing one by the horizon
+        sc = make_scenario(horizon=horizon, central_pv_trace=np.zeros(1))
+        with pytest.raises(ScenarioValidationError, match="horizon must be a positive integer"):
+            validate_scenario(sc)
+
     def test_trace_length_mismatch(self):
         sc = make_scenario(members=(make_member(trace=[1.0, 2.0]),))
         with pytest.raises(ScenarioValidationError, match="length"):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from dnem.curves import EPS_PRICE
 from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone
 from dnem.response import member_outcome, member_utility, optimal_consumption
 
 from oracles import grid_best_consumption, quad_utility
+
+#: Tolerance ($/kWh) on the first-order condition of an interior optimum.
+EPS_PRICE = 1e-10
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 DEV_B = DeviceUtility(3.0, 2.0, 0.0, 2.0)
