@@ -16,6 +16,7 @@ from dnem import (
     coalition_audit,
     random_scenario,
     run,
+    run_all,
 )
 from dnem.sim import folded_generation
 
@@ -23,15 +24,13 @@ print("--- axiom audits over 20 random communities ---")
 worst = {}
 for seed in range(20):
     scenario = random_scenario(seed)
-    generation = folded_generation(scenario)
-    records, _ = run(scenario, "dnem", compute_gains=False)
-    for r in records:
+    results = run_all(scenario)
+    for r, alone in zip(results["dnem"][0], results["standalone"][0]):
         report = axiom_audit(
-            list(scenario.members),
-            generation[:, r.t],
             r.per_member,
             float(scenario.rates.buy[r.t]),
             float(scenario.rates.sell[r.t]),
+            [o.surplus for o in alone.per_member],
         )
         for check in report.checks:
             worst[check.axiom] = max(worst.get(check.axiom, 0.0), check.slack)

@@ -26,14 +26,8 @@ from .model import (
 from .curves import AggregateResponseCurve, device_response, invert_aggregate
 from .pricing import PricingThresholds, compute_thresholds, dnem_price, nem_payment, payment
 from .response import MemberOutcome, member_outcome, optimal_consumption
-from .benchmark import sign_based_mechanism, standalone_optimum, standalone_optimum_with_bess
-from .bess import (
-    DispatchThresholds,
-    effective_limits,
-    generalized_dnem_price,
-    myopic_dispatch,
-    soc_step,
-)
+from .benchmark import standalone_optimum, standalone_optimum_with_bess
+from .bess import DispatchThresholds, effective_limits, generalized_dnem_price, soc_step
 from .welfare import (
     axiom_audit,
     centralized_welfare_bruteforce,
@@ -69,13 +63,11 @@ __all__ = [
     "MemberOutcome",
     "member_outcome",
     "optimal_consumption",
-    "sign_based_mechanism",
     "standalone_optimum",
     "standalone_optimum_with_bess",
     "DispatchThresholds",
     "effective_limits",
     "generalized_dnem_price",
-    "myopic_dispatch",
     "soc_step",
     "axiom_audit",
     "centralized_welfare_bruteforce",

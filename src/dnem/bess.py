@@ -27,7 +27,6 @@ __all__ = [
     "effective_limits",
     "soc_step",
     "dispatch_thresholds",
-    "myopic_dispatch",
     "generalized_dnem_price",
 ]
 
@@ -124,25 +123,6 @@ def _dispatch(thresholds: DispatchThresholds, g_n: float) -> float:
     return thresholds.eff_charge
 
 
-def myopic_dispatch(
-    curve: AggregateResponseCurve,
-    g_n: float,
-    spec: BessSpec,
-    soc: float,
-    salvage: float,
-    buy: float,
-    sell: float,
-) -> tuple[float, DispatchThresholds]:
-    """Storage output (kWh, positive = charging) for aggregate generation ``g_n``.
-
-    The action is always feasible at the current SoC because the effective
-    limits are folded into the thresholds.
-    """
-    _check_salvage(salvage, spec, buy, sell)
-    thresholds = dispatch_thresholds(curve, spec, soc, salvage)
-    return _dispatch(thresholds, g_n), thresholds
-
-
 def generalized_dnem_price(
     curve: AggregateResponseCurve,
     g_n: float,
@@ -153,6 +133,10 @@ def generalized_dnem_price(
     sell: float,
 ) -> tuple[CommunityPrice, float]:
     """Community price and storage output for one interval with storage.
+
+    The storage output (kWh, positive = charging) is the myopic policy's
+    action; it is always feasible at the current SoC because the effective
+    limits are folded into the thresholds.
 
     Zones, from scarce to abundant generation: pass through the buy rate;
     solve the price so demand absorbs generation plus a full discharge; hold

@@ -36,11 +36,12 @@ from .model import (
     CommunityScenario,
     DeviceUtility,
     Member,
+    PriceZone,
     RateSchedule,
     ScenarioValidationError,
     validate_scenario,
 )
-from .pricing import compute_thresholds, dnem_price
+from .pricing import compute_thresholds
 from .sim import MECHANISMS, folded_generation, rate_ratio_sweep, run, run_all
 from .welfare import axiom_audit, coalition_audit
 
@@ -48,6 +49,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_AUDIT = 3
+
+#: Largest accepted ``horizon`` (intervals).  Per-interval lists are sized by
+#: the horizon before anything else is checked, so a larger value is refused
+#: up front instead of exhausting memory (10**6 quarter-hours is 28 years).
+MAX_HORIZON = 10**6
 
 
 class ConfigError(ValueError):
@@ -79,6 +85,8 @@ def _horizon(value) -> int:
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"horizon: expected an integer (got {value!r})")
+    if not 1 <= value <= MAX_HORIZON:
+        raise ConfigError(f"horizon: {value} outside [1, {MAX_HORIZON}]")
     return value
 
 
@@ -201,16 +209,7 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
         if members and all(m.bess_share == 0.0 for m in members):
             # equal storage shares unless the config declares them
             share = 1.0 / len(members)
-            members = [
-                Member(
-                    id=m.id,
-                    devices=m.devices,
-                    pv_trace=m.pv_trace,
-                    central_pv_share=m.central_pv_share,
-                    bess_share=share,
-                )
-                for m in members
-            ]
+            members = [dataclasses.replace(m, bess_share=share) for m in members]
 
     scenario = validate_scenario(
         CommunityScenario(
@@ -349,14 +348,11 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
             "upper": round(thresholds.upper, 6),
         },
     }
-    if scenario.bess is None:
-        price = dnem_price(curve, g_n, buy, sell)
-    else:
-        bess = scenario.bess
-        soc = bess.initial_soc
-        price, b = generalized_dnem_price(
-            curve, g_n, bess, soc, scenario.rates.salvage, buy, sell
-        )
+    # an empty battery prices exactly like the storage-free rule
+    bess = scenario.bess or BessSpec(0.0)
+    soc = bess.initial_soc
+    price, b = generalized_dnem_price(curve, g_n, bess, soc, scenario.rates.salvage, buy, sell)
+    if scenario.bess is not None:
         sig = dispatch_thresholds(curve, bess, soc, scenario.rates.salvage)
         doc["storage"] = {
             "soc": round(soc, 6),
@@ -395,15 +391,9 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
     for r, std in zip(records, std_records):
         buy = float(scenario.rates.buy[r.t])
         sell = float(scenario.rates.sell[r.t])
-        report = axiom_audit(
-            list(scenario.members),
-            gen[:, r.t],
-            r.per_member,
-            buy,
-            sell,
-            benchmark_surpluses=[o.surplus for o in std.per_member],
-            check_rationality=not with_storage,
-        )
+        # with storage the standalone benchmark holds only over the horizon
+        benchmark = None if with_storage else [o.surplus for o in std.per_member]
+        report = axiom_audit(r.per_member, buy, sell, benchmark)
         for check in report.checks:
             entry = axioms.setdefault(
                 check.axiom,
@@ -508,15 +498,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
 
 
 def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[list[str]]]:
-    zone_names = [
-        "NetConsumption",
-        "NetZeroDischargeDynamic",
-        "NetZeroDischargeFlat",
-        "NetZeroIdle",
-        "NetZeroChargeFlat",
-        "NetZeroChargeDynamic",
-        "NetProduction",
-    ]
+    zone_names = [zone.value for zone in PriceZone]
     ids = [m.id for m in scenario.members]
     header = ["mechanism", "bess", "total_welfare", "welfare_gain_pct"]
     header += [f"zone_{z}" for z in zone_names]

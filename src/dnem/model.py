@@ -347,7 +347,10 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         total = sum(m.bess_share for m in scenario.members)
         if abs(total - 1.0) > 1e-9:
             issues.append(f"bess shares must sum to 1 (got {total})")
-        if len(rates.buy) == horizon and len(rates.sell) == horizon and np.isfinite(rates.salvage):
+        # the salvage window divides by charge_eff, so it needs valid efficiencies
+        efficient = 0 < bess.charge_eff <= 1 and 0 < bess.discharge_eff <= 1
+        rates_ok = len(rates.buy) == horizon and len(rates.sell) == horizon
+        if efficient and rates_ok and np.isfinite(rates.salvage):
             lo, hi = salvage_rate_bounds(rates, bess)
             if lo > hi + 1e-12:
                 issues.append(

@@ -52,9 +52,17 @@ def dnem_price(
 ) -> CommunityPrice:
     """Community price for aggregate generation ``g_n`` under rates (buy, sell).
 
-    The net-zero interval is closed on both ends; at its endpoints the solved
-    price coincides with the passed-through rate, so the tie-break only
-    affects the zone label.  Raises ``ValueError`` for a non-finite ``g_n``.
+    The net-zero interval is closed on both ends.  Where the response curve
+    is strictly decreasing at an endpoint, the solved price there coincides
+    with the passed-through rate, so the tie-break only affects the zone
+    label.  Where the curve is flat at that threshold, every price on the
+    plateau clears and its midpoint is announced, not the rate: one
+    ``DeviceUtility(0.5, 0.1, 0.1, 3.0)`` with buy 1.5, sell 0.2 and
+    ``g_n = 0.1`` (the lower threshold) is priced at 0.995, the midpoint of
+    the plateau [0.49, 1.5], not at 1.5 (the code returns 1.0 because of a
+    float rounding at the plateau edge, pinned by the strict xfail
+    ``test_plateau_midpoint_with_inexact_edge_kink``).  Raises
+    ``ValueError`` for a non-finite ``g_n``.
     """
     if not math.isfinite(g_n):
         raise ValueError(f"aggregate generation must be finite (got {g_n})")

@@ -17,7 +17,7 @@ from .curves import device_response
 from .model import CommunityPrice, Member, stored_energy
 from .pricing import payment as community_payment
 
-__all__ = ["MemberOutcome", "optimal_consumption", "member_utility", "member_outcome"]
+__all__ = ["MemberOutcome", "optimal_consumption", "member_utility", "settle", "member_outcome"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,27 @@ def member_utility(member: Member, consumption: np.ndarray) -> float:
     return float(sum(dev.value(float(d)) for dev, d in zip(member.devices, consumption)))
 
 
+def settle(
+    member: Member,
+    consumption: np.ndarray,
+    net: float,
+    pay: float,
+    battery: float = 0.0,
+    salvage: float = 0.0,
+    charge_eff: float = 1.0,
+    discharge_eff: float = 1.0,
+) -> MemberOutcome:
+    """Settle one member's interval given the payment its mechanism charges.
+
+    ``surplus`` is the utility of ``consumption`` minus ``pay``; ``reward``
+    adds the salvage-valued energy stored (withdrawn) by the member's battery
+    output ``battery``.
+    """
+    surplus = member_utility(member, consumption) - pay
+    reward = surplus + salvage * stored_energy(battery, charge_eff, discharge_eff)
+    return MemberOutcome(consumption, net, pay, surplus, reward, battery=battery)
+
+
 def member_outcome(
     member: Member,
     price: CommunityPrice,
@@ -71,13 +92,6 @@ def member_outcome(
     consumption = optimal_consumption(member, price.value)
     net = float(np.sum(consumption)) + battery_output_share - generation
     pay = community_payment(price, net)
-    surplus = member_utility(member, consumption) - pay
-    reward = surplus + salvage * stored_energy(battery_output_share, charge_eff, discharge_eff)
-    return MemberOutcome(
-        consumption=consumption,
-        net=net,
-        payment=pay,
-        surplus=surplus,
-        reward=reward,
-        battery=battery_output_share,
+    return settle(
+        member, consumption, net, pay, battery_output_share, salvage, charge_eff, discharge_eff
     )

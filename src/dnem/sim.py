@@ -156,14 +156,7 @@ def _baseline_records(
         outs = [schedules[i][t] for i in range(len(members))]
         if mechanism == "sign_based":
             price, outs = sign_based_interval(
-                members,
-                gen[:, t],
-                buy,
-                sell,
-                schedules=outs,
-                salvage=rates.salvage,
-                charge_eff=charge_eff,
-                discharge_eff=discharge_eff,
+                members, outs, buy, sell, rates.salvage, charge_eff, discharge_eff
             )
         else:
             price = None

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .benchmark import standalone_optimum
 from .curves import AggregateResponseCurve, invert_aggregate
 from .model import Member
 from .pricing import compute_thresholds, dnem_price, nem_payment
@@ -195,23 +194,20 @@ class AxiomReport:
 
 
 def axiom_audit(
-    members: Sequence[Member],
-    generations: Sequence[float],
     outcomes: Sequence[MemberOutcome],
     buy: float,
     sell: float,
-    benchmark_surpluses: Optional[Sequence[float]] = None,
-    check_rationality: bool = True,
+    benchmark_surpluses: Optional[Sequence[float]],
 ) -> AxiomReport:
     """Audit one interval's outcomes against the four pricing axioms.
 
     Checks, in order: uniform payments for equal net consumption; payment
     monotonicity, sign matching and zero-at-zero; individual rationality
-    against the standalone benchmark (computed from ``generations`` unless
-    ``benchmark_surpluses`` is supplied, or skipped entirely when
-    ``check_rationality`` is false, e.g. for single intervals of a storage
-    run where the benchmark is only defined over the whole horizon); and the
-    operator's profit neutrality.  Failures are report entries, not errors.
+    against ``benchmark_surpluses``, the members' standalone surpluses for
+    the interval (``None`` skips this check, e.g. for single intervals of a
+    storage run where the benchmark is only defined over the whole horizon);
+    and the operator's profit neutrality.  Failures are report entries, not
+    errors.
     """
     nets = np.array([o.net for o in outcomes])
     pays = np.array([o.payment for o in outcomes])
@@ -242,12 +238,7 @@ def axiom_audit(
                     worst, detail = gap, f"members {i}, {j}: magnitude order broken"
     checks.append(AxiomCheck("monotonicity_cost_causation", worst <= PROFIT_TOL, worst, detail))
 
-    if check_rationality:
-        if benchmark_surpluses is None:
-            benchmark_surpluses = [
-                standalone_optimum(m, float(g), buy, sell).surplus
-                for m, g in zip(members, generations)
-            ]
+    if benchmark_surpluses is not None:
         worst = 0.0
         detail = ""
         for i, (o, bench) in enumerate(zip(outcomes, benchmark_surpluses)):

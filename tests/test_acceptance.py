@@ -16,7 +16,9 @@ from dnem.cli import EXIT_AUDIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from dnem.curves import AggregateResponseCurve
 from dnem.model import NET_ZERO_ZONES, BessSpec, CommunityScenario, PriceZone
 from dnem.pricing import compute_thresholds, dnem_price, nem_payment
-from dnem.sim import folded_generation, random_scenario, rate_ratio_sweep, run, solar_day_scenario
+from dnem.sim import (
+    folded_generation, random_scenario, rate_ratio_sweep, run, run_all, solar_day_scenario,
+)
 from dnem.welfare import (
     axiom_audit,
     centralized_welfare_bruteforce,
@@ -35,13 +37,12 @@ def test_criterion_1_axiom_suite():
     intervals = 0
     for seed in range(200):
         sc = random_scenario(seed)
-        gen = folded_generation(sc)
-        records, _ = run(sc, "dnem", compute_gains=False)
-        for r in records:
+        results = run_all(sc)
+        for r, alone in zip(results["dnem"][0], results["standalone"][0]):
             buy = float(sc.rates.buy[r.t])
             sell = float(sc.rates.sell[r.t])
             report = axiom_audit(
-                list(sc.members), gen[:, r.t], r.per_member, buy, sell
+                r.per_member, buy, sell, [o.surplus for o in alone.per_member]
             )
             intervals += 1
             by_name = {c.axiom: c for c in report.checks}

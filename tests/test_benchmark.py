@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from dnem.benchmark import (
-    sign_based_interval,
-    sign_based_mechanism,
-    standalone_optimum,
-    standalone_optimum_with_bess,
-)
+from dnem.benchmark import sign_based_interval, standalone_optimum, standalone_optimum_with_bess
 from dnem.model import (
     BessSpec,
     CommunityScenario,
@@ -17,6 +12,7 @@ from dnem.model import (
 )
 from dnem.pricing import nem_payment
 from dnem.response import member_utility
+from dnem.sim import run
 
 from oracles import grid_standalone_surplus
 
@@ -120,12 +116,18 @@ class TestStandaloneWithStorage:
         assert soc == pytest.approx(0.0, abs=1e-9)
 
 
+def sign_based_first_interval(sc):
+    records, _ = run(sc, "sign_based", compute_gains=False)
+    return records[0].price, records[0].per_member
+
+
 class TestSignBased:
     def test_two_member_example(self):
         m1 = one_device_member("a", DeviceUtility(2, 1, 0, 2))
         m2 = one_device_member("b", DeviceUtility(2, 1, 0, 2))
         # standalone schedules net +0.6 (import) and -0.2 (export)
-        price, outs = sign_based_interval([m1, m2], np.array([1.0, 2.0]), 0.4, 0.2)
+        schedules = [standalone_optimum(m1, 1.0, 0.4, 0.2), standalone_optimum(m2, 2.0, 0.4, 0.2)]
+        price, outs = sign_based_interval([m1, m2], schedules, 0.4, 0.2)
         assert outs[0].net == pytest.approx(0.6)
         assert outs[1].net == pytest.approx(-0.2)
         assert price.value == 0.4
@@ -140,7 +142,7 @@ class TestSignBased:
         sc = CommunityScenario(
             members=(m1, m2), rates=RateSchedule.flat(0.4, 0.2, 1), horizon=1
         )
-        price, outs = sign_based_mechanism(sc, 0)
+        price, outs = sign_based_first_interval(sc)
         assert price.value == 0.4
         assert price.zone == PriceZone.NET_CONSUMPTION
         assert all(o.payment == 0.0 for o in outs)
@@ -150,7 +152,7 @@ class TestSignBased:
         sc = CommunityScenario(
             members=(m,), rates=RateSchedule.flat(0.4, 0.2, 1), horizon=1
         )
-        price, outs = sign_based_mechanism(sc, 0)
+        price, outs = sign_based_first_interval(sc)
         ref = standalone_optimum(m, 1.0, 0.4, 0.2)
         assert price.value == 0.4
         assert outs[0].payment == pytest.approx(nem_payment(0.4, 0.2, ref.net))
@@ -176,22 +178,11 @@ class TestSignBased:
             sc = CommunityScenario(
                 members=members, rates=RateSchedule.flat(0.4, 0.15, 1), horizon=1
             )
-            price, outs = sign_based_mechanism(sc, 0)
+            price, outs = sign_based_first_interval(sc)
             z_n = sum(o.net for o in outs)
             assert sum(o.payment for o in outs) == pytest.approx(
                 nem_payment(0.4, 0.15, z_n), abs=1e-12
             )
-
-    def test_rejects_storage_scenarios(self):
-        m = one_device_member(trace=(1.0,), bess_share=1.0)
-        sc = CommunityScenario(
-            members=(m,),
-            rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.3),
-            horizon=1,
-            bess=BessSpec(1.0, 0.95, 0.95, 0.5, 0.5, 0.5),
-        )
-        with pytest.raises(ValueError, match="storage"):
-            sign_based_mechanism(sc, 0)
 
     def test_member_surplus_at_least_standalone(self):
         # with standalone schedules and a single community rate, each member's
@@ -215,7 +206,7 @@ class TestSignBased:
             sc = CommunityScenario(
                 members=members, rates=RateSchedule.flat(0.5, 0.1, 1), horizon=1
             )
-            _, outs = sign_based_mechanism(sc, 0)
+            _, outs = sign_based_first_interval(sc)
             for m, o in zip(members, outs):
                 ref = standalone_optimum(m, float(m.pv_trace[0]), 0.5, 0.1)
                 assert o.surplus >= ref.surplus - 1e-9

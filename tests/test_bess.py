@@ -6,7 +6,6 @@ from dnem.bess import (
     dispatch_thresholds,
     effective_limits,
     generalized_dnem_price,
-    myopic_dispatch,
     soc_step,
 )
 from dnem.curves import AggregateResponseCurve
@@ -60,7 +59,7 @@ class TestSocStep:
 
 class TestMyopicDispatch:
     def test_threshold_values(self):
-        _, th = myopic_dispatch(CURVE, 1.0, SPEC, 1.0, 0.3, 0.4, 0.2)
+        th = dispatch_thresholds(CURVE, SPEC, 1.0, 0.3)
         assert th.sigma_plus == pytest.approx(2 - 0.3 / 0.95 - 0.5)
         assert th.sigma_plus_z == pytest.approx(2 - 0.3 / 0.95)
         assert th.sigma_minus_z == pytest.approx(2 - 0.95 * 0.3)
@@ -78,7 +77,7 @@ class TestMyopicDispatch:
             (3.0, 0.5),             # above sigma_minus: full charge
         ]
         for g, expected in cases:
-            b, _ = myopic_dispatch(CURVE, g, SPEC, 1.0, 0.3, 0.4, 0.2)
+            b = generalized_dnem_price(CURVE, g, SPEC, 1.0, 0.3, 0.4, 0.2)[1]
             assert b == pytest.approx(expected, abs=1e-9), f"g={g}"
 
     def test_action_always_feasible(self):
@@ -86,12 +85,12 @@ class TestMyopicDispatch:
         for _ in range(200):
             soc = float(rng.uniform(0, SPEC.capacity))
             g = float(rng.uniform(0, 4))
-            b, _ = myopic_dispatch(CURVE, g, SPEC, soc, 0.3, 0.4, 0.2)
+            b = generalized_dnem_price(CURVE, g, SPEC, soc, 0.3, 0.4, 0.2)[1]
             soc_step(SPEC, soc, b)  # must not raise
 
     def test_incompatible_salvage_raises(self):
         with pytest.raises(ValueError, match="salvage"):
-            myopic_dispatch(CURVE, 1.0, SPEC, 1.0, 0.5, 0.4, 0.2)
+            generalized_dnem_price(CURVE, 1.0, SPEC, 1.0, 0.5, 0.4, 0.2)
 
 
 class TestGeneralizedPrice:
@@ -151,12 +150,6 @@ class TestGeneralizedPrice:
             left, _ = generalized_dnem_price(CURVE, g0 - 1e-9, SPEC, 1.0, 0.3, 0.4, 0.2)
             right, _ = generalized_dnem_price(CURVE, g0 + 1e-9, SPEC, 1.0, 0.3, 0.4, 0.2)
             assert abs(left.value - right.value) <= 1e-6
-
-    def test_dispatch_price_consistency(self):
-        for g in np.linspace(0.0, 3.5, 701):
-            b_price = generalized_dnem_price(CURVE, float(g), SPEC, 1.0, 0.3, 0.4, 0.2)[1]
-            b_dispatch = myopic_dispatch(CURVE, float(g), SPEC, 1.0, 0.3, 0.4, 0.2)[0]
-            assert b_price == b_dispatch
 
     def test_empty_battery_needs_no_salvage_window(self):
         # salvage 0.5 is above the buy rate, outside the admissible window

@@ -5,9 +5,18 @@ import sys
 
 import pytest
 
+import dnem.benchmark
 import dnem.sim
-import dnem.welfare
-from dnem.cli import EXIT_AUDIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, load_config, main, scenario_hash
+from dnem.cli import (
+    EXIT_AUDIT,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    MAX_HORIZON,
+    load_config,
+    main,
+    scenario_hash,
+)
 
 
 ONE_MEMBER = {
@@ -184,6 +193,29 @@ class TestMalformedConfig:
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
         assert "horizon: expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "horizon", [10**30, MAX_HORIZON + 1, 0, -1e308], ids=["1e30", "limit_plus_1", "0", "-1e308"]
+    )
+    def test_horizon_outside_limits_exits_1(self, tmp_path, capsys, horizon):
+        # a one-entry trace: were the limit not checked, the config would be
+        # rejected for its trace length rather than run a million intervals
+        doc = _mutated(lambda doc: doc.update(horizon=horizon))
+        doc["members"][0]["pv_trace"] = [1.7]
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"horizon: {int(horizon)} outside [1, {MAX_HORIZON}]" in err
+        assert "Traceback" not in err
+
+    def test_zero_charge_efficiency_exits_1(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BESS_CONFIG))
+        doc["bess"]["charge_eff"] = 0
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "bess charge_eff outside (0, 1]" in err
+        assert "Traceback" not in err
+
     def test_integral_float_horizon_is_accepted(self, tmp_path):
         path = write_config(tmp_path, _mutated(lambda doc: doc.update(horizon=1.0)))
         sc, canonical = load_config(path)
@@ -296,7 +328,7 @@ class TestAudit:
             raise AssertionError("audit recomputed a standalone optimum")
 
         monkeypatch.setattr(dnem.sim, "standalone_optimum_with_bess", counting)
-        monkeypatch.setattr(dnem.welfare, "standalone_optimum", forbidden)
+        monkeypatch.setattr(dnem.benchmark, "standalone_optimum", forbidden)
         path = write_config(tmp_path, doc)
         assert main(["audit", "--config", path]) == EXIT_OK
         capsys.readouterr()

@@ -108,6 +108,19 @@ class TestValidateScenario:
         with pytest.raises(ScenarioValidationError, match="salvage rate"):
             validate_scenario(sc)
 
+    @pytest.mark.parametrize("charge_eff, discharge_eff", [(0.0, 0.95), (0.95, 0.0), (0.0, 0.0)])
+    def test_zero_efficiency_reported_not_divided_by(self, charge_eff, discharge_eff):
+        # the salvage window divides by charge_eff; it is skipped, not evaluated
+        bess = BessSpec(2.0, charge_eff, discharge_eff, 0.5, 0.5, 1.0)
+        sc = make_scenario(
+            members=(make_member(bess_share=1.0),),
+            rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.3),
+            bess=bess,
+        )
+        with pytest.raises(ScenarioValidationError, match=r"_eff outside \(0, 1\]") as err:
+            validate_scenario(sc)
+        assert "salvage" not in str(err.value)
+
     def test_bess_shares_must_sum_to_one(self):
         bess = BessSpec(2.0, 0.95, 0.95, 0.5, 0.5, 1.0)
         members = (

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dnem.benchmark import standalone_optimum
 from dnem.curves import AggregateResponseCurve
 from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
 from dnem.response import MemberOutcome, member_outcome
-from dnem.sim import folded_generation, random_scenario
+from dnem.sim import folded_generation, random_scenario, run_all
 from dnem.welfare import (
     InstanceTooLargeError,
     axiom_audit,
@@ -122,8 +125,24 @@ class TestAxiomAudit:
         for seed in range(10):
             sc = random_scenario(2000 + seed, horizon=1)
             gen, outs, buy, sell = self._dnem_outcomes(sc)
-            report = axiom_audit(list(sc.members), gen[:, 0], outs, buy, sell)
+            alone = [
+                standalone_optimum(m, float(g), buy, sell).surplus
+                for m, g in zip(sc.members, gen[:, 0])
+            ]
+            report = axiom_audit(outs, buy, sell, alone)
             assert report.passed, report.failures()
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_bess=st.booleans(), wide_bounds=st.booleans())
+    def test_every_dnem_interval_passes_on_random_scenarios(self, seed, with_bess, wide_bounds):
+        sc = random_scenario(seed, with_bess=with_bess, wide_bounds=wide_bounds)
+        results = run_all(sc)
+        for r, alone in zip(results["dnem"][0], results["standalone"][0]):
+            # with storage the standalone benchmark holds only over the horizon
+            benchmark = None if with_bess else [o.surplus for o in alone.per_member]
+            buy, sell = float(sc.rates.buy[r.t]), float(sc.rates.sell[r.t])
+            report = axiom_audit(r.per_member, buy, sell, benchmark)
+            assert report.passed, (r.t, report.failures())
 
     def test_naive_nem_passthrough_fails_profit_neutrality(self):
         # one importer and one exporter billed individually at the utility's
@@ -138,16 +157,13 @@ class TestAxiomAudit:
             pay = nem_payment(buy, sell, net)
             surplus = float(quad_utility(2, 1, 1.6)) - pay
             outs.append(MemberOutcome(d, net, pay, surplus, surplus))
-        report = axiom_audit(
-            [importer, exporter], [0.0, 3.0], outs, buy, sell, check_rationality=False
-        )
+        report = axiom_audit(outs, buy, sell, None)
         failed = {c.axiom for c in report.failures()}
         assert "profit_neutrality" in failed
 
     def test_flat_fee_fails_monotonicity(self):
-        m = Member("m", (DEV_A,), np.array([0.0]))
         out = MemberOutcome(np.array([0.0]), 0.0, 1.0, -1.0, -1.0)
-        report = axiom_audit([m], [0.0], [out], 0.4, 0.2, check_rationality=False)
+        report = axiom_audit([out], 0.4, 0.2, None)
         failed = {c.axiom for c in report.failures()}
         assert "monotonicity_cost_causation" in failed
 
@@ -155,7 +171,7 @@ class TestAxiomAudit:
         m = Member("m", (DEV_A,), np.array([0.0]))
         price = CommunityPrice(0.4, PriceZone.NET_CONSUMPTION)
         out = member_outcome(m, price, 0.0)
-        report = axiom_audit([m], [0.0], [out], 0.4, 0.2, benchmark_surpluses=[out.surplus + 1.0])
+        report = axiom_audit([out], 0.4, 0.2, benchmark_surpluses=[out.surplus + 1.0])
         failed = {c.axiom for c in report.failures()}
         assert "individual_rationality" in failed
 
