@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -43,7 +44,7 @@ from .model import (
 )
 from .pricing import compute_thresholds
 from .sim import MECHANISMS, folded_generation, rate_ratio_sweep, run, run_all
-from .welfare import axiom_audit, coalition_audit
+from .welfare import axiom_audit, coalition_audit, welfare_gain
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,6 +62,8 @@ class ConfigError(ValueError):
 
 
 def _number(value, name: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a number (got {value!r})")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -263,7 +266,21 @@ def _json_default(obj):
     raise TypeError(f"not JSON serialisable: {type(obj).__name__}")
 
 
+#: Message for a result that JSON or the CSV format cannot hold.
+_NON_FINITE = "a result is not a finite number; check the config for extreme values"
+
+
+def _dumps(doc: dict, indent: Optional[int] = None) -> str:
+    """Standard JSON: a non-finite number is refused, never written as NaN or Infinity."""
+    try:
+        return json.dumps(doc, indent=indent, sort_keys=True, default=_json_default, allow_nan=False)
+    except ValueError:
+        raise ValueError(_NON_FINITE) from None
+
+
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(_NON_FINITE)
     # round first so values like -1e-9 serialise as 0.000000, not -0.000000
     return f"{round(value, 6) + 0.0:.6f}"
 
@@ -319,16 +336,19 @@ def _summary_json(scenario, summary, canonical) -> str:
         "tool_version": __version__,
         "conventions": {"net_zero_plateau_price": "midpoint"},
     }
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return _dumps(doc, indent=2) + "\n"
 
 
 def cmd_simulate(config: str, mechanism: str, out_dir: str) -> int:
     scenario, canonical = load_config(config)
     records, summary = run(scenario, mechanism)
+    # render both files first, so a failed run writes neither
+    intervals = _intervals_csv(scenario, records)
+    summary_text = _summary_json(scenario, summary, canonical)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "intervals.csv", _intervals_csv(scenario, records))
-    _atomic_write(out / "summary.json", _summary_json(scenario, summary, canonical))
+    _atomic_write(out / "intervals.csv", intervals)
+    _atomic_write(out / "summary.json", summary_text)
     return EXIT_OK
 
 
@@ -366,7 +386,7 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
         }
     doc["value"] = round(price.value, 6)
     doc["zone"] = price.zone.value
-    print(json.dumps(doc, sort_keys=True, default=_json_default))
+    print(_dumps(doc))
     return EXIT_OK
 
 
@@ -412,9 +432,9 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
     rationality_horizon = None
     if with_storage:
         worst = 0.0
-        for i in range(len(scenario.members)):
-            mine = sum(r.per_member[i].reward for r in records)
-            base = sum(r.per_member[i].reward for r in std_records)
+        for mine, base in zip(
+            results[mechanism][1].per_member_surplus, results["standalone"][1].per_member_surplus
+        ):
             worst = max(worst, base - mine)
         rationality_horizon = {"passed": worst <= 1e-9, "worst_slack": round(worst, 9)}
         if worst > 1e-9:
@@ -479,7 +499,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
             all_passed = False
 
     print(
-        json.dumps(
+        _dumps(
             {
                 "mechanism": mechanism,
                 "intervals": scenario.horizon,
@@ -490,8 +510,6 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
                 "passed": all_passed,
             },
             indent=2,
-            sort_keys=True,
-            default=_json_default,
         )
     )
     return EXIT_OK if all_passed else EXIT_AUDIT
@@ -520,10 +538,8 @@ def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[list[str
             row.append("" if gain is None else _fmt(gain))
             for z in zone_names:
                 row.append(str(s.zone_histogram.get(z, 0)))
-            for i in range(len(ids)):
-                mine = s.per_member_surplus[i]
-                ref = base.per_member_surplus[i]
-                row.append("" if ref == 0 else _fmt(100.0 * (mine - ref) / abs(ref)))
+            for mine, ref in zip(s.per_member_surplus, base.per_member_surplus):
+                row.append("" if ref == 0 else _fmt(welfare_gain(mine, ref)))
             rows.append(row)
     return header, rows
 

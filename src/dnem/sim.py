@@ -37,9 +37,8 @@ from .model import (
     stored_energy,
     validate_scenario,
 )
-from .pricing import nem_payment
 from .response import MemberOutcome, member_outcome
-from .welfare import WelfareReport, centralized_welfare_closed_form, welfare_gain
+from .welfare import welfare_gain
 
 __all__ = [
     "MECHANISMS",
@@ -50,7 +49,6 @@ __all__ = [
     "rate_ratio_sweep",
     "random_scenario",
     "solar_day_scenario",
-    "build_welfare_report",
 ]
 
 MECHANISMS = ("dnem", "sign_based", "standalone")
@@ -79,9 +77,12 @@ class IntervalRecord:
 class RunSummary:
     """Horizon totals for a run.
 
-    ``total_welfare`` sums member rewards over all intervals; gains are
-    percentages against the corresponding baseline run on the same scenario
-    and are ``None`` when the baseline welfare is zero.
+    ``total_welfare`` sums member rewards over all intervals, and
+    ``per_member_surplus`` holds each member's reward total: surplus plus the
+    salvage value of its stored-energy change (the name is kept for
+    ``summary.json``).  Gains are percentages against the corresponding
+    baseline run on the same scenario and are ``None`` when the baseline
+    welfare is zero.
     """
 
     mechanism: str
@@ -142,42 +143,36 @@ def _standalone_schedules(scenario: CommunityScenario, gen: np.ndarray) -> list[
 
 
 def _baseline_records(
-    scenario: CommunityScenario, gen: np.ndarray, schedules: list, mechanism: str
-) -> list[IntervalRecord]:
-    members = list(scenario.members)
+    scenario: CommunityScenario, gen: np.ndarray, schedules: list
+) -> dict[str, list[IntervalRecord]]:
+    """Standalone and sign-based records from one pass over the standalone schedules."""
     rates = scenario.rates
-    bess = scenario.bess
-    charge_eff = bess.charge_eff if bess is not None else 1.0
-    discharge_eff = bess.discharge_eff if bess is not None else 1.0
-    soc = bess.initial_soc if bess is not None else 0.0
-    records = []
+    bess = scenario.bess or BessSpec(0.0)
+    soc = bess.initial_soc
+    sign_based, standalone = [], []
     for t in range(scenario.horizon):
-        buy, sell = float(rates.buy[t]), float(rates.sell[t])
-        outs = [schedules[i][t] for i in range(len(members))]
-        if mechanism == "sign_based":
-            price, outs = sign_based_interval(
-                members, outs, buy, sell, rates.salvage, charge_eff, discharge_eff
-            )
-        else:
-            price = None
+        outs = [schedule[t] for schedule in schedules]
+        price, signed = sign_based_interval(
+            scenario.members,
+            outs,
+            float(rates.buy[t]),
+            float(rates.sell[t]),
+            rates.salvage,
+            bess.charge_eff,
+            bess.discharge_eff,
+        )
         g_n = float(np.sum(gen[:, t]))
         d_n = sum(o.total_consumption for o in outs)
         b_n = sum(o.battery for o in outs)
-        if bess is not None:
-            soc = soc + sum(stored_energy(o.battery, charge_eff, discharge_eff) for o in outs)
-        records.append(
-            IntervalRecord(t, price, g_n, d_n, b_n, d_n + b_n - g_n, soc, tuple(outs))
-        )
-    return records
+        z_n = d_n + b_n - g_n
+        soc += sum(stored_energy(o.battery, bess.charge_eff, bess.discharge_eff) for o in outs)
+        sign_based.append(IntervalRecord(t, price, g_n, d_n, b_n, z_n, soc, tuple(signed)))
+        standalone.append(IntervalRecord(t, None, g_n, d_n, b_n, z_n, soc, tuple(outs)))
+    return {"sign_based": sign_based, "standalone": standalone}
 
 
 def _total_welfare(records: Sequence[IntervalRecord]) -> float:
     return sum(o.reward for r in records for o in r.per_member)
-
-
-def _check_mechanism(mechanism: str) -> None:
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
 
 
 def _gain(total: float, baseline: float) -> Optional[float]:
@@ -213,16 +208,12 @@ def run_all(scenario: CommunityScenario) -> dict[str, tuple[list[IntervalRecord]
     """Simulate a scenario under every mechanism, gains filled in.
 
     Returns ``{mechanism: (records, summary)}``.  The standalone schedules are
-    computed once and shared by the standalone and sign-based baselines.
+    computed once, and one pass over them builds both baselines.
     """
     scenario = validate_scenario(scenario)
     gen = folded_generation(scenario)
     schedules = _standalone_schedules(scenario, gen)
-    records = {
-        "dnem": _dnem_records(scenario, gen),
-        "sign_based": _baseline_records(scenario, gen, schedules, "sign_based"),
-        "standalone": _baseline_records(scenario, gen, schedules, "standalone"),
-    }
+    records = {"dnem": _dnem_records(scenario, gen), **_baseline_records(scenario, gen, schedules)}
     totals = {m: _total_welfare(r) for m, r in records.items()}
     return {m: (records[m], _summary(scenario, m, records[m], totals)) for m in MECHANISMS}
 
@@ -236,7 +227,8 @@ def run(
     baseline mechanisms are run on the same scenario to fill the summary's
     welfare-gain fields.
     """
-    _check_mechanism(mechanism)
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
     if compute_gains:
         return run_all(scenario)[mechanism]
     scenario = validate_scenario(scenario)
@@ -244,7 +236,7 @@ def run(
     if mechanism == "dnem":
         records = _dnem_records(scenario, gen)
     else:
-        records = _baseline_records(scenario, gen, _standalone_schedules(scenario, gen), mechanism)
+        records = _baseline_records(scenario, gen, _standalone_schedules(scenario, gen))[mechanism]
     return records, _summary(scenario, mechanism, records)
 
 
@@ -289,43 +281,6 @@ def rate_ratio_sweep(
     return points
 
 
-def build_welfare_report(scenario: CommunityScenario, mechanism: str = "dnem") -> WelfareReport:
-    """Run a mechanism and compare it against its oracles and baselines."""
-    _check_mechanism(mechanism)
-    results = run_all(scenario)
-    records, summary = results[mechanism]
-    std_records = results["standalone"][0]
-    gains = []
-    for i, member in enumerate(scenario.members):
-        base = sum(r.per_member[i].reward for r in std_records)
-        mine = sum(r.per_member[i].reward for r in records)
-        gains.append((member.id, _gain(mine, base)))
-    central = None
-    if scenario.bess is None:
-        central = sum(
-            centralized_welfare_closed_form(
-                scenario.members,
-                r.g_n,
-                float(scenario.rates.buy[r.t]),
-                float(scenario.rates.sell[r.t]),
-            )
-            for r in records
-        )
-    gap = sum(
-        sum(o.payment for o in r.per_member)
-        - nem_payment(
-            float(scenario.rates.buy[r.t]), float(scenario.rates.sell[r.t]), r.z_n
-        )
-        for r in records
-    )
-    return WelfareReport(
-        decentralized_welfare=summary.total_welfare,
-        centralized_welfare=central,
-        per_member_gains=tuple(gains),
-        profit_gap=gap,
-    )
-
-
 def _random_devices(rng: np.random.Generator, count: int, wide_bounds: bool) -> list[DeviceUtility]:
     devices = []
     for _ in range(count):
@@ -346,7 +301,6 @@ def random_scenario(
     seed: int,
     n_members: Optional[int] = None,
     horizon: Optional[int] = None,
-    devices_per_member: tuple[int, int] = (1, 3),
     with_bess: bool = False,
     wide_bounds: bool = False,
     max_total_devices: Optional[int] = None,
@@ -371,8 +325,7 @@ def random_scenario(
                 counts[int(rng.integers(0, n))] += 1
     else:
         n = n_members or int(rng.integers(2, 11))
-        lo, hi = devices_per_member
-        counts = [int(rng.integers(lo, hi + 1)) for _ in range(n)]
+        counts = [int(rng.integers(1, 4)) for _ in range(n)]
     t_len = horizon or int(rng.integers(1, 25))
 
     peak = float(rng.uniform(0.3, 0.5))

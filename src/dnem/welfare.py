@@ -10,7 +10,7 @@ checks rather than taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from .response import MemberOutcome, member_outcome, member_utility, optimal_con
 
 __all__ = [
     "InstanceTooLargeError",
-    "WelfareReport",
     "centralized_welfare_closed_form",
     "centralized_welfare_bruteforce",
     "AxiomCheck",
@@ -43,22 +42,6 @@ _MAX_BRUTEFORCE_DEVICES = 4
 
 class InstanceTooLargeError(ValueError):
     """Brute-force welfare oracle limited to a handful of devices."""
-
-
-@dataclass(frozen=True)
-class WelfareReport:
-    """Summary comparison of a mechanism run against its oracles.
-
-    ``per_member_gains`` holds ``(member id, surplus gain vs standalone, %)``
-    tuples; the gain is ``None`` when a member's standalone baseline is zero.
-    ``profit_gap`` is the horizon total of collected payments minus the
-    community's utility bill.
-    """
-
-    decentralized_welfare: float
-    centralized_welfare: Optional[float]
-    per_member_gains: tuple = field(default_factory=tuple)
-    profit_gap: float = 0.0
 
 
 def _total_utility_at_price(members: Sequence[Member], price: float) -> float:

@@ -1,7 +1,10 @@
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +219,26 @@ class TestMalformedConfig:
         assert "bess charge_eff outside (0, 1]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (
+                lambda doc: doc["members"][0]["devices"][0].update(alpha=True),
+                "members[0].devices[0].alpha",
+            ),
+            (lambda doc: doc["members"][0].update(bess_share=True), "members[0].bess_share"),
+            (lambda doc: doc["rates"].update(buy=[True]), "rates.buy[0]"),
+            (lambda doc: doc["members"][0].update(pv_trace=True), "members[0].pv_trace"),
+        ],
+        ids=["device_alpha", "bess_share", "rates_buy_entry", "scalar_pv_trace"],
+    )
+    def test_boolean_number_exits_1(self, tmp_path, capsys, edit, field):
+        path = write_config(tmp_path, _mutated(edit))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{field}: expected a number (got True)" in err
+        assert "Traceback" not in err
+
     def test_integral_float_horizon_is_accepted(self, tmp_path):
         path = write_config(tmp_path, _mutated(lambda doc: doc.update(horizon=1.0)))
         sc, canonical = load_config(path)
@@ -246,6 +269,18 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(out2)]) == EXIT_OK
         assert (out1 / "intervals.csv").read_bytes() == (out2 / "intervals.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_non_finite_result_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(FIVE_MEMBERS))
+        doc["members"][0]["devices"][0]["alpha"] = 1e308
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+        assert not (out / "intervals.csv").exists()
+        assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert "not a finite number" in err
+        assert "Traceback" not in err
 
     def test_invalid_rates_exit_1(self, tmp_path, capsys):
         bad = json.loads(json.dumps(ONE_MEMBER))
@@ -419,3 +454,18 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_readme_commands_run_on_the_readme_config(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tmp_path / "scenario.json").write_text(re.search(r"```json\n(.*?)```", readme, re.S)[1])
+    commands = [
+        line
+        for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("dnem ")
+    ]
+    assert len(commands) >= 4
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == EXIT_OK, f"{line}: {capsys.readouterr().err}"

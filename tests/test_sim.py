@@ -15,14 +15,13 @@ from dnem.model import (
 from dnem.pricing import nem_payment
 from dnem.sim import (
     MECHANISMS,
-    build_welfare_report,
     random_scenario,
     rate_ratio_sweep,
     run,
     run_all,
     solar_day_scenario,
 )
-from dnem.welfare import axiom_audit
+from dnem.welfare import axiom_audit, centralized_welfare_closed_form, welfare_gain
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 
@@ -258,19 +257,24 @@ class TestGainsAndSweep:
 class TestWelfareReport:
     def test_report_fields(self):
         sc = solar_day_scenario(9)
-        report = build_welfare_report(sc, "dnem")
-        assert report.centralized_welfare == pytest.approx(
-            report.decentralized_welfare, abs=1e-6
+        results = run_all(sc)
+        records, summary = results["dnem"]
+        buy, sell = sc.rates.buy, sc.rates.sell
+        central = sum(
+            centralized_welfare_closed_form(sc.members, r.g_n, float(buy[r.t]), float(sell[r.t]))
+            for r in records
         )
-        assert abs(report.profit_gap) <= 1e-6
-        assert len(report.per_member_gains) == len(sc.members)
-        for _, gain in report.per_member_gains:
-            assert gain is None or gain >= -1e-9
-
-    def test_bess_report_has_no_closed_form(self):
-        sc = solar_day_scenario(10, with_bess=True)
-        report = build_welfare_report(sc, "dnem")
-        assert report.centralized_welfare is None
+        assert central == pytest.approx(summary.total_welfare, abs=1e-6)
+        gap = sum(
+            sum(o.payment for o in r.per_member)
+            - nem_payment(float(buy[r.t]), float(sell[r.t]), r.z_n)
+            for r in records
+        )
+        assert abs(gap) <= 1e-6
+        base = results["standalone"][1].per_member_surplus
+        assert len(summary.per_member_surplus) == len(base) == len(sc.members)
+        for mine, ref in zip(summary.per_member_surplus, base):
+            assert ref == 0 or welfare_gain(mine, ref) >= -1e-9
 
 
 class TestGenerators:
