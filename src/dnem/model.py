@@ -13,6 +13,7 @@ violation it finds rather than stopping at the first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -257,6 +258,10 @@ def _check_device(issues: list, member_id: str, k: int, dev) -> None:
         issues.append(
             f"{tag}: bounds must satisfy 0 <= d_min <= d_max (got [{dev.d_min}, {dev.d_max}])"
         )
+    # the response curve kinks at these prices; Python floats overflow to inf silently
+    for bound in ("d_max", "d_min"):
+        if not math.isfinite(float(dev.alpha) - float(dev.beta) * float(getattr(dev, bound))):
+            issues.append(f"{tag}: kink price alpha - beta*{bound} is not finite")
 
 
 def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:

@@ -5,19 +5,34 @@ decouples across devices: each device consumes its clamped inverse marginal
 utility at the price.  The functions here evaluate that response and the
 resulting accounting (net consumption, payment, surplus, and reward when a
 storage share is involved).
+
+A run settles every member-interval at once: :class:`DeviceBlocks` evaluates
+the response and utility of all members at a (T, N) array of prices, and
+:func:`settle_arrays` is :func:`settle` over those arrays.  The scalar
+functions stay for single queries (the coalition audit, the welfare oracles).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import device_response
+from .curves import AggregateResponseCurve, device_response
 from .model import CommunityPrice, Member, stored_energy
 from .pricing import payment as community_payment
 
-__all__ = ["MemberOutcome", "optimal_consumption", "member_utility", "settle", "member_outcome"]
+__all__ = [
+    "MemberOutcome",
+    "optimal_consumption",
+    "member_utility",
+    "settle",
+    "member_outcome",
+    "DeviceBlocks",
+    "Settlement",
+    "settle_arrays",
+]
 
 
 @dataclass(frozen=True)
@@ -94,4 +109,126 @@ def member_outcome(
     pay = community_payment(price, net)
     return settle(
         member, consumption, net, pay, battery_output_share, salvage, charge_eff, discharge_eff
+    )
+
+
+class DeviceBlocks:
+    """The members' devices grouped by device count, for (T, N) price arrays.
+
+    A group holds its members' indices and (members, devices) arrays of the
+    device parameters.  Member totals are ``np.sum`` over the member's own
+    devices, along the contiguous last axis of a group block, which adds them
+    exactly as ``np.sum`` adds one member's device vector (pairwise from 8
+    devices on).  Utilities add the devices one by one, as
+    :func:`member_utility` does.  A member without devices consumes nothing.
+    """
+
+    def __init__(self, members: Sequence[Member]):
+        self.members = tuple(members)
+        by_count: dict[int, list[int]] = {}
+        for i, member in enumerate(self.members):
+            by_count.setdefault(len(member.devices), []).append(i)
+        self._groups = []
+        for count, idx in by_count.items():
+            params = np.array(
+                [[(d.alpha, d.beta, d.d_min, d.d_max) for d in self.members[i].devices] for i in idx],
+                dtype=float,
+            ).reshape(len(idx), count, 4)
+            alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
+            self._groups.append((np.array(idx), alpha, beta, alpha / beta, 0.5 * beta, d_min, d_max))
+        order = np.concatenate([group[0] for group in self._groups])
+        # position of each member among the group rows, when groups are not in member order
+        self._position = None if np.array_equal(order, np.arange(len(order))) else np.argsort(order)
+        self._curves: dict[int, AggregateResponseCurve] = {}
+
+    def curve(self, i: int) -> AggregateResponseCurve:
+        """Member ``i``'s own response curve, built on first use."""
+        if i not in self._curves:
+            self._curves[i] = AggregateResponseCurve(self.members[i].devices)
+        return self._curves[i]
+
+    @staticmethod
+    def _consumption(group, prices: np.ndarray) -> np.ndarray:
+        # device_response for every device: (T, members, devices)
+        idx, alpha, beta, saturation, _, d_min, d_max = group
+        d = alpha - prices[:, idx, None]
+        d /= beta
+        np.clip(d, 0.0, saturation, out=d)
+        return np.clip(d, d_min, d_max, out=d)
+
+    def response(self, prices: np.ndarray) -> np.ndarray:
+        """Each member's total consumption at (T, N) prices; ``curve(i).response`` per cell."""
+        total = np.empty(prices.shape)
+        for group in self._groups:
+            total[:, group[0]] = np.sum(self._consumption(group, prices), axis=-1)
+        return total
+
+    def respond(self, prices: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+        """Consumption vectors, totals and utilities of every member at (T, N) prices.
+
+        ``consumption[t][i]`` is :func:`optimal_consumption` of member i at
+        ``prices[t, i]`` (a row of a group block); totals and utilities are
+        (T, N) arrays.
+        """
+        total = np.empty(prices.shape)
+        utility = np.empty(prices.shape)
+        blocks = []
+        for group in self._groups:
+            idx, alpha, _, saturation, half_beta, _, _ = group
+            d = self._consumption(group, prices)
+            total[:, idx] = np.sum(d, axis=-1)
+            u = np.zeros(d.shape[:2])
+            for j in range(d.shape[2]):
+                # DeviceUtility.value: flat beyond saturation
+                dj = np.minimum(d[:, :, j], saturation[:, j])
+                u += alpha[:, j] * dj - half_beta[:, j] * dj * dj
+            utility[:, idx] = u
+            blocks.append(d)
+        rows = [[row for d in blocks for row in d[t]] for t in range(len(prices))]
+        if self._position is not None:
+            rows = [[r[p] for p in self._position] for r in rows]
+        return rows, total, utility
+
+
+class Settlement(NamedTuple):
+    """:func:`settle` for every member-interval of a run, as (T, N) arrays.
+
+    ``consumption[t][i]`` is member i's device vector at interval t, and
+    ``stored`` the energy its battery output adds to the cells.
+    """
+
+    consumption: list
+    total: np.ndarray
+    utility: np.ndarray
+    net: np.ndarray
+    battery: np.ndarray
+    stored: np.ndarray
+    payment: np.ndarray
+    surplus: np.ndarray
+    reward: np.ndarray
+
+    def outcomes(self) -> list[tuple[MemberOutcome, ...]]:
+        """Per interval, the members' outcomes (Python floats)."""
+        columns = (self.net, self.payment, self.surplus, self.reward, self.battery)
+        return [
+            tuple(map(MemberOutcome, *row))
+            for row in zip(self.consumption, *(c.tolist() for c in columns))
+        ]
+
+
+def settle_arrays(
+    response: tuple[list, np.ndarray, np.ndarray],
+    net: np.ndarray,
+    battery: np.ndarray,
+    payment: np.ndarray,
+    salvage: float,
+    charge_eff: float,
+    discharge_eff: float,
+) -> Settlement:
+    """:func:`settle` over (T, N) arrays; ``response`` is :meth:`DeviceBlocks.respond`'s."""
+    consumption, total, utility = response
+    stored = charge_eff * np.maximum(battery, 0.0) - np.maximum(-battery, 0.0) / discharge_eff
+    surplus = utility - payment
+    return Settlement(
+        consumption, total, utility, net, battery, stored, payment, surplus, surplus + salvage * stored
     )

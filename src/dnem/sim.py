@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .benchmark import sign_based_interval, standalone_optimum_with_bess
+from .benchmark import standalone_settlement
 from .bess import generalized_dnem_price, soc_step
 from .curves import AggregateResponseCurve
 from .model import (
@@ -32,12 +32,12 @@ from .model import (
     CommunityScenario,
     DeviceUtility,
     Member,
+    PriceZone,
     RateSchedule,
     fold_central_pv,
-    stored_energy,
     validate_scenario,
 )
-from .response import MemberOutcome, member_outcome
+from .response import DeviceBlocks, MemberOutcome, Settlement, settle_arrays
 from .welfare import welfare_gain
 
 __all__ = [
@@ -100,79 +100,112 @@ def folded_generation(scenario: CommunityScenario) -> np.ndarray:
     )
 
 
-def _dnem_records(scenario: CommunityScenario, gen: np.ndarray) -> list[IntervalRecord]:
-    members = scenario.members
+def _in_order(values: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order, as Python's ``sum`` adds.
+
+    ``np.sum`` adds pairwise from 8 terms on, which can differ in the last bit.
+    """
+    total = np.zeros(values.shape[1:])
+    for row in values:
+        total += row
+    return total
+
+
+class _Run:
+    """One mechanism's run as arrays; its records are built on demand.
+
+    ``prices`` holds the community price of each interval (``None`` for
+    standalone runs) and ``welfare`` the reward total, added in the order
+    the records list them.
+    """
+
+    def __init__(self, prices: list, g_n, d_n, b_n, soc, settlement: Settlement):
+        self.prices, self.settlement = prices, settlement
+        self.g_n, self.d_n, self.b_n, self.soc = g_n, d_n, b_n, soc
+        self.welfare = sum(settlement.reward.ravel().tolist())
+
+    def records(self) -> list[IntervalRecord]:
+        z_n = self.d_n + self.b_n - self.g_n
+        columns = (self.g_n, self.d_n, self.b_n, z_n, self.soc)
+        return [
+            IntervalRecord(t, *row)
+            for t, row in enumerate(
+                zip(self.prices, *(c.tolist() for c in columns), self.settlement.outcomes())
+            )
+        ]
+
+
+def _dnem_run(
+    scenario: CommunityScenario, blocks: DeviceBlocks, gen: np.ndarray, g_n: np.ndarray
+) -> _Run:
+    """The D-NEM run.
+
+    The community price and the battery's SoC thread through the intervals
+    in a scalar loop; one array pass then settles every member-interval.
+    """
     rates = scenario.rates
     # a storage-free community owns an empty battery, which prices exactly
     # like the storage-free rule
     bess = scenario.bess or BessSpec(0.0)
-    curve = AggregateResponseCurve.from_members(members)
+    curve = AggregateResponseCurve.from_members(scenario.members)
     soc = bess.initial_soc
-    records = []
-    for t in range(scenario.horizon):
+    prices, b_n, socs = [], [], []
+    for t, g in enumerate(g_n.tolist()):
         buy, sell = float(rates.buy[t]), float(rates.sell[t])
-        g_n = float(np.sum(gen[:, t]))
-        price, b_n = generalized_dnem_price(curve, g_n, bess, soc, rates.salvage, buy, sell)
-        outcomes = tuple(
-            member_outcome(
-                m,
-                price,
-                float(gen[i, t]),
-                m.bess_share * b_n,
-                rates.salvage,
-                bess.charge_eff,
-                bess.discharge_eff,
-            )
-            for i, m in enumerate(members)
+        price, b = generalized_dnem_price(curve, g, bess, soc, rates.salvage, buy, sell)
+        soc = soc_step(bess, soc, b)
+        prices.append(price)
+        b_n.append(b)
+        socs.append(soc)
+    b_n = np.array(b_n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        price = np.array([p.value for p in prices])[:, None]
+        response = blocks.respond(np.broadcast_to(price, (len(g_n), len(blocks.members))))
+        battery = b_n[:, None] * np.array([m.bess_share for m in scenario.members])
+        net = response[1] + battery - gen.T
+        settlement = settle_arrays(
+            response, net, battery, price * net, rates.salvage, bess.charge_eff, bess.discharge_eff
         )
-        soc = soc_step(bess, soc, b_n)
-        d_n = sum(o.total_consumption for o in outcomes)
-        records.append(
-            IntervalRecord(t, price, g_n, d_n, b_n, d_n + b_n - g_n, soc, outcomes)
-        )
-    return records
+    return _Run(prices, g_n, _in_order(settlement.total.T), b_n, np.array(socs), settlement)
 
 
-def _standalone_schedules(scenario: CommunityScenario, gen: np.ndarray) -> list[list[MemberOutcome]]:
+def _baseline_runs(
+    scenario: CommunityScenario, blocks: DeviceBlocks, gen: np.ndarray, g_n: np.ndarray
+) -> dict[str, _Run]:
+    """The standalone and sign-based runs, from one standalone settlement.
+
+    The sign-based mechanism rebills the standalone schedules at the buy or
+    sell rate by the sign of the members' summed net consumption.
+    """
+    rates = scenario.rates
     # a storage-free scenario gives every member an empty battery
     bess = scenario.bess or BessSpec(0.0)
-    return [
-        standalone_optimum_with_bess(member, bess.scaled(member.bess_share), gen[i], scenario.rates)
-        for i, member in enumerate(scenario.members)
+    shares = np.array([m.bess_share for m in scenario.members])
+    alone = standalone_settlement(blocks, bess, shares, gen, rates)
+    d_n = _in_order(alone.total.T)
+    b_n = _in_order(alone.battery.T)
+    # the community's stored energy, running in interval order (cumsum adds in sequence)
+    soc = np.cumsum(np.concatenate(([bess.initial_soc], _in_order(alone.stored.T))))[1:]
+    importing = _in_order(alone.net.T) >= 0
+    rate = np.where(importing, rates.buy, rates.sell)
+    prices = [
+        CommunityPrice(value, PriceZone.NET_CONSUMPTION if imp else PriceZone.NET_PRODUCTION)
+        for value, imp in zip(rate.tolist(), importing.tolist())
     ]
-
-
-def _baseline_records(
-    scenario: CommunityScenario, gen: np.ndarray, schedules: list
-) -> dict[str, list[IntervalRecord]]:
-    """Standalone and sign-based records from one pass over the standalone schedules."""
-    rates = scenario.rates
-    bess = scenario.bess or BessSpec(0.0)
-    soc = bess.initial_soc
-    sign_based, standalone = [], []
-    for t in range(scenario.horizon):
-        outs = [schedule[t] for schedule in schedules]
-        price, signed = sign_based_interval(
-            scenario.members,
-            outs,
-            float(rates.buy[t]),
-            float(rates.sell[t]),
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed = settle_arrays(
+            (alone.consumption, alone.total, alone.utility),
+            alone.net,
+            alone.battery,
+            rate[:, None] * alone.net,
             rates.salvage,
             bess.charge_eff,
             bess.discharge_eff,
         )
-        g_n = float(np.sum(gen[:, t]))
-        d_n = sum(o.total_consumption for o in outs)
-        b_n = sum(o.battery for o in outs)
-        z_n = d_n + b_n - g_n
-        soc += sum(stored_energy(o.battery, bess.charge_eff, bess.discharge_eff) for o in outs)
-        sign_based.append(IntervalRecord(t, price, g_n, d_n, b_n, z_n, soc, tuple(signed)))
-        standalone.append(IntervalRecord(t, None, g_n, d_n, b_n, z_n, soc, tuple(outs)))
-    return {"sign_based": sign_based, "standalone": standalone}
-
-
-def _total_welfare(records: Sequence[IntervalRecord]) -> float:
-    return sum(o.reward for r in records for o in r.per_member)
+    return {
+        "sign_based": _Run(prices, g_n, d_n, b_n, soc, signed),
+        "standalone": _Run([None] * len(g_n), g_n, d_n, b_n, soc, alone),
+    }
 
 
 def _gain(total: float, baseline: float) -> Optional[float]:
@@ -182,40 +215,42 @@ def _gain(total: float, baseline: float) -> Optional[float]:
         return None
 
 
-def _summary(
-    scenario: CommunityScenario, mechanism: str, records: Sequence[IntervalRecord], totals=None
-) -> RunSummary:
-    """Horizon totals of one mechanism; ``totals`` (welfare by mechanism) fills the gains."""
-    total = _total_welfare(records)
-    per_member = tuple(
-        sum(r.per_member[i].reward for r in records)
-        for i in range(len(scenario.members))
-    )
-    histogram: Counter = Counter()
-    if mechanism != "standalone":
-        histogram.update(r.price.zone.value for r in records)
+def _summary(mechanism: str, runs: dict[str, _Run], gains: bool) -> RunSummary:
+    """Horizon totals of one mechanism, with gains against the baselines in ``runs``."""
+    run = runs[mechanism]
+    histogram = Counter(p.zone.value for p in run.prices if p is not None)
     return RunSummary(
         mechanism=mechanism,
-        total_welfare=total,
-        per_member_surplus=per_member,
-        welfare_gain_vs_standalone=None if totals is None else _gain(total, totals["standalone"]),
-        welfare_gain_vs_sign_based=None if totals is None else _gain(total, totals["sign_based"]),
+        total_welfare=run.welfare,
+        per_member_surplus=tuple(_in_order(run.settlement.reward).tolist()),
+        welfare_gain_vs_standalone=_gain(run.welfare, runs["standalone"].welfare) if gains else None,
+        welfare_gain_vs_sign_based=_gain(run.welfare, runs["sign_based"].welfare) if gains else None,
         zone_histogram=dict(sorted(histogram.items())),
     )
+
+
+def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, _Run]:
+    scenario = validate_scenario(scenario)
+    gen = folded_generation(scenario)
+    # np.sum per interval adds the members' generation pairwise; keep it so
+    g_n = np.array([float(np.sum(gen[:, t])) for t in range(scenario.horizon)])
+    blocks = DeviceBlocks(scenario.members)
+    runs = {}
+    if "dnem" in mechanisms:
+        runs["dnem"] = _dnem_run(scenario, blocks, gen, g_n)
+    if "sign_based" in mechanisms or "standalone" in mechanisms:
+        runs.update(_baseline_runs(scenario, blocks, gen, g_n))
+    return runs
 
 
 def run_all(scenario: CommunityScenario) -> dict[str, tuple[list[IntervalRecord], RunSummary]]:
     """Simulate a scenario under every mechanism, gains filled in.
 
     Returns ``{mechanism: (records, summary)}``.  The standalone schedules are
-    computed once, and one pass over them builds both baselines.
+    settled once, and both baselines are built from them.
     """
-    scenario = validate_scenario(scenario)
-    gen = folded_generation(scenario)
-    schedules = _standalone_schedules(scenario, gen)
-    records = {"dnem": _dnem_records(scenario, gen), **_baseline_records(scenario, gen, schedules)}
-    totals = {m: _total_welfare(r) for m, r in records.items()}
-    return {m: (records[m], _summary(scenario, m, records[m], totals)) for m in MECHANISMS}
+    runs = _runs(scenario, MECHANISMS)
+    return {m: (runs[m].records(), _summary(m, runs, gains=True)) for m in MECHANISMS}
 
 
 def run(
@@ -223,21 +258,14 @@ def run(
 ) -> tuple[list[IntervalRecord], RunSummary]:
     """Simulate a scenario under one mechanism; returns records and summary.
 
-    With ``compute_gains`` this is ``run_all(scenario)[mechanism]``: the
+    With ``compute_gains`` this equals ``run_all(scenario)[mechanism]``: the
     baseline mechanisms are run on the same scenario to fill the summary's
-    welfare-gain fields.
+    welfare-gain fields (only the requested mechanism's records are built).
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
-    if compute_gains:
-        return run_all(scenario)[mechanism]
-    scenario = validate_scenario(scenario)
-    gen = folded_generation(scenario)
-    if mechanism == "dnem":
-        records = _dnem_records(scenario, gen)
-    else:
-        records = _baseline_records(scenario, gen, _standalone_schedules(scenario, gen))[mechanism]
-    return records, _summary(scenario, mechanism, records)
+    runs = _runs(scenario, MECHANISMS if compute_gains else (mechanism,))
+    return runs[mechanism].records(), _summary(mechanism, runs, compute_gains)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,11 @@ class TestStandaloneOptimum:
         assert out.surplus == pytest.approx(2.12)
         assert out.surplus == pytest.approx(best, abs=1e-6)
 
+    @pytest.mark.parametrize("g", [float("nan"), float("inf")])
+    def test_non_finite_generation_raises(self, g):
+        with pytest.raises(ValueError, match="finite"):
+            standalone_optimum(one_device_member(), g, 0.4, 0.2)
+
     def test_beats_random_feasible_consumption(self):
         rng = np.random.default_rng(6)
         for _ in range(20):

@@ -239,6 +239,24 @@ class TestMalformedConfig:
         assert f"{field}: expected a number (got True)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "price", "audit", "compare"])
+    def test_overflowing_kink_price_exits_1(self, tmp_path, capsys, command):
+        # beta * d_max overflows to inf, so the device's kink price is -inf
+        doc = json.loads(json.dumps(FIVE_MEMBERS))
+        doc["members"][2]["devices"][0]["beta"] = 1e308
+        path = write_config(tmp_path, doc)
+        argv = {
+            "simulate": ["--out", str(tmp_path / "x")],
+            "price": ["--g", "1.0"],
+            "audit": [],
+            "compare": [],
+        }[command]
+        assert main([command, "--config", path, *argv]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "member 'h2' device 0: kink price alpha - beta*d_max is not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_integral_float_horizon_is_accepted(self, tmp_path):
         path = write_config(tmp_path, _mutated(lambda doc: doc.update(horizon=1.0)))
         sc, canonical = load_config(path)
@@ -352,22 +370,24 @@ class TestPrice:
 class TestAudit:
     @pytest.mark.parametrize("doc", [FIVE_MEMBERS, BESS_CONFIG])
     def test_one_standalone_schedule_per_member(self, tmp_path, monkeypatch, capsys, doc):
-        original = dnem.sim.standalone_optimum_with_bess
-        scheduled = []
+        # the audit reads the one standalone settlement of run_all
+        original = dnem.sim.standalone_settlement
+        settled = []
 
-        def counting(member, *args):
-            scheduled.append(member.id)
-            return original(member, *args)
+        def counting(blocks, *args):
+            settled.append([m.id for m in blocks.members])
+            return original(blocks, *args)
 
         def forbidden(*args):
             raise AssertionError("audit recomputed a standalone optimum")
 
-        monkeypatch.setattr(dnem.sim, "standalone_optimum_with_bess", counting)
+        monkeypatch.setattr(dnem.sim, "standalone_settlement", counting)
         monkeypatch.setattr(dnem.benchmark, "standalone_optimum", forbidden)
+        monkeypatch.setattr(dnem.benchmark, "standalone_optimum_with_bess", forbidden)
         path = write_config(tmp_path, doc)
         assert main(["audit", "--config", path]) == EXIT_OK
         capsys.readouterr()
-        assert sorted(scheduled) == sorted(m["id"] for m in doc["members"])
+        assert settled == [[m["id"] for m in doc["members"]]]
 
     def test_dnem_audit_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, FIVE_MEMBERS)

@@ -16,6 +16,8 @@ from dnem.model import (
 
 from oracles import quad_utility
 
+DEV_OK = DeviceUtility(2, 1, 0, 2)
+
 
 def make_member(mid="m1", devices=(DeviceUtility(2, 1, 0, 2),), trace=(1.0,), **kw):
     return Member(id=mid, devices=tuple(devices), pv_trace=np.array(trace), **kw)
@@ -154,6 +156,27 @@ class TestValidateScenario:
         assert "beta" in text
         assert "pv_trace[1]" in text
         assert "sell exceeds buy" in text
+
+    @pytest.mark.parametrize(
+        "device, bounds",
+        [
+            (DeviceUtility(2.0, 1e308, 0.0, 2.0), ["d_max"]),
+            (DeviceUtility(2.0, 1e308, 1.9, 2.0), ["d_max", "d_min"]),
+            (DeviceUtility(1.0, 2.0, 0.0, 1e308), ["d_max"]),
+        ],
+        ids=["beta_d_max", "beta_both", "huge_d_max"],
+    )
+    def test_non_finite_kink_price_rejected(self, device, bounds):
+        members = (make_member("a"), make_member("b", devices=(DEV_OK, device)))
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(make_scenario(members=members))
+        assert err.value.issues == [
+            f"member 'b' device 1: kink price alpha - beta*{bound} is not finite" for bound in bounds
+        ]
+
+    def test_huge_alpha_keeps_finite_kinks(self):
+        sc = make_scenario(members=(make_member(devices=(DeviceUtility(1e308, 1.0, 0.0, 2.0),)),))
+        assert validate_scenario(sc) is sc
 
     def test_numpy_integer_horizon_accepted(self):
         sc = make_scenario(horizon=np.int64(1))

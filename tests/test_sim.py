@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -175,17 +176,93 @@ class TestRunAll:
 
     @pytest.mark.parametrize("with_bess", [False, True])
     def test_one_standalone_schedule_per_member(self, monkeypatch, with_bess):
-        original = dnem.sim.standalone_optimum_with_bess
-        scheduled = []
+        # one standalone settlement per run, covering every member once
+        original = dnem.sim.standalone_settlement
+        settled = []
 
-        def counting(member, *args):
-            scheduled.append(member.id)
-            return original(member, *args)
+        def counting(blocks, *args):
+            settled.append([m.id for m in blocks.members])
+            return original(blocks, *args)
 
-        monkeypatch.setattr(dnem.sim, "standalone_optimum_with_bess", counting)
+        monkeypatch.setattr(dnem.sim, "standalone_settlement", counting)
         sc = solar_day_scenario(4, n_members=4, horizon=12, with_bess=with_bess)
         run(sc, "dnem")
-        assert sorted(scheduled) == sorted(m.id for m in sc.members)
+        assert settled == [[m.id for m in sc.members]]
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def float_hex_dump(results) -> str:
+    """Every record, outcome and summary field of ``run_all``, floats in hex."""
+    lines = []
+    for mech, (records, summary) in results.items():
+        for r in records:
+            price = None if r.price is None else (_hex(r.price.value), r.price.zone.value)
+            lines.append(repr((mech, r.t, price, *map(_hex, (r.g_n, r.d_n, r.b_n, r.z_n, r.soc)))))
+            for o in r.per_member:
+                fields = (o.net, o.payment, o.surplus, o.reward, o.battery)
+                lines.append(repr(([_hex(d) for d in o.consumption], *map(_hex, fields))))
+        gains = (summary.welfare_gain_vs_standalone, summary.welfare_gain_vs_sign_based)
+        lines.append(
+            repr(
+                (
+                    summary.mechanism,
+                    _hex(summary.total_welfare),
+                    [_hex(v) for v in summary.per_member_surplus],
+                    *map(_hex, gains),
+                    summary.zone_histogram,
+                )
+            )
+        )
+    return "\n".join(lines)
+
+
+def mixed_device_counts(with_bess):
+    """Members owning 0, 1, 3, 9 and 12 devices, clamped on both sides."""
+    rng = np.random.default_rng(17)
+    horizon = 24
+    members = []
+    for i, count in enumerate((0, 1, 3, 9, 12)):
+        devices = []
+        for _ in range(count):
+            d_min = float(rng.uniform(0.0, 0.5))
+            devices.append(
+                DeviceUtility(
+                    float(rng.uniform(0.3, 3.0)),
+                    float(rng.uniform(0.2, 2.0)),
+                    d_min,
+                    d_min + float(rng.uniform(0.1, 2.0)),
+                )
+            )
+        trace = rng.uniform(0.0, 2.5 * count, horizon)
+        members.append(Member(f"m{i}", tuple(devices), trace, bess_share=0.2 * with_bess))
+    buy = np.where(rng.random(horizon) < 0.5, 0.4, 0.3)
+    return CommunityScenario(
+        members=tuple(members),
+        rates=RateSchedule(buy, np.full(horizon, 0.1), 0.2 * with_bess),
+        horizon=horizon,
+        bess=BessSpec(3.0, 0.95, 0.9, 0.8, 0.8, 1.0) if with_bess else None,
+    )
+
+
+class TestRunAllDigest:
+    """``run_all`` to the last bit, against the per-member-loop implementation.
+
+    The digest was recorded from the implementation that settled every
+    member-interval one at a time.  The array pass must add in the same
+    order: ``np.sum`` over each member's devices, Python's in-order ``sum``
+    over members and over the devices' utilities.
+    """
+
+    DIGEST = "0a3e71a35ec75a9e081ae320c802a5930c5a3c5fd42dcaec6510597ed09f864a"
+
+    def test_float_hex_dump_matches_recorded_digest(self):
+        scenarios = [random_scenario(seed, with_bess=b) for seed in range(20) for b in (False, True)]
+        scenarios += [mixed_device_counts(b) for b in (False, True)]
+        dump = "\n".join(float_hex_dump(run_all(sc)) for sc in scenarios)
+        assert hashlib.sha256(dump.encode()).hexdigest() == self.DIGEST
 
 
 class TestStorageRuns:
