@@ -27,10 +27,9 @@ from .curves import AggregateResponseCurve, device_response, invert_aggregate
 from .pricing import PricingThresholds, compute_thresholds, dnem_price, nem_payment, payment
 from .response import MemberOutcome, member_outcome, optimal_consumption
 from .benchmark import standalone_optimum, standalone_optimum_with_bess
-from .bess import DispatchThresholds, effective_limits, generalized_dnem_price, soc_step
+from .bess import effective_limits, generalized_dnem_price, soc_step
 from .welfare import (
     axiom_audit,
-    centralized_welfare_bruteforce,
     centralized_welfare_closed_form,
     coalition_audit,
     welfare_gain,
@@ -65,12 +64,10 @@ __all__ = [
     "optimal_consumption",
     "standalone_optimum",
     "standalone_optimum_with_bess",
-    "DispatchThresholds",
     "effective_limits",
     "generalized_dnem_price",
     "soc_step",
     "axiom_audit",
-    "centralized_welfare_bruteforce",
     "centralized_welfare_closed_form",
     "coalition_audit",
     "welfare_gain",

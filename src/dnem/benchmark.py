@@ -1,8 +1,9 @@
 """Comparison baselines: optimal standalone customers and sign-based pricing.
 
 The standalone optimum is the best a member can do alone under the utility's
-two-rate tariff.  It has the same threshold structure as the community price
-applied to the member's own response curve.  There is one implementation,
+two-rate tariff: the price-and-dispatch rule of the community
+(:func:`~dnem.bess.price_and_dispatch`) applied to the member's own devices,
+generation and battery slice.  There is one implementation,
 :func:`standalone_settlement`, which schedules every member of a community
 at once with (T, N) arrays; a member without storage owns an empty battery
 (``BessSpec(0.0)``), for which the storage-aware price is exactly the
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bess import StorageLimitError, _check_salvage
-from .curves import EPS_QUANTITY, invert_aggregate
+from .bess import ZONES, price_and_dispatch
 from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule
 from .response import DeviceBlocks, MemberOutcome, Settlement, settle, settle_arrays
 
@@ -30,9 +30,6 @@ __all__ = [
     "standalone_settlement",
     "sign_based_interval",
 ]
-
-# price zones of generalized_dnem_price, from scarce to abundant generation
-_BUY, _DISCHARGE_DYNAMIC, _DISCHARGE_FLAT, _IDLE, _CHARGE_FLAT, _CHARGE_DYNAMIC, _SELL = range(7)
 
 
 def standalone_optimum(
@@ -78,128 +75,23 @@ def standalone_settlement(
     """Every member alone under the utility tariff, with its slice of ``bess``.
 
     Member i owns ``bess.scaled(shares[i])`` and generates ``gen[i]``.  Each
-    member takes the storage-aware price of its own response curve
-    (:func:`~dnem.bess.generalized_dnem_price`), consumes its response to
-    that price and pays the tariff; in the net-zero zones consumption tracks
-    generation by construction, so the float residue of the solve is dropped
-    from ``net``.  The dispatch and the state of charge run in one loop over
-    the intervals, across all members at once; a member with no usable
-    storage at an interval prices by the storage-free rule.  Only prices
-    inside a net-zero band are solved, each on the member's own curve.
+    member takes the price and dispatch of
+    :func:`~dnem.bess.price_and_dispatch` on its own devices, consumes its
+    response to that price and pays the tariff; in the net-zero zones
+    consumption tracks generation by construction, so the float residue of
+    the solve is dropped from ``net``.
     """
-    if not np.isfinite(gen).all():
-        raise ValueError(f"generation must be finite (got {gen[~np.isfinite(gen)][0]})")
+    alone = price_and_dispatch(blocks, bess, shares, gen, rates)
+    horizon = gen.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        horizon = gen.shape[1]
-        g = gen.T
-        salvage, charge_eff, discharge_eff = rates.salvage, bess.charge_eff, bess.discharge_eff
-        buy = np.broadcast_to(rates.buy[:horizon, None], g.shape)
-        sell = np.broadcast_to(rates.sell[:horizon, None], g.shape)
-        lower = blocks.response(buy)
-        upper = blocks.response(sell)
-        discharge_price, charge_price = salvage / discharge_eff, charge_eff * salvage
-        # the thresholds of the battery following generation depend on neither t nor SoC
-        follow_discharge = blocks.response(np.full((1, len(shares)), discharge_price))[0]
-        follow_charge = blocks.response(np.full((1, len(shares)), charge_price))[0]
-
-        discharge, charge, battery = _dispatch_members(
-            bess, shares, g, follow_discharge, follow_charge, rates
+        response = blocks.respond(alone.price.astype(float))
+        # every zone between passing through the buy rate and the sell rate is net-zero
+        net_zero = (0 < alone.zone) & (alone.zone < len(ZONES) - 1)
+        net = np.where(net_zero, 0.0, response[1] + alone.battery - gen.T)
+        payment = np.where(net >= 0, rates.buy[:horizon, None] * net, rates.sell[:horizon, None] * net)
+        return settle_arrays(
+            response, net, alone.battery, payment, rates.salvage, bess.charge_eff, bess.discharge_eff
         )
-        live = (discharge != 0.0) | (charge != 0.0)
-        # dnem_price's closed band without usable storage, generalized_dnem_price's zones with it
-        zone = np.where(
-            live,
-            np.select(
-                [g <= lower - discharge, g < follow_discharge - discharge, g < follow_discharge,
-                 g <= follow_charge, g <= follow_charge + charge, g < upper + charge],
-                [_BUY, _DISCHARGE_DYNAMIC, _DISCHARGE_FLAT, _IDLE, _CHARGE_FLAT, _CHARGE_DYNAMIC],
-                _SELL,
-            ),
-            np.select([g < lower, g > upper], [_BUY, _SELL], _IDLE),
-        )
-        prices = np.select(
-            [zone == _BUY, zone == _DISCHARGE_FLAT, zone == _CHARGE_FLAT],
-            [buy, discharge_price, charge_price],
-            sell,
-        )
-        solved = (zone == _DISCHARGE_DYNAMIC) | (zone == _IDLE) | (zone == _CHARGE_DYNAMIC)
-        target = np.select(
-            [zone == _DISCHARGE_DYNAMIC, zone == _CHARGE_DYNAMIC], [g + discharge, g - charge], g
-        )
-        live_idle = live & (zone == _IDLE)
-        lo = np.select([zone == _DISCHARGE_DYNAMIC, live_idle], [discharge_price, charge_price], sell)
-        hi = np.select(
-            [live_idle, zone == _CHARGE_DYNAMIC], [discharge_price, charge_price], buy
-        )
-        for t, i in zip(*np.nonzero(solved)):
-            prices[t, i] = invert_aggregate(
-                blocks.curve(i), float(target[t, i]), float(lo[t, i]), float(hi[t, i])
-            )
-
-        response = blocks.respond(prices)
-        net_zero = (zone != _BUY) & (zone != _SELL)
-        net = np.where(net_zero, 0.0, response[1] + battery - g)
-        payment = np.where(net >= 0, buy * net, sell * net)
-        return settle_arrays(response, net, battery, payment, salvage, charge_eff, discharge_eff)
-
-
-def _dispatch_members(
-    bess: BessSpec,
-    shares: np.ndarray,
-    g: np.ndarray,
-    follow_discharge: np.ndarray,
-    follow_charge: np.ndarray,
-    rates: RateSchedule,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Effective discharge and charge limits and storage output, each (T, N).
-
-    :func:`~dnem.bess.effective_limits`, the myopic dispatch and
-    :func:`~dnem.bess.soc_step` (with its :class:`StorageLimitError` bounds)
-    for every member's slice of ``bess`` in one loop over the intervals.
-    """
-    discharge = np.zeros(g.shape)
-    charge = np.zeros(g.shape)
-    battery = np.zeros(g.shape)
-    if bess.capacity == 0:
-        # an empty battery has no usable storage at any interval
-        return discharge, charge, battery
-    charge_eff, discharge_eff = bess.charge_eff, bess.discharge_eff
-    capacity = shares * bess.capacity
-    max_charge = shares * bess.max_charge
-    max_discharge = shares * bess.max_discharge
-    soc = shares * bess.initial_soc
-    for t, gt in enumerate(g):
-        dis = discharge[t] = np.minimum(max_discharge, discharge_eff * soc)
-        chg = charge[t] = np.minimum(max_charge, (capacity - soc) / charge_eff)
-        if np.any((dis != 0.0) | (chg != 0.0)):
-            _check_salvage(rates.salvage, bess, float(rates.buy[t]), float(rates.sell[t]))
-        # a member without usable storage gets 0.0 here: both limits are zero
-        b = battery[t] = np.where(
-            gt <= follow_discharge - dis,
-            -dis + 0.0,
-            np.where(
-                gt < follow_discharge,
-                gt - follow_discharge,
-                np.where(
-                    gt <= follow_charge,
-                    0.0,
-                    np.where(gt < follow_charge + chg, gt - follow_charge, chg),
-                ),
-            ),
-        )
-        bad = (b > chg + EPS_QUANTITY) | (b < -dis - EPS_QUANTITY)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise StorageLimitError(
-                f"storage output {b[k]} outside effective limits [{-dis[k]}, {chg[k]}] at soc {soc[k]}"
-            )
-        nxt = soc + (charge_eff * np.maximum(b, 0.0) - np.maximum(-b, 0.0) / discharge_eff)
-        bad = (nxt < -EPS_QUANTITY) | (nxt > capacity + EPS_QUANTITY)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise StorageLimitError(f"state of charge {nxt[k]} leaves [0, {capacity[k]}]")
-        soc = np.minimum(np.maximum(nxt, 0.0), capacity)
-    return discharge, charge, battery
 
 
 def sign_based_interval(

@@ -1,126 +1,213 @@
-"""Centralized battery dispatch and the storage-aware community price.
+"""The price-and-dispatch rule of a prosumer facing the utility's two rates.
 
-Dispatch is a myopic threshold policy on aggregate generation: fully
-discharge when renewables are scarce, follow the generation (keeping
-consumption fixed) in two flat-price bands around the salvage value, idle in
-the middle, and mirror the behaviour on the charging side.  The state of
-charge enters only through the effective power limits, which are baked into
-the thresholds, so the policy never produces an infeasible action.
+The D-NEM community is one such prosumer (every device, all generation and
+the whole battery), and so is each member alone under the tariff.
 
-The storage-aware community price extends the storage-free rule with four
-extra net-zero sub-zones; inside every one of them the induced consumption
-plus battery output exactly absorbs the aggregate generation.
+Dispatch is a myopic threshold policy on generation: fully discharge when
+renewables are scarce, follow the generation (keeping consumption fixed) in
+two flat-price bands around the salvage value, idle in the middle, and mirror
+the behaviour on the charging side.  The state of charge enters only through
+the effective power limits, which are baked into the thresholds, so the
+policy never produces an infeasible action.
+
+Price zones, from scarce to abundant generation: pass through the buy rate;
+solve the price so demand absorbs generation plus a full discharge; hold the
+discharge-side salvage price while the battery follows generation; solve
+with the battery idle; hold the charge-side salvage price while the battery
+follows generation; solve with a full charge absorbed; pass through the sell
+rate.  In every solved or flat zone consumption plus battery output exactly
+absorbs the generation.  With no usable storage this is the storage-free
+rule, and the salvage rate is not consulted.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import NamedTuple
+
+import numpy as np
 
 from .curves import EPS_QUANTITY, AggregateResponseCurve, invert_aggregate
-from .model import BessSpec, CommunityPrice, PriceZone, stored_energy
-from .pricing import dnem_price
+from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule
+from .response import DeviceBlocks
 
 __all__ = [
+    "ZONES",
     "StorageLimitError",
-    "DispatchThresholds",
+    "Dispatch",
     "effective_limits",
     "soc_step",
-    "dispatch_thresholds",
+    "price_and_dispatch",
+    "pooled",
     "generalized_dnem_price",
 ]
+
+#: Price zones from scarce to abundant generation; :class:`Dispatch` zones index it.
+ZONES = tuple(PriceZone)
+_BUY, _DISCHARGE_DYNAMIC, _DISCHARGE_FLAT, _IDLE, _CHARGE_FLAT, _CHARGE_DYNAMIC, _SELL = range(7)
 
 
 class StorageLimitError(ValueError):
     """A storage action violates the current power or energy limits."""
 
 
-@dataclass(frozen=True)
-class DispatchThresholds:
-    """Generation thresholds (kWh) of the myopic storage policy.
-
-    ``sigma_plus_z`` and ``sigma_minus_z`` are the aggregate responses at the
-    discharge-side and charge-side salvage prices; ``sigma_plus`` and
-    ``sigma_minus`` shift them by the effective discharge/charge limits, so
-    ``sigma_plus <= sigma_plus_z <= sigma_minus_z <= sigma_minus``.
-    """
-
-    sigma_plus: float
-    sigma_plus_z: float
-    sigma_minus_z: float
-    sigma_minus: float
-    eff_discharge: float
-    eff_charge: float
-
-
-def effective_limits(spec: BessSpec, soc: float) -> tuple[float, float]:
+def effective_limits(spec: BessSpec, soc):
     """Discharge and charge limits (kWh) actually available at this SoC.
 
     Discharging is capped by the energy the cells can deliver after losses,
-    charging by the headroom left in the cells.
+    charging by the headroom left in the cells.  Elementwise: ``spec`` may
+    hold arrays (:meth:`BessSpec.scaled` by an array of shares).
     """
-    discharge = min(spec.max_discharge, spec.discharge_eff * soc)
-    charge = min(spec.max_charge, (spec.capacity - soc) / spec.charge_eff)
+    discharge = np.minimum(spec.max_discharge, spec.discharge_eff * soc)
+    charge = np.minimum(spec.max_charge, (spec.capacity - soc) / spec.charge_eff)
     return discharge, charge
 
 
-def soc_step(spec: BessSpec, soc: float, b: float) -> float:
+def _first(bad, *values):
+    """``values`` at the first true entry of ``bad``, each broadcast to its shape."""
+    k = int(np.argmax(bad))
+    return [np.broadcast_to(v, np.shape(bad)).flat[k] for v in values]
+
+
+def soc_step(spec: BessSpec, soc, b):
     """Advance the state of charge by one interval's storage output ``b``.
 
     ``b > 0`` charges (energy stored is reduced by the charging efficiency),
     ``b < 0`` discharges (cells supply more than is delivered).  Raises
     :class:`StorageLimitError` if ``b`` exceeds the effective limits at this
-    SoC beyond numerical tolerance.
+    SoC beyond numerical tolerance.  Elementwise, like :func:`effective_limits`.
     """
     discharge, charge = effective_limits(spec, soc)
-    if b > charge + EPS_QUANTITY or b < -discharge - EPS_QUANTITY:
+    bad = (b > charge + EPS_QUANTITY) | (b < -discharge - EPS_QUANTITY)
+    if np.any(bad):
+        b, discharge, charge, soc = _first(bad, b, discharge, charge, soc)
         raise StorageLimitError(
             f"storage output {b} outside effective limits [{-discharge}, {charge}] at soc {soc}"
         )
-    nxt = soc + stored_energy(b, spec.charge_eff, spec.discharge_eff)
-    if nxt < -EPS_QUANTITY or nxt > spec.capacity + EPS_QUANTITY:
-        raise StorageLimitError(f"state of charge {nxt} leaves [0, {spec.capacity}]")
-    return min(max(nxt, 0.0), spec.capacity)
+    nxt = soc + (spec.charge_eff * np.maximum(b, 0.0) - np.maximum(-b, 0.0) / spec.discharge_eff)
+    bad = (nxt < -EPS_QUANTITY) | (nxt > spec.capacity + EPS_QUANTITY)
+    if np.any(bad):
+        nxt, capacity = _first(bad, nxt, spec.capacity)
+        raise StorageLimitError(f"state of charge {nxt} leaves [0, {capacity}]")
+    return np.minimum(np.maximum(nxt, 0.0), spec.capacity)
 
 
-def _check_salvage(salvage: float, spec: BessSpec, buy: float, sell: float) -> tuple[float, float]:
-    discharge_price = salvage / spec.discharge_eff
-    charge_price = spec.charge_eff * salvage
-    if discharge_price > buy + 1e-12 or charge_price < sell - 1e-12:
+def _check_salvage(salvage: float, spec: BessSpec, buy: float, sell: float) -> None:
+    if salvage / spec.discharge_eff > buy + 1e-12 or spec.charge_eff * salvage < sell - 1e-12:
         raise ValueError(
             f"salvage rate {salvage} incompatible with rates (buy={buy}, sell={sell}): "
             f"need salvage/discharge_eff <= buy and charge_eff*salvage >= sell"
         )
-    return discharge_price, charge_price
 
 
-def dispatch_thresholds(
-    curve: AggregateResponseCurve, spec: BessSpec, soc: float, salvage: float
-) -> DispatchThresholds:
-    """Thresholds of the myopic policy for the current state of charge."""
-    discharge, charge = effective_limits(spec, soc)
-    follow_discharge = curve.response(salvage / spec.discharge_eff)
-    follow_charge = curve.response(spec.charge_eff * salvage)
-    return DispatchThresholds(
-        sigma_plus=follow_discharge - discharge,
-        sigma_plus_z=follow_discharge,
-        sigma_minus_z=follow_charge,
-        sigma_minus=follow_charge + charge,
-        eff_discharge=discharge,
-        eff_charge=charge,
+class Dispatch(NamedTuple):
+    """The rule's outcome for N prosumers over T intervals, as (T, N) arrays."""
+
+    price: np.ndarray  # objects: a rate, a salvage price or invert_aggregate's result
+    zone: np.ndarray  # index into ZONES
+    battery: np.ndarray  # storage output, positive = charging
+    soc: np.ndarray  # state of charge after the interval
+    lower: np.ndarray  # response at the buy rate
+    upper: np.ndarray  # response at the sell rate
+    follow_discharge: np.ndarray  # (N,) response at the discharge-side salvage price
+    follow_charge: np.ndarray  # (N,) response at the charge-side salvage price
+    discharge: np.ndarray  # effective limits at the start of the interval
+    charge: np.ndarray
+
+
+def price_and_dispatch(
+    blocks: DeviceBlocks,
+    bess: BessSpec,
+    shares: np.ndarray,
+    gen: np.ndarray,
+    rates: RateSchedule,
+) -> Dispatch:
+    """Price and battery dispatch of N prosumers, each alone, over T intervals.
+
+    Prosumer i owns the devices of ``blocks.members[i]``, generates
+    ``gen[i]`` and owns ``bess.scaled(shares[i])``.  The dispatch and the
+    state of charge run in one loop over the intervals, across all
+    prosumers at once; a prosumer with no usable storage at an interval
+    prices by the storage-free rule, which is closed at both thresholds and
+    does not consult the salvage rate.  Only prices inside a net-zero band
+    are solved, each on the prosumer's own curve.  Raises ``ValueError`` for
+    non-finite generation or a salvage rate outside the rates' window.
+    """
+    if not np.isfinite(gen).all():
+        raise ValueError(f"generation must be finite (got {gen[~np.isfinite(gen)][0]})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gen.T
+        horizon = len(g)
+        buy = np.broadcast_to(rates.buy[:horizon, None], g.shape)
+        sell = np.broadcast_to(rates.sell[:horizon, None], g.shape)
+        lower = blocks.response(buy)
+        upper = blocks.response(sell)
+        discharge_price = rates.salvage / bess.discharge_eff
+        charge_price = bess.charge_eff * rates.salvage
+        # the thresholds of the battery following generation depend on neither t nor SoC
+        follow_discharge = blocks.response(np.full((1, len(shares)), discharge_price))[0]
+        follow_charge = blocks.response(np.full((1, len(shares)), charge_price))[0]
+
+        discharge, charge, battery, soc = (np.zeros(g.shape) for _ in range(4))
+        # an empty battery has no usable storage at any interval
+        if bess.capacity != 0:
+            own = bess.scaled(shares)
+            level = own.initial_soc
+            for t, gt in enumerate(g):
+                dis, chg = discharge[t], charge[t] = effective_limits(own, level)
+                if np.any((dis != 0.0) | (chg != 0.0)):
+                    _check_salvage(rates.salvage, bess, float(rates.buy[t]), float(rates.sell[t]))
+                # without usable storage both limits are zero, and so is the output
+                b = battery[t] = np.where(
+                    gt <= follow_discharge - dis,
+                    -dis + 0.0,  # avoid -0.0 when the limit is 0
+                    np.where(
+                        gt < follow_discharge,
+                        gt - follow_discharge,
+                        np.where(
+                            gt <= follow_charge,
+                            0.0,
+                            np.where(gt < follow_charge + chg, gt - follow_charge, chg),
+                        ),
+                    ),
+                )
+                level = soc[t] = soc_step(own, level, b)
+
+        live = (discharge != 0.0) | (charge != 0.0)
+        zone = np.where(
+            live,
+            np.select(
+                [g <= lower - discharge, g < follow_discharge - discharge, g < follow_discharge,
+                 g <= follow_charge, g <= follow_charge + charge, g < upper + charge],
+                [_BUY, _DISCHARGE_DYNAMIC, _DISCHARGE_FLAT, _IDLE, _CHARGE_FLAT, _CHARGE_DYNAMIC],
+                _SELL,
+            ),
+            np.where(g < lower, _BUY, np.where(g > upper, _SELL, _IDLE)),
+        )
+        # the passed-through rates and the flat salvage prices, as Python floats
+        price = np.choose(zone, (buy, 0.0, discharge_price, 0.0, charge_price, 0.0, sell))
+        price = price.astype(object)
+        # the dynamic and idle zones announce the price at which consumption absorbs
+        # the target, exactly as invert_aggregate returns it
+        solved = (zone == _DISCHARGE_DYNAMIC) | (zone == _IDLE) | (zone == _CHARGE_DYNAMIC)
+        for t, i in zip(*np.nonzero(solved)):
+            if zone[t, i] == _DISCHARGE_DYNAMIC:
+                target, lo, hi = g[t, i] + discharge[t, i], discharge_price, buy[t, i]
+            elif zone[t, i] == _CHARGE_DYNAMIC:
+                target, lo, hi = g[t, i] - charge[t, i], sell[t, i], charge_price
+            elif live[t, i]:
+                target, lo, hi = g[t, i], charge_price, discharge_price
+            else:
+                target, lo, hi = g[t, i], sell[t, i], buy[t, i]
+            price[t, i] = invert_aggregate(blocks.curve(i), float(target), float(lo), float(hi))
+    return Dispatch(
+        price, zone, battery, soc, lower, upper, follow_discharge, follow_charge, discharge, charge
     )
 
 
-def _dispatch(thresholds: DispatchThresholds, g_n: float) -> float:
-    if g_n <= thresholds.sigma_plus:
-        return -thresholds.eff_discharge + 0.0  # avoid -0.0 when the limit is 0
-    if g_n < thresholds.sigma_plus_z:
-        return g_n - thresholds.sigma_plus_z
-    if g_n <= thresholds.sigma_minus_z:
-        return 0.0
-    if g_n < thresholds.sigma_minus:
-        return g_n - thresholds.sigma_minus_z
-    return thresholds.eff_charge
+def pooled(devices) -> DeviceBlocks:
+    """One prosumer owning every device in ``devices``: the community as D-NEM prices it."""
+    return DeviceBlocks([Member("pooled", tuple(devices), np.zeros(0))])
 
 
 def generalized_dnem_price(
@@ -132,46 +219,16 @@ def generalized_dnem_price(
     buy: float,
     sell: float,
 ) -> tuple[CommunityPrice, float]:
-    """Community price and storage output for one interval with storage.
+    """Price and storage output of one prosumer at one interval.
 
-    The storage output (kWh, positive = charging) is the myopic policy's
-    action; it is always feasible at the current SoC because the effective
-    limits are folded into the thresholds.
-
-    Zones, from scarce to abundant generation: pass through the buy rate;
-    solve the price so demand absorbs generation plus a full discharge; hold
-    the discharge-side salvage price while the battery follows generation;
-    solve with the battery idle; hold the charge-side salvage price while the
-    battery follows generation; solve with a full charge absorbed; pass
-    through the sell rate.  With no usable storage this is exactly the
-    storage-free rule, and the salvage rate is not consulted.  Raises
-    ``ValueError`` for a non-finite ``g_n``.
+    :func:`price_and_dispatch` with T = N = 1 for the devices of ``curve``,
+    generation ``g_n`` and the battery ``spec`` at state of charge ``soc``.
     """
-    discharge, charge = effective_limits(spec, soc)
-    if discharge == 0.0 and charge == 0.0:
-        return dnem_price(curve, g_n, buy, sell), 0.0
-    if not math.isfinite(g_n):
-        raise ValueError(f"aggregate generation must be finite (got {g_n})")
-    discharge_price, charge_price = _check_salvage(salvage, spec, buy, sell)
-    thresholds = dispatch_thresholds(curve, spec, soc, salvage)
-    b = _dispatch(thresholds, g_n)
-    lower = curve.response(buy) - discharge
-    upper = curve.response(sell) + charge
-    if g_n <= lower:
-        price = CommunityPrice(buy, PriceZone.NET_CONSUMPTION)
-    elif g_n < thresholds.sigma_plus:
-        value = invert_aggregate(curve, g_n + discharge, discharge_price, buy)
-        price = CommunityPrice(value, PriceZone.NET_ZERO_DISCHARGE_DYNAMIC)
-    elif g_n < thresholds.sigma_plus_z:
-        price = CommunityPrice(discharge_price, PriceZone.NET_ZERO_DISCHARGE_FLAT)
-    elif g_n <= thresholds.sigma_minus_z:
-        value = invert_aggregate(curve, g_n, charge_price, discharge_price)
-        price = CommunityPrice(value, PriceZone.NET_ZERO_IDLE)
-    elif g_n <= thresholds.sigma_minus:
-        price = CommunityPrice(charge_price, PriceZone.NET_ZERO_CHARGE_FLAT)
-    elif g_n < upper:
-        value = invert_aggregate(curve, g_n - charge, sell, charge_price)
-        price = CommunityPrice(value, PriceZone.NET_ZERO_CHARGE_DYNAMIC)
-    else:
-        price = CommunityPrice(sell, PriceZone.NET_PRODUCTION)
-    return price, b
+    cell = price_and_dispatch(
+        pooled(curve.devices),
+        replace(spec, initial_soc=soc),
+        np.ones(1),
+        np.array([[g_n]], dtype=float),
+        RateSchedule([buy], [sell], salvage),
+    )
+    return CommunityPrice(cell.price[0, 0], ZONES[cell.zone[0, 0]]), float(cell.battery[0, 0])

@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .curves import AggregateResponseCurve
-from .bess import dispatch_thresholds, generalized_dnem_price
+from .bess import ZONES, pooled, price_and_dispatch
 from .model import (
     BessSpec,
     CommunityScenario,
@@ -42,7 +41,6 @@ from .model import (
     ScenarioValidationError,
     validate_scenario,
 )
-from .pricing import compute_thresholds
 from .sim import MECHANISMS, folded_generation, rate_ratio_sweep, run, run_all
 from .welfare import axiom_audit, coalition_audit, welfare_gain
 
@@ -356,41 +354,39 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
     scenario, _ = load_config(config)
     if not 0 <= t < scenario.horizon:
         raise ConfigError(f"interval {t} outside horizon [0, {scenario.horizon})")
-    curve = AggregateResponseCurve.from_members(scenario.members)
-    buy = float(scenario.rates.buy[t])
-    sell = float(scenario.rates.sell[t])
-    thresholds = compute_thresholds(curve, buy, sell)
-    doc = {
-        "g_N": g_n,
-        "t": t,
-        "thresholds": {
-            "lower": round(thresholds.lower, 6),
-            "upper": round(thresholds.upper, 6),
-        },
-    }
-    # an empty battery prices exactly like the storage-free rule
+    rates = scenario.rates
+    # the community as one prosumer at interval t, its battery (if any) at the initial SoC
     bess = scenario.bess or BessSpec(0.0)
-    soc = bess.initial_soc
-    price, b = generalized_dnem_price(curve, g_n, bess, soc, scenario.rates.salvage, buy, sell)
+    cell = price_and_dispatch(
+        pooled(d for m in scenario.members for d in m.devices), bess, np.ones(1), np.array([[g_n]]),
+        RateSchedule(rates.buy[t : t + 1], rates.sell[t : t + 1], rates.salvage),
+    )
+    lower, upper = cell.lower[0, 0], cell.upper[0, 0]
+    discharge, charge = cell.discharge[0, 0], cell.charge[0, 0]
+    doc = {"g_N": g_n, "t": t, "thresholds": {"lower": round(lower, 6), "upper": round(upper, 6)}}
     if scenario.bess is not None:
-        sig = dispatch_thresholds(curve, bess, soc, scenario.rates.salvage)
+        follow_discharge, follow_charge = cell.follow_discharge[0], cell.follow_charge[0]
         doc["storage"] = {
-            "soc": round(soc, 6),
-            "b": round(b, 6),
-            "sigma_plus": round(sig.sigma_plus, 6),
-            "sigma_plus_z": round(sig.sigma_plus_z, 6),
-            "sigma_minus_z": round(sig.sigma_minus_z, 6),
-            "sigma_minus": round(sig.sigma_minus, 6),
-            "delta_plus": round(thresholds.lower - sig.eff_discharge, 6),
-            "delta_minus": round(thresholds.upper + sig.eff_charge, 6),
+            "soc": round(bess.initial_soc, 6),
+            "b": round(cell.battery[0, 0], 6),
+            "sigma_plus": round(follow_discharge - discharge, 6),
+            "sigma_plus_z": round(follow_discharge, 6),
+            "sigma_minus_z": round(follow_charge, 6),
+            "sigma_minus": round(follow_charge + charge, 6),
+            "delta_plus": round(lower - discharge, 6),
+            "delta_minus": round(upper + charge, 6),
         }
-    doc["value"] = round(price.value, 6)
-    doc["zone"] = price.zone.value
+    doc["value"] = round(cell.price[0, 0], 6)
+    doc["zone"] = ZONES[cell.zone[0, 0]].value
     print(_dumps(doc))
     return EXIT_OK
 
 
 def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -> int:
+    if seeds < 1:
+        raise ConfigError(f"--seeds: expected at least 1 (got {seeds})")
+    if coalition_samples < 0:
+        raise ConfigError(f"--coalition-samples: expected at least 0 (got {coalition_samples})")
     scenario, _ = load_config(config)
     if scenario.bess is not None and coalition_samples > 0:
         print(

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benchmark import standalone_settlement
-from .bess import generalized_dnem_price, soc_step
+from .bess import ZONES, pooled, price_and_dispatch
 from .curves import AggregateResponseCurve
 from .model import (
     BessSpec,
@@ -140,33 +140,31 @@ def _dnem_run(
 ) -> _Run:
     """The D-NEM run.
 
-    The community price and the battery's SoC thread through the intervals
-    in a scalar loop; one array pass then settles every member-interval.
+    The community is priced and dispatched as one prosumer owning every
+    device, all generation and the whole battery; one array pass then
+    settles every member-interval at the community price.
     """
     rates = scenario.rates
     # a storage-free community owns an empty battery, which prices exactly
     # like the storage-free rule
     bess = scenario.bess or BessSpec(0.0)
-    curve = AggregateResponseCurve.from_members(scenario.members)
-    soc = bess.initial_soc
-    prices, b_n, socs = [], [], []
-    for t, g in enumerate(g_n.tolist()):
-        buy, sell = float(rates.buy[t]), float(rates.sell[t])
-        price, b = generalized_dnem_price(curve, g, bess, soc, rates.salvage, buy, sell)
-        soc = soc_step(bess, soc, b)
-        prices.append(price)
-        b_n.append(b)
-        socs.append(soc)
-    b_n = np.array(b_n)
+    community = price_and_dispatch(
+        pooled(d for m in scenario.members for d in m.devices), bess, np.ones(1), g_n[None, :], rates
+    )
+    prices = [
+        CommunityPrice(value, ZONES[zone])
+        for value, zone in zip(community.price[:, 0].tolist(), community.zone[:, 0].tolist())
+    ]
+    price = community.price.astype(float)
+    b_n = community.battery[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        price = np.array([p.value for p in prices])[:, None]
         response = blocks.respond(np.broadcast_to(price, (len(g_n), len(blocks.members))))
         battery = b_n[:, None] * np.array([m.bess_share for m in scenario.members])
         net = response[1] + battery - gen.T
         settlement = settle_arrays(
             response, net, battery, price * net, rates.salvage, bess.charge_eff, bess.discharge_eff
         )
-    return _Run(prices, g_n, _in_order(settlement.total.T), b_n, np.array(socs), settlement)
+    return _Run(prices, g_n, _in_order(settlement.total.T), b_n, community.soc[:, 0], settlement)
 
 
 def _baseline_runs(

@@ -8,8 +8,11 @@ than tautology.
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
+
+from dnem.model import Member
 
 
 def quad_utility(alpha: float, beta: float, d) -> np.ndarray:
@@ -120,3 +123,97 @@ def pl_solution_band(devices, target, lo, hi, tol=Fraction(1, 10**11)):
     if not inside:
         return None
     return min(inside), max(inside)
+
+
+_MAX_BRUTEFORCE_DEVICES = 4
+
+
+class InstanceTooLargeError(ValueError):
+    """Brute-force welfare oracle limited to a handful of devices."""
+
+
+def _grid_axes(los, his, centers, half_width, n_points):
+    axes = []
+    for lo, hi, c in zip(los, his, centers):
+        a = max(lo, c - half_width)
+        b = min(hi, c + half_width)
+        axes.append(np.linspace(a, b, n_points) if b > a else np.array([a]))
+    return axes
+
+
+def _evaluate_grid(devices, axes, g_n, buy, sell):
+    k = len(axes)
+    utility = np.zeros(tuple(len(a) for a in axes))
+    total = np.zeros_like(utility)
+    for i, (dev, ax) in enumerate(zip(devices, axes)):
+        shape = [1] * k
+        shape[i] = len(ax)
+        vals = np.array([dev.value(d) for d in ax]).reshape(shape)
+        utility = utility + vals
+        total = total + ax.reshape(shape)
+    z = total - g_n
+    welfare = utility - np.where(z >= 0, buy * z, sell * z)
+    flat = int(np.argmax(welfare))
+    idx = np.unravel_index(flat, welfare.shape)
+    best = np.array([axes[i][idx[i]] for i in range(k)])
+    on_edge = [
+        len(axes[i]) > 1 and (idx[i] == 0 or idx[i] == len(axes[i]) - 1) for i in range(k)
+    ]
+    return float(welfare[idx]), best, on_edge
+
+
+def centralized_welfare_bruteforce(
+    members: Sequence[Member],
+    g_n: float,
+    buy: float,
+    sell: float,
+    grid_step: float = 1e-3,
+) -> float:
+    """Grid-search oracle for the centralized welfare maximum ($).
+
+    Exhaustive multi-resolution search over the consumption box: a full
+    coarse grid, then windows around the incumbent shrunk tenfold until the
+    step falls below ``grid_step``, re-centering whenever the incumbent lands
+    on a window edge.  The objective is concave so the walk cannot be trapped.
+    Refuses instances with more than four devices.
+    """
+    devices = [dev for m in members for dev in m.devices]
+    if len(devices) > _MAX_BRUTEFORCE_DEVICES:
+        raise InstanceTooLargeError(
+            f"brute-force oracle supports at most {_MAX_BRUTEFORCE_DEVICES} devices, got {len(devices)}"
+        )
+    if not devices:
+        return -nem_bill(buy, sell, -g_n)
+
+    los = np.array([d.d_min for d in devices])
+    his = np.array([d.d_max for d in devices])
+    spans = his - los
+    widest = float(np.max(spans))
+    if widest == 0.0:
+        only = [np.array([lo]) for lo in los]
+        value, _, _ = _evaluate_grid(devices, only, g_n, buy, sell)
+        return value
+
+    n0 = 41
+    axes = [np.linspace(lo, hi, n0) if hi > lo else np.array([lo]) for lo, hi in zip(los, his)]
+    best_val, best_pt, _ = _evaluate_grid(devices, axes, g_n, buy, sell)
+    step = widest / (n0 - 1)
+
+    while step > grid_step:
+        half_width = 1.5 * step
+        center = best_pt
+        for _ in range(40):
+            axes = _grid_axes(los, his, center, half_width, 31)
+            value, point, on_edge = _evaluate_grid(devices, axes, g_n, buy, sell)
+            if value > best_val:
+                best_val, best_pt = value, point
+            # re-center while the window argmax sits on a window edge that is
+            # not a box bound; a concave objective keeps improving this way
+            blocked = any(
+                edge and los[i] < point[i] < his[i] for i, edge in enumerate(on_edge)
+            )
+            if not blocked:
+                break
+            center = point
+        step = half_width / 15  # 31 points over 2*half_width
+    return best_val

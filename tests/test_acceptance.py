@@ -19,14 +19,9 @@ from dnem.pricing import compute_thresholds, dnem_price, nem_payment
 from dnem.sim import (
     folded_generation, random_scenario, rate_ratio_sweep, run, run_all, solar_day_scenario,
 )
-from dnem.welfare import (
-    axiom_audit,
-    centralized_welfare_bruteforce,
-    centralized_welfare_closed_form,
-    coalition_audit,
-)
+from dnem.welfare import axiom_audit, centralized_welfare_closed_form, coalition_audit
 
-from oracles import quad_utility
+from oracles import centralized_welfare_bruteforce, quad_utility
 
 
 def test_criterion_1_axiom_suite():

@@ -3,13 +3,14 @@ import pytest
 
 from dnem.bess import (
     StorageLimitError,
-    dispatch_thresholds,
     effective_limits,
     generalized_dnem_price,
+    pooled,
+    price_and_dispatch,
     soc_step,
 )
 from dnem.curves import AggregateResponseCurve
-from dnem.model import NET_ZERO_ZONES, BessSpec, DeviceUtility, PriceZone
+from dnem.model import NET_ZERO_ZONES, BessSpec, DeviceUtility, PriceZone, RateSchedule
 from dnem.pricing import dnem_price, nem_payment
 from dnem.sim import random_scenario
 
@@ -17,6 +18,13 @@ from oracles import quad_utility
 
 CURVE = AggregateResponseCurve([DeviceUtility(2.0, 1.0, 0.0, 2.0)])
 SPEC = BessSpec(2.0, 0.95, 0.95, max_charge=0.5, max_discharge=0.5, initial_soc=1.0)
+
+
+def thresholds():
+    """The rule's thresholds for CURVE with SPEC at SoC 1.0, salvage 0.3, buy 0.4, sell 0.2."""
+    return price_and_dispatch(
+        pooled(CURVE.devices), SPEC, np.ones(1), np.array([[1.7]]), RateSchedule([0.4], [0.2], 0.3)
+    )
 
 
 class TestEffectiveLimits:
@@ -56,17 +64,31 @@ class TestSocStep:
         with pytest.raises(StorageLimitError):
             soc_step(SPEC, 0.1, -0.5)
 
+    def test_elementwise_over_member_slices(self):
+        # one call steps every member's slice, exactly as one call per slice
+        shares = np.array([1.0, 0.5, 0.0])
+        socs, outputs = np.array([1.0, 0.5, 0.0]), np.array([0.285, -0.2, 0.0])
+        stepped = soc_step(SPEC.scaled(shares), socs, outputs)
+        for k, share in enumerate(shares):
+            assert stepped[k] == soc_step(SPEC.scaled(float(share)), socs[k], outputs[k])
+        # the first slice out of its limits is named
+        named = r"0\.6 outside effective limits \[-0\.25, 0\.25\] at soc 0\.5"
+        with pytest.raises(StorageLimitError, match=named):
+            soc_step(SPEC.scaled(shares), socs, np.array([0.0, 0.6, 0.9]))
+
 
 class TestMyopicDispatch:
     def test_threshold_values(self):
-        th = dispatch_thresholds(CURVE, SPEC, 1.0, 0.3)
-        assert th.sigma_plus == pytest.approx(2 - 0.3 / 0.95 - 0.5)
-        assert th.sigma_plus_z == pytest.approx(2 - 0.3 / 0.95)
-        assert th.sigma_minus_z == pytest.approx(2 - 0.95 * 0.3)
-        assert th.sigma_minus == pytest.approx(2 - 0.95 * 0.3 + 0.5)
-        assert (
-            th.sigma_plus <= th.sigma_plus_z <= th.sigma_minus_z <= th.sigma_minus
-        )
+        th = thresholds()
+        sigma_plus = th.follow_discharge[0] - th.discharge[0, 0]
+        sigma_plus_z = th.follow_discharge[0]
+        sigma_minus_z = th.follow_charge[0]
+        sigma_minus = th.follow_charge[0] + th.charge[0, 0]
+        assert sigma_plus == pytest.approx(2 - 0.3 / 0.95 - 0.5)
+        assert sigma_plus_z == pytest.approx(2 - 0.3 / 0.95)
+        assert sigma_minus_z == pytest.approx(2 - 0.95 * 0.3)
+        assert sigma_minus == pytest.approx(2 - 0.95 * 0.3 + 0.5)
+        assert sigma_plus <= sigma_plus_z <= sigma_minus_z <= sigma_minus
 
     def test_five_pieces(self):
         cases = [
@@ -139,12 +161,13 @@ class TestGeneralizedPrice:
         assert np.all(values <= 0.4 + 1e-12)
 
     def test_zone_boundary_continuity(self):
-        th = dispatch_thresholds(CURVE, SPEC, 1.0, 0.3)
-        lower = CURVE.response(0.4) - th.eff_discharge
-        upper = CURVE.response(0.2) + th.eff_charge
+        th = thresholds()
+        discharge, charge = th.discharge[0, 0], th.charge[0, 0]
+        lower = CURVE.response(0.4) - discharge
+        upper = CURVE.response(0.2) + charge
         boundaries = [
-            lower, th.sigma_plus, th.sigma_plus_z,
-            th.sigma_minus_z, th.sigma_minus, upper,
+            lower, th.follow_discharge[0] - discharge, th.follow_discharge[0],
+            th.follow_charge[0], th.follow_charge[0] + charge, upper,
         ]
         for g0 in boundaries:
             left, _ = generalized_dnem_price(CURVE, g0 - 1e-9, SPEC, 1.0, 0.3, 0.4, 0.2)

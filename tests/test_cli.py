@@ -352,6 +352,38 @@ class TestPrice:
         assert doc["zone"] == "NetZeroDischargeFlat"
         assert doc["storage"]["sigma_plus"] == pytest.approx(1.184211, abs=1e-6)
 
+    _STORAGE = (
+        '"storage": {"b": %s, "delta_minus": 2.3, "delta_plus": 1.1, "sigma_minus": 2.215, '
+        '"sigma_minus_z": 1.715, "sigma_plus": 1.184211, "sigma_plus_z": 1.684211, "soc": 1.0}, '
+    )
+    _THRESHOLDS = '"t": 0, "thresholds": {"lower": 1.6, "upper": 1.8}, '
+
+    @pytest.mark.parametrize(
+        "doc, g, line",
+        [
+            (BESS_CONFIG, "0.5", '{"g_N": 0.5, ' + _STORAGE % "-0.5" + _THRESHOLDS
+             + '"value": 0.4, "zone": "NetConsumption"}'),
+            (BESS_CONFIG, "1.15", '{"g_N": 1.15, ' + _STORAGE % "-0.5" + _THRESHOLDS
+             + '"value": 0.35, "zone": "NetZeroDischargeDynamic"}'),
+            (BESS_CONFIG, "1.5", '{"g_N": 1.5, ' + _STORAGE % "-0.184211" + _THRESHOLDS
+             + '"value": 0.315789, "zone": "NetZeroDischargeFlat"}'),
+            (BESS_CONFIG, "1.7", '{"g_N": 1.7, ' + _STORAGE % "0.0" + _THRESHOLDS
+             + '"value": 0.3, "zone": "NetZeroIdle"}'),
+            (BESS_CONFIG, "2.0", '{"g_N": 2.0, ' + _STORAGE % "0.285" + _THRESHOLDS
+             + '"value": 0.285, "zone": "NetZeroChargeFlat"}'),
+            (BESS_CONFIG, "2.25", '{"g_N": 2.25, ' + _STORAGE % "0.5" + _THRESHOLDS
+             + '"value": 0.25, "zone": "NetZeroChargeDynamic"}'),
+            (BESS_CONFIG, "2.5", '{"g_N": 2.5, ' + _STORAGE % "0.5" + _THRESHOLDS
+             + '"value": 0.2, "zone": "NetProduction"}'),
+            (ONE_MEMBER, "1.7", '{"g_N": 1.7, ' + _THRESHOLDS
+             + '"value": 0.3, "zone": "NetZeroIdle"}'),
+        ],
+    )
+    def test_golden_line_in_every_zone(self, tmp_path, capsys, doc, g, line):
+        # one query per storage zone and one without storage, recorded output
+        path = write_config(tmp_path, doc)
+        assert main(["price", "--config", path, "--g", g, "--t", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == line + "\n"
 
     @pytest.mark.parametrize("g", ["nan", "inf"])
     def test_non_finite_generation_exit_1(self, tmp_path, g):
@@ -412,6 +444,21 @@ class TestAudit:
         out = json.loads(capsys.readouterr().out)
         assert code == EXIT_AUDIT
         assert out["axioms"]["profit_neutrality"]["passed"] is False
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--seeds", "-1", "--coalition-samples", "5"], "--seeds"),
+            (["--seeds", "0", "--coalition-samples", "5"], "--seeds"),
+            (["--coalition-samples", "-5"], "--coalition-samples"),
+        ],
+    )
+    def test_bad_sample_counts_exit_1_naming_the_flag(self, tmp_path, capsys, flags, name):
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        assert main(["audit", "--config", path, *flags]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert name in err
 
     def test_bess_coalition_refused(self, tmp_path, capsys):
         path = write_config(tmp_path, BESS_CONFIG)

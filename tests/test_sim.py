@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dnem.sim
+from dnem.benchmark import standalone_optimum_with_bess
 from dnem.model import (
     BessSpec,
     CommunityScenario,
@@ -290,6 +291,31 @@ class TestStorageRuns:
         for r in records:
             share_sum = sum(o.battery for o in r.per_member)
             assert share_sum == pytest.approx(r.b_n, abs=1e-9)
+
+
+class TestCommunityOfOne:
+    """D-NEM welfare is the standalone optimum of one prosumer owning everything.
+
+    The prosumer holds every device, the community's folded generation and
+    the whole battery, and faces the utility tariff alone.
+    """
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    @pytest.mark.parametrize(
+        "make, seeds", [(random_scenario, range(100)), (solar_day_scenario, range(20))]
+    )
+    def test_dnem_welfare_is_the_lone_prosumer_optimum(self, make, seeds, with_bess):
+        for seed in seeds:
+            sc = make(seed, with_bess=with_bess)
+            records, summary = run(sc, "dnem", compute_gains=False)
+            devices = tuple(d for m in sc.members for d in m.devices)
+            g_n = np.array([r.g_n for r in records])
+            prosumer = Member("all", devices, g_n, bess_share=1.0 if with_bess else 0.0)
+            outcomes = standalone_optimum_with_bess(
+                prosumer, sc.bess or BessSpec(0.0), g_n, sc.rates
+            )
+            alone = sum(o.reward for o in outcomes)
+            assert abs(summary.total_welfare - alone) <= 1e-12 * abs(alone), (seed, alone)
 
 
 class TestGainsAndSweep:

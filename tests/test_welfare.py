@@ -10,15 +10,18 @@ from dnem.pricing import dnem_price, nem_payment
 from dnem.response import MemberOutcome, member_outcome
 from dnem.sim import folded_generation, random_scenario, run_all
 from dnem.welfare import (
-    InstanceTooLargeError,
     axiom_audit,
-    centralized_welfare_bruteforce,
     centralized_welfare_closed_form,
     coalition_audit,
     welfare_gain,
 )
 
-from oracles import grid_centralized_welfare, quad_utility
+from oracles import (
+    InstanceTooLargeError,
+    centralized_welfare_bruteforce,
+    grid_centralized_welfare,
+    quad_utility,
+)
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 
