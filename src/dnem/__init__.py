@@ -23,9 +23,9 @@ from .model import (
     stored_energy,
     validate_scenario,
 )
-from .curves import AggregateResponseCurve, device_response, invert_aggregate
+from .curves import AggregateResponseCurve, invert_aggregate
 from .pricing import PricingThresholds, compute_thresholds, dnem_price, nem_payment, payment
-from .response import MemberOutcome, member_outcome, optimal_consumption
+from .response import MemberOutcome, member_outcome
 from .benchmark import standalone_optimum, standalone_optimum_with_bess
 from .bess import effective_limits, generalized_dnem_price, soc_step
 from .welfare import (
@@ -52,7 +52,6 @@ __all__ = [
     "stored_energy",
     "validate_scenario",
     "AggregateResponseCurve",
-    "device_response",
     "invert_aggregate",
     "PricingThresholds",
     "compute_thresholds",
@@ -61,7 +60,6 @@ __all__ = [
     "payment",
     "MemberOutcome",
     "member_outcome",
-    "optimal_consumption",
     "standalone_optimum",
     "standalone_optimum_with_bess",
     "effective_limits",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bess import ZONES, price_and_dispatch
 from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule
-from .response import DeviceBlocks, MemberOutcome, Settlement, settle, settle_arrays
+from .response import DeviceBlocks, MemberOutcome, Settlement, member_utility, settle_arrays
 
 __all__ = [
     "standalone_optimum",
@@ -115,17 +115,12 @@ def sign_based_interval(
         price = CommunityPrice(buy, PriceZone.NET_CONSUMPTION)
     else:
         price = CommunityPrice(sell, PriceZone.NET_PRODUCTION)
-    outcomes = [
-        settle(
-            member,
-            sched.consumption,
-            sched.net,
-            price.value * sched.net,
-            sched.battery,
-            salvage,
-            charge_eff,
-            discharge_eff,
-        )
-        for member, sched in zip(members, schedules)
-    ]
-    return price, outcomes
+    response = (
+        [[s.consumption for s in schedules]],
+        np.array([[s.total_consumption for s in schedules]]),
+        np.array([[member_utility(m, s.consumption) for m, s in zip(members, schedules)]]),
+    )
+    net = np.array([[s.net for s in schedules]])
+    battery = np.array([[s.battery for s in schedules]])
+    cell = settle_arrays(response, net, battery, price.value * net, salvage, charge_eff, discharge_eff)
+    return price, list(cell.outcomes()[0])

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import EPS_QUANTITY, AggregateResponseCurve, invert_aggregate
-from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule
+from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule, stored_energy
 from .response import DeviceBlocks
 
 __all__ = [
@@ -84,7 +84,7 @@ def soc_step(spec: BessSpec, soc, b):
         raise StorageLimitError(
             f"storage output {b} outside effective limits [{-discharge}, {charge}] at soc {soc}"
         )
-    nxt = soc + (spec.charge_eff * np.maximum(b, 0.0) - np.maximum(-b, 0.0) / spec.discharge_eff)
+    nxt = soc + stored_energy(b, spec.charge_eff, spec.discharge_eff)
     bad = (nxt < -EPS_QUANTITY) | (nxt > spec.capacity + EPS_QUANTITY)
     if np.any(bad):
         nxt, capacity = _first(bad, nxt, spec.capacity)

@@ -351,6 +351,9 @@ def cmd_simulate(config: str, mechanism: str, out_dir: str) -> int:
 
 
 def cmd_price(config: str, g_n: float, t: int) -> int:
+    # validate_scenario refuses negative generation traces; so does the query
+    if g_n < 0:
+        raise ConfigError(f"--g: expected a generation >= 0 (got {g_n})")
     scenario, _ = load_config(config)
     if not 0 <= t < scenario.horizon:
         raise ConfigError(f"interval {t} outside horizon [0, {scenario.horizon})")

@@ -19,7 +19,6 @@ from .model import DeviceUtility, Member
 __all__ = [
     "EPS_QUANTITY",
     "TargetOutsideRangeError",
-    "device_response",
     "AggregateResponseCurve",
     "invert_aggregate",
 ]
@@ -30,16 +29,6 @@ EPS_QUANTITY = 1e-8
 
 class TargetOutsideRangeError(ValueError):
     """The requested consumption target is not bracketed on [lo, hi]."""
-
-
-def device_response(device, price: float) -> float:
-    """Consumption a single device picks when facing ``price`` ($/kWh).
-
-    This is the device's inverse marginal utility (already clamped to the
-    utility's own support) clipped into ``[d_min, d_max]``.  It is the exact
-    maximiser of ``value(d) - price*d`` over the bounds.
-    """
-    return max(device.d_min, min(device.inverse_marginal(price), device.d_max))
 
 
 class AggregateResponseCurve:

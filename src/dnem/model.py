@@ -223,13 +223,14 @@ def fold_central_pv(member: Member, central_output) -> np.ndarray:
     return member.pv_trace + member.central_pv_share * np.asarray(central_output, dtype=float)
 
 
-def stored_energy(b: float, charge_eff: float, discharge_eff: float) -> float:
+def stored_energy(b, charge_eff, discharge_eff):
     """Change in stored energy (kWh) when storage output at the meter is ``b``.
 
     Charging (``b > 0``) stores ``charge_eff * b``; discharging withdraws
-    ``-b / discharge_eff`` from the cells to deliver ``-b``.
+    ``-b / discharge_eff`` from the cells to deliver ``-b``.  Elementwise
+    over arrays.
     """
-    return charge_eff * max(b, 0.0) - max(-b, 0.0) / discharge_eff
+    return charge_eff * np.maximum(b, 0.0) - np.maximum(-b, 0.0) / discharge_eff
 
 
 def salvage_rate_bounds(rates: RateSchedule, bess: BessSpec) -> tuple[float, float]:
@@ -252,6 +253,8 @@ def _check_device(issues: list, member_id: str, k: int, dev) -> None:
         return
     if dev.beta <= 0:
         issues.append(f"{tag}: beta must be > 0 (got {dev.beta})")
+    elif not math.isfinite(float(dev.alpha) / float(dev.beta)):
+        issues.append(f"{tag}: saturation alpha/beta is not finite")
     if dev.alpha < 0:
         issues.append(f"{tag}: alpha must be >= 0 (got {dev.alpha})")
     if not 0 <= dev.d_min <= dev.d_max:

@@ -6,10 +6,10 @@ utility at the price.  The functions here evaluate that response and the
 resulting accounting (net consumption, payment, surplus, and reward when a
 storage share is involved).
 
-A run settles every member-interval at once: :class:`DeviceBlocks` evaluates
-the response and utility of all members at a (T, N) array of prices, and
-:func:`settle_arrays` is :func:`settle` over those arrays.  The scalar
-functions stay for single queries (the coalition audit, the welfare oracles).
+Every settlement runs on arrays: :class:`DeviceBlocks` evaluates the response
+and utility of all members at a (T, N) array of prices, and
+:func:`settle_arrays` turns the payments into surplus and reward.  A single
+query, :func:`member_outcome`, is the one-cell call of the two.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import AggregateResponseCurve, device_response
+from .curves import AggregateResponseCurve
 from .model import CommunityPrice, Member, stored_energy
-from .pricing import payment as community_payment
 
 __all__ = [
     "MemberOutcome",
-    "optimal_consumption",
     "member_utility",
-    "settle",
     "member_outcome",
     "DeviceBlocks",
     "Settlement",
@@ -57,35 +54,9 @@ class MemberOutcome:
         return float(np.sum(self.consumption))
 
 
-def optimal_consumption(member: Member, price: float) -> np.ndarray:
-    """Device-wise surplus-maximising consumption at ``price`` (kWh each)."""
-    return np.array([device_response(dev, price) for dev in member.devices])
-
-
 def member_utility(member: Member, consumption: np.ndarray) -> float:
     """Total utility ($) of a consumption bundle."""
     return float(sum(dev.value(float(d)) for dev, d in zip(member.devices, consumption)))
-
-
-def settle(
-    member: Member,
-    consumption: np.ndarray,
-    net: float,
-    pay: float,
-    battery: float = 0.0,
-    salvage: float = 0.0,
-    charge_eff: float = 1.0,
-    discharge_eff: float = 1.0,
-) -> MemberOutcome:
-    """Settle one member's interval given the payment its mechanism charges.
-
-    ``surplus`` is the utility of ``consumption`` minus ``pay``; ``reward``
-    adds the salvage-valued energy stored (withdrawn) by the member's battery
-    output ``battery``.
-    """
-    surplus = member_utility(member, consumption) - pay
-    reward = surplus + salvage * stored_energy(battery, charge_eff, discharge_eff)
-    return MemberOutcome(consumption, net, pay, surplus, reward, battery=battery)
 
 
 def member_outcome(
@@ -102,14 +73,14 @@ def member_outcome(
     ``battery_output_share`` is the member's slice of the shared battery
     output (positive when charging), which is billed as if it were the
     member's own: it raises the member's net consumption and earns (costs)
-    the salvage-valued energy stored (withdrawn).
+    the salvage-valued energy stored (withdrawn).  This is
+    :func:`settle_arrays` for one member at one interval.
     """
-    consumption = optimal_consumption(member, price.value)
-    net = float(np.sum(consumption)) + battery_output_share - generation
-    pay = community_payment(price, net)
-    return settle(
-        member, consumption, net, pay, battery_output_share, salvage, charge_eff, discharge_eff
-    )
+    response = DeviceBlocks([member]).respond(np.array([[price.value]], dtype=float))
+    battery = np.array([[battery_output_share]], dtype=float)
+    net = response[1] + battery - generation
+    cell = settle_arrays(response, net, battery, price.value * net, salvage, charge_eff, discharge_eff)
+    return cell.outcomes()[0][0]
 
 
 class DeviceBlocks:
@@ -136,7 +107,7 @@ class DeviceBlocks:
             ).reshape(len(idx), count, 4)
             alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
             self._groups.append((np.array(idx), alpha, beta, alpha / beta, 0.5 * beta, d_min, d_max))
-        order = np.concatenate([group[0] for group in self._groups])
+        order = np.concatenate([np.zeros(0, int), *(group[0] for group in self._groups)])
         # position of each member among the group rows, when groups are not in member order
         self._position = None if np.array_equal(order, np.arange(len(order))) else np.argsort(order)
         self._curves: dict[int, AggregateResponseCurve] = {}
@@ -149,7 +120,8 @@ class DeviceBlocks:
 
     @staticmethod
     def _consumption(group, prices: np.ndarray) -> np.ndarray:
-        # device_response for every device: (T, members, devices)
+        # each device's inverse marginal utility clamped to its support and
+        # bounds: (T, members, devices)
         idx, alpha, beta, saturation, _, d_min, d_max = group
         d = alpha - prices[:, idx, None]
         d /= beta
@@ -166,9 +138,9 @@ class DeviceBlocks:
     def respond(self, prices: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
         """Consumption vectors, totals and utilities of every member at (T, N) prices.
 
-        ``consumption[t][i]`` is :func:`optimal_consumption` of member i at
-        ``prices[t, i]`` (a row of a group block); totals and utilities are
-        (T, N) arrays.
+        ``consumption[t][i]`` is member i's surplus-maximising device vector
+        at ``prices[t, i]`` (a row of a group block); totals and utilities
+        are (T, N) arrays.
         """
         total = np.empty(prices.shape)
         utility = np.empty(prices.shape)
@@ -191,7 +163,7 @@ class DeviceBlocks:
 
 
 class Settlement(NamedTuple):
-    """:func:`settle` for every member-interval of a run, as (T, N) arrays.
+    """The settled member-intervals of a run, as (T, N) arrays.
 
     ``consumption[t][i]`` is member i's device vector at interval t, and
     ``stored`` the energy its battery output adds to the cells.
@@ -225,9 +197,11 @@ def settle_arrays(
     charge_eff: float,
     discharge_eff: float,
 ) -> Settlement:
-    """:func:`settle` over (T, N) arrays; ``response`` is :meth:`DeviceBlocks.respond`'s."""
+    """Settle (T, N) member-intervals: ``surplus`` is utility minus ``payment``, and
+    ``reward`` adds the salvage-valued energy that ``battery`` stores (withdraws).
+    ``response`` is :meth:`DeviceBlocks.respond`'s."""
     consumption, total, utility = response
-    stored = charge_eff * np.maximum(battery, 0.0) - np.maximum(-battery, 0.0) / discharge_eff
+    stored = stored_energy(battery, charge_eff, discharge_eff)
     surplus = utility - payment
     return Settlement(
         consumption, total, utility, net, battery, stored, payment, surplus, surplus + salvage * stored

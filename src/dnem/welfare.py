@@ -18,7 +18,7 @@ import numpy as np
 from .curves import AggregateResponseCurve, invert_aggregate
 from .model import Member
 from .pricing import compute_thresholds, dnem_price, nem_payment
-from .response import MemberOutcome, member_outcome, member_utility, optimal_consumption
+from .response import DeviceBlocks, MemberOutcome, settle_arrays
 
 __all__ = [
     "centralized_welfare_closed_form",
@@ -37,7 +37,8 @@ RATIONALITY_TOL = 1e-9
 
 
 def _total_utility_at_price(members: Sequence[Member], price: float) -> float:
-    return sum(member_utility(m, optimal_consumption(m, price)) for m in members)
+    _, _, utility = DeviceBlocks(members).respond(np.full((1, len(members)), price))
+    return sum(utility[0].tolist())
 
 
 def centralized_welfare_closed_form(
@@ -163,10 +164,11 @@ def _community_surpluses(
     members: Sequence[Member], generations: np.ndarray, buy: float, sell: float
 ) -> np.ndarray:
     curve = AggregateResponseCurve.from_members(members)
-    price = dnem_price(curve, float(np.sum(generations)), buy, sell)
-    return np.array(
-        [member_outcome(m, price, float(g)).surplus for m, g in zip(members, generations)]
-    )
+    price = dnem_price(curve, float(np.sum(generations)), buy, sell).value
+    response = DeviceBlocks(members).respond(np.full((1, len(members)), price))
+    battery = np.zeros((1, len(members)))
+    net = response[1] + battery - generations
+    return settle_arrays(response, net, battery, price * net, 0.0, 1.0, 1.0).surplus[0]
 
 
 def coalition_audit(

@@ -257,6 +257,25 @@ class TestMalformedConfig:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "price", "audit", "compare"])
+    def test_overflowing_saturation_exits_1(self, tmp_path, capsys, command):
+        # alpha / beta overflows to inf while both kink prices stay finite
+        doc = json.loads(json.dumps(FIVE_MEMBERS))
+        doc["members"][3]["devices"][0] = {"alpha": 1e200, "beta": 1e-200, "d_min": 0, "d_max": 1}
+        path = write_config(tmp_path, doc)
+        argv = {
+            "simulate": ["--out", str(tmp_path / "x")],
+            "price": ["--g", "1.0"],
+            "audit": [],
+            "compare": [],
+        }[command]
+        assert main([command, "--config", path, *argv]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "member 'h3' device 0: saturation alpha/beta is not finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
     def test_integral_float_horizon_is_accepted(self, tmp_path):
         path = write_config(tmp_path, _mutated(lambda doc: doc.update(horizon=1.0)))
         sc, canonical = load_config(path)
@@ -397,6 +416,15 @@ class TestPrice:
         assert "finite" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("g", ["-1", "-1e-9", "-inf"])
+    def test_negative_generation_exit_1(self, tmp_path, capsys, g):
+        path = write_config(tmp_path, ONE_MEMBER)
+        # "--g=" keeps argparse from reading "-1e-9" as an option
+        assert main(["price", "--config", path, f"--g={g}"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"--g: expected a generation >= 0 (got {float(g)})" in captured.err
+        assert captured.out == ""
 
 
 class TestAudit:

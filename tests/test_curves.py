@@ -9,7 +9,6 @@ from dnem.curves import (
     EPS_QUANTITY,
     AggregateResponseCurve,
     TargetOutsideRangeError,
-    device_response,
     invert_aggregate,
 )
 from dnem.model import DeviceUtility
@@ -30,30 +29,35 @@ def devices_strategy():
     )
 
 
+def one_device_response(device, price):
+    """Consumption of one device at ``price``: the response of its own curve."""
+    return AggregateResponseCurve([device]).response(price)
+
+
 class TestDeviceResponse:
     def test_interior_optimum_frozen_from_grid_oracle(self):
         # grid argmax of value minus cost over [0, 2] at 1e-6 resolution -> 1.6
         assert grid_best_consumption(2, 1, 0, 2, 0.4) == pytest.approx(1.6, abs=2e-6)
-        assert device_response(DEV_A, 0.4) == pytest.approx(1.6)
+        assert one_device_response(DEV_A, 0.4) == pytest.approx(1.6)
 
     def test_price_at_intercept_gives_zero(self):
-        assert device_response(DEV_A, 2.0) == 0.0
+        assert one_device_response(DEV_A, 2.0) == 0.0
 
     def test_upper_bound_binds(self):
         dev = DeviceUtility(2.0, 1.0, 0.0, 1.0)
         assert grid_best_consumption(2, 1, 0, 1, 0.4) == pytest.approx(1.0, abs=2e-6)
-        assert device_response(dev, 0.4) == 1.0
+        assert one_device_response(dev, 0.4) == 1.0
 
     def test_degenerate_bounds_pin_response(self):
         dev = DeviceUtility(2.0, 1.0, 1.3, 1.3)
         for price in [0.0, 0.5, 2.0, 7.0]:
-            assert device_response(dev, price) == 1.3
+            assert one_device_response(dev, price) == 1.3
 
     @settings(max_examples=150, deadline=None)
     @given(dev=devices_strategy(), price=st.floats(0.0, 6.0))
     def test_matches_grid_argmax(self, dev, price):
         best = grid_best_consumption(dev.alpha, dev.beta, dev.d_min, dev.d_max, price, step=1e-4)
-        got = device_response(dev, price)
+        got = one_device_response(dev, price)
         # the grid argmax can sit anywhere on a flat objective plateau, so
         # compare achieved objectives rather than argmax positions
         obj = lambda d: dev.value(d) - price * d

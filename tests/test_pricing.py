@@ -5,7 +5,7 @@ from dnem.bess import generalized_dnem_price
 from dnem.curves import AggregateResponseCurve
 from dnem.model import BessSpec, DeviceUtility, PriceZone
 from dnem.pricing import compute_thresholds, dnem_price, nem_payment, payment
-from dnem.response import member_outcome, optimal_consumption
+from dnem.response import member_outcome
 from dnem.model import Member
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)

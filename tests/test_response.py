@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone
-from dnem.response import member_outcome, member_utility, optimal_consumption
+from dnem.response import DeviceBlocks, member_outcome, member_utility
+from dnem.sim import folded_generation, random_scenario, run
 
 from oracles import grid_best_consumption, quad_utility
 
@@ -17,19 +18,25 @@ def one_device_member(dev=DEV_A):
     return Member("m1", (dev,), np.array([0.0]))
 
 
+def consumption_at(member, price):
+    """The member's device vector at ``price``, from a one-cell DeviceBlocks response."""
+    consumption, _, _ = DeviceBlocks([member]).respond(np.array([[price]]))
+    return consumption[0][0]
+
+
 class TestOptimalConsumption:
     def test_single_device(self):
         m = one_device_member()
         assert grid_best_consumption(2, 1, 0, 2, 0.3) == pytest.approx(1.7, abs=2e-6)
-        assert optimal_consumption(m, 0.3) == pytest.approx([1.7])
+        assert consumption_at(m, 0.3) == pytest.approx([1.7])
 
     def test_price_at_intercept(self):
         m = one_device_member()
-        assert optimal_consumption(m, 2.0) == pytest.approx([0.0])
+        assert consumption_at(m, 2.0) == pytest.approx([0.0])
 
     def test_two_devices(self):
         m = Member("m1", (DEV_A, DEV_B), np.array([0.0]))
-        assert optimal_consumption(m, 1.0 / 3.0) == pytest.approx([5 / 3, 4 / 3])
+        assert consumption_at(m, 1.0 / 3.0) == pytest.approx([5 / 3, 4 / 3])
 
     def test_monotone_in_price_devicewise(self):
         rng = np.random.default_rng(1)
@@ -47,7 +54,7 @@ class TestOptimalConsumption:
             prices = np.sort(rng.uniform(0, 6, 30))
             prev = None
             for p in prices:
-                d = optimal_consumption(m, p)
+                d = consumption_at(m, p)
                 if prev is not None:
                     assert np.all(d <= prev + 1e-12)
                 prev = d
@@ -95,6 +102,18 @@ class TestMemberOutcome:
         assert charged.net == pytest.approx(base.net + 0.5)
         assert charged.payment == pytest.approx(base.payment + 0.4 * 0.5)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_the_dnem_run(self, seed):
+        sc = random_scenario(seed)
+        records, _ = run(sc, "dnem", compute_gains=False)
+        gen = folded_generation(sc)
+        fields = lambda o: [float(v).hex() for v in (o.net, o.payment, o.surplus, o.reward)]
+        for r in records:
+            for i, (m, in_run) in enumerate(zip(sc.members, r.per_member)):
+                out = member_outcome(m, r.price, float(gen[i, r.t]))
+                assert fields(out) == fields(in_run), f"interval {r.t} member {i}"
+                assert np.array_equal(out.consumption, in_run.consumption)
+
 
 class TestBestResponse:
     def test_beats_random_feasible_bundles(self):
@@ -127,7 +146,7 @@ class TestBestResponse:
             )
             m = Member("m", (dev,), np.array([0.0]))
             price_val = float(rng.uniform(0.05, dev.alpha * 0.95))
-            d = float(optimal_consumption(m, price_val)[0])
+            d = float(consumption_at(m, price_val)[0])
             if dev.d_min < d < min(dev.d_max, dev.saturation):
                 assert abs(dev.marginal(d) - price_val) <= EPS_PRICE
 

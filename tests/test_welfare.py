@@ -40,6 +40,10 @@ class TestClosedForm:
     def test_export_branch(self):
         assert centralized_welfare_closed_form(single_member(), 2.5, 0.4, 0.2) == pytest.approx(2.12)
 
+    def test_no_members_export_all_generation(self):
+        assert centralized_welfare_closed_form([], 3.0, 0.4, 0.2) == pytest.approx(0.2 * 3.0)
+        assert centralized_welfare_closed_form([], 0.0, 0.4, 0.2) == 0.0
+
     def test_concave_in_generation(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
@@ -222,6 +226,24 @@ class TestCoalitionAudit:
             subset = [i for i in superset if rng.random() < 0.6] or [superset[0]]
             audit = coalition_audit(members, gens, buy, sell, subset, superset)
             assert audit.passed, f"slack {audit.slack}"
+            in_parent = self._oracle_surplus(members, gens, buy, sell, superset, subset)
+            alone = self._oracle_surplus(members, gens, buy, sell, subset, subset)
+            assert audit.subset_in_parent == pytest.approx(in_parent, rel=0, abs=1e-12)
+            assert audit.subset_alone == pytest.approx(alone, rel=0, abs=1e-12)
+
+    @staticmethod
+    def _oracle_surplus(members, gens, buy, sell, community, counted):
+        """Summed surplus of ``counted`` at the price of ``community``, device by device."""
+        devices = [dev for i in community for dev in members[i].devices]
+        g_n = float(np.sum(np.asarray(gens)[community]))
+        price = dnem_price(AggregateResponseCurve(devices), g_n, buy, sell).value
+        total = 0.0
+        for i in counted:
+            for dev in members[i].devices:
+                d = min(max(dev.inverse_marginal(price), dev.d_min), dev.d_max)
+                total += float(quad_utility(dev.alpha, dev.beta, d)) - price * d
+            total += price * gens[i]
+        return total
 
     def test_rejects_non_nested_sets(self):
         rng = np.random.default_rng(21)
