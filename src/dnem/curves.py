@@ -6,10 +6,18 @@ the sum of every device's inverse marginal utility clamped to its bounds.
 Every device has a saturating quadratic utility, so the curve is
 continuous, non-increasing and piecewise linear with kinks at known prices,
 which lets the net-zero price be solved exactly.
+
+The solve is a binary search over the sorted kinks: O(N log K) for N devices
+and K kinks in the bracket, one O(N) curve evaluation per probe.  It needs no
+tolerance, because the float response is itself non-increasing in price:
+``alpha - y``, division by a positive ``beta``, clamping and a fixed-order sum
+are each monotone under round-to-nearest.  So the search lands on the same
+kink pair as a scan of every kink would, and returns the same float.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +54,7 @@ class AggregateResponseCurve:
         self._beta = np.array([d.beta for d in self.devices], dtype=float)
         self._d_min = np.array([d.d_min for d in self.devices], dtype=float)
         self._d_max = np.array([d.d_max for d in self.devices], dtype=float)
+        self._saturation = self._alpha / self._beta
         self._knots = np.unique(
             np.concatenate(
                 (
@@ -63,8 +72,10 @@ class AggregateResponseCurve:
 
     def response(self, price: float) -> float:
         """Aggregate consumption at ``price`` (kWh); non-increasing in price."""
-        f = np.clip((self._alpha - price) / self._beta, 0.0, self._alpha / self._beta)
-        return float(np.sum(np.clip(f, self._d_min, self._d_max)))
+        # np.minimum/np.maximum give np.clip's floats (signed zeros included)
+        # at about half its call overhead, which dominates a solve
+        f = np.minimum(np.maximum((self._alpha - price) / self._beta, 0.0), self._saturation)
+        return float(np.sum(np.minimum(np.maximum(f, self._d_min), self._d_max)))
 
     def knot_prices(self, lo: float, hi: float) -> np.ndarray:
         """Sorted kink prices within ``[lo, hi]`` including the endpoints."""
@@ -82,39 +93,43 @@ def invert_aggregate(
     non-increasing); raises :class:`TargetOutsideRangeError` otherwise.  When
     the curve is flat at the target over an interval of prices, the midpoint
     of that plateau is returned so results are reproducible.
+
+    The plateau edges are found by binary search over the K sorted kinks in
+    the bracket: the left edge lies after the last kink with a response above
+    the target, the right edge before the first kink with a response below
+    it.  Each probe evaluates the curve once, and a probe shared by the two
+    searches is evaluated once, so a solve costs O(N log K).  The float
+    response is non-increasing at the kinks with no tolerance (see the module
+    docstring), so both searches find the kinks a full scan would.
     """
     if lo > hi:
         raise TargetOutsideRangeError(f"empty price bracket [{lo}, {hi}]")
     v_lo = curve.response(lo)
     v_hi = curve.response(hi)
-    if target > v_lo + EPS_QUANTITY or target < v_hi - EPS_QUANTITY:
+    if not v_hi - EPS_QUANTITY <= target <= v_lo + EPS_QUANTITY:
         raise TargetOutsideRangeError(
             f"target outside range: {target} not in [{v_hi}, {v_lo}] on [{lo}, {hi}]"
         )
     target = min(max(target, v_hi), v_lo)
 
     knots = curve.knot_prices(lo, hi)
-    values = np.array([curve.response(y) for y in knots])
-    left = _left_edge(knots, values, target)
-    right = _right_edge(knots, values, target)
-    return 0.5 * (left + right)
+    n = len(knots)
+    values = {0: v_lo, n - 1: v_hi}
+
+    def value(i):
+        if i not in values:
+            values[i] = curve.response(knots[i])
+        return values[i]
+
+    # first kink at which the response has fallen to, then below, the target
+    left = bisect_left(range(n), True, key=lambda i: value(i) <= target)
+    right = bisect_left(range(n), True, key=lambda i: value(i) < target)
+    y_left = float(knots[0]) if left == 0 else _interp(knots, value, left - 1, target)
+    y_right = float(knots[-1]) if right == n else _interp(knots, value, right - 1, target)
+    return 0.5 * (y_left + y_right)
 
 
-def _interp(y_a, v_a, y_b, v_b, target):
+def _interp(knots, value, j, target):
+    # Price between kinks j and j + 1 at which the linear response meets the target.
+    y_a, v_a, y_b, v_b = knots[j], value(j), knots[j + 1], value(j + 1)
     return y_a + (v_a - target) * (y_b - y_a) / (v_a - v_b)
-
-
-def _left_edge(knots, values, target):
-    # Smallest price at which the response has fallen to the target.
-    if values[0] <= target:
-        return float(knots[0])
-    j = int(np.argmax(values <= target)) - 1
-    return _interp(knots[j], values[j], knots[j + 1], values[j + 1], target)
-
-
-def _right_edge(knots, values, target):
-    # Largest price at which the response still reaches the target.
-    if values[-1] >= target:
-        return float(knots[-1])
-    j = len(values) - 1 - int(np.argmax(values[::-1] >= target))
-    return _interp(knots[j], values[j], knots[j + 1], values[j + 1], target)

@@ -248,7 +248,7 @@ def salvage_rate_bounds(rates: RateSchedule, bess: BessSpec) -> tuple[float, flo
 def _check_device(issues: list, member_id: str, k: int, dev) -> None:
     tag = f"member {member_id!r} device {k}"
     vals = (dev.alpha, dev.beta, dev.d_min, dev.d_max)
-    if not all(np.isfinite(v) for v in vals):
+    if not all(math.isfinite(v) for v in vals):
         issues.append(f"{tag}: non-finite utility parameter")
         return
     if dev.beta <= 0:

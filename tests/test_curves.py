@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -244,3 +245,140 @@ class TestAgainstPiecewiseLinearOracle:
         curve = AggregateResponseCurve([DeviceUtility(*p) for p in params])
         left, right = pl_solution_band(params, 0.1, 0.0, 1.5)
         assert invert_aggregate(curve, 0.1, 0.0, 1.5) == pytest.approx(float((left + right) / 2))
+
+
+def full_scan_invert(curve, target, lo, hi):
+    """The inversion that evaluates the curve at every kink in the bracket.
+
+    Kept as the reference the bisection must reproduce bit for bit (value
+    and type): a scan of K + 2 evaluations, then the same plateau edges.
+    """
+    if lo > hi:
+        raise TargetOutsideRangeError(f"empty price bracket [{lo}, {hi}]")
+    v_lo = curve.response(lo)
+    v_hi = curve.response(hi)
+    if target > v_lo + EPS_QUANTITY or target < v_hi - EPS_QUANTITY:
+        raise TargetOutsideRangeError("target outside range")
+    target = min(max(target, v_hi), v_lo)
+    knots = curve.knot_prices(lo, hi)
+    values = np.array([curve.response(y) for y in knots])
+
+    def interp(j):
+        y_a, v_a, y_b, v_b = knots[j], values[j], knots[j + 1], values[j + 1]
+        return y_a + (v_a - target) * (y_b - y_a) / (v_a - v_b)
+
+    if values[0] <= target:
+        left = float(knots[0])
+    else:
+        left = interp(int(np.argmax(values <= target)) - 1)
+    if values[-1] >= target:
+        right = float(knots[-1])
+    else:
+        right = interp(len(values) - 1 - int(np.argmax(values[::-1] >= target)))
+    return 0.5 * (left + right)
+
+
+@pytest.fixture(scope="module")
+def curve_5000():
+    rng = np.random.default_rng(5000)
+    devs = []
+    for _ in range(5000):
+        lo = rng.uniform(0.0, 2.0)
+        devs.append(
+            DeviceUtility(rng.uniform(0.5, 5.0), rng.uniform(0.1, 3.0), lo, lo + rng.uniform(0.0, 3.0))
+        )
+    return AggregateResponseCurve(devs)
+
+
+class TestBisectionMatchesFullScan:
+    """The O(N log K) search returns exactly what the O(N K) scan returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=many_kink_devices(),
+        lo=st.floats(0.0, 3.0),
+        width=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        kind=st.sampled_from(["interior", "plateau", "lo", "hi", "outside"]),
+        frac=st.floats(0.0, 1.0),
+        knot=st.integers(0, 100),
+    )
+    def test_same_repr_as_the_full_scan(self, params, lo, width, kind, frac, knot):
+        curve = AggregateResponseCurve([DeviceUtility(*p) for p in params])
+        hi = lo + width
+        v_lo, v_hi = curve.response(lo), curve.response(hi)
+        knots = curve.knot_prices(lo, hi)
+        target = {
+            "interior": v_hi + frac * (v_lo - v_hi),
+            # the level of any plateau that starts at a kink
+            "plateau": curve.response(float(knots[knot % len(knots)])),
+            "lo": v_lo,
+            "hi": v_hi,
+            "outside": v_lo + 1e-6 + frac,
+        }[kind]
+        try:
+            expected = full_scan_invert(curve, target, lo, hi)
+        except TargetOutsideRangeError:
+            with pytest.raises(TargetOutsideRangeError):
+                invert_aggregate(curve, target, lo, hi)
+            return
+        assert repr(invert_aggregate(curve, target, lo, hi)) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "devices, target, lo, hi, kind",
+        [
+            ([], 0.0, 0.1, 0.9, float),
+            ([], 0.0, 0.4, 0.4, float),
+            ([DeviceUtility(2.0, 1.0, 1.3, 1.3)], 1.3, 0.1, 0.9, float),
+            ([DeviceUtility(2.0, 1.0, 1.3, 1.3)], 1.3, 0.0, 0.0, float),
+            ([DEV_A, DEV_B], 3.0, 0.2, 0.4, np.float64),
+        ],
+        ids=["empty", "empty_point", "pinned", "pinned_point", "interpolated"],
+    )
+    def test_result_type_follows_the_edges(self, devices, target, lo, hi, kind):
+        # a bracket end is a Python float, an interpolated edge a numpy scalar
+        curve = AggregateResponseCurve(devices)
+        got = invert_aggregate(curve, target, lo, hi)
+        assert type(got) is kind
+        assert repr(got) == repr(full_scan_invert(curve, target, lo, hi))
+
+    def test_nan_target_is_outside_the_range(self):
+        curve = AggregateResponseCurve([DEV_A])
+        with pytest.raises(TargetOutsideRangeError, match="target outside range"):
+            invert_aggregate(curve, float("nan"), 0.2, 0.4)
+
+    def test_seeded_5000_device_solve(self, curve_5000):
+        for lo, hi, frac in ((0.0, 6.0, 0.5), (0.3, 0.35, 0.2), (1.0, 4.0, 0.9)):
+            v_lo, v_hi = curve_5000.response(lo), curve_5000.response(hi)
+            target = v_hi + frac * (v_lo - v_hi)
+            got = invert_aggregate(curve_5000, target, lo, hi)
+            assert repr(got) == repr(full_scan_invert(curve_5000, target, lo, hi))
+
+    def test_response_evaluations_are_logarithmic_in_the_kinks(self, curve_5000, monkeypatch):
+        calls = []
+        response = curve_5000.response
+        monkeypatch.setattr(curve_5000, "response", lambda y: calls.append(y) or response(y))
+        lo, hi = 0.0, 6.0
+        target = 0.5 * (response(lo) + response(hi))
+        invert_aggregate(curve_5000, target, lo, hi)
+        k = len(curve_5000.knot_prices(lo, hi))
+        assert k > 4000  # a scan would make k + 2 evaluations
+        assert len(calls) <= 2 * math.ceil(math.log2(k)) + 4
+
+
+class TestExactnessPremise:
+    """The float response at the sorted kinks is non-increasing, exactly.
+
+    This is what lets the binary search stand in for a full scan with no
+    tolerance.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=many_kink_devices(), lo=st.floats(0.0, 3.0), width=st.floats(0.0, 4.0))
+    def test_non_increasing_at_the_kinks(self, params, lo, width):
+        curve = AggregateResponseCurve([DeviceUtility(*p) for p in params])
+        values = [curve.response(y) for y in curve.knot_prices(lo, lo + width)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_non_increasing_on_a_seeded_5000_device_curve(self, curve_5000):
+        values = np.array([curve_5000.response(y) for y in curve_5000.knot_prices(0.0, 6.0)])
+        assert np.all(np.diff(values) <= 0.0)

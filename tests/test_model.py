@@ -174,6 +174,27 @@ class TestValidateScenario:
             f"member 'b' device 1: kink price alpha - beta*{bound} is not finite" for bound in bounds
         ]
 
+    def test_device_issues_for_int_and_numpy_parameters(self):
+        nan, inf = float("nan"), np.float64("inf")
+        devices = (
+            DeviceUtility(np.float64(2.0), np.float64(-1.0), np.int64(0), 2),
+            DeviceUtility(2, 1, np.float64(nan), 2),
+            DeviceUtility(inf, 1, 0, 2),
+            DeviceUtility(-1, 0, 3, np.float32(2.0)),
+            DeviceUtility(np.int64(2), np.float64(1e308), 0, 2),
+        )
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(make_scenario(members=(make_member("a", devices=devices),)))
+        assert err.value.issues == [
+            "member 'a' device 0: beta must be > 0 (got -1.0)",
+            "member 'a' device 1: non-finite utility parameter",
+            "member 'a' device 2: non-finite utility parameter",
+            "member 'a' device 3: beta must be > 0 (got 0)",
+            "member 'a' device 3: alpha must be >= 0 (got -1)",
+            "member 'a' device 3: bounds must satisfy 0 <= d_min <= d_max (got [3, 2.0])",
+            "member 'a' device 4: kink price alpha - beta*d_max is not finite",
+        ]
+
     def test_huge_alpha_keeps_finite_kinks(self):
         sc = make_scenario(members=(make_member(devices=(DeviceUtility(1e308, 1.0, 0.0, 2.0),)),))
         assert validate_scenario(sc) is sc
