@@ -42,7 +42,7 @@ from .model import (
     validate_scenario,
 )
 from .sim import MECHANISMS, folded_generation, rate_ratio_sweep, run, run_all
-from .welfare import axiom_audit, coalition_audit, welfare_gain
+from .welfare import axiom_audit, coalition_audits, welfare_gain
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -461,6 +461,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         total = 0
         for seed in range(seeds):
             rng = np.random.default_rng(seed)
+            samples = []
             for _ in range(coalition_samples):
                 t = int(rng.integers(0, scenario.horizon))
                 superset = [i for i in range(n) if rng.random() < 0.7]
@@ -469,14 +470,11 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
                 subset = [i for i in superset if rng.random() < 0.6]
                 if not subset:
                     subset = [superset[int(rng.integers(0, len(superset)))]]
-                audit = coalition_audit(
-                    list(scenario.members),
-                    gen[:, t],
-                    float(scenario.rates.buy[t]),
-                    float(scenario.rates.sell[t]),
-                    subset,
-                    superset,
-                )
+                samples.append((t, subset, superset))
+            audits = coalition_audits(
+                scenario.members, gen, scenario.rates.buy, scenario.rates.sell, samples
+            )
+            for (t, subset, superset), audit in zip(samples, audits):
                 total += 1
                 worst = max(worst, -audit.slack)
                 if not audit.passed:

@@ -18,6 +18,7 @@ kink pair as a scan of every kink would, and returns the same float.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,6 +55,9 @@ class AggregateResponseCurve:
         self._beta = np.array([d.beta for d in self.devices], dtype=float)
         self._d_min = np.array([d.d_min for d in self.devices], dtype=float)
         self._d_max = np.array([d.d_max for d in self.devices], dtype=float)
+        self._precompute()
+
+    def _precompute(self) -> None:
         self._saturation = self._alpha / self._beta
         self._knots = np.unique(
             np.concatenate(
@@ -70,6 +74,16 @@ class AggregateResponseCurve:
     def from_members(cls, members: Sequence[Member]) -> "AggregateResponseCurve":
         return cls(dev for m in members for dev in m.devices)
 
+    def select(self, keep: np.ndarray) -> "AggregateResponseCurve":
+        """The curve of the devices where the boolean array ``keep`` is true, kept in order."""
+        curve = object.__new__(type(self))
+        curve.devices = tuple(compress(self.devices, keep))
+        curve._alpha, curve._beta, curve._d_min, curve._d_max = (
+            a[keep] for a in (self._alpha, self._beta, self._d_min, self._d_max)
+        )
+        curve._precompute()
+        return curve
+
     def response(self, price: float) -> float:
         """Aggregate consumption at ``price`` (kWh); non-increasing in price."""
         # np.minimum/np.maximum give np.clip's floats (signed zeros included)
@@ -78,10 +92,13 @@ class AggregateResponseCurve:
         return float(np.sum(np.minimum(np.maximum(f, self._d_min), self._d_max)))
 
     def knot_prices(self, lo: float, hi: float) -> np.ndarray:
-        """Sorted kink prices within ``[lo, hi]`` including the endpoints."""
+        """Sorted kink prices within ``[lo, hi]`` including the endpoints (``lo <= hi``)."""
+        if lo == hi:
+            return np.array([lo], dtype=float)
         knots = self._knots
+        # sorted and unique, strictly inside the bracket: nothing to sort
         inner = knots[np.searchsorted(knots, lo, "right") : np.searchsorted(knots, hi, "left")]
-        return np.unique(np.concatenate(([lo, hi], inner)))
+        return np.concatenate(([lo], inner, [hi]))
 
 
 def invert_aggregate(

@@ -245,10 +245,17 @@ def salvage_rate_bounds(rates: RateSchedule, bess: BessSpec) -> tuple[float, flo
     return lo, hi
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a Python int beyond float range
+        return False
+
+
 def _check_device(issues: list, member_id: str, k: int, dev) -> None:
     tag = f"member {member_id!r} device {k}"
     vals = (dev.alpha, dev.beta, dev.d_min, dev.d_max)
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(_finite, vals)):
         issues.append(f"{tag}: non-finite utility parameter")
         return
     if dev.beta <= 0:

@@ -142,6 +142,15 @@ class DeviceBlocks:
         at ``prices[t, i]`` (a row of a group block); totals and utilities
         are (T, N) arrays.
         """
+        blocks, total, utility = self.evaluate(prices)
+        rows = [[row for d in blocks for row in d[t]] for t in range(len(prices))]
+        if self._position is not None:
+            rows = [[r[p] for p in self._position] for r in rows]
+        return rows, total, utility
+
+    def evaluate(self, prices: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+        """:meth:`respond` without the per-cell rows: each group's (T, members, devices)
+        consumption block, and every member's total and utility at (T, N) prices."""
         total = np.empty(prices.shape)
         utility = np.empty(prices.shape)
         blocks = []
@@ -156,10 +165,7 @@ class DeviceBlocks:
                 u += alpha[:, j] * dj - half_beta[:, j] * dj * dj
             utility[:, idx] = u
             blocks.append(d)
-        rows = [[row for d in blocks for row in d[t]] for t in range(len(prices))]
-        if self._position is not None:
-            rows = [[r[p] for p in self._position] for r in rows]
-        return rows, total, utility
+        return blocks, total, utility
 
 
 class Settlement(NamedTuple):

@@ -18,7 +18,7 @@ import numpy as np
 from .curves import AggregateResponseCurve, invert_aggregate
 from .model import Member
 from .pricing import compute_thresholds, dnem_price, nem_payment
-from .response import DeviceBlocks, MemberOutcome, settle_arrays
+from .response import DeviceBlocks, MemberOutcome
 
 __all__ = [
     "centralized_welfare_closed_form",
@@ -27,6 +27,7 @@ __all__ = [
     "axiom_audit",
     "CoalitionAudit",
     "coalition_audit",
+    "coalition_audits",
     "welfare_gain",
 ]
 
@@ -37,7 +38,7 @@ RATIONALITY_TOL = 1e-9
 
 
 def _total_utility_at_price(members: Sequence[Member], price: float) -> float:
-    _, _, utility = DeviceBlocks(members).respond(np.full((1, len(members)), price))
+    _, _, utility = DeviceBlocks(members).evaluate(np.full((1, len(members)), price))
     return sum(utility[0].tolist())
 
 
@@ -82,6 +83,14 @@ class AxiomReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _worst(gaps: np.ndarray) -> tuple[float, int]:
+    """Largest positive entry of ``gaps`` and its first flat index, or (0.0, -1): what a loop
+    raising ``worst`` from 0.0 on ``gap > worst`` finds (the first of ties, never a NaN)."""
+    gaps = np.concatenate(([0.0], np.where(gaps > 0, gaps, 0.0).ravel()))
+    k = int(np.argmax(gaps))
+    return float(gaps[k]), k - 1
+
+
 def axiom_audit(
     outcomes: Sequence[MemberOutcome],
     buy: float,
@@ -100,40 +109,33 @@ def axiom_audit(
     """
     nets = np.array([o.net for o in outcomes])
     pays = np.array([o.payment for o in outcomes])
+    n = len(nets)
     checks = []
 
-    worst = 0.0
-    detail = ""
-    for i in range(len(outcomes)):
-        for j in range(i + 1, len(outcomes)):
-            if abs(nets[i] - nets[j]) <= 1e-9:
-                gap = float(abs(pays[i] - pays[j]))
-                if gap > worst:
-                    worst, detail = gap, f"members {i} and {j}"
+    # pair (i, j) at [i, j]: row-major order is the order of a double loop
+    close = np.triu(np.abs(nets[:, None] - nets) <= 1e-9, 1)
+    worst, k = _worst(np.where(close, np.abs(pays[:, None] - pays), 0.0))
+    detail = "" if k < 0 else "members {} and {}".format(*divmod(k, n))
     checks.append(AxiomCheck("uniform_payment", worst <= PROFIT_TOL, worst, detail))
 
-    worst = 0.0
-    detail = ""
-    for i, (z, p) in enumerate(zip(nets, pays)):
-        if abs(z) <= 1e-12 and abs(p) > worst:
-            worst, detail = float(abs(p)), f"member {i}: payment at zero net"
-        if p * z < -1e-12 and abs(p) > worst:
-            worst, detail = float(abs(p)), f"member {i}: payment sign opposes net"
-    for i in range(len(outcomes)):
-        for j in range(len(outcomes)):
-            if i != j and nets[i] * nets[j] >= 0 and abs(nets[i]) >= abs(nets[j]):
-                gap = float(abs(pays[j]) - abs(pays[i]))
-                if gap > worst:
-                    worst, detail = gap, f"members {i}, {j}: magnitude order broken"
+    # each member's zero-net and sign checks, then the pairs (the diagonal's gaps are 0)
+    mag = np.abs(pays)
+    own = np.column_stack(
+        (np.where(np.abs(nets) <= 1e-12, mag, 0.0), np.where(pays * nets < -1e-12, mag, 0.0))
+    )
+    ordered = (np.multiply.outer(nets, nets) >= 0) & (np.abs(nets)[:, None] >= np.abs(nets))
+    pairs = np.where(ordered, mag - mag[:, None], 0.0)
+    worst, k = _worst(np.concatenate((own.ravel(), pairs.ravel())))
+    if k < 2 * n:
+        detail = "" if k < 0 else f"member {k // 2}: payment " + ("at zero net", "sign opposes net")[k % 2]
+    else:
+        detail = "members {}, {}: magnitude order broken".format(*divmod(k - 2 * n, n))
     checks.append(AxiomCheck("monotonicity_cost_causation", worst <= PROFIT_TOL, worst, detail))
 
     if benchmark_surpluses is not None:
-        worst = 0.0
-        detail = ""
-        for i, (o, bench) in enumerate(zip(outcomes, benchmark_surpluses)):
-            shortfall = float(bench - o.surplus)
-            if shortfall > worst:
-                worst, detail = shortfall, f"member {i}: below standalone surplus"
+        shortfall = [b - o.surplus for o, b in zip(outcomes, benchmark_surpluses)]
+        worst, k = _worst(np.array(shortfall, dtype=float))
+        detail = "" if k < 0 else f"member {k}: below standalone surplus"
         checks.append(
             AxiomCheck("individual_rationality", worst <= RATIONALITY_TOL, worst, detail)
         )
@@ -160,15 +162,49 @@ class CoalitionAudit:
         return self.slack >= -RATIONALITY_TOL
 
 
-def _community_surpluses(
-    members: Sequence[Member], generations: np.ndarray, buy: float, sell: float
-) -> np.ndarray:
+def coalition_audits(
+    members: Sequence[Member],
+    gen: np.ndarray,
+    buy: Sequence[float],
+    sell: Sequence[float],
+    samples: Sequence[tuple[int, Sequence[int], Sequence[int]]],
+) -> list[CoalitionAudit]:
+    """:func:`coalition_audit` of every ``(t, subset, superset)`` sample, in order.
+
+    ``gen`` is the members' generation, shape (members, intervals), and ``buy``/``sell`` the
+    per-interval rates.  Each coalition is priced by :func:`dnem_price` on a curve gathered
+    from one curve of all members; the 2S communities of S samples are then settled by one
+    :meth:`DeviceBlocks.evaluate` call on a (2S, N) price array.
+    """
+    n = len(members)
     curve = AggregateResponseCurve.from_members(members)
-    price = dnem_price(curve, float(np.sum(generations)), buy, sell).value
-    response = DeviceBlocks(members).respond(np.full((1, len(members)), price))
-    battery = np.zeros((1, len(members)))
-    net = response[1] + battery - generations
-    return settle_arrays(response, net, battery, price * net, 0.0, 1.0, 1.0).surplus[0]
+    owner = np.repeat(np.arange(n), [len(m.devices) for m in members])
+    gen = np.asarray(gen, dtype=float)
+    prices = np.empty((2 * len(samples), n))
+    subsets = []
+    for s, (t, subset, superset) in enumerate(samples):
+        subset = sorted(set(subset))
+        superset = sorted(set(superset))
+        if not set(subset) <= set(superset):
+            raise ValueError("subset must be contained in superset")
+        if not subset:
+            raise ValueError("subset must be non-empty")
+        for row, ids in ((2 * s, superset), (2 * s + 1, subset)):
+            keep = np.zeros(n, dtype=bool)
+            keep[ids] = True
+            g_n = float(np.sum(gen[ids, t]))
+            price = dnem_price(curve.select(keep[owner]), g_n, float(buy[t]), float(sell[t]))
+            prices[row] = price.value
+        subsets.append(subset)
+
+    _, total, utility = DeviceBlocks(members).evaluate(prices)
+    net = total + 0.0 - np.repeat(gen[:, [t for t, _, _ in samples]].T, 2, axis=0)
+    surplus = utility - prices * net
+    in_parent, alone = surplus[0::2], surplus[1::2]
+    return [
+        CoalitionAudit(float(sum(in_parent[s, ids].tolist())), float(np.sum(alone[s, ids])))
+        for s, ids in enumerate(subsets)
+    ]
 
 
 def coalition_audit(
@@ -184,26 +220,11 @@ def coalition_audit(
     ``subset`` and ``superset`` are member indices with subset ⊆ superset.
     Both communities are priced independently with their own aggregate
     generation and thresholds; the audit compares the subset members' total
-    surplus inside the parent against the total they would get alone.
+    surplus inside the parent against the total they would get alone.  This
+    is :func:`coalition_audits` for one sample.
     """
-    subset = sorted(set(subset))
-    superset = sorted(set(superset))
-    if not set(subset) <= set(superset):
-        raise ValueError("subset must be contained in superset")
-    if not subset:
-        raise ValueError("subset must be non-empty")
-    generations = np.asarray(generations, dtype=float)
-
-    parent_members = [members[i] for i in superset]
-    parent_g = generations[superset]
-    parent_surplus = _community_surpluses(parent_members, parent_g, buy, sell)
-    position = {idx: k for k, idx in enumerate(superset)}
-    in_parent = float(sum(parent_surplus[position[i]] for i in subset))
-
-    alone_members = [members[i] for i in subset]
-    alone_g = generations[subset]
-    alone = float(np.sum(_community_surpluses(alone_members, alone_g, buy, sell)))
-    return CoalitionAudit(subset_in_parent=in_parent, subset_alone=alone)
+    gen = np.asarray(generations, dtype=float)[:, None]
+    return coalition_audits(members, gen, [buy], [sell], [(0, subset, superset)])[0]
 
 
 def welfare_gain(mechanism_welfare: float, baseline_welfare: float) -> float:

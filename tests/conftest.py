@@ -1,4 +1,12 @@
+import os
+
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
+# example database, so a failure seen in CI repeats locally
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ACCEPTANCE_RESULTS = []
 

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from dnem.model import Member
+from dnem.welfare import PROFIT_TOL, RATIONALITY_TOL, AxiomCheck, AxiomReport
 
 
 def quad_utility(alpha: float, beta: float, d) -> np.ndarray:
@@ -217,3 +218,56 @@ def centralized_welfare_bruteforce(
             center = point
         step = half_width / 15  # 31 points over 2*half_width
     return best_val
+
+
+def axiom_audit_loops(outcomes, buy, sell, benchmark_surpluses):
+    """The axiom audit as pairwise Python loops over the members.
+
+    The reference for ``dnem.welfare.axiom_audit``, which finds the same
+    worst slack and detail with N x N arrays; the operator's bill is
+    :func:`nem_bill`.
+    """
+    nets = np.array([o.net for o in outcomes])
+    pays = np.array([o.payment for o in outcomes])
+    checks = []
+
+    worst = 0.0
+    detail = ""
+    for i in range(len(outcomes)):
+        for j in range(i + 1, len(outcomes)):
+            if abs(nets[i] - nets[j]) <= 1e-9:
+                gap = float(abs(pays[i] - pays[j]))
+                if gap > worst:
+                    worst, detail = gap, f"members {i} and {j}"
+    checks.append(AxiomCheck("uniform_payment", worst <= PROFIT_TOL, worst, detail))
+
+    worst = 0.0
+    detail = ""
+    for i, (z, p) in enumerate(zip(nets, pays)):
+        if abs(z) <= 1e-12 and abs(p) > worst:
+            worst, detail = float(abs(p)), f"member {i}: payment at zero net"
+        if p * z < -1e-12 and abs(p) > worst:
+            worst, detail = float(abs(p)), f"member {i}: payment sign opposes net"
+    for i in range(len(outcomes)):
+        for j in range(len(outcomes)):
+            if i != j and nets[i] * nets[j] >= 0 and abs(nets[i]) >= abs(nets[j]):
+                gap = float(abs(pays[j]) - abs(pays[i]))
+                if gap > worst:
+                    worst, detail = gap, f"members {i}, {j}: magnitude order broken"
+    checks.append(AxiomCheck("monotonicity_cost_causation", worst <= PROFIT_TOL, worst, detail))
+
+    if benchmark_surpluses is not None:
+        worst = 0.0
+        detail = ""
+        for i, (o, bench) in enumerate(zip(outcomes, benchmark_surpluses)):
+            shortfall = float(bench - o.surplus)
+            if shortfall > worst:
+                worst, detail = shortfall, f"member {i}: below standalone surplus"
+        checks.append(
+            AxiomCheck("individual_rationality", worst <= RATIONALITY_TOL, worst, detail)
+        )
+
+    z_n = float(np.sum(nets))
+    gap = float(abs(float(np.sum(pays)) - nem_bill(buy, sell, z_n)))
+    checks.append(AxiomCheck("profit_neutrality", gap <= PROFIT_TOL, gap, ""))
+    return AxiomReport(tuple(checks))

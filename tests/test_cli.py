@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -564,3 +565,39 @@ def test_readme_commands_run_on_the_readme_config(tmp_path, monkeypatch, capsys)
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert main(shlex.split(line)[1:]) == EXIT_OK, f"{line}: {capsys.readouterr().err}"
+
+
+def _seeded_day_config():
+    """A storage-free 12-member day from ``solar_day_scenario``, two members without devices."""
+    sc = dnem.sim.solar_day_scenario(5, n_members=12, horizon=24)
+    doc = {
+        "horizon": sc.horizon,
+        "rates": {"buy": sc.rates.buy.tolist(), "sell": sc.rates.sell.tolist()},
+        "members": [
+            {
+                "id": m.id,
+                "devices": [
+                    {"alpha": d.alpha, "beta": d.beta, "d_min": d.d_min, "d_max": d.d_max}
+                    for d in m.devices
+                ],
+                "pv_trace": m.pv_trace.tolist(),
+            }
+            for m in sc.members
+        ],
+    }
+    doc["members"][3]["devices"] = []
+    doc["members"][8]["devices"] = []
+    return doc
+
+
+AUDIT_DIGEST = "0ec9234a50bae333f9da595fdc2c72fda0d41235ebb828c82a26ea5139fa1bf2"
+
+
+def test_audit_stdout_is_pinned(tmp_path, capsys):
+    # recorded before the coalition samples of a seed were priced in one batch
+    path = write_config(tmp_path, _seeded_day_config())
+    code = main(["audit", "--config", path, "--seeds", "2", "--coalition-samples", "100"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert json.loads(out)["coalitions"]["samples"] == 200
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGEST

@@ -182,6 +182,7 @@ class TestValidateScenario:
             DeviceUtility(inf, 1, 0, 2),
             DeviceUtility(-1, 0, 3, np.float32(2.0)),
             DeviceUtility(np.int64(2), np.float64(1e308), 0, 2),
+            DeviceUtility(10**400, 1, 0, 2),
         )
         with pytest.raises(ScenarioValidationError) as err:
             validate_scenario(make_scenario(members=(make_member("a", devices=devices),)))
@@ -193,6 +194,7 @@ class TestValidateScenario:
             "member 'a' device 3: alpha must be >= 0 (got -1)",
             "member 'a' device 3: bounds must satisfy 0 <= d_min <= d_max (got [3, 2.0])",
             "member 'a' device 4: kink price alpha - beta*d_max is not finite",
+            "member 'a' device 5: non-finite utility parameter",
         ]
 
     def test_huge_alpha_keeps_finite_kinks(self):

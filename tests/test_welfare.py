@@ -7,17 +7,20 @@ from dnem.benchmark import standalone_optimum
 from dnem.curves import AggregateResponseCurve
 from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
-from dnem.response import MemberOutcome, member_outcome
-from dnem.sim import folded_generation, random_scenario, run_all
+from dnem.response import DeviceBlocks, MemberOutcome, member_outcome, settle_arrays
+from dnem.sim import folded_generation, random_scenario, run_all, solar_day_scenario
 from dnem.welfare import (
+    CoalitionAudit,
     axiom_audit,
     centralized_welfare_closed_form,
     coalition_audit,
+    coalition_audits,
     welfare_gain,
 )
 
 from oracles import (
     InstanceTooLargeError,
+    axiom_audit_loops,
     centralized_welfare_bruteforce,
     grid_centralized_welfare,
     quad_utility,
@@ -181,6 +184,185 @@ class TestAxiomAudit:
         report = axiom_audit([out], 0.4, 0.2, benchmark_surpluses=[out.surplus + 1.0])
         failed = {c.axiom for c in report.failures()}
         assert "individual_rationality" in failed
+
+
+def _bits(report):
+    return [(c.axiom, c.passed, c.slack.hex(), c.detail) for c in report.checks]
+
+
+def _outcome(net, payment, surplus=0.0):
+    return MemberOutcome(np.array([0.0]), net, payment, surplus, surplus)
+
+
+class TestAxiomAuditMatchesLoops:
+    """The array audit against the loop oracle: bit-equal slacks, the same details."""
+
+    @staticmethod
+    def _assert_same(outcomes, benchmark, buy=0.4, sell=0.1):
+        expected = axiom_audit_loops(outcomes, buy, sell, benchmark)
+        report = axiom_audit(outcomes, buy, sell, benchmark)
+        assert _bits(report) == _bits(expected)
+        assert report == expected
+        return report
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [solar_day_scenario(s, n_members=8, horizon=24) for s in range(2)]
+        + [random_scenario(s, with_bess=s % 2 == 1) for s in range(8)],
+    )
+    def test_run_all_records(self, scenario):
+        results = run_all(scenario)
+        for mechanism in ("dnem", "standalone", "sign_based"):
+            for r, alone in zip(results[mechanism][0], results["standalone"][0]):
+                buy, sell = float(scenario.rates.buy[r.t]), float(scenario.rates.sell[r.t])
+                for benchmark in (None, [o.surplus for o in alone.per_member]):
+                    self._assert_same(r.per_member, benchmark, buy, sell)
+
+    def test_first_of_two_pairs_with_the_same_max_gap(self):
+        outs = [_outcome(1.0, 0.0), _outcome(1.0, 0.25), _outcome(2.0, 1.0), _outcome(2.0, 1.25)]
+        report = self._assert_same(outs, None)
+        assert report.checks[0].detail == "members 0 and 1"
+
+    def test_zero_net_payment_tied_with_a_magnitude_gap(self):
+        # member 0's payment at zero net and the pair (2, 1) both miss by 0.5
+        outs = [_outcome(0.0, 0.5), _outcome(1.0, 1.0), _outcome(2.0, 0.5)]
+        report = self._assert_same(outs, None)
+        assert report.checks[1].slack == 0.5
+        assert report.checks[1].detail == "member 0: payment at zero net"
+
+    def test_sign_check_tied_with_a_later_zero_net_payment(self):
+        outs = [_outcome(1.0, -0.5), _outcome(0.0, 0.5)]
+        report = self._assert_same(outs, None)
+        assert report.checks[1].detail == "member 0: payment sign opposes net"
+
+    def test_first_of_two_tied_magnitude_pairs(self):
+        outs = [_outcome(1.0, 1.0), _outcome(2.0, 0.5), _outcome(-1.0, -1.0), _outcome(-2.0, -0.5)]
+        report = self._assert_same(outs, None)
+        assert report.checks[1].detail == "members 1, 0: magnitude order broken"
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_small_communities(self, n):
+        outs = [_outcome(0.5 - i, 0.2 - 0.3 * i, i) for i in range(n)]
+        self._assert_same(outs, None)
+        self._assert_same(outs, [0.5] * n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [0.0, -0.0, 1e-13, 1e-12, -1e-12, 1e-9, 0.5, -0.5, 1.0, 2.0, 1.0 + 1e-10]
+                ),
+                st.sampled_from([0.0, 1e-7, 0.25, -0.25, 0.5, -0.5, 1.0, 2.0]),
+                st.sampled_from([0.0, 0.5, 1.0]),
+            ),
+            max_size=7,
+        ),
+        with_benchmark=st.booleans(),
+    )
+    def test_many_ties(self, cells, with_benchmark):
+        outs = [_outcome(net, pay, surplus) for net, pay, surplus in cells]
+        self._assert_same(outs, [0.5] * len(outs) if with_benchmark else None)
+
+
+def _community_surpluses(members, generations, buy, sell):
+    # the coalition audit's community settlement, one community at a time
+    curve = AggregateResponseCurve.from_members(members)
+    price = dnem_price(curve, float(np.sum(generations)), buy, sell).value
+    response = DeviceBlocks(members).respond(np.full((1, len(members)), price))
+    battery = np.zeros((1, len(members)))
+    net = response[1] + battery - generations
+    return settle_arrays(response, net, battery, price * net, 0.0, 1.0, 1.0).surplus[0]
+
+
+def reference_coalition_audit(members, generations, buy, sell, subset, superset):
+    subset = sorted(set(subset))
+    superset = sorted(set(superset))
+    generations = np.asarray(generations, dtype=float)
+    parent_surplus = _community_surpluses(
+        [members[i] for i in superset], generations[superset], buy, sell
+    )
+    position = {idx: k for k, idx in enumerate(superset)}
+    in_parent = float(sum(parent_surplus[position[i]] for i in subset))
+    alone = float(
+        np.sum(_community_surpluses([members[i] for i in subset], generations[subset], buy, sell))
+    )
+    return CoalitionAudit(subset_in_parent=in_parent, subset_alone=alone)
+
+
+class TestCoalitionBatch:
+    """``coalition_audits`` against the one-community-at-a-time settlement, bit for bit."""
+
+    @staticmethod
+    def _bits(audit):
+        return audit.subset_in_parent.hex(), audit.subset_alone.hex()
+
+    @staticmethod
+    def _samples(rng, n, horizon, count):
+        samples = []
+        for _ in range(count):
+            t = int(rng.integers(0, horizon))
+            superset = [i for i in range(n) if rng.random() < 0.7] or [int(rng.integers(0, n))]
+            subset = [i for i in superset if rng.random() < 0.6] or [superset[-1]]
+            samples.append((t, subset, superset))
+        return samples
+
+    def _assert_same(self, members, gen, buy, sell, samples):
+        audits = coalition_audits(members, gen, buy, sell, samples)
+        assert len(audits) == len(samples)
+        for (t, subset, superset), audit in zip(samples, audits):
+            expected = reference_coalition_audit(
+                members, gen[:, t], float(buy[t]), float(sell[t]), subset, superset
+            )
+            assert self._bits(audit) == self._bits(expected), (t, subset, superset)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_scenarios(self, seed):
+        sc = random_scenario(seed, horizon=12)
+        members = list(sc.members)
+        if seed % 2:
+            # members without devices consume nothing
+            members[0] = Member(members[0].id, (), members[0].pv_trace)
+            members[-1] = Member(members[-1].id, (), members[-1].pv_trace)
+        rng = np.random.default_rng(seed)
+        samples = self._samples(rng, len(members), sc.horizon, 40)
+        self._assert_same(members, folded_generation(sc), sc.rates.buy, sc.rates.sell, samples)
+
+    def test_seeded_day_with_many_devices(self):
+        sc = solar_day_scenario(3, n_members=30, horizon=24)
+        samples = self._samples(np.random.default_rng(3), 30, 24, 60)
+        gen = folded_generation(sc)
+        self._assert_same(list(sc.members), gen, sc.rates.buy, sc.rates.sell, samples)
+
+    def test_coalitions_without_devices(self):
+        gen = np.array([[0.5], [1.0], [0.0], [2.0]])
+        members = [
+            Member("a", (), gen[0]),
+            Member("b", (), gen[1]),
+            Member("c", (DEV_A,), gen[2]),
+            Member("d", (), gen[3]),
+        ]
+        # device-less coalitions, a device-less subset of a priced parent, and the reverse
+        samples = [(0, [0], [0, 1]), (0, [1, 3], [0, 1, 3]), (0, [0], [0, 2]), (0, [2], [0, 1, 2, 3])]
+        self._assert_same(members, gen, [0.4], [0.1], samples)
+        self._assert_same([members[0]], gen[:1], [0.4], [0.1], [(0, [0], [0])])
+
+    def test_one_sample_wrapper_and_no_samples(self):
+        rng = np.random.default_rng(22)
+        members, gens = TestCoalitionAudit()._random_members(rng, 5)
+        audit = coalition_audit(members, gens, 0.4, 0.2, [3, 1], [4, 1, 3])
+        expected = reference_coalition_audit(members, gens, 0.4, 0.2, [3, 1], [4, 1, 3])
+        assert self._bits(audit) == self._bits(expected)
+        assert coalition_audits(members, np.array(gens)[:, None], [0.4], [0.2], []) == []
+
+    @pytest.mark.parametrize(
+        "subset, superset, message", [([0, 2], [0, 1], "contained"), ([], [0, 1], "non-empty")]
+    )
+    def test_rejects_bad_samples(self, subset, superset, message):
+        members = single_member() * 3
+        with pytest.raises(ValueError, match=message):
+            samples = [(0, [0], [0]), (0, subset, superset)]
+            coalition_audits(members, np.zeros((3, 1)), [0.4], [0.2], samples)
 
 
 class TestCoalitionAudit:
