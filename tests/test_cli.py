@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -567,9 +568,9 @@ def test_readme_commands_run_on_the_readme_config(tmp_path, monkeypatch, capsys)
         assert main(shlex.split(line)[1:]) == EXIT_OK, f"{line}: {capsys.readouterr().err}"
 
 
-def _seeded_day_config():
-    """A storage-free 12-member day from ``solar_day_scenario``, two members without devices."""
-    sc = dnem.sim.solar_day_scenario(5, n_members=12, horizon=24)
+def _seeded_day_config(with_bess=False, flat_buy=False):
+    """A 12-member day from ``solar_day_scenario``, two members without devices."""
+    sc = dnem.sim.solar_day_scenario(5, n_members=12, horizon=24, with_bess=with_bess, flat_buy=flat_buy)
     doc = {
         "horizon": sc.horizon,
         "rates": {"buy": sc.rates.buy.tolist(), "sell": sc.rates.sell.tolist()},
@@ -587,6 +588,9 @@ def _seeded_day_config():
     }
     doc["members"][3]["devices"] = []
     doc["members"][8]["devices"] = []
+    if with_bess:
+        doc["rates"]["salvage"] = sc.rates.salvage
+        doc["bess"] = dataclasses.asdict(sc.bess)
     return doc
 
 
@@ -601,3 +605,69 @@ def test_audit_stdout_is_pinned(tmp_path, capsys):
     assert code == EXIT_OK
     assert json.loads(out)["coalitions"]["samples"] == 200
     assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGEST
+
+
+#: sha256 of ``intervals.csv`` and ``summary.json`` from ``dnem simulate``, recorded before
+#: the writer formatted whole columns at once
+SIMULATE_DIGESTS = {
+    ("day", "dnem"): (
+        "94923c8db10325fca2c1a89b5e21927187134d54206a20c6f1df7f3ad0f2b087",
+        "7dc7bc61bfd1116d0d9bf38cc0b9c69f0eb2acd319859062c442d107d9d7c0e8",
+    ),
+    ("day", "sign_based"): (
+        "b4e3328847784074dc8e6c5931a6f154eb401b343c8c5dddb3e9552f01d66588",
+        "547453572c35287a5343d1c342c8eb9279fc2378a178ce0a6fc05bc7aff47df8",
+    ),
+    ("day", "standalone"): (
+        "11024f56a282bb17bcd345815f72d437309292d6d366e09a7de9913b845ec94e",
+        "67c85226aa4a1cf5fe7da48d6de09727b84b389b2ab7e2d02a847557cc520349",
+    ),
+    ("storage", "dnem"): (
+        "c8238af800fdc48dc1d98b04142206fffbcad1cc47fb2fb7b67852c28e9598d2",
+        "cb77b9be26ccbcf00fd4bfa4b6586ff37d2b3a85bc80b2e6829dcf51cd079bf8",
+    ),
+    ("storage", "sign_based"): (
+        "d308f0bb61aa3b5820ef055dc956bb27f3447e4d76c6398dfe3e1b81d2e86609",
+        "f4741308b5283d66fe579cf3dc986e443b15731d6b56b50a109484ef7d35bd18",
+    ),
+    ("storage", "standalone"): (
+        "32cde631fb026a0aa29fd797ad6a3dc9ed1c189d6d71236f404af7ca6f7151dc",
+        "0dc26a8af091bf90b775724512bc7b1c107a8077b4903905388621090cff5095",
+    ),
+}
+
+PINNED_CONFIGS = {
+    "day": lambda: _seeded_day_config(),
+    "storage": lambda: _seeded_day_config(with_bess=True),
+    "flat": lambda: _seeded_day_config(flat_buy=True),
+}
+
+
+@pytest.mark.parametrize("config, mechanism", sorted(SIMULATE_DIGESTS))
+def test_simulate_outputs_are_pinned(tmp_path, config, mechanism):
+    path = write_config(tmp_path, PINNED_CONFIGS[config]())
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--mechanism", mechanism, "--out", str(out)]) == EXIT_OK
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("intervals.csv", "summary.json")
+    )
+    assert digests == SIMULATE_DIGESTS[config, mechanism]
+
+
+@pytest.mark.parametrize(
+    "config, flags, digest",
+    [
+        # both storage variants, and a member without devices or PV (an empty gain cell)
+        ("storage", [], "4ad7f883e7ac86f2c829e110434e852fe27f89e6cfb6693cc3973c568599da53"),
+        (
+            "flat",
+            ["--ratios", "1.0,0.8,0.5,0.2,0.0"],
+            "e5fe116b11eb67a52381362de0d7d7f092fb1241d9e0194d5c40b1cc210d1e58",
+        ),
+    ],
+)
+def test_compare_stdout_is_pinned(tmp_path, capsys, config, flags, digest):
+    path = write_config(tmp_path, PINNED_CONFIGS[config]())
+    assert main(["compare", "--config", path, *flags]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
