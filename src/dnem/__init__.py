@@ -24,7 +24,7 @@ from .model import (
     validate_scenario,
 )
 from .curves import AggregateResponseCurve, invert_aggregate
-from .pricing import PricingThresholds, compute_thresholds, dnem_price, nem_payment, payment
+from .pricing import PricingThresholds, compute_thresholds, dnem_price, nem_payment
 from .response import MemberOutcome, member_outcome
 from .benchmark import standalone_optimum, standalone_optimum_with_bess
 from .bess import effective_limits, generalized_dnem_price, soc_step
@@ -35,7 +35,8 @@ from .welfare import (
     welfare_gain,
 )
 from .sim import (
-    IntervalRecord, RunSummary, random_scenario, rate_ratio_sweep, run, run_all, solar_day_scenario,
+    IntervalRecord, Run, RunSummary, random_scenario, rate_ratio_sweep, run, run_all,
+    solar_day_scenario,
 )
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "compute_thresholds",
     "dnem_price",
     "nem_payment",
-    "payment",
     "MemberOutcome",
     "member_outcome",
     "standalone_optimum",
@@ -70,6 +70,7 @@ __all__ = [
     "coalition_audit",
     "welfare_gain",
     "IntervalRecord",
+    "Run",
     "RunSummary",
     "random_scenario",
     "rate_ratio_sweep",

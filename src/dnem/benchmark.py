@@ -62,7 +62,7 @@ def standalone_optimum_with_bess(
     """
     gen = np.asarray(trace, dtype=float).reshape(1, -1)
     settlement = standalone_settlement(DeviceBlocks([member]), spec, np.ones(1), gen, rates)
-    return [outcomes[0] for outcomes in settlement.outcomes()]
+    return [settlement.outcomes(t)[0] for t in range(gen.shape[1])]
 
 
 def standalone_settlement(
@@ -84,7 +84,7 @@ def standalone_settlement(
     alone = price_and_dispatch(blocks, bess, shares, gen, rates)
     horizon = gen.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        response = blocks.respond(alone.price.astype(float))
+        response = blocks.evaluate(alone.price.astype(float))
         # every zone between passing through the buy rate and the sell rate is net-zero
         net_zero = (0 < alone.zone) & (alone.zone < len(ZONES) - 1)
         net = np.where(net_zero, 0.0, response[1] + alone.battery - gen.T)
@@ -116,11 +116,11 @@ def sign_based_interval(
     else:
         price = CommunityPrice(sell, PriceZone.NET_PRODUCTION)
     response = (
-        [[s.consumption for s in schedules]],
-        np.array([[s.total_consumption for s in schedules]]),
+        [s.consumption[None] for s in schedules],
+        np.array([[np.sum(s.consumption) for s in schedules]]),
         np.array([[member_utility(m, s.consumption) for m, s in zip(members, schedules)]]),
     )
     net = np.array([[s.net for s in schedules]])
     battery = np.array([[s.battery for s in schedules]])
     cell = settle_arrays(response, net, battery, price.value * net, salvage, charge_eff, discharge_eff)
-    return price, list(cell.outcomes()[0])
+    return price, list(cell.outcomes(0))

@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -41,7 +40,7 @@ from .model import (
     ScenarioValidationError,
     validate_scenario,
 )
-from .sim import MECHANISMS, folded_generation, rate_ratio_sweep, run, run_all
+from .sim import MECHANISMS, Run, folded_generation, rate_ratio_sweep, run, run_all
 from .welfare import axiom_audit, coalition_audits, welfare_gain
 
 EXIT_OK = 0
@@ -276,11 +275,26 @@ def _dumps(doc: dict, indent: Optional[int] = None) -> str:
         raise ValueError(_NON_FINITE) from None
 
 
-def _fmt(value: float) -> str:
-    if not math.isfinite(value):
+def _finite(*values) -> None:
+    """Refuse a result that the CSV format cannot hold, before anything is rendered."""
+    if not all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values):
         raise ValueError(_NON_FINITE)
-    # round first so values like -1e-9 serialise as 0.000000, not -0.000000
-    return f"{round(value, 6) + 0.0:.6f}"
+
+
+def _fixed(values) -> list[str]:
+    """Each row of ``values`` as CSV cells with six decimals, every cell led by a comma.
+
+    A cell reads ``f"{round(v, 6) + 0.0:.6f}"``: ``%.6f`` rounds as ``round``
+    does, and a value that rounds to zero is written without its sign.  A NaN
+    (or ``None``) is an empty cell; callers refuse non-finite results first
+    (:func:`_finite`).
+    """
+    values = np.array(values, dtype=float)
+    template = ",%.6f" * values.shape[1]
+    return [
+        (template % tuple(row)).replace(",-0.000000", ",0.000000").replace(",nan", ",")
+        for row in values.tolist()
+    ]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -295,22 +309,21 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _intervals_csv(scenario: CommunityScenario, records) -> str:
-    ids = [m.id for m in scenario.members]
+def _intervals_csv(scenario: CommunityScenario, result: Run) -> str:
     header = ["t", "price", "zone", "g_N", "d_N", "b_N", "z_N", "soc"]
-    for mid in ids:
-        header += [f"{mid}_d", f"{mid}_z", f"{mid}_payment", f"{mid}_surplus"]
+    for m in scenario.members:
+        header += [f"{m.id}_d", f"{m.id}_z", f"{m.id}_payment", f"{m.id}_surplus"]
+    s = result.settlement
+    # each member's d, z, payment and surplus in turn
+    members = np.stack((s.total, s.net, s.payment, s.surplus), axis=-1).reshape(len(result), -1)
+    columns = np.column_stack((result.g_n, result.d_n, result.b_n, result.z_n, result.soc, members))
+    _finite(columns, [p.value for p in result.prices if p is not None])
+    # a standalone run has no community price: its price and zone cells are empty
+    price = _fixed([[np.nan if p is None else p.value] for p in result.prices])
+    zone = ["" if p is None else p.zone.value for p in result.prices]
     lines = [",".join(header)]
-    for r in records:
-        row = [str(r.t)]
-        if r.price is None:
-            row += ["", ""]
-        else:
-            row += [_fmt(r.price.value), r.price.zone.value]
-        row += [_fmt(r.g_n), _fmt(r.d_n), _fmt(r.b_n), _fmt(r.z_n), _fmt(r.soc)]
-        for o in r.per_member:
-            row += [_fmt(o.total_consumption), _fmt(o.net), _fmt(o.payment), _fmt(o.surplus)]
-        lines.append(",".join(row))
+    for t, (p, z, cells) in enumerate(zip(price, zone, _fixed(columns))):
+        lines.append(f"{t}{p},{z}{cells}")
     return "\n".join(lines) + "\n"
 
 
@@ -339,9 +352,9 @@ def _summary_json(scenario, summary, canonical) -> str:
 
 def cmd_simulate(config: str, mechanism: str, out_dir: str) -> int:
     scenario, canonical = load_config(config)
-    records, summary = run(scenario, mechanism)
+    result, summary = run(scenario, mechanism)
     # render both files first, so a failed run writes neither
-    intervals = _intervals_csv(scenario, records)
+    intervals = _intervals_csv(scenario, result)
     summary_text = _summary_json(scenario, summary, canonical)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -400,18 +413,17 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         return EXIT_VALIDATION
 
     results = run_all(scenario)
-    records = results[mechanism][0]
-    std_records = results["standalone"][0]
+    alone = results["standalone"][0].settlement.surplus
     gen = folded_generation(scenario)
     with_storage = scenario.bess is not None
 
     axioms: dict[str, dict] = {}
     all_passed = True
-    for r, std in zip(records, std_records):
+    for r in results[mechanism][0]:
         buy = float(scenario.rates.buy[r.t])
         sell = float(scenario.rates.sell[r.t])
         # with storage the standalone benchmark holds only over the horizon
-        benchmark = None if with_storage else [o.surplus for o in std.per_member]
+        benchmark = None if with_storage else alone[r.t].tolist()
         report = axiom_audit(r.per_member, buy, sell, benchmark)
         for check in report.checks:
             entry = axioms.setdefault(
@@ -512,7 +524,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
     return EXIT_OK if all_passed else EXIT_AUDIT
 
 
-def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[list[str]]]:
+def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[str]]:
     zone_names = [zone.value for zone in PriceZone]
     ids = [m.id for m in scenario.members]
     header = ["mechanism", "bess", "total_welfare", "welfare_gain_pct"]
@@ -523,42 +535,37 @@ def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[list[str
     if scenario.bess is not None:
         variants.append(("yes", scenario.bess))
 
-    rows = []
+    names, counts, totals, gains = [], [], [], []
     for label, bess in variants:
         variant = dataclasses.replace(scenario, bess=bess)
         summaries = {m: summary for m, (_, summary) in run_all(variant).items()}
-        base = summaries["standalone"]
+        base = summaries["standalone"].per_member_surplus
         for mechanism in MECHANISMS:
             s = summaries[mechanism]
-            gain = s.welfare_gain_vs_standalone
-            row = [mechanism, label, _fmt(s.total_welfare)]
-            row.append("" if gain is None else _fmt(gain))
-            for z in zone_names:
-                row.append(str(s.zone_histogram.get(z, 0)))
-            for mine, ref in zip(s.per_member_surplus, base.per_member_surplus):
-                row.append("" if ref == 0 else _fmt(welfare_gain(mine, ref)))
-            rows.append(row)
-    return header, rows
+            names.append(f"{mechanism},{label}")
+            counts.append(",".join(str(s.zone_histogram.get(z, 0)) for z in zone_names))
+            totals.append([s.total_welfare, s.welfare_gain_vs_standalone])
+            pairs = zip(s.per_member_surplus, base)
+            gains.append([None if ref == 0 else welfare_gain(mine, ref) for mine, ref in pairs])
+    _finite([v for row in totals + gains for v in row if v is not None])
+    rows = zip(names, _fixed(totals), counts, _fixed(gains))
+    return header, [f"{name}{total},{count}{gain}" for name, total, count, gain in rows]
 
 
 def cmd_compare(config: str, ratios: Optional[Sequence[float]], out: Optional[str]) -> int:
     scenario, _ = load_config(config)
     if ratios:
         header = ["ratio", "welfare_gain_dnem_pct", "welfare_gain_sign_based_pct"]
-        rows = []
-        for point in rate_ratio_sweep(scenario, ratios):
-            rows.append(
-                [
-                    _fmt(point.ratio),
-                    "" if point.welfare_gain_dnem is None else _fmt(point.welfare_gain_dnem),
-                    ""
-                    if point.welfare_gain_sign_based is None
-                    else _fmt(point.welfare_gain_sign_based),
-                ]
-            )
+        points = [
+            [p.ratio, p.welfare_gain_dnem, p.welfare_gain_sign_based]
+            for p in rate_ratio_sweep(scenario, ratios)
+        ]
+        _finite([v for row in points for v in row if v is not None])
+        # the ratio cell leads the row
+        rows = [cells[1:] for cells in _fixed(points)]
     else:
         header, rows = _compare_rows(scenario)
-    text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+    text = "\n".join([",".join(header)] + rows) + "\n"
     if out:
         _atomic_write(Path(out), text)
     else:

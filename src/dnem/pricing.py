@@ -20,7 +20,6 @@ __all__ = [
     "PricingThresholds",
     "compute_thresholds",
     "dnem_price",
-    "payment",
     "nem_payment",
 ]
 
@@ -73,15 +72,6 @@ def dnem_price(
         return CommunityPrice(sell, PriceZone.NET_PRODUCTION)
     value = invert_aggregate(curve, g_n, sell, buy)
     return CommunityPrice(value, PriceZone.NET_ZERO_IDLE)
-
-
-def payment(price: CommunityPrice, z: float) -> float:
-    """Member payment ($) for net consumption ``z`` at the community price.
-
-    A single rate applies regardless of the sign of ``z``: net producers are
-    compensated at the same price net consumers are charged.
-    """
-    return price.value * z
 
 
 def nem_payment(buy: float, sell: float, z: float) -> float:

@@ -8,8 +8,10 @@ storage share is involved).
 
 Every settlement runs on arrays: :class:`DeviceBlocks` evaluates the response
 and utility of all members at a (T, N) array of prices, and
-:func:`settle_arrays` turns the payments into surplus and reward.  A single
-query, :func:`member_outcome`, is the one-cell call of the two.
+:func:`settle_arrays` turns the payments into surplus and reward.  A
+:class:`MemberOutcome` is built only when one interval of a :class:`Settlement`
+is read (:meth:`Settlement.outcomes`); :func:`member_outcome` is that read on a
+one-cell settlement.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ class MemberOutcome:
     reward: float
     battery: float = 0.0
 
-    @property
-    def total_consumption(self) -> float:
-        return float(np.sum(self.consumption))
-
 
 def member_utility(member: Member, consumption: np.ndarray) -> float:
     """Total utility ($) of a consumption bundle."""
@@ -76,11 +74,11 @@ def member_outcome(
     the salvage-valued energy stored (withdrawn).  This is
     :func:`settle_arrays` for one member at one interval.
     """
-    response = DeviceBlocks([member]).respond(np.array([[price.value]], dtype=float))
+    response = DeviceBlocks([member]).evaluate(np.array([[price.value]], dtype=float))
     battery = np.array([[battery_output_share]], dtype=float)
     net = response[1] + battery - generation
     cell = settle_arrays(response, net, battery, price.value * net, salvage, charge_eff, discharge_eff)
-    return cell.outcomes()[0][0]
+    return cell.outcomes(0)[0]
 
 
 class DeviceBlocks:
@@ -107,9 +105,6 @@ class DeviceBlocks:
             ).reshape(len(idx), count, 4)
             alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
             self._groups.append((np.array(idx), alpha, beta, alpha / beta, 0.5 * beta, d_min, d_max))
-        order = np.concatenate([np.zeros(0, int), *(group[0] for group in self._groups)])
-        # position of each member among the group rows, when groups are not in member order
-        self._position = None if np.array_equal(order, np.arange(len(order))) else np.argsort(order)
         self._curves: dict[int, AggregateResponseCurve] = {}
 
     def curve(self, i: int) -> AggregateResponseCurve:
@@ -135,25 +130,16 @@ class DeviceBlocks:
             total[:, group[0]] = np.sum(self._consumption(group, prices), axis=-1)
         return total
 
-    def respond(self, prices: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-        """Consumption vectors, totals and utilities of every member at (T, N) prices.
-
-        ``consumption[t][i]`` is member i's surplus-maximising device vector
-        at ``prices[t, i]`` (a row of a group block); totals and utilities
-        are (T, N) arrays.
-        """
-        blocks, total, utility = self.evaluate(prices)
-        rows = [[row for d in blocks for row in d[t]] for t in range(len(prices))]
-        if self._position is not None:
-            rows = [[r[p] for p in self._position] for r in rows]
-        return rows, total, utility
-
     def evaluate(self, prices: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-        """:meth:`respond` without the per-cell rows: each group's (T, members, devices)
-        consumption block, and every member's total and utility at (T, N) prices."""
+        """Consumption, totals and utilities of every member at (T, N) prices.
+
+        ``consumption[i]`` is member i's (T, devices) slice of its group's
+        block: row t is its surplus-maximising device vector at
+        ``prices[t, i]``.  Totals and utilities are (T, N) arrays.
+        """
         total = np.empty(prices.shape)
         utility = np.empty(prices.shape)
-        blocks = []
+        consumption = [None] * prices.shape[1]
         for group in self._groups:
             idx, alpha, _, saturation, half_beta, _, _ = group
             d = self._consumption(group, prices)
@@ -164,15 +150,16 @@ class DeviceBlocks:
                 dj = np.minimum(d[:, :, j], saturation[:, j])
                 u += alpha[:, j] * dj - half_beta[:, j] * dj * dj
             utility[:, idx] = u
-            blocks.append(d)
-        return blocks, total, utility
+            for k, i in enumerate(idx.tolist()):
+                consumption[i] = d[:, k]
+        return consumption, total, utility
 
 
 class Settlement(NamedTuple):
     """The settled member-intervals of a run, as (T, N) arrays.
 
-    ``consumption[t][i]`` is member i's device vector at interval t, and
-    ``stored`` the energy its battery output adds to the cells.
+    ``consumption[i]`` holds member i's device vectors, one row per
+    interval, and ``stored`` the energy the battery output adds to the cells.
     """
 
     consumption: list
@@ -185,13 +172,11 @@ class Settlement(NamedTuple):
     surplus: np.ndarray
     reward: np.ndarray
 
-    def outcomes(self) -> list[tuple[MemberOutcome, ...]]:
-        """Per interval, the members' outcomes (Python floats)."""
+    def outcomes(self, t: int) -> tuple[MemberOutcome, ...]:
+        """The members' outcomes at interval ``t`` (Python floats)."""
         columns = (self.net, self.payment, self.surplus, self.reward, self.battery)
-        return [
-            tuple(map(MemberOutcome, *row))
-            for row in zip(self.consumption, *(c.tolist() for c in columns))
-        ]
+        rows = (c[t] for c in self.consumption)
+        return tuple(map(MemberOutcome, rows, *(c[t].tolist() for c in columns)))
 
 
 def settle_arrays(
@@ -205,7 +190,7 @@ def settle_arrays(
 ) -> Settlement:
     """Settle (T, N) member-intervals: ``surplus`` is utility minus ``payment``, and
     ``reward`` adds the salvage-valued energy that ``battery`` stores (withdraws).
-    ``response`` is :meth:`DeviceBlocks.respond`'s."""
+    ``response`` is :meth:`DeviceBlocks.evaluate`'s."""
     consumption, total, utility = response
     stored = stored_energy(battery, charge_eff, discharge_eff)
     surplus = utility - payment

@@ -12,14 +12,16 @@ The driver runs a validated scenario under one of three mechanisms:
 
 Intervals of one scenario are evaluated in order because the battery's state
 of charge threads through them; runs are deterministic, so identical inputs
-give identical outputs.
+give identical outputs.  A run is its arrays (:class:`Run`); an interval's
+record is built only when it is indexed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .welfare import welfare_gain
 __all__ = [
     "MECHANISMS",
     "IntervalRecord",
+    "Run",
     "RunSummary",
     "run",
     "run_all",
@@ -111,33 +114,38 @@ def _in_order(values: np.ndarray) -> np.ndarray:
     return total
 
 
-class _Run:
-    """One mechanism's run as arrays; its records are built on demand.
+class Run(Sequence[IntervalRecord]):
+    """One mechanism's run: (T,) community columns and the members' (T, N) settlement.
 
     ``prices`` holds the community price of each interval (``None`` for
-    standalone runs) and ``welfare`` the reward total, added in the order
-    the records list them.
+    standalone runs) and ``welfare`` the reward total, added in interval
+    order.  Read as a sequence, the run is its T interval records;
+    ``run[t]`` builds record t and its N member outcomes from row t of the
+    arrays, and nothing is built before.
     """
 
     def __init__(self, prices: list, g_n, d_n, b_n, soc, settlement: Settlement):
         self.prices, self.settlement = prices, settlement
         self.g_n, self.d_n, self.b_n, self.soc = g_n, d_n, b_n, soc
+        self.z_n = d_n + b_n - g_n
         self.welfare = sum(settlement.reward.ravel().tolist())
 
-    def records(self) -> list[IntervalRecord]:
-        z_n = self.d_n + self.b_n - self.g_n
-        columns = (self.g_n, self.d_n, self.b_n, z_n, self.soc)
-        return [
-            IntervalRecord(t, *row)
-            for t, row in enumerate(
-                zip(self.prices, *(c.tolist() for c in columns), self.settlement.outcomes())
-            )
-        ]
+    def __len__(self) -> int:
+        return len(self.g_n)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(len(self))[t]]
+        t = range(len(self))[t]
+        columns = (self.g_n, self.d_n, self.b_n, self.z_n, self.soc)
+        return IntervalRecord(
+            t, self.prices[t], *(c[t].item() for c in columns), self.settlement.outcomes(t)
+        )
 
 
 def _dnem_run(
     scenario: CommunityScenario, blocks: DeviceBlocks, gen: np.ndarray, g_n: np.ndarray
-) -> _Run:
+) -> Run:
     """The D-NEM run.
 
     The community is priced and dispatched as one prosumer owning every
@@ -158,18 +166,18 @@ def _dnem_run(
     price = community.price.astype(float)
     b_n = community.battery[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        response = blocks.respond(np.broadcast_to(price, (len(g_n), len(blocks.members))))
+        response = blocks.evaluate(np.broadcast_to(price, (len(g_n), len(blocks.members))))
         battery = b_n[:, None] * np.array([m.bess_share for m in scenario.members])
         net = response[1] + battery - gen.T
         settlement = settle_arrays(
             response, net, battery, price * net, rates.salvage, bess.charge_eff, bess.discharge_eff
         )
-    return _Run(prices, g_n, _in_order(settlement.total.T), b_n, community.soc[:, 0], settlement)
+    return Run(prices, g_n, _in_order(settlement.total.T), b_n, community.soc[:, 0], settlement)
 
 
 def _baseline_runs(
     scenario: CommunityScenario, blocks: DeviceBlocks, gen: np.ndarray, g_n: np.ndarray
-) -> dict[str, _Run]:
+) -> dict[str, Run]:
     """The standalone and sign-based runs, from one standalone settlement.
 
     The sign-based mechanism rebills the standalone schedules at the buy or
@@ -201,8 +209,8 @@ def _baseline_runs(
             bess.discharge_eff,
         )
     return {
-        "sign_based": _Run(prices, g_n, d_n, b_n, soc, signed),
-        "standalone": _Run([None] * len(g_n), g_n, d_n, b_n, soc, alone),
+        "sign_based": Run(prices, g_n, d_n, b_n, soc, signed),
+        "standalone": Run([None] * len(g_n), g_n, d_n, b_n, soc, alone),
     }
 
 
@@ -213,7 +221,7 @@ def _gain(total: float, baseline: float) -> Optional[float]:
         return None
 
 
-def _summary(mechanism: str, runs: dict[str, _Run], gains: bool) -> RunSummary:
+def _summary(mechanism: str, runs: dict[str, Run], gains: bool) -> RunSummary:
     """Horizon totals of one mechanism, with gains against the baselines in ``runs``."""
     run = runs[mechanism]
     histogram = Counter(p.zone.value for p in run.prices if p is not None)
@@ -227,7 +235,7 @@ def _summary(mechanism: str, runs: dict[str, _Run], gains: bool) -> RunSummary:
     )
 
 
-def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, _Run]:
+def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, Run]:
     scenario = validate_scenario(scenario)
     gen = folded_generation(scenario)
     # np.sum per interval adds the members' generation pairwise; keep it so
@@ -241,29 +249,30 @@ def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, _
     return runs
 
 
-def run_all(scenario: CommunityScenario) -> dict[str, tuple[list[IntervalRecord], RunSummary]]:
+def run_all(scenario: CommunityScenario) -> dict[str, tuple[Run, RunSummary]]:
     """Simulate a scenario under every mechanism, gains filled in.
 
-    Returns ``{mechanism: (records, summary)}``.  The standalone schedules are
-    settled once, and both baselines are built from them.
+    Returns ``{mechanism: (run, summary)}``, where each :class:`Run` is a view
+    of that mechanism's (T, N) arrays as interval records.  The standalone
+    schedules are settled once, and both baselines are built from them.
     """
     runs = _runs(scenario, MECHANISMS)
-    return {m: (runs[m].records(), _summary(m, runs, gains=True)) for m in MECHANISMS}
+    return {m: (runs[m], _summary(m, runs, gains=True)) for m in MECHANISMS}
 
 
 def run(
     scenario: CommunityScenario, mechanism: str = "dnem", compute_gains: bool = True
-) -> tuple[list[IntervalRecord], RunSummary]:
-    """Simulate a scenario under one mechanism; returns records and summary.
+) -> tuple[Run, RunSummary]:
+    """Simulate a scenario under one mechanism; returns its :class:`Run` and summary.
 
     With ``compute_gains`` this equals ``run_all(scenario)[mechanism]``: the
     baseline mechanisms are run on the same scenario to fill the summary's
-    welfare-gain fields (only the requested mechanism's records are built).
+    welfare-gain fields.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
     runs = _runs(scenario, MECHANISMS if compute_gains else (mechanism,))
-    return runs[mechanism].records(), _summary(mechanism, runs, compute_gains)
+    return runs[mechanism], _summary(mechanism, runs, compute_gains)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,28 @@ import os
 import pytest
 from hypothesis import settings
 
+import dnem.response
+
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
 # example database, so a failure seen in CI repeats locally
 settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ACCEPTANCE_RESULTS = []
+
+
+@pytest.fixture
+def outcomes_built(monkeypatch):
+    """Counts the ``MemberOutcome`` objects built while the test runs."""
+    built = []
+    original = dnem.response.MemberOutcome
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dnem.response, "MemberOutcome", counting)
+    return built
 
 
 @pytest.hookimpl(hookwrapper=True)

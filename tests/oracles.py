@@ -7,11 +7,13 @@ than tautology.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from dnem.cli import _NON_FINITE
 from dnem.model import Member
 from dnem.welfare import PROFIT_TOL, RATIONALITY_TOL, AxiomCheck, AxiomReport
 
@@ -271,3 +273,12 @@ def axiom_audit_loops(outcomes, buy, sell, benchmark_surpluses):
     gap = float(abs(float(np.sum(pays)) - nem_bill(buy, sell, z_n)))
     checks.append(AxiomCheck("profit_neutrality", gap <= PROFIT_TOL, gap, ""))
     return AxiomReport(tuple(checks))
+
+
+def _fmt(value: float) -> str:
+    """One CSV cell the way the writer formatted each value on its own, before it
+    formatted whole rows of columns: the reference for ``dnem.cli._fixed``."""
+    if not math.isfinite(value):
+        raise ValueError(_NON_FINITE)
+    # round first so values like -1e-9 serialise as 0.000000, not -0.000000
+    return f"{round(value, 6) + 0.0:.6f}"

@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dnem.benchmark
 import dnem.sim
@@ -18,10 +22,13 @@ from dnem.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     MAX_HORIZON,
+    _finite,
+    _fixed,
     load_config,
     main,
     scenario_hash,
 )
+from oracles import _fmt
 
 
 ONE_MEMBER = {
@@ -320,6 +327,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "not a finite number" in err
         assert "Traceback" not in err
+        # compare refuses the same results, to stdout or to a file, and the ratio sweep too
+        doc["rates"]["buy"] = 0.4
+        path = write_config(tmp_path, doc)
+        table = tmp_path / "table.csv"
+        for flags in ([], ["--out", str(table)], ["--ratios", "1.0,0.5"]):
+            assert main(["compare", "--config", path, *flags]) == EXIT_VALIDATION
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "not a finite number" in err
+            assert "Traceback" not in err
+        assert not table.exists()
 
     def test_invalid_rates_exit_1(self, tmp_path, capsys):
         bad = json.loads(json.dumps(ONE_MEMBER))
@@ -427,6 +445,25 @@ class TestPrice:
         captured = capsys.readouterr()
         assert f"--g: expected a generation >= 0 (got {float(g)})" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mechanism", "dnem"],
+        ["simulate", "--mechanism", "sign_based"],
+        ["simulate", "--mechanism", "standalone"],
+        ["compare"],
+        ["compare", "--ratios", "1.0,0.5"],
+    ],
+)
+def test_simulate_and_compare_build_no_member_outcome(tmp_path, outcomes_built, argv):
+    doc = json.loads(json.dumps(FIVE_MEMBERS))
+    doc["rates"]["buy"] = 0.4
+    path = write_config(tmp_path, doc)
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "simulate" else []
+    assert main([argv[0], "--config", path, *argv[1:], *out]) == EXIT_OK
+    assert outcomes_built == []
 
 
 class TestAudit:
@@ -671,3 +708,53 @@ def test_compare_stdout_is_pinned(tmp_path, capsys, config, flags, digest):
     path = write_config(tmp_path, PINNED_CONFIGS[config]())
     assert main(["compare", "--config", path, *flags]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _neighbours(x):
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+#: the edges of six-decimal rounding: signed zeros, the +-5e-7 boundary and its
+#: float neighbours, tiny negatives, and the exact decimal ties (odd multiples of 2**-7)
+CELL_EDGES = sorted(
+    {
+        v
+        for x in (0.0, 5e-7, 0.0078125, 1.0078125, 0.5 - 2**-7, 1e17, 2.0**53, 2.0**33 + 2**-7)
+        for v in _neighbours(x) + [-v for v in _neighbours(x)]
+    }
+    | {-0.0, -1e-9, -4.9e-7, -1e-300, -5e-324, 9.9999995e-7, 123456.4999995}
+)
+cell_values = st.one_of(
+    st.sampled_from(CELL_EDGES),
+    st.integers(-(2**50), 2**50).map(lambda k: k / 128),
+    st.floats(-1e-5, 1e-5),
+    st.floats(-1e17, 1e17),
+)
+
+
+class TestFixedCells:
+    """``cli._fixed`` writes every cell as the per-value reference ``oracles._fmt`` does."""
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=cell_values))
+    @example(np.array([[-0.0, 5e-7, -5e-7, 0.0078125, -0.0078125, 1e17]]))
+    def test_rows_equal_the_reference(self, values):
+        expected = ["".join("," + _fmt(v) for v in row) for row in values.tolist()]
+        assert _fixed(values) == expected
+
+    def test_edges_one_per_row(self):
+        values = np.array(CELL_EDGES)[:, None]
+        assert _fixed(values) == ["," + _fmt(v) for v in CELL_EDGES]
+
+    def test_nan_and_none_are_empty_cells(self):
+        assert _fixed([[1.0, None, -0.0], [np.nan, 2.5e-7, -2.5e-7]]) == [
+            ",1.000000,,0.000000",
+            ",,0.000000,0.000000",
+        ]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_refused_as_the_reference_refuses_it(self, bad):
+        with pytest.raises(ValueError) as ours:
+            _finite(np.array([[1.0, bad]]))
+        with pytest.raises(ValueError) as reference:
+            _fmt(bad)
+        assert str(ours.value) == str(reference.value)

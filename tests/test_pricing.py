@@ -4,7 +4,7 @@ import pytest
 from dnem.bess import generalized_dnem_price
 from dnem.curves import AggregateResponseCurve
 from dnem.model import BessSpec, DeviceUtility, PriceZone
-from dnem.pricing import compute_thresholds, dnem_price, nem_payment, payment
+from dnem.pricing import compute_thresholds, dnem_price, nem_payment
 from dnem.response import member_outcome
 from dnem.model import Member
 
@@ -114,30 +114,10 @@ class TestCommunityPrice:
 
 
 class TestPayments:
-    def test_zero_net_pays_nothing(self):
-        from dnem.model import CommunityPrice
-
-        assert payment(CommunityPrice(0.3, PriceZone.NET_ZERO_IDLE), 0.0) == 0.0
-
-    def test_linear_rule(self):
-        from dnem.model import CommunityPrice
-
-        p = CommunityPrice(0.3, PriceZone.NET_ZERO_IDLE)
-        assert payment(p, 2.0) == pytest.approx(0.6)
-        assert payment(p, -1.5) == pytest.approx(-0.45)
-
     def test_nem_payment_branches(self):
         assert nem_payment(0.4, 0.2, 1.0) == pytest.approx(0.4)
         assert nem_payment(0.4, 0.2, -1.0) == pytest.approx(-0.2)
         assert nem_payment(0.4, 0.2, 0.0) == 0.0
-
-    def test_payment_strictly_increasing_in_net(self):
-        from dnem.model import CommunityPrice
-
-        p = CommunityPrice(0.25, PriceZone.NET_ZERO_IDLE)
-        zs = np.linspace(-2, 2, 41)
-        pays = [payment(p, z) for z in zs]
-        assert np.all(np.diff(pays) > 0)
 
 
 class TestProfitNeutrality:

@@ -19,8 +19,8 @@ def one_device_member(dev=DEV_A):
 
 
 def consumption_at(member, price):
-    """The member's device vector at ``price``, from a one-cell DeviceBlocks response."""
-    consumption, _, _ = DeviceBlocks([member]).respond(np.array([[price]]))
+    """The member's device vector at ``price``, from a one-cell DeviceBlocks evaluation."""
+    consumption, _, _ = DeviceBlocks([member]).evaluate(np.array([[price]]))
     return consumption[0][0]
 
 

@@ -266,6 +266,38 @@ class TestRunAllDigest:
         assert hashlib.sha256(dump.encode()).hexdigest() == self.DIGEST
 
 
+class TestRunIsLazy:
+    """A run is its arrays: records and outcomes are built only when indexed."""
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_run_and_run_all_build_no_outcome(self, outcomes_built, with_bess):
+        sc = random_scenario(5, with_bess=with_bess)
+        run_all(sc)
+        for mech in MECHANISMS:
+            run(sc, mech)
+            run(sc, mech, compute_gains=False)
+        assert outcomes_built == []
+
+    @pytest.mark.parametrize("mech", MECHANISMS)
+    def test_indexing_builds_one_interval(self, outcomes_built, mech):
+        sc = solar_day_scenario(2, n_members=7, horizon=9, with_bess=True)
+        n, horizon = len(sc.members), sc.horizon
+        records, _ = run(sc, mech)
+        assert isinstance(records, dnem.sim.Run)
+        assert len(records) == horizon
+        record = records[4]
+        assert record.t == 4 and len(record.per_member) == n
+        assert len(outcomes_built) == n
+        assert exact([records[-1], records[-horizon]]) == exact([records[horizon - 1], records[0]])
+        for t in (horizon, -horizon - 1):
+            with pytest.raises(IndexError):
+                records[t]
+        del outcomes_built[:]
+        assert [r.t for r in records] == list(range(horizon))
+        assert len(outcomes_built) == n * horizon
+        assert exact(records[2:5]) == exact([records[2], records[3], records[4]])
+
+
 class TestStorageRuns:
     def test_soc_stays_in_bounds_and_telescopes(self):
         sc = random_scenario(88, with_bess=True, wide_bounds=True, horizon=24)

@@ -269,7 +269,7 @@ def _community_surpluses(members, generations, buy, sell):
     # the coalition audit's community settlement, one community at a time
     curve = AggregateResponseCurve.from_members(members)
     price = dnem_price(curve, float(np.sum(generations)), buy, sell).value
-    response = DeviceBlocks(members).respond(np.full((1, len(members)), price))
+    response = DeviceBlocks(members).evaluate(np.full((1, len(members)), price))
     battery = np.zeros((1, len(members)))
     net = response[1] + battery - generations
     return settle_arrays(response, net, battery, price * net, 0.0, 1.0, 1.0).surplus[0]
