@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -715,15 +715,16 @@ def _neighbours(x):
 
 
 #: the edges of six-decimal rounding: signed zeros, the +-5e-7 boundary and its
-#: float neighbours, tiny negatives, and the exact decimal ties (odd multiples of 2**-7)
+#: float neighbours, tiny negatives, and the exact decimal ties (odd multiples of 2**-7);
+#: -0.0 is added after the set, which keeps only one of two equal zeros
 CELL_EDGES = sorted(
     {
         v
         for x in (0.0, 5e-7, 0.0078125, 1.0078125, 0.5 - 2**-7, 1e17, 2.0**53, 2.0**33 + 2**-7)
         for v in _neighbours(x) + [-v for v in _neighbours(x)]
     }
-    | {-0.0, -1e-9, -4.9e-7, -1e-300, -5e-324, 9.9999995e-7, 123456.4999995}
-)
+    | {-1e-9, -4.9e-7, -1e-300, -5e-324, 9.9999995e-7, 123456.4999995}
+) + [-0.0]
 cell_values = st.one_of(
     st.sampled_from(CELL_EDGES),
     st.integers(-(2**50), 2**50).map(lambda k: k / 128),
@@ -736,7 +737,6 @@ class TestFixedCells:
     """``cli._fixed`` writes every cell as the per-value reference ``oracles._fmt`` does."""
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=cell_values))
-    @example(np.array([[-0.0, 5e-7, -5e-7, 0.0078125, -0.0078125, 1e17]]))
     def test_rows_equal_the_reference(self, values):
         expected = ["".join("," + _fmt(v) for v in row) for row in values.tolist()]
         assert _fixed(values) == expected
