@@ -13,7 +13,6 @@ from dnem import (
     AggregateResponseCurve,
     BessSpec,
     DeviceUtility,
-    compute_thresholds,
     dnem_price,
     generalized_dnem_price,
 )
@@ -21,9 +20,9 @@ from dnem import (
 curve = AggregateResponseCurve([DeviceUtility(alpha=2.0, beta=1.0, d_min=0.0, d_max=2.0)])
 buy, sell = 0.40, 0.20
 
-thresholds = compute_thresholds(curve, buy, sell)
-print(f"buy-rate response  f({buy}) = {thresholds.lower:.3f} kWh")
-print(f"sell-rate response f({sell}) = {thresholds.upper:.3f} kWh")
+# the zone thresholds are the curve's response at the two rates
+print(f"buy-rate response  f({buy}) = {curve.response(buy):.3f} kWh")
+print(f"sell-rate response f({sell}) = {curve.response(sell):.3f} kWh")
 print()
 
 print("--- price without storage ---")

@@ -24,7 +24,7 @@ from .model import (
     validate_scenario,
 )
 from .curves import AggregateResponseCurve, invert_aggregate
-from .pricing import PricingThresholds, compute_thresholds, dnem_price, nem_payment
+from .pricing import dnem_price, nem_payment
 from .response import MemberOutcome, member_outcome
 from .benchmark import standalone_optimum, standalone_optimum_with_bess
 from .bess import effective_limits, generalized_dnem_price, soc_step
@@ -54,8 +54,6 @@ __all__ = [
     "validate_scenario",
     "AggregateResponseCurve",
     "invert_aggregate",
-    "PricingThresholds",
-    "compute_thresholds",
     "dnem_price",
     "nem_payment",
     "MemberOutcome",

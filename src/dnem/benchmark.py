@@ -81,14 +81,15 @@ def standalone_settlement(
     consumption tracks generation by construction, so the float residue of
     the solve is dropped from ``net``.
     """
-    alone = price_and_dispatch(blocks, bess, shares, gen, rates)
     horizon = gen.shape[1]
+    buy, sell = rates.buy[:horizon, None], rates.sell[:horizon, None]
+    alone = price_and_dispatch(blocks, bess, shares, gen, buy, sell, rates.salvage)
     with np.errstate(over="ignore", invalid="ignore"):
         response = blocks.evaluate(alone.price.astype(float))
         # every zone between passing through the buy rate and the sell rate is net-zero
         net_zero = (0 < alone.zone) & (alone.zone < len(ZONES) - 1)
         net = np.where(net_zero, 0.0, response[1] + alone.battery - gen.T)
-        payment = np.where(net >= 0, rates.buy[:horizon, None] * net, rates.sell[:horizon, None] * net)
+        payment = np.where(net >= 0, buy * net, sell * net)
         return settle_arrays(
             response, net, alone.battery, payment, rates.salvage, bess.charge_eff, bess.discharge_eff
         )

@@ -1,7 +1,10 @@
 """The price-and-dispatch rule of a prosumer facing the utility's two rates.
 
 The D-NEM community is one such prosumer (every device, all generation and
-the whole battery), and so is each member alone under the tariff.
+the whole battery), and so is each member alone under the tariff, and each
+coalition of the coalition audit (its members' devices and an empty battery).
+No other code prices by the zone thresholds.  Rates are given per cell, so
+prosumers at different intervals or tariffs can share one call.
 
 Dispatch is a myopic threshold policy on generation: fully discharge when
 renewables are scarce, follow the generation (keeping consumption fixed) in
@@ -28,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import EPS_QUANTITY, AggregateResponseCurve, invert_aggregate
-from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule, stored_energy
+from .model import BessSpec, CommunityPrice, Member, PriceZone, stored_energy
 from .response import DeviceBlocks
 
 __all__ = [
@@ -92,8 +95,10 @@ def soc_step(spec: BessSpec, soc, b):
     return np.minimum(np.maximum(nxt, 0.0), spec.capacity)
 
 
-def _check_salvage(salvage: float, spec: BessSpec, buy: float, sell: float) -> None:
-    if salvage / spec.discharge_eff > buy + 1e-12 or spec.charge_eff * salvage < sell - 1e-12:
+def _check_salvage(salvage: float, spec: BessSpec, buy: np.ndarray, sell: np.ndarray) -> None:
+    bad = (salvage / spec.discharge_eff > buy + 1e-12) | (spec.charge_eff * salvage < sell - 1e-12)
+    if np.any(bad):
+        buy, sell = (float(v) for v in _first(bad, buy, sell))
         raise ValueError(
             f"salvage rate {salvage} incompatible with rates (buy={buy}, sell={sell}): "
             f"need salvage/discharge_eff <= buy and charge_eff*salvage >= sell"
@@ -120,12 +125,17 @@ def price_and_dispatch(
     bess: BessSpec,
     shares: np.ndarray,
     gen: np.ndarray,
-    rates: RateSchedule,
+    buy: np.ndarray | float,
+    sell: np.ndarray | float,
+    salvage: float,
 ) -> Dispatch:
     """Price and battery dispatch of N prosumers, each alone, over T intervals.
 
     Prosumer i owns the devices of ``blocks.members[i]``, generates
-    ``gen[i]`` and owns ``bess.scaled(shares[i])``.  The dispatch and the
+    ``gen[i]`` and owns ``bess.scaled(shares[i])``.  ``buy`` and ``sell``
+    are the rates of each cell and broadcast to (T, N): ``rates.buy[:, None]``
+    gives every prosumer the same schedule, and a (1, N) row gives each
+    prosumer of a one-interval batch its own rates.  The dispatch and the
     state of charge run in one loop over the intervals, across all
     prosumers at once; a prosumer with no usable storage at an interval
     prices by the storage-free rule, which is closed at both thresholds and
@@ -137,13 +147,12 @@ def price_and_dispatch(
         raise ValueError(f"generation must be finite (got {gen[~np.isfinite(gen)][0]})")
     with np.errstate(over="ignore", invalid="ignore"):
         g = gen.T
-        horizon = len(g)
-        buy = np.broadcast_to(rates.buy[:horizon, None], g.shape)
-        sell = np.broadcast_to(rates.sell[:horizon, None], g.shape)
+        buy = np.broadcast_to(np.asarray(buy, dtype=float), g.shape)
+        sell = np.broadcast_to(np.asarray(sell, dtype=float), g.shape)
         lower = blocks.response(buy)
         upper = blocks.response(sell)
-        discharge_price = rates.salvage / bess.discharge_eff
-        charge_price = bess.charge_eff * rates.salvage
+        discharge_price = salvage / bess.discharge_eff
+        charge_price = bess.charge_eff * salvage
         # the thresholds of the battery following generation depend on neither t nor SoC
         follow_discharge = blocks.response(np.full((1, len(shares)), discharge_price))[0]
         follow_charge = blocks.response(np.full((1, len(shares)), charge_price))[0]
@@ -155,8 +164,6 @@ def price_and_dispatch(
             level = own.initial_soc
             for t, gt in enumerate(g):
                 dis, chg = discharge[t], charge[t] = effective_limits(own, level)
-                if np.any((dis != 0.0) | (chg != 0.0)):
-                    _check_salvage(rates.salvage, bess, float(rates.buy[t]), float(rates.sell[t]))
                 # without usable storage both limits are zero, and so is the output
                 b = battery[t] = np.where(
                     gt <= follow_discharge - dis,
@@ -174,6 +181,8 @@ def price_and_dispatch(
                 level = soc[t] = soc_step(own, level, b)
 
         live = (discharge != 0.0) | (charge != 0.0)
+        # the first cell, in interval order, where usable storage meets rates outside its window
+        _check_salvage(salvage, bess, buy[live], sell[live])
         zone = np.where(
             live,
             np.select(
@@ -229,6 +238,8 @@ def generalized_dnem_price(
         replace(spec, initial_soc=soc),
         np.ones(1),
         np.array([[g_n]], dtype=float),
-        RateSchedule([buy], [sell], salvage),
+        buy,
+        sell,
+        salvage,
     )
     return CommunityPrice(cell.price[0, 0], ZONES[cell.zone[0, 0]]), float(cell.battery[0, 0])

@@ -166,6 +166,9 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
         if "id" not in mdoc:
             raise ConfigError(f"{tag}: missing id")
         mid = str(mdoc["id"])
+        if any(c in mid for c in ',"\r\n'):
+            # the id is a cell of the intervals.csv header and of the compare table
+            raise ConfigError(f"{tag}.id: {mid!r} holds a comma, quote or line break")
         devices = tuple(
             _device(d, f"{tag}.devices[{k}]")
             for k, d in enumerate(_expect(mdoc.get("devices", []), list, f"{tag}.devices"))
@@ -375,7 +378,7 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
     bess = scenario.bess or BessSpec(0.0)
     cell = price_and_dispatch(
         pooled(d for m in scenario.members for d in m.devices), bess, np.ones(1), np.array([[g_n]]),
-        RateSchedule(rates.buy[t : t + 1], rates.sell[t : t + 1], rates.salvage),
+        rates.buy[t], rates.sell[t], rates.salvage,
     )
     lower, upper = cell.lower[0, 0], cell.upper[0, 0]
     discharge, charge = cell.discharge[0, 0], cell.charge[0, 0]

@@ -18,7 +18,6 @@ kink pair as a scan of every kink would, and returns the same float.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,9 +54,6 @@ class AggregateResponseCurve:
         self._beta = np.array([d.beta for d in self.devices], dtype=float)
         self._d_min = np.array([d.d_min for d in self.devices], dtype=float)
         self._d_max = np.array([d.d_max for d in self.devices], dtype=float)
-        self._precompute()
-
-    def _precompute(self) -> None:
         self._saturation = self._alpha / self._beta
         self._knots = np.unique(
             np.concatenate(
@@ -73,16 +69,6 @@ class AggregateResponseCurve:
     @classmethod
     def from_members(cls, members: Sequence[Member]) -> "AggregateResponseCurve":
         return cls(dev for m in members for dev in m.devices)
-
-    def select(self, keep: np.ndarray) -> "AggregateResponseCurve":
-        """The curve of the devices where the boolean array ``keep`` is true, kept in order."""
-        curve = object.__new__(type(self))
-        curve.devices = tuple(compress(self.devices, keep))
-        curve._alpha, curve._beta, curve._d_min, curve._d_max = (
-            a[keep] for a in (self._alpha, self._beta, self._d_min, self._d_max)
-        )
-        curve._precompute()
-        return curve
 
     def response(self, price: float) -> float:
         """Aggregate consumption at ``price`` (kWh); non-increasing in price."""

@@ -1,49 +1,25 @@
-"""Community pricing for a storage-free community.
+"""One-cell price query and the utility's tariff bill.
 
 The operator announces one uniform price per interval based on where the
 aggregate renewable output sits relative to two thresholds: the aggregate
 response at the buy rate and at the sell rate.  Below the lower threshold the
 utility's buy rate is passed through; above the upper threshold the sell
 rate; in between the price is set so that aggregate flexible demand exactly
-absorbs the aggregate generation (the net-zero zone).
+absorbs the aggregate generation (the net-zero zone).  That rule is
+:func:`~dnem.bess.price_and_dispatch` with an empty battery;
+:func:`dnem_price` asks it about one interval.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from .curves import AggregateResponseCurve, invert_aggregate
-from .model import CommunityPrice, PriceZone
+from .bess import generalized_dnem_price
+from .curves import AggregateResponseCurve
+from .model import BessSpec, CommunityPrice
 
 __all__ = [
-    "PricingThresholds",
-    "compute_thresholds",
     "dnem_price",
     "nem_payment",
 ]
-
-
-@dataclass(frozen=True)
-class PricingThresholds:
-    """Generation levels (kWh) delimiting the net-zero zone.
-
-    ``lower`` is the aggregate response at the buy rate, ``upper`` at the
-    sell rate; ``lower <= upper`` because the response is non-increasing.
-    """
-
-    lower: float
-    upper: float
-
-
-def compute_thresholds(
-    curve: AggregateResponseCurve, buy: float, sell: float
-) -> PricingThresholds:
-    """Evaluate the zone thresholds for one interval's rates."""
-    return PricingThresholds(
-        lower=curve.response(buy),
-        upper=curve.response(sell),
-    )
 
 
 def dnem_price(
@@ -51,7 +27,8 @@ def dnem_price(
 ) -> CommunityPrice:
     """Community price for aggregate generation ``g_n`` under rates (buy, sell).
 
-    The net-zero interval is closed on both ends.  Where the response curve
+    :func:`~dnem.bess.generalized_dnem_price` with an empty battery.  The
+    net-zero interval is closed on both ends.  Where the response curve
     is strictly decreasing at an endpoint, the solved price there coincides
     with the passed-through rate, so the tie-break only affects the zone
     label.  Where the curve is flat at that threshold, every price on the
@@ -63,15 +40,7 @@ def dnem_price(
     ``test_plateau_midpoint_with_inexact_edge_kink``).  Raises
     ``ValueError`` for a non-finite ``g_n``.
     """
-    if not math.isfinite(g_n):
-        raise ValueError(f"aggregate generation must be finite (got {g_n})")
-    thresholds = compute_thresholds(curve, buy, sell)
-    if g_n < thresholds.lower:
-        return CommunityPrice(buy, PriceZone.NET_CONSUMPTION)
-    if g_n > thresholds.upper:
-        return CommunityPrice(sell, PriceZone.NET_PRODUCTION)
-    value = invert_aggregate(curve, g_n, sell, buy)
-    return CommunityPrice(value, PriceZone.NET_ZERO_IDLE)
+    return generalized_dnem_price(curve, g_n, BessSpec(0.0), 0.0, 0.0, buy, sell)[0]
 
 
 def nem_payment(buy: float, sell: float, z: float) -> float:

@@ -157,7 +157,8 @@ def _dnem_run(
     # like the storage-free rule
     bess = scenario.bess or BessSpec(0.0)
     community = price_and_dispatch(
-        pooled(d for m in scenario.members for d in m.devices), bess, np.ones(1), g_n[None, :], rates
+        pooled(d for m in scenario.members for d in m.devices), bess, np.ones(1), g_n[None, :],
+        rates.buy[:, None], rates.sell[:, None], rates.salvage,
     )
     prices = [
         CommunityPrice(value, ZONES[zone])

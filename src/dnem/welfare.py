@@ -1,11 +1,14 @@
 """Centralized welfare oracle, axiom audits and coalition stability checks.
 
-A closed form built from the zone thresholds computes the maximum welfare a
-storage-free community could reach under central operation.  Its agreement
-with the decentralized outcome (and, in the test suite, with a brute-force
-grid maximisation that knows nothing about thresholds), together with the
-axiom and coalition audits, is how the pricing mechanism's claimed
-properties are verified as executable checks rather than taken on faith.
+A closed form built from the zone thresholds (the aggregate response at the
+buy and at the sell rate) computes the maximum welfare a storage-free
+community could reach under central operation.  Its agreement with the
+decentralized outcome (and, in the test suite, with a brute-force grid
+maximisation that knows nothing about thresholds), together with the axiom
+and coalition audits, is how the pricing mechanism's claimed properties are
+verified as executable checks rather than taken on faith.  The coalition
+audit prices every coalition with :func:`~dnem.bess.price_and_dispatch`,
+the rule that prices the community its members are billed in.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bess import price_and_dispatch
 from .curves import AggregateResponseCurve, invert_aggregate
-from .model import Member
-from .pricing import compute_thresholds, dnem_price, nem_payment
+from .model import BessSpec, Member
+from .pricing import nem_payment
 from .response import DeviceBlocks, MemberOutcome
 
 __all__ = [
@@ -52,13 +56,13 @@ def centralized_welfare_closed_form(
     band, export the excess at the sell rate above the sell-rate threshold.
     """
     curve = AggregateResponseCurve.from_members(members)
-    thresholds = compute_thresholds(curve, buy, sell)
-    if g_n < thresholds.lower:
-        return _total_utility_at_price(members, buy) - buy * (thresholds.lower - g_n)
-    if g_n <= thresholds.upper:
+    lower, upper = curve.response(buy), curve.response(sell)
+    if g_n < lower:
+        return _total_utility_at_price(members, buy) - buy * (lower - g_n)
+    if g_n <= upper:
         mu = invert_aggregate(curve, g_n, sell, buy)
         return _total_utility_at_price(members, mu)
-    return _total_utility_at_price(members, sell) - sell * (thresholds.upper - g_n)
+    return _total_utility_at_price(members, sell) - sell * (upper - g_n)
 
 
 @dataclass(frozen=True)
@@ -172,38 +176,42 @@ def coalition_audits(
     """:func:`coalition_audit` of every ``(t, subset, superset)`` sample, in order.
 
     ``gen`` is the members' generation, shape (members, intervals), and ``buy``/``sell`` the
-    per-interval rates.  Each coalition is priced by :func:`dnem_price` on a curve gathered
-    from one curve of all members; the 2S communities of S samples are then settled by one
+    per-interval rates.  The 2S communities of S samples are priced by one
+    :func:`~dnem.bess.price_and_dispatch` call, the rule that prices the community itself:
+    each is one prosumer owning its members' devices (in member order) and an empty
+    battery, at its sample's interval and rates.  They are then settled by one
     :meth:`DeviceBlocks.evaluate` call on a (2S, N) price array.
     """
     n = len(members)
-    curve = AggregateResponseCurve.from_members(members)
-    owner = np.repeat(np.arange(n), [len(m.devices) for m in members])
     gen = np.asarray(gen, dtype=float)
-    prices = np.empty((2 * len(samples), n))
-    subsets = []
-    for s, (t, subset, superset) in enumerate(samples):
+    coalitions = []
+    for t, subset, superset in samples:
         subset = sorted(set(subset))
         superset = sorted(set(superset))
         if not set(subset) <= set(superset):
             raise ValueError("subset must be contained in superset")
         if not subset:
             raise ValueError("subset must be non-empty")
-        for row, ids in ((2 * s, superset), (2 * s + 1, subset)):
-            keep = np.zeros(n, dtype=bool)
-            keep[ids] = True
-            g_n = float(np.sum(gen[ids, t]))
-            price = dnem_price(curve.select(keep[owner]), g_n, float(buy[t]), float(sell[t]))
-            prices[row] = price.value
-        subsets.append(subset)
+        coalitions += [superset, subset]
+    # each sample's parent community, then its subset, at the sample's interval
+    times = np.repeat([t for t, _, _ in samples], 2).astype(int)
+    communities = DeviceBlocks(
+        [Member("coalition", [d for i in ids for d in members[i].devices], ()) for ids in coalitions]
+    )
+    g_n = np.array([np.sum(gen[ids, t]) for ids, t in zip(coalitions, times)])
+    priced = price_and_dispatch(
+        communities, BessSpec(0.0), np.ones(len(coalitions)), g_n[:, None],
+        np.asarray(buy, dtype=float)[None, times], np.asarray(sell, dtype=float)[None, times], 0.0,
+    )
+    prices = priced.price.astype(float).T
 
-    _, total, utility = DeviceBlocks(members).evaluate(prices)
-    net = total + 0.0 - np.repeat(gen[:, [t for t, _, _ in samples]].T, 2, axis=0)
+    _, total, utility = DeviceBlocks(members).evaluate(np.broadcast_to(prices, (len(times), n)))
+    net = total + 0.0 - gen[:, times].T
     surplus = utility - prices * net
     in_parent, alone = surplus[0::2], surplus[1::2]
     return [
         CoalitionAudit(float(sum(in_parent[s, ids].tolist())), float(np.sum(alone[s, ids])))
-        for s, ids in enumerate(subsets)
+        for s, ids in enumerate(coalitions[1::2])
     ]
 
 

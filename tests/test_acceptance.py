@@ -7,19 +7,21 @@ deterministic.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dnem.bess import generalized_dnem_price, soc_step
+from dnem.bess import ZONES, generalized_dnem_price, pooled, price_and_dispatch, soc_step
 from dnem.cli import EXIT_AUDIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from dnem.curves import AggregateResponseCurve
-from dnem.model import NET_ZERO_ZONES, BessSpec, CommunityScenario, PriceZone
-from dnem.pricing import compute_thresholds, dnem_price, nem_payment
+from dnem.model import NET_ZERO_ZONES, BessSpec, CommunityPrice, CommunityScenario, Member, PriceZone
+from dnem.pricing import dnem_price, nem_payment
+from dnem.response import DeviceBlocks
 from dnem.sim import (
     folded_generation, random_scenario, rate_ratio_sweep, run, run_all, solar_day_scenario,
 )
-from dnem.welfare import axiom_audit, centralized_welfare_closed_form, coalition_audit
+from dnem.welfare import axiom_audit, centralized_welfare_closed_form, coalition_audits
 
 from oracles import centralized_welfare_bruteforce, quad_utility
 
@@ -78,18 +80,14 @@ def test_criterion_3_group_rationality():
         gen = folded_generation(sc)
         n = len(sc.members)
         rng = np.random.default_rng(seed)
+        samples = []
         for _ in range(100):
             t = int(rng.integers(0, sc.horizon))
             superset = [i for i in range(n) if rng.random() < 0.75] or [0]
             subset = [i for i in superset if rng.random() < 0.6] or [superset[0]]
-            audit = coalition_audit(
-                list(sc.members),
-                gen[:, t],
-                float(sc.rates.buy[t]),
-                float(sc.rates.sell[t]),
-                subset,
-                superset,
-            )
+            samples.append((t, subset, superset))
+        audits = coalition_audits(list(sc.members), gen, sc.rates.buy, sc.rates.sell, samples)
+        for (_, subset, superset), audit in zip(samples, audits):
             assert audit.slack >= -1e-9, (seed, subset, superset, audit.slack)
 
 
@@ -100,10 +98,13 @@ def test_criterion_4_price_structure():
         curve = AggregateResponseCurve.from_members(sc.members)
         buy = float(sc.rates.buy[0])
         sell = float(sc.rates.sell[0])
-        th = compute_thresholds(curve, buy, sell)
-        top = max(curve.response(0.0) * 1.3, th.upper + 1.0)
+        top = max(curve.response(0.0) * 1.3, curve.response(sell) + 1.0)
         sweep = np.linspace(0.0, top, 1000)
-        prices = [dnem_price(curve, float(g), buy, sell) for g in sweep]
+        # the sweep as 1000 intervals of one prosumer with an empty battery
+        cells = price_and_dispatch(
+            pooled(curve.devices), BessSpec(0.0), np.ones(1), sweep[None, :], buy, sell, 0.0
+        )
+        prices = [CommunityPrice(v, ZONES[z]) for v, z in zip(cells.price[:, 0], cells.zone[:, 0])]
         values = np.array([p.value for p in prices])
         assert np.all(values >= sell - 1e-12)
         assert np.all(values <= buy + 1e-12)
@@ -133,10 +134,15 @@ def test_criterion_5_storage_consistency():
         sweep = np.linspace(0.0, top, 1200)
         step = float(sweep[1] - sweep[0])
         max_slope = max(d.beta for m in sc.members for d in m.devices)
+        # the sweep as one interval of 1200 prosumers, each owning the whole battery at soc
+        cells = price_and_dispatch(
+            DeviceBlocks([Member("pooled", curve.devices, ())] * len(sweep)),
+            replace(spec, initial_soc=soc), np.ones(len(sweep)), sweep[:, None], buy, sell, salvage,
+        )
         values = []
         zones_seen = set()
-        for g in sweep:
-            price, b = generalized_dnem_price(curve, float(g), spec, soc, salvage, buy, sell)
+        for g, value, zone, b in zip(sweep, cells.price[0], cells.zone[0], cells.battery[0]):
+            price = CommunityPrice(value, ZONES[zone])
             values.append(price.value)
             if price.zone in NET_ZERO_ZONES:
                 zones_seen.add(price.zone)

@@ -10,7 +10,7 @@ from dnem.bess import (
     soc_step,
 )
 from dnem.curves import AggregateResponseCurve
-from dnem.model import NET_ZERO_ZONES, BessSpec, DeviceUtility, PriceZone, RateSchedule
+from dnem.model import NET_ZERO_ZONES, BessSpec, DeviceUtility, PriceZone
 from dnem.pricing import dnem_price, nem_payment
 from dnem.sim import random_scenario
 
@@ -23,7 +23,7 @@ SPEC = BessSpec(2.0, 0.95, 0.95, max_charge=0.5, max_discharge=0.5, initial_soc=
 def thresholds():
     """The rule's thresholds for CURVE with SPEC at SoC 1.0, salvage 0.3, buy 0.4, sell 0.2."""
     return price_and_dispatch(
-        pooled(CURVE.devices), SPEC, np.ones(1), np.array([[1.7]]), RateSchedule([0.4], [0.2], 0.3)
+        pooled(CURVE.devices), SPEC, np.ones(1), np.array([[1.7]]), 0.4, 0.2, 0.3
     )
 
 

@@ -199,6 +199,18 @@ class TestMalformedConfig:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mid", ["m,1", 'm"1', "m\r1", "m\n1"], ids=["comma", "quote", "cr", "lf"])
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_member_id_that_breaks_the_csv_exits_1(self, tmp_path, capsys, mid, command):
+        # such an id would add cells to the intervals.csv header and the compare table
+        path = write_config(tmp_path, _mutated(lambda doc: doc["members"][0].update(id=mid)))
+        argv = ["--out", str(tmp_path / "x")] if command == "simulate" else []
+        assert main([command, "--config", path, *argv]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"members[0].id: {mid!r} holds a comma, quote or line break" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("horizon", [2.7, True, "1"])
     def test_non_integral_horizon_exits_1(self, tmp_path, capsys, horizon):
         path = write_config(tmp_path, _mutated(lambda doc: doc.update(horizon=horizon)))

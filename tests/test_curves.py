@@ -415,18 +415,3 @@ class TestKnotPrices:
         curve = AggregateResponseCurve([DEV_A, DEV_B])
         assert curve.knot_prices(lo, hi).tolist() == unique_knot_prices(curve, lo, hi).tolist()
         assert AggregateResponseCurve([]).knot_prices(lo, hi).tolist() == sorted({lo, hi})
-
-
-class TestSelect:
-    @settings(max_examples=150, deadline=None)
-    @given(params=many_kink_devices(), keep=st.lists(st.booleans(), min_size=12, max_size=12))
-    def test_equals_the_curve_built_from_the_kept_devices(self, params, keep):
-        devices = [DeviceUtility(*p) for p in params]
-        keep = np.array(keep[: len(devices)], dtype=bool)
-        curve = AggregateResponseCurve(devices).select(keep)
-        built = AggregateResponseCurve([d for d, k in zip(devices, keep) if k])
-        assert curve.devices == built.devices
-        for name in ("_alpha", "_beta", "_d_min", "_d_max", "_saturation", "_knots"):
-            assert getattr(curve, name).tobytes() == getattr(built, name).tobytes(), name
-        for price in (0.0, 0.3, 1.7, 4.9):
-            assert curve.response(price) == built.response(price)

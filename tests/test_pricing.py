@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from dnem.bess import generalized_dnem_price
-from dnem.curves import AggregateResponseCurve
-from dnem.model import BessSpec, DeviceUtility, PriceZone
-from dnem.pricing import compute_thresholds, dnem_price, nem_payment
-from dnem.response import member_outcome
-from dnem.model import Member
+from dnem.bess import ZONES, generalized_dnem_price, price_and_dispatch
+from dnem.curves import AggregateResponseCurve, invert_aggregate
+from dnem.model import BessSpec, CommunityPrice, DeviceUtility, Member, PriceZone
+from dnem.pricing import dnem_price, nem_payment
+from dnem.response import DeviceBlocks, member_outcome
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 DEV_B = DeviceUtility(3.0, 2.0, 0.0, 2.0)
@@ -25,18 +26,115 @@ def random_curve(rng, n_lo=1, n_hi=6):
     return AggregateResponseCurve(devs)
 
 
+def scalar_dnem_price(curve, g_n, buy, sell):
+    """The storage-free rule as a scalar ladder: thresholds, then the net-zero solve.
+
+    The reference that ``bess.price_and_dispatch`` with an empty battery must
+    reproduce bit for bit, in value and in type (a rate as passed, a solved
+    price as ``invert_aggregate`` returns it: ``float`` or ``np.float64``).
+    """
+    if not math.isfinite(g_n):
+        raise ValueError(f"aggregate generation must be finite (got {g_n})")
+    lower, upper = curve.response(buy), curve.response(sell)
+    if g_n < lower:
+        return CommunityPrice(buy, PriceZone.NET_CONSUMPTION)
+    if g_n > upper:
+        return CommunityPrice(sell, PriceZone.NET_PRODUCTION)
+    return CommunityPrice(invert_aggregate(curve, g_n, sell, buy), PriceZone.NET_ZERO_IDLE)
+
+
+def plateau_devices(rng, count):
+    """Devices clamped at both bounds, some pinned (d_min == d_max): curves with plateaus."""
+    devices = []
+    for _ in range(count):
+        lo = float(rng.uniform(0.0, 1.5)) * (rng.random() < 0.7)
+        width = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.1, 2.0))
+        devices.append(DeviceUtility(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.1, 3.0)), lo, lo + width))
+    return devices
+
+
+def ladder_targets(curve, buy, sell, rng):
+    """Generation at both thresholds, at every plateau level between them, just outside and inside."""
+    lower, upper = curve.response(buy), curve.response(sell)
+    levels = [curve.response(float(y)) for y in curve.knot_prices(sell, buy)]
+    return [lower, upper, *levels, lower - 0.25, upper + 0.25, *rng.uniform(lower, upper, 3).tolist()]
+
+
+def bits(price):
+    return type(price.value), float(price.value).hex(), price.zone
+
+
+class TestOneLadder:
+    """The kernel with an empty battery is the scalar ladder, bit for bit and type for type."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dnem_price_equals_the_scalar_ladder(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        kinds = set()
+        for _ in range(12):
+            curve = AggregateResponseCurve(plateau_devices(rng, int(rng.integers(0, 7))))
+            buy = float(rng.uniform(0.2, 3.0))
+            sell = buy * float(rng.uniform(0.0, 1.0))
+            for g in ladder_targets(curve, buy, sell, rng):
+                expected = scalar_dnem_price(curve, g, buy, sell)
+                assert bits(dnem_price(curve, g, buy, sell)) == bits(expected), (seed, g)
+                kinds.add((type(expected.value), expected.zone))
+        # rates, solved prices of both types and all three zones were compared
+        assert {float, np.float64} == {kind for kind, _ in kinds}
+        assert {zone for _, zone in kinds} == {
+            PriceZone.NET_CONSUMPTION, PriceZone.NET_ZERO_IDLE, PriceZone.NET_PRODUCTION
+        }
+
+    def test_plateau_edge_rounding_is_shared(self):
+        # the strict xfail test_plateau_midpoint_with_inexact_edge_kink: both give 1.0
+        curve = AggregateResponseCurve([DeviceUtility(0.5, 0.1, 0.1, 3.0)])
+        expected = scalar_dnem_price(curve, 0.1, 1.5, 0.2)
+        assert bits(dnem_price(curve, 0.1, 1.5, 0.2)) == bits(expected)
+        assert expected.value == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_column_per_coalition_equals_the_scalar_ladder(self, seed):
+        # coalitions of one community priced as coalition_audits prices them: one
+        # pooled prosumer per column, each with its own rates, in one kernel call
+        rng = np.random.default_rng(200 + seed)
+        members = [
+            Member(f"m{i}", plateau_devices(rng, int(rng.integers(0, 4))), ()) for i in range(8)
+        ]
+        columns = []
+        for _ in range(20):
+            ids = sorted(rng.choice(8, int(rng.integers(1, 9)), replace=False).tolist())
+            devices = [d for i in ids for d in members[i].devices]
+            curve = AggregateResponseCurve(devices)
+            buy = float(rng.uniform(0.2, 3.0))
+            sell = buy * float(rng.uniform(0.0, 1.0))
+            columns += [(devices, curve, g, buy, sell) for g in ladder_targets(curve, buy, sell, rng)]
+        devices, curves, gen, buy, sell = zip(*columns)
+        cells = price_and_dispatch(
+            DeviceBlocks([Member("coalition", d, ()) for d in devices]),
+            BessSpec(0.0), np.ones(len(columns)), np.array(gen)[:, None],
+            np.array(buy)[None], np.array(sell)[None], 0.0,
+        )
+        for i, (curve, g, b, s) in enumerate(zip(curves, gen, buy, sell)):
+            got = CommunityPrice(cells.price[0, i], ZONES[cells.zone[0, i]])
+            assert bits(got) == bits(scalar_dnem_price(curve, g, b, s)), (seed, i)
+
+
 class TestThresholds:
+    # the thresholds are the aggregate response at the buy and at the sell rate
     def test_single_device(self):
-        th = compute_thresholds(AggregateResponseCurve([DEV_A]), 0.4, 0.2)
-        assert (th.lower, th.upper) == (pytest.approx(1.6), pytest.approx(1.8))
+        curve = AggregateResponseCurve([DEV_A])
+        assert (curve.response(0.4), curve.response(0.2)) == (pytest.approx(1.6), pytest.approx(1.8))
 
     def test_two_devices(self):
-        th = compute_thresholds(AggregateResponseCurve([DEV_A, DEV_B]), 0.4, 0.2)
-        assert (th.lower, th.upper) == (pytest.approx(2.9), pytest.approx(3.2))
+        curve = AggregateResponseCurve([DEV_A, DEV_B])
+        assert (curve.response(0.4), curve.response(0.2)) == (pytest.approx(2.9), pytest.approx(3.2))
 
     def test_equal_rates_collapse(self):
-        th = compute_thresholds(AggregateResponseCurve([DEV_A, DEV_B]), 0.3, 0.3)
-        assert th.lower == th.upper
+        # equal rates close the net-zero zone to the one level of both thresholds
+        curve = AggregateResponseCurve([DEV_A, DEV_B])
+        level = curve.response(0.3)
+        zones = [dnem_price(curve, g, 0.3, 0.3).zone for g in (level - 1e-9, level, level + 1e-9)]
+        assert zones == [PriceZone.NET_CONSUMPTION, PriceZone.NET_ZERO_IDLE, PriceZone.NET_PRODUCTION]
 
     def test_ordering_on_random_curves(self):
         rng = np.random.default_rng(5)
@@ -44,8 +142,7 @@ class TestThresholds:
             curve = random_curve(rng)
             buy = rng.uniform(0.1, 0.6)
             sell = buy * rng.uniform(0.1, 1.0)
-            th = compute_thresholds(curve, buy, sell)
-            assert th.lower <= th.upper + 1e-12
+            assert curve.response(buy) <= curve.response(sell) + 1e-12
 
 
 class TestCommunityPrice:
@@ -90,10 +187,10 @@ class TestCommunityPrice:
             curve = random_curve(rng)
             buy = rng.uniform(0.2, 0.6)
             sell = buy * rng.uniform(0.1, 0.9)
-            th = compute_thresholds(curve, buy, sell)
-            if th.upper - th.lower < 1e-6:
+            lower, upper = curve.response(buy), curve.response(sell)
+            if upper - lower < 1e-6:
                 continue
-            sweep = np.linspace(th.lower, th.upper, 100)
+            sweep = np.linspace(lower, upper, 100)
             prices = [dnem_price(curve, g, buy, sell) for g in sweep]
             for p in prices:
                 assert p.zone == PriceZone.NET_ZERO_IDLE
@@ -106,8 +203,7 @@ class TestCommunityPrice:
             curve = random_curve(rng)
             buy = rng.uniform(0.2, 0.6)
             sell = buy * rng.uniform(0.1, 0.9)
-            th = compute_thresholds(curve, buy, sell)
-            for g in np.linspace(th.lower, th.upper, 40):
+            for g in np.linspace(curve.response(buy), curve.response(sell), 40):
                 p = dnem_price(curve, g, buy, sell)
                 induced = curve.response(p.value)
                 assert abs(induced - g) <= 1e-8

@@ -18,6 +18,8 @@ from dnem.welfare import (
     welfare_gain,
 )
 
+from test_pricing import ladder_targets, plateau_devices, scalar_dnem_price
+
 from oracles import (
     InstanceTooLargeError,
     axiom_audit_loops,
@@ -266,9 +268,10 @@ class TestAxiomAuditMatchesLoops:
 
 
 def _community_surpluses(members, generations, buy, sell):
-    # the coalition audit's community settlement, one community at a time
+    # the coalition audit's community settlement, one community at a time, priced
+    # by the scalar ladder
     curve = AggregateResponseCurve.from_members(members)
-    price = dnem_price(curve, float(np.sum(generations)), buy, sell).value
+    price = scalar_dnem_price(curve, float(np.sum(generations)), buy, sell).value
     response = DeviceBlocks(members).evaluate(np.full((1, len(members)), price))
     battery = np.zeros((1, len(members)))
     net = response[1] + battery - generations
@@ -333,6 +336,23 @@ class TestCoalitionBatch:
         samples = self._samples(np.random.default_rng(3), 30, 24, 60)
         gen = folded_generation(sc)
         self._assert_same(list(sc.members), gen, sc.rates.buy, sc.rates.sell, samples)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generation_at_thresholds_and_on_plateaus(self, seed):
+        # interval k gives every member the k-th target of its own curve, so each
+        # single-member coalition is priced exactly at a threshold or plateau level
+        rng = np.random.default_rng(300 + seed)
+        buy, sell = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.0, 0.5))
+        members, targets = [], []
+        for i in range(6):
+            devices = plateau_devices(rng, int(rng.integers(1, 4)))
+            members.append(Member(f"m{i}", devices, ()))
+            targets.append(ladder_targets(AggregateResponseCurve(devices), buy, sell, rng))
+        horizon = min(len(g) for g in targets)
+        gen = np.array([g[:horizon] for g in targets])
+        samples = [(t, [i], [i]) for t in range(horizon) for i in range(6)]
+        samples += self._samples(rng, 6, horizon, 40)
+        self._assert_same(members, gen, [buy] * horizon, [sell] * horizon, samples)
 
     def test_coalitions_without_devices(self):
         gen = np.array([[0.5], [1.0], [0.0], [2.0]])
