@@ -416,32 +416,26 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         return EXIT_VALIDATION
 
     results = run_all(scenario)
-    alone = results["standalone"][0].settlement.surplus
     gen = folded_generation(scenario)
     with_storage = scenario.bess is not None
 
-    axioms: dict[str, dict] = {}
-    all_passed = True
-    for r in results[mechanism][0]:
-        buy = float(scenario.rates.buy[r.t])
-        sell = float(scenario.rates.sell[r.t])
-        # with storage the standalone benchmark holds only over the horizon
-        benchmark = None if with_storage else alone[r.t].tolist()
-        report = axiom_audit(r.per_member, buy, sell, benchmark)
-        for check in report.checks:
-            entry = axioms.setdefault(
-                check.axiom,
-                {"passed": True, "worst_slack": 0.0, "interval": None, "detail": ""},
-            )
-            if check.slack > entry["worst_slack"]:
-                entry["worst_slack"] = check.slack
-                entry["interval"] = r.t
-                entry["detail"] = check.detail
-            if not check.passed:
-                entry["passed"] = False
-                all_passed = False
-    for entry in axioms.values():
-        entry["worst_slack"] = round(entry["worst_slack"], 9)
+    settled = results[mechanism][0].settlement
+    # with storage the standalone benchmark holds only over the horizon
+    benchmark = None if with_storage else results["standalone"][0].settlement.surplus
+    report = axiom_audit(
+        settled.net, settled.payment, settled.surplus, scenario.rates.buy, scenario.rates.sell,
+        benchmark,
+    )
+    axioms = {
+        check.axiom: {
+            "passed": check.passed,
+            "worst_slack": round(check.slack, 9),
+            "interval": check.interval,
+            "detail": check.detail,
+        }
+        for check in report.checks
+    }
+    all_passed = report.passed
 
     rationality_horizon = None
     if with_storage:
@@ -479,10 +473,10 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
             samples = []
             for _ in range(coalition_samples):
                 t = int(rng.integers(0, scenario.horizon))
-                superset = [i for i in range(n) if rng.random() < 0.7]
+                superset = np.flatnonzero(rng.random(n) < 0.7).tolist()
                 if not superset:
                     superset = [int(rng.integers(0, n))]
-                subset = [i for i in superset if rng.random() < 0.6]
+                subset = np.compress(rng.random(len(superset)) < 0.6, superset).tolist()
                 if not subset:
                     subset = [superset[int(rng.integers(0, len(superset)))]]
                 samples.append((t, subset, superset))

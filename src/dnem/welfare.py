@@ -21,8 +21,7 @@ import numpy as np
 from .bess import price_and_dispatch
 from .curves import AggregateResponseCurve, invert_aggregate
 from .model import BessSpec, Member
-from .pricing import nem_payment
-from .response import DeviceBlocks, MemberOutcome
+from .response import DeviceBlocks
 
 __all__ = [
     "centralized_welfare_closed_form",
@@ -67,12 +66,15 @@ def centralized_welfare_closed_form(
 
 @dataclass(frozen=True)
 class AxiomCheck:
-    """Result of one axiom check: worst slack observed and a short detail."""
+    """One axiom over a run: the worst slack of any interval, the first interval that
+    reaches it (``None`` when no slack is positive) and that interval's detail.  The
+    check fails if any interval fails, a NaN slack included."""
 
     axiom: str
     passed: bool
     slack: float
     detail: str = ""
+    interval: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -87,66 +89,178 @@ class AxiomReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _worst(gaps: np.ndarray) -> tuple[float, int]:
-    """Largest positive entry of ``gaps`` and its first flat index, or (0.0, -1): what a loop
+def _first_max(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's largest positive entry and its first index, or (0.0, -1): what a loop
     raising ``worst`` from 0.0 on ``gap > worst`` finds (the first of ties, never a NaN)."""
-    gaps = np.concatenate(([0.0], np.where(gaps > 0, gaps, 0.0).ravel()))
-    k = int(np.argmax(gaps))
-    return float(gaps[k]), k - 1
+    gaps = np.concatenate((np.zeros((len(gaps), 1)), np.where(gaps > 0, gaps, 0.0)), axis=1)
+    k = np.argmax(gaps, axis=1)
+    return gaps[np.arange(len(gaps)), k], k - 1
+
+
+def _take(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(rows, k, axis=1)
+
+
+def _bisect(ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per cell, the first k in [lo, hi) where ``ok(k)`` is false (``hi`` if none), for
+    an ``ok`` that is true and then false over the range."""
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        go = (lo < hi) & ok(np.minimum(mid, lo.shape[1] - 1))
+        lo, hi = np.where(go, mid + 1, lo), np.where(go, hi, mid)
+    return lo
+
+
+def _window(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` (``np.fmax`` or ``np.fmin``) of each row of ``values`` over the
+    inclusive windows [lo, hi]: a sparse table built one level at a time, so memory
+    stays O(N)."""
+    width = hi - lo + 1
+    out = level = values
+    step = 1
+    while 2 * step <= np.max(width, initial=0):
+        # level[k] reduces values[k : k + 2 * step]
+        level = reduce(level[:, :-step], level[:, step:])
+        step *= 2
+        last = level.shape[1] - 1
+        both = reduce(_take(level, np.minimum(lo, last)), _take(level, np.clip(hi - step + 1, 0, last)))
+        out = np.where(width >= step, both, out)
+    return out
+
+
+def _unsort(sorted_rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    rows = np.empty_like(sorted_rows)
+    np.put_along_axis(rows, order, sorted_rows, axis=1)
+    return rows
+
+
+def _uniform_gaps(net: np.ndarray, pay: np.ndarray) -> np.ndarray:
+    """Each member's largest payment gap to a member whose net is within 1e-9 of its
+    own (NaN where every gap is NaN)."""
+    n = net.shape[1]
+    order = np.argsort(net, axis=1, kind="stable")
+    z, p = _take(net, order), _take(pay, order)
+    at = np.broadcast_to(np.arange(n), net.shape)
+    # fl(z_b - z_a) grows with z_b, so in net order the members within 1e-9 of one form
+    # a window around it; the relation is not transitive, so windows, not groups
+    hi = _bisect(lambda k: _take(z, k) - z <= 1e-9, at + 1, np.full_like(at, n)) - 1
+    lo = _bisect(lambda k: ~(z - _take(z, k) <= 1e-9), np.zeros_like(at), at)
+    gaps = np.fmax(_window(p, lo, hi, np.fmax) - p, p - _window(p, lo, hi, np.fmin))
+    return _unsort(gaps, order)
+
+
+def _magnitude_gaps(net: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Each member i's largest ``mag_j - mag_i`` over the members j it outranks,
+    ``net_i * net_j >= 0`` and ``|net_j| <= |net_i|`` (NaN where there is none)."""
+    n = net.shape[1]
+    size = np.abs(net)
+    order = np.argsort(size, axis=1, kind="stable")
+    a, z, m = _take(size, order), _take(net, order), _take(mag, order)
+    at = np.broadcast_to(np.arange(n), net.shape)
+    # the prefixes in |net| order end at the last member of a tie
+    last = np.concatenate((a[:, 1:] != a[:, :-1], np.ones((len(a), 1), bool)), axis=1)
+    end = np.minimum.accumulate(np.where(last, at, n)[:, ::-1], axis=1)[:, ::-1]
+
+    def top(members: np.ndarray, upto: np.ndarray) -> np.ndarray:
+        # the largest mag of ``members`` at positions <= upto
+        running = np.fmax.accumulate(np.where(members, m, np.nan), axis=1)
+        return np.where(upto >= 0, _take(running, np.maximum(upto, 0)), np.nan)
+
+    # a net of the same sign never makes the product negative
+    same = np.where(z > 0, top(z > 0, end), np.where(z < 0, top(z < 0, end), np.nan))
+    # an opposite or zero net keeps the product >= 0 only where it rounds to zero (a zero
+    # against a finite net, or two nets small enough to underflow): a prefix in |net| order
+    zero = _bisect(lambda k: a * _take(a, k) == 0, np.zeros_like(at), np.full_like(at, n))
+    reach = np.minimum(zero - 1, end)
+    other = np.where(z > 0, top(z <= 0, reach), top(z >= 0, reach))
+    return _unsort(np.fmax(same, other) - m, order)
+
+
+def _fold(axiom: str, slacks: np.ndarray, tol: float, detail) -> AxiomCheck:
+    """One check of the run from its per-interval slacks, as a loop over the intervals
+    folds them: the first interval with the worst slack, and its ``detail(t)``."""
+    (worst,), (t,) = _first_max(slacks[None])
+    passed = bool(np.all(slacks <= tol))
+    if t < 0:
+        return AxiomCheck(axiom, passed, float(worst))
+    return AxiomCheck(axiom, passed, float(worst), detail(int(t)), int(t))
 
 
 def axiom_audit(
-    outcomes: Sequence[MemberOutcome],
-    buy: float,
-    sell: float,
-    benchmark_surpluses: Optional[Sequence[float]],
+    net: np.ndarray,
+    payment: np.ndarray,
+    surplus: np.ndarray,
+    buy,
+    sell,
+    benchmark: Optional[np.ndarray] = None,
 ) -> AxiomReport:
-    """Audit one interval's outcomes against the four pricing axioms.
+    """Audit a run's member-intervals against the four pricing axioms.
 
-    Checks, in order: uniform payments for equal net consumption; payment
-    monotonicity, sign matching and zero-at-zero; individual rationality
-    against ``benchmark_surpluses``, the members' standalone surpluses for
-    the interval (``None`` skips this check, e.g. for single intervals of a
-    storage run where the benchmark is only defined over the whole horizon);
-    and the operator's profit neutrality.  Failures are report entries, not
-    errors.
+    ``net``, ``payment`` and ``surplus`` are the members' (T, N) arrays, one
+    row per interval, and ``buy``/``sell`` the T rates, or one rate for every
+    interval.  Checks, in order: uniform payments for equal net consumption;
+    payment monotonicity, sign matching and zero-at-zero; individual
+    rationality against ``benchmark``, the members' (T, N) standalone
+    surpluses (``None`` skips this check, e.g. for storage runs, where the
+    benchmark is only defined over the whole horizon); and the operator's
+    profit neutrality.  Each check holds the worst slack over the
+    intervals, the first interval that reaches it and, there, the first
+    member or pair in member order.  Failures are report entries, not errors.
+
+    Each interval is sorted by net and by |net| instead of comparing every
+    pair of members, so an interval takes O(N log N) time and O(N) memory.
     """
-    nets = np.array([o.net for o in outcomes])
-    pays = np.array([o.payment for o in outcomes])
-    n = len(nets)
+    # C order: each row of a (T, N) sum adds as np.sum adds one interval's vector
+    net = np.ascontiguousarray(net, dtype=float)
+    pay = np.ascontiguousarray(payment, dtype=float)
+    buy, sell = np.asarray(buy, dtype=float), np.asarray(sell, dtype=float)
     checks = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = _uniform_gaps(net, pay)
+        worst, _ = _first_max(gaps)
 
-    # pair (i, j) at [i, j]: row-major order is the order of a double loop
-    close = np.triu(np.abs(nets[:, None] - nets) <= 1e-9, 1)
-    worst, k = _worst(np.where(close, np.abs(pays[:, None] - pays), 0.0))
-    detail = "" if k < 0 else "members {} and {}".format(*divmod(k, n))
-    checks.append(AxiomCheck("uniform_payment", worst <= PROFIT_TOL, worst, detail))
+        def pair(t: int) -> str:
+            # the first member with a worst gap, then its first partner
+            i = int(np.argmax(gaps[t] == worst[t]))
+            close = np.abs(net[t, i] - net[t]) <= 1e-9
+            j = int(np.argmax(close & (np.abs(pay[t, i] - pay[t]) == worst[t])))
+            return f"members {i} and {j}"
 
-    # each member's zero-net and sign checks, then the pairs (the diagonal's gaps are 0)
-    mag = np.abs(pays)
-    own = np.column_stack(
-        (np.where(np.abs(nets) <= 1e-12, mag, 0.0), np.where(pays * nets < -1e-12, mag, 0.0))
-    )
-    ordered = (np.multiply.outer(nets, nets) >= 0) & (np.abs(nets)[:, None] >= np.abs(nets))
-    pairs = np.where(ordered, mag - mag[:, None], 0.0)
-    worst, k = _worst(np.concatenate((own.ravel(), pairs.ravel())))
-    if k < 2 * n:
-        detail = "" if k < 0 else f"member {k // 2}: payment " + ("at zero net", "sign opposes net")[k % 2]
-    else:
-        detail = "members {}, {}: magnitude order broken".format(*divmod(k - 2 * n, n))
-    checks.append(AxiomCheck("monotonicity_cost_causation", worst <= PROFIT_TOL, worst, detail))
+        checks.append(_fold("uniform_payment", worst, PROFIT_TOL, pair))
 
-    if benchmark_surpluses is not None:
-        shortfall = [b - o.surplus for o, b in zip(outcomes, benchmark_surpluses)]
-        worst, k = _worst(np.array(shortfall, dtype=float))
-        detail = "" if k < 0 else f"member {k}: below standalone surplus"
-        checks.append(
-            AxiomCheck("individual_rationality", worst <= RATIONALITY_TOL, worst, detail)
-        )
+        # each member's zero-net and sign checks, in member order, then the pairs
+        mag = np.abs(pay)
+        own = np.stack(
+            (np.where(np.abs(net) <= 1e-12, mag, 0.0), np.where(pay * net < -1e-12, mag, 0.0)),
+            axis=2,
+        ).reshape(len(net), -1)
+        own_worst, own_k = _first_max(own)
+        gaps = _magnitude_gaps(net, mag)
+        worst = np.maximum(own_worst, _first_max(gaps)[0])
 
-    z_n = float(np.sum(nets))
-    gap = float(abs(float(np.sum(pays)) - nem_payment(buy, sell, z_n)))
-    checks.append(AxiomCheck("profit_neutrality", gap <= PROFIT_TOL, gap, ""))
+        def order(t: int) -> str:
+            if own_worst[t] == worst[t]:
+                k = int(own_k[t])
+                return f"member {k // 2}: payment " + ("at zero net", "sign opposes net")[k % 2]
+            i = int(np.argmax(gaps[t] == worst[t]))
+            outranked = (net[t, i] * net[t] >= 0) & (np.abs(net[t, i]) >= np.abs(net[t]))
+            j = int(np.argmax(outranked & (mag[t] - mag[t, i] == worst[t])))
+            return f"members {i}, {j}: magnitude order broken"
+
+        checks.append(_fold("monotonicity_cost_causation", worst, PROFIT_TOL, order))
+
+        if benchmark is not None:
+            worst, k = _first_max(np.asarray(benchmark, dtype=float) - surplus)
+            checks.append(
+                _fold(
+                    "individual_rationality", worst, RATIONALITY_TOL,
+                    lambda t: f"member {k[t]}: below standalone surplus",
+                )
+            )
+
+        z_n = np.sum(net, axis=1)
+        gap = np.abs(np.sum(pay, axis=1) - np.where(z_n >= 0, buy * z_n, sell * z_n))
+        checks.append(_fold("profit_neutrality", gap, PROFIT_TOL, lambda t: ""))
     return AxiomReport(tuple(checks))
 
 

@@ -8,6 +8,7 @@ than tautology.
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -273,6 +274,26 @@ def axiom_audit_loops(outcomes, buy, sell, benchmark_surpluses):
     gap = float(abs(float(np.sum(pays)) - nem_bill(buy, sell, z_n)))
     checks.append(AxiomCheck("profit_neutrality", gap <= PROFIT_TOL, gap, ""))
     return AxiomReport(tuple(checks))
+
+
+def axiom_audit_horizon_loops(intervals, buy, sell, benchmarks=None):
+    """:func:`axiom_audit_loops` on each interval's outcomes, folded over the run.
+
+    The reference for ``dnem.welfare.axiom_audit`` on a whole run.  The fold is
+    the one ``dnem audit`` applied to the per-interval reports: a check keeps the
+    first interval whose slack is strictly above the worst so far (a NaN slack
+    never is) with that interval's detail, and fails if any interval fails.
+    ``benchmarks`` holds each interval's standalone surpluses, or is ``None``.
+    """
+    folded = {}
+    for t, outcomes in enumerate(intervals):
+        benchmark = None if benchmarks is None else benchmarks[t]
+        for check in axiom_audit_loops(outcomes, float(buy[t]), float(sell[t]), benchmark).checks:
+            entry = folded.setdefault(check.axiom, AxiomCheck(check.axiom, True, 0.0))
+            if check.slack > entry.slack:
+                entry = AxiomCheck(check.axiom, entry.passed, check.slack, check.detail, t)
+            folded[check.axiom] = replace(entry, passed=entry.passed and check.passed)
+    return AxiomReport(tuple(folded.values()))
 
 
 def _fmt(value: float) -> str:

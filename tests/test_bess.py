@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dnem.bess import (
+    ZONES,
     StorageLimitError,
     effective_limits,
     generalized_dnem_price,
@@ -10,8 +11,9 @@ from dnem.bess import (
     soc_step,
 )
 from dnem.curves import AggregateResponseCurve
-from dnem.model import NET_ZERO_ZONES, BessSpec, DeviceUtility, PriceZone
+from dnem.model import NET_ZERO_ZONES, BessSpec, DeviceUtility, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
+from dnem.response import DeviceBlocks
 from dnem.sim import random_scenario
 
 from oracles import quad_utility
@@ -115,6 +117,22 @@ class TestMyopicDispatch:
             generalized_dnem_price(CURVE, 1.0, SPEC, 1.0, 0.5, 0.4, 0.2)
 
 
+def _priced_at_soc_1(sweep):
+    """``generalized_dnem_price(CURVE, g, SPEC, 1.0, 0.3, 0.4, 0.2)`` for every g of
+    ``sweep`` as (prices, zones, battery outputs): one ``price_and_dispatch`` call, one
+    interval of prosumers that each own the whole battery at SoC 1.  The one-cell wrapper
+    prices and dispatches a stride of the sweep bit for bit."""
+    cells = price_and_dispatch(
+        DeviceBlocks([Member("pooled", CURVE.devices, ())] * len(sweep)),
+        SPEC, np.ones(len(sweep)), sweep[:, None], 0.4, 0.2, 0.3,
+    )
+    values, zones, battery = cells.price[0], [ZONES[z] for z in cells.zone[0]], cells.battery[0]
+    for k in range(0, len(sweep), 100):
+        price, b = generalized_dnem_price(CURVE, float(sweep[k]), SPEC, 1.0, 0.3, 0.4, 0.2)
+        assert (price.value.hex(), price.zone, b.hex()) == (values[k].hex(), zones[k], battery[k].hex())
+    return values, zones, battery
+
+
 class TestGeneralizedPrice:
     def test_worked_zones(self):
         cases = [
@@ -140,19 +158,16 @@ class TestGeneralizedPrice:
     def test_energy_balance_across_all_net_zero_zones(self):
         sweep = np.linspace(0.0, 3.2, 1500)
         seen = set()
-        for g in sweep:
-            price, b = generalized_dnem_price(CURVE, float(g), SPEC, 1.0, 0.3, 0.4, 0.2)
-            if price.zone in NET_ZERO_ZONES:
-                seen.add(price.zone)
-                z = CURVE.response(price.value) + b - g
+        for g, value, zone, b in zip(sweep, *_priced_at_soc_1(sweep)):
+            if zone in NET_ZERO_ZONES:
+                seen.add(zone)
+                z = CURVE.response(value) + b - g
                 assert abs(z) <= 1e-8
         assert seen == NET_ZERO_ZONES
 
     def test_price_continuous_and_monotone_over_sweep(self):
         sweep = np.linspace(0.0, 3.5, 4000)
-        values = np.array(
-            [generalized_dnem_price(CURVE, float(g), SPEC, 1.0, 0.3, 0.4, 0.2)[0].value for g in sweep]
-        )
+        values, _, _ = _priced_at_soc_1(sweep)
         assert np.all(np.diff(values) <= 1e-12)
         step = sweep[1] - sweep[0]
         # the steepest dynamic segment has slope 1/|f'| = beta = 1

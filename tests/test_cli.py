@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dnem.benchmark
+import dnem.response
 import dnem.sim
 from dnem.cli import (
     EXIT_AUDIT,
@@ -654,6 +655,29 @@ def test_audit_stdout_is_pinned(tmp_path, capsys):
     assert code == EXIT_OK
     assert json.loads(out)["coalitions"]["samples"] == 200
     assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGEST
+
+
+@pytest.mark.parametrize("with_bess", [False, True])
+def test_audit_builds_no_record_or_outcome(tmp_path, monkeypatch, capsys, outcomes_built, with_bess):
+    # the axiom audit reads the run's (T, N) arrays; no interval record is indexed
+    def forbidden(*args):
+        raise AssertionError("the audit built an interval record")
+
+    monkeypatch.setattr(dnem.response.Settlement, "outcomes", forbidden)
+    monkeypatch.setattr(dnem.sim.Run, "__getitem__", forbidden)
+    path = write_config(tmp_path, _seeded_day_config(with_bess=with_bess))
+    samples = "0" if with_bess else "100"
+    code = main(["audit", "--config", path, "--seeds", "2", "--coalition-samples", samples])
+    out = capsys.readouterr().out
+    assert outcomes_built == []
+    if with_bess:
+        assert code in (EXIT_OK, EXIT_AUDIT)
+        assert set(json.loads(out)["axioms"]) == {
+            "uniform_payment", "monotonicity_cost_causation", "profit_neutrality"
+        }
+    else:
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGEST
 
 
 #: sha256 of ``intervals.csv`` and ``summary.json`` from ``dnem simulate``, recorded before

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dnem.bess import ZONES, generalized_dnem_price, price_and_dispatch
+from dnem.bess import ZONES, generalized_dnem_price, pooled, price_and_dispatch
 from dnem.curves import AggregateResponseCurve, invert_aggregate
 from dnem.model import BessSpec, CommunityPrice, DeviceUtility, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
@@ -176,10 +176,19 @@ class TestCommunityPrice:
             sell = buy * rng.uniform(0.1, 0.9)
             top = curve.response(0.0) * 1.3 + 0.5
             sweep = np.linspace(0.0, top, 400)
-            values = np.array([dnem_price(curve, g, buy, sell).value for g in sweep])
+            # the sweep as 400 intervals of one prosumer with an empty battery
+            cells = price_and_dispatch(
+                pooled(curve.devices), BessSpec(0.0), np.ones(1), sweep[None, :], buy, sell, 0.0
+            )
+            values = cells.price[:, 0]
             assert np.all(values >= sell - 1e-12)
             assert np.all(values <= buy + 1e-12)
             assert np.all(np.diff(values) <= 1e-12)
+            # the one-cell wrapper prices a stride of the sweep bit for bit
+            for k in range(0, len(sweep), 20):
+                price = dnem_price(curve, sweep[k], buy, sell)
+                assert price.value.hex() == values[k].hex()
+                assert price.zone == ZONES[cells.zone[k, 0]]
 
     def test_strictly_decreasing_inside_net_zero(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from test_pricing import ladder_targets, plateau_devices, scalar_dnem_price
 
 from oracles import (
     InstanceTooLargeError,
-    axiom_audit_loops,
+    axiom_audit_horizon_loops,
     centralized_welfare_bruteforce,
     grid_centralized_welfare,
     quad_utility,
@@ -124,6 +126,17 @@ class TestBruteForce:
             centralized_welfare_bruteforce(members, 1.0, 0.4, 0.2)
 
 
+def _arrays(intervals):
+    """The (T, N) net, payment and surplus arrays of each interval's outcomes."""
+    cells = [[(o.net, o.payment, o.surplus) for o in outs] for outs in intervals]
+    return np.moveaxis(np.array(cells, dtype=float).reshape(len(cells), len(cells[0]), 3), 2, 0)
+
+
+def _audit(outcomes, buy, sell, benchmark=None):
+    """``axiom_audit`` of one interval's outcomes, as a run of T = 1."""
+    return axiom_audit(*_arrays([outcomes]), buy, sell, None if benchmark is None else [benchmark])
+
+
 class TestAxiomAudit:
     def _dnem_outcomes(self, sc, t=0):
         gen = folded_generation(sc)
@@ -141,7 +154,7 @@ class TestAxiomAudit:
                 standalone_optimum(m, float(g), buy, sell).surplus
                 for m, g in zip(sc.members, gen[:, 0])
             ]
-            report = axiom_audit(outs, buy, sell, alone)
+            report = _audit(outs, buy, sell, alone)
             assert report.passed, report.failures()
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -149,33 +162,33 @@ class TestAxiomAudit:
     def test_every_dnem_interval_passes_on_random_scenarios(self, seed, with_bess, wide_bounds):
         sc = random_scenario(seed, with_bess=with_bess, wide_bounds=wide_bounds)
         results = run_all(sc)
-        for r, alone in zip(results["dnem"][0], results["standalone"][0]):
-            # with storage the standalone benchmark holds only over the horizon
-            benchmark = None if with_bess else [o.surplus for o in alone.per_member]
-            buy, sell = float(sc.rates.buy[r.t]), float(sc.rates.sell[r.t])
-            report = axiom_audit(r.per_member, buy, sell, benchmark)
-            assert report.passed, (r.t, report.failures())
+        settled = results["dnem"][0].settlement
+        # with storage the standalone benchmark holds only over the horizon
+        benchmark = None if with_bess else results["standalone"][0].settlement.surplus
+        report = axiom_audit(
+            settled.net, settled.payment, settled.surplus, sc.rates.buy, sc.rates.sell, benchmark
+        )
+        # a check passes only if it passes in every interval
+        assert report.passed, report.failures()
 
     def test_naive_nem_passthrough_fails_profit_neutrality(self):
         # one importer and one exporter billed individually at the utility's
         # two rates: the operator nets them and pockets the rate spread
-        importer = Member("imp", (DEV_A,), np.array([0.0]))
-        exporter = Member("exp", (DEV_A,), np.array([3.0]))
         buy, sell = 0.4, 0.2
         outs = []
-        for m, g in ((importer, 0.0), (exporter, 3.0)):
+        for g in (0.0, 3.0):
             d = np.array([1.6])
             net = float(np.sum(d)) - g
             pay = nem_payment(buy, sell, net)
             surplus = float(quad_utility(2, 1, 1.6)) - pay
             outs.append(MemberOutcome(d, net, pay, surplus, surplus))
-        report = axiom_audit(outs, buy, sell, None)
+        report = _audit(outs, buy, sell)
         failed = {c.axiom for c in report.failures()}
         assert "profit_neutrality" in failed
 
     def test_flat_fee_fails_monotonicity(self):
         out = MemberOutcome(np.array([0.0]), 0.0, 1.0, -1.0, -1.0)
-        report = axiom_audit([out], 0.4, 0.2, None)
+        report = _audit([out], 0.4, 0.2)
         failed = {c.axiom for c in report.failures()}
         assert "monotonicity_cost_causation" in failed
 
@@ -183,26 +196,85 @@ class TestAxiomAudit:
         m = Member("m", (DEV_A,), np.array([0.0]))
         price = CommunityPrice(0.4, PriceZone.NET_CONSUMPTION)
         out = member_outcome(m, price, 0.0)
-        report = axiom_audit([out], 0.4, 0.2, benchmark_surpluses=[out.surplus + 1.0])
+        report = _audit([out], 0.4, 0.2, benchmark=[out.surplus + 1.0])
         failed = {c.axiom for c in report.failures()}
         assert "individual_rationality" in failed
 
+    def test_run_check_names_the_first_worst_interval(self):
+        net = np.ones((3, 2))
+        pay = np.array([[0.4, 0.4], [0.4, 0.9], [0.9, 0.4]])
+        check = axiom_audit(net, pay, np.zeros((3, 2)), 0.4, 0.1).checks[0]
+        assert (check.axiom, check.passed, check.slack) == ("uniform_payment", False, 0.5)
+        assert (check.interval, check.detail) == (1, "members 0 and 1")
+
+    def test_nan_slack_fails_without_becoming_the_worst(self):
+        # interval 0 bills a NaN: its profit gap is NaN, and interval 1's gap of 0.1 is the worst
+        net, pay = np.ones((2, 1)), np.array([[np.nan], [0.5]])
+        check = axiom_audit(net, pay, np.zeros((2, 1)), 0.4, 0.1).checks[-1]
+        assert (check.axiom, check.passed, check.interval) == ("profit_neutrality", False, 1)
+        assert check.slack == pytest.approx(0.1)
+        check = axiom_audit(net[:1], pay[:1], np.zeros((1, 1)), 0.4, 0.1).checks[-1]
+        assert (check.passed, check.slack, check.interval) == (False, 0.0, None)
+
+    def test_one_thousand_members_peak_under_one_megabyte(self):
+        rng = np.random.default_rng(0)
+        net = rng.normal(size=(1, 1000))
+        # ties in net and payment keep the window and tie paths busy
+        net[0, ::7] = net[0, 3]
+        pay = np.round(0.3 * net, 2)
+        surplus = rng.normal(size=(1, 1000))
+        tracemalloc.start()
+        try:
+            axiom_audit(net, pay, surplus, 0.4, 0.1, surplus + 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one N x N float array alone would be 8 MB
+        assert peak < 1_000_000, peak
+
 
 def _bits(report):
-    return [(c.axiom, c.passed, c.slack.hex(), c.detail) for c in report.checks]
+    return [(c.axiom, c.passed, c.slack.hex(), c.detail, c.interval) for c in report.checks]
 
 
 def _outcome(net, payment, surplus=0.0):
     return MemberOutcome(np.array([0.0]), net, payment, surplus, surplus)
 
 
+#: nets k * 0.6e-9 apart chain members within 1e-9 of their neighbours but not of the
+#: next-but-one; zeros, -0.0 and nets of equal size in both signs tie in |net|
+_CHAIN_NETS = st.one_of(
+    st.integers(-4, 4).map(lambda k: k * 0.6e-9),
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 0.5, -0.5, 1.0, -1.0, 1.0 + 1e-10, 2.0]),
+)
+#: payments with equal gaps, a payment as large as a gap (an own check ties a pair) and NaN
+_TIED_PAYS = st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, 2.0, float("nan")])
+#: nets whose products overflow, underflow to zero or are inf * 0
+_EXTREME_NETS = st.sampled_from(
+    [0.0, -0.0, 1e-170, -1e-170, 1e-300, -1e-200, 1.0, -1.0, np.inf, -np.inf, np.nan]
+)
+_EXTREME_PAYS = st.sampled_from([0.0, 0.5, -0.5, 1.0, np.inf, -np.inf, np.nan])
+
+
+def _runs(nets, pays):
+    """Runs of 1-4 intervals of 0-7 members: (net, payment, surplus, benchmark) cells."""
+    cell = st.tuples(nets, pays, st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0]))
+    return st.integers(0, 7).flatmap(
+        lambda n: st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=4)
+    )
+
+
 class TestAxiomAuditMatchesLoops:
-    """The array audit against the loop oracle: bit-equal slacks, the same details."""
+    """The array audit against the loop oracle, interval by interval and folded over
+    the run: bit-equal slacks, the same details and intervals."""
 
     @staticmethod
-    def _assert_same(outcomes, benchmark, buy=0.4, sell=0.1):
-        expected = axiom_audit_loops(outcomes, buy, sell, benchmark)
-        report = axiom_audit(outcomes, buy, sell, benchmark)
+    def _assert_same(intervals, benchmark):
+        """``intervals`` holds each interval's outcomes, ``benchmark`` each interval's
+        standalone surpluses (or is ``None``)."""
+        rates = [0.4] * len(intervals), [0.1] * len(intervals)
+        expected = axiom_audit_horizon_loops(intervals, *rates, benchmark)
+        report = axiom_audit(*_arrays(intervals), *rates, benchmark)
         assert _bits(report) == _bits(expected)
         assert report == expected
         return report
@@ -214,39 +286,54 @@ class TestAxiomAuditMatchesLoops:
     )
     def test_run_all_records(self, scenario):
         results = run_all(scenario)
+        alone = results["standalone"][0].settlement.surplus
         for mechanism in ("dnem", "standalone", "sign_based"):
-            for r, alone in zip(results[mechanism][0], results["standalone"][0]):
-                buy, sell = float(scenario.rates.buy[r.t]), float(scenario.rates.sell[r.t])
-                for benchmark in (None, [o.surplus for o in alone.per_member]):
-                    self._assert_same(r.per_member, benchmark, buy, sell)
+            run = results[mechanism][0]
+            s = run.settlement
+            for benchmark in (None, alone):
+                # the oracle reads the records' outcomes, the audit the run's arrays
+                expected = axiom_audit_horizon_loops(
+                    [r.per_member for r in run], scenario.rates.buy, scenario.rates.sell,
+                    None if benchmark is None else benchmark.tolist(),
+                )
+                report = axiom_audit(
+                    s.net, s.payment, s.surplus, scenario.rates.buy, scenario.rates.sell, benchmark
+                )
+                assert _bits(report) == _bits(expected)
 
     def test_first_of_two_pairs_with_the_same_max_gap(self):
         outs = [_outcome(1.0, 0.0), _outcome(1.0, 0.25), _outcome(2.0, 1.0), _outcome(2.0, 1.25)]
-        report = self._assert_same(outs, None)
+        report = self._assert_same([outs], None)
         assert report.checks[0].detail == "members 0 and 1"
 
     def test_zero_net_payment_tied_with_a_magnitude_gap(self):
         # member 0's payment at zero net and the pair (2, 1) both miss by 0.5
         outs = [_outcome(0.0, 0.5), _outcome(1.0, 1.0), _outcome(2.0, 0.5)]
-        report = self._assert_same(outs, None)
+        report = self._assert_same([outs], None)
         assert report.checks[1].slack == 0.5
         assert report.checks[1].detail == "member 0: payment at zero net"
 
     def test_sign_check_tied_with_a_later_zero_net_payment(self):
         outs = [_outcome(1.0, -0.5), _outcome(0.0, 0.5)]
-        report = self._assert_same(outs, None)
+        report = self._assert_same([outs], None)
         assert report.checks[1].detail == "member 0: payment sign opposes net"
 
     def test_first_of_two_tied_magnitude_pairs(self):
         outs = [_outcome(1.0, 1.0), _outcome(2.0, 0.5), _outcome(-1.0, -1.0), _outcome(-2.0, -0.5)]
-        report = self._assert_same(outs, None)
+        report = self._assert_same([outs], None)
         assert report.checks[1].detail == "members 1, 0: magnitude order broken"
+
+    def test_chain_is_not_a_group(self):
+        # 0 and 2 are 1.2e-9 apart, each within 1e-9 of member 1: only the pairs with 1 count
+        outs = [_outcome(0.0, 0.0), _outcome(0.6e-9, 0.25), _outcome(1.2e-9, 1.0)]
+        report = self._assert_same([outs], None)
+        assert (report.checks[0].slack, report.checks[0].detail) == (0.75, "members 1 and 2")
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_small_communities(self, n):
         outs = [_outcome(0.5 - i, 0.2 - 0.3 * i, i) for i in range(n)]
-        self._assert_same(outs, None)
-        self._assert_same(outs, [0.5] * n)
+        self._assert_same([outs], None)
+        self._assert_same([outs], [[0.5] * n])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -264,7 +351,25 @@ class TestAxiomAuditMatchesLoops:
     )
     def test_many_ties(self, cells, with_benchmark):
         outs = [_outcome(net, pay, surplus) for net, pay, surplus in cells]
-        self._assert_same(outs, [0.5] * len(outs) if with_benchmark else None)
+        self._assert_same([outs], [[0.5] * len(outs)] if with_benchmark else None)
+
+    @classmethod
+    def _assert_same_run(cls, run, with_benchmark):
+        intervals = [[_outcome(net, pay, surplus) for net, pay, surplus, _ in row] for row in run]
+        benchmark = [[b for *_, b in row] for row in run] if with_benchmark else None
+        # the oracle's numpy scalars warn on inf - inf and inf * 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            cls._assert_same(intervals, benchmark)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=_runs(_CHAIN_NETS, _TIED_PAYS), with_benchmark=st.booleans())
+    def test_adversarial_runs(self, run, with_benchmark):
+        self._assert_same_run(run, with_benchmark)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=_runs(_EXTREME_NETS, _EXTREME_PAYS), with_benchmark=st.booleans())
+    def test_non_finite_and_underflowing_runs(self, run, with_benchmark):
+        self._assert_same_run(run, with_benchmark)
 
 
 def _community_surpluses(members, generations, buy, sell):
