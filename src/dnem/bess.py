@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import EPS_QUANTITY, AggregateResponseCurve, invert_aggregate
+from .curves import EPS_QUANTITY, AggregateResponseCurve
 from .model import BessSpec, CommunityPrice, Member, PriceZone, stored_energy
 from .response import DeviceBlocks
 
@@ -108,7 +108,10 @@ def _check_salvage(salvage: float, spec: BessSpec, buy: np.ndarray, sell: np.nda
 class Dispatch(NamedTuple):
     """The rule's outcome for N prosumers over T intervals, as (T, N) arrays."""
 
-    price: np.ndarray  # objects: a rate, a salvage price or invert_aggregate's result
+    # objects: a rate or a salvage price (Python floats), or a solved price typed as
+    # invert_aggregate types it: a numpy float64 when a plateau edge is interpolated
+    # between kinks, a Python float when both edges are bracket ends
+    price: np.ndarray
     zone: np.ndarray  # index into ZONES
     battery: np.ndarray  # storage output, positive = charging
     soc: np.ndarray  # state of charge after the interval
@@ -197,18 +200,15 @@ def price_and_dispatch(
         price = np.choose(zone, (buy, 0.0, discharge_price, 0.0, charge_price, 0.0, sell))
         price = price.astype(object)
         # the dynamic and idle zones announce the price at which consumption absorbs
-        # the target, exactly as invert_aggregate returns it
-        solved = (zone == _DISCHARGE_DYNAMIC) | (zone == _IDLE) | (zone == _CHARGE_DYNAMIC)
-        for t, i in zip(*np.nonzero(solved)):
-            if zone[t, i] == _DISCHARGE_DYNAMIC:
-                target, lo, hi = g[t, i] + discharge[t, i], discharge_price, buy[t, i]
-            elif zone[t, i] == _CHARGE_DYNAMIC:
-                target, lo, hi = g[t, i] - charge[t, i], sell[t, i], charge_price
-            elif live[t, i]:
-                target, lo, hi = g[t, i], charge_price, discharge_price
-            else:
-                target, lo, hi = g[t, i], sell[t, i], buy[t, i]
-            price[t, i] = invert_aggregate(blocks.curve(i), float(target), float(lo), float(hi))
+        # the target, each on the prosumer's own curve, all in one solve
+        t, i = np.nonzero((zone == _DISCHARGE_DYNAMIC) | (zone == _IDLE) | (zone == _CHARGE_DYNAMIC))
+        z, g_c, buy_c, sell_c = zone[t, i], g[t, i], buy[t, i], sell[t, i]
+        dis, chg = z == _DISCHARGE_DYNAMIC, z == _CHARGE_DYNAMIC
+        held = (z == _IDLE) & live[t, i]
+        target = np.where(dis, g_c + discharge[t, i], np.where(chg, g_c - charge[t, i], g_c))
+        lo = np.where(dis, discharge_price, np.where(held, charge_price, sell_c))
+        hi = np.where(chg, charge_price, np.where(held, discharge_price, buy_c))
+        price[t, i] = blocks.invert(i, target, lo, hi)
     return Dispatch(
         price, zone, battery, soc, lower, upper, follow_discharge, follow_charge, discharge, charge
     )

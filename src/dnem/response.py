@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import AggregateResponseCurve
+from .curves import invert_rows, kink_table
 from .model import CommunityPrice, Member, stored_energy
 
 __all__ = [
@@ -90,6 +90,8 @@ class DeviceBlocks:
     exactly as ``np.sum`` adds one member's device vector (pairwise from 8
     devices on).  Utilities add the devices one by one, as
     :func:`member_utility` does.  A member without devices consumes nothing.
+    :meth:`invert` solves prices on the members' own response curves from
+    these arrays, so no :class:`~dnem.curves.AggregateResponseCurve` is built.
     """
 
     def __init__(self, members: Sequence[Member]):
@@ -104,27 +106,34 @@ class DeviceBlocks:
                 dtype=float,
             ).reshape(len(idx), count, 4)
             alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
-            self._groups.append((np.array(idx), alpha, beta, alpha / beta, 0.5 * beta, d_min, d_max))
-        self._curves: dict[int, AggregateResponseCurve] = {}
+            self._groups.append((np.array(idx), alpha, beta, alpha / beta, d_min, d_max, 0.5 * beta))
 
-    def curve(self, i: int) -> AggregateResponseCurve:
-        """Member ``i``'s own response curve, built on first use."""
-        if i not in self._curves:
-            self._curves[i] = AggregateResponseCurve(self.members[i].devices)
-        return self._curves[i]
+    def invert(self, rows, target, lo, hi) -> np.ndarray:
+        """The price at which member ``rows[k]``'s own response meets ``target[k]`` on
+        ``[lo[k], hi[k]]``, for every k: :func:`~dnem.curves.invert_rows` on the groups."""
+        # only the groups and members that have a cell to solve
+        wanted = np.zeros(len(self.members), dtype=bool)
+        wanted[rows] = True
+        groups = []
+        for group in self._groups:
+            keep = wanted[group[0]]
+            if keep.any():
+                groups.append(tuple(p if keep.all() else p[keep] for p in group[:6]))
+        return invert_rows(groups, kink_table(groups, len(self.members)), rows, target, lo, hi)
 
     @staticmethod
     def _consumption(group, prices: np.ndarray) -> np.ndarray:
         # each device's inverse marginal utility clamped to its support and
         # bounds: (T, members, devices)
-        idx, alpha, beta, saturation, _, d_min, d_max = group
+        idx, alpha, beta, saturation, d_min, d_max, _ = group
         d = alpha - prices[:, idx, None]
         d /= beta
         np.clip(d, 0.0, saturation, out=d)
         return np.clip(d, d_min, d_max, out=d)
 
     def response(self, prices: np.ndarray) -> np.ndarray:
-        """Each member's total consumption at (T, N) prices; ``curve(i).response`` per cell."""
+        """Each member's total consumption at (T, N) prices: per cell, the response of the
+        member's own :class:`~dnem.curves.AggregateResponseCurve`."""
         total = np.empty(prices.shape)
         for group in self._groups:
             total[:, group[0]] = np.sum(self._consumption(group, prices), axis=-1)
@@ -141,7 +150,7 @@ class DeviceBlocks:
         utility = np.empty(prices.shape)
         consumption = [None] * prices.shape[1]
         for group in self._groups:
-            idx, alpha, _, saturation, half_beta, _, _ = group
+            idx, alpha, _, saturation, _, _, half_beta = group
             d = self._consumption(group, prices)
             total[:, idx] = np.sum(d, axis=-1)
             u = np.zeros(d.shape[:2])

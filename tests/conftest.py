@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 import dnem.response
+from dnem.curves import AggregateResponseCurve
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
 # example database, so a failure seen in CI repeats locally
@@ -24,6 +25,20 @@ def outcomes_built(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(dnem.response, "MemberOutcome", counting)
+    return built
+
+
+@pytest.fixture
+def curves_built(monkeypatch):
+    """Counts the ``AggregateResponseCurve`` objects built while the test runs."""
+    built = []
+    original = AggregateResponseCurve.__init__
+
+    def counting(self, devices):
+        built.append(self)
+        original(self, devices)
+
+    monkeypatch.setattr(AggregateResponseCurve, "__init__", counting)
     return built
 
 

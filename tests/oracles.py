@@ -3,9 +3,13 @@
 Everything here is deliberately written from the raw definitions (utility
 formula, tariff arithmetic, exhaustive grids) without touching the package's
 pricing or curve code, so that agreement between the two is evidence rather
-than tautology.
+than tautology.  The one exception is the net-zero price reference
+(:func:`full_scan_invert`, :func:`price_ladder_loop`): it reads the curve
+through ``AggregateResponseCurve.response``, one price at a time, and checks
+the package's batched search against a scan of every kink.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -15,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from dnem.cli import _NON_FINITE
+from dnem.curves import EPS_QUANTITY, AggregateResponseCurve, TargetOutsideRangeError
 from dnem.model import Member
 from dnem.welfare import PROFIT_TOL, RATIONALITY_TOL, AxiomCheck, AxiomReport
 
@@ -127,6 +132,98 @@ def pl_solution_band(devices, target, lo, hi, tol=Fraction(1, 10**11)):
     if not inside:
         return None
     return min(inside), max(inside)
+
+
+@functools.lru_cache(maxsize=64)
+def _kink_scan(curve, lo, hi):
+    # the curve at every kink of the bracket, once per curve and bracket
+    knots = curve.knot_prices(lo, hi)
+    return knots, np.array([curve.response(y) for y in knots])
+
+
+def full_scan_invert(curve, target, lo, hi):
+    """The net-zero price from the curve evaluated at every kink in the bracket.
+
+    The reference that ``dnem.curves.invert_rows`` must reproduce bit for
+    bit: value, type (a numpy float64 when a plateau edge is interpolated, a
+    Python float when both edges are bracket ends) and error message.  It
+    reads the curve through ``AggregateResponseCurve.response`` and
+    ``knot_prices`` only; the search is a scan of K + 2 evaluations.
+    """
+    if lo > hi:
+        raise TargetOutsideRangeError(f"empty price bracket [{lo}, {hi}]")
+    v_lo = curve.response(lo)
+    v_hi = curve.response(hi)
+    if not v_hi - EPS_QUANTITY <= target <= v_lo + EPS_QUANTITY:
+        raise TargetOutsideRangeError(
+            f"target outside range: {target} not in [{v_hi}, {v_lo}] on [{lo}, {hi}]"
+        )
+    target = min(max(target, v_hi), v_lo)
+    knots, values = _kink_scan(curve, lo, hi)
+
+    def interp(j):
+        y_a, v_a, y_b, v_b = knots[j], float(values[j]), knots[j + 1], float(values[j + 1])
+        return y_a + (v_a - target) * (y_b - y_a) / (v_a - v_b)
+
+    if values[0] <= target:
+        left = float(knots[0])
+    else:
+        left = interp(int(np.argmax(values <= target)) - 1)
+    if values[-1] >= target:
+        right = float(knots[-1])
+    else:
+        right = interp(len(values) - 1 - int(np.argmax(values[::-1] >= target)))
+    return 0.5 * (left + right)
+
+
+def price_ladder_loop(members, dispatch, gen, buy, sell, salvage, bess):
+    """Zone and price of every cell of a ``price_and_dispatch`` call, one cell at a time.
+
+    The per-cell reference for the batched net-zero solve: prosumer i walks
+    the seven-zone ladder on its own ``AggregateResponseCurve`` at the
+    effective storage limits that ``dispatch`` reports, and every solved cell
+    is priced by :func:`full_scan_invert`.  ``gen`` is (N, T); ``buy`` and
+    ``sell`` broadcast to (T, N).  Returns (zone, price) as (T, N) arrays,
+    the zone as an index into ``dnem.bess.ZONES``.
+    """
+    g = np.asarray(gen, dtype=float).T
+    buy, sell = (np.broadcast_to(np.asarray(r, dtype=float), g.shape) for r in (buy, sell))
+    dp, cp = salvage / bess.discharge_eff, bess.charge_eff * salvage
+    zone = np.zeros(g.shape, dtype=int)
+    price = np.empty(g.shape, dtype=object)
+    for i, member in enumerate(members):
+        curve = AggregateResponseCurve(member.devices)
+        fd, fc = curve.response(dp), curve.response(cp)
+        for t in range(g.shape[0]):
+            gt, b, s = float(g[t, i]), float(buy[t, i]), float(sell[t, i])
+            dis, chg = float(dispatch.discharge[t, i]), float(dispatch.charge[t, i])
+            lower, upper = curve.response(b), curve.response(s)
+            solve = None
+            if dis == 0.0 and chg == 0.0:
+                # no usable storage: the storage-free rule
+                if gt < lower:
+                    zone[t, i], price[t, i] = 0, b
+                elif gt > upper:
+                    zone[t, i], price[t, i] = 6, s
+                else:
+                    zone[t, i], solve = 3, (gt, s, b)
+            elif gt <= lower - dis:
+                zone[t, i], price[t, i] = 0, b
+            elif gt < fd - dis:
+                zone[t, i], solve = 1, (gt + dis, dp, b)
+            elif gt < fd:
+                zone[t, i], price[t, i] = 2, dp
+            elif gt <= fc:
+                zone[t, i], solve = 3, (gt, cp, dp)
+            elif gt <= fc + chg:
+                zone[t, i], price[t, i] = 4, cp
+            elif gt < upper + chg:
+                zone[t, i], solve = 5, (gt - chg, s, cp)
+            else:
+                zone[t, i], price[t, i] = 6, s
+            if solve is not None:
+                price[t, i] = full_scan_invert(curve, *solve)
+    return zone, price
 
 
 _MAX_BRUTEFORCE_DEVICES = 4

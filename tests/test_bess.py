@@ -14,9 +14,10 @@ from dnem.curves import AggregateResponseCurve
 from dnem.model import NET_ZERO_ZONES, BessSpec, DeviceUtility, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
 from dnem.response import DeviceBlocks
-from dnem.sim import random_scenario
+from dnem import welfare
+from dnem.sim import folded_generation, random_scenario, run_all, solar_day_scenario
 
-from oracles import quad_utility
+from oracles import price_ladder_loop, quad_utility
 
 CURVE = AggregateResponseCurve([DeviceUtility(2.0, 1.0, 0.0, 2.0)])
 SPEC = BessSpec(2.0, 0.95, 0.95, max_charge=0.5, max_discharge=0.5, initial_soc=1.0)
@@ -268,3 +269,93 @@ class TestRelaxedOptimality:
 
         for g in [0.5, 1.5, 2.2, 3.0, 4.2]:
             assert mechanism_value(g) == pytest.approx(grid_value(g), abs=1e-4), f"g={g}"
+
+
+def _both_passes(sc):
+    """The community's and the standalone members' ``price_and_dispatch`` arguments."""
+    gen = folded_generation(sc)
+    bess = sc.bess or BessSpec(0.0)
+    rates = sc.rates
+    devices = [d for m in sc.members for d in m.devices]
+    shares = np.array([m.bess_share for m in sc.members])
+    return [
+        (pooled(devices), bess, np.ones(1), np.sum(gen, axis=0)[None, :]),
+        (DeviceBlocks(sc.members), bess, shares, gen),
+    ], rates
+
+
+class TestPriceLevelOracle:
+    """Every cell's zone and price (by ``repr``) against the per-cell ladder of
+    ``tests/oracles.py``, which solves each net-zero cell by a full kink scan."""
+
+    @staticmethod
+    def _assert_matches(blocks, bess, shares, gen, buy, sell, salvage):
+        got = price_and_dispatch(blocks, bess, shares, gen, buy, sell, salvage)
+        zone, price = price_ladder_loop(blocks.members, got, gen, buy, sell, salvage, bess)
+        assert got.zone.tolist() == zone.tolist()
+        assert [repr(p) for p in got.price.ravel()] == [repr(p) for p in price.ravel()]
+        return np.isin(zone, (1, 3, 5)).sum()
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_random_scenarios(self, with_bess):
+        solved = 0
+        for seed in range(40):
+            sc = random_scenario(seed, with_bess=with_bess, wide_bounds=seed % 2 == 1)
+            passes, rates = _both_passes(sc)
+            for blocks, bess, shares, gen in passes:
+                solved += self._assert_matches(
+                    blocks, bess, shares, gen, rates.buy[:, None], rates.sell[:, None], rates.salvage
+                )
+        assert solved > 50
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_solar_day(self, with_bess):
+        sc = solar_day_scenario(2, n_members=30, horizon=24, with_bess=with_bess)
+        passes, rates = _both_passes(sc)
+        solved = [
+            self._assert_matches(blocks, bess, shares, gen, rates.buy[:, None], rates.sell[:, None], rates.salvage)
+            for blocks, bess, shares, gen in passes
+        ]
+        assert min(solved) > 0
+
+    def test_coalition_batch_of_200_samples(self, monkeypatch):
+        sc = solar_day_scenario(1, n_members=20, horizon=24)
+        rng = np.random.default_rng(200)
+        samples = []
+        for _ in range(200):
+            superset = [i for i in range(20) if rng.random() < 0.5] or [0]
+            subset = [i for i in superset if rng.random() < 0.5] or [superset[0]]
+            samples.append((int(rng.integers(0, 24)), subset, superset))
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return price_and_dispatch(*args)
+
+        monkeypatch.setattr(welfare, "price_and_dispatch", recording)
+        welfare.coalition_audits(sc.members, folded_generation(sc), sc.rates.buy, sc.rates.sell, samples)
+        (blocks, bess, shares, gen, buy, sell, salvage), = calls
+        assert len(blocks.members) == 400
+        assert self._assert_matches(blocks, bess, shares, gen, buy, sell, salvage) >= 10
+
+
+class TestNoCurveObjects:
+    """The run and the coalition audit solve on arrays: no ``AggregateResponseCurve``."""
+
+    def test_run_all_builds_no_curve(self, curves_built):
+        for sc in (solar_day_scenario(0, n_members=40, horizon=24, with_bess=True), random_scenario(5)):
+            curves_built.clear()
+            run_all(sc)
+            assert curves_built == []
+        # the count sees a build
+        AggregateResponseCurve(sc.members[0].devices)
+        assert len(curves_built) == 1
+
+    def test_coalition_audits_build_no_curve(self, curves_built):
+        sc = solar_day_scenario(3, n_members=12, horizon=24)
+        gen = folded_generation(sc)
+        samples = [(t, [0, 1], list(range(12))) for t in range(24)]
+        curves_built.clear()
+        audits = welfare.coalition_audits(sc.members, gen, sc.rates.buy, sc.rates.sell, samples)
+        assert len(audits) == 24
+        assert curves_built == []

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnem import curves
 from dnem.curves import (
     EPS_QUANTITY,
     AggregateResponseCurve,
     TargetOutsideRangeError,
     invert_aggregate,
+    kink_table,
 )
-from dnem.model import DeviceUtility
+from dnem.model import DeviceUtility, Member
+from dnem.response import DeviceBlocks
 
-from oracles import grid_best_consumption, pl_solution_band
+from oracles import full_scan_invert, grid_best_consumption, pl_solution_band
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 DEV_B = DeviceUtility(3.0, 2.0, 0.0, 2.0)
@@ -178,11 +181,10 @@ class TestInvertAggregate:
         assert curve.response(mu) == pytest.approx(target, abs=EPS_QUANTITY)
 
 
-def many_kink_devices():
-    # devices clamped above and below (plateaus), pinned (d_min == d_max) or
-    # never clamped; up to 12 devices give up to 48 kinks, and an empty list
-    # is the empty curve
-    device = st.builds(
+def kink_device():
+    # a device clamped above and below (plateaus), pinned (d_min == d_max) or
+    # never clamped
+    return st.builds(
         lambda alpha, beta, lo, width, pinned: (alpha, beta, lo, lo if pinned else lo + width),
         alpha=st.floats(0.5, 5.0),
         beta=st.floats(0.1, 3.0),
@@ -190,7 +192,11 @@ def many_kink_devices():
         width=st.floats(0.0, 3.0),
         pinned=st.booleans(),
     )
-    return st.lists(device, min_size=0, max_size=12)
+
+
+def many_kink_devices():
+    # up to 12 devices give up to 48 kinks, and an empty list is the empty curve
+    return st.lists(kink_device(), min_size=0, max_size=12)
 
 
 class TestAgainstPiecewiseLinearOracle:
@@ -247,37 +253,6 @@ class TestAgainstPiecewiseLinearOracle:
         assert invert_aggregate(curve, 0.1, 0.0, 1.5) == pytest.approx(float((left + right) / 2))
 
 
-def full_scan_invert(curve, target, lo, hi):
-    """The inversion that evaluates the curve at every kink in the bracket.
-
-    Kept as the reference the bisection must reproduce bit for bit (value
-    and type): a scan of K + 2 evaluations, then the same plateau edges.
-    """
-    if lo > hi:
-        raise TargetOutsideRangeError(f"empty price bracket [{lo}, {hi}]")
-    v_lo = curve.response(lo)
-    v_hi = curve.response(hi)
-    if target > v_lo + EPS_QUANTITY or target < v_hi - EPS_QUANTITY:
-        raise TargetOutsideRangeError("target outside range")
-    target = min(max(target, v_hi), v_lo)
-    knots = curve.knot_prices(lo, hi)
-    values = np.array([curve.response(y) for y in knots])
-
-    def interp(j):
-        y_a, v_a, y_b, v_b = knots[j], values[j], knots[j + 1], values[j + 1]
-        return y_a + (v_a - target) * (y_b - y_a) / (v_a - v_b)
-
-    if values[0] <= target:
-        left = float(knots[0])
-    else:
-        left = interp(int(np.argmax(values <= target)) - 1)
-    if values[-1] >= target:
-        right = float(knots[-1])
-    else:
-        right = interp(len(values) - 1 - int(np.argmax(values[::-1] >= target)))
-    return 0.5 * (left + right)
-
-
 @pytest.fixture(scope="module")
 def curve_5000():
     rng = np.random.default_rng(5000)
@@ -317,9 +292,10 @@ class TestBisectionMatchesFullScan:
         }[kind]
         try:
             expected = full_scan_invert(curve, target, lo, hi)
-        except TargetOutsideRangeError:
-            with pytest.raises(TargetOutsideRangeError):
+        except TargetOutsideRangeError as err:
+            with pytest.raises(TargetOutsideRangeError) as raised:
                 invert_aggregate(curve, target, lo, hi)
+            assert str(raised.value) == str(err)
             return
         assert repr(invert_aggregate(curve, target, lo, hi)) == repr(expected)
 
@@ -354,15 +330,172 @@ class TestBisectionMatchesFullScan:
             assert repr(got) == repr(full_scan_invert(curve_5000, target, lo, hi))
 
     def test_response_evaluations_are_logarithmic_in_the_kinks(self, curve_5000, monkeypatch):
-        calls = []
-        response = curve_5000.response
-        monkeypatch.setattr(curve_5000, "response", lambda y: calls.append(y) or response(y))
+        # rows of curve evaluated, one per cell at each step of the search
+        rows = []
+        response = curves._response
+        monkeypatch.setattr(
+            curves, "_response", lambda params, prices: rows.append(np.size(prices)) or response(params, prices)
+        )
         lo, hi = 0.0, 6.0
-        target = 0.5 * (response(lo) + response(hi))
+        target = 0.5 * (curve_5000.response(lo) + curve_5000.response(hi))
+        rows.clear()
         invert_aggregate(curve_5000, target, lo, hi)
         k = len(curve_5000.knot_prices(lo, hi))
         assert k > 4000  # a scan would make k + 2 evaluations
-        assert len(calls) <= 2 * math.ceil(math.log2(k)) + 4
+        bound = 2 * math.ceil(math.log2(k)) + 4
+        assert 2 < sum(rows) <= bound
+        # a batch of targets on the curve costs as much per cell
+        targets = np.linspace(curve_5000.response(hi), curve_5000.response(lo), 8)
+        rows.clear()
+        one_curve(curve_5000).invert(np.zeros(8, int), targets, np.full(8, lo), np.full(8, hi))
+        assert 2 * 8 < sum(rows) <= 8 * bound
+
+
+def one_curve(curve):
+    """The blocks of one member owning the devices of ``curve``."""
+    return DeviceBlocks([Member("m", curve.devices, ())])
+
+
+def full_scan_cells(curves_by_row, rows, target, lo, hi):
+    """Each cell's full-scan price, or the error it raises."""
+    cells = []
+    for r, t, a, b in zip(rows, target, lo, hi):
+        try:
+            cells.append(full_scan_invert(curves_by_row[r], t, a, b))
+        except TargetOutsideRangeError as err:
+            cells.append(err)
+    return cells
+
+
+#: device counts of the rows of a mixed batch: the empty curve, small ones and a
+#: group wide enough for pairwise summation
+ROW_SIZES = (0, 1, 2, 3, 12)
+
+
+def mixed_rows(max_rows):
+    """Members with 0, 1, 2, 3 or 12 of ``many_kink_devices``' devices each."""
+    member = st.sampled_from(ROW_SIZES).flatmap(lambda k: st.lists(kink_device(), min_size=k, max_size=k))
+    return st.lists(member, min_size=1, max_size=max_rows).map(
+        lambda rows: [
+            Member(f"m{r}", tuple(DeviceUtility(*p) for p in params), ()) for r, params in enumerate(rows)
+        ]
+    )
+
+
+class TestBatchedSolve:
+    """``invert_rows`` over many curves and targets equals the full scan of each cell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mixed_batch_matches_the_full_scan_cell_by_cell(self, data):
+        members = data.draw(mixed_rows(max_rows=6))
+        curves_by_row = [AggregateResponseCurve(m.devices) for m in members]
+        cells = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(members) - 1),
+                    st.floats(0.0, 3.0),
+                    st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.just(-0.5)),
+                    st.sampled_from(
+                        ["interior"] * 4 + ["plateau"] * 2 + ["lo", "hi", "outside", "nan"]
+                    ),
+                    st.floats(0.0, 1.0),
+                    st.integers(0, 100),
+                ),
+                min_size=1,
+                max_size=24,
+            )
+        )
+        rows, target, lo, hi = [], [], [], []
+        for r, a, width, kind, frac, knot in cells:
+            curve = curves_by_row[r]
+            b = a + width
+            v_lo, v_hi = curve.response(a), curve.response(b)
+            knots = curve.knot_prices(a, b) if a <= b else [a]
+            rows.append(r)
+            lo.append(a)
+            hi.append(b)
+            target.append(
+                {
+                    "interior": v_hi + frac * (v_lo - v_hi),
+                    # the level of any plateau that starts at a kink
+                    "plateau": curve.response(float(knots[knot % len(knots)])),
+                    "lo": v_lo,
+                    "hi": v_hi,
+                    "outside": v_lo + 1e-6 + frac,
+                    "nan": float("nan"),
+                }[kind]
+            )
+        blocks = DeviceBlocks(members)
+        expected = full_scan_cells(curves_by_row, rows, target, lo, hi)
+        errors = [e for e in expected if isinstance(e, TargetOutsideRangeError)]
+        if errors:
+            # the first bad cell in row-major order, whichever group holds it
+            with pytest.raises(TargetOutsideRangeError) as raised:
+                blocks.invert(rows, target, lo, hi)
+            assert str(raised.value) == str(errors[0])
+        # the cells that solve, on their own
+        good = [k for k, e in enumerate(expected) if not isinstance(e, TargetOutsideRangeError)]
+        got = blocks.invert(*([v[k] for k in good] for v in (rows, target, lo, hi)))
+        assert [repr(p) for p in got] == [repr(expected[k]) for k in good]
+
+    def test_first_bad_cell_wins_across_groups(self):
+        # the one-device group comes first, but its bad cell is the later one
+        members = [Member("a", (DEV_A,), ()), Member("b", (DEV_A, DEV_B), ())]
+        blocks = DeviceBlocks(members)
+        rows, target, lo, hi = [0, 1, 0], [1.7, 99.0, 99.0], [0.2, 0.2, 0.2], [0.4, 0.4, 0.4]
+        expected = full_scan_cells([AggregateResponseCurve(m.devices) for m in members], rows, target, lo, hi)
+        assert str(expected[1]).startswith("target outside range: 99.0 not in [2.9")
+        with pytest.raises(TargetOutsideRangeError) as raised:
+            blocks.invert(rows, target, lo, hi)
+        assert str(raised.value) == str(expected[1])
+        # within a cell the empty bracket is reported before the target
+        with pytest.raises(TargetOutsideRangeError, match=r"empty price bracket \[0.5, 0.4\]"):
+            blocks.invert([1, 0], [99.0, 1.7], [0.5, 0.2], [0.4, 0.4])
+
+    def test_seeded_600_device_batch_of_96_targets(self):
+        rng = np.random.default_rng(600)
+        devices = []
+        for _ in range(600):
+            at_d_max, at_d_min, alpha = np.sort(rng.uniform(0.0, 1.5, 3))
+            beta = rng.uniform(0.2, 2.0)
+            devices.append(DeviceUtility(alpha, beta, (alpha - at_d_min) / beta, (alpha - at_d_max) / beta))
+        curve = AggregateResponseCurve(devices)
+        buy = np.where(np.arange(96) % 3 == 0, 0.40, 0.20)
+        sell = np.full(96, 0.10)
+        upper, lower = curve.response(0.10), np.array([curve.response(b) for b in buy])
+        target = lower + rng.uniform(0.0, 1.0, 96) * (upper - lower)
+        target[:4] = (upper, lower[1], lower[2], curve.response(0.15))
+        got = one_curve(curve).invert(np.zeros(96, int), target, sell, buy)
+        expected = [full_scan_invert(curve, t, a, b) for t, a, b in zip(target, sell, buy)]
+        assert [repr(p) for p in got] == [repr(p) for p in expected]
+
+    def test_result_type_rule_per_cell(self):
+        # a bracket end is a Python float, an interpolated edge a numpy float64,
+        # cell by cell within one batch
+        pinned = DeviceUtility(2.0, 1.0, 1.3, 1.3)
+        # flat at 1.0 up to the price 1.0, so only the right edge is interpolated
+        capped = DeviceUtility(2.0, 1.0, 0.0, 1.0)
+        members = [Member("pinned", (pinned,), ()), Member("ab", (DEV_A, DEV_B), ()), Member("c", (capped,), ())]
+        rows, target = [0, 1, 0, 1, 2], [1.3, 3.0, 1.3, 3.2, 1.0]
+        lo, hi = [0.1, 0.2, 0.0, 0.2, 0.2], [0.9, 0.4, 0.0, 0.2, 1.5]
+        got = DeviceBlocks(members).invert(rows, target, lo, hi)
+        assert [type(p) for p in got] == [float, np.float64, float, float, np.float64]
+        expected = full_scan_cells([AggregateResponseCurve(m.devices) for m in members], rows, target, lo, hi)
+        assert [repr(p) for p in got] == [repr(p) for p in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=mixed_rows(max_rows=5))
+    def test_kink_table_rows_are_each_members_unique_kinks(self, members):
+        groups = [group[:6] for group in DeviceBlocks(members)._groups]
+        kinks, start, count = kink_table(groups, len(members))
+        for r, member in enumerate(members):
+            row = kinks[start[r] : start[r] + count[r]]
+            params = np.array([(d.alpha, d.beta, d.d_min, d.d_max) for d in member.devices]).reshape(-1, 4)
+            alpha, beta, d_min, d_max = params.T
+            unique = np.unique(np.concatenate((np.zeros_like(alpha), alpha - beta * d_max, alpha - beta * d_min, alpha)))
+            assert row.tolist() == unique.tolist()
+            assert row.tolist() == AggregateResponseCurve(member.devices)._knots.tolist()
 
 
 class TestExactnessPremise:
