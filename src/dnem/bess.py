@@ -80,7 +80,11 @@ def soc_step(spec: BessSpec, soc, b):
     :class:`StorageLimitError` if ``b`` exceeds the effective limits at this
     SoC beyond numerical tolerance.  Elementwise, like :func:`effective_limits`.
     """
-    discharge, charge = effective_limits(spec, soc)
+    return _advance(spec, soc, b, *effective_limits(spec, soc))
+
+
+def _advance(spec: BessSpec, soc, b, discharge, charge):
+    """:func:`soc_step` given the effective limits at ``soc``."""
     bad = (b > charge + EPS_QUANTITY) | (b < -discharge - EPS_QUANTITY)
     if np.any(bad):
         b, discharge, charge, soc = _first(bad, b, discharge, charge, soc)
@@ -134,7 +138,7 @@ def price_and_dispatch(
 ) -> Dispatch:
     """Price and battery dispatch of N prosumers, each alone, over T intervals.
 
-    Prosumer i owns the devices of ``blocks.members[i]``, generates
+    Prosumer i owns the devices of row i of ``blocks``, generates
     ``gen[i]`` and owns ``bess.scaled(shares[i])``.  ``buy`` and ``sell``
     are the rates of each cell and broadcast to (T, N): ``rates.buy[:, None]``
     gives every prosumer the same schedule, and a (1, N) row gives each
@@ -181,7 +185,7 @@ def price_and_dispatch(
                         ),
                     ),
                 )
-                level = soc[t] = soc_step(own, level, b)
+                level = soc[t] = _advance(own, level, b, dis, chg)
 
         live = (discharge != 0.0) | (charge != 0.0)
         # the first cell, in interval order, where usable storage meets rates outside its window
@@ -208,7 +212,10 @@ def price_and_dispatch(
         target = np.where(dis, g_c + discharge[t, i], np.where(chg, g_c - charge[t, i], g_c))
         lo = np.where(dis, discharge_price, np.where(held, charge_price, sell_c))
         hi = np.where(chg, charge_price, np.where(held, discharge_price, buy_c))
-        price[t, i] = blocks.invert(i, target, lo, hi)
+        # the responses at the bracket ends are the thresholds the zones came from
+        v_lo = np.where(dis, follow_discharge[i], np.where(held, follow_charge[i], upper[t, i]))
+        v_hi = np.where(chg, follow_charge[i], np.where(held, follow_discharge[i], lower[t, i]))
+        price[t, i] = blocks.invert(i, target, lo, hi, v_lo, v_hi)
     return Dispatch(
         price, zone, battery, soc, lower, upper, follow_discharge, follow_charge, discharge, charge
     )

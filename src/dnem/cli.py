@@ -473,13 +473,13 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
             samples = []
             for _ in range(coalition_samples):
                 t = int(rng.integers(0, scenario.horizon))
-                superset = np.flatnonzero(rng.random(n) < 0.7).tolist()
-                if not superset:
-                    superset = [int(rng.integers(0, n))]
-                subset = np.compress(rng.random(len(superset)) < 0.6, superset).tolist()
+                superset = np.flatnonzero(rng.random(n) < 0.7)
+                if not len(superset):
+                    superset = np.array([int(rng.integers(0, n))])
+                subset = superset[rng.random(len(superset)) < 0.6].tolist()
                 if not subset:
-                    subset = [superset[int(rng.integers(0, len(superset)))]]
-                samples.append((t, subset, superset))
+                    subset = [int(superset[int(rng.integers(0, len(superset)))])]
+                samples.append((t, subset, superset.tolist()))
             audits = coalition_audits(
                 scenario.members, gen, scenario.rates.buy, scenario.rates.sell, samples
             )

@@ -34,6 +34,7 @@ __all__ = [
     "TargetOutsideRangeError",
     "AggregateResponseCurve",
     "invert_aggregate",
+    "device_consumption",
     "invert_rows",
     "kink_table",
 ]
@@ -86,19 +87,26 @@ class AggregateResponseCurve:
         return np.concatenate(([lo], inner, [hi]))
 
 
-def _response(params, prices) -> np.ndarray:
-    """Each row's total response at its price: ``prices`` broadcasts against the
-    (rows, devices) parameters ``(alpha, beta, alpha / beta, d_min, d_max)``."""
+def device_consumption(params, prices) -> np.ndarray:
+    """Each device's consumption at its price: the inverse marginal utility clamped to
+    its support ``[0, alpha / beta]`` and then to ``[d_min, d_max]``.  ``prices``
+    broadcasts against the (..., devices) parameters ``(alpha, beta, alpha / beta,
+    d_min, d_max)``.  Every response of the package is this one expression."""
     alpha, beta, saturation, d_min, d_max = params
-    # np.minimum/np.maximum give np.clip's floats (signed zeros included)
-    # at about half its call overhead, which dominates a solve
+    # np.minimum/np.maximum at about half np.clip's call overhead, which dominates a
+    # solve; np.clip also keeps a -0.0 where its bounds broadcast from one element
     d = alpha - prices
     d /= beta
     np.maximum(d, 0.0, out=d)
     np.minimum(d, saturation, out=d)
     np.maximum(d, d_min, out=d)
-    np.minimum(d, d_max, out=d)
-    return np.sum(d, axis=-1)
+    return np.minimum(d, d_max, out=d)
+
+
+def _response(params, prices) -> np.ndarray:
+    """Each row's total response at its price: :func:`device_consumption` summed over
+    the devices of the row."""
+    return np.sum(device_consumption(params, prices), axis=-1)
 
 
 def kink_table(groups, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,12 +153,15 @@ def _count_below(kinks, start, count, x, inclusive):
         b = np.where(live & ~below, mid, b)
 
 
-def invert_rows(groups, kinks, rows, target, lo, hi) -> np.ndarray:
+def invert_rows(groups, kinks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
     """:func:`invert_aggregate` on row ``rows[k]``'s curve at ``target[k]`` on ``[lo[k], hi[k]]``.
 
     ``groups`` holds the curves by device count, each as ``(row indices,
     alpha, beta, alpha / beta, d_min, d_max)`` with (rows, devices)
-    parameters; ``kinks`` is their :func:`kink_table`.  Returns an object
+    parameters; ``kinks`` is their :func:`kink_table`.  ``v_lo[k]`` and
+    ``v_hi[k]`` are the curve's responses at ``lo[k]`` and ``hi[k]``, as
+    :func:`device_consumption` summed over the row's devices gives them; the
+    caller has usually priced the cell from them already.  Returns an object
     array of the M prices, each equal to and typed as
     :func:`invert_aggregate`'s.  Raises :class:`TargetOutsideRangeError` for
     the first bad k, checking its bracket before its target.
@@ -184,7 +195,9 @@ def invert_rows(groups, kinks, rows, target, lo, hi) -> np.ndarray:
             plan.append((cells, params if len(members) == 1 else [p[at] for p in params]))
     order = np.concatenate(order)
     rows = rows[order]
-    target, lo, hi = (np.asarray(v, dtype=float)[order] for v in (target, lo, hi))
+    target, lo, hi, v_lo, v_hi = (
+        np.asarray(v, dtype=float)[order] for v in (target, lo, hi, v_lo, v_hi)
+    )
 
     def response(prices, live=None):
         values = np.zeros(len(prices))
@@ -193,7 +206,6 @@ def invert_rows(groups, kinks, rows, target, lo, hi) -> np.ndarray:
                 values[cells] = _response(params, prices[cells, None])
         return values
 
-    v_lo, v_hi = response(lo), response(hi)
     bad = (lo > hi) | ~((v_hi - EPS_QUANTITY <= target) & (target <= v_lo + EPS_QUANTITY))
     if bad.any():
         j = np.flatnonzero(bad)[np.argmin(order[bad])]
@@ -292,4 +304,5 @@ def invert_aggregate(
     interpolated between two kinks, and a Python ``float`` when both edges
     are bracket ends.  This is :func:`invert_rows` for one cell.
     """
-    return invert_rows([curve._row], curve._kinks, [0], [target], [lo], [hi])[0]
+    v_lo, v_hi = _response(curve._row[1:], np.array([[lo], [hi]], dtype=float))
+    return invert_rows([curve._row], curve._kinks, [0], [target], [lo], [hi], [v_lo], [v_hi])[0]

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .curves import invert_rows, kink_table
+from .curves import device_consumption, invert_rows, kink_table
 from .model import CommunityPrice, Member, stored_energy
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "member_utility",
     "member_outcome",
     "DeviceBlocks",
+    "mask_groups",
     "Settlement",
     "settle_arrays",
 ]
@@ -81,59 +82,97 @@ def member_outcome(
     return cell.outcomes(0)[0]
 
 
-class DeviceBlocks:
-    """The members' devices grouped by device count, for (T, N) price arrays.
+def _count_groups(counts: np.ndarray, columns: np.ndarray):
+    """Rows grouped by their count: row r owns ``counts[r]`` entries of ``columns``,
+    which holds the rows' entries back to back in row order.  Yields, count by count,
+    the rows (ascending) and their (rows, count) entries."""
+    order = np.argsort(counts, kind="stable")
+    start = np.cumsum(counts) - counts
+    cuts = np.flatnonzero(np.diff(counts[order])) + 1
+    for rows in np.split(order, cuts) if len(order) else ():
+        yield rows, columns[start[rows, None] + np.arange(counts[rows[0]])]
 
-    A group holds its members' indices and (members, devices) arrays of the
-    device parameters.  Member totals are ``np.sum`` over the member's own
-    devices, along the contiguous last axis of a group block, which adds them
-    exactly as ``np.sum`` adds one member's device vector (pairwise from 8
-    devices on).  Utilities add the devices one by one, as
-    :func:`member_utility` does.  A member without devices consumes nothing.
-    :meth:`invert` solves prices on the members' own response curves from
+
+def mask_groups(mask: np.ndarray):
+    """The rows of a boolean (R, C) mask grouped by how many columns they select:
+    per count k, the rows (ascending) and the (rows, k) columns they select
+    (ascending)."""
+    return _count_groups(np.count_nonzero(mask, axis=1), np.nonzero(mask)[1])
+
+
+class DeviceBlocks:
+    """The prosumers' devices grouped by device count, for (T, N) price arrays.
+
+    Built from members, prosumer i is ``members[i]``.  The devices' parameters
+    are one flat (devices, 4) table of ``(alpha, beta, d_min, d_max)`` in
+    member order, with each member's device count; :meth:`pooled` gathers
+    coalitions of the members from it, with no :class:`~dnem.model.Member` per
+    coalition.  A group holds its prosumers' row indices and (rows, devices)
+    arrays of the device parameters.  Totals are ``np.sum`` over a prosumer's
+    own devices, along the contiguous last axis of a group block, which adds
+    them exactly as ``np.sum`` adds one prosumer's device vector (pairwise from
+    8 devices on).  Utilities add the devices one by one, as
+    :func:`member_utility` does.  A prosumer without devices consumes nothing.
+    :meth:`invert` solves prices on the prosumers' own response curves from
     these arrays, so no :class:`~dnem.curves.AggregateResponseCurve` is built.
     """
 
     def __init__(self, members: Sequence[Member]):
         self.members = tuple(members)
-        by_count: dict[int, list[int]] = {}
-        for i, member in enumerate(self.members):
-            by_count.setdefault(len(member.devices), []).append(i)
-        self._groups = []
-        for count, idx in by_count.items():
-            params = np.array(
-                [[(d.alpha, d.beta, d.d_min, d.d_max) for d in self.members[i].devices] for i in idx],
-                dtype=float,
-            ).reshape(len(idx), count, 4)
-            alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
-            self._groups.append((np.array(idx), alpha, beta, alpha / beta, d_min, d_max, 0.5 * beta))
+        self._table = np.array(
+            [(d.alpha, d.beta, d.d_min, d.d_max) for m in self.members for d in m.devices],
+            dtype=float,
+        ).reshape(-1, 4)
+        self._counts = np.array([len(m.devices) for m in self.members], dtype=np.intp)
+        self.rows = len(self.members)
+        self._groups = self._gather(_count_groups(self._counts, np.arange(len(self._table))))
 
-    def invert(self, rows, target, lo, hi) -> np.ndarray:
-        """The price at which member ``rows[k]``'s own response meets ``target[k]`` on
-        ``[lo[k], hi[k]]``, for every k: :func:`~dnem.curves.invert_rows` on the groups."""
-        # only the groups and members that have a cell to solve
-        wanted = np.zeros(len(self.members), dtype=bool)
+    def pooled(self, mask: np.ndarray) -> "DeviceBlocks":
+        """R pooled prosumers from an (R, N) boolean membership mask: prosumer r owns,
+        in member order, the devices of the members that ``mask[r]`` selects.  Its
+        arrays, and so every float, are those of ``DeviceBlocks([Member(...)])`` on
+        those devices; it carries no members."""
+        blocks = object.__new__(DeviceBlocks)
+        blocks.members = None
+        blocks.rows = len(mask)
+        # (R, devices): whether row r owns the device
+        owned = np.asarray(mask, dtype=bool)[:, np.repeat(np.arange(self.rows), self._counts)]
+        blocks._groups = self._gather(mask_groups(owned))
+        return blocks
+
+    def _gather(self, by_count) -> list:
+        # each group's (rows, devices) parameters from the table rows it indexes
+        groups = []
+        for rows, index in by_count:
+            params = self._table[index]
+            alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
+            groups.append((rows, alpha, beta, alpha / beta, d_min, d_max, 0.5 * beta))
+        return groups
+
+    def invert(self, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
+        """The price at which prosumer ``rows[k]``'s own response meets ``target[k]`` on
+        ``[lo[k], hi[k]]``, for every k, given its responses ``v_lo[k]`` and ``v_hi[k]``
+        there (:meth:`response`'s): :func:`~dnem.curves.invert_rows` on the groups."""
+        # only the groups and prosumers that have a cell to solve
+        wanted = np.zeros(self.rows, dtype=bool)
         wanted[rows] = True
         groups = []
         for group in self._groups:
             keep = wanted[group[0]]
             if keep.any():
                 groups.append(tuple(p if keep.all() else p[keep] for p in group[:6]))
-        return invert_rows(groups, kink_table(groups, len(self.members)), rows, target, lo, hi)
+        return invert_rows(groups, kink_table(groups, self.rows), rows, target, lo, hi, v_lo, v_hi)
 
     @staticmethod
     def _consumption(group, prices: np.ndarray) -> np.ndarray:
-        # each device's inverse marginal utility clamped to its support and
-        # bounds: (T, members, devices)
+        # each device's consumption: (T, prosumers, devices)
         idx, alpha, beta, saturation, d_min, d_max, _ = group
-        d = alpha - prices[:, idx, None]
-        d /= beta
-        np.clip(d, 0.0, saturation, out=d)
-        return np.clip(d, d_min, d_max, out=d)
+        return device_consumption((alpha, beta, saturation, d_min, d_max), prices[:, idx, None])
 
     def response(self, prices: np.ndarray) -> np.ndarray:
-        """Each member's total consumption at (T, N) prices: per cell, the response of the
-        member's own :class:`~dnem.curves.AggregateResponseCurve`."""
+        """Each prosumer's total consumption at (T, N) prices: per cell, the response of
+        the prosumer's own :class:`~dnem.curves.AggregateResponseCurve`, as
+        :func:`~dnem.curves.invert_rows` evaluates it."""
         total = np.empty(prices.shape)
         for group in self._groups:
             total[:, group[0]] = np.sum(self._consumption(group, prices), axis=-1)

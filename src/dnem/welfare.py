@@ -21,7 +21,7 @@ import numpy as np
 from .bess import price_and_dispatch
 from .curves import AggregateResponseCurve, invert_aggregate
 from .model import BessSpec, Member
-from .response import DeviceBlocks
+from .response import DeviceBlocks, mask_groups
 
 __all__ = [
     "centralized_welfare_closed_form",
@@ -293,40 +293,53 @@ def coalition_audits(
     per-interval rates.  The 2S communities of S samples are priced by one
     :func:`~dnem.bess.price_and_dispatch` call, the rule that prices the community itself:
     each is one prosumer owning its members' devices (in member order) and an empty
-    battery, at its sample's interval and rates.  They are then settled by one
-    :meth:`DeviceBlocks.evaluate` call on a (2S, N) price array.
+    battery, at its sample's interval and rates.  The samples become (S, N) membership
+    masks, and the communities are gathered from the members' device table by
+    :meth:`DeviceBlocks.pooled`, so no object is built per community.  They are then
+    settled by one :meth:`DeviceBlocks.evaluate` call on a (2S, N) price array.  Sums over
+    a community's members add in member order: its generation and the subset's surplus
+    alone as ``np.sum`` adds a vector, the subset's surplus in the parent one by one
+    from 0.0, as ``sum`` does.
     """
     n = len(members)
     gen = np.asarray(gen, dtype=float)
-    coalitions = []
-    for t, subset, superset in samples:
-        subset = sorted(set(subset))
-        superset = sorted(set(superset))
-        if not set(subset) <= set(superset):
-            raise ValueError("subset must be contained in superset")
-        if not subset:
-            raise ValueError("subset must be non-empty")
-        coalitions += [superset, subset]
     # each sample's parent community, then its subset, at the sample's interval
-    times = np.repeat([t for t, _, _ in samples], 2).astype(int)
-    communities = DeviceBlocks(
-        [Member("coalition", [d for i in ids for d in members[i].devices], ()) for ids in coalitions]
-    )
-    g_n = np.array([np.sum(gen[ids, t]) for ids, t in zip(coalitions, times)])
+    times = np.repeat(np.array([t for t, _, _ in samples], dtype=int), 2)
+    mask = np.zeros((2 * len(samples), n), dtype=bool)
+    for k, part in enumerate((2, 1)):
+        ids = [i for sample in samples for i in sample[part]]
+        sizes = np.array([len(sample[part]) for sample in samples], dtype=np.intp)
+        mask[np.repeat(np.arange(k, len(mask), 2), sizes), ids] = True
+    superset, subset = mask[0::2], mask[1::2]
+    # the first bad sample, checked for containment before emptiness
+    outside, empty = np.any(subset & ~superset, axis=1), ~np.any(subset, axis=1)
+    if np.any(outside | empty):
+        s = int(np.argmax(outside | empty))
+        if outside[s]:
+            raise ValueError("subset must be contained in superset")
+        raise ValueError("subset must be non-empty")
+
+    g_n = np.empty(len(mask))
+    for rows, ids in mask_groups(mask):
+        g_n[rows] = np.sum(gen[ids, times[rows, None]], axis=-1)
+    blocks = DeviceBlocks(members)
     priced = price_and_dispatch(
-        communities, BessSpec(0.0), np.ones(len(coalitions)), g_n[:, None],
+        blocks.pooled(mask), BessSpec(0.0), np.ones(len(mask)), g_n[:, None],
         np.asarray(buy, dtype=float)[None, times], np.asarray(sell, dtype=float)[None, times], 0.0,
     )
     prices = priced.price.astype(float).T
 
-    _, total, utility = DeviceBlocks(members).evaluate(np.broadcast_to(prices, (len(times), n)))
+    _, total, utility = blocks.evaluate(np.broadcast_to(prices, (len(mask), n)))
     net = total + 0.0 - gen[:, times].T
     surplus = utility - prices * net
-    in_parent, alone = surplus[0::2], surplus[1::2]
-    return [
-        CoalitionAudit(float(sum(in_parent[s, ids].tolist())), float(np.sum(alone[s, ids])))
-        for s, ids in enumerate(coalitions[1::2])
-    ]
+    in_parent, alone = np.empty(len(samples)), np.empty(len(samples))
+    for rows, ids in mask_groups(subset):
+        running = np.zeros(len(rows))
+        for column in surplus[2 * rows[:, None], ids].T:
+            running += column
+        in_parent[rows] = running
+        alone[rows] = np.sum(surplus[2 * rows[:, None] + 1, ids], axis=-1)
+    return list(map(CoalitionAudit, in_parent.tolist(), alone.tolist()))
 
 
 def coalition_audit(

@@ -5,6 +5,7 @@ from hypothesis import settings
 
 import dnem.response
 from dnem.curves import AggregateResponseCurve
+from dnem.model import Member
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and keeps no
 # example database, so a failure seen in CI repeats locally
@@ -25,6 +26,20 @@ def outcomes_built(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(dnem.response, "MemberOutcome", counting)
+    return built
+
+
+@pytest.fixture
+def members_built(monkeypatch):
+    """Counts the ``Member`` objects built while the test runs."""
+    built = []
+    original = Member.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Member, "__init__", counting)
     return built
 
 

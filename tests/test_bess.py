@@ -289,9 +289,11 @@ class TestPriceLevelOracle:
     ``tests/oracles.py``, which solves each net-zero cell by a full kink scan."""
 
     @staticmethod
-    def _assert_matches(blocks, bess, shares, gen, buy, sell, salvage):
+    def _assert_matches(blocks, bess, shares, gen, buy, sell, salvage, members=None):
+        # ``members`` are the prosumers of ``blocks``, when it was not built from them
         got = price_and_dispatch(blocks, bess, shares, gen, buy, sell, salvage)
-        zone, price = price_ladder_loop(blocks.members, got, gen, buy, sell, salvage, bess)
+        members = blocks.members if members is None else members
+        zone, price = price_ladder_loop(members, got, gen, buy, sell, salvage, bess)
         assert got.zone.tolist() == zone.tolist()
         assert [repr(p) for p in got.price.ravel()] == [repr(p) for p in price.ravel()]
         return np.isin(zone, (1, 3, 5)).sum()
@@ -335,8 +337,14 @@ class TestPriceLevelOracle:
         monkeypatch.setattr(welfare, "price_and_dispatch", recording)
         welfare.coalition_audits(sc.members, folded_generation(sc), sc.rates.buy, sc.rates.sell, samples)
         (blocks, bess, shares, gen, buy, sell, salvage), = calls
-        assert len(blocks.members) == 400
-        assert self._assert_matches(blocks, bess, shares, gen, buy, sell, salvage) >= 10
+        assert blocks.rows == 400
+        # each sample's parent community, then its subset, owning its members' devices
+        pooled_members = [
+            Member("coalition", [d for i in sorted(set(ids)) for d in sc.members[i].devices], ())
+            for _, subset, superset in samples
+            for ids in (superset, subset)
+        ]
+        assert self._assert_matches(blocks, bess, shares, gen, buy, sell, salvage, pooled_members) >= 10
 
 
 class TestNoCurveObjects:

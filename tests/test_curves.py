@@ -11,6 +11,7 @@ from dnem.curves import (
     EPS_QUANTITY,
     AggregateResponseCurve,
     TargetOutsideRangeError,
+    device_consumption,
     invert_aggregate,
     kink_table,
 )
@@ -347,13 +348,24 @@ class TestBisectionMatchesFullScan:
         # a batch of targets on the curve costs as much per cell
         targets = np.linspace(curve_5000.response(hi), curve_5000.response(lo), 8)
         rows.clear()
-        one_curve(curve_5000).invert(np.zeros(8, int), targets, np.full(8, lo), np.full(8, hi))
+        solve(one_curve(curve_5000), np.zeros(8, int), targets, np.full(8, lo), np.full(8, hi))
         assert 2 * 8 < sum(rows) <= 8 * bound
 
 
 def one_curve(curve):
     """The blocks of one member owning the devices of ``curve``."""
     return DeviceBlocks([Member("m", curve.devices, ())])
+
+
+def solve(blocks, rows, target, lo, hi):
+    """``blocks.invert`` given the responses at the bracket ends, from ``blocks.response``."""
+    cells = np.arange(len(rows))
+    ends = []
+    for price in (lo, hi):
+        prices = np.zeros((len(rows), blocks.rows))
+        prices[cells, rows] = price
+        ends.append(blocks.response(prices)[cells, rows])
+    return blocks.invert(rows, target, lo, hi, *ends)
 
 
 def full_scan_cells(curves_by_row, rows, target, lo, hi):
@@ -432,11 +444,11 @@ class TestBatchedSolve:
         if errors:
             # the first bad cell in row-major order, whichever group holds it
             with pytest.raises(TargetOutsideRangeError) as raised:
-                blocks.invert(rows, target, lo, hi)
+                solve(blocks, rows, target, lo, hi)
             assert str(raised.value) == str(errors[0])
         # the cells that solve, on their own
         good = [k for k, e in enumerate(expected) if not isinstance(e, TargetOutsideRangeError)]
-        got = blocks.invert(*([v[k] for k in good] for v in (rows, target, lo, hi)))
+        got = solve(blocks, *([v[k] for k in good] for v in (rows, target, lo, hi)))
         assert [repr(p) for p in got] == [repr(expected[k]) for k in good]
 
     def test_first_bad_cell_wins_across_groups(self):
@@ -447,11 +459,11 @@ class TestBatchedSolve:
         expected = full_scan_cells([AggregateResponseCurve(m.devices) for m in members], rows, target, lo, hi)
         assert str(expected[1]).startswith("target outside range: 99.0 not in [2.9")
         with pytest.raises(TargetOutsideRangeError) as raised:
-            blocks.invert(rows, target, lo, hi)
+            solve(blocks, rows, target, lo, hi)
         assert str(raised.value) == str(expected[1])
         # within a cell the empty bracket is reported before the target
         with pytest.raises(TargetOutsideRangeError, match=r"empty price bracket \[0.5, 0.4\]"):
-            blocks.invert([1, 0], [99.0, 1.7], [0.5, 0.2], [0.4, 0.4])
+            solve(blocks, [1, 0], [99.0, 1.7], [0.5, 0.2], [0.4, 0.4])
 
     def test_seeded_600_device_batch_of_96_targets(self):
         rng = np.random.default_rng(600)
@@ -466,7 +478,7 @@ class TestBatchedSolve:
         upper, lower = curve.response(0.10), np.array([curve.response(b) for b in buy])
         target = lower + rng.uniform(0.0, 1.0, 96) * (upper - lower)
         target[:4] = (upper, lower[1], lower[2], curve.response(0.15))
-        got = one_curve(curve).invert(np.zeros(96, int), target, sell, buy)
+        got = solve(one_curve(curve), np.zeros(96, int), target, sell, buy)
         expected = [full_scan_invert(curve, t, a, b) for t, a, b in zip(target, sell, buy)]
         assert [repr(p) for p in got] == [repr(p) for p in expected]
 
@@ -479,7 +491,7 @@ class TestBatchedSolve:
         members = [Member("pinned", (pinned,), ()), Member("ab", (DEV_A, DEV_B), ()), Member("c", (capped,), ())]
         rows, target = [0, 1, 0, 1, 2], [1.3, 3.0, 1.3, 3.2, 1.0]
         lo, hi = [0.1, 0.2, 0.0, 0.2, 0.2], [0.9, 0.4, 0.0, 0.2, 1.5]
-        got = DeviceBlocks(members).invert(rows, target, lo, hi)
+        got = solve(DeviceBlocks(members), rows, target, lo, hi)
         assert [type(p) for p in got] == [float, np.float64, float, float, np.float64]
         expected = full_scan_cells([AggregateResponseCurve(m.devices) for m in members], rows, target, lo, hi)
         assert [repr(p) for p in got] == [repr(p) for p in expected]
@@ -496,6 +508,86 @@ class TestBatchedSolve:
             unique = np.unique(np.concatenate((np.zeros_like(alpha), alpha - beta * d_max, alpha - beta * d_min, alpha)))
             assert row.tolist() == unique.tolist()
             assert row.tolist() == AggregateResponseCurve(member.devices)._knots.tolist()
+
+
+def clip_form(params, prices):
+    """Each device's consumption clamped with ``np.clip``, the form
+    ``DeviceBlocks._consumption`` took before it shared ``device_consumption``."""
+    alpha, beta, saturation, d_min, d_max = params
+    d = alpha - prices
+    d /= beta
+    np.clip(d, 0.0, saturation, out=d)
+    return np.clip(d, d_min, d_max, out=d)
+
+
+def edge_device():
+    # signed zeros, an underflowing slope, and bounds tied to each other or to the
+    # saturation alpha / beta
+    return st.builds(
+        lambda alpha, beta, lo, width, kind: {
+            "free": (alpha, beta, lo, lo + width),
+            "pinned": (alpha, beta, lo, lo),
+            "saturation": (alpha, beta, lo * 0.0, alpha / beta),
+            "from saturation": (alpha, beta, alpha / beta, alpha / beta + width),
+        }[kind],
+        alpha=st.sampled_from([-0.0, 0.0, 1.0, 2.0]) | st.floats(0.0, 5.0),
+        beta=st.sampled_from([0.5, 1.0, 1e308]) | st.floats(0.1, 3.0),
+        lo=st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 3.0),
+        width=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0),
+        kind=st.sampled_from(["free", "pinned", "saturation", "from saturation"]),
+    )
+
+
+def edge_price(device):
+    # a special value, or a price at one of the device's kinks
+    alpha, beta, d_min, d_max = device
+    return st.sampled_from(
+        [-0.0, 0.0, math.nan, math.inf, -math.inf, alpha, alpha - beta * d_min, alpha - beta * d_max]
+    ) | st.floats(-1.0, 6.0)
+
+
+class TestOneClamp:
+    """The bracket-end responses ``price_and_dispatch`` hands ``invert_rows`` are the
+    ones its own solve would compute, bit for bit: ``DeviceBlocks`` and ``_response``
+    clamp with the one ``device_consumption``, in any block shape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_blocks_agree_with_each_cell_and_with_np_clip(self, data):
+        t, m, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+        rows = [data.draw(st.lists(edge_device(), min_size=k, max_size=k)) for _ in range(m)]
+        prices = np.array([[data.draw(edge_price(row[0])) for row in rows] for _ in range(t)])
+        members = [Member(f"m{i}", tuple(DeviceUtility(*p) for p in row), ()) for i, row in enumerate(rows)]
+        blocks = DeviceBlocks(members)
+        (group,) = blocks._groups
+        params = group[1:6]
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            got = device_consumption(params, prices[..., None])
+            clipped = clip_form(params, prices[..., None])
+            total = blocks.response(prices)
+            for s in range(t):
+                for i in range(m):
+                    cell = tuple(p[i : i + 1] for p in params)
+                    one = curves._response(cell, prices[s, i : i + 1, None])
+                    assert one.tobytes() == total[s, i : i + 1].tobytes()
+                    for j in range(k):
+                        device = tuple(p[i : i + 1, j : j + 1] for p in params)
+                        alone = device_consumption(device, prices[s, i : i + 1, None])
+                        assert alone.tobytes() == got[s, i : i + 1, j].tobytes()
+        # where its bounds hold one element, np.clip may return the other zero of a tie
+        # between 0.0 and -0.0; elsewhere the two forms agree in every bit, NaN included
+        signless = (m * k == 1) & (got == 0.0)
+        assert got[~signless].tobytes() == clipped[~signless].tobytes()
+        assert np.array_equal(got[signless], clipped[signless])
+
+    def test_np_clip_keeps_a_negative_zero_in_a_one_device_block(self):
+        # a device with alpha = -0.0 at price 0.0 (validation admits both)
+        params = tuple(np.array([[v]]) for v in (-0.0, 1.0, -0.0, 0.0, 1.0))
+        prices = np.zeros((1, 1, 1))
+        assert np.signbit(clip_form(params, prices)).all()
+        assert not np.signbit(device_consumption(params, prices)).any()
+        wide = tuple(np.repeat(p, 2, axis=1) for p in params)
+        assert not np.signbit(clip_form(wide, np.zeros((1, 1, 2)))).any()
 
 
 class TestExactnessPremise:

@@ -20,6 +20,7 @@ from dnem.welfare import (
     welfare_gain,
 )
 
+from test_curves import kink_device
 from test_pricing import ladder_targets, plateau_devices, scalar_dnem_price
 
 from oracles import (
@@ -479,6 +480,59 @@ class TestCoalitionBatch:
         expected = reference_coalition_audit(members, gens, 0.4, 0.2, [3, 1], [4, 1, 3])
         assert self._bits(audit) == self._bits(expected)
         assert coalition_audits(members, np.array(gens)[:, None], [0.4], [0.2], []) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_samples_match_the_reference(self, data):
+        n, horizon = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 3))
+        devices = st.lists(kink_device().map(lambda p: DeviceUtility(*p)), max_size=3)
+        members = [Member(f"m{i}", data.draw(devices), ()) for i in range(n)]
+        gen = np.array(data.draw(st.lists(st.floats(0.0, 8.0), min_size=n * horizon, max_size=n * horizon)))
+        sell = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=horizon, max_size=horizon)))
+        buy = sell + np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=horizon, max_size=horizon)))
+        ids = st.integers(0, n - 1)
+        # duplicate and unsorted ids, the whole community, a single member
+        coalition = st.lists(ids, min_size=1, max_size=12) | st.permutations(range(n)) | ids.map(lambda i: [i])
+        sample = coalition.flatmap(
+            lambda superset: st.tuples(
+                st.integers(0, horizon - 1),
+                st.lists(st.sampled_from(superset), min_size=1, max_size=12) | st.permutations(superset),
+                st.just(superset),
+            )
+        )
+        samples = data.draw(st.lists(sample, min_size=1, max_size=6))
+        self._assert_same(members, gen.reshape(n, horizon), buy, sell, samples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(st.tuples(st.just(0), *[st.lists(st.integers(0, 3), max_size=4)] * 2), min_size=1, max_size=6))
+    def test_first_bad_sample_raises(self, samples):
+        # the earliest bad sample wins, and in a sample containment is checked first
+        expected = None
+        for _, subset, superset in samples:
+            if not set(subset) <= set(superset):
+                expected = "subset must be contained in superset"
+                break
+            if not subset:
+                expected = "subset must be non-empty"
+                break
+        members = single_member() * 4
+        if expected is None:
+            assert len(coalition_audits(members, np.zeros((4, 1)), [0.4], [0.2], samples)) == len(samples)
+        else:
+            with pytest.raises(ValueError) as raised:
+                coalition_audits(members, np.zeros((4, 1)), [0.4], [0.2], samples)
+            assert str(raised.value) == expected
+
+    def test_builds_no_member(self, members_built):
+        sc = solar_day_scenario(1, n_members=10, horizon=24)
+        samples = self._samples(np.random.default_rng(5), 10, 24, 50)
+        members_built.clear()
+        audits = coalition_audits(sc.members, folded_generation(sc), sc.rates.buy, sc.rates.sell, samples)
+        assert len(audits) == 50
+        assert members_built == []
+        # the count sees a build
+        Member("m", (), ())
+        assert len(members_built) == 1
 
     @pytest.mark.parametrize(
         "subset, superset, message", [([0, 2], [0, 1], "contained"), ([], [0, 1], "non-empty")]
