@@ -4,10 +4,11 @@ The standalone optimum is the best a member can do alone under the utility's
 two-rate tariff: the price-and-dispatch rule of the community
 (:func:`~dnem.bess.price_and_dispatch`) applied to the member's own devices,
 generation and battery slice.  There is one implementation,
-:func:`standalone_settlement`, which schedules every member of a community
-at once with (T, N) arrays; a member without storage owns an empty battery
-(``BessSpec(0.0)``), for which the storage-aware price is exactly the
-storage-free rule.
+:func:`standalone_settlement`, which settles every member of a community at
+once from the members' columns of that rule's (T, N) dispatch (in a run,
+the same call that prices the community); a member without storage owns an
+empty battery (``BessSpec(0.0)``), for which the storage-aware price is
+exactly the storage-free rule.
 
 The sign-based mechanism prices every member at the buy rate when the
 community is a net importer and at the sell rate otherwise, while members
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bess import ZONES, price_and_dispatch
+from .bess import ZONES, Dispatch, price_and_dispatch
 from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule
 from .response import DeviceBlocks, MemberOutcome, Settlement, member_utility, settle_arrays
 
@@ -61,29 +62,33 @@ def standalone_optimum_with_bess(
     This is :func:`standalone_settlement` for a community of one.
     """
     gen = np.asarray(trace, dtype=float).reshape(1, -1)
-    settlement = standalone_settlement(DeviceBlocks([member]), spec, np.ones(1), gen, rates)
-    return [settlement.outcomes(t)[0] for t in range(gen.shape[1])]
+    blocks, horizon = DeviceBlocks([member]), gen.shape[1]
+    alone = price_and_dispatch(
+        blocks, spec, np.ones(1), gen, rates.buy[:horizon, None], rates.sell[:horizon, None],
+        rates.salvage,
+    )
+    settlement = standalone_settlement(blocks, spec, alone, gen, rates)
+    return [settlement.outcomes(t)[0] for t in range(horizon)]
 
 
 def standalone_settlement(
     blocks: DeviceBlocks,
     bess: BessSpec,
-    shares: np.ndarray,
+    alone: Dispatch,
     gen: np.ndarray,
     rates: RateSchedule,
 ) -> Settlement:
     """Every member alone under the utility tariff, with its slice of ``bess``.
 
-    Member i owns ``bess.scaled(shares[i])`` and generates ``gen[i]``.  Each
-    member takes the price and dispatch of
-    :func:`~dnem.bess.price_and_dispatch` on its own devices, consumes its
-    response to that price and pays the tariff; in the net-zero zones
-    consumption tracks generation by construction, so the float residue of
-    the solve is dropped from ``net``.
+    ``alone`` is :func:`~dnem.bess.price_and_dispatch` on the members' own
+    devices, generation ``gen`` and battery slices, one column per member
+    of ``blocks`` (the member columns of a run's one call).  Each member
+    consumes its response to its price and pays the tariff; in the net-zero
+    zones consumption tracks generation by construction, so the float
+    residue of the solve is dropped from ``net``.
     """
     horizon = gen.shape[1]
     buy, sell = rates.buy[:horizon, None], rates.sell[:horizon, None]
-    alone = price_and_dispatch(blocks, bess, shares, gen, buy, sell, rates.salvage)
     with np.errstate(over="ignore", invalid="ignore"):
         response = blocks.evaluate(alone.price.astype(float))
         # every zone between passing through the buy rate and the sell rate is net-zero

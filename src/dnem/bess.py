@@ -4,7 +4,9 @@ The D-NEM community is one such prosumer (every device, all generation and
 the whole battery), and so is each member alone under the tariff, and each
 coalition of the coalition audit (its members' devices and an empty battery).
 No other code prices by the zone thresholds.  Rates are given per cell, so
-prosumers at different intervals or tariffs can share one call.
+prosumers at different intervals or tariffs can share one call: a run prices
+the community and every standalone member in one call, the community as
+row 0, and the coalition audit prices all its coalitions in one.
 
 Dispatch is a myopic threshold policy on generation: fully discharge when
 renewables are scarce, follow the generation (keeping consumption fixed) in
@@ -78,23 +80,27 @@ def soc_step(spec: BessSpec, soc, b):
     ``b > 0`` charges (energy stored is reduced by the charging efficiency),
     ``b < 0`` discharges (cells supply more than is delivered).  Raises
     :class:`StorageLimitError` if ``b`` exceeds the effective limits at this
-    SoC beyond numerical tolerance.  Elementwise, like :func:`effective_limits`.
+    SoC beyond numerical tolerance, or the SoC leaves [0, capacity].
+    Elementwise, like :func:`effective_limits`, over one interval's
+    prosumers; on (T, N) arrays row t is interval t's step from ``soc[t]``,
+    and the error names the first interval with a fault, where a limit
+    fault comes before a SoC-range fault.
     """
-    return _advance(spec, soc, b, *effective_limits(spec, soc))
-
-
-def _advance(spec: BessSpec, soc, b, discharge, charge):
-    """:func:`soc_step` given the effective limits at ``soc``."""
-    bad = (b > charge + EPS_QUANTITY) | (b < -discharge - EPS_QUANTITY)
-    if np.any(bad):
-        b, discharge, charge, soc = _first(bad, b, discharge, charge, soc)
-        raise StorageLimitError(
-            f"storage output {b} outside effective limits [{-discharge}, {charge}] at soc {soc}"
-        )
+    discharge, charge = effective_limits(spec, soc)
     nxt = soc + stored_energy(b, spec.charge_eff, spec.discharge_eff)
-    bad = (nxt < -EPS_QUANTITY) | (nxt > spec.capacity + EPS_QUANTITY)
-    if np.any(bad):
-        nxt, capacity = _first(bad, nxt, spec.capacity)
+    over = np.atleast_2d((b > charge + EPS_QUANTITY) | (b < -discharge - EPS_QUANTITY))
+    out = np.atleast_2d((nxt < -EPS_QUANTITY) | (nxt > spec.capacity + EPS_QUANTITY))
+    faulty = np.any(over | out, axis=1)
+    if np.any(faulty):
+        t = int(np.argmax(faulty))
+        values = (b, discharge, charge, soc, nxt, spec.capacity)
+        row = [np.broadcast_to(v, over.shape)[t] for v in values]
+        if np.any(over[t]):
+            b, discharge, charge, soc = _first(over[t], *row[:4])
+            raise StorageLimitError(
+                f"storage output {b} outside effective limits [{-discharge}, {charge}] at soc {soc}"
+            )
+        nxt, capacity = _first(out[t], *row[4:])
         raise StorageLimitError(f"state of charge {nxt} leaves [0, {capacity}]")
     return np.minimum(np.maximum(nxt, 0.0), spec.capacity)
 
@@ -126,6 +132,10 @@ class Dispatch(NamedTuple):
     discharge: np.ndarray  # effective limits at the start of the interval
     charge: np.ndarray
 
+    def columns(self, cols: slice) -> "Dispatch":
+        """The outcome of the prosumers ``cols`` alone."""
+        return Dispatch(*(field[..., cols] for field in self))
+
 
 def price_and_dispatch(
     blocks: DeviceBlocks,
@@ -144,30 +154,39 @@ def price_and_dispatch(
     gives every prosumer the same schedule, and a (1, N) row gives each
     prosumer of a one-interval batch its own rates.  The dispatch and the
     state of charge run in one loop over the intervals, across all
-    prosumers at once; a prosumer with no usable storage at an interval
-    prices by the storage-free rule, which is closed at both thresholds and
-    does not consult the salvage rate.  Only prices inside a net-zero band
-    are solved, each on the prosumer's own curve.  Raises ``ValueError`` for
-    non-finite generation or a salvage rate outside the rates' window.
+    prosumers at once, and the loop does only the recursion: the limits at
+    the SoC, the battery output and the SoC step.  One :func:`soc_step` on
+    the whole run then checks every step and raises
+    :class:`StorageLimitError` for the first faulty interval.  A prosumer
+    with no usable storage at an interval prices by the storage-free rule,
+    which is closed at both thresholds and does not consult the salvage
+    rate.  Only prices inside a net-zero band are solved, each on the
+    prosumer's own curve.  Raises ``ValueError`` for non-finite generation
+    or a salvage rate outside the rates' window.
     """
     if not np.isfinite(gen).all():
         raise ValueError(f"generation must be finite (got {gen[~np.isfinite(gen)][0]})")
     with np.errstate(over="ignore", invalid="ignore"):
         g = gen.T
+        horizon, n = g.shape
         buy = np.broadcast_to(np.asarray(buy, dtype=float), g.shape)
         sell = np.broadcast_to(np.asarray(sell, dtype=float), g.shape)
-        lower = blocks.response(buy)
-        upper = blocks.response(sell)
         discharge_price = salvage / bess.discharge_eff
         charge_price = bess.charge_eff * salvage
-        # the thresholds of the battery following generation depend on neither t nor SoC
-        follow_discharge = blocks.response(np.full((1, len(shares)), discharge_price))[0]
-        follow_charge = blocks.response(np.full((1, len(shares)), charge_price))[0]
+        # the responses at the rates, then the thresholds of the battery following
+        # generation, which depend on neither t nor SoC: one pass over the groups
+        salvage_prices = np.full((2, n), [[discharge_price], [charge_price]])
+        response = blocks.response(np.concatenate((buy, sell, salvage_prices)))
+        lower, upper = response[:horizon], response[horizon:-2]
+        follow_discharge, follow_charge = response[-2:]
 
+        # the parts of the policy and the zones that depend on neither the limits nor the SoC
+        scarce, idle = g < follow_discharge, g <= follow_charge
         discharge, charge, battery, soc = (np.zeros(g.shape) for _ in range(4))
         # an empty battery has no usable storage at any interval
         if bess.capacity != 0:
             own = bess.scaled(shares)
+            short, spare = g - follow_discharge, g - follow_charge
             level = own.initial_soc
             for t, gt in enumerate(g):
                 dis, chg = discharge[t], charge[t] = effective_limits(own, level)
@@ -176,16 +195,15 @@ def price_and_dispatch(
                     gt <= follow_discharge - dis,
                     -dis + 0.0,  # avoid -0.0 when the limit is 0
                     np.where(
-                        gt < follow_discharge,
-                        gt - follow_discharge,
-                        np.where(
-                            gt <= follow_charge,
-                            0.0,
-                            np.where(gt < follow_charge + chg, gt - follow_charge, chg),
-                        ),
+                        scarce[t],
+                        short[t],
+                        np.where(idle[t], 0.0, np.where(gt < follow_charge + chg, spare[t], chg)),
                     ),
                 )
-                level = soc[t] = _advance(own, level, b, dis, chg)
+                nxt = level + stored_energy(b, own.charge_eff, own.discharge_eff)
+                level = soc[t] = np.minimum(np.maximum(nxt, 0.0), own.capacity)
+            # the checks of every step, once, from the SoC at the start of its interval
+            soc_step(own, np.concatenate((own.initial_soc[None], soc))[:-1], battery)
 
         live = (discharge != 0.0) | (charge != 0.0)
         # the first cell, in interval order, where usable storage meets rates outside its window
@@ -193,8 +211,8 @@ def price_and_dispatch(
         zone = np.where(
             live,
             np.select(
-                [g <= lower - discharge, g < follow_discharge - discharge, g < follow_discharge,
-                 g <= follow_charge, g <= follow_charge + charge, g < upper + charge],
+                [g <= lower - discharge, g < follow_discharge - discharge, scarce,
+                 idle, g <= follow_charge + charge, g < upper + charge],
                 [_BUY, _DISCHARGE_DYNAMIC, _DISCHARGE_FLAT, _IDLE, _CHARGE_FLAT, _CHARGE_DYNAMIC],
                 _SELL,
             ),

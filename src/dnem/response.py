@@ -106,8 +106,8 @@ class DeviceBlocks:
     Built from members, prosumer i is ``members[i]``.  The devices' parameters
     are one flat (devices, 4) table of ``(alpha, beta, d_min, d_max)`` in
     member order, with each member's device count; :meth:`pooled` gathers
-    coalitions of the members from it, with no :class:`~dnem.model.Member` per
-    coalition.  A group holds its prosumers' row indices and (rows, devices)
+    coalitions of the members from it (and, in one batch, the members
+    themselves), with no :class:`~dnem.model.Member` per coalition.  A group holds its prosumers' row indices and (rows, devices)
     arrays of the device parameters.  Totals are ``np.sum`` over a prosumer's
     own devices, along the contiguous last axis of a group block, which adds
     them exactly as ``np.sum`` adds one prosumer's device vector (pairwise from
@@ -127,17 +127,22 @@ class DeviceBlocks:
         self.rows = len(self.members)
         self._groups = self._gather(_count_groups(self._counts, np.arange(len(self._table))))
 
-    def pooled(self, mask: np.ndarray) -> "DeviceBlocks":
+    def pooled(self, mask: np.ndarray, members: bool = False) -> "DeviceBlocks":
         """R pooled prosumers from an (R, N) boolean membership mask: prosumer r owns,
-        in member order, the devices of the members that ``mask[r]`` selects.  Its
-        arrays, and so every float, are those of ``DeviceBlocks([Member(...)])`` on
-        those devices; it carries no members."""
-        blocks = object.__new__(DeviceBlocks)
-        blocks.members = None
-        blocks.rows = len(mask)
+        in member order, the devices of the members that ``mask[r]`` selects.  With
+        ``members``, the N members follow as prosumers R..R+N-1, gathered from the
+        table with no mask row each.  Its arrays, and so every float, are those of
+        ``DeviceBlocks([Member(...), ...])`` on those devices; it carries no members."""
         # (R, devices): whether row r owns the device
         owned = np.asarray(mask, dtype=bool)[:, np.repeat(np.arange(self.rows), self._counts)]
-        blocks._groups = self._gather(mask_groups(owned))
+        counts, columns = np.count_nonzero(owned, axis=1), np.nonzero(owned)[1]
+        if members:
+            counts = np.concatenate((counts, self._counts))
+            columns = np.concatenate((columns, np.arange(len(self._table))))
+        blocks = object.__new__(DeviceBlocks)
+        blocks.members = None
+        blocks.rows = len(counts)
+        blocks._groups = self._gather(_count_groups(counts, columns))
         return blocks
 
     def _gather(self, by_count) -> list:

@@ -11,8 +11,11 @@ The driver runs a validated scenario under one of three mechanisms:
 * ``standalone`` - no community: every member faces the utility tariff alone.
 
 Intervals of one scenario are evaluated in order because the battery's state
-of charge threads through them; runs are deterministic, so identical inputs
-give identical outputs.  A run is its arrays (:class:`Run`); an interval's
+of charge threads through them.  One :func:`~dnem.bess.price_and_dispatch`
+call walks them once for a whole run: the community is its row 0 and every
+member alone a further row, and each row is included only when a requested
+mechanism needs it.  Runs are deterministic, so identical inputs give
+identical outputs.  A run is its arrays (:class:`Run`); an interval's
 record is built only when it is indexed.
 """
 
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .benchmark import standalone_settlement
-from .bess import ZONES, pooled, price_and_dispatch
+from .bess import ZONES, Dispatch, price_and_dispatch
 from .curves import AggregateResponseCurve
 from .model import (
     BessSpec,
@@ -144,22 +147,16 @@ class Run(Sequence[IntervalRecord]):
 
 
 def _dnem_run(
-    scenario: CommunityScenario, blocks: DeviceBlocks, gen: np.ndarray, g_n: np.ndarray
+    scenario: CommunityScenario, blocks: DeviceBlocks, bess: BessSpec, gen: np.ndarray,
+    g_n: np.ndarray, community: Dispatch,
 ) -> Run:
-    """The D-NEM run.
+    """The D-NEM run, from the community's one-column ``community`` dispatch.
 
     The community is priced and dispatched as one prosumer owning every
     device, all generation and the whole battery; one array pass then
     settles every member-interval at the community price.
     """
     rates = scenario.rates
-    # a storage-free community owns an empty battery, which prices exactly
-    # like the storage-free rule
-    bess = scenario.bess or BessSpec(0.0)
-    community = price_and_dispatch(
-        pooled(d for m in scenario.members for d in m.devices), bess, np.ones(1), g_n[None, :],
-        rates.buy[:, None], rates.sell[:, None], rates.salvage,
-    )
     prices = [
         CommunityPrice(value, ZONES[zone])
         for value, zone in zip(community.price[:, 0].tolist(), community.zone[:, 0].tolist())
@@ -177,18 +174,17 @@ def _dnem_run(
 
 
 def _baseline_runs(
-    scenario: CommunityScenario, blocks: DeviceBlocks, gen: np.ndarray, g_n: np.ndarray
+    scenario: CommunityScenario, blocks: DeviceBlocks, bess: BessSpec, gen: np.ndarray,
+    g_n: np.ndarray, dispatch: Dispatch,
 ) -> dict[str, Run]:
-    """The standalone and sign-based runs, from one standalone settlement.
+    """The standalone and sign-based runs, from the members' one-per-column ``dispatch``.
 
-    The sign-based mechanism rebills the standalone schedules at the buy or
-    sell rate by the sign of the members' summed net consumption.
+    Its one standalone settlement is the standalone run, and the sign-based
+    mechanism rebills those schedules at the buy or sell rate by the sign of
+    the members' summed net consumption.
     """
     rates = scenario.rates
-    # a storage-free scenario gives every member an empty battery
-    bess = scenario.bess or BessSpec(0.0)
-    shares = np.array([m.bess_share for m in scenario.members])
-    alone = standalone_settlement(blocks, bess, shares, gen, rates)
+    alone = standalone_settlement(blocks, bess, dispatch, gen, rates)
     d_n = _in_order(alone.total.T)
     b_n = _in_order(alone.battery.T)
     # the community's stored energy, running in interval order (cumsum adds in sequence)
@@ -242,11 +238,24 @@ def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, R
     # np.sum per interval adds the members' generation pairwise; keep it so
     g_n = np.array([float(np.sum(gen[:, t])) for t in range(scenario.horizon)])
     blocks = DeviceBlocks(scenario.members)
+    # one price-and-dispatch pass: the community (every device, g_n and the whole
+    # battery) is row 0 when D-NEM runs, then the members alone when a baseline runs
+    dnem = int("dnem" in mechanisms)
+    baselines = "sign_based" in mechanisms or "standalone" in mechanisms
+    shares = np.array([m.bess_share for m in scenario.members])
+    rows = [(np.ones(1), g_n[None, :])] * dnem + [(shares, gen)] * baselines
+    # a storage-free scenario owns an empty battery: the storage-free rule
+    bess, rates = scenario.bess or BessSpec(0.0), scenario.rates
+    priced = price_and_dispatch(
+        blocks.pooled(np.ones((dnem, len(shares)), dtype=bool), members=baselines), bess,
+        *map(np.concatenate, zip(*rows)), rates.buy[:, None], rates.sell[:, None], rates.salvage,
+    )
     runs = {}
-    if "dnem" in mechanisms:
-        runs["dnem"] = _dnem_run(scenario, blocks, gen, g_n)
-    if "sign_based" in mechanisms or "standalone" in mechanisms:
-        runs.update(_baseline_runs(scenario, blocks, gen, g_n))
+    if dnem:
+        runs["dnem"] = _dnem_run(scenario, blocks, bess, gen, g_n, priced.columns(slice(0, 1)))
+    if baselines:
+        alone = priced.columns(slice(dnem, None))
+        runs.update(_baseline_runs(scenario, blocks, bess, gen, g_n, alone))
     return runs
 
 
@@ -254,8 +263,9 @@ def run_all(scenario: CommunityScenario) -> dict[str, tuple[Run, RunSummary]]:
     """Simulate a scenario under every mechanism, gains filled in.
 
     Returns ``{mechanism: (run, summary)}``, where each :class:`Run` is a view
-    of that mechanism's (T, N) arrays as interval records.  The standalone
-    schedules are settled once, and both baselines are built from them.
+    of that mechanism's (T, N) arrays as interval records.  The community and
+    the standalone members are priced in one call, the standalone schedules
+    are settled once, and both baselines are built from them.
     """
     runs = _runs(scenario, MECHANISMS)
     return {m: (runs[m], _summary(m, runs, gains=True)) for m in MECHANISMS}

@@ -299,10 +299,21 @@ def coalition_audits(
     settled by one :meth:`DeviceBlocks.evaluate` call on a (2S, N) price array.  Sums over
     a community's members add in member order: its generation and the subset's surplus
     alone as ``np.sum`` adds a vector, the subset's surplus in the parent one by one
-    from 0.0, as ``sum`` does.
+    from 0.0, as ``sum`` does.  Raises ``ValueError`` naming the first sample whose
+    interval lies outside [0, T) or a member id outside [0, N), before the
+    containment and emptiness checks.
     """
     n = len(members)
     gen = np.asarray(gen, dtype=float)
+    horizon = gen.shape[1]
+    # the first sample with an interval or a member id out of range, before any indexing
+    for s, (t, subset, superset) in enumerate(samples):
+        if not 0 <= t < horizon:
+            raise ValueError(f"sample {s}: interval {t} outside [0, {horizon})")
+        ids = (*subset, *superset)
+        if ids and not 0 <= min(ids) <= max(ids) < n:
+            i = next(i for i in ids if not 0 <= i < n)
+            raise ValueError(f"sample {s}: member id {i} outside [0, {n})")
     # each sample's parent community, then its subset, at the sample's interval
     times = np.repeat(np.array([t for t, _, _ in samples], dtype=int), 2)
     mask = np.zeros((2 * len(samples), n), dtype=bool)

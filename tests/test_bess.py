@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dnem.bess import (
     ZONES,
+    Dispatch,
     StorageLimitError,
     effective_limits,
     generalized_dnem_price,
@@ -11,7 +14,14 @@ from dnem.bess import (
     soc_step,
 )
 from dnem.curves import AggregateResponseCurve
-from dnem.model import NET_ZERO_ZONES, BessSpec, DeviceUtility, Member, PriceZone
+from dnem.model import (
+    NET_ZERO_ZONES,
+    BessSpec,
+    DeviceUtility,
+    Member,
+    PriceZone,
+    validate_scenario,
+)
 from dnem.pricing import dnem_price, nem_payment
 from dnem.response import DeviceBlocks
 from dnem import welfare
@@ -78,6 +88,24 @@ class TestSocStep:
         named = r"0\.6 outside effective limits \[-0\.25, 0\.25\] at soc 0\.5"
         with pytest.raises(StorageLimitError, match=named):
             soc_step(SPEC.scaled(shares), socs, np.array([0.0, 0.6, 0.9]))
+
+    @pytest.mark.parametrize("limit_fault_at_1", [True, False])
+    def test_run_of_steps_names_the_first_faulty_interval(self, limit_fault_at_1):
+        # (T, N) steps, as price_and_dispatch checks a run: interval 1 leaves the SoC
+        # range in cell 0 and, if asked, exceeds the limits in cell 2; interval 2
+        # exceeds the limits in cell 0
+        shares = np.array([1.0, 0.5, 0.5])
+        start = np.array([[1.0, 0.5, 0.5], [-0.001, 0.5, 0.5], [1.0, 0.5, 0.5]])
+        b = np.zeros((3, 3))
+        b[1, 0], b[1, 2], b[2, 0] = 0.00095, 0.6 if limit_fault_at_1 else 0.0, 0.9
+        with pytest.raises(StorageLimitError) as raised:
+            soc_step(SPEC.scaled(shares), start, b)
+        # the message of that cell's step alone
+        t, i = (1, 2) if limit_fault_at_1 else (1, 0)
+        with pytest.raises(StorageLimitError) as alone:
+            soc_step(SPEC.scaled(float(shares[i])), start[t, i], b[t, i])
+        assert str(raised.value) == str(alone.value)
+        assert ("outside effective limits" in str(raised.value)) == limit_fault_at_1
 
 
 class TestMyopicDispatch:
@@ -282,6 +310,53 @@ def _both_passes(sc):
         (pooled(devices), bess, np.ones(1), np.sum(gen, axis=0)[None, :]),
         (DeviceBlocks(sc.members), bess, shares, gen),
     ], rates
+
+
+def _one_pass(passes):
+    """The arguments of both passes as one call: the community is row 0, then the members."""
+    (community, _, community_shares, community_gen), (members, bess, shares, gen) = passes
+    blocks = members.pooled(np.ones((1, members.rows), dtype=bool), members=True)
+    shares, gen = np.concatenate((community_shares, shares)), np.concatenate((community_gen, gen))
+    return blocks, bess, shares, gen
+
+
+def _one_pass_scenarios():
+    scenarios = [random_scenario(seed, with_bess=True) for seed in range(12)]
+    scenarios += [solar_day_scenario(s, n_members=12, horizon=24, with_bess=True) for s in range(3)]
+    # a member without a share of the battery
+    sc = solar_day_scenario(5, n_members=6, horizon=24, with_bess=True)
+    first, second, *rest = sc.members
+    second = replace(second, bess_share=first.bess_share + second.bess_share)
+    members = (replace(first, bess_share=0.0), second, *rest)
+    return scenarios + [validate_scenario(replace(sc, members=members))]
+
+
+ONE_PASS_SCENARIOS = _one_pass_scenarios()
+
+
+def _bits(values):
+    return [repr(v) for v in np.asarray(values).ravel().tolist()]
+
+
+class TestOnePass:
+    """The community and its standalone members in one call equal the two calls."""
+
+    def test_scenarios_cover_central_pv_and_a_zero_share(self):
+        assert any(np.any(sc.central_pv_trace > 0) for sc in ONE_PASS_SCENARIOS)
+        assert any(m.bess_share == 0.0 for m in ONE_PASS_SCENARIOS[-1].members)
+
+    @pytest.mark.parametrize("sc", ONE_PASS_SCENARIOS)
+    def test_equals_two_calls(self, sc):
+        passes, rates = _both_passes(sc)
+        args = (rates.buy[:, None], rates.sell[:, None], rates.salvage)
+        merged = price_and_dispatch(*_one_pass(passes), *args)
+        for cols, (blocks, bess, shares, gen) in zip((slice(0, 1), slice(1, None)), passes):
+            alone = price_and_dispatch(blocks, bess, shares, gen, *args)
+            for field, want, got in zip(Dispatch._fields, alone, merged.columns(cols)):
+                assert _bits(got) == _bits(want), field
+        # and every cell of the one call against the per-cell ladder
+        pooled_member = Member("pooled", tuple(d for m in sc.members for d in m.devices), ())
+        TestPriceLevelOracle._assert_matches(*_one_pass(passes), *args, [pooled_member, *sc.members])
 
 
 class TestPriceLevelOracle:

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import dnem.benchmark
 import dnem.sim
 from dnem.benchmark import standalone_optimum_with_bess
 from dnem.model import (
@@ -188,6 +189,34 @@ class TestRunAll:
         sc = solar_day_scenario(4, n_members=4, horizon=12, with_bess=with_bess)
         run(sc, "dnem")
         assert settled == [[m.id for m in sc.members]]
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_one_price_and_dispatch_call_per_run(self, monkeypatch, with_bess):
+        # the community and the members alone share one call; each is in it only when
+        # a mechanism needs it
+        original = dnem.sim.price_and_dispatch
+        rows = []
+
+        def counting(blocks, *args):
+            rows.append(blocks.rows)
+            return original(blocks, *args)
+
+        def forbidden(*args):
+            raise AssertionError("the standalone settlement priced the members again")
+
+        monkeypatch.setattr(dnem.sim, "price_and_dispatch", counting)
+        monkeypatch.setattr(dnem.benchmark, "price_and_dispatch", forbidden)
+        sc = solar_day_scenario(4, n_members=4, horizon=12, with_bess=with_bess)
+        runs = [
+            (lambda: run_all(sc), [5]),
+            (lambda: run(sc, "dnem", compute_gains=False), [1]),
+            (lambda: run(sc, "standalone", compute_gains=False), [4]),
+            (lambda: run(sc, "sign_based", compute_gains=False), [4]),
+        ]
+        for call, expected in runs:
+            rows.clear()
+            call()
+            assert rows == expected
 
 
 def _hex(x):

@@ -543,6 +543,24 @@ class TestCoalitionBatch:
             samples = [(0, [0], [0]), (0, subset, superset)]
             coalition_audits(members, np.zeros((3, 1)), [0.4], [0.2], samples)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((0, [-1], [-1, 0]), "sample 1: member id -1 outside [0, 3)"),
+            ((0, [0], [0, 3]), "sample 1: member id 3 outside [0, 3)"),
+            ((-1, [0], [0]), "sample 1: interval -1 outside [0, 2)"),
+            ((2, [0], [0]), "sample 1: interval 2 outside [0, 2)"),
+        ],
+    )
+    def test_rejects_out_of_range_samples(self, bad, message):
+        # negative ids or intervals would otherwise index from the end, and an id >= N
+        # would raise numpy's IndexError; a later bad sample does not hide it
+        members = single_member() * 3
+        samples = [(1, [0], [0, 2]), bad, (0, [1], [0])]
+        with pytest.raises(ValueError) as raised:
+            coalition_audits(members, np.zeros((3, 2)), [0.4, 0.4], [0.2, 0.2], samples)
+        assert str(raised.value) == message
+
 
 class TestCoalitionAudit:
     def _random_members(self, rng, n):
