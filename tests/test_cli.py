@@ -728,6 +728,109 @@ def test_simulate_outputs_are_pinned(tmp_path, config, mechanism):
     assert digests == SIMULATE_DIGESTS[config, mechanism]
 
 
+#: traces from ``traces_csv``: m3's inline scalar wins over its column, m4 has no trace
+CSV_TRACES = {
+    "horizon": 6,
+    "rates": {
+        "buy": [0.3, 0.3, 0.4, 0.5, 0.5, 0.3],
+        "sell": [0.1, 0.1, 0.15, 0.15, 0.1, 0.1],
+        "salvage": 0.2,
+    },
+    "members": [
+        {
+            "id": "m1",
+            "devices": [
+                {"alpha": 2.0, "beta": 1.0, "d_min": 0.0, "d_max": 2.0},
+                {"alpha": 0.9, "beta": 0.6, "d_min": 0.1, "d_max": 1.0},
+            ],
+            "central_pv_share": 0.5,
+            "bess_share": 0.4,
+        },
+        {
+            "id": "m2",
+            "devices": [{"alpha": 1.4, "beta": 0.7, "d_min": 0.0, "d_max": 1.5}],
+            "central_pv_share": 0.3,
+            "bess_share": 0.3,
+        },
+        {
+            "id": "m3",
+            "devices": [{"alpha": 1.1, "beta": 0.5, "d_min": 0.2, "d_max": 2.0}],
+            "pv_trace": 0.4,
+            "central_pv_share": 0.2,
+            "bess_share": 0.2,
+        },
+        {
+            "id": "m4",
+            "devices": [{"alpha": 0.8, "beta": 0.4, "d_min": 0.0, "d_max": 1.0}],
+            "central_pv_share": 0.0,
+            "bess_share": 0.1,
+        },
+    ],
+    "traces_csv": "traces.csv",
+    "bess": {
+        "capacity": 3.0,
+        "charge_eff": 0.95,
+        "discharge_eff": 0.95,
+        "max_charge": 0.8,
+        "max_discharge": 0.6,
+        "initial_soc": 1.0,
+    },
+}
+TRACES_CSV = (
+    "m1,m2,central_pv,m3\n"
+    "0.0,0.2,0.0,9.0\n1.2,0.4,0.5,9.0\n2.5,1.1,1.4,9.0\n"
+    "1.8,0.3,0.9,9.0\n0.6,0.0,0.2,9.0\n0.0,0.0,0.0,9.0\n"
+)
+
+#: scalar rates, integer-valued numbers, inline central PV, a battery of capacity only
+INTEGRAL = {
+    "horizon": 4.0,
+    "rates": {"buy": 0.4, "sell": 0.1, "salvage": 0.25},
+    "members": [
+        {
+            "id": "a",
+            "devices": [{"alpha": 3, "beta": 1, "d_min": 0, "d_max": 2}],
+            "pv_trace": [0, 2, 3, 1],
+            "central_pv_share": 1,
+        },
+        {
+            "id": "b",
+            "devices": [{"alpha": 2, "beta": 2, "d_min": 0, "d_max": 1}],
+            "pv_trace": 1,
+            "central_pv_share": 0,
+        },
+    ],
+    "central_pv": [0, 1, 2, 0],
+    "bess": {"capacity": 2},
+}
+
+#: sha256 of ``summary.json`` (and ``intervals.csv``) from ``dnem simulate`` for configs
+#: whose traces are resolved from a CSV file or whose numbers are written as integers
+SUMMARY_DIGESTS = {
+    "csv_traces": (
+        "ee6754a3803f610ced98d10daeea9e9d32ae8a589c126d0b6c4dc1948b0152fc",
+        "e377fd36b09491d261b80caf0e8ee0f1cd83bca0bc8fab8908ab385c01cbc39e",
+    ),
+    "integral": (
+        "e3bf2a3ebe826805b76c61df67b3b53a603df5d1a9e53071f3aea10c84be626f",
+        "72f6df0c5841338081d0c996ac4a4c22076be1a85fdc2fc1115fcb87bc4956e7",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(SUMMARY_DIGESTS))
+def test_resolved_config_outputs_are_pinned(tmp_path, config):
+    (tmp_path / "traces.csv").write_text(TRACES_CSV)
+    path = write_config(tmp_path, {"csv_traces": CSV_TRACES, "integral": INTEGRAL}[config])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("intervals.csv", "summary.json")
+    )
+    assert digests == SUMMARY_DIGESTS[config]
+
+
 @pytest.mark.parametrize(
     "config, flags, digest",
     [
