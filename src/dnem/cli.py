@@ -1,8 +1,10 @@
 """Command-line interface: scenario ingestion, batch runs, result emission.
 
 One JSON document describes a scenario (members, rates, optional storage and
-central PV); per-interval traces may be inline arrays, scalars broadcast to
-the horizon, or columns of a CSV file keyed by member id.  Commands:
+central PV).  Its numbers are read by the fields of the ``model`` dataclasses,
+so an omitted one keeps the dataclass default; a trace is the inline list or
+scalar, else the ``traces_csv`` column keyed by member id (or ``central_pv``),
+else zeros.  ``scenario_hash`` hashes the validated scenario.  Commands:
 
 * ``simulate`` - run one mechanism, write ``intervals.csv`` + ``summary.json``
 * ``price``    - single-point price query for a given aggregate generation
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -37,7 +40,6 @@ from .model import (
     Member,
     PriceZone,
     RateSchedule,
-    ScenarioValidationError,
     validate_scenario,
 )
 from .sim import MECHANISMS, Run, folded_generation, rate_ratio_sweep, run, run_all
@@ -100,44 +102,55 @@ def _broadcast(value, horizon: int, name: str) -> list[float]:
     raise ConfigError(f"{name}: expected a number or a list of numbers")
 
 
-def _device(doc, name: str) -> DeviceUtility:
-    doc = _expect(doc, dict, name)
-    return DeviceUtility(
-        **{
-            key: _number(_required(doc, key, name), f"{name}.{key}")
-            for key in ("alpha", "beta", "d_min", "d_max")
-        }
-    )
+def _floats(cls, doc: dict, name: str) -> dict[str, float]:
+    """The float fields of dataclass ``cls`` read from ``doc``, in field order.
+
+    A field without a default is required; an omitted one keeps the default.
+    """
+    return {
+        field.name: _number(_required(doc, field.name, name), f"{name}.{field.name}")
+        for field in dataclasses.fields(cls)
+        if field.type in (float, "float")
+        and (field.name in doc or field.default is dataclasses.MISSING)
+    }
 
 
 def _read_traces_csv(path: Path) -> dict[str, list[float]]:
-    columns: dict[str, list[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty traces CSV")
-        for name in reader.fieldnames:
-            columns[name] = []
-        for row in reader:
-            for name in reader.fieldnames:
-                columns[name].append(
-                    _number(row[name], f"{path} line {reader.line_num} column {name!r}")
-                )
+        try:
+            names = reader.fieldnames
+            if names is None:
+                raise ConfigError(f"{path}: empty traces CSV")
+            columns: dict[str, list[float]] = {name: [] for name in names}
+            if len(columns) < len(names):
+                repeated = next(name for k, name in enumerate(names) if name in names[:k])
+                raise ConfigError(f"{path}: column {repeated!r} appears more than once")
+            for row in reader:
+                for name, values in columns.items():
+                    values.append(
+                        _number(row[name], f"{path} line {reader.line_num} column {name!r}")
+                    )
+        except csv.Error as exc:
+            # the DictReader's own line_num stops at the last row it returned
+            raise ConfigError(f"{path} line {reader.reader.line_num}: {exc}") from None
     return columns
 
 
-def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
-    """Parse and validate a scenario config; returns (scenario, canonical dict).
+def load_config(path: str | Path) -> CommunityScenario:
+    """Parse and validate a scenario config.
 
-    The canonical dict has every trace resolved inline, so its hash pins the
-    exact inputs of a run even when traces came from a CSV file.  A document
-    of the wrong shape raises :class:`ConfigError` naming the field.
+    Numbers are read by the fields of the model's dataclasses (:func:`_floats`),
+    and a trace is the inline value, else the ``traces_csv`` column, else
+    zeros.  A document of the wrong shape raises :class:`ConfigError` naming
+    the field.
     """
     path = Path(path)
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nested deeper than the interpreter's recursion limit
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
@@ -155,9 +168,16 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
             csv_path = path.parent / csv_path
         csv_columns = _read_traces_csv(csv_path)
 
+    def trace(holder: dict, key: str, name: str, column: str) -> list[float]:
+        if key in holder:
+            return _broadcast(holder[key], horizon, name)
+        if column in csv_columns:
+            return _broadcast(csv_columns[column], horizon, f"traces_csv[{column}]")
+        return [0.0] * horizon
+
     buy = _broadcast(rates_doc.get("buy"), horizon, "rates.buy")
     sell = _broadcast(rates_doc.get("sell"), horizon, "rates.sell")
-    rates = RateSchedule(buy, sell, _number(rates_doc.get("salvage", 0.0), "rates.salvage"))
+    rates = RateSchedule(buy, sell, **_floats(RateSchedule, rates_doc, "rates"))
 
     members = []
     for idx, mdoc in enumerate(members_doc):
@@ -169,52 +189,23 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
         if any(c in mid for c in ',"\r\n'):
             # the id is a cell of the intervals.csv header and of the compare table
             raise ConfigError(f"{tag}.id: {mid!r} holds a comma, quote or line break")
-        devices = tuple(
-            _device(d, f"{tag}.devices[{k}]")
-            for k, d in enumerate(_expect(mdoc.get("devices", []), list, f"{tag}.devices"))
-        )
-        if "pv_trace" in mdoc:
-            trace = _broadcast(mdoc["pv_trace"], horizon, f"{tag}.pv_trace")
-        elif mid in csv_columns:
-            trace = _broadcast(csv_columns[mid], horizon, f"traces_csv[{mid}]")
-        else:
-            trace = [0.0] * horizon
-        members.append(
-            Member(
-                id=mid,
-                devices=devices,
-                pv_trace=trace,
-                central_pv_share=_number(
-                    mdoc.get("central_pv_share", 0.0), f"{tag}.central_pv_share"
-                ),
-                bess_share=_number(mdoc.get("bess_share", 0.0), f"{tag}.bess_share"),
-            )
-        )
-
-    if "central_pv" in doc:
-        central = _broadcast(doc["central_pv"], horizon, "central_pv")
-    elif "central_pv" in csv_columns:
-        central = _broadcast(csv_columns["central_pv"], horizon, "traces_csv[central_pv]")
-    else:
-        central = [0.0] * horizon
+        devices = []
+        for k, d in enumerate(_expect(mdoc.get("devices", []), list, f"{tag}.devices")):
+            name = f"{tag}.devices[{k}]"
+            devices.append(DeviceUtility(**_floats(DeviceUtility, _expect(d, dict, name), name)))
+        pv_trace = trace(mdoc, "pv_trace", f"{tag}.pv_trace", mid)
+        members.append(Member(mid, devices, pv_trace, **_floats(Member, mdoc, tag)))
+    central = trace(doc, "central_pv", "central_pv", "central_pv")
 
     bess = None
-    if "bess" in doc and doc["bess"] is not None:
-        b = _expect(doc["bess"], dict, "bess")
-        bess = BessSpec(
-            capacity=_number(_required(b, "capacity", "bess"), "bess.capacity"),
-            charge_eff=_number(b.get("charge_eff", 1.0), "bess.charge_eff"),
-            discharge_eff=_number(b.get("discharge_eff", 1.0), "bess.discharge_eff"),
-            max_charge=_number(b.get("max_charge", 0.0), "bess.max_charge"),
-            max_discharge=_number(b.get("max_discharge", 0.0), "bess.max_discharge"),
-            initial_soc=_number(b.get("initial_soc", 0.0), "bess.initial_soc"),
-        )
+    if doc.get("bess") is not None:
+        bess = BessSpec(**_floats(BessSpec, _expect(doc["bess"], dict, "bess"), "bess"))
         if members and all(m.bess_share == 0.0 for m in members):
             # equal storage shares unless the config declares them
             share = 1.0 / len(members)
             members = [dataclasses.replace(m, bess_share=share) for m in members]
 
-    scenario = validate_scenario(
+    return validate_scenario(
         CommunityScenario(
             members=tuple(members),
             rates=rates,
@@ -223,36 +214,25 @@ def load_config(path: str | Path) -> tuple[CommunityScenario, dict]:
             central_pv_trace=central,
         )
     )
-    canonical = {
-        "horizon": horizon,
-        "rates": {"buy": buy, "sell": sell, "salvage": rates.salvage},
+
+
+def scenario_hash(scenario: CommunityScenario) -> str:
+    """sha256 of the scenario's inputs as canonical JSON, every trace resolved inline."""
+
+    def fields(obj) -> dict:
+        return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+    doc = {
+        "horizon": scenario.horizon,
+        "rates": fields(scenario.rates),
         "members": [
-            {
-                "id": m.id,
-                "devices": [[d.alpha, d.beta, d.d_min, d.d_max] for d in m.devices],
-                "pv_trace": list(map(float, m.pv_trace)),
-                "central_pv_share": m.central_pv_share,
-                "bess_share": m.bess_share,
-            }
-            for m in members
+            {**fields(m), "devices": [list(fields(d).values()) for d in m.devices]}
+            for m in scenario.members
         ],
-        "central_pv": central,
-        "bess": None
-        if bess is None
-        else {
-            "capacity": bess.capacity,
-            "charge_eff": bess.charge_eff,
-            "discharge_eff": bess.discharge_eff,
-            "max_charge": bess.max_charge,
-            "max_discharge": bess.max_discharge,
-            "initial_soc": bess.initial_soc,
-        },
+        "central_pv": scenario.central_pv_trace,
+        "bess": None if scenario.bess is None else fields(scenario.bess),
     }
-    return scenario, canonical
-
-
-def scenario_hash(canonical: dict) -> str:
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -330,7 +310,7 @@ def _intervals_csv(scenario: CommunityScenario, result: Run) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_json(scenario, summary, canonical) -> str:
+def _summary_json(scenario, summary) -> str:
     def opt(value):
         return None if value is None else round(value, 6)
 
@@ -346,7 +326,7 @@ def _summary_json(scenario, summary, canonical) -> str:
         "welfare_gain_vs_standalone_pct": opt(summary.welfare_gain_vs_standalone),
         "welfare_gain_vs_sign_based_pct": opt(summary.welfare_gain_vs_sign_based),
         "zone_histogram": summary.zone_histogram,
-        "scenario_hash": scenario_hash(canonical),
+        "scenario_hash": scenario_hash(scenario),
         "tool_version": __version__,
         "conventions": {"net_zero_plateau_price": "midpoint"},
     }
@@ -354,11 +334,11 @@ def _summary_json(scenario, summary, canonical) -> str:
 
 
 def cmd_simulate(config: str, mechanism: str, out_dir: str) -> int:
-    scenario, canonical = load_config(config)
+    scenario = load_config(config)
     result, summary = run(scenario, mechanism)
     # render both files first, so a failed run writes neither
     intervals = _intervals_csv(scenario, result)
-    summary_text = _summary_json(scenario, summary, canonical)
+    summary_text = _summary_json(scenario, summary)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "intervals.csv", intervals)
@@ -370,7 +350,7 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
     # validate_scenario refuses negative generation traces; so does the query
     if g_n < 0:
         raise ConfigError(f"--g: expected a generation >= 0 (got {g_n})")
-    scenario, _ = load_config(config)
+    scenario = load_config(config)
     if not 0 <= t < scenario.horizon:
         raise ConfigError(f"interval {t} outside horizon [0, {scenario.horizon})")
     rates = scenario.rates
@@ -406,7 +386,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         raise ConfigError(f"--seeds: expected at least 1 (got {seeds})")
     if coalition_samples < 0:
         raise ConfigError(f"--coalition-samples: expected at least 0 (got {coalition_samples})")
-    scenario, _ = load_config(config)
+    scenario = load_config(config)
     if scenario.bess is not None and coalition_samples > 0:
         print(
             "coalition audits are only defined for storage-free scenarios; "
@@ -550,7 +530,7 @@ def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[str]]:
 
 
 def cmd_compare(config: str, ratios: Optional[Sequence[float]], out: Optional[str]) -> int:
-    scenario, _ = load_config(config)
+    scenario = load_config(config)
     if ratios:
         header = ["ratio", "welfare_gain_dnem_pct", "welfare_gain_sign_based_pct"]
         points = [
@@ -570,6 +550,7 @@ def cmd_compare(config: str, ratios: Optional[Sequence[float]], out: Optional[st
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnem",
@@ -615,9 +596,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
             return cmd_compare(args.config, ratios, args.out)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ScenarioValidationError, ConfigError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -23,6 +24,7 @@ from dnem.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     MAX_HORIZON,
+    ConfigError,
     _finite,
     _fixed,
     load_config,
@@ -90,18 +92,18 @@ def write_config(tmp_path, doc, name="config.json"):
 class TestLoadConfig:
     def test_scalar_broadcast_and_hash_stability(self, tmp_path):
         path = write_config(tmp_path, ONE_MEMBER)
-        sc1, canon1 = load_config(path)
-        sc2, canon2 = load_config(path)
+        sc1 = load_config(path)
+        sc2 = load_config(path)
         assert sc1.horizon == 1
         assert list(sc1.rates.buy) == [0.4]
-        assert scenario_hash(canon1) == scenario_hash(canon2)
+        assert scenario_hash(sc1) == scenario_hash(sc2)
 
     def test_hash_changes_with_content(self, tmp_path):
         path1 = write_config(tmp_path, ONE_MEMBER, "a.json")
         changed = json.loads(json.dumps(ONE_MEMBER))
         changed["members"][0]["pv_trace"] = 1.8
         path2 = write_config(tmp_path, changed, "b.json")
-        assert scenario_hash(load_config(path1)[1]) != scenario_hash(load_config(path2)[1])
+        assert scenario_hash(load_config(path1)) != scenario_hash(load_config(path2))
 
     def test_undeclared_storage_shares_default_to_equal(self, tmp_path):
         doc = json.loads(json.dumps(BESS_CONFIG))
@@ -115,7 +117,7 @@ class TestLoadConfig:
         for m in doc["members"]:
             m.pop("bess_share", None)
         path = write_config(tmp_path, doc)
-        sc, _ = load_config(path)
+        sc = load_config(path)
         assert [m.bess_share for m in sc.members] == [0.5, 0.5]
 
     def test_traces_from_csv(self, tmp_path):
@@ -133,7 +135,7 @@ class TestLoadConfig:
             "traces_csv": "traces.csv",
         }
         path = write_config(tmp_path, doc)
-        sc, _ = load_config(path)
+        sc = load_config(path)
         assert list(sc.members[0].pv_trace) == [1.0, 2.0]
         assert list(sc.central_pv_trace) == [0.5, 0.7]
 
@@ -300,9 +302,40 @@ class TestMalformedConfig:
 
     def test_integral_float_horizon_is_accepted(self, tmp_path):
         path = write_config(tmp_path, _mutated(lambda doc: doc.update(horizon=1.0)))
-        sc, canonical = load_config(path)
+        sc = load_config(path)
         assert sc.horizon == 1 and type(sc.horizon) is int
-        assert canonical["horizon"] == 1
+        integer = load_config(write_config(tmp_path, ONE_MEMBER, "integer.json"))
+        assert scenario_hash(sc) == scenario_hash(integer)
+
+    def test_json_nested_past_the_recursion_limit_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(ONE_MEMBER)[:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: invalid JSON: maximum recursion depth exceeded")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # one field past the csv module's 131072-character limit
+            ("m1\n" + "1" * 131_073 + "\n", "traces.csv line 2: field larger than field limit"),
+            # read as one column, this was "expected 2 entries, got 4"
+            ("m1,m1\n1.0,1.0\n2.0,2.0\n", "traces.csv: column 'm1' appears more than once"),
+        ],
+        ids=["over_limit_field", "repeated_column"],
+    )
+    def test_unreadable_traces_csv_exits_1_naming_the_file(self, tmp_path, capsys, text, message):
+        (tmp_path / "traces.csv").write_text(text)
+        path = write_config(tmp_path, _mutated(_short_csv_row))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{tmp_path / message}" in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -328,6 +361,16 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(out2)]) == EXIT_OK
         assert (out1 / "intervals.csv").read_bytes() == (out2 / "intervals.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--config", write_config(tmp_path, ONE_MEMBER), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", forbidden)
+        assert main(argv) == EXIT_OK
 
     def test_non_finite_result_exits_1_and_writes_nothing(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIVE_MEMBERS))

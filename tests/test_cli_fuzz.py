@@ -143,3 +143,96 @@ def test_mutated_config_exits_with_a_documented_code(path, value, second):
         for command, argv in runs.items():
             allowed = {0, 1, 2, 3} if command == "audit" else {0, 1, 2}
             assert _run(argv) in allowed, command
+
+
+#: ``BASE`` with every trace read from ``traces.csv`` (``CSV_ROWS``)
+CSV_CONFIG = {
+    **{key: value for key, value in BASE.items() if key != "central_pv"},
+    "members": [{k: v for k, v in m.items() if k != "pv_trace"} for m in BASE["members"]],
+    "traces_csv": "traces.csv",
+}
+CSV_ROWS = [["a", "b", "central_pv"], ["1.5", "0.8", "0.3"], ["0.2", "0.8", "0.0"]]
+
+ROW = st.integers(0, len(CSV_ROWS) - 1)  # row 0 is the header
+COLUMN = st.integers(0, len(CSV_ROWS[0]) - 1)
+#: cell texts; the names make renamed and repeated headers
+CELL = st.one_of(
+    st.sampled_from(
+        ["", "nan", "-inf", "-1", "1e400", "x", '"', '"1', "1,2", "1\n2", "a", "b", "central_pv", "A"]
+    ),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+#: each edit of the CSV and the strategy of its arguments
+CSV_EDITS = {
+    "cell": st.tuples(ROW, COLUMN, CELL),
+    "short_row": st.tuples(ROW, st.integers(1, 3)),
+    "long_row": st.tuples(ROW, CELL),
+    "missing_header": st.tuples(COLUMN),
+    "missing_column": st.tuples(COLUMN),
+    "nul": st.tuples(ROW, COLUMN, st.integers(0, 3)),
+    "empty": st.just(()),
+}
+CSV_EDIT = st.one_of([st.tuples(st.just(kind), args) for kind, args in CSV_EDITS.items()])
+
+
+def _csv_text(edits):
+    """``CSV_ROWS`` after ``edits``; an edit of a row or cell that is gone does nothing."""
+    rows = [list(row) for row in CSV_ROWS]
+    for kind, args in edits:
+        if kind == "empty":
+            rows.clear()
+        elif kind == "missing_column":
+            for row in rows:
+                del row[args[0] : args[0] + 1]
+        elif kind == "missing_header":
+            # the data rows keep the column, so each is one cell too long
+            for row in rows[:1]:
+                del row[args[0] : args[0] + 1]
+        elif args[0] < len(rows):
+            row = rows[args[0]]
+            if kind == "short_row":
+                del row[-args[1] :]
+            elif kind == "long_row":
+                row.append(args[1])
+            elif args[1] < len(row):
+                cell = row[args[1]]
+                row[args[1]] = args[2] if kind == "cell" else cell[: args[2]] + "\0" + cell[args[2] :]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(CSV_EDIT, min_size=1, max_size=2))
+# one field past the csv module's 131072-character limit
+@example(edits=[("cell", (1, 0, "1" * 131_073))])
+@example(edits=[("cell", (0, 1, "a"))])
+@example(edits=[("cell", (0, 0, "c"))])
+@example(edits=[("cell", (2, 2, "x"))])
+@example(edits=[("short_row", (2, 1))])
+@example(edits=[("long_row", (1, "0.5"))])
+@example(edits=[("missing_header", (2,))])
+@example(edits=[("missing_column", (0,))])
+@example(edits=[("nul", (1, 1, 1))])
+@example(edits=[("nul", (0, 0, 0))])
+@example(edits=[("empty", ())])
+@example(edits=[])
+def test_mutated_traces_csv_exits_with_a_documented_code(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(CSV_CONFIG))
+        (Path(tmp) / "traces.csv").write_text(_csv_text(edits), encoding="utf-8")
+        config = str(config)
+        runs = {
+            "simulate": ["simulate", "--config", config, "--out", str(Path(tmp) / "out")],
+            "price": ["price", "--config", config, "--g", "1.0", "--t", "0"],
+            "audit": ["audit", "--config", config, "--coalition-samples", "0"],
+            "compare": ["compare", "--config", config],
+        }
+        try:
+            load_config(config)
+        except ValueError:
+            # ConfigError, ScenarioValidationError or a file that is not UTF-8: all stop at the load
+            runs = {"simulate": runs["simulate"]}
+        for command, argv in runs.items():
+            allowed = {0, 1, 2, 3} if command == "audit" else {0, 1, 2}
+            assert _run(argv) in allowed, command
