@@ -169,14 +169,23 @@ def price_and_dispatch(
     with np.errstate(over="ignore", invalid="ignore"):
         g = gen.T
         horizon, n = g.shape
-        buy = np.broadcast_to(np.asarray(buy, dtype=float), g.shape)
-        sell = np.broadcast_to(np.asarray(sell, dtype=float), g.shape)
+        rates = [np.asarray(rate, dtype=float) for rate in (buy, sell)]
+        buy, sell = (np.broadcast_to(rate, g.shape) for rate in rates)
         discharge_price = salvage / bess.discharge_eff
         charge_price = bess.charge_eff * salvage
         # the responses at the rates, then the thresholds of the battery following
-        # generation, which depend on neither t nor SoC: one pass over the groups
-        salvage_prices = np.full((2, n), [[discharge_price], [charge_price]])
-        response = blocks.response(np.concatenate((buy, sell, salvage_prices)))
+        # generation, which depend on neither t nor SoC: one pass over the groups, at the
+        # ladder of those prices before it is broadcast to the prosumers
+        width = 1 if all(np.shape(rate)[-1:] in ((), (1,)) for rate in rates) else n
+        salvage_prices = np.full((2, width), [[discharge_price], [charge_price]])
+        ladder = np.concatenate((buy[:, :width], sell[:, :width], salvage_prices))
+        rows = np.arange(len(ladder))
+        if width == 1:
+            # one rate column for every prosumer: each distinct price (by its bits) once
+            bits = ladder.view(np.int64).ravel()
+            _, first, rows = np.unique(bits, return_index=True, return_inverse=True)
+            ladder = ladder[first]
+        response = blocks.response(np.broadcast_to(ladder, (len(ladder), n)))[rows]
         lower, upper = response[:horizon], response[horizon:-2]
         follow_discharge, follow_charge = response[-2:]
 

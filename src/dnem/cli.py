@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -115,25 +116,38 @@ def _floats(cls, doc: dict, name: str) -> dict[str, float]:
     }
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; a byte sequence that is not UTF-8 names the file and its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_traces_csv(path: Path) -> dict[str, list[float]]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            names = reader.fieldnames
-            if names is None:
-                raise ConfigError(f"{path}: empty traces CSV")
-            columns: dict[str, list[float]] = {name: [] for name in names}
-            if len(columns) < len(names):
-                repeated = next(name for k, name in enumerate(names) if name in names[:k])
-                raise ConfigError(f"{path}: column {repeated!r} appears more than once")
-            for row in reader:
-                for name, values in columns.items():
-                    values.append(
-                        _number(row[name], f"{path} line {reader.line_num} column {name!r}")
-                    )
-        except csv.Error as exc:
-            # the DictReader's own line_num stops at the last row it returned
-            raise ConfigError(f"{path} line {reader.reader.line_num}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    try:
+        names = reader.fieldnames
+        if names is None:
+            raise ConfigError(f"{path}: empty traces CSV")
+        columns: dict[str, list[float]] = {name: [] for name in names}
+        if len(columns) < len(names):
+            repeated = next(name for k, name in enumerate(names) if name in names[:k])
+            raise ConfigError(f"{path}: column {repeated!r} appears more than once")
+        for row in reader:
+            if None in row:
+                # the DictReader keeps the cells past the header under the key None
+                raise ConfigError(
+                    f"{path} line {reader.line_num}: {len(names) + len(row[None])} fields, "
+                    f"but the header names {len(names)}"
+                )
+            for name, values in columns.items():
+                values.append(_number(row[name], f"{path} line {reader.line_num} column {name!r}"))
+    except csv.Error as exc:
+        # the DictReader's own line_num stops at the last row it returned
+        raise ConfigError(f"{path} line {reader.reader.line_num}: {exc}") from None
     return columns
 
 
@@ -146,12 +160,12 @@ def load_config(path: str | Path) -> CommunityScenario:
     the field.
     """
     path = Path(path)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: nested deeper than the interpreter's recursion limit
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    text = _read_text(path)
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the interpreter's recursion limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
 

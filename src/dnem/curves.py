@@ -16,9 +16,12 @@ kink pair as a scan of every kink would, and returns the same float.
 
 :func:`invert_rows` runs that search for many curves and targets at once, in
 lockstep, and :func:`invert_aggregate` is its call for one curve and one
-target.  A solved price is a numpy ``float64`` when either plateau edge is
-interpolated between two kinks, and a Python ``float`` when both edges are
-bracket ends; callers hash its ``repr``, so the rule is kept as it is.
+target.  Each step evaluates each distinct probe price once per single-curve
+group (a run's community cells all search one curve, mostly from one of a
+few brackets), and a group of many curves once per cell.  A solved price is
+a numpy ``float64`` when either plateau edge is interpolated between two
+kinks, and a Python ``float`` when both edges are bracket ends; callers hash
+its ``repr``, so the rule is kept as it is.
 """
 
 from __future__ import annotations
@@ -167,12 +170,13 @@ def invert_rows(groups, kinks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
     the first bad k, checking its bracket before its target.
 
     Every cell runs the two plateau-edge searches of :func:`invert_aggregate`
-    in lockstep: each step evaluates the curve once per cell of every group
-    with an unfinished cell, one (cells, devices) expression per group.  A
-    finished cell evaluates its last probe again, so it raises no new
-    warning.  The right edge is searched from the left edge, with the
-    responses at both edges carried, so a cell that is not on a plateau
-    needs no second search.
+    in lockstep: each step evaluates, in every group with an unfinished cell,
+    one (prices, devices) expression.  A group of one curve evaluates each
+    distinct price (by its bits) of its unfinished cells once and gathers the
+    responses back; a group of many curves evaluates every cell, a finished
+    one at its last probe again, so it raises no new warning.  The right
+    edge is searched from the left edge, with the responses at both edges
+    carried, so a cell that is not on a plateau needs no second search.
     """
     kink, start, count = kinks
     rows = np.asarray(rows, dtype=np.intp)
@@ -192,17 +196,26 @@ def invert_rows(groups, kinks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
             order.append(mine)
             # parameters gathered once per call; a single curve broadcasts
             at = position[rows[mine]]
-            plan.append((cells, params if len(members) == 1 else [p[at] for p in params]))
+            single = len(members) == 1
+            plan.append((cells, single, params if single else [p[at] for p in params]))
     order = np.concatenate(order)
     rows = rows[order]
     target, lo, hi, v_lo, v_hi = (
         np.asarray(v, dtype=float)[order] for v in (target, lo, hi, v_lo, v_hi)
     )
 
-    def response(prices, live=None):
+    def response(prices, live):
         values = np.zeros(len(prices))
-        for cells, params in plan:
-            if live is None or live[cells].any():
+        for cells, single, params in plan:
+            if not live[cells].any():
+                continue
+            if single:
+                on = cells.start + np.flatnonzero(live[cells])
+                _, first, back = np.unique(
+                    prices[on].view(np.int64), return_index=True, return_inverse=True
+                )
+                values[on] = _response(params, prices[on[first], None])[back]
+            else:
                 values[cells] = _response(params, prices[cells, None])
         return values
 

@@ -32,6 +32,7 @@ __all__ = [
     "ScenarioValidationError",
     "fold_central_pv",
     "validate_scenario",
+    "device_table",
     "salvage_rate_bounds",
     "stored_energy",
 ]
@@ -274,6 +275,59 @@ def _check_device(issues: list, member_id: str, k: int, dev) -> None:
             issues.append(f"{tag}: kink price alpha - beta*{bound} is not finite")
 
 
+def _device_values(members: Sequence[Member]) -> list:
+    return [v for m in members for d in m.devices for v in (d.alpha, d.beta, d.d_min, d.d_max)]
+
+
+def device_table(members: Sequence[Member]) -> np.ndarray:
+    """Every device's ``(alpha, beta, d_min, d_max)`` as one (devices, 4) float table,
+    in member order."""
+    values = _device_values(members)
+    return np.fromiter(values, dtype=float, count=len(values)).reshape(-1, 4)
+
+
+#: Types of which float64 holds every value exactly
+_FLOATS = frozenset({float, np.float64, np.float32, np.float16})
+
+
+def _exact(value) -> bool:
+    """Whether float64 holds ``value`` exactly, so that a check on its float is exact."""
+    if type(value) in _FLOATS:
+        return True
+    return isinstance(value, (int, np.integer)) and abs(int(value)) <= 2**53
+
+
+def _suspect_devices(members: Sequence[Member]) -> np.ndarray:
+    """The devices, by index in member order, on which :func:`_check_device` may report.
+
+    The checks run as array expressions over the float :func:`device_table`, and
+    a device is suspect when its floats fail one.  A device with a parameter
+    that float64 does not hold exactly (a Python int beyond 2**53, a value past
+    float range, a non-number) is suspect as it is, so that
+    :func:`_check_device` checks it on its own values.
+    """
+    values = _device_values(members)
+    exact = np.ones(len(values) // 4, dtype=bool)
+    if not set(map(type, values)) <= _FLOATS:
+        held = list(map(_exact, values))
+        exact = np.array(held, dtype=bool).reshape(-1, 4).all(axis=1)
+        # a value that float64 does not hold may have no float at all
+        values = [v if ok else 0.0 for v, ok in zip(values, held)]
+    table = np.fromiter(values, dtype=float, count=len(values)).reshape(-1, 4)
+    alpha, beta, d_min, d_max = table.T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fails = (
+            ~np.isfinite(table).all(axis=1)
+            | (beta <= 0)
+            | ~np.isfinite(alpha / beta)
+            | (alpha < 0)
+            | ~((0 <= d_min) & (d_min <= d_max))
+            | ~np.isfinite(alpha - beta * d_max)
+            | ~np.isfinite(alpha - beta * d_min)
+        )
+    return np.flatnonzero(fails | ~exact)
+
+
 def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     """Check every scenario invariant; return the scenario if all hold.
 
@@ -292,22 +346,39 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     if len(scenario.members) == 0:
         issues.append("scenario has no members")
 
+    members = scenario.members
+    # each suspect device by member, as (member index, device index in the member)
+    counts = np.array([len(m.devices) for m in members], dtype=np.intp)
+    ends = np.cumsum(counts)
+    suspect = _suspect_devices(members)
+    owner = np.searchsorted(ends, suspect, side="right")
+    checks: dict[int, list[int]] = {}
+    for i, k in zip(owner.tolist(), (suspect - (ends - counts)[owner]).tolist()):
+        checks.setdefault(i, []).append(k)
+    # the members whose traces pass every trace check, from one pass over all of them
+    clean = np.zeros(len(members), dtype=bool)
+    if members and all(len(m.pv_trace) == horizon for m in members):
+        traces = np.stack([m.pv_trace for m in members])
+        clean = ((traces >= 0) & (traces < np.inf)).all(axis=1)
+
     seen_ids = set()
-    for member in scenario.members:
+    for i, member in enumerate(members):
         if member.id in seen_ids:
             issues.append(f"duplicate member id {member.id!r}")
         seen_ids.add(member.id)
-        for k, dev in enumerate(member.devices):
-            _check_device(issues, member.id, k, dev)
-        if len(member.pv_trace) != horizon:
-            issues.append(
-                f"member {member.id!r}: pv_trace has length {len(member.pv_trace)}, expected {horizon}"
-            )
-        if not np.all(np.isfinite(member.pv_trace)):
-            issues.append(f"member {member.id!r}: pv_trace has non-finite entries")
-        else:
-            for t in np.nonzero(member.pv_trace < 0)[0]:
-                issues.append(f"member {member.id!r}: pv_trace[{t}] is negative")
+        for k in checks.get(i, ()):
+            _check_device(issues, member.id, k, member.devices[k])
+        if not clean[i]:
+            if len(member.pv_trace) != horizon:
+                issues.append(
+                    f"member {member.id!r}: pv_trace has length {len(member.pv_trace)}, "
+                    f"expected {horizon}"
+                )
+            if not np.all(np.isfinite(member.pv_trace)):
+                issues.append(f"member {member.id!r}: pv_trace has non-finite entries")
+            else:
+                for t in np.nonzero(member.pv_trace < 0)[0]:
+                    issues.append(f"member {member.id!r}: pv_trace[{t}] is negative")
         if not 0 <= member.central_pv_share <= 1:
             issues.append(f"member {member.id!r}: central_pv_share outside [0, 1]")
         if not 0 <= member.bess_share <= 1:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .curves import device_consumption, invert_rows, kink_table
-from .model import CommunityPrice, Member, stored_energy
+from .model import CommunityPrice, Member, device_table, stored_energy
 
 __all__ = [
     "MemberOutcome",
@@ -119,10 +119,7 @@ class DeviceBlocks:
 
     def __init__(self, members: Sequence[Member]):
         self.members = tuple(members)
-        self._table = np.array(
-            [(d.alpha, d.beta, d.d_min, d.d_max) for m in self.members for d in m.devices],
-            dtype=float,
-        ).reshape(-1, 4)
+        self._table = device_table(self.members)
         self._counts = np.array([len(m.devices) for m in self.members], dtype=np.intp)
         self.rows = len(self.members)
         self._groups = self._gather(_count_groups(self._counts, np.arange(len(self._table))))

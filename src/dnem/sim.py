@@ -235,8 +235,9 @@ def _summary(mechanism: str, runs: dict[str, Run], gains: bool) -> RunSummary:
 def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, Run]:
     scenario = validate_scenario(scenario)
     gen = folded_generation(scenario)
-    # np.sum per interval adds the members' generation pairwise; keep it so
-    g_n = np.array([float(np.sum(gen[:, t])) for t in range(scenario.horizon)])
+    # each interval's members added pairwise along one contiguous row, as np.sum
+    # adds one interval's column of ``gen``
+    g_n = np.sum(np.ascontiguousarray(gen.T), axis=1)
     blocks = DeviceBlocks(scenario.members)
     # one price-and-dispatch pass: the community (every device, g_n and the whole
     # battery) is row 0 when D-NEM runs, then the members alone when a baseline runs

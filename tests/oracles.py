@@ -20,7 +20,7 @@ import numpy as np
 
 from dnem.cli import _NON_FINITE
 from dnem.curves import EPS_QUANTITY, AggregateResponseCurve, TargetOutsideRangeError
-from dnem.model import Member
+from dnem.model import Member, _check_device
 from dnem.welfare import PROFIT_TOL, RATIONALITY_TOL, AxiomCheck, AxiomReport
 
 
@@ -224,6 +224,20 @@ def price_ladder_loop(members, dispatch, gen, buy, sell, salvage, bess):
             if solve is not None:
                 price[t, i] = full_scan_invert(curve, *solve)
     return zone, price
+
+
+def device_issues_loop(members):
+    """``validate_scenario``'s device issues, one device at a time in member order.
+
+    The per-device loop that the array checks over the device table replaced:
+    every device goes through ``_check_device``, whose messages are the
+    reference.
+    """
+    issues = []
+    for member in members:
+        for k, dev in enumerate(member.devices):
+            _check_device(issues, member.id, k, dev)
+    return issues
 
 
 _MAX_BRUTEFORCE_DEVICES = 4

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnem.bess import (
     ZONES,
@@ -442,3 +444,81 @@ class TestNoCurveObjects:
         audits = welfare.coalition_audits(sc.members, gen, sc.rates.buy, sc.rates.sell, samples)
         assert len(audits) == 24
         assert curves_built == []
+
+
+DEVICE = st.builds(
+    lambda alpha, beta, lo, width: DeviceUtility(alpha, beta, lo, lo + width),
+    alpha=st.floats(0.1, 2.0),
+    beta=st.floats(0.3, 2.0),
+    lo=st.floats(0.0, 0.5),
+    width=st.floats(0.0, 1.5),
+)
+#: rates that repeat, with both zeros: buy/discharge_eff and sell/charge_eff keep
+#: BATTERY's salvage rate 0.15 in its window
+BUY, SELL = st.sampled_from([0.2, 0.3, 0.4]), st.sampled_from([0.0, -0.0, 0.1])
+BATTERY = BessSpec(2.0, 0.9, 0.9, max_charge=0.5, max_discharge=0.5, initial_soc=1.0)
+
+
+@st.composite
+def rated_batches(draw):
+    """Prosumers, generation and rates of one ``price_and_dispatch`` call: rates as a
+    (T, 1) column, a (1, N) row or a (T, N) table."""
+    members = draw(st.lists(st.lists(DEVICE, max_size=4), min_size=1, max_size=4))
+    members = [Member(f"m{i}", tuple(devices), ()) for i, devices in enumerate(members)]
+    n, horizon = len(members), draw(st.integers(1, 5))
+    shape = draw(st.sampled_from([(horizon, 1), (1, n), (horizon, n)]))
+    buy, sell = (
+        np.array(draw(st.lists(rate, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])))
+        .reshape(shape)
+        for rate in (BUY, SELL)
+    )
+    gen = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=n * horizon, max_size=n * horizon)))
+    shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    bess = BATTERY if draw(st.booleans()) else BessSpec(0.0)
+    return DeviceBlocks(members), bess, shares, gen.reshape(n, horizon), buy, sell, 0.15
+
+
+class TestDistinctThresholdPrices:
+    """The threshold pass evaluates each distinct price of a rate column once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=rated_batches())
+    def test_prices_zones_and_types_equal_the_per_cell_ladder(self, batch):
+        TestPriceLevelOracle._assert_matches(*batch)
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        shapes = []
+        original = DeviceBlocks.response
+
+        def recording(self, prices):
+            shapes.append(prices.shape)
+            return original(self, prices)
+
+        monkeypatch.setattr(DeviceBlocks, "response", recording)
+        return shapes
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_a_run_evaluates_each_distinct_ladder_price_once(self, monkeypatch, with_bess):
+        sc = solar_day_scenario(4, n_members=12, horizon=24, with_bess=with_bess)
+        shapes = self._recorded(monkeypatch)
+        run_all(sc)
+        rates, bess = sc.rates, sc.bess or BessSpec(0.0)
+        ladder = np.concatenate(
+            (rates.buy, rates.sell, [rates.salvage / bess.discharge_eff, bess.charge_eff * rates.salvage])
+        )
+        # the community and the 12 members, each at 2 buy prices, 1 sell price and the
+        # 2 salvage prices, which are both 0.0 without a battery
+        assert shapes == [(len(np.unique(ladder)), 13)] == [(5 if with_bess else 4, 13)]
+
+    def test_rates_per_prosumer_keep_every_row(self, monkeypatch):
+        sc = solar_day_scenario(4, n_members=12, horizon=24)
+        n, horizon = 12, 6
+        gen = folded_generation(sc)[:, :horizon]
+        shapes = self._recorded(monkeypatch)
+        # a (1, N) row broadcast to every interval; never more than the (2T + 2) x N cells
+        buy, sell = np.linspace(0.2, 0.4, n)[None, :], np.full((1, n), 0.1)
+        price_and_dispatch(DeviceBlocks(sc.members), BessSpec(0.0), np.ones(n), gen, buy, sell, 0.0)
+        # and one interval of the coalition audit's kind: 4 rows
+        price_and_dispatch(DeviceBlocks(sc.members), BessSpec(0.0), np.ones(n), gen[:, :1], buy, sell, 0.0)
+        assert shapes == [(2 * horizon + 2, n), (4, n)]

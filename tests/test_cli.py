@@ -324,8 +324,10 @@ class TestMalformedConfig:
             ("m1\n" + "1" * 131_073 + "\n", "traces.csv line 2: field larger than field limit"),
             # read as one column, this was "expected 2 entries, got 4"
             ("m1,m1\n1.0,1.0\n2.0,2.0\n", "traces.csv: column 'm1' appears more than once"),
+            # a header short of a name: the cells past it were dropped, and a column shifted
+            ("m1,central_pv\n1.5,0.8,0.3\n1.0,0.5\n", "traces.csv line 2: 3 fields, but the header names 2"),
         ],
-        ids=["over_limit_field", "repeated_column"],
+        ids=["over_limit_field", "repeated_column", "row_longer_than_header"],
     )
     def test_unreadable_traces_csv_exits_1_naming_the_file(self, tmp_path, capsys, text, message):
         (tmp_path / "traces.csv").write_text(text)
@@ -336,6 +338,25 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert f"{tmp_path / message}" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "name, data, message",
+        [
+            ("config.json", b"\xff\xfe", "config.json line 1: not UTF-8 text"),
+            ("traces.csv", b"m1,central_pv\n1.0,0.5\n\xff,1\n", "traces.csv line 3: not UTF-8 text"),
+        ],
+        ids=["config", "traces_csv"],
+    )
+    def test_non_utf8_file_exits_1_naming_the_file_and_line(self, tmp_path, capsys, name, data, message):
+        path = write_config(tmp_path, _mutated(_short_csv_row))
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"{tmp_path / message}")
+        assert "codec" not in err and "Traceback" not in err
 
 
 class TestSimulate:

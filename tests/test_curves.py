@@ -15,8 +15,9 @@ from dnem.curves import (
     invert_aggregate,
     kink_table,
 )
-from dnem.model import DeviceUtility, Member
+from dnem.model import CommunityScenario, DeviceUtility, Member, RateSchedule
 from dnem.response import DeviceBlocks
+from dnem.sim import run
 
 from oracles import full_scan_invert, grid_best_consumption, pl_solution_band
 
@@ -345,7 +346,7 @@ class TestBisectionMatchesFullScan:
         assert k > 4000  # a scan would make k + 2 evaluations
         bound = 2 * math.ceil(math.log2(k)) + 4
         assert 2 < sum(rows) <= bound
-        # a batch of targets on the curve costs as much per cell
+        # a batch of targets on the curve costs at most as much per cell
         targets = np.linspace(curve_5000.response(hi), curve_5000.response(lo), 8)
         rows.clear()
         solve(one_curve(curve_5000), np.zeros(8, int), targets, np.full(8, lo), np.full(8, hi))
@@ -495,6 +496,53 @@ class TestBatchedSolve:
         assert [type(p) for p in got] == [float, np.float64, float, float, np.float64]
         expected = full_scan_cells([AggregateResponseCurve(m.devices) for m in members], rows, target, lo, hi)
         assert [repr(p) for p in got] == [repr(p) for p in expected]
+
+    @staticmethod
+    def _evaluated(monkeypatch):
+        # the prices of each curve evaluation: one call per group and step
+        calls = []
+        response = curves._response
+        monkeypatch.setattr(
+            curves, "_response", lambda params, prices: calls.append((params, np.ravel(prices))) or response(params, prices)
+        )
+        return calls
+
+    def test_copies_of_a_cell_cost_one_cell(self, curve_5000, monkeypatch):
+        lo, hi = 0.0, 6.0
+        target = 0.5 * (curve_5000.response(lo) + curve_5000.response(hi))
+        calls = self._evaluated(monkeypatch)
+        alone = solve(one_curve(curve_5000), [0], [target], [lo], [hi])
+        steps = [prices.tolist() for _, prices in calls]
+        calls.clear()
+        # 40 copies probe the same price at each step, which is evaluated once
+        copies = solve(one_curve(curve_5000), np.zeros(40, int), np.full(40, target), np.full(40, lo), np.full(40, hi))
+        assert [prices.tolist() for _, prices in calls] == steps
+        assert [repr(p) for p in copies] == [repr(alone[0])] * 40
+
+    def test_a_net_zero_run_evaluates_each_distinct_probe_once(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        devices = []
+        for _ in range(120):
+            at_d_max, at_d_min, alpha = np.sort(rng.uniform(0.0, 1.5, 3))
+            beta = rng.uniform(0.2, 2.0)
+            devices.append(DeviceUtility(alpha, beta, (alpha - at_d_min) / beta, (alpha - at_d_max) / beta))
+        curve = AggregateResponseCurve(devices)
+        horizon = 48
+        buy = np.where(np.arange(horizon) % 3 == 0, 0.40, 0.20)
+        sell = np.full(horizon, 0.10)
+        lower, upper = np.array([curve.response(b) for b in buy]), curve.response(0.10)
+        # generation inside every interval's net-zero band, split over 6 members
+        g_n = lower + rng.uniform(0.05, 0.95, horizon) * (upper - lower)
+        members = [Member(f"m{i}", tuple(devices[20 * i : 20 * i + 20]), g_n / 6) for i in range(6)]
+        scenario = CommunityScenario(members, RateSchedule(buy, sell), horizon)
+        calls = self._evaluated(monkeypatch)
+        records, _ = run(scenario, "dnem", compute_gains=False)
+        assert sum(r.price.is_net_zero for r in records) == horizon
+        # the community's one curve, at pairwise distinct prices in every step
+        assert calls and all(params[0].shape == (1, 120) for params, _ in calls)
+        assert all(len(np.unique(prices.view(np.int64))) == len(prices) for _, prices in calls)
+        # 48 cells in 2 brackets: far fewer rows than a row per cell and step
+        assert sum(len(prices) for _, prices in calls) < 48 * len(calls) / 4
 
     @settings(max_examples=60, deadline=None)
     @given(members=mixed_rows(max_rows=5))

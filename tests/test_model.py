@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnem.model import (
     BessSpec,
@@ -14,9 +16,36 @@ from dnem.model import (
     validate_scenario,
 )
 
-from oracles import quad_utility
+from oracles import device_issues_loop, quad_utility
 
 DEV_OK = DeviceUtility(2, 1, 0, 2)
+
+
+#: device parameters as floats: typical, at the checks' edges and past them
+PARAMETER_FLOATS = st.one_of(
+    st.floats(-2.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-308, 5e-324, 1e200, 1e-200, 1e308, -1e308]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+#: the same mixed with Python ints (inside and past 2**53 and float range) and numpy
+#: scalars, which the array checks either hold exactly or leave to the per-device check
+PARAMETER = st.one_of(
+    PARAMETER_FLOATS,
+    st.integers(-3, 3),
+    st.sampled_from([2**53, 2**53 + 1, -(2**53) - 1, 2**60, 10**308, 10**400, -(10**400)]),
+    PARAMETER_FLOATS.map(np.float64),
+    st.floats(-2.0, 3.0, width=32).map(np.float32),
+    st.sampled_from([0, 2, -1, 2**53 + 1, 2**62]).map(np.int64),
+)
+
+#: a valid device with one parameter drawn from PARAMETER: mostly one fault alone
+ONE_BAD_PARAMETER = st.builds(
+    lambda alpha, beta, d_min, width, k, bad: tuple(
+        bad if j == k else v for j, v in enumerate((alpha, beta, d_min, d_min + width))
+    ),
+    st.floats(0.0, 3.0), st.floats(0.1, 3.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
+    st.integers(0, 3), PARAMETER,
+)
 
 
 def make_member(mid="m1", devices=(DeviceUtility(2, 1, 0, 2),), trace=(1.0,), **kw):
@@ -196,6 +225,44 @@ class TestValidateScenario:
             "member 'a' device 4: kink price alpha - beta*d_max is not finite",
             "member 'a' device 5: non-finite utility parameter",
         ]
+
+    def test_bounds_past_two_to_the_53_compared_exactly(self):
+        # both bounds are 2**53 as floats; as ints d_min exceeds d_max
+        device = DeviceUtility(1.0, 1.0, 2**53 + 1, 2**53)
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(make_scenario(members=(make_member("a", devices=(DEV_OK, device)),)))
+        assert err.value.issues == [
+            "member 'a' device 1: bounds must satisfy 0 <= d_min <= d_max "
+            "(got [9007199254740993, 9007199254740992])"
+        ]
+        # the same for numpy integers, which float64 holds no better
+        device = DeviceUtility(1.0, 1.0, np.int64(2**53 + 1), np.int64(2**53))
+        with pytest.raises(ScenarioValidationError, match="d_min <= d_max"):
+            validate_scenario(make_scenario(members=(make_member("a", devices=(device,)),)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(members=st.lists(st.lists(st.one_of(
+        # floats alone, so that many batches take only the array checks
+        st.tuples(*[PARAMETER_FLOATS] * 4), st.tuples(*[PARAMETER] * 4), ONE_BAD_PARAMETER
+    ), max_size=5), min_size=1, max_size=5))
+    # saturations past float range, each with finite kinks
+    @example(members=[[(1e308, 0.5, 0.0, 1.0), (2.0, 1.0, 0.0, 1.0), (1e200, 1e-200, 0.0, 1.0)]])
+    def test_device_issues_equal_the_per_device_loop(self, members):
+        members = tuple(
+            make_member(f"m{i}", devices=[DeviceUtility(*p) for p in params])
+            for i, params in enumerate(members)
+        )
+        scenario = make_scenario(members=members)
+        # _check_device compares a float32 with an int past float32 range, which warns
+        # of the cast, in the loop as in validate_scenario
+        with np.errstate(over="ignore"):
+            expected = device_issues_loop(members)
+            if not expected:
+                assert validate_scenario(scenario) is scenario
+                return
+            with pytest.raises(ScenarioValidationError) as err:
+                validate_scenario(scenario)
+        assert err.value.issues == expected
 
     def test_huge_alpha_keeps_finite_kinks(self):
         sc = make_scenario(members=(make_member(devices=(DeviceUtility(1e308, 1.0, 0.0, 2.0),)),))

@@ -75,6 +75,23 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="unknown mechanism"):
             run(tiny_scenario(), "vcg")
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 1000])
+    def test_g_n_adds_each_interval_as_np_sum_adds_its_column(self, n):
+        # np.sum adds pairwise from 8 terms on, so the order of the members matters
+        rng = np.random.default_rng(n)
+        horizon = 6
+        traces = rng.uniform(0.0, 1.0, (n, horizon)) * 10.0 ** rng.integers(-6, 4, (n, 1))
+        central = rng.uniform(0.0, 2.0, horizon)
+        shares = np.full(n, 1.0 / n)
+        members = tuple(
+            Member(f"m{i}", (DEV_A,), traces[i], central_pv_share=shares[i]) for i in range(n)
+        )
+        sc = CommunityScenario(members, RateSchedule.flat(0.4, 0.2, horizon), horizon, central_pv_trace=central)
+        gen = dnem.sim.folded_generation(sc)
+        records, _ = run(sc, "dnem", compute_gains=False)
+        expected = [float(np.sum(gen[:, t])) for t in range(horizon)]
+        assert [r.g_n.hex() for r in records] == [g.hex() for g in expected]
+
 
 class TestRunInvariants:
     @pytest.mark.parametrize("seed", range(6))
