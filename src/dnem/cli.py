@@ -93,14 +93,27 @@ def _horizon(value) -> int:
     return value
 
 
-def _broadcast(value, horizon: int, name: str) -> list[float]:
+def _broadcast(value, horizon: int, name: str) -> np.ndarray:
+    """A scalar repeated ``horizon`` times, or a list of ``horizon`` numbers, as floats.
+    A list of ``float`` and ``int`` alone (no ``bool``) is read as one array; any other,
+    or one with an int past float range, goes value by value through :func:`_number`,
+    so an error names the first bad index."""
     if isinstance(value, (int, float)):
-        return [_number(value, name)] * horizon
+        return np.full(horizon, _number(value, name))
     if isinstance(value, list):
         if len(value) != horizon:
             raise ConfigError(f"{name}: expected {horizon} entries, got {len(value)}")
-        return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
+        if set(map(type, value)) <= {float, int}:
+            try:
+                return np.array(value, dtype=float)
+            except OverflowError:
+                pass
+        return np.array([_number(v, f"{name}[{k}]") for k, v in enumerate(value)])
     raise ConfigError(f"{name}: expected a number or a list of numbers")
+
+
+#: the fields of a dataclass, looked up once per class
+_fields = functools.cache(dataclasses.fields)
 
 
 def _floats(cls, doc: dict, name: str) -> dict[str, float]:
@@ -110,7 +123,7 @@ def _floats(cls, doc: dict, name: str) -> dict[str, float]:
     """
     return {
         field.name: _number(_required(doc, field.name, name), f"{name}.{field.name}")
-        for field in dataclasses.fields(cls)
+        for field in _fields(cls)
         if field.type in (float, "float")
         and (field.name in doc or field.default is dataclasses.MISSING)
     }
@@ -182,12 +195,12 @@ def load_config(path: str | Path) -> CommunityScenario:
             csv_path = path.parent / csv_path
         csv_columns = _read_traces_csv(csv_path)
 
-    def trace(holder: dict, key: str, name: str, column: str) -> list[float]:
+    def trace(holder: dict, key: str, name: str, column: str) -> np.ndarray:
         if key in holder:
             return _broadcast(holder[key], horizon, name)
         if column in csv_columns:
             return _broadcast(csv_columns[column], horizon, f"traces_csv[{column}]")
-        return [0.0] * horizon
+        return np.zeros(horizon)
 
     buy = _broadcast(rates_doc.get("buy"), horizon, "rates.buy")
     sell = _broadcast(rates_doc.get("sell"), horizon, "rates.sell")
@@ -234,7 +247,7 @@ def scenario_hash(scenario: CommunityScenario) -> str:
     """sha256 of the scenario's inputs as canonical JSON, every trace resolved inline."""
 
     def fields(obj) -> dict:
-        return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+        return {field.name: getattr(obj, field.name) for field in _fields(type(obj))}
 
     doc = {
         "horizon": scenario.horizon,
@@ -284,14 +297,16 @@ def _fixed(values) -> list[str]:
     A cell reads ``f"{round(v, 6) + 0.0:.6f}"``: ``%.6f`` rounds as ``round``
     does, and a value that rounds to zero is written without its sign.  A NaN
     (or ``None``) is an empty cell; callers refuse non-finite results first
-    (:func:`_finite`).
+    (:func:`_finite`).  A cell is a function of its float's bits, so each
+    distinct bit pattern (0.0 and -0.0 apart, each NaN payload apart) is
+    formatted once and the rows gather their cells by index.
     """
     values = np.array(values, dtype=float)
-    template = ",%.6f" * values.shape[1]
-    return [
-        (template % tuple(row)).replace(",-0.000000", ",0.000000").replace(",nan", ",")
-        for row in values.tolist()
-    ]
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    cells = np.array([",%.6f" % v for v in bits.view(float).tolist()], dtype=object)
+    cells[cells == ",-0.000000"] = ",0.000000"
+    cells[cells == ",nan"] = ","
+    return ["".join(row) for row in cells[index.reshape(values.shape)].tolist()]
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -259,13 +259,16 @@ def _check_device(issues: list, member_id: str, k: int, dev) -> None:
     if not all(map(_finite, vals)):
         issues.append(f"{tag}: non-finite utility parameter")
         return
-    if dev.beta <= 0:
+    # compared as Python numbers, which compare exactly: numpy would cast a numpy float
+    # and a Python int past its range to one type, with an overflow warning
+    alpha, beta, d_min, d_max = (v.item() if isinstance(v, np.generic) else v for v in vals)
+    if beta <= 0:
         issues.append(f"{tag}: beta must be > 0 (got {dev.beta})")
     elif not math.isfinite(float(dev.alpha) / float(dev.beta)):
         issues.append(f"{tag}: saturation alpha/beta is not finite")
-    if dev.alpha < 0:
+    if alpha < 0:
         issues.append(f"{tag}: alpha must be >= 0 (got {dev.alpha})")
-    if not 0 <= dev.d_min <= dev.d_max:
+    if not 0 <= d_min <= d_max:
         issues.append(
             f"{tag}: bounds must satisfy 0 <= d_min <= d_max (got [{dev.d_min}, {dev.d_max}])"
         )

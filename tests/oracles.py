@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dnem.cli import _NON_FINITE
+from dnem.cli import _NON_FINITE, ConfigError, _number
 from dnem.curves import EPS_QUANTITY, AggregateResponseCurve, TargetOutsideRangeError
 from dnem.model import Member, _check_device
 from dnem.welfare import PROFIT_TOL, RATIONALITY_TOL, AxiomCheck, AxiomReport
@@ -414,3 +414,16 @@ def _fmt(value: float) -> str:
         raise ValueError(_NON_FINITE)
     # round first so values like -1e-9 serialise as 0.000000, not -0.000000
     return f"{round(value, 6) + 0.0:.6f}"
+
+
+def broadcast_values(value, horizon: int, name: str) -> list[float]:
+    """A trace or rate list read one value at a time, the way the config reader read
+    every list before it read lists of numbers as arrays: the reference for
+    ``dnem.cli._broadcast``."""
+    if isinstance(value, (int, float)):
+        return [_number(value, name)] * horizon
+    if isinstance(value, list):
+        if len(value) != horizon:
+            raise ConfigError(f"{name}: expected {horizon} entries, got {len(value)}")
+        return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
+    raise ConfigError(f"{name}: expected a number or a list of numbers")

@@ -7,15 +7,18 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dnem.benchmark
+import dnem.cli
 import dnem.response
 import dnem.sim
 from dnem.cli import (
@@ -31,7 +34,7 @@ from dnem.cli import (
     main,
     scenario_hash,
 )
-from oracles import _fmt
+from oracles import _fmt, broadcast_values
 
 
 ONE_MEMBER = {
@@ -89,7 +92,55 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+#: trace and rate entries that JSON numbers give: signed zeros, the NaN and Infinity
+#: tokens, ints past 2**53, 2**63 and float range
+TRACE_NUMBERS = st.one_of(
+    st.floats(0.0, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, float("nan"), float("inf"), -float("inf")]),
+    st.integers(0, 2**70),
+    st.sampled_from([-1, 2**53 + 1, 2**63 + 1, 2**64 + 1, -(2**64) - 1, 10**400, -(10**400)]),
+)
+#: entries that are no JSON number
+NOT_NUMBERS = st.sampled_from([True, False, None, "1.5", "nan", "x", [1.0], [], {}])
+#: a trace of the 3-interval config below: numbers alone (one array), numbers with one
+#: entry that is none, any mix, or a scalar
+TRACES = st.one_of(
+    st.lists(TRACE_NUMBERS, min_size=3, max_size=3),
+    st.builds(
+        lambda trace, k, bad: trace[:k] + [bad] + trace[k + 1 :],
+        st.lists(TRACE_NUMBERS, min_size=3, max_size=3), st.integers(0, 2), NOT_NUMBERS,
+    ),
+    st.lists(st.one_of(TRACE_NUMBERS, NOT_NUMBERS), min_size=2, max_size=4),
+    TRACE_NUMBERS,
+    NOT_NUMBERS,
+)
+
+
+def _loaded(path):
+    """The floats of the loaded rates and traces, bit by bit, or the error raised."""
+    try:
+        sc = load_config(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    arrays = (sc.rates.buy, sc.rates.sell, sc.members[0].pv_trace, sc.central_pv_trace)
+    return [a.view(np.int64).tolist() for a in arrays]
+
+
 class TestLoadConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(pv=TRACES, buy=TRACES)
+    def test_traces_read_as_the_per_value_reference_reads_them(self, pv, buy):
+        doc = json.loads(json.dumps(ONE_MEMBER))
+        doc["horizon"] = 3
+        doc["rates"] = {"buy": buy, "sell": 0.0}
+        doc["members"][0]["pv_trace"] = pv
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), doc)
+            ours = _loaded(path)
+            with mock.patch.object(dnem.cli, "_broadcast", broadcast_values):
+                reference = _loaded(path)
+        assert ours == reference
+
     def test_scalar_broadcast_and_hash_stability(self, tmp_path):
         path = write_config(tmp_path, ONE_MEMBER)
         sc1 = load_config(path)
@@ -936,8 +987,33 @@ cell_values = st.one_of(
 )
 
 
+#: a quiet NaN whose payload differs from ``float("nan")``'s
+OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.int64).view(float).item()
+#: a few values, so that most cells of a table repeat one another, mixed with both zeros,
+#: NaNs with two payloads and ``None`` (NaN and ``None`` are empty cells)
+cell_pools = st.lists(st.sampled_from(CELL_EDGES), min_size=1, max_size=4).map(
+    lambda pool: pool + [0.0, -0.0, float("nan"), OTHER_NAN, None]
+)
+table_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 8)),
+    st.tuples(st.integers(1, 8), st.just(1)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+)
+
+
 class TestFixedCells:
     """``cli._fixed`` writes every cell as the per-value reference ``oracles._fmt`` does."""
+
+    @given(pool=cell_pools, shape=table_shapes, data=st.data())
+    def test_repeated_cells_equal_the_reference(self, pool, shape, data):
+        rows, columns = shape
+        cell = st.sampled_from(pool)
+        table = [[data.draw(cell) for _ in range(columns)] for _ in range(rows)]
+        expected = [
+            "".join("," + ("" if v is None or np.isnan(v) else _fmt(v)) for v in row)
+            for row in table
+        ]
+        assert _fixed(table) == expected
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=cell_values))
     def test_rows_equal_the_reference(self, values):

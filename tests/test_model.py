@@ -240,6 +240,19 @@ class TestValidateScenario:
         with pytest.raises(ScenarioValidationError, match="d_min <= d_max"):
             validate_scenario(make_scenario(members=(make_member("a", devices=(device,)),)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_float_and_int_past_its_range_compared_exactly(self):
+        # numpy would cast the int to float32 to compare, with an overflow warning
+        device = DeviceUtility(1.0, 1.0, np.float32(0.5), 10**39)
+        sc = make_scenario(members=(make_member("a", devices=(device,)),))
+        assert validate_scenario(sc) is sc
+        device = DeviceUtility(1.0, 1.0, 10**39, np.float32(0.5))
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(make_scenario(members=(make_member("a", devices=(device,)),)))
+        assert err.value.issues == [
+            f"member 'a' device 0: bounds must satisfy 0 <= d_min <= d_max (got [{10**39}, 0.5])"
+        ]
+
     @settings(max_examples=200, deadline=None)
     @given(members=st.lists(st.lists(st.one_of(
         # floats alone, so that many batches take only the array checks
@@ -253,15 +266,12 @@ class TestValidateScenario:
             for i, params in enumerate(members)
         )
         scenario = make_scenario(members=members)
-        # _check_device compares a float32 with an int past float32 range, which warns
-        # of the cast, in the loop as in validate_scenario
-        with np.errstate(over="ignore"):
-            expected = device_issues_loop(members)
-            if not expected:
-                assert validate_scenario(scenario) is scenario
-                return
-            with pytest.raises(ScenarioValidationError) as err:
-                validate_scenario(scenario)
+        expected = device_issues_loop(members)
+        if not expected:
+            assert validate_scenario(scenario) is scenario
+            return
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(scenario)
         assert err.value.issues == expected
 
     def test_huge_alpha_keeps_finite_kinks(self):
