@@ -6,7 +6,9 @@ pricing or curve code, so that agreement between the two is evidence rather
 than tautology.  The one exception is the net-zero price reference
 (:func:`full_scan_invert`, :func:`price_ladder_loop`): it reads the curve
 through ``AggregateResponseCurve.response``, one price at a time, and checks
-the package's batched search against a scan of every kink.
+the package's batched search against a scan of every kink.  The kinks are
+listed from the devices' parameters (:func:`kink_prices`), and that response
+is itself pinned to :func:`reference_response`.
 """
 
 import functools
@@ -134,10 +136,48 @@ def pl_solution_band(devices, target, lo, hi, tol=Fraction(1, 10**11)):
     return min(inside), max(inside)
 
 
+def reference_response(devices, price) -> float:
+    """The total response of ``devices`` at ``price`` as one expression over 1-D
+    parameter arrays: each device's ``(alpha - price) / beta`` clamped to its support
+    ``[0, alpha / beta]``, then to ``[d_min, d_max]``, and ``np.sum`` over the
+    devices in order.  ``AggregateResponseCurve.response`` must equal it bit for bit.
+    """
+    alpha, beta, d_min, d_max = (
+        np.array([getattr(d, name) for d in devices], dtype=float)
+        for name in ("alpha", "beta", "d_min", "d_max")
+    )
+    d = alpha - price
+    d /= beta
+    np.maximum(d, 0.0, out=d)
+    np.minimum(d, alpha / beta, out=d)
+    np.maximum(d, d_min, out=d)
+    return float(np.sum(np.minimum(d, d_max, out=d)))
+
+
+def kink_prices(devices) -> list:
+    """The sorted, unique kink prices of the curve of ``devices``, in float arithmetic:
+    each device's ``0``, ``alpha - beta*d_max``, ``alpha - beta*d_min`` and ``alpha``,
+    where its interior optimum ``(alpha - y) / beta`` meets its saturation, its bounds
+    and zero."""
+    kinks = set()
+    for d in devices:
+        alpha, beta, d_min, d_max = (float(v) for v in (d.alpha, d.beta, d.d_min, d.d_max))
+        kinks.update((0.0, alpha - beta * d_max, alpha - beta * d_min, alpha))
+    return sorted(kinks)
+
+
+def knot_prices(devices, lo, hi) -> np.ndarray:
+    """``lo``, the kinks of :func:`kink_prices` strictly inside ``(lo, hi)`` and ``hi``,
+    as a float array; only ``lo`` when ``lo == hi``."""
+    if lo == hi:
+        return np.array([lo], dtype=float)
+    return np.array([lo, *(k for k in kink_prices(devices) if lo < k < hi), hi], dtype=float)
+
+
 @functools.lru_cache(maxsize=64)
 def _kink_scan(curve, lo, hi):
     # the curve at every kink of the bracket, once per curve and bracket
-    knots = curve.knot_prices(lo, hi)
+    knots = knot_prices(curve.devices, lo, hi)
     return knots, np.array([curve.response(y) for y in knots])
 
 
@@ -147,8 +187,9 @@ def full_scan_invert(curve, target, lo, hi):
     The reference that ``dnem.curves.invert_rows`` must reproduce bit for
     bit: value, type (a numpy float64 when a plateau edge is interpolated, a
     Python float when both edges are bracket ends) and error message.  It
-    reads the curve through ``AggregateResponseCurve.response`` and
-    ``knot_prices`` only; the search is a scan of K + 2 evaluations.
+    reads the curve through ``AggregateResponseCurve.response`` only, at the
+    kinks that :func:`knot_prices` lists; the search is a scan of K + 2
+    evaluations.
     """
     if lo > hi:
         raise TargetOutsideRangeError(f"empty price bracket [{lo}, {hi}]")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnem import curves
@@ -19,7 +19,14 @@ from dnem.model import CommunityScenario, DeviceUtility, Member, RateSchedule
 from dnem.response import DeviceBlocks
 from dnem.sim import run
 
-from oracles import full_scan_invert, grid_best_consumption, pl_solution_band
+from oracles import (
+    full_scan_invert,
+    grid_best_consumption,
+    kink_prices,
+    knot_prices,
+    pl_solution_band,
+    reference_response,
+)
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 DEV_B = DeviceUtility(3.0, 2.0, 0.0, 2.0)
@@ -123,7 +130,7 @@ class TestAggregateResponse:
                 for _ in range(k)
             ]
             curve = AggregateResponseCurve(devs)
-            knots = curve.knot_prices(0.0, max(d.alpha for d in devs) + 1.0)
+            knots = knot_prices(devs, 0.0, max(d.alpha for d in devs) + 1.0)
             slopes = []
             for a, b in zip(knots[:-1], knots[1:]):
                 if b - a < 1e-12:
@@ -219,7 +226,7 @@ class TestAgainstPiecewiseLinearOracle:
             target = curve.response(hi) + frac * (curve.response(lo) - curve.response(hi))
         else:
             # the response at a kink is the level of any plateau that starts there
-            knots = curve.knot_prices(lo, hi)
+            knots = knot_prices(curve.devices, lo, hi)
             target = curve.response(float(knots[knot % len(knots)]))
         mu = invert_aggregate(curve, target, lo, hi)
         left, right = pl_solution_band(params, target, lo, hi)
@@ -231,7 +238,7 @@ class TestAgainstPiecewiseLinearOracle:
 
     def test_empty_curve_returns_bracket_midpoint(self):
         curve = AggregateResponseCurve([])
-        assert curve.knot_prices(0.1, 0.9).tolist() == [0.1, 0.9]
+        assert knot_prices(curve.devices, 0.1, 0.9).tolist() == [0.1, 0.9]
         assert invert_aggregate(curve, 0.0, 0.1, 0.9) == 0.5
         assert pl_solution_band([], 0.0, 0.1, 0.9) == (Fraction(0.1), Fraction(0.9))
 
@@ -253,6 +260,29 @@ class TestAgainstPiecewiseLinearOracle:
         curve = AggregateResponseCurve([DeviceUtility(*p) for p in params])
         left, right = pl_solution_band(params, 0.1, 0.0, 1.5)
         assert invert_aggregate(curve, 0.1, 0.0, 1.5) == pytest.approx(float((left + right) / 2))
+
+
+class TestPinnedBitForBit:
+    """The curve's response equals :func:`reference_response`, the formula over its 1-D
+    parameter arrays, by ``float.hex``, and its solve equals the full scan by ``repr``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=many_kink_devices(),
+        lo=st.floats(0.0, 3.0),
+        width=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        frac=st.floats(0.0, 1.0),
+        price=st.floats(-1.0, 7.0),
+    )
+    @example(params=[], lo=0.1, width=0.8, frac=0.5, price=0.0)
+    def test_response_and_solve(self, params, lo, width, frac, price):
+        curve = AggregateResponseCurve([DeviceUtility(*p) for p in params])
+        hi = lo + width
+        # any price, the bracket ends and every kink, where the clamps meet
+        for y in (price, lo, hi, *kink_prices(curve.devices)):
+            assert curve.response(y).hex() == reference_response(curve.devices, y).hex()
+        target = curve.response(hi) + frac * (curve.response(lo) - curve.response(hi))
+        assert repr(invert_aggregate(curve, target, lo, hi)) == repr(full_scan_invert(curve, target, lo, hi))
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +313,7 @@ class TestBisectionMatchesFullScan:
         curve = AggregateResponseCurve([DeviceUtility(*p) for p in params])
         hi = lo + width
         v_lo, v_hi = curve.response(lo), curve.response(hi)
-        knots = curve.knot_prices(lo, hi)
+        knots = knot_prices(curve.devices, lo, hi)
         target = {
             "interior": v_hi + frac * (v_lo - v_hi),
             # the level of any plateau that starts at a kink
@@ -342,7 +372,7 @@ class TestBisectionMatchesFullScan:
         target = 0.5 * (curve_5000.response(lo) + curve_5000.response(hi))
         rows.clear()
         invert_aggregate(curve_5000, target, lo, hi)
-        k = len(curve_5000.knot_prices(lo, hi))
+        k = len(knot_prices(curve_5000.devices, lo, hi))
         assert k > 4000  # a scan would make k + 2 evaluations
         bound = 2 * math.ceil(math.log2(k)) + 4
         assert 2 < sum(rows) <= bound
@@ -424,7 +454,7 @@ class TestBatchedSolve:
             curve = curves_by_row[r]
             b = a + width
             v_lo, v_hi = curve.response(a), curve.response(b)
-            knots = curve.knot_prices(a, b) if a <= b else [a]
+            knots = knot_prices(curve.devices, a, b) if a <= b else [a]
             rows.append(r)
             lo.append(a)
             hi.append(b)
@@ -555,7 +585,7 @@ class TestBatchedSolve:
             alpha, beta, d_min, d_max = params.T
             unique = np.unique(np.concatenate((np.zeros_like(alpha), alpha - beta * d_max, alpha - beta * d_min, alpha)))
             assert row.tolist() == unique.tolist()
-            assert row.tolist() == AggregateResponseCurve(member.devices)._knots.tolist()
+            assert row.tolist() == kink_prices(member.devices)
 
 
 def clip_form(params, prices):
@@ -649,11 +679,11 @@ class TestExactnessPremise:
     @given(params=many_kink_devices(), lo=st.floats(0.0, 3.0), width=st.floats(0.0, 4.0))
     def test_non_increasing_at_the_kinks(self, params, lo, width):
         curve = AggregateResponseCurve([DeviceUtility(*p) for p in params])
-        values = [curve.response(y) for y in curve.knot_prices(lo, lo + width)]
+        values = [curve.response(y) for y in knot_prices(curve.devices, lo, lo + width)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_non_increasing_on_a_seeded_5000_device_curve(self, curve_5000):
-        values = np.array([curve_5000.response(y) for y in curve_5000.knot_prices(0.0, 6.0)])
+        values = np.array([curve_5000.response(y) for y in knot_prices(curve_5000.devices, 0.0, 6.0)])
         assert np.all(np.diff(values) <= 0.0)
 
 

@@ -294,6 +294,36 @@ class TestValidateScenario:
         with pytest.raises(ScenarioValidationError, match="length"):
             validate_scenario(sc)
 
+    @pytest.mark.parametrize(
+        "central, central_issues",
+        [
+            ([1.0, np.nan, 0.5], ["central_pv_trace has length 3, expected 2", "central_pv_trace has non-finite entries"]),
+            ([0.0, -1.0], ["central_pv_trace[1] is negative"]),
+        ],
+        ids=["central_length_non_finite", "central_negative"],
+    )
+    def test_every_trace_check_message(self, central, central_issues):
+        # each trace reports its length, then non-finite entries or else each negative
+        # entry; one trace cannot report both of the last two, so the central trace
+        # takes two scenarios
+        members = (
+            make_member("a", trace=[1.0, np.nan, 2.0], central_pv_share=1.0),
+            make_member("b", trace=[1.0, -1.0]),
+        )
+        rates = RateSchedule(np.array([0.4, np.inf, 0.4]), np.array([0.2, -0.1]))
+        sc = make_scenario(members=members, rates=rates, horizon=2, central_pv_trace=np.array(central))
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(sc)
+        assert err.value.issues == [
+            "member 'a': pv_trace has length 3, expected 2",
+            "member 'a': pv_trace has non-finite entries",
+            "member 'b': pv_trace[1] is negative",
+            "rates.buy has length 3, expected 2",
+            "rates.buy has non-finite entries",
+            "rates.sell[1] is negative",
+            *central_issues,
+        ]
+
     def test_duplicate_member_ids(self):
         sc = make_scenario(members=(make_member("x"), make_member("x")))
         with pytest.raises(ScenarioValidationError, match="duplicate"):

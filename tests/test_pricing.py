@@ -9,6 +9,8 @@ from dnem.model import BessSpec, CommunityPrice, DeviceUtility, Member, PriceZon
 from dnem.pricing import dnem_price, nem_payment
 from dnem.response import DeviceBlocks, member_outcome
 
+from oracles import knot_prices
+
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 DEV_B = DeviceUtility(3.0, 2.0, 0.0, 2.0)
 
@@ -56,7 +58,7 @@ def plateau_devices(rng, count):
 def ladder_targets(curve, buy, sell, rng):
     """Generation at both thresholds, at every plateau level between them, just outside and inside."""
     lower, upper = curve.response(buy), curve.response(sell)
-    levels = [curve.response(float(y)) for y in curve.knot_prices(sell, buy)]
+    levels = [curve.response(float(y)) for y in knot_prices(curve.devices, sell, buy)]
     return [lower, upper, *levels, lower - 0.25, upper + 0.25, *rng.uniform(lower, upper, 3).tolist()]
 
 
