@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bess import ZONES, Dispatch, price_and_dispatch
+from .curves import DeviceBlocks
 from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule
-from .response import DeviceBlocks, MemberOutcome, Settlement, member_utility, settle_arrays
+from .response import MemberOutcome, Settlement, member_utility, settle_arrays
 
 __all__ = [
     "standalone_optimum",

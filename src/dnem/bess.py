@@ -32,9 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import EPS_QUANTITY, AggregateResponseCurve
-from .model import BessSpec, CommunityPrice, Member, PriceZone, stored_energy
-from .response import DeviceBlocks
+from .curves import EPS_QUANTITY, AggregateResponseCurve, DeviceBlocks
+from .model import BessSpec, CommunityPrice, PriceZone, stored_energy
 
 __all__ = [
     "ZONES",
@@ -43,7 +42,6 @@ __all__ = [
     "effective_limits",
     "soc_step",
     "price_and_dispatch",
-    "pooled",
     "generalized_dnem_price",
 ]
 
@@ -248,11 +246,6 @@ def price_and_dispatch(
     )
 
 
-def pooled(devices) -> DeviceBlocks:
-    """One prosumer owning every device in ``devices``: the community as D-NEM prices it."""
-    return DeviceBlocks([Member("pooled", tuple(devices), np.zeros(0))])
-
-
 def generalized_dnem_price(
     curve: AggregateResponseCurve,
     g_n: float,
@@ -268,7 +261,7 @@ def generalized_dnem_price(
     generation ``g_n`` and the battery ``spec`` at state of charge ``soc``.
     """
     cell = price_and_dispatch(
-        pooled(curve.devices),
+        curve.blocks,
         replace(spec, initial_soc=soc),
         np.ones(1),
         np.array([[g_n]], dtype=float),

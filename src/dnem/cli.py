@@ -33,7 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bess import ZONES, pooled, price_and_dispatch
+from .bess import ZONES, price_and_dispatch
+from .curves import AggregateResponseCurve
 from .model import (
     BessSpec,
     CommunityScenario,
@@ -385,8 +386,9 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
     rates = scenario.rates
     # the community as one prosumer at interval t, its battery (if any) at the initial SoC
     bess = scenario.bess or BessSpec(0.0)
+    community = AggregateResponseCurve.from_members(scenario.members).blocks
     cell = price_and_dispatch(
-        pooled(d for m in scenario.members for d in m.devices), bess, np.ones(1), np.array([[g_n]]),
+        community, bess, np.ones(1), np.array([[g_n]]),
         rates.buy[t], rates.sell[t], rates.salvage,
     )
     lower, upper = cell.lower[0, 0], cell.upper[0, 0]

@@ -7,6 +7,9 @@ Every device has a saturating quadratic utility, so the curve is
 continuous, non-increasing and piecewise linear with kinks at known prices,
 which lets the net-zero price be solved exactly.
 
+:class:`DeviceBlocks` holds such curves as rows, one per prosumer, and is
+their only representation; :class:`AggregateResponseCurve` is one row.
+
 The solve is a binary search over the sorted kinks: O(N log K) for N devices
 and K kinks in the bracket, one O(N) curve evaluation per probe.  It needs no
 tolerance, because the float response is itself non-increasing in price:
@@ -30,11 +33,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import DeviceUtility, Member
+from .model import DeviceUtility, Member, device_table
 
 __all__ = [
     "EPS_QUANTITY",
     "TargetOutsideRangeError",
+    "DeviceBlocks",
+    "mask_groups",
     "AggregateResponseCurve",
     "invert_aggregate",
     "device_consumption",
@@ -48,46 +53,6 @@ EPS_QUANTITY = 1e-8
 
 class TargetOutsideRangeError(ValueError):
     """The requested consumption target is not bracketed on [lo, hi]."""
-
-
-class AggregateResponseCurve:
-    """Total price response of a flat collection of quadratic devices.
-
-    Immutable after construction.  The device parameters are held as arrays
-    so the response is one vectorised expression, and the kink prices of
-    every device (0, ``alpha - beta*d_max``, ``alpha - beta*d_min`` and
-    ``alpha``) are collected, sorted and made unique once (:func:`kink_table`).
-    """
-
-    def __init__(self, devices: Iterable[DeviceUtility]):
-        self.devices = tuple(devices)
-        alpha, beta, d_min, d_max = (
-            np.array([getattr(d, name) for d in self.devices], dtype=float)
-            for name in ("alpha", "beta", "d_min", "d_max")
-        )
-        #: (alpha, beta, alpha / beta, d_min, d_max), each over the devices
-        self._params = (alpha, beta, alpha / beta, d_min, d_max)
-        #: the curve as the one row of an :func:`invert_rows` group, and its kinks
-        self._row = (np.zeros(1, dtype=np.intp), *(p[None] for p in self._params))
-        self._kinks = kink_table([self._row], 1)
-        self._knots = self._kinks[0][: self._kinks[2][0]]
-
-    @classmethod
-    def from_members(cls, members: Sequence[Member]) -> "AggregateResponseCurve":
-        return cls(dev for m in members for dev in m.devices)
-
-    def response(self, price: float) -> float:
-        """Aggregate consumption at ``price`` (kWh); non-increasing in price."""
-        return float(_response(self._params, price))
-
-    def knot_prices(self, lo: float, hi: float) -> np.ndarray:
-        """Sorted kink prices within ``[lo, hi]`` including the endpoints (``lo <= hi``)."""
-        if lo == hi:
-            return np.array([lo], dtype=float)
-        knots = self._knots
-        # sorted and unique, strictly inside the bracket: nothing to sort
-        inner = knots[np.searchsorted(knots, lo, "right") : np.searchsorted(knots, hi, "left")]
-        return np.concatenate(([lo], inner, [hi]))
 
 
 def device_consumption(params, prices) -> np.ndarray:
@@ -110,6 +75,147 @@ def _response(params, prices) -> np.ndarray:
     """Each row's total response at its price: :func:`device_consumption` summed over
     the devices of the row."""
     return np.sum(device_consumption(params, prices), axis=-1)
+
+
+def _count_groups(counts: np.ndarray, columns: np.ndarray):
+    """Rows grouped by their count: row r owns ``counts[r]`` entries of ``columns``,
+    which holds the rows' entries back to back in row order.  Yields, count by count,
+    the rows (ascending) and their (rows, count) entries."""
+    order = np.argsort(counts, kind="stable")
+    start = np.cumsum(counts) - counts
+    cuts = np.flatnonzero(np.diff(counts[order])) + 1
+    for rows in np.split(order, cuts) if len(order) else ():
+        yield rows, columns[start[rows, None] + np.arange(counts[rows[0]])]
+
+
+def mask_groups(mask: np.ndarray):
+    """The rows of a boolean (R, C) mask grouped by how many columns they select:
+    per count k, the rows (ascending) and the (rows, k) columns they select
+    (ascending)."""
+    return _count_groups(np.count_nonzero(mask, axis=1), np.nonzero(mask)[1])
+
+
+class DeviceBlocks:
+    """The prosumers' devices grouped by device count, for (T, N) price arrays.
+
+    Built from members (anything with ``devices``), prosumer i is
+    ``members[i]``.  The devices' parameters are one flat (devices, 4) table of
+    ``(alpha, beta, d_min, d_max)`` in member order, with each member's device
+    count; :meth:`pooled` gathers coalitions of the members from it (and, in
+    one batch, the members themselves), with no :class:`~dnem.model.Member` per
+    coalition.  A group holds its prosumers' row indices and (rows, devices)
+    arrays of the device parameters.  Totals are ``np.sum`` over a prosumer's
+    own devices, along the contiguous last axis of a group block, which adds
+    them exactly as ``np.sum`` adds one prosumer's device vector (pairwise from
+    8 devices on).  Utilities add the devices one by one, as
+    :func:`~dnem.response.member_utility` does.  A prosumer without devices
+    consumes nothing.  :meth:`invert` solves prices on the prosumers' own
+    response curves from these arrays.
+    """
+
+    def __init__(self, members: Sequence[Member]):
+        self.members = tuple(members)
+        self._table = device_table(self.members)
+        self._counts = np.array([len(m.devices) for m in self.members], dtype=np.intp)
+        self.rows = len(self.members)
+        self._groups = self._gather(_count_groups(self._counts, np.arange(len(self._table))))
+
+    def pooled(self, mask: np.ndarray, members: bool = False) -> "DeviceBlocks":
+        """R pooled prosumers from an (R, N) boolean membership mask: prosumer r owns,
+        in member order, the devices of the members that ``mask[r]`` selects.  With
+        ``members``, the N members follow as prosumers R..R+N-1, gathered from the
+        table with no mask row each.  Its arrays, and so every float, are those of
+        ``DeviceBlocks([Member(...), ...])`` on those devices; it carries no members."""
+        # (R, devices): whether row r owns the device
+        owned = np.asarray(mask, dtype=bool)[:, np.repeat(np.arange(self.rows), self._counts)]
+        counts, columns = np.count_nonzero(owned, axis=1), np.nonzero(owned)[1]
+        if members:
+            counts = np.concatenate((counts, self._counts))
+            columns = np.concatenate((columns, np.arange(len(self._table))))
+        blocks = object.__new__(DeviceBlocks)
+        blocks.members = None
+        blocks.rows = len(counts)
+        blocks._groups = self._gather(_count_groups(counts, columns))
+        return blocks
+
+    def _gather(self, by_count) -> list:
+        # each group's (rows, devices) parameters from the table rows it indexes
+        groups = []
+        for rows, index in by_count:
+            params = self._table[index]
+            alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
+            groups.append((rows, alpha, beta, alpha / beta, d_min, d_max, 0.5 * beta))
+        return groups
+
+    def invert(self, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
+        """The price at which prosumer ``rows[k]``'s own response meets ``target[k]`` on
+        ``[lo[k], hi[k]]``, for every k, given its responses ``v_lo[k]`` and ``v_hi[k]``
+        there (:meth:`response`'s): :func:`invert_rows` on the groups."""
+        # only the groups and prosumers that have a cell to solve
+        wanted = np.zeros(self.rows, dtype=bool)
+        wanted[rows] = True
+        groups = []
+        for group in self._groups:
+            keep = wanted[group[0]]
+            if keep.any():
+                groups.append(tuple(p if keep.all() else p[keep] for p in group[:6]))
+        return invert_rows(groups, kink_table(groups, self.rows), rows, target, lo, hi, v_lo, v_hi)
+
+    @staticmethod
+    def _consumption(group, prices: np.ndarray) -> np.ndarray:
+        # each device's consumption: (T, prosumers, devices)
+        idx, alpha, beta, saturation, d_min, d_max, _ = group
+        return device_consumption((alpha, beta, saturation, d_min, d_max), prices[:, idx, None])
+
+    def response(self, prices: np.ndarray) -> np.ndarray:
+        """Each prosumer's total consumption at (T, N) prices: per cell, its devices'
+        :func:`device_consumption` summed, as :func:`invert_rows` evaluates it."""
+        total = np.empty(prices.shape)
+        for group in self._groups:
+            total[:, group[0]] = np.sum(self._consumption(group, prices), axis=-1)
+        return total
+
+    def evaluate(self, prices: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+        """Consumption, totals and utilities of every member at (T, N) prices.
+
+        ``consumption[i]`` is member i's (T, devices) slice of its group's
+        block: row t is its surplus-maximising device vector at
+        ``prices[t, i]``.  Totals and utilities are (T, N) arrays.
+        """
+        total = np.empty(prices.shape)
+        utility = np.empty(prices.shape)
+        consumption = [None] * prices.shape[1]
+        for group in self._groups:
+            idx, alpha, _, saturation, _, _, half_beta = group
+            d = self._consumption(group, prices)
+            total[:, idx] = np.sum(d, axis=-1)
+            u = np.zeros(d.shape[:2])
+            for j in range(d.shape[2]):
+                # DeviceUtility.value: flat beyond saturation
+                dj = np.minimum(d[:, :, j], saturation[:, j])
+                u += alpha[:, j] * dj - half_beta[:, j] * dj * dj
+            utility[:, idx] = u
+            for k, i in enumerate(idx.tolist()):
+                consumption[i] = d[:, k]
+        return consumption, total, utility
+
+
+class AggregateResponseCurve:
+    """Total price response of a flat collection of quadratic devices, immutable: a
+    view of :attr:`blocks`, the one :class:`DeviceBlocks` row that owns every device
+    (blocks read only a member's ``devices``, so the curve is its own member)."""
+
+    def __init__(self, devices: Iterable[DeviceUtility]):
+        self.devices = tuple(devices)
+        self.blocks = DeviceBlocks([self])
+
+    @classmethod
+    def from_members(cls, members: Sequence[Member]) -> "AggregateResponseCurve":
+        return cls(dev for m in members for dev in m.devices)
+
+    def response(self, price: float) -> float:
+        """Aggregate consumption at ``price`` (kWh); non-increasing in price."""
+        return float(self.blocks.response(np.array([[price]], dtype=float))[0, 0])
 
 
 def kink_table(groups, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,7 +421,7 @@ def invert_aggregate(
     (see the module docstring), so both searches find the kinks a full scan
     would.  The result is a numpy ``float64`` when either edge is
     interpolated between two kinks, and a Python ``float`` when both edges
-    are bracket ends.  This is :func:`invert_rows` for one cell.
+    are bracket ends.  This is :meth:`DeviceBlocks.invert` for one cell.
     """
-    v_lo, v_hi = _response(curve._row[1:], np.array([[lo], [hi]], dtype=float))
-    return invert_rows([curve._row], curve._kinks, [0], [target], [lo], [hi], [v_lo], [v_hi])[0]
+    v_lo, v_hi = curve.blocks.response(np.array([[lo], [hi]], dtype=float))[:, 0]
+    return curve.blocks.invert([0], [target], [lo], [hi], [v_lo], [v_hi])[0]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .benchmark import standalone_settlement
 from .bess import ZONES, Dispatch, price_and_dispatch
-from .curves import AggregateResponseCurve
+from .curves import AggregateResponseCurve, DeviceBlocks
 from .model import (
     BessSpec,
     CommunityPrice,
@@ -42,7 +42,7 @@ from .model import (
     fold_central_pv,
     validate_scenario,
 )
-from .response import DeviceBlocks, MemberOutcome, Settlement, settle_arrays
+from .response import MemberOutcome, Settlement, settle_arrays
 from .welfare import welfare_gain
 
 __all__ = [

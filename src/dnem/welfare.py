@@ -19,9 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bess import price_and_dispatch
-from .curves import AggregateResponseCurve, invert_aggregate
+from .curves import AggregateResponseCurve, DeviceBlocks, invert_aggregate, mask_groups
 from .model import BessSpec, Member
-from .response import DeviceBlocks, mask_groups
 
 __all__ = [
     "centralized_welfare_closed_form",

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dnem.bess import ZONES, generalized_dnem_price, pooled, price_and_dispatch, soc_step
+from dnem.bess import ZONES, generalized_dnem_price, price_and_dispatch, soc_step
 from dnem.cli import EXIT_AUDIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from dnem.curves import AggregateResponseCurve
 from dnem.model import NET_ZERO_ZONES, BessSpec, CommunityPrice, CommunityScenario, Member, PriceZone
@@ -100,7 +100,7 @@ def test_criterion_4_price_structure():
         sweep = np.linspace(0.0, top, 1000)
         # the sweep as 1000 intervals of one prosumer with an empty battery
         cells = price_and_dispatch(
-            pooled(curve.devices), BessSpec(0.0), np.ones(1), sweep[None, :], buy, sell, 0.0
+            curve.blocks, BessSpec(0.0), np.ones(1), sweep[None, :], buy, sell, 0.0
         )
         prices = [CommunityPrice(v, ZONES[z]) for v, z in zip(cells.price[:, 0], cells.zone[:, 0])]
         values = np.array([p.value for p in prices])

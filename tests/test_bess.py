@@ -11,7 +11,6 @@ from dnem.bess import (
     StorageLimitError,
     effective_limits,
     generalized_dnem_price,
-    pooled,
     price_and_dispatch,
     soc_step,
 )
@@ -38,7 +37,7 @@ SPEC = BessSpec(2.0, 0.95, 0.95, max_charge=0.5, max_discharge=0.5, initial_soc=
 def thresholds():
     """The rule's thresholds for CURVE with SPEC at SoC 1.0, salvage 0.3, buy 0.4, sell 0.2."""
     return price_and_dispatch(
-        pooled(CURVE.devices), SPEC, np.ones(1), np.array([[1.7]]), 0.4, 0.2, 0.3
+        CURVE.blocks, SPEC, np.ones(1), np.array([[1.7]]), 0.4, 0.2, 0.3
     )
 
 
@@ -309,7 +308,7 @@ def _both_passes(sc):
     devices = [d for m in sc.members for d in m.devices]
     shares = np.array([m.bess_share for m in sc.members])
     return [
-        (pooled(devices), bess, np.ones(1), np.sum(gen, axis=0)[None, :]),
+        (AggregateResponseCurve(devices).blocks, bess, np.ones(1), np.sum(gen, axis=0)[None, :]),
         (DeviceBlocks(sc.members), bess, shares, gen),
     ], rates
 

@@ -685,36 +685,3 @@ class TestExactnessPremise:
     def test_non_increasing_on_a_seeded_5000_device_curve(self, curve_5000):
         values = np.array([curve_5000.response(y) for y in knot_prices(curve_5000.devices, 0.0, 6.0)])
         assert np.all(np.diff(values) <= 0.0)
-
-
-def unique_knot_prices(curve, lo, hi):
-    """``knot_prices`` as a sort of the bracket ends and the kinks strictly inside."""
-    knots = curve._knots
-    inner = knots[np.searchsorted(knots, lo, "right") : np.searchsorted(knots, hi, "left")]
-    return np.unique(np.concatenate(([lo, hi], inner)))
-
-
-class TestKnotPrices:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        params=many_kink_devices(),
-        data=st.data(),
-        width=st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.floats(0.0, 1e-9)),
-    )
-    def test_equals_the_sorted_unique_form(self, params, data, width):
-        curve = AggregateResponseCurve([DeviceUtility(*p) for p in params])
-        # brackets between kinks, from a kink, and around no kink at all
-        kinks = curve._knots.tolist()
-        lo = data.draw(st.one_of(st.floats(-1.0, 6.0), st.sampled_from(kinks or [0.0])))
-        above = [k for k in kinks if k >= lo] or [lo]
-        hi = data.draw(st.one_of(st.just(lo + width), st.sampled_from(above)))
-        got = curve.knot_prices(lo, hi)
-        expected = unique_knot_prices(curve, lo, hi)
-        assert got.dtype == expected.dtype
-        assert got.tolist() == expected.tolist()
-
-    @pytest.mark.parametrize("lo, hi", [(0.2, 0.2), (1.0, 1.0), (0.1, 0.15), (-1.0, 7.0)])
-    def test_edge_brackets(self, lo, hi):
-        curve = AggregateResponseCurve([DEV_A, DEV_B])
-        assert curve.knot_prices(lo, hi).tolist() == unique_knot_prices(curve, lo, hi).tolist()
-        assert AggregateResponseCurve([]).knot_prices(lo, hi).tolist() == sorted({lo, hi})

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dnem.bess import ZONES, generalized_dnem_price, pooled, price_and_dispatch
+from dnem.bess import ZONES, generalized_dnem_price, price_and_dispatch
 from dnem.curves import AggregateResponseCurve, invert_aggregate
 from dnem.model import BessSpec, CommunityPrice, DeviceUtility, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
@@ -180,7 +180,7 @@ class TestCommunityPrice:
             sweep = np.linspace(0.0, top, 400)
             # the sweep as 400 intervals of one prosumer with an empty battery
             cells = price_and_dispatch(
-                pooled(curve.devices), BessSpec(0.0), np.ones(1), sweep[None, :], buy, sell, 0.0
+                curve.blocks, BessSpec(0.0), np.ones(1), sweep[None, :], buy, sell, 0.0
             )
             values = cells.price[:, 0]
             assert np.all(values >= sell - 1e-12)
