@@ -232,7 +232,7 @@ def axiom_audit(
         own = np.stack(
             (np.where(np.abs(net) <= 1e-12, mag, 0.0), np.where(pay * net < -1e-12, mag, 0.0)),
             axis=2,
-        ).reshape(len(net), -1)
+        ).reshape(len(net), 2 * net.shape[1])
         own_worst, own_k = _first_max(own)
         gaps = _magnitude_gaps(net, mag)
         worst = np.maximum(own_worst, _first_max(gaps)[0])

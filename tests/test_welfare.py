@@ -147,6 +147,16 @@ class TestAxiomAudit:
         outs = [member_outcome(m, price, float(gen[i, t])) for i, m in enumerate(sc.members)]
         return gen, outs, buy, sell
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)], ids=["no_intervals", "no_members"])
+    @pytest.mark.parametrize("with_benchmark", [False, True], ids=["no_benchmark", "benchmark"])
+    def test_an_empty_run_passes_every_check(self, shape, with_benchmark):
+        empty = np.zeros(shape)
+        buy, sell = np.full(shape[0], 0.4), np.full(shape[0], 0.1)
+        report = axiom_audit(empty, empty, empty, buy, sell, empty if with_benchmark else None)
+        axioms = ["uniform_payment", "monotonicity_cost_causation", "individual_rationality", "profit_neutrality"]
+        assert [c.axiom for c in report.checks] == [a for a in axioms if with_benchmark or a != axioms[2]]
+        assert all(c.passed and c.slack == 0.0 and c.interval is None for c in report.checks)
+
     def test_dnem_passes_all_axioms(self):
         for seed in range(10):
             sc = random_scenario(2000 + seed, horizon=1)
