@@ -331,6 +331,17 @@ def _suspect_devices(members: Sequence[Member]) -> np.ndarray:
     return np.flatnonzero(fails | ~exact)
 
 
+def _check_trace(issues: list[str], name: str, trace: np.ndarray, horizon: int) -> None:
+    """A trace's length, then its non-finite entries or else each negative entry."""
+    if len(trace) != horizon:
+        issues.append(f"{name} has length {len(trace)}, expected {horizon}")
+    if not np.all(np.isfinite(trace)):
+        issues.append(f"{name} has non-finite entries")
+    else:
+        for t in np.nonzero(trace < 0)[0]:
+            issues.append(f"{name}[{t}] is negative")
+
+
 def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     """Check every scenario invariant; return the scenario if all hold.
 
@@ -372,16 +383,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         for k in checks.get(i, ()):
             _check_device(issues, member.id, k, member.devices[k])
         if not clean[i]:
-            if len(member.pv_trace) != horizon:
-                issues.append(
-                    f"member {member.id!r}: pv_trace has length {len(member.pv_trace)}, "
-                    f"expected {horizon}"
-                )
-            if not np.all(np.isfinite(member.pv_trace)):
-                issues.append(f"member {member.id!r}: pv_trace has non-finite entries")
-            else:
-                for t in np.nonzero(member.pv_trace < 0)[0]:
-                    issues.append(f"member {member.id!r}: pv_trace[{t}] is negative")
+            _check_trace(issues, f"member {member.id!r}: pv_trace", member.pv_trace, horizon)
         if not 0 <= member.central_pv_share <= 1:
             issues.append(f"member {member.id!r}: central_pv_share outside [0, 1]")
         if not 0 <= member.bess_share <= 1:
@@ -389,13 +391,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
 
     rates = scenario.rates
     for name, arr in (("buy", rates.buy), ("sell", rates.sell)):
-        if len(arr) != horizon:
-            issues.append(f"rates.{name} has length {len(arr)}, expected {horizon}")
-        if not np.all(np.isfinite(arr)):
-            issues.append(f"rates.{name} has non-finite entries")
-        else:
-            for t in np.nonzero(arr < 0)[0]:
-                issues.append(f"rates.{name}[{t}] is negative")
+        _check_trace(issues, f"rates.{name}", arr, horizon)
     if len(rates.buy) == len(rates.sell):
         for t in np.nonzero(rates.sell > rates.buy)[0]:
             issues.append(
@@ -405,13 +401,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         issues.append(f"salvage rate must be finite and >= 0 (got {rates.salvage})")
 
     central = scenario.central_pv_trace
-    if len(central) != horizon:
-        issues.append(f"central_pv_trace has length {len(central)}, expected {horizon}")
-    if not np.all(np.isfinite(central)):
-        issues.append("central_pv_trace has non-finite entries")
-    else:
-        for t in np.nonzero(central < 0)[0]:
-            issues.append(f"central_pv_trace[{t}] is negative")
+    _check_trace(issues, "central_pv_trace", central, horizon)
     if np.any(central > 0):
         total = sum(m.central_pv_share for m in scenario.members)
         if abs(total - 1.0) > 1e-9:
