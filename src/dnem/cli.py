@@ -264,16 +264,6 @@ def scenario_hash(scenario: CommunityScenario) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serialisable: {type(obj).__name__}")
-
-
 #: Message for a result that JSON or the CSV format cannot hold.
 _NON_FINITE = "a result is not a finite number; check the config for extreme values"
 
@@ -281,7 +271,7 @@ _NON_FINITE = "a result is not a finite number; check the config for extreme val
 def _dumps(doc: dict, indent: Optional[int] = None) -> str:
     """Standard JSON: a non-finite number is refused, never written as NaN or Infinity."""
     try:
-        return json.dumps(doc, indent=indent, sort_keys=True, default=_json_default, allow_nan=False)
+        return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
     except ValueError:
         raise ValueError(_NON_FINITE) from None
 
