@@ -14,10 +14,9 @@ import pytest
 
 from dnem.bess import ZONES, generalized_dnem_price, price_and_dispatch, soc_step
 from dnem.cli import EXIT_AUDIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from dnem.curves import AggregateResponseCurve
+from dnem.curves import AggregateResponseCurve, DeviceBlocks
 from dnem.model import NET_ZERO_ZONES, BessSpec, CommunityPrice, CommunityScenario, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
-from dnem.response import DeviceBlocks
 from dnem.sim import (
     folded_generation, random_scenario, rate_ratio_sweep, run, run_all, solar_day_scenario,
 )

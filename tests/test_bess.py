@@ -14,7 +14,7 @@ from dnem.bess import (
     price_and_dispatch,
     soc_step,
 )
-from dnem.curves import AggregateResponseCurve
+from dnem.curves import AggregateResponseCurve, DeviceBlocks
 from dnem.model import (
     NET_ZERO_ZONES,
     BessSpec,
@@ -24,7 +24,6 @@ from dnem.model import (
     validate_scenario,
 )
 from dnem.pricing import dnem_price, nem_payment
-from dnem.response import DeviceBlocks
 from dnem import welfare
 from dnem.sim import folded_generation, random_scenario, run_all, solar_day_scenario
 

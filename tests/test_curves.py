@@ -10,13 +10,13 @@ from dnem import curves
 from dnem.curves import (
     EPS_QUANTITY,
     AggregateResponseCurve,
+    DeviceBlocks,
     TargetOutsideRangeError,
     device_consumption,
     invert_aggregate,
     kink_table,
 )
 from dnem.model import CommunityScenario, DeviceUtility, Member, RateSchedule
-from dnem.response import DeviceBlocks
 from dnem.sim import run
 
 from oracles import (

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dnem.bess import ZONES, generalized_dnem_price, price_and_dispatch
-from dnem.curves import AggregateResponseCurve, invert_aggregate
+from dnem.curves import AggregateResponseCurve, DeviceBlocks, invert_aggregate
 from dnem.model import BessSpec, CommunityPrice, DeviceUtility, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
-from dnem.response import DeviceBlocks, member_outcome
+from dnem.response import member_outcome
 
 from oracles import knot_prices
 

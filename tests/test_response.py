@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dnem.curves import DeviceBlocks
 from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone
-from dnem.response import DeviceBlocks, member_outcome, member_utility
+from dnem.response import member_outcome, member_utility
 from dnem.sim import folded_generation, random_scenario, run
 
 from oracles import grid_best_consumption, quad_utility

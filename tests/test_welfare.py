@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnem.benchmark import standalone_optimum
-from dnem.curves import AggregateResponseCurve
+from dnem.curves import AggregateResponseCurve, DeviceBlocks
 from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone
 from dnem.pricing import dnem_price, nem_payment
-from dnem.response import DeviceBlocks, MemberOutcome, member_outcome, settle_arrays
+from dnem.response import MemberOutcome, member_outcome, settle_arrays
 from dnem.sim import folded_generation, random_scenario, run_all, solar_day_scenario
 from dnem.welfare import (
     CoalitionAudit,
