@@ -379,13 +379,8 @@ class TestBisectionMatchesFullScan:
         # a batch of targets on the curve costs at most as much per cell
         targets = np.linspace(curve_5000.response(hi), curve_5000.response(lo), 8)
         rows.clear()
-        solve(one_curve(curve_5000), np.zeros(8, int), targets, np.full(8, lo), np.full(8, hi))
+        solve(curve_5000.blocks, np.zeros(8, int), targets, np.full(8, lo), np.full(8, hi))
         assert 2 * 8 < sum(rows) <= 8 * bound
-
-
-def one_curve(curve):
-    """The blocks of one member owning the devices of ``curve``."""
-    return DeviceBlocks([Member("m", curve.devices, ())])
 
 
 def solve(blocks, rows, target, lo, hi):
@@ -509,7 +504,7 @@ class TestBatchedSolve:
         upper, lower = curve.response(0.10), np.array([curve.response(b) for b in buy])
         target = lower + rng.uniform(0.0, 1.0, 96) * (upper - lower)
         target[:4] = (upper, lower[1], lower[2], curve.response(0.15))
-        got = solve(one_curve(curve), np.zeros(96, int), target, sell, buy)
+        got = solve(curve.blocks, np.zeros(96, int), target, sell, buy)
         expected = [full_scan_invert(curve, t, a, b) for t, a, b in zip(target, sell, buy)]
         assert [repr(p) for p in got] == [repr(p) for p in expected]
 
@@ -541,11 +536,11 @@ class TestBatchedSolve:
         lo, hi = 0.0, 6.0
         target = 0.5 * (curve_5000.response(lo) + curve_5000.response(hi))
         calls = self._evaluated(monkeypatch)
-        alone = solve(one_curve(curve_5000), [0], [target], [lo], [hi])
+        alone = solve(curve_5000.blocks, [0], [target], [lo], [hi])
         steps = [prices.tolist() for _, prices in calls]
         calls.clear()
         # 40 copies probe the same price at each step, which is evaluated once
-        copies = solve(one_curve(curve_5000), np.zeros(40, int), np.full(40, target), np.full(40, lo), np.full(40, hi))
+        copies = solve(curve_5000.blocks, np.zeros(40, int), np.full(40, target), np.full(40, lo), np.full(40, hi))
         assert [prices.tolist() for _, prices in calls] == steps
         assert [repr(p) for p in copies] == [repr(alone[0])] * 40
 
