@@ -457,6 +457,36 @@ def _fmt(value: float) -> str:
     return f"{round(value, 6) + 0.0:.6f}"
 
 
+def fixed_reference(values) -> list[str]:
+    """Each row of ``values`` as comma-led six-decimal cells, the way the writer
+    rendered tables before its block kernel: each distinct bit pattern formatted
+    once by ``%.6f``.  The reference for ``dnem.cli._fixed``."""
+    values = np.array(values, dtype=float)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    cells = np.array([",%.6f" % v for v in bits.view(float).tolist()], dtype=object)
+    cells[cells == ",-0.000000"] = ",0.000000"
+    cells[cells == ",nan"] = ","
+    return ["".join(row) for row in cells[index.reshape(values.shape)].tolist()]
+
+
+def intervals_csv_reference(scenario, result) -> str:
+    """``intervals.csv`` rendered the way the writer rendered it before its block
+    kernel, price column apart, with :func:`fixed_reference`: the reference for
+    ``dnem.cli._intervals_csv``."""
+    header = ["t", "price", "zone", "g_N", "d_N", "b_N", "z_N", "soc"]
+    for m in scenario.members:
+        header += [f"{m.id}_d", f"{m.id}_z", f"{m.id}_payment", f"{m.id}_surplus"]
+    s = result.settlement
+    members = np.stack((s.total, s.net, s.payment, s.surplus), axis=-1).reshape(len(result), -1)
+    columns = np.column_stack((result.g_n, result.d_n, result.b_n, result.z_n, result.soc, members))
+    price = fixed_reference([[np.nan if p is None else p.value] for p in result.prices])
+    zone = ["" if p is None else p.zone.value for p in result.prices]
+    lines = [",".join(header)]
+    for t, (p, z, cells) in enumerate(zip(price, zone, fixed_reference(columns))):
+        lines.append(f"{t}{p},{z}{cells}")
+    return "\n".join(lines) + "\n"
+
+
 def broadcast_values(value, horizon: int, name: str) -> list[float]:
     """A trace or rate list read one value at a time, the way the config reader read
     every list before it read lists of numbers as arrays: the reference for

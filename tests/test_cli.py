@@ -30,11 +30,13 @@ from dnem.cli import (
     ConfigError,
     _finite,
     _fixed,
+    _intervals_csv,
     load_config,
     main,
     scenario_hash,
 )
-from oracles import _fmt, broadcast_values
+from dnem.sim import run_all, solar_day_scenario
+from oracles import _fmt, broadcast_values, fixed_reference, intervals_csv_reference
 
 
 ONE_MEMBER = {
@@ -709,6 +711,34 @@ class TestCompare:
         assert main(["compare", "--config", path, "--out", str(target)]) == EXIT_OK
         assert target.read_text().startswith("mechanism,bess,")
 
+    @pytest.mark.parametrize(
+        "ratios, message",
+        [
+            (",", "--ratios: expected at least one ratio"),
+            (" , ,", "--ratios: expected at least one ratio"),
+            ("", "--ratios: expected at least one ratio"),
+            ("0.5,abc", "--ratios: expected a number (got 'abc')"),
+        ],
+    )
+    def test_bad_ratios_exit_1_naming_the_flag(self, tmp_path, capsys, ratios, message):
+        path = write_config(tmp_path, ONE_MEMBER)
+        assert main(["compare", "--config", path, "--ratios", ratios]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize("target", ["missing_dir/x.csv", "a_directory"])
+    def test_failed_write_exits_2_naming_the_target(self, tmp_path, capsys, target):
+        path = write_config(tmp_path, ONE_MEMBER)
+        (tmp_path / "a_directory").mkdir()
+        target = tmp_path / target
+        assert main(["compare", "--config", path, "--out", str(target)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(target) in err
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "config.json"]
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
@@ -1001,8 +1031,60 @@ table_shapes = st.one_of(
 )
 
 
+def _nudged(x: float, steps: int) -> float:
+    """``x`` moved by ``steps`` floats (toward +inf when positive)."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else -np.inf))
+    return x
+
+
+def _around(x: float, steps: int = 3) -> list[float]:
+    """``x`` and ``-x`` with ``steps`` float neighbours on each side."""
+    return [s * _nudged(x, n) for s in (1, -1) for n in range(-steps, steps + 1)]
+
+
+#: float neighbours of the kernel's bounds, |v| * 10**6 reaching 2**52 and its 4.5e9
+#: cut, and of 1e-290, below which an error-free product of v and 10**6 underflows
+EXACT_BOUND_EDGES = _around(2.0**52 / 1e6) + _around(4.5e9) + _around(1e-290)
+#: subnormals, the smallest normals and their neighbours
+SUBNORMAL_EDGES = (
+    _around(5e-324) + _around(1e-310) + _around(2.0**-1022) + [2.0**-1074 * k for k in (3, 7, 1023)]
+)
+#: floats that probe the kernel: decimal near-ties k / 2e6 moved a float or two, binary
+#: ties k / 128, the exact path's bounds, subnormals, values that round to zero, NaNs
+ADVERSARIAL = st.one_of(
+    st.sampled_from(CELL_EDGES + EXACT_BOUND_EDGES + SUBNORMAL_EDGES + [OTHER_NAN]),
+    st.builds(_nudged, st.integers(-(2**53), 2**53).map(lambda k: k / 2e6), st.integers(-2, 2)),
+    st.integers(-(2**50), 2**50).map(lambda k: k / 128),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.floats(-5e-7, 5e-7),
+    st.floats(allow_infinity=False),
+)
+
+
+def adversarial_table(seed: int, rows: int, columns: int) -> np.ndarray:
+    """A seeded table in which every kind of cell occurs: values of every magnitude
+    the kernel takes and beyond, decimal near-ties and their neighbours, binary ties,
+    the bound edges, subnormals, signed zeros and NaNs."""
+    rng = np.random.default_rng(seed)
+    n = rows * columns
+    ties = rng.integers(-(2**53), 2**53, n) / 2e6
+    kinds = [
+        rng.normal(size=n) * 10.0 ** rng.uniform(-9.0, 10.0, n),
+        np.nextafter(ties, np.inf),
+        ties,
+        np.nextafter(ties, -np.inf),
+        rng.integers(-(2**50), 2**50, n) / 128,
+        rng.choice(EXACT_BOUND_EDGES + SUBNORMAL_EDGES + [1e17, -1e17, 2.0**53], n),
+        rng.choice([0.0, -0.0, np.nan, OTHER_NAN, 0.1, -0.1], n),
+    ]
+    pick = rng.integers(0, len(kinds), n)
+    return np.choose(pick, kinds).reshape(rows, columns)
+
+
 class TestFixedCells:
-    """``cli._fixed`` writes every cell as the per-value reference ``oracles._fmt`` does."""
+    """``cli._fixed`` writes every cell as the per-value references ``oracles._fmt`` and
+    ``oracles.fixed_reference`` do."""
 
     @given(pool=cell_pools, shape=table_shapes, data=st.data())
     def test_repeated_cells_equal_the_reference(self, pool, shape, data):
@@ -1037,3 +1119,52 @@ class TestFixedCells:
         with pytest.raises(ValueError) as reference:
             _fmt(bad)
         assert str(ours.value) == str(reference.value)
+
+    def test_rows_mix_kernel_and_per_value_cells(self):
+        table = [
+            [1e17, 0.1, np.nan, OTHER_NAN, None, -0.0, 5e-7],
+            [0.1, 1e17, -1e17, 5e-324, -0.0, None, -2.5e-7],
+            [OTHER_NAN, None, 0.1, 0.1, -1e17, -5e-324, 123456.4999995],
+            [None, None, None, None, None, None, None],
+            [1e17, 1e17, 1e17, 1e17, 1e17, 1e17, 1e17],
+        ]
+        assert _fixed(table) == fixed_reference(table)
+
+    @pytest.mark.parametrize("edges", [EXACT_BOUND_EDGES, SUBNORMAL_EDGES])
+    def test_edges_as_a_row_and_as_a_column(self, edges):
+        values = np.array(edges)
+        assert _fixed(values[:, None]) == fixed_reference(values[:, None])
+        assert _fixed(values[None, :]) == fixed_reference(values[None, :])
+
+    @given(k=st.integers(-(2**53), 2**53), steps=st.integers(-3, 3))
+    def test_near_ties_decided_by_the_exact_remainder(self, k, steps):
+        values = np.array([[_nudged(k / 2e6, n) for n in range(steps - 2, steps + 3)]])
+        assert _fixed(values) == fixed_reference(values)
+        assert _fixed(-values) == fixed_reference(-values)
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)), elements=ADVERSARIAL))
+    def test_adversarial_rows_equal_the_old_writer(self, values):
+        assert _fixed(values) == fixed_reference(values)
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 300, dnem.cli._BLOCK_CELLS])
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 40), st.integers(1, 300)))
+    def test_tables_across_row_blocks(self, block_cells, seed, shape):
+        table = adversarial_table(seed, *shape)
+        with mock.patch.object(dnem.cli, "_BLOCK_CELLS", block_cells):
+            assert _fixed(table) == fixed_reference(table)
+
+    def test_empty_tables(self):
+        assert _fixed(np.zeros((0, 3))) == fixed_reference(np.zeros((0, 3))) == []
+        assert _fixed(np.zeros((3, 0))) == fixed_reference(np.zeros((3, 0))) == ["", "", ""]
+
+
+@pytest.mark.parametrize("with_bess", [False, True])
+def test_intervals_csv_equals_the_old_writer_on_a_seeded_day(with_bess):
+    scenario = solar_day_scenario(0, n_members=100, horizon=96, with_bess=with_bess)
+    for mechanism, (result, _) in run_all(scenario).items():
+        text = _intervals_csv(scenario, result)
+        assert text == intervals_csv_reference(scenario, result), mechanism
+        if mechanism == "standalone":
+            # no community price: the price and zone cells are empty
+            assert {row.split(",")[1:3] == ["", ""] for row in text.splitlines()[1:]} == {True}
