@@ -12,7 +12,8 @@ else zeros.  ``scenario_hash`` hashes the validated scenario.  Commands:
 * ``compare``  - welfare comparison table across mechanisms (or a rate-ratio
   sweep with ``--ratios``)
 
-Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 failed audit.
+Exit codes: 0 success, 1 validation failure, 2 I/O failure or a bad command line
+(argparse's own exit), 3 failed audit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .model import (
     validate_scenario,
 )
 from .sim import MECHANISMS, Run, folded_generation, rate_ratio_sweep, run, run_all
-from .welfare import axiom_audit, coalition_audits, welfare_gain
+from .welfare import RATIONALITY_TOL, axiom_audit, coalition_audits, welfare_gain
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -444,16 +445,21 @@ def _intervals_csv(scenario: CommunityScenario, result: Run) -> str:
     for m in scenario.members:
         header += [f"{m.id}_d", f"{m.id}_z", f"{m.id}_payment", f"{m.id}_surplus"]
     s = result.settlement
-    # each member's d, z, payment and surplus in turn
-    members = np.stack((s.total, s.net, s.payment, s.surplus), axis=-1).reshape(len(result), -1)
+    # one table, written in place: the price, the community columns, then each
+    # member's d, z, payment and surplus in turn
+    table = np.empty((len(result), len(header) - 2))
+    table[:, 1:6] = np.transpose((result.g_n, result.d_n, result.b_n, result.z_n, result.soc))
+    for k, column in enumerate((s.total, s.net, s.payment, s.surplus)):
+        table[:, 6 + k :: 4] = column
     # a standalone run has no community price: its price and zone cells are empty
-    priced = np.array([p is not None for p in result.prices])
-    price = [p.value if p is not None else np.nan for p in result.prices]
-    zone = [p.zone.value if p is not None else "" for p in result.prices]
-    table = np.column_stack(
-        (price, result.g_n, result.d_n, result.b_n, result.z_n, result.soc, members)
-    )
-    _finite(table[priced, :1], table[:, 1:])
+    if result.price is None:
+        table[:, 0] = np.nan
+        zone = [""] * len(result)
+        _finite(table[:, 1:])
+    else:
+        table[:, 0] = result.price
+        zone = [ZONES[k].value for k in result.zone.tolist()]
+        _finite(table)
     lines = [",".join(header)]
     for t, (z, cells) in enumerate(zip(zone, _fixed(table))):
         # the zone follows the price cell
@@ -572,14 +578,12 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
 
     rationality_horizon = None
     if with_storage:
-        worst = 0.0
-        for mine, base in zip(
+        pairs = zip(
             results[mechanism][1].per_member_surplus, results["standalone"][1].per_member_surplus
-        ):
-            worst = max(worst, base - mine)
-        rationality_horizon = {"passed": worst <= 1e-9, "worst_slack": round(worst, 9)}
-        if worst > 1e-9:
-            all_passed = False
+        )
+        worst = max([0.0] + [base - mine for mine, base in pairs])
+        rationality_horizon = {"passed": worst <= RATIONALITY_TOL, "worst_slack": round(worst, 9)}
+        all_passed &= rationality_horizon["passed"]
 
     dominance = None
     if scenario.bess is None:
@@ -588,22 +592,18 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         dominance = {
             "dnem_welfare": round(w_dnem, 6),
             "sign_based_welfare": round(w_sign, 6),
-            "passed": w_dnem >= w_sign - 1e-9,
+            "passed": w_dnem >= w_sign - RATIONALITY_TOL,
         }
-        if not dominance["passed"]:
-            all_passed = False
+        all_passed &= dominance["passed"]
 
     coalitions = None
     if coalition_samples > 0:
         n = len(scenario.members)
         ids = [m.id for m in scenario.members]
-        failures = 0
-        first_failure = None
-        worst = 0.0
-        total = 0
+        samples, audits = [], []
         for seed in range(seeds):
             rng = np.random.default_rng(seed)
-            samples = []
+            drawn = []
             for _ in range(coalition_samples):
                 t = int(rng.integers(0, scenario.horizon))
                 superset = np.flatnonzero(rng.random(n) < 0.7)
@@ -612,30 +612,28 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
                 subset = superset[rng.random(len(superset)) < 0.6].tolist()
                 if not subset:
                     subset = [int(superset[int(rng.integers(0, len(superset)))])]
-                samples.append((t, subset, superset.tolist()))
-            audits = coalition_audits(
-                scenario.members, gen, scenario.rates.buy, scenario.rates.sell, samples
+                drawn.append((t, subset, superset.tolist()))
+            samples += drawn
+            audits += coalition_audits(
+                scenario.members, gen, scenario.rates.buy, scenario.rates.sell, drawn
             )
-            for (t, subset, superset), audit in zip(samples, audits):
-                total += 1
-                worst = max(worst, -audit.slack)
-                if not audit.passed:
-                    failures += 1
-                    if first_failure is None:
-                        first_failure = {
-                            "interval": t,
-                            "subset": [ids[i] for i in subset],
-                            "superset": [ids[i] for i in superset],
-                            "slack": round(audit.slack, 12),
-                        }
+        failed = [(sample, audit) for sample, audit in zip(samples, audits) if not audit.passed]
+        first_failure = None
+        if failed:
+            (t, subset, superset), audit = failed[0]
+            first_failure = {
+                "interval": t,
+                "subset": [ids[i] for i in subset],
+                "superset": [ids[i] for i in superset],
+                "slack": round(audit.slack, 12),
+            }
         coalitions = {
-            "samples": total,
-            "failures": failures,
-            "worst_slack": round(worst, 12),
+            "samples": len(audits),
+            "failures": len(failed),
+            "worst_slack": round(max([0.0] + [-audit.slack for audit in audits]), 12),
             "first_failure": first_failure,
         }
-        if failures:
-            all_passed = False
+        all_passed &= not failed
 
     print(
         _dumps(

@@ -45,6 +45,7 @@ __all__ = [
     "device_consumption",
     "invert_rows",
     "kink_table",
+    "first_false",
 ]
 
 #: Quantity tolerance for bracketing and balance checks (kWh).
@@ -247,19 +248,18 @@ def kink_table(groups, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.concatenate(chunks + [np.zeros(1)]), start, count
 
 
-def _count_below(kinks, start, count, x, inclusive):
-    """Per cell, how many kinks of its row lie below ``x`` (or at it, where ``inclusive``):
-    ``np.searchsorted`` of the row, by a bisection run on every cell at once."""
-    a, b = np.zeros_like(count), count
+def first_false(ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per cell, the first k in [lo, hi) where ``ok(k)`` is false (``hi`` if none), for
+    an ``ok`` that is true and then false over the range: a bisection run on every cell
+    at once.  ``ok`` is asked at every cell each step, a finished one at its ``hi``."""
     while True:
-        live = a < b
+        live = lo < hi
         if not live.any():
-            return a
-        mid = (a + b) >> 1
-        k = kinks[start + mid]
-        below = (k < x) | (inclusive & (k == x))
-        a = np.where(live & below, mid + 1, a)
-        b = np.where(live & ~below, mid, b)
+            return lo
+        mid = (lo + hi) >> 1
+        go = ok(mid)
+        lo = np.where(live & go, mid + 1, lo)
+        hi = np.where(live & ~go, mid, hi)
 
 
 def invert_rows(groups, kinks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
@@ -340,11 +340,9 @@ def invert_rows(groups, kinks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
 
     # knot k of a cell: lo, the row's kinks strictly inside the bracket, hi
     first, counts = start[rows], count[rows]
-    span = _count_below(
-        kink, np.concatenate((first, first)), np.concatenate((counts, counts)),
-        np.concatenate((lo, hi)), np.arange(2 * len(rows)) < len(rows),
-    )
-    s_lo, s_hi = span[: len(rows)], span[len(rows) :]
+    # per cell, how many of its row's kinks lie at or below lo and strictly below hi
+    s_lo = first_false(lambda k: kink[first + k] <= lo, np.zeros_like(counts), counts)
+    s_hi = first_false(lambda k: kink[first + k] < hi, np.zeros_like(counts), counts)
     point = lo == hi
     n = np.where(point, 1, s_hi - s_lo + 2)
     end = np.where(point, lo, hi)

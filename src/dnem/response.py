@@ -80,6 +80,17 @@ def member_outcome(
     return cell.outcomes(0)[0]
 
 
+def _in_order(values: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order, as Python's ``sum`` adds.
+
+    ``np.sum`` adds pairwise from 8 terms on, which can differ in the last bit.
+    """
+    total = np.zeros(values.shape[1:])
+    for row in values:
+        total += row
+    return total
+
+
 class Settlement(NamedTuple):
     """The settled member-intervals of a run, as (T, N) arrays.
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .benchmark import standalone_settlement
-from .bess import ZONES, Dispatch, price_and_dispatch
+from .bess import _BUY, _SELL, ZONES, Dispatch, price_and_dispatch
 from .curves import AggregateResponseCurve, DeviceBlocks
 from .model import (
     BessSpec,
@@ -37,12 +37,12 @@ from .model import (
     CommunityScenario,
     DeviceUtility,
     Member,
-    PriceZone,
     RateSchedule,
+    ScenarioValidationError,
     fold_central_pv,
     validate_scenario,
 )
-from .response import MemberOutcome, Settlement, settle_arrays
+from .response import MemberOutcome, Settlement, _in_order, settle_arrays
 from .welfare import welfare_gain
 
 __all__ = [
@@ -106,29 +106,20 @@ def folded_generation(scenario: CommunityScenario) -> np.ndarray:
     )
 
 
-def _in_order(values: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in index order, as Python's ``sum`` adds.
-
-    ``np.sum`` adds pairwise from 8 terms on, which can differ in the last bit.
-    """
-    total = np.zeros(values.shape[1:])
-    for row in values:
-        total += row
-    return total
-
-
 class Run(Sequence[IntervalRecord]):
     """One mechanism's run: (T,) community columns and the members' (T, N) settlement.
 
-    ``prices`` holds the community price of each interval (``None`` for
-    standalone runs) and ``welfare`` the reward total, added in interval
-    order.  Read as a sequence, the run is its T interval records;
-    ``run[t]`` builds record t and its N member outcomes from row t of the
-    arrays, and nothing is built before.
+    ``price`` holds the dispatch's community price of each interval, an
+    object array that keeps each price's type, and ``zone`` its index into
+    :data:`~dnem.bess.ZONES`; both are ``None`` for standalone runs, which
+    have no community price.  ``welfare`` is the reward total, added in
+    interval order.  Read as a sequence, the run is its T interval records;
+    ``run[t]`` builds record t, its price and its N member outcomes from row
+    t of the arrays, and nothing is built before.
     """
 
-    def __init__(self, prices: list, g_n, d_n, b_n, soc, settlement: Settlement):
-        self.prices, self.settlement = prices, settlement
+    def __init__(self, price, zone, g_n, d_n, b_n, soc, settlement: Settlement):
+        self.price, self.zone, self.settlement = price, zone, settlement
         self.g_n, self.d_n, self.b_n, self.soc = g_n, d_n, b_n, soc
         self.z_n = d_n + b_n - g_n
         self.welfare = sum(settlement.reward.ravel().tolist())
@@ -140,9 +131,10 @@ class Run(Sequence[IntervalRecord]):
         if isinstance(t, slice):
             return [self[i] for i in range(len(self))[t]]
         t = range(len(self))[t]
+        price = None if self.price is None else CommunityPrice(self.price[t], ZONES[self.zone[t]])
         columns = (self.g_n, self.d_n, self.b_n, self.z_n, self.soc)
         return IntervalRecord(
-            t, self.prices[t], *(c[t].item() for c in columns), self.settlement.outcomes(t)
+            t, price, *(c[t].item() for c in columns), self.settlement.outcomes(t)
         )
 
 
@@ -157,20 +149,19 @@ def _dnem_run(
     settles every member-interval at the community price.
     """
     rates = scenario.rates
-    prices = [
-        CommunityPrice(value, ZONES[zone])
-        for value, zone in zip(community.price[:, 0].tolist(), community.zone[:, 0].tolist())
-    ]
     price = community.price.astype(float)
     b_n = community.battery[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        response = blocks.evaluate(np.broadcast_to(price, (len(g_n), len(blocks.members))))
+        response = blocks.evaluate(np.broadcast_to(price, (len(g_n), blocks.rows)))
         battery = b_n[:, None] * np.array([m.bess_share for m in scenario.members])
         net = response[1] + battery - gen.T
         settlement = settle_arrays(
             response, net, battery, price * net, rates.salvage, bess.charge_eff, bess.discharge_eff
         )
-    return Run(prices, g_n, _in_order(settlement.total.T), b_n, community.soc[:, 0], settlement)
+    return Run(
+        community.price[:, 0], community.zone[:, 0], g_n, _in_order(settlement.total.T), b_n,
+        community.soc[:, 0], settlement,
+    )
 
 
 def _baseline_runs(
@@ -191,10 +182,7 @@ def _baseline_runs(
     soc = np.cumsum(np.concatenate(([bess.initial_soc], _in_order(alone.stored.T))))[1:]
     importing = _in_order(alone.net.T) >= 0
     rate = np.where(importing, rates.buy, rates.sell)
-    prices = [
-        CommunityPrice(value, PriceZone.NET_CONSUMPTION if imp else PriceZone.NET_PRODUCTION)
-        for value, imp in zip(rate.tolist(), importing.tolist())
-    ]
+    zone = np.where(importing, _BUY, _SELL)
     with np.errstate(over="ignore", invalid="ignore"):
         signed = settle_arrays(
             (alone.consumption, alone.total, alone.utility),
@@ -206,8 +194,8 @@ def _baseline_runs(
             bess.discharge_eff,
         )
     return {
-        "sign_based": Run(prices, g_n, d_n, b_n, soc, signed),
-        "standalone": Run([None] * len(g_n), g_n, d_n, b_n, soc, alone),
+        "sign_based": Run(rate.astype(object), zone, g_n, d_n, b_n, soc, signed),
+        "standalone": Run(None, None, g_n, d_n, b_n, soc, alone),
     }
 
 
@@ -221,14 +209,14 @@ def _gain(total: float, baseline: float) -> Optional[float]:
 def _summary(mechanism: str, runs: dict[str, Run], gains: bool) -> RunSummary:
     """Horizon totals of one mechanism, with gains against the baselines in ``runs``."""
     run = runs[mechanism]
-    histogram = Counter(p.zone.value for p in run.prices if p is not None)
+    histogram = Counter(() if run.zone is None else run.zone.tolist())
     return RunSummary(
         mechanism=mechanism,
         total_welfare=run.welfare,
         per_member_surplus=tuple(_in_order(run.settlement.reward).tolist()),
         welfare_gain_vs_standalone=_gain(run.welfare, runs["standalone"].welfare) if gains else None,
         welfare_gain_vs_sign_based=_gain(run.welfare, runs["sign_based"].welfare) if gains else None,
-        zone_histogram=dict(sorted(histogram.items())),
+        zone_histogram=dict(sorted((ZONES[k].value, n) for k, n in histogram.items())),
     )
 
 
@@ -312,12 +300,10 @@ def rate_ratio_sweep(
         if not 0 <= ratio <= 1:
             raise ValueError(f"rate ratio {ratio} outside [0, 1]")
         rates = RateSchedule(buy, ratio * buy, scenario.rates.salvage)
-        candidate = replace(scenario, rates=rates)
         try:
-            validate_scenario(candidate)
-        except Exception as exc:
+            results = run_all(replace(scenario, rates=rates))
+        except ScenarioValidationError as exc:
             raise ValueError(f"rate ratio {ratio} infeasible: {exc}") from exc
-        results = run_all(candidate)
         points.append(
             SweepPoint(
                 ratio=float(ratio),

@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bess import price_and_dispatch
-from .curves import AggregateResponseCurve, DeviceBlocks, invert_aggregate, mask_groups
+from .curves import AggregateResponseCurve, DeviceBlocks, first_false, invert_aggregate, mask_groups
 from .model import BessSpec, Member
+from .response import _in_order, settle_arrays
 
 __all__ = [
     "centralized_welfare_closed_form",
@@ -97,17 +98,8 @@ def _first_max(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _take(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(rows, k, axis=1)
-
-
-def _bisect(ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per cell, the first k in [lo, hi) where ``ok(k)`` is false (``hi`` if none), for
-    an ``ok`` that is true and then false over the range."""
-    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
-        mid = (lo + hi) // 2
-        go = (lo < hi) & ok(np.minimum(mid, lo.shape[1] - 1))
-        lo, hi = np.where(go, mid + 1, lo), np.where(go, hi, mid)
-    return lo
+    # clamped: a finished search of :func:`~dnem.curves.first_false` probes one past the end
+    return np.take_along_axis(rows, np.minimum(k, rows.shape[1] - 1), axis=1)
 
 
 def _window(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, reduce) -> np.ndarray:
@@ -121,8 +113,7 @@ def _window(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, reduce) -> np.nd
         # level[k] reduces values[k : k + 2 * step]
         level = reduce(level[:, :-step], level[:, step:])
         step *= 2
-        last = level.shape[1] - 1
-        both = reduce(_take(level, np.minimum(lo, last)), _take(level, np.clip(hi - step + 1, 0, last)))
+        both = reduce(_take(level, lo), _take(level, np.maximum(hi - step + 1, 0)))
         out = np.where(width >= step, both, out)
     return out
 
@@ -142,8 +133,8 @@ def _uniform_gaps(net: np.ndarray, pay: np.ndarray) -> np.ndarray:
     at = np.broadcast_to(np.arange(n), net.shape)
     # fl(z_b - z_a) grows with z_b, so in net order the members within 1e-9 of one form
     # a window around it; the relation is not transitive, so windows, not groups
-    hi = _bisect(lambda k: _take(z, k) - z <= 1e-9, at + 1, np.full_like(at, n)) - 1
-    lo = _bisect(lambda k: ~(z - _take(z, k) <= 1e-9), np.zeros_like(at), at)
+    hi = first_false(lambda k: _take(z, k) - z <= 1e-9, at + 1, np.full_like(at, n)) - 1
+    lo = first_false(lambda k: ~(z - _take(z, k) <= 1e-9), np.zeros_like(at), at)
     gaps = np.fmax(_window(p, lo, hi, np.fmax) - p, p - _window(p, lo, hi, np.fmin))
     return _unsort(gaps, order)
 
@@ -169,7 +160,7 @@ def _magnitude_gaps(net: np.ndarray, mag: np.ndarray) -> np.ndarray:
     same = np.where(z > 0, top(z > 0, end), np.where(z < 0, top(z < 0, end), np.nan))
     # an opposite or zero net keeps the product >= 0 only where it rounds to zero (a zero
     # against a finite net, or two nets small enough to underflow): a prefix in |net| order
-    zero = _bisect(lambda k: a * _take(a, k) == 0, np.zeros_like(at), np.full_like(at, n))
+    zero = first_false(lambda k: a * _take(a, k) == 0, np.zeros_like(at), np.full_like(at, n))
     reach = np.minimum(zero - 1, end)
     other = np.where(z > 0, top(z <= 0, reach), top(z >= 0, reach))
     return _unsort(np.fmax(same, other) - m, order)
@@ -295,7 +286,8 @@ def coalition_audits(
     battery, at its sample's interval and rates.  The samples become (S, N) membership
     masks, and the communities are gathered from the members' device table by
     :meth:`DeviceBlocks.pooled`, so no object is built per community.  They are then
-    settled by one :meth:`DeviceBlocks.evaluate` call on a (2S, N) price array.  Sums over
+    settled by one :meth:`DeviceBlocks.evaluate` call on a (2S, N) price array and
+    :func:`~dnem.response.settle_arrays`, with an empty battery.  Sums over
     a community's members add in member order: its generation and the subset's surplus
     alone as ``np.sum`` adds a vector, the subset's surplus in the parent one by one
     from 0.0, as ``sum`` does.  Raises ``ValueError`` naming the first sample whose
@@ -339,15 +331,13 @@ def coalition_audits(
     )
     prices = priced.price.astype(float).T
 
-    _, total, utility = blocks.evaluate(np.broadcast_to(prices, (len(mask), n)))
-    net = total + 0.0 - gen[:, times].T
-    surplus = utility - prices * net
+    response = blocks.evaluate(np.broadcast_to(prices, (len(mask), n)))
+    # an empty battery: 0.0 in every cell
+    net = response[1] + 0.0 - gen[:, times].T
+    surplus = settle_arrays(response, net, 0.0, prices * net, 0.0, 1.0, 1.0).surplus
     in_parent, alone = np.empty(len(samples)), np.empty(len(samples))
     for rows, ids in mask_groups(subset):
-        running = np.zeros(len(rows))
-        for column in surplus[2 * rows[:, None], ids].T:
-            running += column
-        in_parent[rows] = running
+        in_parent[rows] = _in_order(surplus[2 * rows[:, None], ids].T)
         alone[rows] = np.sum(surplus[2 * rows[:, None] + 1, ids], axis=-1)
     return list(map(CoalitionAudit, in_parent.tolist(), alone.tolist()))
 

@@ -479,8 +479,9 @@ def intervals_csv_reference(scenario, result) -> str:
     s = result.settlement
     members = np.stack((s.total, s.net, s.payment, s.surplus), axis=-1).reshape(len(result), -1)
     columns = np.column_stack((result.g_n, result.d_n, result.b_n, result.z_n, result.soc, members))
-    price = fixed_reference([[np.nan if p is None else p.value] for p in result.prices])
-    zone = ["" if p is None else p.zone.value for p in result.prices]
+    prices = [r.price for r in result]
+    price = fixed_reference([[np.nan if p is None else p.value] for p in prices])
+    zone = ["" if p is None else p.zone.value for p in prices]
     lines = [",".join(header)]
     for t, (p, z, cells) in enumerate(zip(price, zone, fixed_reference(columns))):
         lines.append(f"{t}{p},{z}{cells}")

@@ -748,6 +748,27 @@ def test_console_entry_point_runs():
     assert "simulate" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--config", "c.json", "--seeds", "abc"],
+        ["simulate", "--config", "c.json", "--out", "out", "--mechanism", "foo"],
+        ["frobnicate"],
+    ],
+    ids=["bad_int", "bad_choice", "unknown_command"],
+)
+def test_bad_command_line_exits_2_with_usage(argv):
+    # argparse refuses a bad command line with exit 2, the code an I/O failure shares;
+    # it exits before the config is read, so none is written
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnem.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_IO == 2
+    assert proc.stderr.startswith("usage: dnem")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_readme_commands_run_on_the_readme_config(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (tmp_path / "scenario.json").write_text(re.search(r"```json\n(.*?)```", readme, re.S)[1])

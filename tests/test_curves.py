@@ -13,6 +13,7 @@ from dnem.curves import (
     DeviceBlocks,
     TargetOutsideRangeError,
     device_consumption,
+    first_false,
     invert_aggregate,
     kink_table,
 )
@@ -680,3 +681,26 @@ class TestExactnessPremise:
     def test_non_increasing_on_a_seeded_5000_device_curve(self, curve_5000):
         values = np.array([curve_5000.response(y) for y in knot_prices(curve_5000.devices, 0.0, 6.0)])
         assert np.all(np.diff(values) <= 0.0)
+
+
+class TestFirstFalse:
+    """The package's one vectorised bisection is ``np.searchsorted`` of each row."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_equals_searchsorted_row_by_row(self, side):
+        rng = np.random.default_rng(22)
+        # sorted rows with repeats, two of them empty
+        rows = [np.sort(rng.integers(0, 6, size=n)).astype(float) for n in (0, 1, 5, 9, 16, 0, 3)]
+        # one pad column past the widest row keeps a finished cell's probe in bounds
+        table = np.full((len(rows), max(map(len, rows)) + 1), np.inf)
+        for i, row in enumerate(rows):
+            table[i, : len(row)] = row
+        # targets below, between, at and above every entry, from every start in the row
+        targets = np.arange(-1.0, 7.0, 0.5)
+        cells = [(i, x, lo) for i, row in enumerate(rows) for x in targets for lo in range(len(row) + 1)]
+        r, x, lo = (np.array(column) for column in zip(*cells))
+        hi = np.array([len(rows[i]) for i in r])
+        below = np.less if side == "left" else np.less_equal
+        got = first_false(lambda k: below(table[r, k], x), lo, hi)
+        expected = [max(a, np.searchsorted(rows[i], v, side=side)) for i, v, a in cells]
+        assert got.tolist() == expected

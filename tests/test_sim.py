@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import dnem.benchmark
 import dnem.sim
 from dnem.benchmark import standalone_optimum_with_bess
+from dnem.bess import ZONES
 from dnem.model import (
     BessSpec,
     CommunityScenario,
@@ -14,6 +16,8 @@ from dnem.model import (
     Member,
     PriceZone,
     RateSchedule,
+    ScenarioValidationError,
+    validate_scenario,
 )
 from dnem.pricing import nem_payment
 from dnem.sim import (
@@ -432,6 +436,70 @@ class TestGainsAndSweep:
         # feasible ratios still work
         points = rate_ratio_sweep(sc, [0.25])
         assert points[0].welfare_gain_dnem is not None
+
+    def test_each_ratio_is_validated_once(self, monkeypatch):
+        sc = solar_day_scenario(8, flat_buy=True, with_bess=True)
+        sells = []
+
+        def spy(scenario):
+            sells.append(scenario.rates.sell[0])
+            return validate_scenario(scenario)
+
+        monkeypatch.setattr(dnem.sim, "validate_scenario", spy)
+        rate_ratio_sweep(sc, [0.25, 0.1])
+        # the scenario itself, then each candidate once
+        assert sells == [0.1, 0.25 * 0.4, 0.1 * 0.4]
+        sells.clear()
+        with pytest.raises(ValueError) as info:
+            rate_ratio_sweep(sc, [0.25, 1.0])
+        assert sells == [0.1, 0.25 * 0.4, 0.4]
+        assert str(info.value) == (
+            "rate ratio 1.0 infeasible: invalid scenario:\n  - no admissible salvage rate: "
+            "need max(sell)/charge_eff <= discharge_eff*min(buy), got [0.421053, 0.38]"
+        )
+        assert isinstance(info.value.__cause__, ScenarioValidationError)
+
+
+class TestRunPriceColumns:
+    """A run keeps the dispatch's price and zone columns; its records build the prices."""
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_columns_agree_with_records_and_histogram(self, with_bess):
+        results = run_all(solar_day_scenario(2, 6, 48, with_bess=with_bess))
+        for mechanism, (records, summary) in results.items():
+            if mechanism == "standalone":
+                assert records.price is None and records.zone is None
+                assert all(r.price is None for r in records)
+                assert summary.zone_histogram == {}
+                continue
+            assert records.price.shape == records.zone.shape == (len(records),)
+            for t, r in enumerate(records):
+                assert r.price.value is records.price[t]
+                assert r.price.zone is ZONES[records.zone[t]]
+            histogram = Counter(r.price.zone.value for r in records)
+            assert summary.zone_histogram == dict(sorted(histogram.items()))
+
+    def test_record_price_types(self):
+        """``np.float64`` where a plateau edge is interpolated, ``float`` elsewhere: at
+        the rates, and on a plateau that spans the whole bracket."""
+        rng = np.random.default_rng(22)
+        horizon = 12
+        # on [0.3, 0.4] the curve is flat at 1.0; on [0.1, 0.2] it falls from 1.2 to 1.1
+        high = np.arange(horizon) % 3 == 2
+        g = np.where(high, 1.0, rng.uniform(1.05, 1.25, horizon))
+        members = (
+            Member("a", (DeviceUtility(2.0, 1.0, 0.0, 1.0),), g),
+            Member("b", (DeviceUtility(0.3, 1.0, 0.0, 2.0),), np.zeros(horizon)),
+        )
+        rates = RateSchedule(np.where(high, 0.4, 0.2), np.where(high, 0.3, 0.1), 0.0)
+        results = run_all(validate_scenario(CommunityScenario(members, rates, horizon)))
+        kinds = set()
+        for t, r in enumerate(results["dnem"][0]):
+            interpolated = r.price.is_net_zero and not high[t]
+            assert type(r.price.value) is (np.float64 if interpolated else float), t
+            kinds.add((r.price.is_net_zero, type(r.price.value)))
+        assert kinds == {(True, np.float64), (True, float), (False, float)}
+        assert all(type(r.price.value) is float for r in results["sign_based"][0])
 
 
 class TestWelfareReport:
