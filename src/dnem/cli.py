@@ -43,7 +43,6 @@ from .model import (
     Member,
     PriceZone,
     RateSchedule,
-    validate_scenario,
 )
 from .sim import MECHANISMS, Run, folded_generation, rate_ratio_sweep, run, run_all
 from .welfare import RATIONALITY_TOL, axiom_audit, coalition_audits, welfare_gain
@@ -167,12 +166,13 @@ def _read_traces_csv(path: Path) -> dict[str, list[float]]:
 
 
 def load_config(path: str | Path) -> CommunityScenario:
-    """Parse and validate a scenario config.
+    """Parse a scenario config into a :class:`CommunityScenario`.
 
     Numbers are read by the fields of the model's dataclasses (:func:`_floats`),
     and a trace is the inline value, else the ``traces_csv`` column, else
     zeros.  A document of the wrong shape raises :class:`ConfigError` naming
-    the field.
+    the field; a well-formed one that breaks a scenario invariant raises the
+    :class:`~dnem.model.ScenarioValidationError` of the scenario's constructor.
     """
     path = Path(path)
     text = _read_text(path)
@@ -234,14 +234,12 @@ def load_config(path: str | Path) -> CommunityScenario:
             share = 1.0 / len(members)
             members = [dataclasses.replace(m, bess_share=share) for m in members]
 
-    return validate_scenario(
-        CommunityScenario(
-            members=tuple(members),
-            rates=rates,
-            horizon=horizon,
-            bess=bess,
-            central_pv_trace=central,
-        )
+    return CommunityScenario(
+        members=tuple(members),
+        rates=rates,
+        horizon=horizon,
+        bess=bess,
+        central_pv_trace=central,
     )
 
 
@@ -659,13 +657,12 @@ def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[str]]:
     header += [f"zone_{z}" for z in zone_names]
     header += [f"{mid}_gain_pct" for mid in ids]
 
-    variants = [("no", None)]
+    variants = [("no", scenario)]
     if scenario.bess is not None:
-        variants.append(("yes", scenario.bess))
+        variants = [("no", dataclasses.replace(scenario, bess=None)), ("yes", scenario)]
 
     names, counts, totals, gains = [], [], [], []
-    for label, bess in variants:
-        variant = dataclasses.replace(scenario, bess=bess)
+    for label, variant in variants:
         summaries = {m: summary for m, (_, summary) in run_all(variant).items()}
         base = summaries["standalone"].per_member_surplus
         for mechanism in MECHANISMS:

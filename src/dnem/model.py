@@ -5,10 +5,11 @@ $/kWh.  The netting interval equals the decision interval, so a "trace" is a
 vector with one entry per interval of the scenario horizon.
 
 All types are frozen dataclasses and trace arrays are marked read-only after
-construction, so validated scenarios can be shared freely across concurrent
-evaluations.  Constructors only normalise shapes; semantic invariants are
-checked in one place by :func:`validate_scenario`, which reports every
-violation it finds rather than stopping at the first.
+construction, so scenarios can be shared freely across concurrent
+evaluations.  A :class:`CommunityScenario` (and each ``dataclasses.replace``
+copy) checks every invariant when it is built, through :func:`validate_scenario`,
+which reports every violation it finds rather than stopping at the first; so
+every scenario object is valid, and nothing downstream checks it again.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ class BessSpec:
 
 @dataclass(frozen=True)
 class CommunityScenario:
-    """A complete simulation input: members, tariff, optional storage, horizon."""
+    """A complete simulation input: members, tariff, optional storage, horizon;
+    valid by construction, since the constructor runs :func:`validate_scenario`."""
 
     members: tuple[Member, ...]
     rates: RateSchedule
@@ -190,8 +192,9 @@ class CommunityScenario:
         object.__setattr__(self, "members", tuple(self.members))
         trace = self.central_pv_trace
         if trace is None or (hasattr(trace, "__len__") and len(trace) == 0):
-            trace = np.zeros(self.horizon)
+            trace = np.zeros(_positive_horizon(self.horizon))
         object.__setattr__(self, "central_pv_trace", _as_readonly_array(trace))
+        validate_scenario(self)
 
 
 @dataclass(frozen=True)
@@ -342,20 +345,23 @@ def _check_trace(issues: list[str], name: str, trace: np.ndarray, horizon: int) 
             issues.append(f"{name}[{t}] is negative")
 
 
+def _positive_horizon(horizon):
+    integral = isinstance(horizon, (int, np.integer)) and not isinstance(horizon, bool)
+    if not integral or horizon < 1:
+        raise ScenarioValidationError([f"horizon must be a positive integer (got {horizon})"])
+    return horizon
+
+
 def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     """Check every scenario invariant; return the scenario if all hold.
 
-    Raises :class:`ScenarioValidationError` carrying the full list of
-    violations with member/interval coordinates.  Anything that passes here
-    can be fed to the pricing, dispatch and simulation code without further
-    error handling.
+    :class:`CommunityScenario` runs it when it is built.  Raises
+    :class:`ScenarioValidationError` carrying the full list of violations with
+    member/interval coordinates.  Anything that passes here can be fed to the
+    pricing, dispatch and simulation code without further error handling.
     """
     issues: list[str] = []
-    horizon = scenario.horizon
-    integral = isinstance(horizon, (int, np.integer)) and not isinstance(horizon, bool)
-    if not integral or horizon < 1:
-        issues.append(f"horizon must be a positive integer (got {horizon})")
-        raise ScenarioValidationError(issues)
+    horizon = _positive_horizon(scenario.horizon)
 
     if len(scenario.members) == 0:
         issues.append("scenario has no members")

@@ -40,7 +40,6 @@ from .model import (
     RateSchedule,
     ScenarioValidationError,
     fold_central_pv,
-    validate_scenario,
 )
 from .response import MemberOutcome, Settlement, _in_order, settle_arrays
 from .welfare import welfare_gain
@@ -221,7 +220,6 @@ def _summary(mechanism: str, runs: dict[str, Run], gains: bool) -> RunSummary:
 
 
 def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, Run]:
-    scenario = validate_scenario(scenario)
     gen = folded_generation(scenario)
     # each interval's members added pairwise along one contiguous row, as np.sum
     # adds one interval's column of ``gen``
@@ -287,11 +285,10 @@ def rate_ratio_sweep(
 ) -> list[SweepPoint]:
     """Re-run the scenario with the sell rate set to ``ratio * buy`` per ratio.
 
-    Requires a flat buy rate.  When a battery is present, the salvage-rate
-    window is re-validated for every ratio and an infeasible ratio raises.
+    Requires a flat buy rate.  Each ratio's copy of the scenario checks itself
+    when it is built, so with a battery a ratio outside the salvage window raises.
     Gains are relative to the standalone baseline under the same rates.
     """
-    scenario = validate_scenario(scenario)
     buy = scenario.rates.buy
     if not np.all(buy == buy[0]):
         raise ValueError("rate ratio sweep requires a flat buy rate")
@@ -301,9 +298,10 @@ def rate_ratio_sweep(
             raise ValueError(f"rate ratio {ratio} outside [0, 1]")
         rates = RateSchedule(buy, ratio * buy, scenario.rates.salvage)
         try:
-            results = run_all(replace(scenario, rates=rates))
+            candidate = replace(scenario, rates=rates)
         except ScenarioValidationError as exc:
             raise ValueError(f"rate ratio {ratio} infeasible: {exc}") from exc
+        results = run_all(candidate)
         points.append(
             SweepPoint(
                 ratio=float(ratio),
@@ -411,14 +409,12 @@ def random_scenario(
             max_discharge=power,
             initial_soc=float(rng.uniform(0.1, 0.9)) * capacity,
         )
-    return validate_scenario(
-        CommunityScenario(
-            members=tuple(members),
-            rates=RateSchedule(buy, sell, salvage),
-            horizon=t_len,
-            bess=bess,
-            central_pv_trace=central,
-        )
+    return CommunityScenario(
+        members=tuple(members),
+        rates=RateSchedule(buy, sell, salvage),
+        horizon=t_len,
+        bess=bess,
+        central_pv_trace=central,
     )
 
 
@@ -483,11 +479,9 @@ def solar_day_scenario(
             max_discharge=0.18 * export_threshold,
             initial_soc=0.3 * export_threshold,
         )
-    return validate_scenario(
-        CommunityScenario(
-            members=tuple(members),
-            rates=RateSchedule(buy, sell, salvage),
-            horizon=horizon,
-            bess=bess,
-        )
+    return CommunityScenario(
+        members=tuple(members),
+        rates=RateSchedule(buy, sell, salvage),
+        horizon=horizon,
+        bess=bess,
     )

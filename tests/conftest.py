@@ -3,6 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
+import dnem.model
 import dnem.response
 from dnem.curves import AggregateResponseCurve
 from dnem.model import Member
@@ -55,6 +56,20 @@ def curves_built(monkeypatch):
 
     monkeypatch.setattr(AggregateResponseCurve, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The scenarios that ``validate_scenario`` checks while the test runs."""
+    checked = []
+    original = dnem.model.validate_scenario
+
+    def counting(scenario):
+        checked.append(scenario)
+        return original(scenario)
+
+    monkeypatch.setattr(dnem.model, "validate_scenario", counting)
+    return checked
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -21,7 +21,6 @@ from dnem.model import (
     DeviceUtility,
     Member,
     PriceZone,
-    validate_scenario,
 )
 from dnem.pricing import dnem_price, nem_payment
 from dnem import welfare
@@ -328,7 +327,7 @@ def _one_pass_scenarios():
     first, second, *rest = sc.members
     second = replace(second, bess_share=first.bess_share + second.bess_share)
     members = (replace(first, bess_share=0.0), second, *rest)
-    return scenarios + [validate_scenario(replace(sc, members=members))]
+    return scenarios + [replace(sc, members=members)]
 
 
 ONE_PASS_SCENARIOS = _one_pass_scenarios()

@@ -35,6 +35,7 @@ from dnem.cli import (
     main,
     scenario_hash,
 )
+from dnem.model import PriceZone
 from dnem.sim import run_all, solar_day_scenario
 from oracles import _fmt, broadcast_values, fixed_reference, intervals_csv_reference
 
@@ -596,6 +597,31 @@ def test_simulate_and_compare_build_no_member_outcome(tmp_path, outcomes_built, 
     assert outcomes_built == []
 
 
+class TestValidatesOnce:
+    """An op checks its scenario once, when ``load_config`` builds it."""
+
+    @pytest.mark.parametrize("doc", [FIVE_MEMBERS, BESS_CONFIG], ids=["no_bess", "bess"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--out", "out"], ["audit"], ["price", "--g", "1.0"]],
+        ids=["simulate", "audit", "price"],
+    )
+    def test_simulate_audit_and_price(self, tmp_path, monkeypatch, validations, doc, argv):
+        path = write_config(tmp_path, doc)
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--config", path, *argv[1:]]) in (EXIT_OK, EXIT_AUDIT)
+        assert len(validations) == 1
+
+    @pytest.mark.parametrize(
+        "doc, with_bess", [(FIVE_MEMBERS, [False]), (BESS_CONFIG, [True, False])],
+        ids=["no_bess", "bess"],
+    )
+    def test_compare_once_per_distinct_scenario(self, tmp_path, validations, doc, with_bess):
+        # with a battery: the loaded scenario, then its battery-free copy
+        assert main(["compare", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+        assert [sc.bess is not None for sc in validations] == with_bess
+
+
 class TestAudit:
     @pytest.mark.parametrize("doc", [FIVE_MEMBERS, BESS_CONFIG])
     def test_one_standalone_schedule_per_member(self, tmp_path, monkeypatch, capsys, doc):
@@ -782,6 +808,18 @@ def test_readme_commands_run_on_the_readme_config(tmp_path, monkeypatch, capsys)
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert main(shlex.split(line)[1:]) == EXIT_OK, f"{line}: {capsys.readouterr().err}"
+
+
+def test_readme_library_quick_start_prints_what_its_comments_state():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S)[1]
+    namespace = {}
+    exec(block, namespace)
+    assert re.findall(r"# (.*)", block) == ["0.30 $/kWh, NetZeroIdle", "1.955 $"]
+    price = namespace["records"][0].price
+    assert round(price.value, 2) == 0.30
+    assert price.zone is PriceZone.NET_ZERO_IDLE
+    assert round(namespace["summary"].total_welfare, 3) == 1.955
 
 
 def _seeded_day_config(with_bess=False, flat_buy=False):

@@ -113,9 +113,8 @@ class TestValidateScenario:
         assert validate_scenario(sc) is sc
 
     def test_sell_exceeds_buy(self):
-        sc = make_scenario(rates=RateSchedule.flat(0.4, 0.5, 1))
         with pytest.raises(ScenarioValidationError, match="sell exceeds buy"):
-            validate_scenario(sc)
+            make_scenario(rates=RateSchedule.flat(0.4, 0.5, 1))
 
     def test_salvage_inside_admissible_range_accepted(self):
         # tau = rho = 0.95, rates (0.4, 0.2): admissible range is about [0.2105, 0.38]
@@ -131,25 +130,23 @@ class TestValidateScenario:
 
     def test_salvage_outside_range_rejected(self):
         bess = BessSpec(2.0, 0.95, 0.95, 0.5, 0.5, 1.0)
-        sc = make_scenario(
-            members=(make_member(bess_share=1.0),),
-            rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.39),
-            bess=bess,
-        )
         with pytest.raises(ScenarioValidationError, match="salvage rate"):
-            validate_scenario(sc)
+            make_scenario(
+                members=(make_member(bess_share=1.0),),
+                rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.39),
+                bess=bess,
+            )
 
     @pytest.mark.parametrize("charge_eff, discharge_eff", [(0.0, 0.95), (0.95, 0.0), (0.0, 0.0)])
     def test_zero_efficiency_reported_not_divided_by(self, charge_eff, discharge_eff):
         # the salvage window divides by charge_eff; it is skipped, not evaluated
         bess = BessSpec(2.0, charge_eff, discharge_eff, 0.5, 0.5, 1.0)
-        sc = make_scenario(
-            members=(make_member(bess_share=1.0),),
-            rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.3),
-            bess=bess,
-        )
         with pytest.raises(ScenarioValidationError, match=r"_eff outside \(0, 1\]") as err:
-            validate_scenario(sc)
+            make_scenario(
+                members=(make_member(bess_share=1.0),),
+                rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.3),
+                bess=bess,
+            )
         assert "salvage" not in str(err.value)
 
     def test_bess_shares_must_sum_to_one(self):
@@ -158,29 +155,24 @@ class TestValidateScenario:
             make_member("a", bess_share=0.5),
             make_member("b", bess_share=0.4),
         )
-        sc = make_scenario(
-            members=members, rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.3), bess=bess
-        )
         with pytest.raises(ScenarioValidationError, match="shares must sum to 1"):
-            validate_scenario(sc)
+            make_scenario(
+                members=members, rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.3), bess=bess
+            )
 
     def test_central_shares_checked_only_with_central_output(self):
         members = (make_member("a", central_pv_share=0.4),)
         sc = make_scenario(members=members)  # zero central trace: no constraint
         validate_scenario(sc)
-        sc2 = make_scenario(members=members, central_pv_trace=np.array([1.0]))
         with pytest.raises(ScenarioValidationError, match="central PV shares"):
-            validate_scenario(sc2)
+            make_scenario(members=members, central_pv_trace=np.array([1.0]))
 
     def test_reports_every_violation_with_coordinates(self):
         members = (
             make_member("a", devices=(DeviceUtility(2, -1, 0, 2),), trace=[1.0, -2.0]),
         )
-        sc = make_scenario(
-            members=members, rates=RateSchedule.flat(0.4, 0.5, 2), horizon=2
-        )
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(sc)
+            make_scenario(members=members, rates=RateSchedule.flat(0.4, 0.5, 2), horizon=2)
         text = str(err.value)
         assert "beta" in text
         assert "pv_trace[1]" in text
@@ -198,7 +190,7 @@ class TestValidateScenario:
     def test_non_finite_kink_price_rejected(self, device, bounds):
         members = (make_member("a"), make_member("b", devices=(DEV_OK, device)))
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(make_scenario(members=members))
+            make_scenario(members=members)
         assert err.value.issues == [
             f"member 'b' device 1: kink price alpha - beta*{bound} is not finite" for bound in bounds
         ]
@@ -214,7 +206,7 @@ class TestValidateScenario:
             DeviceUtility(10**400, 1, 0, 2),
         )
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(make_scenario(members=(make_member("a", devices=devices),)))
+            make_scenario(members=(make_member("a", devices=devices),))
         assert err.value.issues == [
             "member 'a' device 0: beta must be > 0 (got -1.0)",
             "member 'a' device 1: non-finite utility parameter",
@@ -230,7 +222,7 @@ class TestValidateScenario:
         # both bounds are 2**53 as floats; as ints d_min exceeds d_max
         device = DeviceUtility(1.0, 1.0, 2**53 + 1, 2**53)
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(make_scenario(members=(make_member("a", devices=(DEV_OK, device)),)))
+            make_scenario(members=(make_member("a", devices=(DEV_OK, device)),))
         assert err.value.issues == [
             "member 'a' device 1: bounds must satisfy 0 <= d_min <= d_max "
             "(got [9007199254740993, 9007199254740992])"
@@ -238,7 +230,7 @@ class TestValidateScenario:
         # the same for numpy integers, which float64 holds no better
         device = DeviceUtility(1.0, 1.0, np.int64(2**53 + 1), np.int64(2**53))
         with pytest.raises(ScenarioValidationError, match="d_min <= d_max"):
-            validate_scenario(make_scenario(members=(make_member("a", devices=(device,)),)))
+            make_scenario(members=(make_member("a", devices=(device,)),))
 
     @pytest.mark.filterwarnings("error")
     def test_numpy_float_and_int_past_its_range_compared_exactly(self):
@@ -248,7 +240,7 @@ class TestValidateScenario:
         assert validate_scenario(sc) is sc
         device = DeviceUtility(1.0, 1.0, 10**39, np.float32(0.5))
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(make_scenario(members=(make_member("a", devices=(device,)),)))
+            make_scenario(members=(make_member("a", devices=(device,)),))
         assert err.value.issues == [
             f"member 'a' device 0: bounds must satisfy 0 <= d_min <= d_max (got [{10**39}, 0.5])"
         ]
@@ -265,13 +257,13 @@ class TestValidateScenario:
             make_member(f"m{i}", devices=[DeviceUtility(*p) for p in params])
             for i, params in enumerate(members)
         )
-        scenario = make_scenario(members=members)
         expected = device_issues_loop(members)
         if not expected:
+            scenario = make_scenario(members=members)
             assert validate_scenario(scenario) is scenario
             return
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(scenario)
+            make_scenario(members=members)
         assert err.value.issues == expected
 
     def test_huge_alpha_keeps_finite_kinks(self):
@@ -282,17 +274,17 @@ class TestValidateScenario:
         sc = make_scenario(horizon=np.int64(1))
         assert validate_scenario(sc) is sc
 
-    @pytest.mark.parametrize("horizon", [True, np.bool_(True), 1.0, 2.7, 0, np.int64(-1)])
+    @pytest.mark.parametrize("horizon", [True, np.bool_(True), 1.0, 2.7, 0, np.int64(-1), -1])
     def test_bool_non_integral_or_non_positive_horizon_rejected(self, horizon):
-        # an explicit central trace keeps the constructor from sizing one by the horizon
-        sc = make_scenario(horizon=horizon, central_pv_trace=np.zeros(1))
-        with pytest.raises(ScenarioValidationError, match="horizon must be a positive integer"):
-            validate_scenario(sc)
+        # with and without an explicit central trace: the constructor checks the
+        # horizon before it sizes the default central trace by it
+        for central in ({"central_pv_trace": np.zeros(1)}, {}):
+            with pytest.raises(ScenarioValidationError, match="horizon must be a positive integer"):
+                make_scenario(horizon=horizon, **central)
 
     def test_trace_length_mismatch(self):
-        sc = make_scenario(members=(make_member(trace=[1.0, 2.0]),))
         with pytest.raises(ScenarioValidationError, match="length"):
-            validate_scenario(sc)
+            make_scenario(members=(make_member(trace=[1.0, 2.0]),))
 
     @pytest.mark.parametrize(
         "central, central_issues",
@@ -311,9 +303,8 @@ class TestValidateScenario:
             make_member("b", trace=[1.0, -1.0]),
         )
         rates = RateSchedule(np.array([0.4, np.inf, 0.4]), np.array([0.2, -0.1]))
-        sc = make_scenario(members=members, rates=rates, horizon=2, central_pv_trace=np.array(central))
         with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(sc)
+            make_scenario(members=members, rates=rates, horizon=2, central_pv_trace=np.array(central))
         assert err.value.issues == [
             "member 'a': pv_trace has length 3, expected 2",
             "member 'a': pv_trace has non-finite entries",
@@ -325,19 +316,17 @@ class TestValidateScenario:
         ]
 
     def test_duplicate_member_ids(self):
-        sc = make_scenario(members=(make_member("x"), make_member("x")))
         with pytest.raises(ScenarioValidationError, match="duplicate"):
-            validate_scenario(sc)
+            make_scenario(members=(make_member("x"), make_member("x")))
 
     def test_initial_soc_outside_capacity(self):
         bess = BessSpec(1.0, 0.95, 0.95, 0.5, 0.5, initial_soc=1.5)
-        sc = make_scenario(
-            members=(make_member(bess_share=1.0),),
-            rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.3),
-            bess=bess,
-        )
         with pytest.raises(ScenarioValidationError, match="initial_soc"):
-            validate_scenario(sc)
+            make_scenario(
+                members=(make_member(bess_share=1.0),),
+                rates=RateSchedule.flat(0.4, 0.2, 1, salvage=0.3),
+                bess=bess,
+            )
 
 
 class TestScaledBess:

@@ -17,7 +17,6 @@ from dnem.model import (
     PriceZone,
     RateSchedule,
     ScenarioValidationError,
-    validate_scenario,
 )
 from dnem.pricing import nem_payment
 from dnem.sim import (
@@ -437,27 +436,45 @@ class TestGainsAndSweep:
         points = rate_ratio_sweep(sc, [0.25])
         assert points[0].welfare_gain_dnem is not None
 
-    def test_each_ratio_is_validated_once(self, monkeypatch):
+    def test_each_ratio_is_validated_once(self, validations):
         sc = solar_day_scenario(8, flat_buy=True, with_bess=True)
-        sells = []
-
-        def spy(scenario):
-            sells.append(scenario.rates.sell[0])
-            return validate_scenario(scenario)
-
-        monkeypatch.setattr(dnem.sim, "validate_scenario", spy)
+        validations.clear()
         rate_ratio_sweep(sc, [0.25, 0.1])
-        # the scenario itself, then each candidate once
-        assert sells == [0.1, 0.25 * 0.4, 0.1 * 0.4]
-        sells.clear()
+        # each candidate once, when it is built; the scenario itself is not checked again
+        assert [s.rates.sell[0] for s in validations] == [0.25 * 0.4, 0.1 * 0.4]
+        validations.clear()
         with pytest.raises(ValueError) as info:
             rate_ratio_sweep(sc, [0.25, 1.0])
-        assert sells == [0.1, 0.25 * 0.4, 0.4]
+        assert [s.rates.sell[0] for s in validations] == [0.25 * 0.4, 0.4]
         assert str(info.value) == (
             "rate ratio 1.0 infeasible: invalid scenario:\n  - no admissible salvage rate: "
             "need max(sell)/charge_eff <= discharge_eff*min(buy), got [0.421053, 0.38]"
         )
         assert isinstance(info.value.__cause__, ScenarioValidationError)
+
+
+class TestValidatedWhenBuilt:
+    """A scenario is checked once, by its constructor; nothing downstream checks it again."""
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_generators_check_once_and_runs_never(self, validations, with_bess):
+        built = [
+            solar_day_scenario(3, n_members=4, horizon=6, with_bess=with_bess),
+            random_scenario(3, with_bess=with_bess),
+        ]
+        assert validations == built
+        validations.clear()
+        for sc in built:
+            run(sc, "dnem", compute_gains=False)
+            run(sc, "sign_based")
+            run_all(sc)
+        assert validations == []
+
+    def test_copy_with_infeasible_rates_raises(self):
+        sc = solar_day_scenario(8, flat_buy=True, with_bess=True)
+        infeasible = RateSchedule(sc.rates.buy, sc.rates.buy, sc.rates.salvage)
+        with pytest.raises(ScenarioValidationError, match="no admissible salvage rate"):
+            dataclasses.replace(sc, rates=infeasible)
 
 
 class TestRunPriceColumns:
@@ -492,7 +509,7 @@ class TestRunPriceColumns:
             Member("b", (DeviceUtility(0.3, 1.0, 0.0, 2.0),), np.zeros(horizon)),
         )
         rates = RateSchedule(np.where(high, 0.4, 0.2), np.where(high, 0.3, 0.1), 0.0)
-        results = run_all(validate_scenario(CommunityScenario(members, rates, horizon)))
+        results = run_all(CommunityScenario(members, rates, horizon))
         kinds = set()
         for t, r in enumerate(results["dnem"][0]):
             interpolated = r.price.is_net_zero and not high[t]
