@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .bess import ZONES, price_and_dispatch
-from .curves import AggregateResponseCurve
+from .curves import AggregateResponseCurve, DeviceBlocks
 from .model import (
     BessSpec,
     CommunityScenario,
@@ -45,7 +45,13 @@ from .model import (
     RateSchedule,
 )
 from .sim import MECHANISMS, Run, folded_generation, rate_ratio_sweep, run, run_all
-from .welfare import RATIONALITY_TOL, axiom_audit, coalition_audits, welfare_gain
+from .welfare import (
+    RATIONALITY_TOL,
+    axiom_audit,
+    coalition_mask_audits,
+    sample_coalitions,
+    welfare_gain,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -596,42 +602,35 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
 
     coalitions = None
     if coalition_samples > 0:
-        n = len(scenario.members)
         ids = [m.id for m in scenario.members]
-        samples, audits = [], []
+        blocks = DeviceBlocks(scenario.members)
+        failures, worst, first_failure = 0, 0.0, None
         for seed in range(seeds):
-            rng = np.random.default_rng(seed)
-            drawn = []
-            for _ in range(coalition_samples):
-                t = int(rng.integers(0, scenario.horizon))
-                superset = np.flatnonzero(rng.random(n) < 0.7)
-                if not len(superset):
-                    superset = np.array([int(rng.integers(0, n))])
-                subset = superset[rng.random(len(superset)) < 0.6].tolist()
-                if not subset:
-                    subset = [int(superset[int(rng.integers(0, len(superset)))])]
-                drawn.append((t, subset, superset.tolist()))
-            samples += drawn
-            audits += coalition_audits(
-                scenario.members, gen, scenario.rates.buy, scenario.rates.sell, drawn
+            drawn = sample_coalitions(seed, len(ids), scenario.horizon, coalition_samples)
+            times, superset, subset = drawn
+            audit = coalition_mask_audits(
+                blocks, gen, scenario.rates.buy, scenario.rates.sell, *drawn
             )
-        failed = [(sample, audit) for sample, audit in zip(samples, audits) if not audit.passed]
-        first_failure = None
-        if failed:
-            (t, subset, superset), audit = failed[0]
-            first_failure = {
-                "interval": t,
-                "subset": [ids[i] for i in subset],
-                "superset": [ids[i] for i in superset],
-                "slack": round(audit.slack, 12),
-            }
+            failed = ~audit.passed
+            if first_failure is None and failed.any():
+                s = int(np.argmax(failed))
+                first_failure = {
+                    "interval": int(times[s]),
+                    "subset": [ids[i] for i in np.flatnonzero(subset[s])],
+                    "superset": [ids[i] for i in np.flatnonzero(superset[s])],
+                    "slack": round(float(audit.slack[s]), 12),
+                }
+            failures += int(np.count_nonzero(failed))
+            # the largest positive shortfall (a NaN slack is none)
+            gap = -audit.slack
+            worst = max(worst, float(np.max(gap, initial=0.0, where=gap > 0)))
         coalitions = {
-            "samples": len(audits),
-            "failures": len(failed),
-            "worst_slack": round(max([0.0] + [-audit.slack for audit in audits]), 12),
+            "samples": seeds * coalition_samples,
+            "failures": failures,
+            "worst_slack": round(worst, 12),
             "first_failure": first_failure,
         }
-        all_passed &= not failed
+        all_passed &= not failures
 
     print(
         _dumps(

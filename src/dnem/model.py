@@ -192,7 +192,10 @@ class CommunityScenario:
         object.__setattr__(self, "members", tuple(self.members))
         trace = self.central_pv_trace
         if trace is None or (hasattr(trace, "__len__") and len(trace) == 0):
-            trace = np.zeros(_positive_horizon(self.horizon))
+            horizon = _positive_horizon(self.horizon)
+            # no central PV, sized only by a horizon the rates match: the rates report
+            # any other, which may be too long to allocate
+            trace = np.zeros(horizon if len(self.rates.buy) == horizon else 0)
         object.__setattr__(self, "central_pv_trace", _as_readonly_array(trace))
         validate_scenario(self)
 
@@ -407,7 +410,9 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         issues.append(f"salvage rate must be finite and >= 0 (got {rates.salvage})")
 
     central = scenario.central_pv_trace
-    _check_trace(issues, "central_pv_trace", central, horizon)
+    # an empty trace is the constructor's default for a horizon the rates miss
+    if len(central) or len(rates.buy) == horizon:
+        _check_trace(issues, "central_pv_trace", central, horizon)
     if np.any(central > 0):
         total = sum(m.central_pv_share for m in scenario.members)
         if abs(total - 1.0) > 1e-9:

@@ -31,6 +31,8 @@ __all__ = [
     "CoalitionAudit",
     "coalition_audit",
     "coalition_audits",
+    "coalition_mask_audits",
+    "sample_coalitions",
     "welfare_gain",
 ]
 
@@ -98,8 +100,12 @@ def _first_max(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _take(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # clamped: a finished search of :func:`~dnem.curves.first_false` probes one past the end
-    return np.take_along_axis(rows, np.minimum(k, rows.shape[1] - 1), axis=1)
+    # clamped where needed (a finished search of :func:`~dnem.curves.first_false` probes one
+    # past the end), so an in-range gather adds no (T, N) index temporary
+    last = rows.shape[1] - 1
+    if np.max(k, initial=0) > last:
+        k = np.minimum(k, last)
+    return np.take_along_axis(rows, k, axis=1)
 
 
 def _window(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, reduce) -> np.ndarray:
@@ -256,7 +262,9 @@ def axiom_audit(
 
 @dataclass(frozen=True)
 class CoalitionAudit:
-    """Surplus of a sub-coalition inside its parent community vs on its own."""
+    """Surplus of a sub-coalition inside its parent community vs on its own.  The two
+    surpluses are floats, or (S,) arrays of S samples (:func:`coalition_mask_audits`),
+    whose ``slack`` and ``passed`` are then arrays too."""
 
     subset_in_parent: float
     subset_alone: float
@@ -270,6 +278,86 @@ class CoalitionAudit:
         return self.slack >= -RATIONALITY_TOL
 
 
+def sample_coalitions(
+    seed: int, n: int, horizon: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` nested coalition samples of ``n`` members, as ``dnem audit`` draws them.
+
+    ``np.random.default_rng(seed)`` draws, per sample: the interval, uniform on
+    [0, horizon); the superset, which takes each member with probability 0.7 (one
+    uniform member if it takes none); and the subset, which takes each superset member
+    with probability 0.6 (one uniform superset member if it takes none).  Returns the
+    (S,) intervals and the (S, N) superset and subset masks.
+    """
+    rng = np.random.default_rng(seed)
+    times = np.empty(count, dtype=np.intp)
+    superset = np.zeros((count, n), dtype=bool)
+    picks = []
+    for s in range(count):
+        times[s] = rng.integers(0, horizon)
+        row = np.less(rng.random(n), 0.7, out=superset[s])
+        k = np.count_nonzero(row)
+        if not k:
+            row[rng.integers(0, n)] = True
+            k = 1
+        pick = rng.random(k) < 0.6
+        if not np.count_nonzero(pick):
+            pick[rng.integers(0, k)] = True
+        picks.append(pick)
+    subset = np.zeros_like(superset)
+    # row by row, each row's superset members in member order: the order of the draws
+    subset[superset] = np.concatenate(picks) if picks else False
+    return times, superset, subset
+
+
+def coalition_mask_audits(
+    blocks: DeviceBlocks,
+    gen: np.ndarray,
+    buy: Sequence[float],
+    sell: Sequence[float],
+    times: np.ndarray,
+    superset: np.ndarray,
+    subset: np.ndarray,
+) -> CoalitionAudit:
+    """:func:`coalition_audits` of S samples given as (S,) intervals and (S, N)
+    superset and subset masks of the members of ``blocks`` (``DeviceBlocks(members)``),
+    every subset non-empty and inside its superset.  Returns one
+    :class:`CoalitionAudit` of (S,) arrays.
+
+    The 2S communities are gathered by :meth:`DeviceBlocks.pooled` and priced by one
+    :func:`~dnem.bess.price_and_dispatch` call.  The members are settled by
+    :meth:`DeviceBlocks.evaluate` once per distinct price (by its bits), whose rows
+    are gathered back to the communities: each cell is the same elementwise
+    expression, so every surplus is that of a (2S, N) evaluation.
+    """
+    n = blocks.rows
+    gen = np.asarray(gen, dtype=float)
+    # each sample's parent community, then its subset, at the sample's interval
+    times = np.repeat(times, 2)
+    mask = np.stack((superset, subset), axis=1).reshape(len(times), n)
+    g_n = np.empty(len(mask))
+    for rows, ids in mask_groups(mask):
+        g_n[rows] = np.sum(gen[ids, times[rows, None]], axis=-1)
+    priced = price_and_dispatch(
+        blocks.pooled(mask), BessSpec(0.0), np.ones(len(mask)), g_n[:, None],
+        np.asarray(buy, dtype=float)[None, times], np.asarray(sell, dtype=float)[None, times], 0.0,
+    )
+    prices = priced.price[0].astype(float)
+    distinct, back = np.unique(prices.view(np.int64), return_inverse=True)
+    distinct = np.broadcast_to(distinct.view(float)[:, None], (len(distinct), n))
+    _, total, utility = blocks.evaluate(distinct)
+    total, utility = total[back], utility[back]
+    # an empty battery: 0.0 in every cell; no device vector is read
+    net = total + 0.0 - gen[:, times].T
+    settled = settle_arrays(([], total, utility), net, 0.0, prices[:, None] * net, 0.0, 1.0, 1.0)
+    surplus = settled.surplus
+    in_parent, alone = np.empty(len(subset)), np.empty(len(subset))
+    for rows, ids in mask_groups(subset):
+        in_parent[rows] = _in_order(surplus[2 * rows[:, None], ids].T)
+        alone[rows] = np.sum(surplus[2 * rows[:, None] + 1, ids], axis=-1)
+    return CoalitionAudit(in_parent, alone)
+
+
 def coalition_audits(
     members: Sequence[Member],
     gen: np.ndarray,
@@ -280,19 +368,15 @@ def coalition_audits(
     """:func:`coalition_audit` of every ``(t, subset, superset)`` sample, in order.
 
     ``gen`` is the members' generation, shape (members, intervals), and ``buy``/``sell`` the
-    per-interval rates.  The 2S communities of S samples are priced by one
-    :func:`~dnem.bess.price_and_dispatch` call, the rule that prices the community itself:
-    each is one prosumer owning its members' devices (in member order) and an empty
-    battery, at its sample's interval and rates.  The samples become (S, N) membership
-    masks, and the communities are gathered from the members' device table by
-    :meth:`DeviceBlocks.pooled`, so no object is built per community.  They are then
-    settled by one :meth:`DeviceBlocks.evaluate` call on a (2S, N) price array and
-    :func:`~dnem.response.settle_arrays`, with an empty battery.  Sums over
-    a community's members add in member order: its generation and the subset's surplus
-    alone as ``np.sum`` adds a vector, the subset's surplus in the parent one by one
-    from 0.0, as ``sum`` does.  Raises ``ValueError`` naming the first sample whose
-    interval lies outside [0, T) or a member id outside [0, N), before the
-    containment and emptiness checks.
+    per-interval rates.  The samples become (S, N) membership masks for
+    :func:`coalition_mask_audits`: each of the 2S communities is one prosumer owning
+    its members' devices (in member order) and an empty battery, at its sample's
+    interval and rates, priced by the rule that prices the community itself, so no
+    object is built per community.  Sums over a community's members add in member
+    order: its generation and the subset's surplus alone as ``np.sum`` adds a vector,
+    the subset's surplus in the parent one by one from 0.0, as ``sum`` does.  Raises
+    ``ValueError`` naming the first sample whose interval lies outside [0, T) or a
+    member id outside [0, N), before the containment and emptiness checks.
     """
     n = len(members)
     gen = np.asarray(gen, dtype=float)
@@ -305,14 +389,12 @@ def coalition_audits(
         if ids and not 0 <= min(ids) <= max(ids) < n:
             i = next(i for i in ids if not 0 <= i < n)
             raise ValueError(f"sample {s}: member id {i} outside [0, {n})")
-    # each sample's parent community, then its subset, at the sample's interval
-    times = np.repeat(np.array([t for t, _, _ in samples], dtype=int), 2)
-    mask = np.zeros((2 * len(samples), n), dtype=bool)
-    for k, part in enumerate((2, 1)):
+    times = np.array([t for t, _, _ in samples], dtype=np.intp)
+    superset, subset = np.zeros((2, len(samples), n), dtype=bool)
+    for mask, part in ((superset, 2), (subset, 1)):
         ids = [i for sample in samples for i in sample[part]]
         sizes = np.array([len(sample[part]) for sample in samples], dtype=np.intp)
-        mask[np.repeat(np.arange(k, len(mask), 2), sizes), ids] = True
-    superset, subset = mask[0::2], mask[1::2]
+        mask[np.repeat(np.arange(len(samples)), sizes), ids] = True
     # the first bad sample, checked for containment before emptiness
     outside, empty = np.any(subset & ~superset, axis=1), ~np.any(subset, axis=1)
     if np.any(outside | empty):
@@ -321,25 +403,8 @@ def coalition_audits(
             raise ValueError("subset must be contained in superset")
         raise ValueError("subset must be non-empty")
 
-    g_n = np.empty(len(mask))
-    for rows, ids in mask_groups(mask):
-        g_n[rows] = np.sum(gen[ids, times[rows, None]], axis=-1)
-    blocks = DeviceBlocks(members)
-    priced = price_and_dispatch(
-        blocks.pooled(mask), BessSpec(0.0), np.ones(len(mask)), g_n[:, None],
-        np.asarray(buy, dtype=float)[None, times], np.asarray(sell, dtype=float)[None, times], 0.0,
-    )
-    prices = priced.price.astype(float).T
-
-    response = blocks.evaluate(np.broadcast_to(prices, (len(mask), n)))
-    # an empty battery: 0.0 in every cell
-    net = response[1] + 0.0 - gen[:, times].T
-    surplus = settle_arrays(response, net, 0.0, prices * net, 0.0, 1.0, 1.0).surplus
-    in_parent, alone = np.empty(len(samples)), np.empty(len(samples))
-    for rows, ids in mask_groups(subset):
-        in_parent[rows] = _in_order(surplus[2 * rows[:, None], ids].T)
-        alone[rows] = np.sum(surplus[2 * rows[:, None] + 1, ids], axis=-1)
-    return list(map(CoalitionAudit, in_parent.tolist(), alone.tolist()))
+    audit = coalition_mask_audits(DeviceBlocks(members), gen, buy, sell, times, superset, subset)
+    return list(map(CoalitionAudit, audit.subset_in_parent.tolist(), audit.subset_alone.tolist()))
 
 
 def coalition_audit(

@@ -499,3 +499,24 @@ def broadcast_values(value, horizon: int, name: str) -> list[float]:
             raise ConfigError(f"{name}: expected {horizon} entries, got {len(value)}")
         return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
     raise ConfigError(f"{name}: expected a number or a list of numbers")
+
+
+def coalition_samples_loop(seed: int, n: int, horizon: int, count: int, fallbacks=None) -> list:
+    """``count`` ``(t, subset, superset)`` samples of ``n`` members, drawn sample by
+    sample as ``dnem audit`` drew them before it drew membership masks.  ``fallbacks``,
+    a dict, counts the drawn empty supersets and subsets."""
+    fallbacks = {} if fallbacks is None else fallbacks
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(count):
+        t = int(rng.integers(0, horizon))
+        superset = np.flatnonzero(rng.random(n) < 0.7)
+        if not len(superset):
+            fallbacks["superset"] = fallbacks.get("superset", 0) + 1
+            superset = np.array([int(rng.integers(0, n))])
+        subset = superset[rng.random(len(superset)) < 0.6].tolist()
+        if not subset:
+            fallbacks["subset"] = fallbacks.get("subset", 0) + 1
+            subset = [int(superset[int(rng.integers(0, len(superset)))])]
+        drawn.append((t, subset, superset.tolist()))
+    return drawn

@@ -861,6 +861,32 @@ def test_audit_stdout_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGEST
 
 
+#: sha256 of the audit above with the rationality tolerance at -1.0, so every coalition
+#: sample fails and the output names the first one
+FAILING_AUDIT_DIGEST = "0ba02aa3c63a629a4d6125646eabeaa6d8a005a51db0ddf5254923c3b8292701"
+
+
+def test_audit_of_failing_coalitions_is_pinned(tmp_path, monkeypatch, capsys):
+    # recorded before the samples were drawn into membership masks; the coalition check
+    # (and the axiom audit's individual rationality) read the tolerance from dnem.welfare
+    monkeypatch.setattr(dnem.welfare, "RATIONALITY_TOL", -1.0)
+    path = write_config(tmp_path, _seeded_day_config())
+    code = main(["audit", "--config", path, "--seeds", "2", "--coalition-samples", "100"])
+    out = capsys.readouterr().out
+    assert code == EXIT_AUDIT
+    assert json.loads(out)["coalitions"] == {
+        "samples": 200,
+        "failures": 200,
+        "worst_slack": 0.0,
+        "first_failure": {
+            "interval": 20,
+            "subset": ["m00", "m02", "m07", "m10"],
+            "superset": ["m00", "m01", "m02", "m05", "m07", "m10"],
+            "slack": 0.0,
+        },
+    }
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_AUDIT_DIGEST
+
 @pytest.mark.parametrize("with_bess", [False, True])
 def test_audit_builds_no_record_or_outcome(tmp_path, monkeypatch, capsys, outcomes_built, with_bess):
     # the axiom audit reads the run's (T, N) arrays; no interval record is indexed

@@ -282,6 +282,18 @@ class TestValidateScenario:
             with pytest.raises(ScenarioValidationError, match="horizon must be a positive integer"):
                 make_scenario(horizon=horizon, **central)
 
+    @pytest.mark.parametrize("horizon", [3, 2**40, 10**30])
+    def test_horizon_the_rates_miss_reported_without_a_default_trace(self, horizon):
+        # no default central trace is sized by it: 2**40 intervals would take 8 TiB and
+        # 10**30 exceeds numpy's largest dimension
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(horizon=horizon)
+        assert err.value.issues == [
+            f"member 'm1': pv_trace has length 1, expected {horizon}",
+            f"rates.buy has length 1, expected {horizon}",
+            f"rates.sell has length 1, expected {horizon}",
+        ]
+
     def test_trace_length_mismatch(self):
         with pytest.raises(ScenarioValidationError, match="length"):
             make_scenario(members=(make_member(trace=[1.0, 2.0]),))

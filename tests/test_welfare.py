@@ -13,10 +13,13 @@ from dnem.response import MemberOutcome, member_outcome, settle_arrays
 from dnem.sim import folded_generation, random_scenario, run_all, solar_day_scenario
 from dnem.welfare import (
     CoalitionAudit,
+    _take,
     axiom_audit,
     centralized_welfare_closed_form,
     coalition_audit,
     coalition_audits,
+    coalition_mask_audits,
+    sample_coalitions,
     welfare_gain,
 )
 
@@ -27,6 +30,7 @@ from oracles import (
     InstanceTooLargeError,
     axiom_audit_horizon_loops,
     centralized_welfare_bruteforce,
+    coalition_samples_loop,
     grid_centralized_welfare,
     quad_utility,
 )
@@ -242,6 +246,20 @@ class TestAxiomAudit:
             tracemalloc.stop()
         # one N x N float array alone would be 8 MB
         assert peak < 1_000_000, peak
+
+    def test_in_range_gather_allocates_only_its_result(self):
+        # the horizon audit gathers (T, N) rows by index many times; only a probe past the
+        # end needs a clamped copy of the indices
+        rows = np.zeros((96, 1000))
+        k = np.ascontiguousarray(np.broadcast_to(np.arange(1000)[::-1], rows.shape))
+        for index, clamped in ((k, False), (k + 1, True)):
+            tracemalloc.start()
+            try:
+                _take(rows, index)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (peak > 1.5 * rows.nbytes) == clamped, peak
 
 
 def _bits(report):
@@ -639,6 +657,48 @@ class TestCoalitionAudit:
         members, gens = self._random_members(rng, 3)
         with pytest.raises(ValueError, match="contained"):
             coalition_audit(members, gens, 0.4, 0.2, [0, 2], [0, 1])
+
+
+class TestCoalitionSampler:
+    """``sample_coalitions`` draws ``dnem audit``'s samples as masks: the samples of the
+    sample-by-sample loop it replaced, audited to the same bits."""
+
+    SIZES, SEEDS, COUNT, HORIZON = (1, 2, 3, 5, 25), range(20), 300, 24
+
+    @staticmethod
+    def _lists(times, superset, subset):
+        return [
+            (int(t), np.flatnonzero(sub).tolist(), np.flatnonzero(sup).tolist())
+            for t, sup, sub in zip(times, superset, subset)
+        ]
+
+    def test_same_samples_as_the_loop(self):
+        fallbacks = {}
+        for n in self.SIZES:
+            for seed in self.SEEDS:
+                expected = coalition_samples_loop(seed, n, self.HORIZON, self.COUNT, fallbacks)
+                drawn = sample_coalitions(seed, n, self.HORIZON, self.COUNT)
+                assert self._lists(*drawn) == expected, (n, seed)
+        # an empty superset draws one member, and an empty subset one superset member
+        assert fallbacks["superset"] > 0 and fallbacks["subset"] > 0
+
+    def test_no_samples(self):
+        times, superset, subset = sample_coalitions(0, 3, 2, 0)
+        assert times.shape == (0,) and superset.shape == subset.shape == (0, 3)
+
+    def test_mask_audits_match_the_list_api(self):
+        for n in self.SIZES:
+            sc = solar_day_scenario(n, n_members=n, horizon=self.HORIZON)
+            gen, blocks = folded_generation(sc), DeviceBlocks(sc.members)
+            for seed in self.SEEDS:
+                samples = coalition_samples_loop(seed, n, self.HORIZON, self.COUNT)
+                audits = coalition_audits(sc.members, gen, sc.rates.buy, sc.rates.sell, samples)
+                drawn = sample_coalitions(seed, n, self.HORIZON, self.COUNT)
+                audit = coalition_mask_audits(blocks, gen, sc.rates.buy, sc.rates.sell, *drawn)
+                for name in ("subset_in_parent", "subset_alone", "slack"):
+                    expected = [getattr(a, name).hex() for a in audits]
+                    assert [v.hex() for v in getattr(audit, name).tolist()] == expected, (n, seed)
+                assert audit.passed.tolist() == [a.passed for a in audits]
 
 
 class TestWelfareGain:
