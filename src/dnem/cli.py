@@ -48,7 +48,7 @@ from .sim import MECHANISMS, Run, folded_generation, rate_ratio_sweep, run, run_
 from .welfare import (
     RATIONALITY_TOL,
     axiom_audit,
-    coalition_mask_audits,
+    coalition_audits,
     sample_coalitions,
     welfare_gain,
 )
@@ -608,9 +608,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         for seed in range(seeds):
             drawn = sample_coalitions(seed, len(ids), scenario.horizon, coalition_samples)
             times, superset, subset = drawn
-            audit = coalition_mask_audits(
-                blocks, gen, scenario.rates.buy, scenario.rates.sell, *drawn
-            )
+            audit = coalition_audits(blocks, gen, scenario.rates.buy, scenario.rates.sell, *drawn)
             failed = ~audit.passed
             if first_failure is None and failed.any():
                 s = int(np.argmax(failed))

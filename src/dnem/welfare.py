@@ -31,7 +31,6 @@ __all__ = [
     "CoalitionAudit",
     "coalition_audit",
     "coalition_audits",
-    "coalition_mask_audits",
     "sample_coalitions",
     "welfare_gain",
 ]
@@ -263,8 +262,8 @@ def axiom_audit(
 @dataclass(frozen=True)
 class CoalitionAudit:
     """Surplus of a sub-coalition inside its parent community vs on its own.  The two
-    surpluses are floats, or (S,) arrays of S samples (:func:`coalition_mask_audits`),
-    whose ``slack`` and ``passed`` are then arrays too."""
+    surpluses are floats (:func:`coalition_audit`), or (S,) arrays of S samples
+    (:func:`coalition_audits`), whose ``slack`` and ``passed`` are then arrays too."""
 
     subset_in_parent: float
     subset_alone: float
@@ -310,7 +309,7 @@ def sample_coalitions(
     return times, superset, subset
 
 
-def coalition_mask_audits(
+def coalition_audits(
     blocks: DeviceBlocks,
     gen: np.ndarray,
     buy: Sequence[float],
@@ -319,19 +318,41 @@ def coalition_mask_audits(
     superset: np.ndarray,
     subset: np.ndarray,
 ) -> CoalitionAudit:
-    """:func:`coalition_audits` of S samples given as (S,) intervals and (S, N)
-    superset and subset masks of the members of ``blocks`` (``DeviceBlocks(members)``),
-    every subset non-empty and inside its superset.  Returns one
-    :class:`CoalitionAudit` of (S,) arrays.
+    """Whether any of S sampled sub-coalitions gains by seceding from its parent.
 
-    The 2S communities are gathered by :meth:`DeviceBlocks.pooled` and priced by one
-    :func:`~dnem.bess.price_and_dispatch` call.  The members are settled by
-    :meth:`DeviceBlocks.evaluate` once per distinct price (by its bits), whose rows
-    are gathered back to the communities: each cell is the same elementwise
-    expression, so every surplus is that of a (2S, N) evaluation.
+    The samples are (S,) intervals and (S, N) superset and subset masks of the N
+    members of ``blocks`` (``DeviceBlocks(members)``); ``gen`` is the members' (N, T)
+    generation and ``buy``/``sell`` the T rates.  Returns one :class:`CoalitionAudit`
+    of (S,) arrays.  Raises ``ValueError`` for the first interval outside [0, T),
+    then for masks or ``gen`` not of N members, then for the first sample whose
+    subset is outside its superset or empty.
+
+    Each of the 2S communities (a sample's parent, then its subset) is one prosumer
+    owning its members' devices, in member order, and an empty battery, gathered by
+    :meth:`DeviceBlocks.pooled` and priced by one :func:`~dnem.bess.price_and_dispatch`
+    call, the rule that prices the community itself.  Its generation adds as
+    ``np.sum`` adds its members' vector.  The members are settled once per distinct
+    price (by its bits) and gathered back, so every surplus is that of a (2S, N)
+    evaluation.  Both sides add the subset's surpluses in member order from 0.0, so
+    a coalition audited against itself has slack 0.
     """
     n = blocks.rows
     gen = np.asarray(gen, dtype=float)
+    times = np.asarray(times, dtype=np.intp)
+    superset, subset = np.asarray(superset, dtype=bool), np.asarray(subset, dtype=bool)
+    horizon = gen.shape[-1]
+    outside = (times < 0) | (times >= horizon)
+    if np.any(outside):
+        s = int(np.argmax(outside))
+        raise ValueError(f"sample {s}: interval {times[s]} outside [0, {horizon})")
+    if gen.ndim != 2 or len(gen) != n or not superset.shape == subset.shape == (len(times), n):
+        raise ValueError(f"masks must be (samples, {n}) and gen ({n}, intervals)")
+    outside, empty = np.any(subset & ~superset, axis=1), ~np.any(subset, axis=1)
+    if np.any(outside | empty):
+        if outside[np.argmax(outside | empty)]:
+            raise ValueError("subset must be contained in superset")
+        raise ValueError("subset must be non-empty")
+
     # each sample's parent community, then its subset, at the sample's interval
     times = np.repeat(times, 2)
     mask = np.stack((superset, subset), axis=1).reshape(len(times), n)
@@ -350,61 +371,10 @@ def coalition_mask_audits(
     # an empty battery: 0.0 in every cell; no device vector is read
     net = total + 0.0 - gen[:, times].T
     settled = settle_arrays(([], total, utility), net, 0.0, prices[:, None] * net, 0.0, 1.0, 1.0)
-    surplus = settled.surplus
-    in_parent, alone = np.empty(len(subset)), np.empty(len(subset))
-    for rows, ids in mask_groups(subset):
-        in_parent[rows] = _in_order(surplus[2 * rows[:, None], ids].T)
-        alone[rows] = np.sum(surplus[2 * rows[:, None] + 1, ids], axis=-1)
+    # both sides in member order from +0.0, which a non-member's +0.0 leaves unchanged
+    in_parent = _in_order(np.where(subset, settled.surplus[0::2], 0.0).T)
+    alone = _in_order(np.where(subset, settled.surplus[1::2], 0.0).T)
     return CoalitionAudit(in_parent, alone)
-
-
-def coalition_audits(
-    members: Sequence[Member],
-    gen: np.ndarray,
-    buy: Sequence[float],
-    sell: Sequence[float],
-    samples: Sequence[tuple[int, Sequence[int], Sequence[int]]],
-) -> list[CoalitionAudit]:
-    """:func:`coalition_audit` of every ``(t, subset, superset)`` sample, in order.
-
-    ``gen`` is the members' generation, shape (members, intervals), and ``buy``/``sell`` the
-    per-interval rates.  The samples become (S, N) membership masks for
-    :func:`coalition_mask_audits`: each of the 2S communities is one prosumer owning
-    its members' devices (in member order) and an empty battery, at its sample's
-    interval and rates, priced by the rule that prices the community itself, so no
-    object is built per community.  Sums over a community's members add in member
-    order: its generation and the subset's surplus alone as ``np.sum`` adds a vector,
-    the subset's surplus in the parent one by one from 0.0, as ``sum`` does.  Raises
-    ``ValueError`` naming the first sample whose interval lies outside [0, T) or a
-    member id outside [0, N), before the containment and emptiness checks.
-    """
-    n = len(members)
-    gen = np.asarray(gen, dtype=float)
-    horizon = gen.shape[1]
-    # the first sample with an interval or a member id out of range, before any indexing
-    for s, (t, subset, superset) in enumerate(samples):
-        if not 0 <= t < horizon:
-            raise ValueError(f"sample {s}: interval {t} outside [0, {horizon})")
-        ids = (*subset, *superset)
-        if ids and not 0 <= min(ids) <= max(ids) < n:
-            i = next(i for i in ids if not 0 <= i < n)
-            raise ValueError(f"sample {s}: member id {i} outside [0, {n})")
-    times = np.array([t for t, _, _ in samples], dtype=np.intp)
-    superset, subset = np.zeros((2, len(samples), n), dtype=bool)
-    for mask, part in ((superset, 2), (subset, 1)):
-        ids = [i for sample in samples for i in sample[part]]
-        sizes = np.array([len(sample[part]) for sample in samples], dtype=np.intp)
-        mask[np.repeat(np.arange(len(samples)), sizes), ids] = True
-    # the first bad sample, checked for containment before emptiness
-    outside, empty = np.any(subset & ~superset, axis=1), ~np.any(subset, axis=1)
-    if np.any(outside | empty):
-        s = int(np.argmax(outside | empty))
-        if outside[s]:
-            raise ValueError("subset must be contained in superset")
-        raise ValueError("subset must be non-empty")
-
-    audit = coalition_mask_audits(DeviceBlocks(members), gen, buy, sell, times, superset, subset)
-    return list(map(CoalitionAudit, audit.subset_in_parent.tolist(), audit.subset_alone.tolist()))
 
 
 def coalition_audit(
@@ -417,14 +387,26 @@ def coalition_audit(
 ) -> CoalitionAudit:
     """Check that a nested sub-coalition cannot gain by seceding.
 
-    ``subset`` and ``superset`` are member indices with subset ⊆ superset.
-    Both communities are priced independently with their own aggregate
-    generation and thresholds; the audit compares the subset members' total
-    surplus inside the parent against the total they would get alone.  This
-    is :func:`coalition_audits` for one sample.
+    ``subset`` and ``superset`` are member indices in [0, N) with subset ⊆ superset,
+    and ``generations`` the N members' generation.  Both communities are priced
+    independently with their own aggregate generation and thresholds; the audit
+    compares the subset members' total surplus inside the parent against the total
+    they would get alone.  This is :func:`coalition_audits` of one sample, with
+    float surpluses.
     """
-    gen = np.asarray(generations, dtype=float)[:, None]
-    return coalition_audits(members, gen, [buy], [sell], [(0, subset, superset)])[0]
+    n = len(members)
+    gen = np.asarray(generations, dtype=float)
+    if gen.shape != (n,):
+        raise ValueError(f"generations must hold one value for each of the {n} members")
+    for i in (*subset, *superset):
+        if not 0 <= i < n:
+            raise ValueError(f"member id {i} outside [0, {n})")
+    parent, seceding = np.zeros((2, 1, n), dtype=bool)
+    parent[0, list(superset)] = True
+    seceding[0, list(subset)] = True
+    blocks = DeviceBlocks(members)
+    audit = coalition_audits(blocks, gen[:, None], [buy], [sell], [0], parent, seceding)
+    return CoalitionAudit(float(audit.subset_in_parent[0]), float(audit.subset_alone[0]))
 
 
 def welfare_gain(mechanism_welfare: float, baseline_welfare: float) -> float:

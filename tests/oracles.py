@@ -501,6 +501,18 @@ def broadcast_values(value, horizon: int, name: str) -> list[float]:
     raise ConfigError(f"{name}: expected a number or a list of numbers")
 
 
+def coalition_masks(samples, n: int):
+    """``(t, subset, superset)`` samples of ``n`` members as the (S,) intervals and
+    (S, N) superset and subset masks that ``welfare.coalition_audits`` takes; duplicate
+    and unsorted ids mark each member once."""
+    times = np.array([t for t, _, _ in samples], dtype=np.intp)
+    superset, subset = np.zeros((2, len(samples), n), dtype=bool)
+    for s, (_, sub, sup) in enumerate(samples):
+        superset[s, list(sup)] = True
+        subset[s, list(sub)] = True
+    return times, superset, subset
+
+
 def coalition_samples_loop(seed: int, n: int, horizon: int, count: int, fallbacks=None) -> list:
     """``count`` ``(t, subset, superset)`` samples of ``n`` members, drawn sample by
     sample as ``dnem audit`` drew them before it drew membership masks.  ``fallbacks``,

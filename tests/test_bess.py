@@ -26,7 +26,7 @@ from dnem.pricing import dnem_price, nem_payment
 from dnem import welfare
 from dnem.sim import folded_generation, random_scenario, run_all, solar_day_scenario
 
-from oracles import price_ladder_loop, quad_utility
+from oracles import coalition_masks, price_ladder_loop, quad_utility
 
 CURVE = AggregateResponseCurve([DeviceUtility(2.0, 1.0, 0.0, 2.0)])
 SPEC = BessSpec(2.0, 0.95, 0.95, max_charge=0.5, max_discharge=0.5, initial_soc=1.0)
@@ -409,7 +409,10 @@ class TestPriceLevelOracle:
             return price_and_dispatch(*args)
 
         monkeypatch.setattr(welfare, "price_and_dispatch", recording)
-        welfare.coalition_audits(sc.members, folded_generation(sc), sc.rates.buy, sc.rates.sell, samples)
+        masks = coalition_masks(samples, 20)
+        welfare.coalition_audits(
+            DeviceBlocks(sc.members), folded_generation(sc), sc.rates.buy, sc.rates.sell, *masks
+        )
         (blocks, bess, shares, gen, buy, sell, salvage), = calls
         assert blocks.rows == 400
         # each sample's parent community, then its subset, owning its members' devices
@@ -436,10 +439,11 @@ class TestNoCurveObjects:
     def test_coalition_audits_build_no_curve(self, curves_built):
         sc = solar_day_scenario(3, n_members=12, horizon=24)
         gen = folded_generation(sc)
-        samples = [(t, [0, 1], list(range(12))) for t in range(24)]
+        masks = coalition_masks([(t, [0, 1], list(range(12))) for t in range(24)], 12)
         curves_built.clear()
-        audits = welfare.coalition_audits(sc.members, gen, sc.rates.buy, sc.rates.sell, samples)
-        assert len(audits) == 24
+        blocks = DeviceBlocks(sc.members)
+        audit = welfare.coalition_audits(blocks, gen, sc.rates.buy, sc.rates.sell, *masks)
+        assert audit.slack.shape == (24,)
         assert curves_built == []
 
 

@@ -18,7 +18,6 @@ from dnem.welfare import (
     centralized_welfare_closed_form,
     coalition_audit,
     coalition_audits,
-    coalition_mask_audits,
     sample_coalitions,
     welfare_gain,
 )
@@ -30,6 +29,7 @@ from oracles import (
     InstanceTooLargeError,
     axiom_audit_horizon_loops,
     centralized_welfare_bruteforce,
+    coalition_masks,
     coalition_samples_loop,
     grid_centralized_welfare,
     quad_utility,
@@ -421,9 +421,9 @@ def reference_coalition_audit(members, generations, buy, sell, subset, superset)
     )
     position = {idx: k for k, idx in enumerate(superset)}
     in_parent = float(sum(parent_surplus[position[i]] for i in subset))
-    alone = float(
-        np.sum(_community_surpluses([members[i] for i in subset], generations[subset], buy, sell))
-    )
+    # in member order, as the batch adds both sides
+    alone = _community_surpluses([members[i] for i in subset], generations[subset], buy, sell)
+    alone = float(sum(alone.tolist()))
     return CoalitionAudit(subset_in_parent=in_parent, subset_alone=alone)
 
 
@@ -444,9 +444,16 @@ class TestCoalitionBatch:
             samples.append((t, subset, superset))
         return samples
 
+    @staticmethod
+    def _audits(members, gen, buy, sell, samples):
+        # the batch on the samples' masks, one float CoalitionAudit per sample
+        masks = coalition_masks(samples, len(members))
+        audit = coalition_audits(DeviceBlocks(members), gen, buy, sell, *masks)
+        assert audit.slack.shape == (len(samples),)
+        return list(map(CoalitionAudit, audit.subset_in_parent.tolist(), audit.subset_alone.tolist()))
+
     def _assert_same(self, members, gen, buy, sell, samples):
-        audits = coalition_audits(members, gen, buy, sell, samples)
-        assert len(audits) == len(samples)
+        audits = self._audits(members, gen, buy, sell, samples)
         for (t, subset, superset), audit in zip(samples, audits):
             expected = reference_coalition_audit(
                 members, gen[:, t], float(buy[t]), float(sell[t]), subset, superset
@@ -507,7 +514,7 @@ class TestCoalitionBatch:
         audit = coalition_audit(members, gens, 0.4, 0.2, [3, 1], [4, 1, 3])
         expected = reference_coalition_audit(members, gens, 0.4, 0.2, [3, 1], [4, 1, 3])
         assert self._bits(audit) == self._bits(expected)
-        assert coalition_audits(members, np.array(gens)[:, None], [0.4], [0.2], []) == []
+        assert self._audits(members, np.array(gens)[:, None], [0.4], [0.2], []) == []
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -545,18 +552,17 @@ class TestCoalitionBatch:
                 break
         members = single_member() * 4
         if expected is None:
-            assert len(coalition_audits(members, np.zeros((4, 1)), [0.4], [0.2], samples)) == len(samples)
+            assert len(self._audits(members, np.zeros((4, 1)), [0.4], [0.2], samples)) == len(samples)
         else:
             with pytest.raises(ValueError) as raised:
-                coalition_audits(members, np.zeros((4, 1)), [0.4], [0.2], samples)
+                self._audits(members, np.zeros((4, 1)), [0.4], [0.2], samples)
             assert str(raised.value) == expected
 
     def test_builds_no_member(self, members_built):
         sc = solar_day_scenario(1, n_members=10, horizon=24)
         samples = self._samples(np.random.default_rng(5), 10, 24, 50)
         members_built.clear()
-        audits = coalition_audits(sc.members, folded_generation(sc), sc.rates.buy, sc.rates.sell, samples)
-        assert len(audits) == 50
+        self._audits(sc.members, folded_generation(sc), sc.rates.buy, sc.rates.sell, samples)
         assert members_built == []
         # the count sees a build
         Member("m", (), ())
@@ -569,25 +575,43 @@ class TestCoalitionBatch:
         members = single_member() * 3
         with pytest.raises(ValueError, match=message):
             samples = [(0, [0], [0]), (0, subset, superset)]
-            coalition_audits(members, np.zeros((3, 1)), [0.4], [0.2], samples)
+            self._audits(members, np.zeros((3, 1)), [0.4], [0.2], samples)
 
     @pytest.mark.parametrize(
         "bad, message",
         [
-            ((0, [-1], [-1, 0]), "sample 1: member id -1 outside [0, 3)"),
-            ((0, [0], [0, 3]), "sample 1: member id 3 outside [0, 3)"),
+            ((-3, [0], [0]), "sample 1: interval -3 outside [0, 2)"),
+            ((7, [0], [0]), "sample 1: interval 7 outside [0, 2)"),
             ((-1, [0], [0]), "sample 1: interval -1 outside [0, 2)"),
             ((2, [0], [0]), "sample 1: interval 2 outside [0, 2)"),
         ],
     )
     def test_rejects_out_of_range_samples(self, bad, message):
-        # negative ids or intervals would otherwise index from the end, and an id >= N
-        # would raise numpy's IndexError; a later bad sample does not hide it
+        # an interval of -1 would otherwise index from the end, and the others raise
+        # numpy's IndexError; it is reported ahead of the later sample's bad subset
         members = single_member() * 3
         samples = [(1, [0], [0, 2]), bad, (0, [1], [0])]
         with pytest.raises(ValueError) as raised:
-            coalition_audits(members, np.zeros((3, 2)), [0.4, 0.4], [0.2, 0.2], samples)
+            self._audits(members, np.zeros((3, 2)), [0.4, 0.4], [0.2, 0.2], samples)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "columns, rows", [(2, 3), (3, 2), (3, 4)], ids=["masks-short", "gen-short", "gen-long"]
+    )
+    def test_rejects_masks_and_generation_not_of_the_members(self, columns, rows):
+        # three members: masks one column short, gen one row short or one row long
+        masks = coalition_masks([(0, [0], [0, 1])], columns)
+        blocks = DeviceBlocks(single_member() * 3)
+        with pytest.raises(ValueError, match="masks must be"):
+            coalition_audits(blocks, np.zeros((rows, 1)), [0.4], [0.2], *masks)
+
+    def test_a_community_against_itself_has_slack_zero(self):
+        # both sides add the same surpluses in member order, so they tie to the bit
+        sc = solar_day_scenario(0, n_members=25, horizon=96)
+        everyone = np.ones((96, 25), dtype=bool)
+        blocks, gen, rates = DeviceBlocks(sc.members), folded_generation(sc), sc.rates
+        audit = coalition_audits(blocks, gen, rates.buy, rates.sell, np.arange(96), everyone, everyone)
+        assert audit.slack.tolist() == [0.0] * 96
 
 
 class TestCoalitionAudit:
@@ -658,10 +682,25 @@ class TestCoalitionAudit:
         with pytest.raises(ValueError, match="contained"):
             coalition_audit(members, gens, 0.4, 0.2, [0, 2], [0, 1])
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_rejects_out_of_range_ids(self, bad):
+        # -1 would otherwise index from the end, and 3 raise numpy's IndexError
+        members, gens = self._random_members(np.random.default_rng(23), 3)
+        for subset, superset in (([bad], [0, bad]), ([0], [0, bad])):
+            with pytest.raises(ValueError) as raised:
+                coalition_audit(members, gens, 0.4, 0.2, subset, superset)
+            assert str(raised.value) == f"member id {bad} outside [0, 3)"
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_rejects_generations_not_of_the_members(self, length):
+        members, _ = self._random_members(np.random.default_rng(24), 3)
+        with pytest.raises(ValueError, match="generations must hold"):
+            coalition_audit(members, [1.0] * length, 0.4, 0.2, [0], [0, 1])
+
 
 class TestCoalitionSampler:
     """``sample_coalitions`` draws ``dnem audit``'s samples as masks: the samples of the
-    sample-by-sample loop it replaced, audited to the same bits."""
+    sample-by-sample loop it replaced."""
 
     SIZES, SEEDS, COUNT, HORIZON = (1, 2, 3, 5, 25), range(20), 300, 24
 
@@ -685,20 +724,6 @@ class TestCoalitionSampler:
     def test_no_samples(self):
         times, superset, subset = sample_coalitions(0, 3, 2, 0)
         assert times.shape == (0,) and superset.shape == subset.shape == (0, 3)
-
-    def test_mask_audits_match_the_list_api(self):
-        for n in self.SIZES:
-            sc = solar_day_scenario(n, n_members=n, horizon=self.HORIZON)
-            gen, blocks = folded_generation(sc), DeviceBlocks(sc.members)
-            for seed in self.SEEDS:
-                samples = coalition_samples_loop(seed, n, self.HORIZON, self.COUNT)
-                audits = coalition_audits(sc.members, gen, sc.rates.buy, sc.rates.sell, samples)
-                drawn = sample_coalitions(seed, n, self.HORIZON, self.COUNT)
-                audit = coalition_mask_audits(blocks, gen, sc.rates.buy, sc.rates.sell, *drawn)
-                for name in ("subset_in_parent", "subset_alone", "slack"):
-                    expected = [getattr(a, name).hex() for a in audits]
-                    assert [v.hex() for v in getattr(audit, name).tolist()] == expected, (n, seed)
-                assert audit.passed.tolist() == [a.passed for a in audits]
 
 
 class TestWelfareGain:
