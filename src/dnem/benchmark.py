@@ -12,24 +12,25 @@ exactly the storage-free rule.
 
 The sign-based mechanism prices every member at the buy rate when the
 community is a net importer and at the sell rate otherwise, while members
-keep their standalone schedules: it only rebills those schedules.  It is
-budget balanced by construction but does not coordinate consumption with the
-shared renewables.
+keep their standalone schedules: :func:`sign_based_settlement` only rebills
+those schedules.  It is budget balanced by construction but does not
+coordinate consumption with the shared renewables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bess import ZONES, Dispatch, price_and_dispatch
+from .bess import _BUY, _SELL, ZONES, Dispatch, price_and_dispatch
 from .curves import DeviceBlocks
-from .model import BessSpec, CommunityPrice, Member, PriceZone, RateSchedule
-from .response import MemberOutcome, Settlement, member_utility, settle_arrays
+from .model import BessSpec, CommunityPrice, Member, RateSchedule
+from .response import MemberOutcome, Settlement, _in_order, member_utility, nem_payment, settle_arrays
 
 __all__ = [
     "standalone_optimum",
     "standalone_optimum_with_bess",
     "standalone_settlement",
+    "sign_based_settlement",
     "sign_based_interval",
 ]
 
@@ -95,10 +96,23 @@ def standalone_settlement(
         # every zone between passing through the buy rate and the sell rate is net-zero
         net_zero = (0 < alone.zone) & (alone.zone < len(ZONES) - 1)
         net = np.where(net_zero, 0.0, response[1] + alone.battery - gen.T)
-        payment = np.where(net >= 0, buy * net, sell * net)
+        payment = nem_payment(buy, sell, net)
         return settle_arrays(
             response, net, alone.battery, payment, rates.salvage, bess.charge_eff, bess.discharge_eff
         )
+
+
+def sign_based_settlement(
+    response, net, battery, buy, sell, salvage: float, charge_eff: float, discharge_eff: float
+) -> tuple[np.ndarray, np.ndarray, Settlement]:
+    """Rebill (T, N) member-intervals at ``buy`` where the members' ``net``, added in member
+    order, is >= 0, else at ``sell`` (T rates or one).  Returns the (T,) rates, their
+    :data:`~dnem.bess.ZONES` indexes and the :func:`settle_arrays` of ``rate * net``."""
+    importing = _in_order(net.T) >= 0
+    rate = np.where(importing, buy, sell)
+    zone = np.where(importing, _BUY, _SELL)
+    payment = rate[:, None] * net
+    return rate, zone, settle_arrays(response, net, battery, payment, salvage, charge_eff, discharge_eff)
 
 
 def sign_based_interval(
@@ -116,12 +130,8 @@ def sign_based_interval(
     :func:`standalone_optimum_with_bess`); only the payments are re-derived
     at the community rate.  Zero aggregate net consumption takes the buy
     rate, which is payment-neutral since all payments scale a zero rate base.
+    This is :func:`sign_based_settlement` for one interval.
     """
-    z_n = sum(o.net for o in schedules)
-    if z_n >= 0:
-        price = CommunityPrice(buy, PriceZone.NET_CONSUMPTION)
-    else:
-        price = CommunityPrice(sell, PriceZone.NET_PRODUCTION)
     response = (
         [s.consumption[None] for s in schedules],
         np.array([[np.sum(s.consumption) for s in schedules]]),
@@ -129,5 +139,8 @@ def sign_based_interval(
     )
     net = np.array([[s.net for s in schedules]])
     battery = np.array([[s.battery for s in schedules]])
-    cell = settle_arrays(response, net, battery, price.value * net, salvage, charge_eff, discharge_eff)
+    _, (zone,), cell = sign_based_settlement(
+        response, net, battery, buy, sell, salvage, charge_eff, discharge_eff
+    )
+    price = CommunityPrice(buy if zone == _BUY else sell, ZONES[zone])
     return price, list(cell.outcomes(0))

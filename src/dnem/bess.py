@@ -104,12 +104,12 @@ def soc_step(spec: BessSpec, soc, b):
 
 
 def _check_salvage(salvage: float, spec: BessSpec, buy: np.ndarray, sell: np.ndarray) -> None:
-    bad = (salvage / spec.discharge_eff > buy + 1e-12) | (spec.charge_eff * salvage < sell - 1e-12)
+    bad = (salvage > spec.discharge_eff * buy + 1e-12) | (salvage < sell / spec.charge_eff - 1e-12)
     if np.any(bad):
         buy, sell = (float(v) for v in _first(bad, buy, sell))
         raise ValueError(
             f"salvage rate {salvage} incompatible with rates (buy={buy}, sell={sell}): "
-            f"need salvage/discharge_eff <= buy and charge_eff*salvage >= sell"
+            f"need sell/charge_eff <= salvage <= discharge_eff*buy"
         )
 
 

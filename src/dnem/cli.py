@@ -44,14 +44,8 @@ from .model import (
     PriceZone,
     RateSchedule,
 )
-from .sim import MECHANISMS, Run, folded_generation, rate_ratio_sweep, run, run_all
-from .welfare import (
-    RATIONALITY_TOL,
-    axiom_audit,
-    coalition_audits,
-    sample_coalitions,
-    welfare_gain,
-)
+from .sim import MECHANISMS, Run, _gain, folded_generation, rate_ratio_sweep, run, run_all
+from .welfare import RATIONALITY_TOL, axiom_audit, coalition_audits, sample_coalitions
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -668,7 +662,7 @@ def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[str]]:
             counts.append(",".join(str(s.zone_histogram.get(z, 0)) for z in zone_names))
             totals.append([s.total_welfare, s.welfare_gain_vs_standalone])
             pairs = zip(s.per_member_surplus, base)
-            gains.append([None if ref == 0 else welfare_gain(mine, ref) for mine, ref in pairs])
+            gains.append([_gain(mine, ref) for mine, ref in pairs])
     _finite([v for row in totals + gains for v in row if v is not None])
     rows = zip(names, _fixed(totals), counts, _fixed(gains))
     return header, [f"{name}{total},{count}{gain}" for name, total, count, gain in rows]

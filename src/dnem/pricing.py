@@ -1,4 +1,4 @@
-"""One-cell price query and the utility's tariff bill.
+"""One-cell price query; the tariff bill :func:`~dnem.response.nem_payment` is re-exported.
 
 The operator announces one uniform price per interval based on where the
 aggregate renewable output sits relative to two thresholds: the aggregate
@@ -15,6 +15,7 @@ from __future__ import annotations
 from .bess import generalized_dnem_price
 from .curves import AggregateResponseCurve
 from .model import BessSpec, CommunityPrice
+from .response import nem_payment
 
 __all__ = [
     "dnem_price",
@@ -42,7 +43,3 @@ def dnem_price(
     """
     return generalized_dnem_price(curve, g_n, BessSpec(0.0), 0.0, 0.0, buy, sell)[0]
 
-
-def nem_payment(buy: float, sell: float, z: float) -> float:
-    """Utility tariff payment ($): buy rate on imports, sell rate on exports."""
-    return buy * z if z >= 0 else sell * z

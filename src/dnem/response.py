@@ -8,7 +8,7 @@ functions here turn them into the accounting (net consumption, payment,
 surplus, and reward when a storage share is involved).
 
 Every settlement runs on arrays: :func:`settle_arrays` turns the payments
-into surplus and reward.  A
+into surplus and reward, and :func:`nem_payment` is the tariff bill.  A
 :class:`MemberOutcome` is built only when one interval of a :class:`Settlement`
 is read (:meth:`Settlement.outcomes`); :func:`member_outcome` is that read on a
 one-cell settlement.
@@ -30,6 +30,7 @@ __all__ = [
     "member_outcome",
     "Settlement",
     "settle_arrays",
+    "nem_payment",
 ]
 
 
@@ -133,3 +134,8 @@ def settle_arrays(
     return Settlement(
         consumption, total, utility, net, battery, stored, payment, surplus, surplus + salvage * stored
     )
+
+
+def nem_payment(buy, sell, z):
+    """Utility tariff payment ($), elementwise: buy rate on imports, sell rate on exports."""
+    return np.where(z >= 0, buy * z, sell * z)[()]  # a scalar for scalar arguments

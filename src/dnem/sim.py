@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .benchmark import standalone_settlement
-from .bess import _BUY, _SELL, ZONES, Dispatch, price_and_dispatch
+from .benchmark import sign_based_settlement, standalone_settlement
+from .bess import ZONES, Dispatch, price_and_dispatch
 from .curves import AggregateResponseCurve, DeviceBlocks
 from .model import (
     BessSpec,
@@ -150,13 +150,12 @@ def _dnem_run(
     rates = scenario.rates
     price = community.price.astype(float)
     b_n = community.battery[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        response = blocks.evaluate(np.broadcast_to(price, (len(g_n), blocks.rows)))
-        battery = b_n[:, None] * np.array([m.bess_share for m in scenario.members])
-        net = response[1] + battery - gen.T
-        settlement = settle_arrays(
-            response, net, battery, price * net, rates.salvage, bess.charge_eff, bess.discharge_eff
-        )
+    response = blocks.evaluate(np.broadcast_to(price, (len(g_n), blocks.rows)))
+    battery = b_n[:, None] * np.array([m.bess_share for m in scenario.members])
+    net = response[1] + battery - gen.T
+    settlement = settle_arrays(
+        response, net, battery, price * net, rates.salvage, bess.charge_eff, bess.discharge_eff
+    )
     return Run(
         community.price[:, 0], community.zone[:, 0], g_n, _in_order(settlement.total.T), b_n,
         community.soc[:, 0], settlement,
@@ -169,9 +168,8 @@ def _baseline_runs(
 ) -> dict[str, Run]:
     """The standalone and sign-based runs, from the members' one-per-column ``dispatch``.
 
-    Its one standalone settlement is the standalone run, and the sign-based
-    mechanism rebills those schedules at the buy or sell rate by the sign of
-    the members' summed net consumption.
+    Its one standalone settlement is the standalone run, which
+    :func:`~dnem.benchmark.sign_based_settlement` rebills as the sign-based run.
     """
     rates = scenario.rates
     alone = standalone_settlement(blocks, bess, dispatch, gen, rates)
@@ -179,19 +177,10 @@ def _baseline_runs(
     b_n = _in_order(alone.battery.T)
     # the community's stored energy, running in interval order (cumsum adds in sequence)
     soc = np.cumsum(np.concatenate(([bess.initial_soc], _in_order(alone.stored.T))))[1:]
-    importing = _in_order(alone.net.T) >= 0
-    rate = np.where(importing, rates.buy, rates.sell)
-    zone = np.where(importing, _BUY, _SELL)
-    with np.errstate(over="ignore", invalid="ignore"):
-        signed = settle_arrays(
-            (alone.consumption, alone.total, alone.utility),
-            alone.net,
-            alone.battery,
-            rate[:, None] * alone.net,
-            rates.salvage,
-            bess.charge_eff,
-            bess.discharge_eff,
-        )
+    rate, zone, signed = sign_based_settlement(
+        (alone.consumption, alone.total, alone.utility), alone.net, alone.battery,
+        rates.buy, rates.sell, rates.salvage, bess.charge_eff, bess.discharge_eff,
+    )
     return {
         "sign_based": Run(rate.astype(object), zone, g_n, d_n, b_n, soc, signed),
         "standalone": Run(None, None, g_n, d_n, b_n, soc, alone),
@@ -199,10 +188,8 @@ def _baseline_runs(
 
 
 def _gain(total: float, baseline: float) -> Optional[float]:
-    try:
-        return welfare_gain(total, baseline)
-    except ValueError:
-        return None
+    """:func:`~dnem.welfare.welfare_gain`, or ``None`` against a zero baseline."""
+    return None if baseline == 0 else welfare_gain(total, baseline)
 
 
 def _summary(mechanism: str, runs: dict[str, Run], gains: bool) -> RunSummary:
@@ -238,11 +225,12 @@ def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, R
         *map(np.concatenate, zip(*rows)), rates.buy[:, None], rates.sell[:, None], rates.salvage,
     )
     runs = {}
-    if dnem:
-        runs["dnem"] = _dnem_run(scenario, blocks, bess, gen, g_n, priced.columns(slice(0, 1)))
-    if baselines:
-        alone = priced.columns(slice(dnem, None))
-        runs.update(_baseline_runs(scenario, blocks, bess, gen, g_n, alone))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dnem:
+            runs["dnem"] = _dnem_run(scenario, blocks, bess, gen, g_n, priced.columns(slice(0, 1)))
+        if baselines:
+            alone = priced.columns(slice(dnem, None))
+            runs.update(_baseline_runs(scenario, blocks, bess, gen, g_n, alone))
     return runs
 
 

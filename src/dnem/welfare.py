@@ -21,7 +21,7 @@ import numpy as np
 from .bess import price_and_dispatch
 from .curves import AggregateResponseCurve, DeviceBlocks, first_false, invert_aggregate, mask_groups
 from .model import BessSpec, Member
-from .response import _in_order, settle_arrays
+from .response import _in_order, nem_payment, settle_arrays
 
 __all__ = [
     "centralized_welfare_closed_form",
@@ -254,7 +254,7 @@ def axiom_audit(
             )
 
         z_n = np.sum(net, axis=1)
-        gap = np.abs(np.sum(pay, axis=1) - np.where(z_n >= 0, buy * z_n, sell * z_n))
+        gap = np.abs(np.sum(pay, axis=1) - nem_payment(buy, sell, z_n))
         checks.append(_fold("profit_neutrality", gap, PROFIT_TOL, lambda t: ""))
     return AxiomReport(tuple(checks))
 
@@ -323,9 +323,9 @@ def coalition_audits(
     The samples are (S,) intervals and (S, N) superset and subset masks of the N
     members of ``blocks`` (``DeviceBlocks(members)``); ``gen`` is the members' (N, T)
     generation and ``buy``/``sell`` the T rates.  Returns one :class:`CoalitionAudit`
-    of (S,) arrays.  Raises ``ValueError`` for the first interval outside [0, T),
-    then for masks or ``gen`` not of N members, then for the first sample whose
-    subset is outside its superset or empty.
+    of (S,) arrays.  Raises ``ValueError`` for the first interval that is not an
+    integer in [0, T), then for masks or ``gen`` not of N members, then for the
+    first sample whose subset is outside its superset or empty.
 
     Each of the 2S communities (a sample's parent, then its subset) is one prosumer
     owning its members' devices, in member order, and an empty battery, gathered by
@@ -338,13 +338,16 @@ def coalition_audits(
     """
     n = blocks.rows
     gen = np.asarray(gen, dtype=float)
-    times = np.asarray(times, dtype=np.intp)
+    times = np.asarray(times)
     superset, subset = np.asarray(superset, dtype=bool), np.asarray(subset, dtype=bool)
     horizon = gen.shape[-1]
-    outside = (times < 0) | (times >= horizon)
+    whole = np.isfinite(times) & (np.floor(times) == times)
+    outside = ~whole | (times < 0) | (times >= horizon)
     if np.any(outside):
         s = int(np.argmax(outside))
-        raise ValueError(f"sample {s}: interval {times[s]} outside [0, {horizon})")
+        why = f"outside [0, {horizon})" if whole[s] else "is not an integer"
+        raise ValueError(f"sample {s}: interval {times[s]} {why}")
+    times = times.astype(np.intp)
     if gen.ndim != 2 or len(gen) != n or not superset.shape == subset.shape == (len(times), n):
         raise ValueError(f"masks must be (samples, {n}) and gen ({n}, intervals)")
     outside, empty = np.any(subset & ~superset, axis=1), ~np.any(subset, axis=1)
@@ -392,7 +395,7 @@ def coalition_audit(
     independently with their own aggregate generation and thresholds; the audit
     compares the subset members' total surplus inside the parent against the total
     they would get alone.  This is :func:`coalition_audits` of one sample, with
-    float surpluses.
+    float surpluses, on the members of either set alone.
     """
     n = len(members)
     gen = np.asarray(generations, dtype=float)
@@ -401,11 +404,10 @@ def coalition_audit(
     for i in (*subset, *superset):
         if not 0 <= i < n:
             raise ValueError(f"member id {i} outside [0, {n})")
-    parent, seceding = np.zeros((2, 1, n), dtype=bool)
-    parent[0, list(superset)] = True
-    seceding[0, list(subset)] = True
-    blocks = DeviceBlocks(members)
-    audit = coalition_audits(blocks, gen[:, None], [buy], [sell], [0], parent, seceding)
+    ids = sorted({*subset, *superset})
+    parent, seceding = (np.isin(ids, list(group))[None] for group in (superset, subset))
+    blocks = DeviceBlocks([members[i] for i in ids])
+    audit = coalition_audits(blocks, gen[ids, None], [buy], [sell], [0], parent, seceding)
     return CoalitionAudit(float(audit.subset_in_parent[0]), float(audit.subset_alone[0]))
 
 

@@ -12,7 +12,7 @@ from dnem.model import (
 )
 from dnem.pricing import nem_payment
 from dnem.response import member_utility
-from dnem.sim import run
+from dnem.sim import random_scenario, run, run_all
 
 from oracles import grid_standalone_surplus
 
@@ -140,6 +140,17 @@ class TestSignBased:
         assert outs[0].payment == pytest.approx(0.4 * 0.6)
         assert outs[1].payment == pytest.approx(-0.4 * 0.2)
 
+    def test_exporting_community_takes_sell_rate(self):
+        m1 = one_device_member("a", DeviceUtility(2, 1, 0, 2))
+        m2 = one_device_member("b", DeviceUtility(2, 1, 0, 2))
+        # standalone schedules net +0.2 (import) and -0.6 (export)
+        schedules = [standalone_optimum(m1, 1.4, 0.4, 0.2), standalone_optimum(m2, 2.4, 0.4, 0.2)]
+        price, outs = sign_based_interval([m1, m2], schedules, 0.4, 0.2)
+        assert [o.net for o in outs] == pytest.approx([0.2, -0.6])
+        assert type(price.value) is float and price.value == 0.2
+        assert price.zone == PriceZone.NET_PRODUCTION
+        assert [o.payment for o in outs] == [0.2 * outs[0].net, 0.2 * outs[1].net]
+
     def test_zero_aggregate_takes_buy_rate(self):
         fixed = DeviceUtility(2.0, 1.0, 1.0, 1.0)
         m1 = one_device_member("a", fixed, trace=(1.0,))
@@ -215,3 +226,38 @@ class TestSignBased:
             for m, o in zip(members, outs):
                 ref = standalone_optimum(m, float(m.pv_trace[0]), 0.5, 0.1)
                 assert o.surplus >= ref.surplus - 1e-9
+
+
+def _bits(outcome):
+    """A member outcome as exact values: its device vector and its floats."""
+    fields = (outcome.net, outcome.payment, outcome.surplus, outcome.reward, outcome.battery)
+    return outcome.consumption.tolist(), [x.hex() for x in fields]
+
+
+class TestSignBasedSettlement:
+    """The one sign-based rebill: the run's sign-based arrays and the one-interval view."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("with_bess", [False, True])
+    def test_the_run_bills_each_interval_by_the_sign_of_its_summed_net(self, seed, with_bess):
+        sc = random_scenario(seed, with_bess=with_bess)
+        runs = run_all(sc)
+        alone, signed = runs["standalone"][0].settlement, runs["sign_based"][0]
+        for t in range(sc.horizon):
+            # the members' standalone nets, added in member order
+            z_n = sum(alone.net[t].tolist())
+            rate, zone = (sc.rates.buy[t], 0) if z_n >= 0 else (sc.rates.sell[t], 6)
+            assert (signed.price[t], signed.zone[t]) == (rate, zone)
+            assert signed.settlement.payment[t].tobytes() == (rate * alone.net[t]).tobytes()
+            assert signed.settlement.net[t].tobytes() == alone.net[t].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_interval_view_equals_the_run(self, seed):
+        sc = random_scenario(seed)
+        runs = run_all(sc)
+        standalone, signed = runs["standalone"][0], runs["sign_based"][0]
+        for t in range(sc.horizon):
+            buy, sell = float(sc.rates.buy[t]), float(sc.rates.sell[t])
+            price, outs = sign_based_interval(list(sc.members), list(standalone[t].per_member), buy, sell)
+            assert price == signed[t].price
+            assert list(map(_bits, outs)) == list(map(_bits, signed[t].per_member))

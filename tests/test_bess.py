@@ -144,6 +144,31 @@ class TestMyopicDispatch:
         with pytest.raises(ValueError, match="salvage"):
             generalized_dnem_price(CURVE, 1.0, SPEC, 1.0, 0.5, 0.4, 0.2)
 
+    def test_incompatible_salvage_message_states_the_window(self):
+        with pytest.raises(ValueError) as raised:
+            generalized_dnem_price(CURVE, 1.0, SPEC, 1.0, 0.5, 0.4, 0.2)
+        assert str(raised.value) == (
+            "salvage rate 0.5 incompatible with rates (buy=0.4, sell=0.2): "
+            "need sell/charge_eff <= salvage <= discharge_eff*buy"
+        )
+
+    @pytest.mark.parametrize("eff", [0.5, 0.8, 0.95, 1.0])
+    def test_salvage_window_matches_validation(self, eff):
+        # the dispatch admits the salvage rates that validate_scenario admits, to
+        # within the same 1e-12 at both edges; just past it, both refuse
+        spec = BessSpec(2.0, eff, eff, max_charge=0.5, max_discharge=0.5, initial_soc=1.0)
+        buy, sell = 0.4, 0.1 * eff
+        lo, hi = sell / eff, eff * buy
+
+        def priced(salvage):
+            return generalized_dnem_price(CURVE, 1.0, spec, 1.0, salvage, buy, sell)
+
+        for salvage in (lo - 0.9e-12, hi + 0.9e-12):
+            priced(salvage)
+        for salvage in (lo - 2e-12, hi + 2e-12):
+            with pytest.raises(ValueError, match="incompatible with rates"):
+                priced(salvage)
+
 
 def _priced_at_soc_1(sweep):
     """``generalized_dnem_price(CURVE, g, SPEC, 1.0, 0.3, 0.4, 0.2)`` for every g of

@@ -412,6 +412,20 @@ class TestMalformedConfig:
         assert err.startswith(f"{tmp_path / message}")
         assert "codec" not in err and "Traceback" not in err
 
+    def test_top_level_list_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, [ONE_MEMBER])
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"{path}: top-level JSON value must be an object\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", [1, None, ["traces.csv"], {"path": "traces.csv"}])
+    def test_traces_csv_not_a_string_exits_1(self, tmp_path, capsys, value):
+        doc = _mutated(_short_csv_row)
+        doc["traces_csv"] = value
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "traces_csv: expected a file path\n"
+
 
 class TestSimulate:
     def test_net_zero_row(self, tmp_path):
@@ -469,6 +483,58 @@ class TestSimulate:
             assert "not a finite number" in err
             assert "Traceback" not in err
         assert not table.exists()
+
+    def test_zero_baseline_gains_are_null_and_empty_cells(self, tmp_path, capsys):
+        # members with no devices and no generation: every run's welfare is 0, so no
+        # gain is defined; summary.json writes null and the compare table empty cells
+        doc = {
+            "horizon": 2,
+            "rates": {"buy": 0.4, "sell": 0.2},
+            "members": [{"id": f"m{i}", "devices": [], "pv_trace": 0.0} for i in range(2)],
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_OK
+        summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+        assert summary["total_welfare"] == 0.0
+        assert summary["welfare_gain_vs_standalone_pct"] is None
+        assert summary["welfare_gain_vs_sign_based_pct"] is None
+        assert main(["compare", "--config", path]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(",m0_gain_pct,m1_gain_pct")
+        for row in out[1:]:
+            cells = row.split(",")
+            assert cells[2] == "0.000000" and cells[3] == "", row
+            assert cells[-2:] == ["", ""], row
+
+    def test_salvage_at_the_top_of_the_window_runs(self, tmp_path):
+        # within 1e-12 of discharge_eff*min(buy): validation admits it, so the dispatch
+        # must too (its own check once divided by discharge_eff, a tighter tolerance)
+        doc = {
+            "horizon": 2,
+            "rates": {"buy": 0.4, "sell": 0.1, "salvage": 0.2000000000009},
+            "members": [
+                {
+                    "id": "m1",
+                    "devices": [{"alpha": 2.0, "beta": 1.0, "d_min": 0.0, "d_max": 2.0}],
+                    "pv_trace": [1.5, 0.2],
+                    "bess_share": 1.0,
+                }
+            ],
+            "bess": {
+                "capacity": 2.0,
+                "charge_eff": 0.95,
+                "discharge_eff": 0.5,
+                "max_charge": 0.5,
+                "max_discharge": 0.5,
+                "initial_soc": 1.0,
+            },
+        }
+        path = write_config(tmp_path, doc)
+        for mechanism in ("dnem", "sign_based", "standalone"):
+            out = tmp_path / mechanism
+            argv = ["simulate", "--config", path, "--mechanism", mechanism, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            assert (out / "summary.json").exists()
 
     def test_invalid_rates_exit_1(self, tmp_path, capsys):
         bad = json.loads(json.dumps(ONE_MEMBER))
@@ -567,6 +633,14 @@ class TestPrice:
         assert "finite" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("t", ["2", "-1", "100"])
+    def test_interval_outside_the_horizon_exits_1(self, tmp_path, capsys, t):
+        path = write_config(tmp_path, BESS_CONFIG)
+        assert main(["price", "--config", path, "--g", "1.0", f"--t={t}"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"interval {t} outside horizon [0, 2)\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("g", ["-1", "-1e-9", "-inf"])
     def test_negative_generation_exit_1(self, tmp_path, capsys, g):

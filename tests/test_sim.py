@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dnem.benchmark
 import dnem.sim
@@ -451,6 +453,68 @@ class TestGainsAndSweep:
             "need max(sell)/charge_eff <= discharge_eff*min(buy), got [0.421053, 0.38]"
         )
         assert isinstance(info.value.__cause__, ScenarioValidationError)
+
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
+    def test_ratio_outside_unit_interval_raises(self, ratio):
+        sc = solar_day_scenario(5, n_members=3, horizon=4, flat_buy=True)
+        with pytest.raises(ValueError) as info:
+            rate_ratio_sweep(sc, [0.5, ratio])
+        assert str(info.value) == f"rate ratio {ratio} outside [0, 1]"
+
+
+def _price_scaled(scenario, k):
+    """``scenario`` with every alpha, beta, rate and the salvage rate multiplied by 2**k."""
+    f = 2.0**k
+    members = tuple(
+        dataclasses.replace(
+            m, devices=[dataclasses.replace(d, alpha=d.alpha * f, beta=d.beta * f) for d in m.devices]
+        )
+        for m in scenario.members
+    )
+    old = scenario.rates
+    rates = RateSchedule(old.buy * f, old.sell * f, old.salvage * f)
+    return dataclasses.replace(scenario, members=members, rates=rates)
+
+
+def assert_price_scale(scenario, k):
+    """Every price, payment, surplus and reward of every mechanism scales by 2**k bit for
+    bit, and every zone and every energy stays: scaling is exact in binary floats."""
+    f = 2.0**k
+    base, scaled = run_all(scenario), run_all(_price_scaled(scenario, k))
+    for mechanism in MECHANISMS:
+        (run_a, sum_a), (run_b, sum_b) = base[mechanism], scaled[mechanism]
+        if run_a.price is None:
+            assert run_b.price is None and run_b.zone is None
+        else:
+            assert np.array_equal(run_a.zone, run_b.zone), mechanism
+            prices = np.array(run_a.price.tolist()) * f
+            assert prices.tobytes() == np.array(run_b.price.tolist()).tobytes(), mechanism
+        a, b = run_a.settlement, run_b.settlement
+        for field in ("payment", "surplus", "reward"):
+            assert (getattr(a, field) * f).tobytes() == getattr(b, field).tobytes(), (mechanism, field)
+        for field in ("total", "net", "battery"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (mechanism, field)
+        assert sum_a.total_welfare * f == sum_b.total_welfare
+        assert [v * f for v in sum_a.per_member_surplus] == list(sum_b.per_member_surplus)
+        assert sum_a.zone_histogram == sum_b.zone_histogram
+
+
+class TestPriceScale:
+    """The first of the paper's invariances: money is measured in no particular unit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        with_bess=st.booleans(),
+        k=st.integers(-3, 3).filter(bool),
+    )
+    def test_random_scenarios(self, seed, with_bess, k):
+        assert_price_scale(random_scenario(seed, with_bess=with_bess), k)
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    @pytest.mark.parametrize("k", [-3, 1, 2])
+    def test_solar_day(self, with_bess, k):
+        assert_price_scale(solar_day_scenario(3, n_members=6, horizon=24, with_bess=with_bess), k)
 
 
 class TestValidatedWhenBuilt:

@@ -516,6 +516,36 @@ class TestCoalitionBatch:
         assert self._bits(audit) == self._bits(expected)
         assert self._audits(members, np.array(gens)[:, None], [0.4], [0.2], []) == []
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_sample_call_equals_the_batch_over_every_member(self, seed):
+        # the one-sample call prices and settles the members of its two sets alone;
+        # the batch settles all N columns, and both add the subset in member order
+        sc = random_scenario(seed, horizon=6)
+        members, gen = list(sc.members), folded_generation(sc)
+        members[0] = Member(members[0].id, (), members[0].pv_trace)
+        samples = self._samples(np.random.default_rng(seed), len(members), sc.horizon, 30)
+        samples.append((0, [0], [len(members) - 1, 0, 0]))
+        batch = self._audits(members, gen, sc.rates.buy, sc.rates.sell, samples)
+        for (t, subset, superset), expected in zip(samples, batch):
+            buy, sell = float(sc.rates.buy[t]), float(sc.rates.sell[t])
+            audit = coalition_audit(members, gen[:, t], buy, sell, subset, superset)
+            assert type(audit.subset_in_parent) is float and type(audit.subset_alone) is float
+            assert self._bits(audit) == self._bits(expected), (t, subset, superset)
+
+    @pytest.mark.parametrize("bad", [1.9, 0.5, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_integral_intervals(self, bad):
+        # an interval is refused, not truncated to the interval below it
+        members = single_member() * 3
+        times, superset, subset = coalition_masks([(0, [0], [0]), (0, [1], [0, 1])], 3)
+        blocks, gen = DeviceBlocks(members), np.zeros((3, 2))
+        with pytest.raises(ValueError) as raised:
+            coalition_audits(blocks, gen, [0.4, 0.4], [0.2, 0.2], [1, bad], superset, subset)
+        assert str(raised.value) == f"sample 1: interval {bad} is not an integer"
+        # a whole number held as a float is the interval it names
+        whole = coalition_audits(blocks, gen, [0.4, 0.4], [0.2, 0.2], [1.0, 0.0], superset, subset)
+        ints = coalition_audits(blocks, gen, [0.4, 0.4], [0.2, 0.2], [1, 0], superset, subset)
+        assert whole.slack.tobytes() == ints.slack.tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_any_samples_match_the_reference(self, data):
