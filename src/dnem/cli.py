@@ -4,7 +4,9 @@ One JSON document describes a scenario (members, rates, optional storage and
 central PV).  Its numbers are read by the fields of the ``model`` dataclasses,
 so an omitted one keeps the dataclass default; a trace is the inline list or
 scalar, else the ``traces_csv`` column keyed by member id (or ``central_pv``),
-else zeros.  ``scenario_hash`` hashes the validated scenario.  Commands:
+else zeros.  ``scenario_hash`` is the sha256 of the validated scenario as compact,
+key-sorted JSON, with floats as Python's shortest ``repr`` and numpy scalars as Python
+numbers.  Commands:
 
 * ``simulate`` - run one mechanism, write ``intervals.csv`` + ``summary.json``
 * ``price``    - single-point price query for a given aggregate generation
@@ -19,17 +21,19 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure or a bad command line
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -63,12 +67,10 @@ class ConfigError(ValueError):
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{name}: expected a number (got {value!r})")
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name}: expected a number (got {value!r})") from None
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(value, bool):
+            return float(value)
+    raise ConfigError(f"{name}: expected a number (got {value!r})")
 
 
 def _expect(value, kind: type, name: str):
@@ -104,11 +106,9 @@ def _broadcast(value, horizon: int, name: str) -> np.ndarray:
     if isinstance(value, list):
         if len(value) != horizon:
             raise ConfigError(f"{name}: expected {horizon} entries, got {len(value)}")
-        if set(map(type, value)) <= {float, int}:
-            try:
+        with contextlib.suppress(OverflowError):
+            if set(map(type, value)) <= {float, int}:
                 return np.array(value, dtype=float)
-            except OverflowError:
-                pass
         return np.array([_number(v, f"{name}[{k}]") for k, v in enumerate(value)])
     raise ConfigError(f"{name}: expected a number or a list of numbers")
 
@@ -128,6 +128,23 @@ def _floats(cls, doc: dict, name: str) -> dict[str, float]:
         if field.type in (float, "float")
         and (field.name in doc or field.default is dataclasses.MISSING)
     }
+
+
+def _devices(members_doc: list) -> Iterator[DeviceUtility]:
+    """Every device of the document, in member order, read as one float table; if some
+    entry is no object of ``float`` and ``int`` parameters (no ``bool``) in float range,
+    read lazily through :func:`_floats`, so that an error comes in document order."""
+    names = [field.name for field in _fields(DeviceUtility)]
+    with contextlib.suppress(AttributeError, KeyError, TypeError, OverflowError):
+        rows = [[d[k] for k in names] for m in members_doc for d in m.get("devices", [])]
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+            return itertools.starmap(DeviceUtility, np.array(rows, dtype=float).tolist())
+    return (
+        DeviceUtility(**_floats(DeviceUtility, _expect(d, dict, name), name))
+        for idx, m in enumerate(members_doc)
+        for k, d in enumerate(m.get("devices", ()))
+        for name in [f"members[{idx}].devices[{k}]"]
+    )
 
 
 def _read_text(path: Path) -> str:
@@ -192,10 +209,7 @@ def load_config(path: str | Path) -> CommunityScenario:
     if "traces_csv" in doc:
         if not isinstance(doc["traces_csv"], str):
             raise ConfigError("traces_csv: expected a file path")
-        csv_path = Path(doc["traces_csv"])
-        if not csv_path.is_absolute():
-            csv_path = path.parent / csv_path
-        csv_columns = _read_traces_csv(csv_path)
+        csv_columns = _read_traces_csv(path.parent / doc["traces_csv"])  # an absolute path is kept
 
     def trace(holder: dict, key: str, name: str, column: str) -> np.ndarray:
         if key in holder:
@@ -208,7 +222,7 @@ def load_config(path: str | Path) -> CommunityScenario:
     sell = _broadcast(rates_doc.get("sell"), horizon, "rates.sell")
     rates = RateSchedule(buy, sell, **_floats(RateSchedule, rates_doc, "rates"))
 
-    members = []
+    members, devices_read = [], _devices(members_doc)
     for idx, mdoc in enumerate(members_doc):
         tag = f"members[{idx}]"
         mdoc = _expect(mdoc, dict, tag)
@@ -218,10 +232,8 @@ def load_config(path: str | Path) -> CommunityScenario:
         if any(c in mid for c in ',"\r\n'):
             # the id is a cell of the intervals.csv header and of the compare table
             raise ConfigError(f"{tag}.id: {mid!r} holds a comma, quote or line break")
-        devices = []
-        for k, d in enumerate(_expect(mdoc.get("devices", []), list, f"{tag}.devices")):
-            name = f"{tag}.devices[{k}]"
-            devices.append(DeviceUtility(**_floats(DeviceUtility, _expect(d, dict, name), name)))
+        entries = _expect(mdoc.get("devices", []), list, f"{tag}.devices")
+        devices = list(itertools.islice(devices_read, len(entries)))
         pv_trace = trace(mdoc, "pv_trace", f"{tag}.pv_trace", mid)
         members.append(Member(mid, devices, pv_trace, **_floats(Member, mdoc, tag)))
     central = trace(doc, "central_pv", "central_pv", "central_pv")
@@ -243,8 +255,26 @@ def load_config(path: str | Path) -> CommunityScenario:
     )
 
 
+#: a trace's placeholder in the hashed JSON, which nothing else writes: the document has
+#: no other list of just "", and a string's JSON escapes every quote inside it
+_TRACE_MARK = json.dumps([""])
+
+
+def _json_lists(arrays: list[np.ndarray]) -> Iterator[str]:
+    """Finite float arrays of one length as JSON lists, in blocks: each distinct value of
+    a block (by its bits: ``-0.0`` is not ``0.0``) is ``repr``-ed once, then gathered."""
+    step = max(1, _BLOCK_CELLS // len(arrays[0]))
+    for start in range(0, len(arrays), step):
+        block = np.stack(arrays[start : start + step])
+        distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        texts = list(map(float.__repr__, distinct.view(float).tolist()))
+        for row in np.array(texts, dtype=object)[inverse.reshape(block.shape)].tolist():
+            yield f"[{','.join(row)}]"
+
+
 def scenario_hash(scenario: CommunityScenario) -> str:
-    """sha256 of the scenario's inputs as canonical JSON, every trace resolved inline."""
+    """sha256 of the validated scenario as compact, key-sorted JSON (module docstring);
+    each trace (finite, as validated) is encoded as :data:`_TRACE_MARK`, then replaced."""
 
     def fields(obj) -> dict:
         return {field.name: getattr(obj, field.name) for field in _fields(type(obj))}
@@ -259,7 +289,17 @@ def scenario_hash(scenario: CommunityScenario) -> str:
         "central_pv": scenario.central_pv_trace,
         "bess": None if scenario.bess is None else fields(scenario.bess),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+    traces = []
+
+    def placeholder(obj):
+        if isinstance(obj, np.ndarray):
+            traces.append(obj)  # in the order the encoder meets them
+            return [""]
+        return np.generic.item(obj)  # a numpy scalar as its Python number
+
+    skeleton = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=placeholder)
+    first, *rest = skeleton.split(_TRACE_MARK)
+    blob = "".join([first, *itertools.chain.from_iterable(zip(_json_lists(traces), rest))])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -472,7 +512,7 @@ def _summary_json(scenario, summary) -> str:
 
     doc = {
         "mechanism": summary.mechanism,
-        "horizon": scenario.horizon,
+        "horizon": int(scenario.horizon),
         "members": len(scenario.members),
         "total_welfare": round(summary.total_welfare, 6),
         "per_member_surplus": {

@@ -11,8 +11,11 @@ listed from the devices' parameters (:func:`kink_prices`), and that response
 is itself pinned to :func:`reference_response`.
 """
 
+import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -22,7 +25,7 @@ import numpy as np
 
 from dnem.cli import _NON_FINITE, ConfigError, _number
 from dnem.curves import EPS_QUANTITY, AggregateResponseCurve, TargetOutsideRangeError
-from dnem.model import Member, _check_device
+from dnem.model import DeviceUtility, Member, _check_device
 from dnem.welfare import PROFIT_TOL, RATIONALITY_TOL, AxiomCheck, AxiomReport
 
 
@@ -499,6 +502,54 @@ def broadcast_values(value, horizon: int, name: str) -> list[float]:
             raise ConfigError(f"{name}: expected {horizon} entries, got {len(value)}")
         return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
     raise ConfigError(f"{name}: expected a number or a list of numbers")
+
+
+def devices_values(members_doc):
+    """Every device of a config's ``members`` list, read one value at a time, the way the
+    config reader read devices before it read them as one table: the reference for
+    ``dnem.cli._devices``.  It yields lazily, so an entry's error is raised when
+    the reader reaches that member's devices, as it was."""
+    for idx, mdoc in enumerate(members_doc):
+        for k, d in enumerate(mdoc.get("devices", [])):
+            name = f"members[{idx}].devices[{k}]"
+            if not isinstance(d, dict):
+                raise ConfigError(f"{name}: expected an object (got {type(d).__name__})")
+            values = []
+            for key in ("alpha", "beta", "d_min", "d_max"):
+                if key not in d:
+                    raise ConfigError(f"{name}: missing required key {key!r}")
+                values.append(_number(d[key], f"{name}.{key}"))
+            yield DeviceUtility(*values)
+
+
+def scenario_hash_reference(scenario) -> str:
+    """sha256 of the scenario as the hash wrote it before it wrote each distinct trace
+    value once: one ``json.dumps`` of the whole document, compact and key-sorted, with
+    the arrays as lists and numpy scalars as Python numbers.  The reference for
+    ``dnem.cli.scenario_hash``."""
+
+    def fields(obj) -> dict:
+        return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+    def plain(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if isinstance(obj, np.generic):
+            return obj.item()
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    doc = {
+        "horizon": scenario.horizon,
+        "rates": fields(scenario.rates),
+        "members": [
+            {**fields(m), "devices": [list(fields(d).values()) for d in m.devices]}
+            for m in scenario.members
+        ],
+        "central_pv": scenario.central_pv_trace,
+        "bess": None if scenario.bess is None else fields(scenario.bess),
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=plain)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def coalition_masks(samples, n: int):

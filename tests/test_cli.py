@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,13 +31,29 @@ from dnem.cli import (
     _finite,
     _fixed,
     _intervals_csv,
+    _summary_json,
     load_config,
     main,
     scenario_hash,
 )
-from dnem.model import PriceZone
-from dnem.sim import run_all, solar_day_scenario
-from oracles import _fmt, broadcast_values, fixed_reference, intervals_csv_reference
+from dnem.model import (
+    BessSpec,
+    CommunityScenario,
+    DeviceUtility,
+    Member,
+    PriceZone,
+    RateSchedule,
+    validate_scenario,
+)
+from dnem.sim import run, run_all, solar_day_scenario
+from oracles import (
+    _fmt,
+    broadcast_values,
+    devices_values,
+    fixed_reference,
+    intervals_csv_reference,
+    scenario_hash_reference,
+)
 
 
 ONE_MEMBER = {
@@ -119,6 +135,56 @@ TRACES = st.one_of(
 )
 
 
+#: device parameters that are ``float`` or ``int`` within float range, and ones that are not
+PLAIN_PARAMS = st.one_of(st.integers(0, 4), st.floats(0.0, 4.0), st.sampled_from([2**70, 10**300]))
+ODD_PARAMS = st.sampled_from([True, False, None, "1.5", " 2 ", "nan", "x", 10**400, [1.0], {}])
+_DEVICE_KEYS = ("alpha", "beta", "d_min", "d_max")
+#: a device entry of plain parameters, d_min <= d_max, some with an extra key
+PLAIN_ENTRIES = st.builds(
+    lambda alpha, beta, bounds, extra: {
+        "alpha": alpha, "beta": beta, "d_min": min(bounds), "d_max": max(bounds), **extra
+    },
+    PLAIN_PARAMS,
+    st.one_of(st.integers(1, 4), st.floats(0.5, 4.0)),
+    st.tuples(PLAIN_PARAMS, PLAIN_PARAMS),
+    st.dictionaries(st.just("extra"), ODD_PARAMS, max_size=1),
+)
+#: a device entry of plain parameters but one
+ONE_ODD_ENTRIES = st.builds(
+    lambda entry, key, value: {**entry, key: value},
+    PLAIN_ENTRIES, st.sampled_from(_DEVICE_KEYS), ODD_PARAMS,
+)
+#: a device entry: plain, with one odd parameter, with one key missing, any mix of
+#: keys and values, or an entry that is no object
+DEVICE_ENTRIES = st.one_of(
+    PLAIN_ENTRIES,
+    ONE_ODD_ENTRIES,
+    st.builds(
+        lambda entry, key: {k: v for k, v in entry.items() if k != key},
+        PLAIN_ENTRIES, st.sampled_from(_DEVICE_KEYS),
+    ),
+    st.dictionaries(
+        st.sampled_from(_DEVICE_KEYS + ("gamma",)), st.one_of(PLAIN_PARAMS, ODD_PARAMS), max_size=5
+    ),
+    st.sampled_from([[2.0, 1.0, 0.0, 2.0], "device", 3, None]),
+)
+#: a member's ``devices``: plain entries, plain entries with one entry of one odd
+#: parameter or with one other entry, any entries, or a value that is no list
+DEVICE_LISTS = st.one_of(
+    st.lists(PLAIN_ENTRIES, max_size=3),
+    st.lists(PLAIN_ENTRIES, max_size=3),
+    *(
+        st.builds(
+            lambda entries, k, entry: entries[:k] + [entry] + entries[k:],
+            st.lists(PLAIN_ENTRIES, max_size=2), st.integers(0, 2), entries,
+        )
+        for entries in (ONE_ODD_ENTRIES, DEVICE_ENTRIES)
+    ),
+    st.lists(DEVICE_ENTRIES, max_size=3),
+    st.sampled_from([{}, "", None, {"alpha": 1.0}]),
+)
+
+
 def _loaded(path):
     """The floats of the loaded rates and traces, bit by bit, or the error raised."""
     try:
@@ -143,6 +209,64 @@ class TestLoadConfig:
             with mock.patch.object(dnem.cli, "_broadcast", broadcast_values):
                 reference = _loaded(path)
         assert ours == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        devices=st.lists(DEVICE_LISTS, min_size=1, max_size=3),
+        pv=st.lists(st.sampled_from([0.5] * 5 + ["bad"]), min_size=3, max_size=3),
+    )
+    @example(devices=[[{"alpha": 10**400, "beta": 1, "d_min": 0, "d_max": 1}]], pv=[0.5] * 3)
+    @example(devices=[[{"alpha": 1, "beta": True, "d_min": 0, "d_max": 1}]], pv=[0.5] * 3)
+    def test_devices_read_as_the_per_value_reference_reads_them(self, devices, pv):
+        # a bad pv_trace is read after its member's devices and before the next member's
+        doc = {
+            "horizon": 1,
+            "rates": {"buy": 0.4, "sell": 0.2},
+            "members": [
+                {"id": f"m{k}", "devices": d, "pv_trace": p} for k, (d, p) in enumerate(zip(devices, pv))
+            ],
+        }
+
+        def read(path):
+            try:
+                sc = load_config(path)
+            except ValueError as exc:
+                return type(exc).__name__, str(exc)
+            values = [[getattr(d, key) for key in _DEVICE_KEYS] for m in sc.members for d in m.devices]
+            assert {type(v) for row in values for v in row} <= {float}
+            return [len(m.devices) for m in sc.members], np.array(values).view(np.int64).tolist()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), doc)
+            ours = read(path)
+            with mock.patch.object(dnem.cli, "_devices", devices_values):
+                reference = read(path)
+        assert ours == reference
+
+    def test_inline_and_csv_traces_hash_alike(self, tmp_path):
+        doc = json.loads(json.dumps(FIVE_MEMBERS))
+        doc["members"][0]["central_pv_share"] = 1.0
+        doc["central_pv"] = [0.0, 0.5, 1e-05]
+        inline = load_config(write_config(tmp_path, doc, "inline.json"))
+        columns = {"central_pv": doc.pop("central_pv")}
+        for m in doc["members"]:
+            columns[m["id"]] = m.pop("pv_trace")
+        rows = zip(*columns.values())
+        (tmp_path / "traces.csv").write_text(
+            ",".join(columns) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        )
+        doc["traces_csv"] = "traces.csv"
+        from_csv = load_config(write_config(tmp_path, doc, "csv.json"))
+        assert scenario_hash(inline) == scenario_hash(from_csv) == scenario_hash_reference(inline)
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_traces_csv_path_relative_to_the_config_or_absolute(self, tmp_path, absolute):
+        (tmp_path / "traces.csv").write_text("m1\n1.25\n")
+        (tmp_path / "configs").mkdir()
+        doc = _mutated(lambda doc: doc["members"][0].pop("pv_trace"))
+        doc["traces_csv"] = str(tmp_path / "traces.csv") if absolute else "../traces.csv"
+        sc = load_config(write_config(tmp_path / "configs", doc))
+        assert sc.members[0].pv_trace.tolist() == [1.25]
 
     def test_scalar_broadcast_and_hash_stability(self, tmp_path):
         path = write_config(tmp_path, ONE_MEMBER)
@@ -192,6 +316,96 @@ class TestLoadConfig:
         sc = load_config(path)
         assert list(sc.members[0].pv_trace) == [1.0, 2.0]
         assert list(sc.central_pv_trace) == [0.5, 0.7]
+
+
+#: trace values: repeats, signed zeros, subnormals, and both sides of the 1e-05 and
+#: 1e+16 boundaries where ``repr`` switches to an exponent
+HASH_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 2.5e-310, 9.999999999999999e-06, 1e-05, 0.0001, 0.1,
+         0.30000000000000004, 1.0, 2.5, 9999999999999998.0, 1e16, 1.0000000000000002e16]
+    ),
+    st.floats(0.0, 1e20),
+)
+#: member ids: quotes, NUL, backslashes, the trace placeholder's text, ``NaN`` and non-ASCII
+HASH_IDS = st.one_of(
+    st.sampled_from(
+        ["m1", '"', 'a"b', "\0", "\\u0000", '[""]', '{"":0}', '["', "NaN", "[]", "m\u00e9", "\u2603"]
+    ),
+    st.text(max_size=4),
+)
+#: device parameters: ints, floats and numpy scalars
+HASH_PARAMS = st.one_of(
+    st.integers(1, 3),
+    st.sampled_from([0.5, 1.0, 2.5, 1e-05, np.float32(1.5), np.int64(2), np.float64(0.25)]),
+)
+
+
+@st.composite
+def hashed_scenarios(draw):
+    """A valid scenario with or without a battery and central PV."""
+    horizon = draw(st.integers(1, 4))
+    trace = st.lists(HASH_VALUES, min_size=horizon, max_size=horizon).map(np.array)
+    with_bess, with_central = draw(st.booleans()), draw(st.booleans())
+    members = []
+    for k, mid in enumerate(draw(st.lists(HASH_IDS, min_size=1, max_size=4, unique=True))):
+        devices = draw(st.lists(st.tuples(HASH_PARAMS, HASH_PARAMS, HASH_PARAMS), max_size=2))
+        members.append(
+            Member(
+                mid,
+                [DeviceUtility(alpha, beta, 0, d_max) for alpha, beta, d_max in devices],
+                draw(trace),
+                central_pv_share=1.0 if k == 0 and with_central else 0.0,
+                bess_share=1.0 if k == 0 and with_bess else 0.0,
+            )
+        )
+    sell = draw(trace)
+    buy = np.maximum(sell, draw(trace))
+    bess = None
+    if with_bess:
+        buy = np.maximum(buy, sell.max())
+        capacity = draw(HASH_VALUES)
+        limits = draw(HASH_VALUES), draw(HASH_VALUES)
+        bess = BessSpec(capacity, 1.0, 1.0, *limits, min(draw(HASH_VALUES), capacity))
+    rates = RateSchedule(buy, sell, float(sell.max()) if with_bess else 0.0)
+    return CommunityScenario(members, rates, horizon, bess, draw(trace) if with_central else None)
+
+
+class TestScenarioHash:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=hashed_scenarios())
+    def test_equals_the_reference(self, scenario):
+        assert scenario_hash(scenario) == scenario_hash_reference(scenario)
+
+    @pytest.mark.parametrize("members", [25, 60], ids=["one_block", "two_blocks"])
+    @pytest.mark.parametrize("with_bess", [False, True], ids=["no_bess", "bess"])
+    def test_solar_days_hash_as_the_reference(self, members, with_bess):
+        # 60 members give 63 traces of 96 values, written in two blocks
+        scenario = solar_day_scenario(3, n_members=members, horizon=96, with_bess=with_bess)
+        assert scenario_hash(scenario) == scenario_hash_reference(scenario)
+
+    @pytest.mark.parametrize("mid", ['[""]', '["', "[", 'x[""]]', ""])
+    def test_an_id_holding_the_placeholder_hashes_as_the_reference(self, mid):
+        members = [Member(mid, [DeviceUtility(2.0, 1.0, 0.0, 2.0)], [0.5, 0.0]), Member("b", [], [0.0, 0.5])]
+        scenario = CommunityScenario(members, RateSchedule.flat(0.4, 0.1, 2), 2)
+        assert scenario_hash(scenario) == scenario_hash_reference(scenario)
+
+    @pytest.mark.parametrize(
+        "horizon, alpha, plain_alpha",
+        [(np.int64(2), 1.0, 1.0), (2, np.float32(1.0), 1.0), (2, np.int64(1), 1)],
+        ids=["int64_horizon", "float32_device", "int64_device"],
+    )
+    def test_numpy_scalars_hash_as_python_numbers(self, horizon, alpha, plain_alpha):
+        # each passed validate_scenario and run, but the hash raised TypeError
+        def scenario(horizon, alpha):
+            member = Member("m1", [DeviceUtility(alpha, 1.0, 0.0, 2.0)], [0.5, 0.0])
+            return CommunityScenario([member], RateSchedule.flat(0.4, 0.1, 2), horizon)
+
+        numpy_scenario = validate_scenario(scenario(horizon, alpha))
+        _, summary = run(numpy_scenario, "dnem")
+        plain = scenario(2, plain_alpha)
+        assert scenario_hash(numpy_scenario) == scenario_hash(plain) == scenario_hash_reference(plain)
+        assert json.loads(_summary_json(numpy_scenario, summary))["scenario_hash"] == scenario_hash(plain)
 
 
 def _mutated(edit):
