@@ -21,7 +21,6 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure or a bad command line
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
@@ -67,10 +66,12 @@ class ConfigError(ValueError):
 
 
 def _number(value, name: str) -> float:
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if not isinstance(value, bool):
-            return float(value)
-    raise ConfigError(f"{name}: expected a number (got {value!r})")
+    if isinstance(value, bool):
+        raise ConfigError(f"{name}: expected a number (got {value!r})")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected a number (got {value!r})") from None
 
 
 def _expect(value, kind: type, name: str):
@@ -106,9 +107,11 @@ def _broadcast(value, horizon: int, name: str) -> np.ndarray:
     if isinstance(value, list):
         if len(value) != horizon:
             raise ConfigError(f"{name}: expected {horizon} entries, got {len(value)}")
-        with contextlib.suppress(OverflowError):
-            if set(map(type, value)) <= {float, int}:
+        if set(map(type, value)) <= {float, int}:
+            try:
                 return np.array(value, dtype=float)
+            except OverflowError:
+                pass
         return np.array([_number(v, f"{name}[{k}]") for k, v in enumerate(value)])
     raise ConfigError(f"{name}: expected a number or a list of numbers")
 
@@ -128,23 +131,6 @@ def _floats(cls, doc: dict, name: str) -> dict[str, float]:
         if field.type in (float, "float")
         and (field.name in doc or field.default is dataclasses.MISSING)
     }
-
-
-def _devices(members_doc: list) -> Iterator[DeviceUtility]:
-    """Every device of the document, in member order, read as one float table; if some
-    entry is no object of ``float`` and ``int`` parameters (no ``bool``) in float range,
-    read lazily through :func:`_floats`, so that an error comes in document order."""
-    names = [field.name for field in _fields(DeviceUtility)]
-    with contextlib.suppress(AttributeError, KeyError, TypeError, OverflowError):
-        rows = [[d[k] for k in names] for m in members_doc for d in m.get("devices", [])]
-        if set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
-            return itertools.starmap(DeviceUtility, np.array(rows, dtype=float).tolist())
-    return (
-        DeviceUtility(**_floats(DeviceUtility, _expect(d, dict, name), name))
-        for idx, m in enumerate(members_doc)
-        for k, d in enumerate(m.get("devices", ()))
-        for name in [f"members[{idx}].devices[{k}]"]
-    )
 
 
 def _read_text(path: Path) -> str:
@@ -209,7 +195,10 @@ def load_config(path: str | Path) -> CommunityScenario:
     if "traces_csv" in doc:
         if not isinstance(doc["traces_csv"], str):
             raise ConfigError("traces_csv: expected a file path")
-        csv_columns = _read_traces_csv(path.parent / doc["traces_csv"])  # an absolute path is kept
+        csv_path = Path(doc["traces_csv"])
+        if not csv_path.is_absolute():
+            csv_path = path.parent / csv_path
+        csv_columns = _read_traces_csv(csv_path)
 
     def trace(holder: dict, key: str, name: str, column: str) -> np.ndarray:
         if key in holder:
@@ -222,7 +211,7 @@ def load_config(path: str | Path) -> CommunityScenario:
     sell = _broadcast(rates_doc.get("sell"), horizon, "rates.sell")
     rates = RateSchedule(buy, sell, **_floats(RateSchedule, rates_doc, "rates"))
 
-    members, devices_read = [], _devices(members_doc)
+    members = []
     for idx, mdoc in enumerate(members_doc):
         tag = f"members[{idx}]"
         mdoc = _expect(mdoc, dict, tag)
@@ -232,8 +221,10 @@ def load_config(path: str | Path) -> CommunityScenario:
         if any(c in mid for c in ',"\r\n'):
             # the id is a cell of the intervals.csv header and of the compare table
             raise ConfigError(f"{tag}.id: {mid!r} holds a comma, quote or line break")
-        entries = _expect(mdoc.get("devices", []), list, f"{tag}.devices")
-        devices = list(itertools.islice(devices_read, len(entries)))
+        devices = []
+        for k, d in enumerate(_expect(mdoc.get("devices", []), list, f"{tag}.devices")):
+            name = f"{tag}.devices[{k}]"
+            devices.append(DeviceUtility(**_floats(DeviceUtility, _expect(d, dict, name), name)))
         pv_trace = trace(mdoc, "pv_trace", f"{tag}.pv_trace", mid)
         members.append(Member(mid, devices, pv_trace, **_floats(Member, mdoc, tag)))
     central = trace(doc, "central_pv", "central_pv", "central_pv")

@@ -25,7 +25,7 @@ import numpy as np
 
 from dnem.cli import _NON_FINITE, ConfigError, _number
 from dnem.curves import EPS_QUANTITY, AggregateResponseCurve, TargetOutsideRangeError
-from dnem.model import DeviceUtility, Member, _check_device
+from dnem.model import Member, _check_device
 from dnem.welfare import PROFIT_TOL, RATIONALITY_TOL, AxiomCheck, AxiomReport
 
 
@@ -502,24 +502,6 @@ def broadcast_values(value, horizon: int, name: str) -> list[float]:
             raise ConfigError(f"{name}: expected {horizon} entries, got {len(value)}")
         return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
     raise ConfigError(f"{name}: expected a number or a list of numbers")
-
-
-def devices_values(members_doc):
-    """Every device of a config's ``members`` list, read one value at a time, the way the
-    config reader read devices before it read them as one table: the reference for
-    ``dnem.cli._devices``.  It yields lazily, so an entry's error is raised when
-    the reader reaches that member's devices, as it was."""
-    for idx, mdoc in enumerate(members_doc):
-        for k, d in enumerate(mdoc.get("devices", [])):
-            name = f"members[{idx}].devices[{k}]"
-            if not isinstance(d, dict):
-                raise ConfigError(f"{name}: expected an object (got {type(d).__name__})")
-            values = []
-            for key in ("alpha", "beta", "d_min", "d_max"):
-                if key not in d:
-                    raise ConfigError(f"{name}: missing required key {key!r}")
-                values.append(_number(d[key], f"{name}.{key}"))
-            yield DeviceUtility(*values)
 
 
 def scenario_hash_reference(scenario) -> str:

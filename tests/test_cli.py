@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -49,7 +49,6 @@ from dnem.sim import run, run_all, solar_day_scenario
 from oracles import (
     _fmt,
     broadcast_values,
-    devices_values,
     fixed_reference,
     intervals_csv_reference,
     scenario_hash_reference,
@@ -135,56 +134,6 @@ TRACES = st.one_of(
 )
 
 
-#: device parameters that are ``float`` or ``int`` within float range, and ones that are not
-PLAIN_PARAMS = st.one_of(st.integers(0, 4), st.floats(0.0, 4.0), st.sampled_from([2**70, 10**300]))
-ODD_PARAMS = st.sampled_from([True, False, None, "1.5", " 2 ", "nan", "x", 10**400, [1.0], {}])
-_DEVICE_KEYS = ("alpha", "beta", "d_min", "d_max")
-#: a device entry of plain parameters, d_min <= d_max, some with an extra key
-PLAIN_ENTRIES = st.builds(
-    lambda alpha, beta, bounds, extra: {
-        "alpha": alpha, "beta": beta, "d_min": min(bounds), "d_max": max(bounds), **extra
-    },
-    PLAIN_PARAMS,
-    st.one_of(st.integers(1, 4), st.floats(0.5, 4.0)),
-    st.tuples(PLAIN_PARAMS, PLAIN_PARAMS),
-    st.dictionaries(st.just("extra"), ODD_PARAMS, max_size=1),
-)
-#: a device entry of plain parameters but one
-ONE_ODD_ENTRIES = st.builds(
-    lambda entry, key, value: {**entry, key: value},
-    PLAIN_ENTRIES, st.sampled_from(_DEVICE_KEYS), ODD_PARAMS,
-)
-#: a device entry: plain, with one odd parameter, with one key missing, any mix of
-#: keys and values, or an entry that is no object
-DEVICE_ENTRIES = st.one_of(
-    PLAIN_ENTRIES,
-    ONE_ODD_ENTRIES,
-    st.builds(
-        lambda entry, key: {k: v for k, v in entry.items() if k != key},
-        PLAIN_ENTRIES, st.sampled_from(_DEVICE_KEYS),
-    ),
-    st.dictionaries(
-        st.sampled_from(_DEVICE_KEYS + ("gamma",)), st.one_of(PLAIN_PARAMS, ODD_PARAMS), max_size=5
-    ),
-    st.sampled_from([[2.0, 1.0, 0.0, 2.0], "device", 3, None]),
-)
-#: a member's ``devices``: plain entries, plain entries with one entry of one odd
-#: parameter or with one other entry, any entries, or a value that is no list
-DEVICE_LISTS = st.one_of(
-    st.lists(PLAIN_ENTRIES, max_size=3),
-    st.lists(PLAIN_ENTRIES, max_size=3),
-    *(
-        st.builds(
-            lambda entries, k, entry: entries[:k] + [entry] + entries[k:],
-            st.lists(PLAIN_ENTRIES, max_size=2), st.integers(0, 2), entries,
-        )
-        for entries in (ONE_ODD_ENTRIES, DEVICE_ENTRIES)
-    ),
-    st.lists(DEVICE_ENTRIES, max_size=3),
-    st.sampled_from([{}, "", None, {"alpha": 1.0}]),
-)
-
-
 def _loaded(path):
     """The floats of the loaded rates and traces, bit by bit, or the error raised."""
     try:
@@ -210,39 +159,6 @@ class TestLoadConfig:
                 reference = _loaded(path)
         assert ours == reference
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        devices=st.lists(DEVICE_LISTS, min_size=1, max_size=3),
-        pv=st.lists(st.sampled_from([0.5] * 5 + ["bad"]), min_size=3, max_size=3),
-    )
-    @example(devices=[[{"alpha": 10**400, "beta": 1, "d_min": 0, "d_max": 1}]], pv=[0.5] * 3)
-    @example(devices=[[{"alpha": 1, "beta": True, "d_min": 0, "d_max": 1}]], pv=[0.5] * 3)
-    def test_devices_read_as_the_per_value_reference_reads_them(self, devices, pv):
-        # a bad pv_trace is read after its member's devices and before the next member's
-        doc = {
-            "horizon": 1,
-            "rates": {"buy": 0.4, "sell": 0.2},
-            "members": [
-                {"id": f"m{k}", "devices": d, "pv_trace": p} for k, (d, p) in enumerate(zip(devices, pv))
-            ],
-        }
-
-        def read(path):
-            try:
-                sc = load_config(path)
-            except ValueError as exc:
-                return type(exc).__name__, str(exc)
-            values = [[getattr(d, key) for key in _DEVICE_KEYS] for m in sc.members for d in m.devices]
-            assert {type(v) for row in values for v in row} <= {float}
-            return [len(m.devices) for m in sc.members], np.array(values).view(np.int64).tolist()
-
-        with tempfile.TemporaryDirectory() as tmp:
-            path = write_config(Path(tmp), doc)
-            ours = read(path)
-            with mock.patch.object(dnem.cli, "_devices", devices_values):
-                reference = read(path)
-        assert ours == reference
-
     def test_inline_and_csv_traces_hash_alike(self, tmp_path):
         doc = json.loads(json.dumps(FIVE_MEMBERS))
         doc["members"][0]["central_pv_share"] = 1.0
@@ -258,15 +174,6 @@ class TestLoadConfig:
         doc["traces_csv"] = "traces.csv"
         from_csv = load_config(write_config(tmp_path, doc, "csv.json"))
         assert scenario_hash(inline) == scenario_hash(from_csv) == scenario_hash_reference(inline)
-
-    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
-    def test_traces_csv_path_relative_to_the_config_or_absolute(self, tmp_path, absolute):
-        (tmp_path / "traces.csv").write_text("m1\n1.25\n")
-        (tmp_path / "configs").mkdir()
-        doc = _mutated(lambda doc: doc["members"][0].pop("pv_trace"))
-        doc["traces_csv"] = str(tmp_path / "traces.csv") if absolute else "../traces.csv"
-        sc = load_config(write_config(tmp_path / "configs", doc))
-        assert sc.members[0].pv_trace.tolist() == [1.25]
 
     def test_scalar_broadcast_and_hash_stability(self, tmp_path):
         path = write_config(tmp_path, ONE_MEMBER)
