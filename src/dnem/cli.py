@@ -59,6 +59,9 @@ EXIT_AUDIT = 3
 #: the horizon before anything else is checked, so a larger value is refused
 #: up front instead of exhausting memory (10**6 quarter-hours is 28 years).
 MAX_HORIZON = 10**6
+#: Largest accepted ``--coalition-samples`` times members: one seed's samples are
+#: audited at once, at about 160 bytes per (sample, member) cell
+MAX_COALITION_CELLS = 10**7
 
 
 class ConfigError(ValueError):
@@ -66,12 +69,22 @@ class ConfigError(ValueError):
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, bool):
+    """A JSON number as a float: never a boolean or a string."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{name}: expected a number (got {value!r})")
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise ConfigError(f"{name}: expected a number (got {value!r})") from None
+
+
+def _text_number(text: Optional[str], name: str) -> float:
+    """A number written as text: a traces-CSV cell (``None`` past a short row) or a
+    ``--ratios`` item."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return _number(text, name)  # which refuses a string or None, naming it
 
 
 def _expect(value, kind: type, name: str):
@@ -161,7 +174,8 @@ def _read_traces_csv(path: Path) -> dict[str, list[float]]:
                     f"but the header names {len(names)}"
                 )
             for name, values in columns.items():
-                values.append(_number(row[name], f"{path} line {reader.line_num} column {name!r}"))
+                cell = f"{path} line {reader.line_num} column {name!r}"
+                values.append(_text_number(row[name], cell))
     except csv.Error as exc:
         # the DictReader's own line_num stops at the last row it returned
         raise ConfigError(f"{path} line {reader.reader.line_num}: {exc}") from None
@@ -195,10 +209,8 @@ def load_config(path: str | Path) -> CommunityScenario:
     if "traces_csv" in doc:
         if not isinstance(doc["traces_csv"], str):
             raise ConfigError("traces_csv: expected a file path")
-        csv_path = Path(doc["traces_csv"])
-        if not csv_path.is_absolute():
-            csv_path = path.parent / csv_path
-        csv_columns = _read_traces_csv(csv_path)
+        # an absolute path stays as it is
+        csv_columns = _read_traces_csv(path.parent / doc["traces_csv"])
 
     def trace(holder: dict, key: str, name: str, column: str) -> np.ndarray:
         if key in holder:
@@ -576,12 +588,13 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         raise ConfigError(f"--coalition-samples: expected at least 0 (got {coalition_samples})")
     scenario = load_config(config)
     if scenario.bess is not None and coalition_samples > 0:
-        print(
+        raise ConfigError(
             "coalition audits are only defined for storage-free scenarios; "
-            "rerun with --coalition-samples 0 or drop the bess section",
-            file=sys.stderr,
+            "rerun with --coalition-samples 0 or drop the bess section"
         )
-        return EXIT_VALIDATION
+    most = MAX_COALITION_CELLS // len(scenario.members)
+    if coalition_samples > most:
+        raise ConfigError(f"--coalition-samples: expected at most {most} (got {coalition_samples})")
 
     results = run_all(scenario)
     gen = folded_generation(scenario)
@@ -763,7 +776,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "compare":
             ratios = None
             if args.ratios is not None:
-                ratios = [_number(r, "--ratios") for r in args.ratios.split(",") if r.strip()]
+                ratios = [_text_number(r, "--ratios") for r in args.ratios.split(",") if r.strip()]
                 if not ratios:
                     raise ConfigError("--ratios: expected at least one ratio")
             return cmd_compare(args.config, ratios, args.out)

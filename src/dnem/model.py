@@ -9,7 +9,8 @@ construction, so scenarios can be shared freely across concurrent
 evaluations.  A :class:`CommunityScenario` (and each ``dataclasses.replace``
 copy) checks every invariant when it is built, through :func:`validate_scenario`,
 which reports every violation it finds rather than stopping at the first; so
-every scenario object is valid, and nothing downstream checks it again.
+every scenario object is valid, and nothing downstream checks it again.  Each
+device rule is written once, in one table tested on every device's parameters at once.
 """
 
 from __future__ import annotations
@@ -252,38 +253,6 @@ def salvage_rate_bounds(rates: RateSchedule, bess: BessSpec) -> tuple[float, flo
     return lo, hi
 
 
-def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # a Python int beyond float range
-        return False
-
-
-def _check_device(issues: list, member_id: str, k: int, dev) -> None:
-    tag = f"member {member_id!r} device {k}"
-    vals = (dev.alpha, dev.beta, dev.d_min, dev.d_max)
-    if not all(map(_finite, vals)):
-        issues.append(f"{tag}: non-finite utility parameter")
-        return
-    # compared as Python numbers, which compare exactly: numpy would cast a numpy float
-    # and a Python int past its range to one type, with an overflow warning
-    alpha, beta, d_min, d_max = (v.item() if isinstance(v, np.generic) else v for v in vals)
-    if beta <= 0:
-        issues.append(f"{tag}: beta must be > 0 (got {dev.beta})")
-    elif not math.isfinite(float(dev.alpha) / float(dev.beta)):
-        issues.append(f"{tag}: saturation alpha/beta is not finite")
-    if alpha < 0:
-        issues.append(f"{tag}: alpha must be >= 0 (got {dev.alpha})")
-    if not 0 <= d_min <= d_max:
-        issues.append(
-            f"{tag}: bounds must satisfy 0 <= d_min <= d_max (got [{dev.d_min}, {dev.d_max}])"
-        )
-    # the response curve kinks at these prices; Python floats overflow to inf silently
-    for bound in ("d_max", "d_min"):
-        if not math.isfinite(float(dev.alpha) - float(dev.beta) * float(getattr(dev, bound))):
-            issues.append(f"{tag}: kink price alpha - beta*{bound} is not finite")
-
-
 def _device_values(members: Sequence[Member]) -> list:
     return [v for m in members for d in m.devices for v in (d.alpha, d.beta, d.d_min, d.d_max)]
 
@@ -297,44 +266,68 @@ def device_table(members: Sequence[Member]) -> np.ndarray:
 
 #: Types of which float64 holds every value exactly
 _FLOATS = frozenset({float, np.float64, np.float32, np.float16})
+#: Types of a device parameter (not ``bool``, though it is an ``int``)
+_NUMBERS = (int, float, np.integer, np.floating)
+
+#: The device rules, in the order of their messages: each message, formatted with the
+#: device as ``d``, keys a test over the float columns ``alpha, beta, d_min, d_max``
+#: that holds where a device breaks the rule (the response curve kinks at alpha - beta*d)
+_DEVICE_RULES = {
+    "beta must be > 0 (got {d.beta})": lambda a, b, lo, hi: b <= 0,
+    "saturation alpha/beta is not finite": lambda a, b, lo, hi: (b > 0) & ~np.isfinite(a / b),
+    "alpha must be >= 0 (got {d.alpha})": lambda a, b, lo, hi: a < 0,
+    "bounds must satisfy 0 <= d_min <= d_max (got [{d.d_min}, {d.d_max}])": (
+        lambda a, b, lo, hi: ~((0 <= lo) & (lo <= hi))
+    ),
+    "kink price alpha - beta*d_max is not finite": lambda a, b, lo, hi: ~np.isfinite(a - b * hi),
+    "kink price alpha - beta*d_min is not finite": lambda a, b, lo, hi: ~np.isfinite(a - b * lo),
+}
 
 
-def _exact(value) -> bool:
-    """Whether float64 holds ``value`` exactly, so that a check on its float is exact."""
-    if type(value) in _FLOATS:
-        return True
-    return isinstance(value, (int, np.integer)) and abs(int(value)) <= 2**53
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a Python int past float range
+        return math.inf
 
 
-def _suspect_devices(members: Sequence[Member]) -> np.ndarray:
-    """The devices, by index in member order, on which :func:`_check_device` may report.
-
-    The checks run as array expressions over the float :func:`device_table`, and
-    a device is suspect when its floats fail one.  A device with a parameter
-    that float64 does not hold exactly (a Python int beyond 2**53, a value past
-    float range, a non-number) is suspect as it is, so that
-    :func:`_check_device` checks it on its own values.
-    """
+def _device_issues(members: Sequence[Member]) -> dict[int, list[str]]:
+    """Each member's device issues by member index: one for a non-numeric parameter, else one
+    for a non-finite one, else one per rule of :data:`_DEVICE_RULES` that the device breaks."""
     values = _device_values(members)
-    exact = np.ones(len(values) // 4, dtype=bool)
+    floats, numeric = values, np.ones(len(values) // 4, dtype=bool)
     if not set(map(type, values)) <= _FLOATS:
-        held = list(map(_exact, values))
-        exact = np.array(held, dtype=bool).reshape(-1, 4).all(axis=1)
-        # a value that float64 does not hold may have no float at all
-        values = [v if ok else 0.0 for v, ok in zip(values, held)]
-    table = np.fromiter(values, dtype=float, count=len(values)).reshape(-1, 4)
-    alpha, beta, d_min, d_max = table.T
+        held = [isinstance(v, _NUMBERS) and not isinstance(v, bool) for v in values]
+        numeric = np.array(held, dtype=bool).reshape(-1, 4).all(axis=1)
+        floats = [_float(v) if ok else math.nan for v, ok in zip(values, held)]
+    table = np.fromiter(floats, dtype=float, count=len(floats)).reshape(-1, 4)
+    columns, usable = tuple(table.T), np.isfinite(table).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fails = (
-            ~np.isfinite(table).all(axis=1)
-            | (beta <= 0)
-            | ~np.isfinite(alpha / beta)
-            | (alpha < 0)
-            | ~((0 <= d_min) & (d_min <= d_max))
-            | ~np.isfinite(alpha - beta * d_max)
-            | ~np.isfinite(alpha - beta * d_min)
+        rules = [test(*columns) & usable for test in _DEVICE_RULES.values()]
+    if floats is not values:
+        # float64 rounds an int past 2**53, so bounds equal as floats are compared as numbers
+        for i in np.flatnonzero(usable & (table[:, 2] == table[:, 3])).tolist():
+            pair = values[4 * i + 2 : 4 * i + 4]
+            d_min, d_max = (v.item() if isinstance(v, np.generic) else v for v in pair)
+            rules[3][i] |= d_min > d_max  # the bounds rule
+    fails = np.array([~numeric, numeric & ~usable, *rules])
+    flagged = np.flatnonzero(fails.any(axis=0))
+    if not flagged.size:
+        return {}
+    messages = ["non-numeric utility parameter", "non-finite utility parameter", *_DEVICE_RULES]
+
+    # each flagged device's member, found among the members' running device counts
+    ends = np.cumsum([len(m.devices) for m in members], dtype=np.intp)
+    found: dict[int, list[str]] = {}
+    for row, i in zip(flagged.tolist(), np.searchsorted(ends, flagged, side="right").tolist()):
+        member = members[i]
+        k = row - int(ends[i]) + len(member.devices)
+        found.setdefault(i, []).extend(
+            f"member {member.id!r} device {k}: {message.format(d=member.devices[k])}"
+            for message, bad in zip(messages, fails[:, row])
+            if bad
         )
-    return np.flatnonzero(fails | ~exact)
+    return found
 
 
 def _check_trace(issues: list[str], name: str, trace: np.ndarray, horizon: int) -> None:
@@ -370,14 +363,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         issues.append("scenario has no members")
 
     members = scenario.members
-    # each suspect device by member, as (member index, device index in the member)
-    counts = np.array([len(m.devices) for m in members], dtype=np.intp)
-    ends = np.cumsum(counts)
-    suspect = _suspect_devices(members)
-    owner = np.searchsorted(ends, suspect, side="right")
-    checks: dict[int, list[int]] = {}
-    for i, k in zip(owner.tolist(), (suspect - (ends - counts)[owner]).tolist()):
-        checks.setdefault(i, []).append(k)
+    device_issues = _device_issues(members)
     # the members whose traces pass every trace check, from one pass over all of them
     clean = np.zeros(len(members), dtype=bool)
     if members and all(len(m.pv_trace) == horizon for m in members):
@@ -389,8 +375,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         if member.id in seen_ids:
             issues.append(f"duplicate member id {member.id!r}")
         seen_ids.add(member.id)
-        for k in checks.get(i, ()):
-            _check_device(issues, member.id, k, member.devices[k])
+        issues.extend(device_issues.get(i, ()))
         if not clean[i]:
             _check_trace(issues, f"member {member.id!r}: pv_trace", member.pv_trace, horizon)
         if not 0 <= member.central_pv_share <= 1:

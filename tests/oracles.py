@@ -25,7 +25,7 @@ import numpy as np
 
 from dnem.cli import _NON_FINITE, ConfigError, _number
 from dnem.curves import EPS_QUANTITY, AggregateResponseCurve, TargetOutsideRangeError
-from dnem.model import Member, _check_device
+from dnem.model import Member
 from dnem.welfare import PROFIT_TOL, RATIONALITY_TOL, AxiomCheck, AxiomReport
 
 
@@ -270,17 +270,52 @@ def price_ladder_loop(members, dispatch, gen, buy, sell, salvage, bess):
     return zone, price
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a Python int beyond float range
+        return False
+
+
 def device_issues_loop(members):
     """``validate_scenario``'s device issues, one device at a time in member order.
 
-    The per-device loop that the array checks over the device table replaced:
-    every device goes through ``_check_device``, whose messages are the
-    reference.
+    Each device is checked on its own values: compared as Python numbers (a numpy
+    scalar by ``.item()``), which compare exactly, with the saturation and the kink
+    prices in floats, as the package computes them.  The reference for the rule
+    table that ``validate_scenario`` tests on every device at once.
     """
     issues = []
     for member in members:
         for k, dev in enumerate(member.devices):
-            _check_device(issues, member.id, k, dev)
+            tag = f"member {member.id!r} device {k}"
+            vals = (dev.alpha, dev.beta, dev.d_min, dev.d_max)
+            if not all(
+                isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                for v in vals
+            ):
+                issues.append(f"{tag}: non-numeric utility parameter")
+                continue
+            if not all(map(_finite, vals)):
+                issues.append(f"{tag}: non-finite utility parameter")
+                continue
+            # numpy would cast a numpy float and a Python int past its range to one
+            # type, with an overflow warning
+            alpha, beta, d_min, d_max = (v.item() if isinstance(v, np.generic) else v for v in vals)
+            if beta <= 0:
+                issues.append(f"{tag}: beta must be > 0 (got {dev.beta})")
+            elif not math.isfinite(float(alpha) / float(beta)):
+                issues.append(f"{tag}: saturation alpha/beta is not finite")
+            if alpha < 0:
+                issues.append(f"{tag}: alpha must be >= 0 (got {dev.alpha})")
+            if not 0 <= d_min <= d_max:
+                issues.append(
+                    f"{tag}: bounds must satisfy 0 <= d_min <= d_max (got [{dev.d_min}, {dev.d_max}])"
+                )
+            # Python floats overflow to inf silently
+            for name, bound in (("d_max", d_max), ("d_min", d_min)):
+                if not math.isfinite(float(alpha) - float(beta) * float(bound)):
+                    issues.append(f"{tag}: kink price alpha - beta*{name} is not finite")
     return issues
 
 

@@ -26,6 +26,7 @@ from dnem.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    MAX_COALITION_CELLS,
     MAX_HORIZON,
     ConfigError,
     _finite,
@@ -223,6 +224,11 @@ class TestLoadConfig:
         sc = load_config(path)
         assert list(sc.members[0].pv_trace) == [1.0, 2.0]
         assert list(sc.central_pv_trace) == [0.5, 0.7]
+        # an absolute path is read as it is, not joined to the config's directory
+        doc["traces_csv"] = str(tmp_path / "traces.csv")
+        (tmp_path / "elsewhere").mkdir()
+        elsewhere = load_config(write_config(tmp_path / "elsewhere", doc))
+        assert scenario_hash(elsewhere) == scenario_hash(sc)
 
 
 #: trace values: repeats, signed zeros, subnormals, and both sides of the 1e-05 and
@@ -341,6 +347,11 @@ def _null_alpha(doc):
     doc["members"][0]["devices"][0]["alpha"] = None
 
 
+def _string_pv_trace(doc):
+    doc["horizon"] = 2
+    doc["members"][0]["pv_trace"] = [" 2 ", "1e3"]
+
+
 def _short_csv_row(doc):
     doc["horizon"] = 2
     del doc["members"][0]["pv_trace"]
@@ -437,6 +448,28 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert f"{field}: expected a number (got True)" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda doc: doc["members"][0]["devices"][0].update(alpha="1.5"),
+                "members[0].devices[0].alpha: expected a number (got '1.5')",
+            ),
+            (_string_pv_trace, "members[0].pv_trace[0]: expected a number (got ' 2 ')"),
+            (
+                lambda doc: doc["members"][0].update(bess_share="0.0"),
+                "members[0].bess_share: expected a number (got '0.0')",
+            ),
+        ],
+        ids=["device_alpha", "pv_trace_entries", "bess_share"],
+    )
+    def test_string_number_exits_1(self, tmp_path, capsys, edit, message):
+        # a JSON string is not a number, even one that float() reads
+        path = write_config(tmp_path, _mutated(edit))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "price", "audit", "compare"])
     def test_overflowing_kink_price_exits_1(self, tmp_path, capsys, command):
@@ -878,11 +911,25 @@ class TestAudit:
         assert out == ""
         assert name in err
 
+    def test_coalition_samples_past_the_cell_budget_exit_1(self, tmp_path, capsys):
+        # refused before any sample is drawn: the masks alone would take 1 TB
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        code = main(["audit", "--config", path, "--coalition-samples", "100000000000"])
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        most = MAX_COALITION_CELLS // 5
+        assert err == f"--coalition-samples: expected at most {most} (got 100000000000)\n"
+        assert "Traceback" not in err
+
     def test_bess_coalition_refused(self, tmp_path, capsys):
         path = write_config(tmp_path, BESS_CONFIG)
         code = main(["audit", "--config", path, "--coalition-samples", "5"])
         assert code == EXIT_VALIDATION
-        assert "storage-free" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "coalition audits are only defined for storage-free scenarios; "
+            "rerun with --coalition-samples 0 or drop the bess section\n"
+        )
 
     def test_bess_axioms_pass_with_horizon_rationality(self, tmp_path, capsys):
         path = write_config(tmp_path, BESS_CONFIG)

@@ -27,8 +27,8 @@ PARAMETER_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 1e-308, 5e-324, 1e200, 1e-200, 1e308, -1e308]),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]),
 )
-#: the same mixed with Python ints (inside and past 2**53 and float range) and numpy
-#: scalars, which the array checks either hold exactly or leave to the per-device check
+#: the same mixed with Python ints (inside and past 2**53 and float range), numpy
+#: scalars, which float64 may not hold exactly, and values that are not numbers
 PARAMETER = st.one_of(
     PARAMETER_FLOATS,
     st.integers(-3, 3),
@@ -36,6 +36,7 @@ PARAMETER = st.one_of(
     PARAMETER_FLOATS.map(np.float64),
     st.floats(-2.0, 3.0, width=32).map(np.float32),
     st.sampled_from([0, 2, -1, 2**53 + 1, 2**62]).map(np.int64),
+    st.sampled_from([True, False, np.bool_(True), "1.5", "", None]),
 )
 
 #: a valid device with one parameter drawn from PARAMETER: mostly one fault alone
@@ -231,6 +232,24 @@ class TestValidateScenario:
         device = DeviceUtility(1.0, 1.0, np.int64(2**53 + 1), np.int64(2**53))
         with pytest.raises(ScenarioValidationError, match="d_min <= d_max"):
             make_scenario(members=(make_member("a", devices=(device,)),))
+
+    @pytest.mark.parametrize(
+        "bad", ["1.5", None, [1.0], True, np.bool_(False)],
+        ids=["string", "none", "list", "bool", "numpy_bool"],
+    )
+    @pytest.mark.parametrize("k", range(4))
+    def test_non_numeric_parameter_is_one_issue(self, bad, k):
+        # the device's non-finite parameter is not reported on its own
+        params = [2.0, 1.0, 0.0, 2.0]
+        params[(k + 1) % 4] = float("nan")
+        params[k] = bad
+        devices = (DeviceUtility(*params), DeviceUtility(2.0, -1.0, 0.0, 2.0))
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(make_member("a"), make_member("b", devices=devices)))
+        assert err.value.issues == [
+            "member 'b' device 0: non-numeric utility parameter",
+            "member 'b' device 1: beta must be > 0 (got -1.0)",
+        ]
 
     @pytest.mark.filterwarnings("error")
     def test_numpy_float_and_int_past_its_range_compared_exactly(self):

@@ -11,6 +11,7 @@ import dnem.benchmark
 import dnem.sim
 from dnem.benchmark import standalone_optimum_with_bess
 from dnem.bess import ZONES
+from dnem.curves import DeviceBlocks
 from dnem.model import (
     BessSpec,
     CommunityScenario,
@@ -23,13 +24,20 @@ from dnem.model import (
 from dnem.pricing import nem_payment
 from dnem.sim import (
     MECHANISMS,
+    folded_generation,
     random_scenario,
     rate_ratio_sweep,
     run,
     run_all,
     solar_day_scenario,
 )
-from dnem.welfare import axiom_audit, centralized_welfare_closed_form, welfare_gain
+from dnem.welfare import (
+    axiom_audit,
+    centralized_welfare_closed_form,
+    coalition_audits,
+    sample_coalitions,
+    welfare_gain,
+)
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 
@@ -476,11 +484,34 @@ def _price_scaled(scenario, k):
     return dataclasses.replace(scenario, members=members, rates=rates)
 
 
+def _audit_slacks(scenario, results):
+    """Each mechanism's axiom-audit slacks and intervals, then the slacks of 50 coalition
+    samples (a storage scenario's with an empty battery, as the audit prices them)."""
+    rates = scenario.rates
+    benchmark = None if scenario.bess else results["standalone"][0].settlement.surplus
+    checks = {}
+    for mechanism in MECHANISMS:
+        s = results[mechanism][0].settlement
+        report = axiom_audit(s.net, s.payment, s.surplus, rates.buy, rates.sell, benchmark)
+        checks[mechanism] = [(c.axiom, c.slack, c.interval) for c in report.checks]
+    drawn = sample_coalitions(0, len(scenario.members), scenario.horizon, 50)
+    blocks, gen = DeviceBlocks(scenario.members), folded_generation(scenario)
+    return checks, coalition_audits(blocks, gen, rates.buy, rates.sell, *drawn).slack
+
+
 def assert_price_scale(scenario, k):
-    """Every price, payment, surplus and reward of every mechanism scales by 2**k bit for
-    bit, and every zone and every energy stays: scaling is exact in binary floats."""
+    """Every price, payment, surplus, reward and audit slack of every mechanism scales by
+    2**k bit for bit, and every zone, energy and audit interval stays: scaling is exact in
+    binary floats."""
     f = 2.0**k
-    base, scaled = run_all(scenario), run_all(_price_scaled(scenario, k))
+    other = _price_scaled(scenario, k)
+    base, scaled = run_all(scenario), run_all(other)
+    axioms_a, coalitions_a = _audit_slacks(scenario, base)
+    axioms_b, coalitions_b = _audit_slacks(other, scaled)
+    for mechanism in MECHANISMS:
+        expected = [(axiom, slack * f, t) for axiom, slack, t in axioms_a[mechanism]]
+        assert expected == axioms_b[mechanism], mechanism
+    assert (coalitions_a * f).tobytes() == coalitions_b.tobytes()
     for mechanism in MECHANISMS:
         (run_a, sum_a), (run_b, sum_b) = base[mechanism], scaled[mechanism]
         if run_a.price is None:
@@ -515,6 +546,75 @@ class TestPriceScale:
     @pytest.mark.parametrize("k", [-3, 1, 2])
     def test_solar_day(self, with_bess, k):
         assert_price_scale(solar_day_scenario(3, n_members=6, horizon=24, with_bess=with_bess), k)
+
+
+def _energy_scaled(scenario, k):
+    """``scenario`` with every energy (the device bounds, the PV traces, the central PV and
+    the battery's capacity, power limits and start SoC) multiplied by 2**k and every beta by
+    2**-k: each device's utility of the scaled consumption scales by 2**k."""
+    f = 2.0**k
+    members = tuple(
+        dataclasses.replace(
+            m,
+            devices=[
+                dataclasses.replace(d, beta=d.beta / f, d_min=d.d_min * f, d_max=d.d_max * f)
+                for d in m.devices
+            ],
+            pv_trace=m.pv_trace * f,
+        )
+        for m in scenario.members
+    )
+    bess = scenario.bess
+    if bess is not None:
+        bess = dataclasses.replace(
+            bess,
+            capacity=bess.capacity * f,
+            max_charge=bess.max_charge * f,
+            max_discharge=bess.max_discharge * f,
+            initial_soc=bess.initial_soc * f,
+        )
+    central = scenario.central_pv_trace * f
+    return dataclasses.replace(scenario, members=members, bess=bess, central_pv_trace=central)
+
+
+def assert_energy_scale(scenario, k):
+    """Every price and zone of every mechanism stays bit for bit, and every energy,
+    payment, surplus and reward scales by 2**k."""
+    f = 2.0**k
+    base, scaled = run_all(scenario), run_all(_energy_scaled(scenario, k))
+    for mechanism in MECHANISMS:
+        (run_a, sum_a), (run_b, sum_b) = base[mechanism], scaled[mechanism]
+        if run_a.price is None:
+            assert run_b.price is None and run_b.zone is None
+        else:
+            assert np.array_equal(run_a.zone, run_b.zone), mechanism
+            prices = np.array(run_a.price.tolist())
+            assert prices.tobytes() == np.array(run_b.price.tolist()).tobytes(), mechanism
+        a, b = run_a.settlement, run_b.settlement
+        for field in ("total", "net", "battery", "stored", "payment", "surplus", "reward"):
+            assert (getattr(a, field) * f).tobytes() == getattr(b, field).tobytes(), (mechanism, field)
+        assert sum_a.total_welfare * f == sum_b.total_welfare
+        assert [v * f for v in sum_a.per_member_surplus] == list(sum_b.per_member_surplus)
+        assert sum_a.zone_histogram == sum_b.zone_histogram
+
+
+class TestEnergyScale:
+    """The second of the paper's invariances: energy is measured in no particular unit
+    (kWh per interval, with beta in $/kWh^2)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        with_bess=st.booleans(),
+        k=st.integers(-3, 3).filter(bool),
+    )
+    def test_random_scenarios(self, seed, with_bess, k):
+        assert_energy_scale(random_scenario(seed, with_bess=with_bess), k)
+
+    @pytest.mark.parametrize("with_bess", [False, True])
+    @pytest.mark.parametrize("k", [-3, 1, 2])
+    def test_solar_day(self, with_bess, k):
+        assert_energy_scale(solar_day_scenario(3, n_members=6, horizon=24, with_bess=with_bess), k)
 
 
 class TestValidatedWhenBuilt:
