@@ -357,10 +357,8 @@ def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(map(_ascii_words, (sign, groups, units, digits)))
 
 
-#: padding, a row's end, an empty cell, and the marker of a cell formatted on its own
-_BLANK_WORD, _NEWLINE_WORD, _EMPTY_WORD, _FALLBACK_WORD = _ascii_words(
-    np.frombuffer(b"    " b"   \n" b"   ," b"   \0", np.uint8).reshape(4, 4)
-)
+#: a row's end, padded as a word
+_NEWLINE_WORD = np.frombuffer(b"   \n", np.uint32)[0]
 #: Cells rendered per block of rows.  A block's float temporaries (32 KB each) stay
 #: in cache: within a day op, blocks of 2048 to 16384 cells ran alike, and blocks of
 #: 16384 left the process a peak RSS 0.5 MB higher.
@@ -370,7 +368,10 @@ _EXACT_BELOW = 4.5e9
 
 
 def _cell(value: float) -> str:
-    """One cell formatted on its own, for a value whose rounding is left unproven."""
+    """One cell formatted on its own, for a row holding a value whose rounding is left
+    unproven: a NaN is an empty cell."""
+    if value != value:
+        return ","
     cell = ",%.6f" % value
     return ",0.000000" if cell == ",-0.000000" else cell
 
@@ -396,13 +397,13 @@ def _micros(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, proven
 
 
-def _fixed_block(v: np.ndarray) -> tuple[bytes, tuple[np.ndarray, np.ndarray]]:
-    """The rows of the 2-D block ``v`` as ASCII lines, and the cells left to :func:`_cell`.
+def _fixed_block(v: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The rows of the 2-D block ``v`` as ASCII lines, and the rows left to :func:`_cell`.
 
     Each cell is a run of four-byte words gathered from tables, and the padding
-    is deleted from the block's bytes.  A cell whose rounding :func:`_micros`
-    leaves unproven is a NUL marker, listed by row and column; a NaN is an empty
-    cell.
+    is deleted from the block's bytes.  A row holding a cell whose rounding
+    :func:`_micros` leaves unproven (a NaN among them) is listed, and its line is
+    not to be read.
     """
     rows, columns = v.shape
     sign_words, group_words, unit_words, digit_words = _cell_tables()
@@ -427,11 +428,7 @@ def _fixed_block(v: np.ndarray) -> tuple[bytes, tuple[np.ndarray, np.ndarray]]:
         cells[..., groups - j] = group_words[group]
     cells[..., groups + 1] = unit_words[mid]
     cells[..., groups + 2] = digit_words[low]
-    nan = np.isnan(v)
-    cells[nan] = [_EMPTY_WORD] + [_BLANK_WORD] * (2 + groups)
-    unproven = ~(proven | nan)
-    cells[unproven] = [_FALLBACK_WORD] + [_BLANK_WORD] * (2 + groups)
-    return block.tobytes().translate(None, b" "), np.nonzero(unproven)
+    return block.tobytes().translate(None, b" "), np.flatnonzero(~proven.all(axis=1))
 
 
 def _fixed(values) -> list[str]:
@@ -441,27 +438,22 @@ def _fixed(values) -> list[str]:
     the exact binary value, and a value that rounds to zero is written without
     its sign.  A NaN (or ``None``) is an empty cell; callers refuse non-finite
     results first (:func:`_finite`).  The cells are rendered as bytes, in blocks
-    of rows (:func:`_fixed_block`).
+    of rows (:func:`_fixed_block`), and a row the kernel leaves is formatted whole.
     """
     values = np.asarray(values, dtype=float)
     if not values.size:
         return [""] * len(values)
     step = max(1, _BLOCK_CELLS // values.shape[1])
-    texts, marked, alone = [], [], []
+    texts, alone = [], []
     for start in range(0, len(values), step):
-        block = values[start : start + step]
-        text, (rows, columns) = _fixed_block(block)
+        text, rows = _fixed_block(values[start : start + step])
         texts.append(text)
-        marked += (rows + start).tolist()
-        alone += map(_cell, block[rows, columns].tolist())
+        alone += (rows + start).tolist()
     # the row strings are made once the blocks' buffers are freed: made block by
     # block, they sat between those buffers and raised a day op's peak RSS by 0.7 MB
     rows = b"".join(texts).decode("ascii").split("\n")[:-1]
-    # the marked cells come row by row, each row's in the order of its markers
-    cells = iter(alone)
-    for r in dict.fromkeys(marked):
-        first, *rest = rows[r].split("\0")
-        rows[r] = first + "".join(cell + part for part, cell in zip(rest, cells))
+    for r in alone:
+        rows[r] = "".join(map(_cell, values[r].tolist()))
     return rows
 
 
@@ -486,27 +478,23 @@ def _intervals_csv(scenario: CommunityScenario, result: Run) -> str:
     for m in scenario.members:
         header += [f"{m.id}_d", f"{m.id}_z", f"{m.id}_payment", f"{m.id}_surplus"]
     s = result.settlement
-    # one table, written in place: the price, the community columns, then each
-    # member's d, z, payment and surplus in turn
-    table = np.empty((len(result), len(header) - 2))
-    table[:, 1:6] = np.transpose((result.g_n, result.d_n, result.b_n, result.z_n, result.soc))
+    # one table, written in place: the community columns, then each member's d, z,
+    # payment and surplus in turn
+    table = np.empty((len(result), len(header) - 3))
+    table[:, :5] = np.transpose((result.g_n, result.d_n, result.b_n, result.z_n, result.soc))
     for k, column in enumerate((s.total, s.net, s.payment, s.surplus)):
-        table[:, 6 + k :: 4] = column
+        table[:, 5 + k :: 4] = column
     # a standalone run has no community price: its price and zone cells are empty
-    if result.price is None:
-        table[:, 0] = np.nan
-        zone = [""] * len(result)
-        _finite(table[:, 1:])
-    else:
-        table[:, 0] = result.price
-        zone = [ZONES[k].value for k in result.zone.tolist()]
-        _finite(table)
-    lines = [",".join(header)]
-    for t, (z, cells) in enumerate(zip(zone, _fixed(table))):
-        # the zone follows the price cell
-        cut = cells.index(",", 1)
-        lines.append(f"{t}{cells[:cut]},{z}{cells[cut:]}")
-    return "\n".join(lines) + "\n"
+    prices, zones = [","] * len(result), [""] * len(result)
+    if result.price is not None:
+        _finite(result.price)
+        prices = _fixed(result.price[:, None])
+        zones = [ZONES[k].value for k in result.zone.tolist()]
+    _finite(table)
+    rows = _fixed(table)
+    for t, (price, zone, cells) in enumerate(zip(prices, zones, rows)):
+        rows[t] = f"{t}{price},{zone}{cells}"
+    return "\n".join([",".join(header), *rows, ""])
 
 
 def _summary_json(scenario, summary) -> str:
@@ -587,7 +575,8 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
     if coalition_samples < 0:
         raise ConfigError(f"--coalition-samples: expected at least 0 (got {coalition_samples})")
     scenario = load_config(config)
-    if scenario.bess is not None and coalition_samples > 0:
+    storage = scenario.bess is not None
+    if storage and coalition_samples > 0:
         raise ConfigError(
             "coalition audits are only defined for storage-free scenarios; "
             "rerun with --coalition-samples 0 or drop the bess section"
@@ -597,17 +586,33 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         raise ConfigError(f"--coalition-samples: expected at most {most} (got {coalition_samples})")
 
     results = run_all(scenario)
-    gen = folded_generation(scenario)
-    with_storage = scenario.bess is not None
+    doc = {"mechanism": mechanism, "intervals": scenario.horizon, "coalitions": None}
+    if storage:
+        # the standalone benchmark holds only over the horizon
+        benchmark = None
+        pairs = zip(
+            results[mechanism][1].per_member_surplus, results["standalone"][1].per_member_surplus
+        )
+        worst = max([0.0] + [base - mine for mine, base in pairs])
+        section = {"passed": worst <= RATIONALITY_TOL, "worst_slack": round(worst, 9)}
+        doc.update(individual_rationality_horizon=section, dominance_dnem_over_sign_based=None)
+    else:
+        benchmark = results["standalone"][0].settlement.surplus
+        w_dnem = results["dnem"][1].total_welfare
+        w_sign = results["sign_based"][1].total_welfare
+        section = {
+            "dnem_welfare": round(w_dnem, 6),
+            "sign_based_welfare": round(w_sign, 6),
+            "passed": w_dnem >= w_sign - RATIONALITY_TOL,
+        }
+        doc.update(individual_rationality_horizon=None, dominance_dnem_over_sign_based=section)
 
     settled = results[mechanism][0].settlement
-    # with storage the standalone benchmark holds only over the horizon
-    benchmark = None if with_storage else results["standalone"][0].settlement.surplus
     report = axiom_audit(
         settled.net, settled.payment, settled.surplus, scenario.rates.buy, scenario.rates.sell,
         benchmark,
     )
-    axioms = {
+    doc["axioms"] = {
         check.axiom: {
             "passed": check.passed,
             "worst_slack": round(check.slack, 9),
@@ -616,32 +621,12 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         }
         for check in report.checks
     }
-    all_passed = report.passed
+    passed = report.passed & section["passed"]
 
-    rationality_horizon = None
-    if with_storage:
-        pairs = zip(
-            results[mechanism][1].per_member_surplus, results["standalone"][1].per_member_surplus
-        )
-        worst = max([0.0] + [base - mine for mine, base in pairs])
-        rationality_horizon = {"passed": worst <= RATIONALITY_TOL, "worst_slack": round(worst, 9)}
-        all_passed &= rationality_horizon["passed"]
-
-    dominance = None
-    if scenario.bess is None:
-        w_dnem = results["dnem"][1].total_welfare
-        w_sign = results["sign_based"][1].total_welfare
-        dominance = {
-            "dnem_welfare": round(w_dnem, 6),
-            "sign_based_welfare": round(w_sign, 6),
-            "passed": w_dnem >= w_sign - RATIONALITY_TOL,
-        }
-        all_passed &= dominance["passed"]
-
-    coalitions = None
     if coalition_samples > 0:
         ids = [m.id for m in scenario.members]
         blocks = DeviceBlocks(scenario.members)
+        gen = folded_generation(scenario)
         failures, worst, first_failure = 0, 0.0, None
         for seed in range(seeds):
             drawn = sample_coalitions(seed, len(ids), scenario.horizon, coalition_samples)
@@ -660,29 +645,17 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
             # the largest positive shortfall (a NaN slack is none)
             gap = -audit.slack
             worst = max(worst, float(np.max(gap, initial=0.0, where=gap > 0)))
-        coalitions = {
+        doc["coalitions"] = {
             "samples": seeds * coalition_samples,
             "failures": failures,
             "worst_slack": round(worst, 12),
             "first_failure": first_failure,
         }
-        all_passed &= not failures
+        passed &= not failures
 
-    print(
-        _dumps(
-            {
-                "mechanism": mechanism,
-                "intervals": scenario.horizon,
-                "axioms": axioms,
-                "individual_rationality_horizon": rationality_horizon,
-                "dominance_dnem_over_sign_based": dominance,
-                "coalitions": coalitions,
-                "passed": all_passed,
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK if all_passed else EXIT_AUDIT
+    doc["passed"] = passed
+    print(_dumps(doc, indent=2))
+    return EXIT_OK if passed else EXIT_AUDIT
 
 
 def _compare_rows(scenario: CommunityScenario) -> tuple[list[str], list[str]]:

@@ -115,10 +115,9 @@ class DeviceBlocks:
     """
 
     def __init__(self, members: Sequence[Member]):
-        self.members = tuple(members)
-        self._table = device_table(self.members)
-        self._counts = np.array([len(m.devices) for m in self.members], dtype=np.intp)
-        self.rows = len(self.members)
+        self._table = device_table(members)
+        self._counts = np.array([len(m.devices) for m in members], dtype=np.intp)
+        self.rows = len(members)
         self._groups = self._gather(_count_groups(self._counts, np.arange(len(self._table))))
 
     def pooled(self, mask: np.ndarray, members: bool = False) -> "DeviceBlocks":
@@ -126,7 +125,7 @@ class DeviceBlocks:
         in member order, the devices of the members that ``mask[r]`` selects.  With
         ``members``, the N members follow as prosumers R..R+N-1, gathered from the
         table with no mask row each.  Its arrays, and so every float, are those of
-        ``DeviceBlocks([Member(...), ...])`` on those devices; it carries no members."""
+        ``DeviceBlocks([Member(...), ...])`` on those devices."""
         # (R, devices): whether row r owns the device
         owned = np.asarray(mask, dtype=bool)[:, np.repeat(np.arange(self.rows), self._counts)]
         counts, columns = np.count_nonzero(owned, axis=1), np.nonzero(owned)[1]
@@ -134,7 +133,6 @@ class DeviceBlocks:
             counts = np.concatenate((counts, self._counts))
             columns = np.concatenate((columns, np.arange(len(self._table))))
         blocks = object.__new__(DeviceBlocks)
-        blocks.members = None
         blocks.rows = len(counts)
         blocks._groups = self._gather(_count_groups(counts, columns))
         return blocks

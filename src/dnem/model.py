@@ -16,7 +16,7 @@ device rule is written once, in one table tested on every device's parameters at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -266,8 +266,12 @@ def device_table(members: Sequence[Member]) -> np.ndarray:
 
 #: Types of which float64 holds every value exactly
 _FLOATS = frozenset({float, np.float64, np.float32, np.float16})
-#: Types of a device parameter (not ``bool``, though it is an ``int``)
-_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _numeric(value) -> bool:
+    """A number of a scenario: a Python or numpy int or float, not a ``bool`` (an ``int`` too)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
 
 #: The device rules, in the order of their messages: each message, formatted with the
 #: device as ``d``, keys a test over the float columns ``alpha, beta, d_min, d_max``
@@ -297,7 +301,7 @@ def _device_issues(members: Sequence[Member]) -> dict[int, list[str]]:
     values = _device_values(members)
     floats, numeric = values, np.ones(len(values) // 4, dtype=bool)
     if not set(map(type, values)) <= _FLOATS:
-        held = [isinstance(v, _NUMBERS) and not isinstance(v, bool) for v in values]
+        held = list(map(_numeric, values))
         numeric = np.array(held, dtype=bool).reshape(-1, 4).all(axis=1)
         floats = [_float(v) if ok else math.nan for v, ok in zip(values, held)]
     table = np.fromiter(floats, dtype=float, count=len(floats)).reshape(-1, 4)
@@ -371,6 +375,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         clean = ((traces >= 0) & (traces < np.inf)).all(axis=1)
 
     seen_ids = set()
+    odd_shares = set()  # the share fields some member holds as a non-number
     for i, member in enumerate(members):
         if member.id in seen_ids:
             issues.append(f"duplicate member id {member.id!r}")
@@ -378,10 +383,13 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         issues.extend(device_issues.get(i, ()))
         if not clean[i]:
             _check_trace(issues, f"member {member.id!r}: pv_trace", member.pv_trace, horizon)
-        if not 0 <= member.central_pv_share <= 1:
-            issues.append(f"member {member.id!r}: central_pv_share outside [0, 1]")
-        if not 0 <= member.bess_share <= 1:
-            issues.append(f"member {member.id!r}: bess_share outside [0, 1]")
+        for name in ("central_pv_share", "bess_share"):
+            share = getattr(member, name)
+            if type(share) not in _FLOATS and not _numeric(share):  # a float passes at once
+                issues.append(f"member {member.id!r}: non-numeric {name}")
+                odd_shares.add(name)
+            elif not 0 <= share <= 1:
+                issues.append(f"member {member.id!r}: {name} outside [0, 1]")
 
     rates = scenario.rates
     for name, arr in (("buy", rates.buy), ("sell", rates.sell)):
@@ -391,14 +399,17 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
             issues.append(
                 f"interval {t}: sell exceeds buy ({rates.sell[t]} > {rates.buy[t]})"
             )
-    if not np.isfinite(rates.salvage) or rates.salvage < 0:
+    salvage = _numeric(rates.salvage)
+    if not salvage:
+        issues.append("non-numeric salvage rate")
+    elif not np.isfinite(rates.salvage) or rates.salvage < 0:
         issues.append(f"salvage rate must be finite and >= 0 (got {rates.salvage})")
 
     central = scenario.central_pv_trace
     # an empty trace is the constructor's default for a horizon the rates miss
     if len(central) or len(rates.buy) == horizon:
         _check_trace(issues, "central_pv_trace", central, horizon)
-    if np.any(central > 0):
+    if np.any(central > 0) and "central_pv_share" not in odd_shares:
         total = sum(m.central_pv_share for m in scenario.members)
         if abs(total - 1.0) > 1e-9:
             issues.append(
@@ -407,25 +418,29 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
 
     bess = scenario.bess
     if bess is not None:
-        if not np.isfinite(bess.capacity) or bess.capacity < 0:
-            issues.append(f"bess capacity must be >= 0 (got {bess.capacity})")
-        if not 0 < bess.charge_eff <= 1:
-            issues.append(f"bess charge_eff outside (0, 1] (got {bess.charge_eff})")
-        if not 0 < bess.discharge_eff <= 1:
-            issues.append(f"bess discharge_eff outside (0, 1] (got {bess.discharge_eff})")
-        if bess.max_charge < 0 or bess.max_discharge < 0:
-            issues.append("bess power limits must be >= 0")
-        if not 0 <= bess.initial_soc <= bess.capacity:
-            issues.append(
-                f"bess initial_soc {bess.initial_soc} outside [0, {bess.capacity}]"
-            )
-        total = sum(m.bess_share for m in scenario.members)
-        if abs(total - 1.0) > 1e-9:
-            issues.append(f"bess shares must sum to 1 (got {total})")
+        odd = [f.name for f in fields(bess) if not _numeric(getattr(bess, f.name))]
+        issues.extend(f"non-numeric bess {name}" for name in odd)
+        if not odd:  # as a device's, a non-numeric field skips the battery's other checks
+            if not np.isfinite(bess.capacity) or bess.capacity < 0:
+                issues.append(f"bess capacity must be >= 0 (got {bess.capacity})")
+            if not 0 < bess.charge_eff <= 1:
+                issues.append(f"bess charge_eff outside (0, 1] (got {bess.charge_eff})")
+            if not 0 < bess.discharge_eff <= 1:
+                issues.append(f"bess discharge_eff outside (0, 1] (got {bess.discharge_eff})")
+            if bess.max_charge < 0 or bess.max_discharge < 0:
+                issues.append("bess power limits must be >= 0")
+            if not 0 <= bess.initial_soc <= bess.capacity:
+                issues.append(
+                    f"bess initial_soc {bess.initial_soc} outside [0, {bess.capacity}]"
+                )
+        if "bess_share" not in odd_shares:
+            total = sum(m.bess_share for m in scenario.members)
+            if abs(total - 1.0) > 1e-9:
+                issues.append(f"bess shares must sum to 1 (got {total})")
         # the salvage window divides by charge_eff, so it needs valid efficiencies
-        efficient = 0 < bess.charge_eff <= 1 and 0 < bess.discharge_eff <= 1
+        efficient = not odd and 0 < bess.charge_eff <= 1 and 0 < bess.discharge_eff <= 1
         rates_ok = len(rates.buy) == horizon and len(rates.sell) == horizon
-        if efficient and rates_ok and np.isfinite(rates.salvage):
+        if efficient and rates_ok and salvage and np.isfinite(rates.salvage):
             lo, hi = salvage_rate_bounds(rates, bess)
             if lo > hi + 1e-12:
                 issues.append(

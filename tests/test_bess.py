@@ -336,6 +336,11 @@ def _both_passes(sc):
     ], rates
 
 
+def _prosumers(sc):
+    """The prosumers of :func:`_both_passes`: the community as one member, then the members."""
+    return [Member("pooled", tuple(d for m in sc.members for d in m.devices), ())], list(sc.members)
+
+
 def _one_pass(passes):
     """The arguments of both passes as one call: the community is row 0, then the members."""
     (community, _, community_shares, community_gen), (members, bess, shares, gen) = passes
@@ -379,8 +384,8 @@ class TestOnePass:
             for field, want, got in zip(Dispatch._fields, alone, merged.columns(cols)):
                 assert _bits(got) == _bits(want), field
         # and every cell of the one call against the per-cell ladder
-        pooled_member = Member("pooled", tuple(d for m in sc.members for d in m.devices), ())
-        TestPriceLevelOracle._assert_matches(*_one_pass(passes), *args, [pooled_member, *sc.members])
+        community, members = _prosumers(sc)
+        TestPriceLevelOracle._assert_matches(*_one_pass(passes), *args, community + members)
 
 
 class TestPriceLevelOracle:
@@ -388,10 +393,9 @@ class TestPriceLevelOracle:
     ``tests/oracles.py``, which solves each net-zero cell by a full kink scan."""
 
     @staticmethod
-    def _assert_matches(blocks, bess, shares, gen, buy, sell, salvage, members=None):
-        # ``members`` are the prosumers of ``blocks``, when it was not built from them
+    def _assert_matches(blocks, bess, shares, gen, buy, sell, salvage, members):
+        # ``members`` are the prosumers of ``blocks``
         got = price_and_dispatch(blocks, bess, shares, gen, buy, sell, salvage)
-        members = blocks.members if members is None else members
         zone, price = price_ladder_loop(members, got, gen, buy, sell, salvage, bess)
         assert got.zone.tolist() == zone.tolist()
         assert [repr(p) for p in got.price.ravel()] == [repr(p) for p in price.ravel()]
@@ -403,9 +407,10 @@ class TestPriceLevelOracle:
         for seed in range(40):
             sc = random_scenario(seed, with_bess=with_bess, wide_bounds=seed % 2 == 1)
             passes, rates = _both_passes(sc)
-            for blocks, bess, shares, gen in passes:
+            for members, (blocks, bess, shares, gen) in zip(_prosumers(sc), passes):
                 solved += self._assert_matches(
-                    blocks, bess, shares, gen, rates.buy[:, None], rates.sell[:, None], rates.salvage
+                    blocks, bess, shares, gen, rates.buy[:, None], rates.sell[:, None], rates.salvage,
+                    members,
                 )
         assert solved > 50
 
@@ -413,9 +418,10 @@ class TestPriceLevelOracle:
     def test_solar_day(self, with_bess):
         sc = solar_day_scenario(2, n_members=30, horizon=24, with_bess=with_bess)
         passes, rates = _both_passes(sc)
+        args = (rates.buy[:, None], rates.sell[:, None], rates.salvage)
         solved = [
-            self._assert_matches(blocks, bess, shares, gen, rates.buy[:, None], rates.sell[:, None], rates.salvage)
-            for blocks, bess, shares, gen in passes
+            self._assert_matches(blocks, bess, shares, gen, *args, members)
+            for members, (blocks, bess, shares, gen) in zip(_prosumers(sc), passes)
         ]
         assert min(solved) > 0
 
@@ -501,7 +507,7 @@ def rated_batches(draw):
     gen = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=n * horizon, max_size=n * horizon)))
     shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     bess = BATTERY if draw(st.booleans()) else BessSpec(0.0)
-    return DeviceBlocks(members), bess, shares, gen.reshape(n, horizon), buy, sell, 0.15
+    return DeviceBlocks(members), bess, shares, gen.reshape(n, horizon), buy, sell, 0.15, members
 
 
 class TestDistinctThresholdPrices:

@@ -37,6 +37,7 @@ from dnem.cli import (
     main,
     scenario_hash,
 )
+from dnem.curves import DeviceBlocks
 from dnem.model import (
     BessSpec,
     CommunityScenario,
@@ -857,13 +858,19 @@ class TestAudit:
         original = dnem.sim.standalone_settlement
         settled = []
 
+        def building(members):
+            blocks = DeviceBlocks(members)
+            blocks.ids = [m.id for m in members]  # the members it was built from
+            return blocks
+
         def counting(blocks, *args):
-            settled.append([m.id for m in blocks.members])
+            settled.append(blocks.ids)
             return original(blocks, *args)
 
         def forbidden(*args):
             raise AssertionError("audit recomputed a standalone optimum")
 
+        monkeypatch.setattr(dnem.sim, "DeviceBlocks", building)
         monkeypatch.setattr(dnem.sim, "standalone_settlement", counting)
         monkeypatch.setattr(dnem.benchmark, "standalone_optimum", forbidden)
         monkeypatch.setattr(dnem.benchmark, "standalone_optimum_with_bess", forbidden)
@@ -1456,6 +1463,18 @@ class TestFixedCells:
             [1e17, 1e17, 1e17, 1e17, 1e17, 1e17, 1e17],
         ]
         assert _fixed(table) == fixed_reference(table)
+
+    @pytest.mark.parametrize("block_cells", [3, dnem.cli._BLOCK_CELLS])
+    def test_a_row_the_kernel_leaves_is_formatted_whole(self, block_cells):
+        # row 2 holds a tie (0.0078125 is 7812.5 millionths), a NaN and a value past
+        # the kernel's bound; the rows around it hold none of them
+        table = np.arange(15.0).reshape(5, 3) / 8 - 0.9
+        table[2] = [0.0078125, np.nan, -4.5e9]
+        with mock.patch.object(dnem.cli, "_BLOCK_CELLS", block_cells):
+            rows = _fixed(table)
+            rest = _fixed(np.delete(table, 2, axis=0))
+        assert rows[2] == fixed_reference(table[2:3])[0] == ",0.007812,,-4500000000.000000"
+        assert rows[:2] + rows[3:] == rest == fixed_reference(np.delete(table, 2, axis=0))
 
     @pytest.mark.parametrize("edges", [EXACT_BOUND_EDGES, SUBNORMAL_EDGES])
     def test_edges_as_a_row_and_as_a_column(self, edges):

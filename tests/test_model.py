@@ -251,6 +251,44 @@ class TestValidateScenario:
             "member 'b' device 1: beta must be > 0 (got -1.0)",
         ]
 
+    @pytest.mark.parametrize(
+        "fields, issue",
+        [
+            # central output that needs the shares to sum to 1
+            (
+                dict(members=(make_member("a", central_pv_share="0.5"),), central_pv_trace=[1.0]),
+                "member 'a': non-numeric central_pv_share",
+            ),
+            (
+                dict(members=(make_member("a", central_pv_share=True),), central_pv_trace=[1.0]),
+                "member 'a': non-numeric central_pv_share",
+            ),
+            # a battery, so that the salvage window would be checked
+            (
+                dict(
+                    members=(make_member("a", bess_share=1.0),),
+                    rates=RateSchedule([0.4], [0.2], "0.1"),
+                    bess=BessSpec(1.0),
+                ),
+                "non-numeric salvage rate",
+            ),
+            (
+                dict(members=(make_member("a", bess_share=1.0),), bess=BessSpec("1.0")),
+                "non-numeric bess capacity",
+            ),
+            (
+                dict(members=(make_member("a", bess_share=1.0),), bess=BessSpec(1.0, None)),
+                "non-numeric bess charge_eff",
+            ),
+        ],
+        ids=["string_share", "bool_share", "string_salvage", "string_capacity", "none_efficiency"],
+    )
+    def test_non_numeric_scenario_field_is_one_issue(self, fields, issue):
+        # the checks that read the field (the share sum, the salvage window) are skipped
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(**fields)
+        assert err.value.issues == [issue]
+
     @pytest.mark.filterwarnings("error")
     def test_numpy_float_and_int_past_its_range_compared_exactly(self):
         # numpy would cast the int to float32 to compare, with an overflow warning
