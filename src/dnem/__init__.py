@@ -19,7 +19,6 @@ from .model import (
     PriceZone,
     RateSchedule,
     ScenarioValidationError,
-    fold_central_pv,
     stored_energy,
     validate_scenario,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "PriceZone",
     "RateSchedule",
     "ScenarioValidationError",
-    "fold_central_pv",
     "stored_energy",
     "validate_scenario",
     "AggregateResponseCurve",

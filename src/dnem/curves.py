@@ -43,6 +43,7 @@ __all__ = [
     "AggregateResponseCurve",
     "invert_aggregate",
     "device_consumption",
+    "device_utility",
     "invert_rows",
     "kink_table",
     "first_false",
@@ -70,6 +71,16 @@ def device_consumption(params, prices) -> np.ndarray:
     np.minimum(d, saturation, out=d)
     np.maximum(d, d_min, out=d)
     return np.minimum(d, d_max, out=d)
+
+
+def device_utility(params, consumption) -> np.ndarray:
+    """Each device's utility ($) of its consumption ``d``: ``alpha*d - beta*d**2/2`` up to
+    the saturation ``alpha / beta``, and flat beyond it.  ``consumption`` broadcasts
+    against the (..., devices) parameters ``(alpha, 0.5 * beta, alpha / beta)``.  Every
+    utility of the package is this one expression."""
+    alpha, half_beta, saturation = params
+    d = np.minimum(consumption, saturation)
+    return alpha * d - half_beta * d * d
 
 
 def _response(params, prices) -> np.ndarray:
@@ -160,18 +171,12 @@ class DeviceBlocks:
                 groups.append(tuple(p if keep.all() else p[keep] for p in group[:6]))
         return invert_rows(groups, kink_table(groups, self.rows), rows, target, lo, hi, v_lo, v_hi)
 
-    @staticmethod
-    def _consumption(group, prices: np.ndarray) -> np.ndarray:
-        # each device's consumption: (T, prosumers, devices)
-        idx, alpha, beta, saturation, d_min, d_max, _ = group
-        return device_consumption((alpha, beta, saturation, d_min, d_max), prices[:, idx, None])
-
     def response(self, prices: np.ndarray) -> np.ndarray:
         """Each prosumer's total consumption at (T, N) prices: per cell, its devices'
         :func:`device_consumption` summed, as :func:`invert_rows` evaluates it."""
         total = np.empty(prices.shape)
-        for group in self._groups:
-            total[:, group[0]] = np.sum(self._consumption(group, prices), axis=-1)
+        for idx, *params in self._groups:
+            total[:, idx] = np.sum(device_consumption(params[:5], prices[:, idx, None]), axis=-1)
         return total
 
     def evaluate(self, prices: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
@@ -184,15 +189,13 @@ class DeviceBlocks:
         total = np.empty(prices.shape)
         utility = np.empty(prices.shape)
         consumption = [None] * prices.shape[1]
-        for group in self._groups:
-            idx, alpha, _, saturation, _, _, half_beta = group
-            d = self._consumption(group, prices)
+        for idx, alpha, beta, saturation, d_min, d_max, half_beta in self._groups:
+            d = device_consumption((alpha, beta, saturation, d_min, d_max), prices[:, idx, None])
             total[:, idx] = np.sum(d, axis=-1)
+            # device by device, as member_utility adds them; no (T, prosumers, devices) temporary
             u = np.zeros(d.shape[:2])
             for j in range(d.shape[2]):
-                # DeviceUtility.value: flat beyond saturation
-                dj = np.minimum(d[:, :, j], saturation[:, j])
-                u += alpha[:, j] * dj - half_beta[:, j] * dj * dj
+                u += device_utility((alpha[:, j], half_beta[:, j], saturation[:, j]), d[:, :, j])
             utility[:, idx] = u
             for k, i in enumerate(idx.tolist()):
                 consumption[i] = d[:, k]

@@ -32,7 +32,6 @@ __all__ = [
     "CommunityScenario",
     "CommunityPrice",
     "ScenarioValidationError",
-    "fold_central_pv",
     "validate_scenario",
     "device_table",
     "salvage_rate_bounds",
@@ -74,37 +73,17 @@ def _as_readonly_array(values) -> np.ndarray:
 class DeviceUtility:
     """One flexible device with a saturating quadratic consumption utility.
 
-    The utility of consuming ``d`` kWh is ``alpha*d - beta*d**2/2`` up to the
-    saturation point ``alpha/beta`` and flat beyond it, so marginal value
-    starts at ``alpha`` ($/kWh), falls with slope ``beta`` ($/kWh^2) and never
-    goes negative.  Consumption is constrained to ``[d_min, d_max]``.
+    The utility of consuming ``d`` kWh is ``alpha*d - beta*d**2/2`` up to the saturation
+    point ``alpha/beta`` and flat beyond it, so marginal value starts at ``alpha`` ($/kWh),
+    falls with slope ``beta`` ($/kWh^2) and never goes negative.  Consumption is
+    constrained to ``[d_min, d_max]``.  :func:`~dnem.curves.device_utility` and
+    :func:`~dnem.curves.device_consumption` evaluate these rules on arrays of devices.
     """
 
     alpha: float
     beta: float
     d_min: float
     d_max: float
-
-    @property
-    def saturation(self) -> float:
-        """Consumption level beyond which extra use adds no value (kWh)."""
-        return self.alpha / self.beta
-
-    def value(self, d: float) -> float:
-        """Utility of consuming ``d`` kWh ($)."""
-        sat = self.saturation
-        if d > sat:
-            return self.alpha * sat - 0.5 * self.beta * sat * sat
-        return self.alpha * d - 0.5 * self.beta * d * d
-
-    def marginal(self, d: float) -> float:
-        """Marginal utility at consumption ``d`` ($/kWh)."""
-        return max(self.alpha - self.beta * d, 0.0)
-
-    def inverse_marginal(self, y: float) -> float:
-        """Consumption at which marginal utility equals ``y``, clamped to
-        the utility's own support ``[0, alpha/beta]``."""
-        return min(max((self.alpha - y) / self.beta, 0.0), self.saturation)
 
 
 @dataclass(frozen=True)
@@ -219,16 +198,6 @@ class ScenarioValidationError(ValueError):
     def __init__(self, issues: Sequence[str]):
         self.issues = list(issues)
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {i}" for i in self.issues))
-
-
-def fold_central_pv(member: Member, central_output) -> np.ndarray:
-    """Member generation with its share of the central PV output folded in.
-
-    The shared plant's output is credited virtually, as if the member's share
-    were generated behind its own meter, so the member's effective generation
-    is ``pv_trace + central_pv_share * central_output``.
-    """
-    return member.pv_trace + member.central_pv_share * np.asarray(central_output, dtype=float)
 
 
 def stored_energy(b, charge_eff, discharge_eff):
@@ -402,7 +371,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     salvage = _numeric(rates.salvage)
     if not salvage:
         issues.append("non-numeric salvage rate")
-    elif not np.isfinite(rates.salvage) or rates.salvage < 0:
+    elif not np.isfinite(_float(rates.salvage)) or rates.salvage < 0:
         issues.append(f"salvage rate must be finite and >= 0 (got {rates.salvage})")
 
     central = scenario.central_pv_trace
@@ -421,7 +390,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         odd = [f.name for f in fields(bess) if not _numeric(getattr(bess, f.name))]
         issues.extend(f"non-numeric bess {name}" for name in odd)
         if not odd:  # as a device's, a non-numeric field skips the battery's other checks
-            if not np.isfinite(bess.capacity) or bess.capacity < 0:
+            if not np.isfinite(_float(bess.capacity)) or bess.capacity < 0:
                 issues.append(f"bess capacity must be >= 0 (got {bess.capacity})")
             if not 0 < bess.charge_eff <= 1:
                 issues.append(f"bess charge_eff outside (0, 1] (got {bess.charge_eff})")
@@ -429,6 +398,9 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
                 issues.append(f"bess discharge_eff outside (0, 1] (got {bess.discharge_eff})")
             if bess.max_charge < 0 or bess.max_discharge < 0:
                 issues.append("bess power limits must be >= 0")
+            for name in ("max_charge", "max_discharge"):  # an int past float range
+                if _float(getattr(bess, name)) == math.inf != getattr(bess, name):
+                    issues.append(f"bess {name} is past float range")
             if not 0 <= bess.initial_soc <= bess.capacity:
                 issues.append(
                     f"bess initial_soc {bess.initial_soc} outside [0, {bess.capacity}]"
@@ -440,7 +412,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         # the salvage window divides by charge_eff, so it needs valid efficiencies
         efficient = not odd and 0 < bess.charge_eff <= 1 and 0 < bess.discharge_eff <= 1
         rates_ok = len(rates.buy) == horizon and len(rates.sell) == horizon
-        if efficient and rates_ok and salvage and np.isfinite(rates.salvage):
+        if efficient and rates_ok and salvage and np.isfinite(_float(rates.salvage)):
             lo, hi = salvage_rate_bounds(rates, bess)
             if lo > hi + 1e-12:
                 issues.append(

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import DeviceBlocks
-from .model import CommunityPrice, Member, stored_energy
+from .curves import DeviceBlocks, device_utility
+from .model import CommunityPrice, Member, device_table, stored_energy
 
 __all__ = [
     "MemberOutcome",
@@ -53,8 +53,11 @@ class MemberOutcome:
 
 
 def member_utility(member: Member, consumption: np.ndarray) -> float:
-    """Total utility ($) of a consumption bundle."""
-    return float(sum(dev.value(float(d)) for dev, d in zip(member.devices, consumption)))
+    """Total utility ($) of a consumption bundle: its devices' :func:`device_utility`,
+    added one by one as :meth:`DeviceBlocks.evaluate` adds them."""
+    alpha, beta = device_table([member])[:, :2].T
+    utilities = device_utility((alpha, 0.5 * beta, alpha / beta), consumption)
+    return float(sum(utilities.tolist()))
 
 
 def member_outcome(

@@ -39,7 +39,6 @@ from .model import (
     Member,
     RateSchedule,
     ScenarioValidationError,
-    fold_central_pv,
 )
 from .response import MemberOutcome, Settlement, _in_order, settle_arrays
 from .welfare import welfare_gain
@@ -99,10 +98,13 @@ class RunSummary:
 
 
 def folded_generation(scenario: CommunityScenario) -> np.ndarray:
-    """Per-member effective generation, shape (members, horizon)."""
-    return np.stack(
-        [fold_central_pv(m, scenario.central_pv_trace) for m in scenario.members]
-    )
+    """Per-member effective generation, shape (members, horizon): each member's
+    ``pv_trace`` plus its ``central_pv_share`` of the central PV output, which is
+    credited as if that share were generated behind the member's own meter."""
+    members = scenario.members
+    pv = np.stack([m.pv_trace for m in members])
+    shares = np.array([m.central_pv_share for m in members], dtype=float)
+    return pv + shares[:, None] * scenario.central_pv_trace
 
 
 class Run(Sequence[IntervalRecord]):

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -72,10 +74,31 @@ def validations(monkeypatch):
     return checked
 
 
-@pytest.hookimpl(hookwrapper=True)
+def _load_patch_writer():
+    """Import Hypothesis's patch writer with libcst's one ``DeprecationWarning`` ignored.
+
+    For a failing ``@given`` test, Hypothesis's pytest plugin imports the writer
+    (``hypothesis.extra._patching``), which imports libcst where it is installed,
+    and libcst's import of ``mypy_extensions.TypedDict`` warns.  Under ``-W
+    error::DeprecationWarning`` that ends the session in an INTERNALERROR with no
+    failure listed.  Imported here first, the module is already loaded when the
+    plugin asks for it.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+        )
+        with contextlib.suppress(ImportError):  # libcst is not installed
+            import hypothesis.extra._patching  # noqa: F401
+
+
+# trylast: inside Hypothesis's own wrapper, so this runs before it reads the report
+@pytest.hookimpl(hookwrapper=True, trylast=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
+    if report.failed:
+        _load_patch_writer()
     if report.when == "call" and item.fspath.basename == "test_acceptance.py":
         status = "PASS" if report.passed else "FAIL"
         ACCEPTANCE_RESULTS.append(f"{status}  {item.name}")

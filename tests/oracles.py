@@ -342,7 +342,7 @@ def _evaluate_grid(devices, axes, g_n, buy, sell):
     for i, (dev, ax) in enumerate(zip(devices, axes)):
         shape = [1] * k
         shape[i] = len(ax)
-        vals = np.array([dev.value(d) for d in ax]).reshape(shape)
+        vals = quad_utility(dev.alpha, dev.beta, ax).reshape(shape)
         utility = utility + vals
         total = total + ax.reshape(shape)
     z = total - g_n

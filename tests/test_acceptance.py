@@ -22,7 +22,7 @@ from dnem.sim import (
 )
 from dnem.welfare import axiom_audit, centralized_welfare_closed_form, coalition_audits
 
-from oracles import centralized_welfare_bruteforce, coalition_masks, quad_utility
+from oracles import centralized_welfare_bruteforce, coalition_masks, quad_utility, reference_response
 
 
 def test_criterion_1_axiom_suite():
@@ -192,9 +192,7 @@ def test_criterion_5_storage_consistency():
     total = axes[0][:, None] + axes[1][None, :]
     for g in [0.4, 1.3, 1.6, 1.9, 2.4, 3.2, 4.5]:
         price, b = generalized_dnem_price(curve, g, spec, 5.0, salvage, buy, sell)
-        d = np.array(
-            [max(dv.d_min, min(dv.inverse_marginal(price.value), dv.d_max)) for dv in devs]
-        )
+        d = np.array([reference_response([dv], price.value) for dv in devs])
         mech_util = sum(
             float(quad_utility(a, be, x)) for (a, be, _, _), x in zip(devices, d)
         )

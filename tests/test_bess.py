@@ -26,7 +26,7 @@ from dnem.pricing import dnem_price, nem_payment
 from dnem import welfare
 from dnem.sim import folded_generation, random_scenario, run_all, solar_day_scenario
 
-from oracles import coalition_masks, price_ladder_loop, quad_utility
+from oracles import coalition_masks, price_ladder_loop, quad_utility, reference_response
 
 CURVE = AggregateResponseCurve([DeviceUtility(2.0, 1.0, 0.0, 2.0)])
 SPEC = BessSpec(2.0, 0.95, 0.95, max_charge=0.5, max_discharge=0.5, initial_soc=1.0)
@@ -296,7 +296,7 @@ class TestRelaxedOptimality:
 
         def mechanism_value(g):
             price, b = generalized_dnem_price(curve, g, spec, 5.0, salvage, buy, sell)
-            d = np.array([max(dv.d_min, min(dv.inverse_marginal(price.value), dv.d_max)) for dv in devs])
+            d = np.array([reference_response([dv], price.value) for dv in devs])
             utility = sum(float(quad_utility(a, be, di)) for (a, be, _, _), di in zip(devices, d))
             z = float(np.sum(d)) + b - g
             return utility - nem_payment(buy, sell, z) + salvage * (

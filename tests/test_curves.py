@@ -26,6 +26,7 @@ from oracles import (
     kink_prices,
     knot_prices,
     pl_solution_band,
+    quad_utility,
     reference_response,
 )
 
@@ -74,7 +75,7 @@ class TestDeviceResponse:
         got = one_device_response(dev, price)
         # the grid argmax can sit anywhere on a flat objective plateau, so
         # compare achieved objectives rather than argmax positions
-        obj = lambda d: dev.value(d) - price * d
+        obj = lambda d: float(quad_utility(dev.alpha, dev.beta, d)) - price * d
         assert obj(got) >= obj(best) - 1e-7
 
 
@@ -586,7 +587,7 @@ class TestBatchedSolve:
 
 def clip_form(params, prices):
     """Each device's consumption clamped with ``np.clip``, the form
-    ``DeviceBlocks._consumption`` took before it shared ``device_consumption``."""
+    ``DeviceBlocks`` computed consumption in before it shared ``device_consumption``."""
     alpha, beta, saturation, d_min, d_max = params
     d = alpha - prices
     d /= beta

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dnem.curves import DeviceBlocks, device_consumption, device_utility
 from dnem.model import (
     BessSpec,
     CommunityScenario,
@@ -10,11 +11,12 @@ from dnem.model import (
     Member,
     RateSchedule,
     ScenarioValidationError,
-    fold_central_pv,
     salvage_rate_bounds,
     stored_energy,
     validate_scenario,
 )
+from dnem.response import member_utility
+from dnem.sim import folded_generation, random_scenario, run
 
 from oracles import device_issues_loop, quad_utility
 
@@ -63,49 +65,118 @@ def make_scenario(**overrides):
     return CommunityScenario(**fields)
 
 
+def value_reference(dev, d):
+    """The utility of consuming ``d``, one Python float at a time and branch by branch: the
+    reference that ``curves.device_utility`` and ``member_utility`` must equal bit for bit."""
+    sat = dev.alpha / dev.beta
+    if d > sat:
+        return dev.alpha * sat - 0.5 * dev.beta * sat * sat
+    return dev.alpha * d - 0.5 * dev.beta * d * d
+
+
+def seeded_devices(rng, n):
+    """``n`` devices of three kinds in turn: free, pinned (``d_min == d_max``) and held
+    above saturation (``d_min > alpha / beta``)."""
+    devices = []
+    for k in range(n):
+        alpha, beta = rng.uniform(0.0, 3.0), rng.uniform(0.1, 3.0)
+        d_min = [rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0), alpha / beta + rng.uniform(0.01, 1.0)][k % 3]
+        d_max = d_min if k % 3 == 1 else d_min + rng.uniform(0.0, 3.0)
+        devices.append(DeviceUtility(alpha, beta, d_min, d_max))
+    return devices
+
+
+def device_params(dev):
+    """A device's ``(alpha, beta, alpha / beta, d_min, d_max)`` for the array kernels."""
+    return tuple(np.array([v]) for v in (dev.alpha, dev.beta, dev.alpha / dev.beta, dev.d_min, dev.d_max))
+
+
 class TestDeviceUtility:
     def test_value_matches_direct_formula(self):
-        dev = DeviceUtility(2.0, 1.0, 0.0, 5.0)
+        params = (2.0, 0.5 * 1.0, 2.0 / 1.0)  # alpha, beta / 2, saturation
         for d in [0.0, 0.5, 1.7, 2.0, 3.5]:
-            assert dev.value(d) == pytest.approx(float(quad_utility(2.0, 1.0, d)), abs=1e-12)
+            assert device_utility(params, d) == pytest.approx(float(quad_utility(2.0, 1.0, d)), abs=1e-12)
 
     def test_value_saturates(self):
-        dev = DeviceUtility(2.0, 1.0, 0.0, 5.0)
-        assert dev.value(2.0) == dev.value(4.9) == pytest.approx(2.0)
+        params = (2.0, 0.5 * 1.0, 2.0 / 1.0)  # alpha, beta / 2, saturation
+        assert device_utility(params, 2.0) == device_utility(params, 4.9) == pytest.approx(2.0)
 
     def test_marginal_and_inverse_are_consistent(self):
-        dev = DeviceUtility(3.0, 2.0, 0.0, 2.0)
+        # at its response to a price, a device's marginal utility alpha - beta*d is that price
+        params = device_params(DeviceUtility(3.0, 2.0, 0.0, 2.0))
         for y in [0.1, 0.5, 1.0, 2.5]:
-            assert dev.marginal(dev.inverse_marginal(y)) == pytest.approx(y)
+            assert 3.0 - 2.0 * device_consumption(params, np.array([y]))[0] == pytest.approx(y)
 
     def test_inverse_marginal_clamps_to_support(self):
-        dev = DeviceUtility(2.0, 1.0, 0.0, 5.0)
-        assert dev.inverse_marginal(10.0) == 0.0
-        assert dev.inverse_marginal(-1.0) == pytest.approx(dev.saturation)
+        params = device_params(DeviceUtility(2.0, 1.0, 0.0, 5.0))
+        assert device_consumption(params, np.array([10.0]))[0] == 0.0
+        assert device_consumption(params, np.array([-1.0]))[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_utilities_equal_the_value_formula_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = [0, 1, 1, 2, 3, 3, 4, 9]  # several device-count groups, one empty member
+        devices = iter(seeded_devices(rng, sum(counts)))
+        members = [
+            Member(f"m{i}", [next(devices) for _ in range(c)], [0.0]) for i, c in enumerate(counts)
+        ]
+        prices = rng.uniform(-0.5, 3.5, (6, len(members)))
+        consumption, _, utility = DeviceBlocks(members).evaluate(prices)
+        above = 0
+        for i, member in enumerate(members):
+            reference = lambda d: float(
+                sum(value_reference(dev, float(x)) for dev, x in zip(member.devices, d))
+            )
+            for t, bundle in enumerate(consumption[i]):
+                assert float(utility[t, i]).hex() == reference(bundle).hex()
+                # the bundle the run consumes, and one drawn up to past each device's saturation
+                drawn = np.array([rng.uniform(0.0, 2.0 * dev.alpha / dev.beta + 1.0) for dev in member.devices])
+                for d in (bundle, drawn):
+                    assert member_utility(member, d).hex() == reference(d).hex()
+                above += sum(x > dev.alpha / dev.beta for dev, x in zip(member.devices, bundle))
+        assert above > 0
 
 
 class TestFoldCentralPV:
+    @staticmethod
+    def folded(trace, share, central):
+        """Member 0's folded generation, with a second member owning the rest of the plant."""
+        members = (
+            make_member(trace=[trace], central_pv_share=share),
+            make_member("m2", trace=[0.0], central_pv_share=1.0 - share),
+        )
+        scenario = make_scenario(members=members, central_pv_trace=np.array([central]))
+        return float(folded_generation(scenario)[0, 0])
+
     def test_half_share(self):
-        m = make_member(trace=[1.0], central_pv_share=0.5)
-        assert float(fold_central_pv(m, 2.0)[0]) == pytest.approx(2.0)
+        assert self.folded(1.0, 0.5, 2.0) == pytest.approx(2.0)
 
     def test_zero_share(self):
-        m = make_member(trace=[0.0], central_pv_share=0.0)
-        assert float(fold_central_pv(m, 5.0)[0]) == 0.0
+        assert self.folded(0.0, 0.0, 5.0) == 0.0
 
     def test_quarter_share(self):
-        m = make_member(trace=[0.3], central_pv_share=0.25)
-        assert float(fold_central_pv(m, 1.2)[0]) == pytest.approx(0.6)
+        assert self.folded(0.3, 0.25, 1.2) == pytest.approx(0.6)
 
     def test_linear_and_zero_at_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             g, w, c = rng.uniform(0, 3, 3)
-            m = make_member(trace=[g], central_pv_share=w / 3)
-            folded = float(fold_central_pv(m, c)[0])
-            assert folded == pytest.approx(g + (w / 3) * c)
-        m0 = make_member(trace=[0.0], central_pv_share=0.7)
-        assert float(fold_central_pv(m0, 0.0)[0]) == 0.0
+            assert self.folded(g, w / 3, c) == pytest.approx(g + (w / 3) * c)
+        assert self.folded(0.0, 0.7, 0.0) == 0.0
+
+    def test_equals_each_members_fold_bit_for_bit(self):
+        drawn = 0
+        for seed in range(40):
+            scenario = random_scenario(seed)
+            if not np.any(scenario.central_pv_trace > 0):
+                continue
+            drawn += 1
+            folded = folded_generation(scenario)
+            for i, m in enumerate(scenario.members):
+                # one member's fold, from its own fields
+                alone = m.pv_trace + m.central_pv_share * np.asarray(scenario.central_pv_trace, dtype=float)
+                assert folded[i].tobytes() == alone.tobytes()
+        assert drawn >= 5
 
 
 class TestValidateScenario:
@@ -288,6 +359,36 @@ class TestValidateScenario:
         with pytest.raises(ScenarioValidationError) as err:
             make_scenario(**fields)
         assert err.value.issues == [issue]
+
+    @pytest.mark.parametrize(
+        "salvage, bess, issue",
+        [
+            (10**400, BessSpec(1.0), f"salvage rate must be finite and >= 0 (got {10**400})"),
+            (0.3, BessSpec(10**400), f"bess capacity must be >= 0 (got {10**400})"),
+            (0.3, BessSpec(1.0, max_charge=10**400), "bess max_charge is past float range"),
+            (0.3, BessSpec(1.0, max_discharge=10**400), "bess max_discharge is past float range"),
+        ],
+        ids=["salvage", "capacity", "max_charge", "max_discharge"],
+    )
+    def test_int_past_float_range_is_one_issue(self, salvage, bess, issue):
+        # np.isfinite cannot take such an int, and a power limit would overflow in the run
+        rates = RateSchedule([0.4], [0.2], salvage)
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(make_member("a", bess_share=1.0),), rates=rates, bess=bess)
+        assert err.value.issues == [issue]
+
+    def test_infinite_float_power_limits_run(self):
+        # only a float power limit may be infinite: the battery is then bounded by its energy alone
+        bess = BessSpec(2.0, 0.95, 0.95, float("inf"), float("inf"), 1.0)
+        scenario = make_scenario(
+            members=(make_member("a", bess_share=1.0, trace=[0.0, 3.0]),),
+            rates=RateSchedule.flat(0.4, 0.2, 2, salvage=0.3),
+            horizon=2,
+            bess=bess,
+        )
+        records, _ = run(scenario, "dnem", compute_gains=False)
+        assert all(np.isfinite(r.price.value) for r in records)
+        assert np.isfinite(records.soc).all() and records.soc.max() <= 2.0
 
     @pytest.mark.filterwarnings("error")
     def test_numpy_float_and_int_past_its_range_compared_exactly(self):

@@ -148,8 +148,9 @@ class TestBestResponse:
             m = Member("m", (dev,), np.array([0.0]))
             price_val = float(rng.uniform(0.05, dev.alpha * 0.95))
             d = float(consumption_at(m, price_val)[0])
-            if dev.d_min < d < min(dev.d_max, dev.saturation):
-                assert abs(dev.marginal(d) - price_val) <= EPS_PRICE
+            if dev.d_min < d < min(dev.d_max, dev.alpha / dev.beta):
+                # the marginal utility alpha - beta*d meets the price
+                assert abs(dev.alpha - dev.beta * d - price_val) <= EPS_PRICE
 
 
 def test_member_utility_matches_direct_formula():

@@ -33,6 +33,7 @@ from oracles import (
     coalition_samples_loop,
     grid_centralized_welfare,
     quad_utility,
+    reference_response,
 )
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
@@ -701,7 +702,7 @@ class TestCoalitionAudit:
         total = 0.0
         for i in counted:
             for dev in members[i].devices:
-                d = min(max(dev.inverse_marginal(price), dev.d_min), dev.d_max)
+                d = reference_response([dev], price)
                 total += float(quad_utility(dev.alpha, dev.beta, d)) - price * d
             total += price * gens[i]
         return total
