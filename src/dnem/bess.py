@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import EPS_QUANTITY, AggregateResponseCurve, DeviceBlocks
+from .curves import EPS_QUANTITY, AggregateResponseCurve, DeviceBlocks, invert_rows
 from .model import BessSpec, CommunityPrice, PriceZone, stored_energy
 
 __all__ = [
@@ -240,7 +240,7 @@ def price_and_dispatch(
         # the responses at the bracket ends are the thresholds the zones came from
         v_lo = np.where(dis, follow_discharge[i], np.where(held, follow_charge[i], upper[t, i]))
         v_hi = np.where(chg, follow_charge[i], np.where(held, follow_discharge[i], lower[t, i]))
-        price[t, i] = blocks.invert(i, target, lo, hi, v_lo, v_hi)
+        price[t, i] = invert_rows(blocks, i, target, lo, hi, v_lo, v_hi)
     return Dispatch(
         price, zone, battery, soc, lower, upper, follow_discharge, follow_charge, discharge, charge
     )

@@ -147,10 +147,11 @@ def _floats(cls, doc: dict, name: str) -> dict[str, float]:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text; a byte sequence that is not UTF-8 names the file and its line."""
+    """The file's text without one leading byte order mark; a byte sequence that is not
+    UTF-8 names the file and its line."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None

@@ -19,12 +19,9 @@ kink pair as a scan of every kink would, and returns the same float.
 
 :func:`invert_rows` runs that search for many curves and targets at once, in
 lockstep, and :func:`invert_aggregate` is its call for one curve and one
-target.  Each step evaluates each distinct probe price once per single-curve
-group (a run's community cells all search one curve, mostly from one of a
-few brackets), and a group of many curves once per cell.  A solved price is
-a numpy ``float64`` when either plateau edge is interpolated between two
-kinks, and a Python ``float`` when both edges are bracket ends; callers hash
-its ``repr``, so the rule is kept as it is.
+target.  A solved price is a numpy ``float64`` when either plateau edge is
+interpolated between two kinks, and a Python ``float`` when both edges are
+bracket ends; callers hash its ``repr``, so the rule is kept as it is.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ __all__ = [
     "device_consumption",
     "device_utility",
     "invert_rows",
-    "kink_table",
     "first_false",
 ]
 
@@ -121,8 +117,7 @@ class DeviceBlocks:
     them exactly as ``np.sum`` adds one prosumer's device vector (pairwise from
     8 devices on).  Utilities add the devices one by one, as
     :func:`~dnem.response.member_utility` does.  A prosumer without devices
-    consumes nothing.  :meth:`invert` solves prices on the prosumers' own
-    response curves from these arrays.
+    consumes nothing.  :func:`invert_rows` solves prices on these curves.
     """
 
     def __init__(self, members: Sequence[Member]):
@@ -156,20 +151,6 @@ class DeviceBlocks:
             alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
             groups.append((rows, alpha, beta, alpha / beta, d_min, d_max, 0.5 * beta))
         return groups
-
-    def invert(self, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
-        """The price at which prosumer ``rows[k]``'s own response meets ``target[k]`` on
-        ``[lo[k], hi[k]]``, for every k, given its responses ``v_lo[k]`` and ``v_hi[k]``
-        there (:meth:`response`'s): :func:`invert_rows` on the groups."""
-        # only the groups and prosumers that have a cell to solve
-        wanted = np.zeros(self.rows, dtype=bool)
-        wanted[rows] = True
-        groups = []
-        for group in self._groups:
-            keep = wanted[group[0]]
-            if keep.any():
-                groups.append(tuple(p if keep.all() else p[keep] for p in group[:6]))
-        return invert_rows(groups, kink_table(groups, self.rows), rows, target, lo, hi, v_lo, v_hi)
 
     def response(self, prices: np.ndarray) -> np.ndarray:
         """Each prosumer's total consumption at (T, N) prices: per cell, its devices'
@@ -220,33 +201,22 @@ class AggregateResponseCurve:
         return float(self.blocks.response(np.array([[price]], dtype=float))[0, 0])
 
 
-def kink_table(groups, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every row's sorted, unique kink prices.
-
-    ``groups`` is :func:`invert_rows`'s.  Returns the kinks of all rows in one
-    array, then each row's start in it and its count.  A group's (rows,
-    4 * devices) kinks are sorted along the rows, and a kink equal to its
-    predecessor is dropped, as ``np.unique`` does to one row: it is set to
-    ``inf`` and sorted to the end of the row, past the row's count.
+def _sorted_kinks(params) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sorted, unique kink prices from (rows, devices) parameters
+    ``(alpha, beta, alpha / beta, d_min, d_max)``, and each row's count of them.
+    A kink equal to its predecessor is dropped, as ``np.unique`` does to one
+    row: it is set to ``inf`` and sorted to the end of the row, past its count.
     """
-    chunks, start, count = [], np.zeros(n_rows, np.intp), np.zeros(n_rows, np.intp)
-    offset = 0
-    for rows, alpha, beta, _, d_min, d_max in groups:
-        kinks = np.sort(
-            np.concatenate(
-                (np.zeros_like(alpha), alpha - beta * d_max, alpha - beta * d_min, alpha), axis=1
-            ),
-            axis=1,
-        )
-        repeated = kinks[:, 1:] == kinks[:, :-1]
-        kinks[:, 1:][repeated] = np.inf
-        width = kinks.shape[1]
-        count[rows] = width - np.sum(repeated, axis=1)
-        start[rows] = offset + width * np.arange(len(rows))
-        offset += kinks.size
-        chunks.append(np.sort(kinks, axis=1).ravel())
-    # one entry past the end keeps every gather in bounds
-    return np.concatenate(chunks + [np.zeros(1)]), start, count
+    alpha, beta, _, d_min, d_max = params
+    kinks = np.sort(
+        np.concatenate(
+            (np.zeros_like(alpha), alpha - beta * d_max, alpha - beta * d_min, alpha), axis=1
+        ),
+        axis=1,
+    )
+    repeated = kinks[:, 1:] == kinks[:, :-1]
+    kinks[:, 1:][repeated] = np.inf
+    return np.sort(kinks, axis=1), kinks.shape[1] - np.sum(repeated, axis=1)
 
 
 def first_false(ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -263,61 +233,67 @@ def first_false(ok, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         hi = np.where(live & ~go, mid, hi)
 
 
-def invert_rows(groups, kinks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
+def invert_rows(blocks: DeviceBlocks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
     """:func:`invert_aggregate` on row ``rows[k]``'s curve at ``target[k]`` on ``[lo[k], hi[k]]``.
 
-    ``groups`` holds the curves by device count, each as ``(row indices,
-    alpha, beta, alpha / beta, d_min, d_max)`` with (rows, devices)
-    parameters; ``kinks`` is their :func:`kink_table`.  ``v_lo[k]`` and
-    ``v_hi[k]`` are the curve's responses at ``lo[k]`` and ``hi[k]``, as
-    :func:`device_consumption` summed over the row's devices gives them; the
-    caller has usually priced the cell from them already.  Returns an object
-    array of the M prices, each equal to and typed as
-    :func:`invert_aggregate`'s.  Raises :class:`TargetOutsideRangeError` for
-    the first bad k, checking its bracket before its target.
+    ``blocks`` holds the curves; ``v_lo[k]`` and ``v_hi[k]`` are the curve's
+    responses at ``lo[k]`` and ``hi[k]``, as :meth:`DeviceBlocks.response`
+    gives them; the caller has usually priced the cell from them already.
+    Returns an object array of the M prices, in the cells' order, each equal
+    to and typed as :func:`invert_aggregate`'s.  Raises
+    :class:`TargetOutsideRangeError` for the first bad k, checking its
+    bracket before its target.
 
-    Every cell runs the two plateau-edge searches of :func:`invert_aggregate`
-    in lockstep: each step evaluates, in every group with an unfinished cell,
-    one (prices, devices) expression.  A group of one curve evaluates each
-    distinct price (by its bits) of its unfinished cells once and gathers the
-    responses back; a group of many curves evaluates every cell, a finished
-    one at its last probe again, so it raises no new warning.  The right
-    edge is searched from the left edge, with the responses at both edges
-    carried, so a cell that is not on a plateau needs no second search.
+    Only the prosumers with a cell are solved: per device-count group, their
+    parameters and their sorted, unique kinks.  Every cell runs the two
+    plateau-edge searches of :func:`invert_aggregate` in lockstep: each step
+    evaluates, in every group with an unfinished cell, one (prices, devices)
+    expression.  A group with one such prosumer (a run's community, whose
+    cells mostly share a few brackets) evaluates each distinct price (by its
+    bits) once; a group of many evaluates every cell, a finished one at its
+    last probe again, so it raises no new warning.  The right edge is searched
+    from the left edge, with the responses at both edges carried, so a cell
+    that is not on a plateau needs no second search.
     """
-    kink, start, count = kinks
     rows = np.asarray(rows, dtype=np.intp)
-    group = np.empty(len(start), dtype=np.intp)
-    position = np.empty(len(start), dtype=np.intp)
-    for g, (members, *_) in enumerate(groups):
-        group[members] = g
-        position[members] = np.arange(len(members))
-    # the cells in group order, so that a group's cells are one slice
-    cell_group = group[rows]
-    order, plan, stop = [np.zeros(0, dtype=np.intp)], [], 0
-    for g, (members, *params) in enumerate(groups):
-        mine = np.flatnonzero(cell_group == g)
-        if len(mine):
-            cells = slice(stop, stop + len(mine))
-            stop += len(mine)
-            order.append(mine)
-            # parameters gathered once per call; a single curve broadcasts
-            at = position[rows[mine]]
-            single = len(members) == 1
-            plan.append((cells, single, params if single else [p[at] for p in params]))
-    order = np.concatenate(order)
-    rows = rows[order]
     target, lo, hi, v_lo, v_hi = (
-        np.asarray(v, dtype=float)[order] for v in (target, lo, hi, v_lo, v_hi)
+        np.asarray(v, dtype=float) for v in (target, lo, hi, v_lo, v_hi)
     )
+    wanted = np.zeros(blocks.rows, dtype=bool)
+    wanted[rows] = True
+    # per prosumer: its group's place in the plan, its place in the group and its kinks
+    slot = np.full(blocks.rows, -1, dtype=np.intp)
+    position, start, count = (np.zeros(blocks.rows, dtype=np.intp) for _ in range(3))
+    kink, plan, offset = [], [], 0
+    for members, *params in blocks._groups:
+        keep = wanted[members]
+        if not keep.any():
+            continue
+        # (alpha, beta, alpha / beta, d_min, d_max) of the group's prosumers with a cell
+        params = params[:5]
+        if not keep.all():
+            members, params = members[keep], [p[keep] for p in params]
+        kinks, count[members] = _sorted_kinks(params)
+        start[members] = offset + kinks.shape[1] * np.arange(len(members))
+        offset += kinks.size
+        kink.append(kinks.ravel())
+        slot[members] = len(plan)
+        position[members] = np.arange(len(members))
+        cells = np.flatnonzero(slot[rows] == len(plan))
+        # parameters gathered once per call; a single curve broadcasts
+        single = len(members) == 1
+        at = position[rows[cells]]
+        plan.append((cells, single, params if single else [p[at] for p in params]))
+    # one entry past the end keeps every gather in bounds
+    kink = np.concatenate(kink + [np.zeros(1)])
 
     def response(prices, live):
         values = np.zeros(len(prices))
         for cells, single, params in plan:
-            if not live[cells].any():
+            on = cells[live[cells]]
+            if not len(on):
                 continue
             if single:
-                on = cells.start + np.flatnonzero(live[cells])
                 _, first, back = np.unique(
                     prices[on].view(np.int64), return_index=True, return_inverse=True
                 )
@@ -328,7 +304,7 @@ def invert_rows(groups, kinks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
 
     bad = (lo > hi) | ~((v_hi - EPS_QUANTITY <= target) & (target <= v_lo + EPS_QUANTITY))
     if bad.any():
-        j = np.flatnonzero(bad)[np.argmin(order[bad])]
+        j = np.argmax(bad)
         t, a, b, va, vb = (float(v[j]) for v in (target, lo, hi, v_lo, v_hi))
         if a > b:
             raise TargetOutsideRangeError(f"empty price bracket [{a}, {b}]")
@@ -395,12 +371,10 @@ def invert_rows(groups, kinks, rows, target, lo, hi, v_lo, v_hi) -> np.ndarray:
     cut_left, cut_right = b > 0, b2 < n
     price = 0.5 * (edge(lo, cut_left, a, va, b, vb) + edge(end, cut_right, a2, va2, b2, vb2))
     # Python floats where both edges are bracket ends, numpy float64 otherwise
-    out = np.empty(len(rows), dtype=object)
     solved = price.astype(object)
     interpolated = cut_left | cut_right
     solved[interpolated] = list(price[interpolated])
-    out[order] = solved
-    return out
+    return solved
 
 
 def invert_aggregate(
@@ -420,7 +394,7 @@ def invert_aggregate(
     (see the module docstring), so both searches find the kinks a full scan
     would.  The result is a numpy ``float64`` when either edge is
     interpolated between two kinks, and a Python ``float`` when both edges
-    are bracket ends.  This is :meth:`DeviceBlocks.invert` for one cell.
+    are bracket ends.  This is :func:`invert_rows` for one cell.
     """
     v_lo, v_hi = curve.blocks.response(np.array([[lo], [hi]], dtype=float))[:, 0]
-    return curve.blocks.invert([0], [target], [lo], [hi], [v_lo], [v_hi])[0]
+    return invert_rows(curve.blocks, [0], [target], [lo], [hi], [v_lo], [v_hi])[0]

@@ -379,7 +379,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     if len(central) or len(rates.buy) == horizon:
         _check_trace(issues, "central_pv_trace", central, horizon)
     if np.any(central > 0) and "central_pv_share" not in odd_shares:
-        total = sum(m.central_pv_share for m in scenario.members)
+        total = sum(_float(m.central_pv_share) for m in scenario.members)
         if abs(total - 1.0) > 1e-9:
             issues.append(
                 f"central PV shares must sum to 1 when central output is nonzero (got {total})"
@@ -396,7 +396,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
                 issues.append(f"bess charge_eff outside (0, 1] (got {bess.charge_eff})")
             if not 0 < bess.discharge_eff <= 1:
                 issues.append(f"bess discharge_eff outside (0, 1] (got {bess.discharge_eff})")
-            if bess.max_charge < 0 or bess.max_discharge < 0:
+            if not (bess.max_charge >= 0 and bess.max_discharge >= 0):  # NaN too
                 issues.append("bess power limits must be >= 0")
             for name in ("max_charge", "max_discharge"):  # an int past float range
                 if _float(getattr(bess, name)) == math.inf != getattr(bess, name):
@@ -406,7 +406,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
                     f"bess initial_soc {bess.initial_soc} outside [0, {bess.capacity}]"
                 )
         if "bess_share" not in odd_shares:
-            total = sum(m.bess_share for m in scenario.members)
+            total = sum(_float(m.bess_share) for m in scenario.members)
             if abs(total - 1.0) > 1e-9:
                 issues.append(f"bess shares must sum to 1 (got {total})")
         # the salvage window divides by charge_eff, so it needs valid efficiencies

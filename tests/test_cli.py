@@ -231,6 +231,29 @@ class TestLoadConfig:
         elsewhere = load_config(write_config(tmp_path / "elsewhere", doc))
         assert scenario_hash(elsewhere) == scenario_hash(sc)
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # with it, the first header cell read "\ufeffm0", and member m0 ran on zeros
+        doc = {
+            "horizon": 2,
+            "rates": {"buy": 0.4, "sell": 0.2},
+            "members": [
+                {"id": f"m{i}", "devices": [{"alpha": 2, "beta": 1, "d_min": 0, "d_max": 2}]}
+                for i in range(2)
+            ],
+            "traces_csv": "traces.csv",
+        }
+        path = write_config(tmp_path, doc)
+        loaded = []
+        for mark in ("", "\ufeff"):
+            (tmp_path / "traces.csv").write_text(mark + "m0,m1\n1.0,0.5\n2.0,0.7\n", encoding="utf-8")
+            loaded.append(load_config(path))
+        plain, marked = loaded
+        assert [m.pv_trace.tolist() for m in marked.members] == [[1.0, 2.0], [0.5, 0.7]]
+        assert scenario_hash(marked) == scenario_hash(plain)
+        # a config with one loads too
+        (tmp_path / "marked.json").write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+        assert scenario_hash(load_config(tmp_path / "marked.json")) == scenario_hash(plain)
+
 
 #: trace values: repeats, signed zeros, subnormals, and both sides of the 1e-05 and
 #: 1e+16 boundaries where ``repr`` switches to an exponent
@@ -430,6 +453,17 @@ class TestMalformedConfig:
         assert "bess charge_eff outside (0, 1]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["max_charge", "max_discharge"])
+    def test_nan_power_limit_exits_1(self, tmp_path, capsys, name):
+        # JSON's NaN token; the run failed later, with a message that named no field
+        doc = json.loads(json.dumps(BESS_CONFIG))
+        doc["bess"][name] = float("nan")
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "bess power limits must be >= 0" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "edit, field",
         [
@@ -554,8 +588,9 @@ class TestMalformedConfig:
         [
             ("config.json", b"\xff\xfe", "config.json line 1: not UTF-8 text"),
             ("traces.csv", b"m1,central_pv\n1.0,0.5\n\xff,1\n", "traces.csv line 3: not UTF-8 text"),
+            ("traces.csv", b"\xef\xbb\xbfm1,central_pv\n\xff,1\n", "traces.csv line 2: not UTF-8 text"),
         ],
-        ids=["config", "traces_csv"],
+        ids=["config", "traces_csv", "traces_csv_after_byte_order_mark"],
     )
     def test_non_utf8_file_exits_1_naming_the_file_and_line(self, tmp_path, capsys, name, data, message):
         path = write_config(tmp_path, _mutated(_short_csv_row))

@@ -15,7 +15,7 @@ from dnem.curves import (
     device_consumption,
     first_false,
     invert_aggregate,
-    kink_table,
+    invert_rows,
 )
 from dnem.model import CommunityScenario, DeviceUtility, Member, RateSchedule
 from dnem.sim import run
@@ -386,14 +386,14 @@ class TestBisectionMatchesFullScan:
 
 
 def solve(blocks, rows, target, lo, hi):
-    """``blocks.invert`` given the responses at the bracket ends, from ``blocks.response``."""
+    """``invert_rows`` given the responses at the bracket ends, from ``blocks.response``."""
     cells = np.arange(len(rows))
     ends = []
     for price in (lo, hi):
         prices = np.zeros((len(rows), blocks.rows))
         prices[cells, rows] = price
         ends.append(blocks.response(prices)[cells, rows])
-    return blocks.invert(rows, target, lo, hi, *ends)
+    return invert_rows(blocks, rows, target, lo, hi, *ends)
 
 
 def full_scan_cells(curves_by_row, rows, target, lo, hi):
@@ -478,6 +478,31 @@ class TestBatchedSolve:
         good = [k for k, e in enumerate(expected) if not isinstance(e, TargetOutsideRangeError)]
         got = solve(blocks, *([v[k] for k in good] for v in (rows, target, lo, hi)))
         assert [repr(p) for p in got] == [repr(expected[k]) for k in good]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cells_of_some_prosumers_equal_each_cell_alone(self, data):
+        # per device-count group, only the prosumers with a cell are solved; the cells
+        # come shuffled and repeated, and each keeps its place
+        members = data.draw(mixed_rows(max_rows=8))
+        blocks = DeviceBlocks(members)
+        chosen = data.draw(st.lists(st.integers(0, len(members) - 1), min_size=1, max_size=5, unique=True))
+        cells = []
+        for r in chosen:
+            curve = AggregateResponseCurve(members[r].devices)
+            a = data.draw(st.floats(0.0, 3.0))
+            b = a + data.draw(st.floats(0.0, 4.0))
+            v_lo, v_hi = curve.response(a), curve.response(b)
+            knots = knot_prices(curve.devices, a, b)
+            target = data.draw(
+                st.sampled_from([v_lo, v_hi, curve.response(float(knots[len(knots) // 2]))])
+                | st.floats(0.0, 1.0).map(lambda frac: v_hi + frac * (v_lo - v_hi))
+            )
+            cells.append((r, target, a, b))
+        cells = data.draw(st.permutations(cells + data.draw(st.lists(st.sampled_from(cells), max_size=6))))
+        got = solve(blocks, *(list(v) for v in zip(*cells)))
+        alone = [solve(blocks, [r], [t], [a], [b])[0] for r, t, a, b in cells]
+        assert [(type(p), repr(p)) for p in got] == [(type(p), repr(p)) for p in alone]
 
     def test_first_bad_cell_wins_across_groups(self):
         # the one-device group comes first, but its bad cell is the later one
@@ -574,10 +599,13 @@ class TestBatchedSolve:
     @settings(max_examples=60, deadline=None)
     @given(members=mixed_rows(max_rows=5))
     def test_kink_table_rows_are_each_members_unique_kinks(self, members):
-        groups = [group[:6] for group in DeviceBlocks(members)._groups]
-        kinks, start, count = kink_table(groups, len(members))
+        # the kinks the solve sorts for each group's prosumers, row by row
+        table = {}
+        for rows, *params in DeviceBlocks(members)._groups:
+            kinks, count = curves._sorted_kinks(params[:5])
+            table.update((r, kinks[k, : count[k]]) for k, r in enumerate(rows.tolist()))
         for r, member in enumerate(members):
-            row = kinks[start[r] : start[r] + count[r]]
+            row = table[r]
             params = np.array([(d.alpha, d.beta, d.d_min, d.d_max) for d in member.devices]).reshape(-1, 4)
             alpha, beta, d_min, d_max = params.T
             unique = np.unique(np.concatenate((np.zeros_like(alpha), alpha - beta * d_max, alpha - beta * d_min, alpha)))

@@ -390,6 +390,40 @@ class TestValidateScenario:
         assert all(np.isfinite(r.price.value) for r in records)
         assert np.isfinite(records.soc).all() and records.soc.max() <= 2.0
 
+    @pytest.mark.parametrize("name", ["max_charge", "max_discharge"])
+    def test_nan_power_limit_is_an_issue(self, name):
+        # it passed, and the run then left the SoC range or returned NaN welfare
+        limits = {"max_charge": 0.5, "max_discharge": 0.5, name: float("nan")}
+        bess = BessSpec(2.0, 0.95, 0.95, initial_soc=1.0, **limits)
+        rates = RateSchedule([0.4], [0.2], 0.3)
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(make_member("a", bess_share=1.0),), rates=rates, bess=bess)
+        assert err.value.issues == ["bess power limits must be >= 0"]
+
+    @pytest.mark.parametrize(
+        "name, fields, issue",
+        [
+            ("bess_share", dict(bess=BessSpec(1.0)), "bess shares must sum to 1 (got {})"),
+            (
+                "central_pv_share",
+                dict(central_pv_trace=np.array([1.0])),
+                "central PV shares must sum to 1 when central output is nonzero (got {})",
+            ),
+        ],
+        ids=["bess_share", "central_pv_share"],
+    )
+    def test_shares_sum_as_floats(self, name, fields, issue):
+        rates = RateSchedule([0.4], [0.2], 0.3)
+        # an int past float range made the sum a bare OverflowError
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(make_member("a", **{name: 10**400}),), rates=rates, **fields)
+        assert err.value.issues == [f"member 'a': {name} outside [0, 1]", issue.format(float("inf"))]
+        # float shares keep their exact sum
+        members = (make_member("a", **{name: 0.1}), make_member("b", **{name: 0.2}))
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=members, rates=rates, **fields)
+        assert err.value.issues == [issue.format(0.1 + 0.2)]
+
     @pytest.mark.filterwarnings("error")
     def test_numpy_float_and_int_past_its_range_compared_exactly(self):
         # numpy would cast the int to float32 to compare, with an overflow warning
