@@ -234,6 +234,9 @@ def load_config(path: str | Path) -> CommunityScenario:
         if any(c in mid for c in ',"\r\n'):
             # the id is a cell of the intervals.csv header and of the compare table
             raise ConfigError(f"{tag}.id: {mid!r} holds a comma, quote or line break")
+        if mid == "central_pv" and "traces_csv" in doc:
+            # that traces_csv column is the central plant's, which every member shares
+            raise ConfigError(f"{tag}.id: 'central_pv' names the central PV column of traces_csv")
         devices = []
         for k, d in enumerate(_expect(mdoc.get("devices", []), list, f"{tag}.devices")):
             name = f"{tag}.devices[{k}]"

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .benchmark import sign_based_settlement, standalone_settlement
-from .bess import ZONES, Dispatch, price_and_dispatch
+from .bess import ZONES, price_and_dispatch
 from .curves import AggregateResponseCurve, DeviceBlocks
 from .model import (
     BessSpec,
@@ -139,56 +139,6 @@ class Run(Sequence[IntervalRecord]):
         )
 
 
-def _dnem_run(
-    scenario: CommunityScenario, blocks: DeviceBlocks, bess: BessSpec, gen: np.ndarray,
-    g_n: np.ndarray, community: Dispatch,
-) -> Run:
-    """The D-NEM run, from the community's one-column ``community`` dispatch.
-
-    The community is priced and dispatched as one prosumer owning every
-    device, all generation and the whole battery; one array pass then
-    settles every member-interval at the community price.
-    """
-    rates = scenario.rates
-    price = community.price.astype(float)
-    b_n = community.battery[:, 0]
-    response = blocks.evaluate(np.broadcast_to(price, (len(g_n), blocks.rows)))
-    battery = b_n[:, None] * np.array([m.bess_share for m in scenario.members])
-    net = response[1] + battery - gen.T
-    settlement = settle_arrays(
-        response, net, battery, price * net, rates.salvage, bess.charge_eff, bess.discharge_eff
-    )
-    return Run(
-        community.price[:, 0], community.zone[:, 0], g_n, _in_order(settlement.total.T), b_n,
-        community.soc[:, 0], settlement,
-    )
-
-
-def _baseline_runs(
-    scenario: CommunityScenario, blocks: DeviceBlocks, bess: BessSpec, gen: np.ndarray,
-    g_n: np.ndarray, dispatch: Dispatch,
-) -> dict[str, Run]:
-    """The standalone and sign-based runs, from the members' one-per-column ``dispatch``.
-
-    Its one standalone settlement is the standalone run, which
-    :func:`~dnem.benchmark.sign_based_settlement` rebills as the sign-based run.
-    """
-    rates = scenario.rates
-    alone = standalone_settlement(blocks, bess, dispatch, gen, rates)
-    d_n = _in_order(alone.total.T)
-    b_n = _in_order(alone.battery.T)
-    # the community's stored energy, running in interval order (cumsum adds in sequence)
-    soc = np.cumsum(np.concatenate(([bess.initial_soc], _in_order(alone.stored.T))))[1:]
-    rate, zone, signed = sign_based_settlement(
-        (alone.consumption, alone.total, alone.utility), alone.net, alone.battery,
-        rates.buy, rates.sell, rates.salvage, bess.charge_eff, bess.discharge_eff,
-    )
-    return {
-        "sign_based": Run(rate.astype(object), zone, g_n, d_n, b_n, soc, signed),
-        "standalone": Run(None, None, g_n, d_n, b_n, soc, alone),
-    }
-
-
 def _gain(total: float, baseline: float) -> Optional[float]:
     """:func:`~dnem.welfare.welfare_gain`, or ``None`` against a zero baseline."""
     return None if baseline == 0 else welfare_gain(total, baseline)
@@ -226,13 +176,36 @@ def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, R
         blocks.pooled(np.ones((dnem, len(shares)), dtype=bool), members=baselines), bess,
         *map(np.concatenate, zip(*rows)), rates.buy[:, None], rates.sell[:, None], rates.salvage,
     )
+    # the salvage rate and the efficiencies that value the energy a battery stores
+    storage = (rates.salvage, bess.charge_eff, bess.discharge_eff)
     runs = {}
     with np.errstate(over="ignore", invalid="ignore"):
         if dnem:
-            runs["dnem"] = _dnem_run(scenario, blocks, bess, gen, g_n, priced.columns(slice(0, 1)))
+            # every member settles at the community's price, with its share of the battery
+            price = priced.price[:, :1].astype(float)
+            b_n = priced.battery[:, 0]
+            response = blocks.evaluate(np.broadcast_to(price, (len(g_n), blocks.rows)))
+            battery = b_n[:, None] * shares
+            net = response[1] + battery - gen.T
+            settled = settle_arrays(response, net, battery, price * net, *storage)
+            runs["dnem"] = Run(
+                priced.price[:, 0], priced.zone[:, 0], g_n, _in_order(settled.total.T), b_n,
+                priced.soc[:, 0], settled,
+            )
         if baselines:
-            alone = priced.columns(slice(dnem, None))
-            runs.update(_baseline_runs(scenario, blocks, bess, gen, g_n, alone))
+            # the standalone run, which sign_based_settlement rebills as the sign-based run
+            dispatch = priced.columns(slice(dnem, None))
+            alone = standalone_settlement(blocks, bess, dispatch, gen, rates)
+            d_n = _in_order(alone.total.T)
+            b_n = _in_order(alone.battery.T)
+            # the community's stored energy, running in interval order (cumsum adds in sequence)
+            soc = np.cumsum(np.concatenate(([bess.initial_soc], _in_order(alone.stored.T))))[1:]
+            rate, zone, signed = sign_based_settlement(
+                (alone.consumption, alone.total, alone.utility), alone.net, alone.battery,
+                rates.buy, rates.sell, *storage,
+            )
+            runs["sign_based"] = Run(rate.astype(object), zone, g_n, d_n, b_n, soc, signed)
+            runs["standalone"] = Run(None, None, g_n, d_n, b_n, soc, alone)
     return runs
 
 

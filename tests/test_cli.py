@@ -382,6 +382,18 @@ def _short_csv_row(doc):
     doc["traces_csv"] = "traces.csv"
 
 
+def _central_pv_member_config():
+    """Members ``a`` and ``central_pv``, sharing the central plant half and half."""
+    device = {"alpha": 2, "beta": 1, "d_min": 0, "d_max": 2}
+    return {
+        "horizon": 2,
+        "rates": {"buy": 0.4, "sell": 0.2},
+        "members": [
+            {"id": mid, "devices": [device], "central_pv_share": 0.5} for mid in ("a", "central_pv")
+        ],
+    }
+
+
 class TestMalformedConfig:
     """Each shape error exits 1 with a message naming the field, never a traceback."""
 
@@ -423,6 +435,26 @@ class TestMalformedConfig:
         assert f"members[0].id: {mid!r} holds a comma, quote or line break" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+    def test_member_id_central_pv_beside_traces_csv_exits_1(self, tmp_path, capsys):
+        # the member read the central plant's column as its own PV, and g_N counted it twice
+        (tmp_path / "traces.csv").write_text("a,central_pv\n1.0,1.0\n2.0,2.0\n")
+        doc = _central_pv_member_config()
+        doc["traces_csv"] = "traces.csv"
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "members[1].id: 'central_pv' names the central PV column of traces_csv\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_member_id_central_pv_with_inline_traces_loads(self, tmp_path):
+        doc = _central_pv_member_config()
+        doc["central_pv"] = [1.0, 2.0]
+        for member in doc["members"]:
+            member["pv_trace"] = [1.0, 2.0]
+        sc = load_config(write_config(tmp_path, doc))
+        assert [m.id for m in sc.members] == ["a", "central_pv"]
+        assert sc.members[1].pv_trace.tolist() == sc.central_pv_trace.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("horizon", [2.7, True, "1"])
     def test_non_integral_horizon_exits_1(self, tmp_path, capsys, horizon):
