@@ -29,8 +29,8 @@ import io
 import itertools
 import json
 import os
+import stat
 import sys
-import tempfile
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -462,18 +462,32 @@ def _fixed(values) -> list[str]:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it, so a reader never
-    sees half a file.  An I/O error names ``path``, not the temporary file."""
-    tmp = None
+    """Write ``text`` to ``path`` as UTF-8 through a temporary file beside it, so a reader
+    never sees half a file; the file gets the mode of a new file, 0o666 less the umask.
+    A regular file with no other link that already holds these bytes is left in place and
+    its mtime refreshed, since a rename over an existing file can make the file system
+    flush the new one.  An I/O error names ``path``, not the temporary file."""
+    data = text.encode()
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_size == len(data):
+            view, step = memoryview(data), 1 << 16
+            with open(path, "rb") as fh:  # block by block, stopping at the first that differs
+                chunks = range(0, len(data), step)
+                if all(fh.read(step) == view[i : i + step] for i in chunks) and not fh.read(1):
+                    os.utime(path)
+                    return
+    except OSError:
+        pass  # absent, unreadable or not a regular file: write it
+    tmp = f"{path}{os.urandom(8).hex()}.tmp"
+    try:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
 
 

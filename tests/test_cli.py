@@ -1,10 +1,14 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import tempfile
@@ -784,6 +788,207 @@ class TestSimulate:
         for row in rows:
             zones[row["zone"]] = zones.get(row["zone"], 0) + 1
         assert zones == summary["zone_histogram"]
+
+
+@pytest.fixture
+def replaces(monkeypatch):
+    """The target of every ``os.replace`` call made while the test runs."""
+    calls = []
+    original = os.replace
+
+    def counting(src, dst, **kwargs):
+        calls.append(dst)
+        return original(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", counting)
+    return calls
+
+
+@contextlib.contextmanager
+def _umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+class TestOutputFiles:
+    """How ``simulate --out`` and ``compare --out`` put their files on disk."""
+
+    NAMES = ("intervals.csv", "summary.json")
+
+    def simulate(self, config, out):
+        return main(["simulate", "--config", config, "--out", str(out)])
+
+    def test_rerun_leaves_unchanged_outputs_in_place(self, tmp_path, replaces):
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        out = tmp_path / "out"
+        assert self.simulate(path, out) == EXIT_OK
+        assert replaces == [out / name for name in self.NAMES]
+        before = {}
+        for name in self.NAMES:
+            os.utime(out / name, (0, 0))
+            before[name] = ((out / name).stat().st_ino, (out / name).read_bytes())
+        replaces.clear()
+        assert self.simulate(path, out) == EXIT_OK
+        assert replaces == []
+        for name in self.NAMES:
+            info = (out / name).stat()
+            assert (info.st_ino, (out / name).read_bytes()) == before[name]
+            assert info.st_mtime > 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.NAMES)
+
+    def test_changed_config_replaces_both_files(self, tmp_path, replaces):
+        out = tmp_path / "out"
+        assert self.simulate(write_config(tmp_path, FIVE_MEMBERS), out) == EXIT_OK
+        doc = json.loads(json.dumps(FIVE_MEMBERS))
+        doc["members"][0]["pv_trace"] = [0.5, 1.0, 2.0]
+        changed = write_config(tmp_path, doc, "changed.json")
+        replaces.clear()
+        assert self.simulate(changed, out) == EXIT_OK
+        assert replaces == [out / name for name in self.NAMES]
+        assert self.simulate(changed, tmp_path / "fresh") == EXIT_OK
+        for name in self.NAMES:
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_same_size_file_with_other_bytes_is_replaced(self, tmp_path, replaces):
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        out = tmp_path / "out"
+        assert self.simulate(path, out) == EXIT_OK
+        expected = (out / "intervals.csv").read_bytes()
+        (out / "intervals.csv").write_bytes(b"x" * len(expected))
+        replaces.clear()
+        assert self.simulate(path, out) == EXIT_OK
+        assert replaces == [out / "intervals.csv"]
+        assert (out / "intervals.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("at", [0, 70_000, 199_999], ids=["first", "second", "last"])
+    def test_a_difference_in_any_block_of_a_large_file_is_replaced(self, tmp_path, replaces, at):
+        # 200,000 bytes span four of the compare's 64 KiB blocks
+        text = "".join(chr(ord("a") + k % 26) for k in range(200_000))
+        path = tmp_path / "big.csv"
+        path.write_text(text[:at] + "!" + text[at + 1 :])
+        dnem.cli._atomic_write(path, text)
+        assert replaces == [path]
+        assert path.read_text() == text
+        replaces.clear()
+        os.utime(path, (0, 0))
+        dnem.cli._atomic_write(path, text)
+        assert replaces == []
+        assert path.stat().st_mtime > 0
+
+    def test_longer_file_with_the_same_leading_bytes_is_replaced(self, tmp_path, replaces):
+        # one whole 64 KiB block, so the block reads end where the new bytes do
+        text = "x" * (1 << 16)
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        # the size check sees the new size; the file then grows before it is read
+        lstat = os.lstat
+        with mock.patch.object(os, "lstat", lambda p: (lstat(p), path.write_text(text + "y"))[0]):
+            dnem.cli._atomic_write(path, text)
+        assert replaces == [path]
+        assert path.read_text() == text
+
+    def test_hard_linked_output_is_replaced_and_its_other_link_untouched(
+        self, tmp_path, replaces
+    ):
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        out = tmp_path / "out"
+        assert self.simulate(path, out) == EXIT_OK
+        # a copy of an earlier run kept as a hard link, as `cp -l` makes one
+        kept = tmp_path / "kept.csv"
+        os.link(out / "intervals.csv", kept)
+        os.utime(kept, (0, 0))
+        replaces.clear()
+        assert self.simulate(path, out) == EXIT_OK
+        assert replaces == [out / "intervals.csv"]
+        assert (out / "intervals.csv").stat().st_ino != kept.stat().st_ino
+        assert (out / "intervals.csv").read_bytes() == kept.read_bytes()
+        assert kept.stat().st_mtime == 0 and kept.stat().st_nlink == 1
+
+    def test_symlink_is_replaced_by_a_file_and_its_target_untouched(self, tmp_path):
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        assert self.simulate(path, tmp_path / "first") == EXIT_OK
+        out = tmp_path / "out"
+        out.mkdir()
+        # the link's target holds the very bytes the run writes: it is still not reused
+        target = tmp_path / "target.csv"
+        target.write_bytes((tmp_path / "first" / "intervals.csv").read_bytes())
+        os.utime(target, (0, 0))
+        (out / "intervals.csv").symlink_to(target)
+        assert self.simulate(path, out) == EXIT_OK
+        assert not (out / "intervals.csv").is_symlink()
+        assert (out / "intervals.csv").read_bytes() == target.read_bytes()
+        assert target.stat().st_mtime == 0
+
+    def test_failed_replace_keeps_the_old_file_and_exits_2_naming_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        assert self.simulate(write_config(tmp_path, ONE_MEMBER), out) == EXIT_OK
+        old = {name: (out / name).read_bytes() for name in self.NAMES}
+
+        def failing(src, dst):
+            raise OSError(errno.EIO, "replace failed")
+
+        monkeypatch.setattr(os, "replace", failing)
+        assert self.simulate(write_config(tmp_path, FIVE_MEMBERS), out) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(out / "intervals.csv") in err and "replace failed" in err
+        assert ".tmp" not in err
+        assert {name: (out / name).read_bytes() for name in self.NAMES} == old
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.NAMES)
+
+    def test_compare_rerun_leaves_the_table_in_place(self, tmp_path, replaces):
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        table = tmp_path / "table.csv"
+        argv = ["compare", "--config", path, "--out", str(table)]
+        assert main(argv) == EXIT_OK
+        assert replaces == [table]
+        inode, text = table.stat().st_ino, table.read_bytes()
+        replaces.clear()
+        assert main(argv) == EXIT_OK
+        assert replaces == []
+        assert (table.stat().st_ino, table.read_bytes()) == (inode, text)
+
+    @pytest.mark.parametrize(
+        "mask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_files_get_the_mode_of_a_new_file(self, tmp_path, mask, mode):
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        out = tmp_path / "out"
+        with _umask(mask):
+            assert self.simulate(path, out) == EXIT_OK
+            assert main(["compare", "--config", path, "--out", str(out / "t.csv")]) == EXIT_OK
+        for name in (*self.NAMES, "t.csv"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == mode, name
+        # a file left in place keeps its mode; a replaced one gets the new file's
+        (out / "summary.json").chmod(0o640)
+        (out / "intervals.csv").write_text("old")
+        (out / "intervals.csv").chmod(0o640)
+        with _umask(mask):
+            assert self.simulate(path, out) == EXIT_OK
+        assert stat.S_IMODE((out / "summary.json").stat().st_mode) == 0o640
+        assert stat.S_IMODE((out / "intervals.csv").stat().st_mode) == mode
+
+    def test_outputs_are_utf8_in_the_c_locale(self, tmp_path):
+        doc = json.loads(json.dumps(ONE_MEMBER))
+        doc["members"][0]["id"] = "café"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "out"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnem.cli", "simulate", "--config", str(path), "--out", str(out)],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        header = (out / "intervals.csv").read_bytes().split(b"\n")[0]
+        assert "café_d".encode("utf-8") in header.split(b",")
+        assert "café" in json.loads((out / "summary.json").read_bytes().decode("utf-8"))[
+            "per_member_surplus"
+        ]
 
 
 class TestPrice:
