@@ -125,8 +125,8 @@ class Dispatch(NamedTuple):
     soc: np.ndarray  # state of charge after the interval
     lower: np.ndarray  # response at the buy rate
     upper: np.ndarray  # response at the sell rate
-    follow_discharge: np.ndarray  # (N,) response at the discharge-side salvage price
-    follow_charge: np.ndarray  # (N,) response at the charge-side salvage price
+    follow_discharge: np.ndarray  # (N,) response at the discharge-side salvage price,
+    follow_charge: np.ndarray  # and at the charge-side one; NaN for an empty battery
     discharge: np.ndarray  # effective limits at the start of the interval
     charge: np.ndarray
 
@@ -171,11 +171,12 @@ def price_and_dispatch(
         buy, sell = (np.broadcast_to(rate, g.shape) for rate in rates)
         discharge_price = salvage / bess.discharge_eff
         charge_price = bess.charge_eff * salvage
-        # the responses at the rates, then the thresholds of the battery following
-        # generation, which depend on neither t nor SoC: one pass over the groups, at the
-        # ladder of those prices before it is broadcast to the prosumers
+        # the responses at the rates, then (with storage) the thresholds of the battery
+        # following generation, which depend on neither t nor SoC: one pass over the
+        # groups, at the ladder of those prices before it is broadcast to the prosumers
         width = 1 if all(np.shape(rate)[-1:] in ((), (1,)) for rate in rates) else n
-        salvage_prices = np.full((2, width), [[discharge_price], [charge_price]])
+        follow = 2 if bess.capacity != 0 else 0
+        salvage_prices = np.full((2, width), [[discharge_price], [charge_price]])[:follow]
         ladder = np.concatenate((buy[:, :width], sell[:, :width], salvage_prices))
         rows = np.arange(len(ladder))
         if width == 1:
@@ -184,8 +185,8 @@ def price_and_dispatch(
             _, first, rows = np.unique(bits, return_index=True, return_inverse=True)
             ladder = ladder[first]
         response = blocks.response(np.broadcast_to(ladder, (len(ladder), n)))[rows]
-        lower, upper = response[:horizon], response[horizon:-2]
-        follow_discharge, follow_charge = response[-2:]
+        lower, upper = response[:horizon], response[horizon : 2 * horizon]
+        follow_discharge, follow_charge = response[-2:] if follow else np.full((2, n), np.nan)
 
         # the parts of the policy and the zones that depend on neither the limits nor the SoC
         scarce, idle = g < follow_discharge, g <= follow_charge

@@ -570,7 +570,9 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
     discharge, charge = cell.discharge[0, 0], cell.charge[0, 0]
     doc = {"g_N": g_n, "t": t, "thresholds": {"lower": round(lower, 6), "upper": round(upper, 6)}}
     if scenario.bess is not None:
-        follow_discharge, follow_charge = cell.follow_discharge[0], cell.follow_charge[0]
+        # the responses at the salvage prices, which an empty battery's dispatch skips
+        salvage = [[rates.salvage / bess.discharge_eff], [bess.charge_eff * rates.salvage]]
+        follow_discharge, follow_charge = community.response(np.array(salvage))[:, 0]
         doc["storage"] = {
             "soc": round(bess.initial_soc, 6),
             "b": round(cell.battery[0, 0], 6),
@@ -719,8 +721,9 @@ def cmd_compare(config: str, ratios: Optional[Sequence[float]], out: Optional[st
     text = "\n".join([",".join(header)] + rows) + "\n"
     if out:
         _atomic_write(Path(out), text)
-    else:
-        sys.stdout.write(text)
+    else:  # UTF-8 whatever the locale, as in a file; text where stdout has no byte buffer
+        stdout = getattr(sys.stdout, "buffer", None)
+        stdout.write(text.encode()) if stdout else sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -8,7 +8,14 @@ continuous, non-increasing and piecewise linear with kinks at known prices,
 which lets the net-zero price be solved exactly.
 
 :class:`DeviceBlocks` holds such curves as rows, one per prosumer, and is
-their only representation; :class:`AggregateResponseCurve` is one row.
+their only representation; :class:`AggregateResponseCurve` is one row.  Rows
+share a block by device count class, ``count // 8`` from 1 to 127 devices (0
+and each count above 127 alone), each padded up to its class's widest row with
+the neutral device ``(alpha 0, beta 1, d_min 0, d_max 0)``.  That changes no
+bit: numpy's pairwise sum of n <= 128 terms keeps 8 partial sums over the first
+n - n % 8 and adds the rest one by one, so a pad, within the row's last block
+of 8, adds +0.0 to a sum that is never -0.0.  A pad consumes +0.0 at every
+non-NaN price, its utility is +0.0, and its one kink, 0, is every row's own.
 
 The solve is a binary search over the sorted kinks: O(N log K) for N devices
 and K kinks in the bracket, one O(N) curve evaluation per probe.  It needs no
@@ -85,46 +92,53 @@ def _response(params, prices) -> np.ndarray:
     return np.sum(device_consumption(params, prices), axis=-1)
 
 
-def _count_groups(counts: np.ndarray, columns: np.ndarray):
-    """Rows grouped by their count: row r owns ``counts[r]`` entries of ``columns``,
-    which holds the rows' entries back to back in row order.  Yields, count by count,
-    the rows (ascending) and their (rows, count) entries."""
-    order = np.argsort(counts, kind="stable")
+def _count_groups(counts: np.ndarray, columns: np.ndarray, pad: int):
+    """Rows grouped by count class (see the module docstring): row r owns ``counts[r]``
+    entries of ``columns``, which holds the rows' entries back to back in row order.
+    Yields, class by class, the rows (ascending) and their (rows, width) entries: each
+    row's own, then ``pad`` up to the widest row of its class."""
+    key = np.where(counts == 0, -1, np.where(counts < 128, counts // 8, counts))
+    order = np.argsort(key, kind="stable")
     start = np.cumsum(counts) - counts
-    cuts = np.flatnonzero(np.diff(counts[order])) + 1
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    padded = np.append(columns, pad)
     for rows in np.split(order, cuts) if len(order) else ():
-        yield rows, columns[start[rows, None] + np.arange(counts[rows[0]])]
+        n = counts[rows, None]
+        at = np.arange(n.max())
+        yield rows, padded[np.where(at < n, start[rows, None] + at, len(columns))]
 
 
 def mask_groups(mask: np.ndarray):
-    """The rows of a boolean (R, C) mask grouped by how many columns they select:
-    per count k, the rows (ascending) and the (rows, k) columns they select
-    (ascending)."""
-    return _count_groups(np.count_nonzero(mask, axis=1), np.nonzero(mask)[1])
+    """The rows of a boolean (R, C) mask grouped by the count class of how many columns
+    they select: per class, the rows (ascending) and the (rows, width) columns they
+    select (ascending), each row padded with column C."""
+    return _count_groups(np.count_nonzero(mask, axis=1), np.nonzero(mask)[1], mask.shape[1])
 
 
 class DeviceBlocks:
-    """The prosumers' devices grouped by device count, for (T, N) price arrays.
+    """The prosumers' devices grouped by device count class, for (T, N) price arrays.
 
     Built from members (anything with ``devices``), prosumer i is
-    ``members[i]``.  The devices' parameters are one flat (devices, 4) table of
-    ``(alpha, beta, d_min, d_max)`` in member order, with each member's device
-    count; :meth:`pooled` gathers coalitions of the members from it (and, in
+    ``members[i]``.  The devices' parameters are one table of ``(alpha, beta,
+    d_min, d_max)`` rows over the devices in member order, with each member's
+    device count; :meth:`pooled` gathers coalitions of the members from it (and, in
     one batch, the members themselves), with no :class:`~dnem.model.Member` per
-    coalition.  A group holds its prosumers' row indices and (rows, devices)
-    arrays of the device parameters.  Totals are ``np.sum`` over a prosumer's
-    own devices, along the contiguous last axis of a group block, which adds
-    them exactly as ``np.sum`` adds one prosumer's device vector (pairwise from
-    8 devices on).  Utilities add the devices one by one, as
-    :func:`~dnem.response.member_utility` does.  A prosumer without devices
-    consumes nothing.  :func:`invert_rows` solves prices on these curves.
+    coalition.  A group holds a count class's row indices and (rows, width)
+    arrays of the device parameters, rows padded with the neutral device.
+    Totals are ``np.sum`` along the contiguous last axis of a group block, which
+    adds them exactly as ``np.sum`` adds one prosumer's device vector, pads and
+    all (see the module docstring).  Utilities add the devices one by one from
+    +0.0, as :func:`~dnem.response.member_utility` does, so a pad's +0.0 changes
+    none.  A prosumer without devices consumes nothing.  :func:`invert_rows`
+    solves prices on these curves.
     """
 
     def __init__(self, members: Sequence[Member]):
-        self._table = device_table(members)
+        # alpha, beta, d_min and d_max, each a row over the devices and then the neutral one
+        self._table = np.vstack((device_table(members), [(0.0, 1.0, 0.0, 0.0)])).T.copy()
         self._counts = np.array([len(m.devices) for m in members], dtype=np.intp)
         self.rows = len(members)
-        self._groups = self._gather(_count_groups(self._counts, np.arange(len(self._table))))
+        self._groups = self._gather(self._counts, np.arange(self._table.shape[1] - 1))
 
     def pooled(self, mask: np.ndarray, members: bool = False) -> "DeviceBlocks":
         """R pooled prosumers from an (R, N) boolean membership mask: prosumer r owns,
@@ -137,18 +151,17 @@ class DeviceBlocks:
         counts, columns = np.count_nonzero(owned, axis=1), np.nonzero(owned)[1]
         if members:
             counts = np.concatenate((counts, self._counts))
-            columns = np.concatenate((columns, np.arange(len(self._table))))
+            columns = np.concatenate((columns, np.arange(self._table.shape[1] - 1)))
         blocks = object.__new__(DeviceBlocks)
-        blocks.rows = len(counts)
-        blocks._groups = self._gather(_count_groups(counts, columns))
+        blocks.rows, blocks._counts = len(counts), counts
+        blocks._groups = self._gather(counts, columns)
         return blocks
 
-    def _gather(self, by_count) -> list:
-        # each group's (rows, devices) parameters from the table rows it indexes
+    def _gather(self, counts, columns) -> list:
+        # each group's (rows, width) parameters, each contiguous, from the table columns
         groups = []
-        for rows, index in by_count:
-            params = self._table[index]
-            alpha, beta, d_min, d_max = (params[..., j].copy() for j in range(4))
+        for rows, index in _count_groups(counts, columns, self._table.shape[1] - 1):
+            alpha, beta, d_min, d_max = np.take(self._table, index, axis=1)
             groups.append((rows, alpha, beta, alpha / beta, d_min, d_max, 0.5 * beta))
         return groups
 
@@ -164,12 +177,12 @@ class DeviceBlocks:
         """Consumption, totals and utilities of every member at (T, N) prices.
 
         ``consumption[i]`` is member i's (T, devices) slice of its group's
-        block: row t is its surplus-maximising device vector at
+        block, pads cut: row t is its surplus-maximising device vector at
         ``prices[t, i]``.  Totals and utilities are (T, N) arrays.
         """
         total = np.empty(prices.shape)
         utility = np.empty(prices.shape)
-        consumption = [None] * prices.shape[1]
+        consumption, counts = [None] * prices.shape[1], self._counts.tolist()
         for idx, alpha, beta, saturation, d_min, d_max, half_beta in self._groups:
             d = device_consumption((alpha, beta, saturation, d_min, d_max), prices[:, idx, None])
             total[:, idx] = np.sum(d, axis=-1)
@@ -179,7 +192,7 @@ class DeviceBlocks:
                 u += device_utility((alpha[:, j], half_beta[:, j], saturation[:, j]), d[:, :, j])
             utility[:, idx] = u
             for k, i in enumerate(idx.tolist()):
-                consumption[i] = d[:, k]
+                consumption[i] = d[:, k, : counts[i]]
         return consumption, total, utility
 
 
@@ -244,16 +257,17 @@ def invert_rows(blocks: DeviceBlocks, rows, target, lo, hi, v_lo, v_hi) -> np.nd
     :class:`TargetOutsideRangeError` for the first bad k, checking its
     bracket before its target.
 
-    Only the prosumers with a cell are solved: per device-count group, their
-    parameters and their sorted, unique kinks.  Every cell runs the two
-    plateau-edge searches of :func:`invert_aggregate` in lockstep: each step
-    evaluates, in every group with an unfinished cell, one (prices, devices)
-    expression.  A group with one such prosumer (a run's community, whose
-    cells mostly share a few brackets) evaluates each distinct price (by its
-    bits) once; a group of many evaluates every cell, a finished one at its
-    last probe again, so it raises no new warning.  The right edge is searched
-    from the left edge, with the responses at both edges carried, so a cell
-    that is not on a plateau needs no second search.
+    Only the prosumers with a cell are solved: per count class, their padded
+    parameters and their sorted, unique kinks (a pad's kink, 0, is every row's
+    own, so it adds none).  Every cell runs the two plateau-edge searches of
+    :func:`invert_aggregate` in lockstep: each step evaluates, in every group
+    with an unfinished cell, one (prices, devices) expression.  A group with one
+    such prosumer (a run's community, whose cells mostly share a few brackets)
+    evaluates each distinct price (by its bits) once; a group of many evaluates
+    every cell, a finished one at its last probe again, so it raises no new
+    warning.  The right edge is searched from the left edge, with the responses
+    at both edges carried, so a cell that is not on a plateau needs no second
+    search.
     """
     rows = np.asarray(rows, dtype=np.intp)
     target, lo, hi, v_lo, v_hi = (

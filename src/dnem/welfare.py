@@ -360,8 +360,9 @@ def coalition_audits(
     times = np.repeat(times, 2)
     mask = np.stack((superset, subset), axis=1).reshape(len(times), n)
     g_n = np.empty(len(mask))
+    padded = np.vstack((gen, np.zeros(horizon)))  # member N, of no generation, pads a row
     for rows, ids in mask_groups(mask):
-        g_n[rows] = np.sum(gen[ids, times[rows, None]], axis=-1)
+        g_n[rows] = np.sum(padded[ids, times[rows, None]], axis=-1)
     priced = price_and_dispatch(
         blocks.pooled(mask), BessSpec(0.0), np.ones(len(mask)), g_n[:, None],
         np.asarray(buy, dtype=float)[None, times], np.asarray(sell, dtype=float)[None, times], 0.0,

@@ -8,7 +8,9 @@ than tautology.  The one exception is the net-zero price reference
 through ``AggregateResponseCurve.response``, one price at a time, and checks
 the package's batched search against a scan of every kink.  The kinks are
 listed from the devices' parameters (:func:`kink_prices`), and that response
-is itself pinned to :func:`reference_response`.
+is itself pinned to :func:`reference_response`.  :func:`exact_count_groups` is
+not independent either: it is the package's former grouping of device blocks,
+kept to check the padded count classes against blocks that hold no pad.
 """
 
 import dataclasses
@@ -600,3 +602,19 @@ def coalition_samples_loop(seed: int, n: int, horizon: int, count: int, fallback
             subset = [int(superset[int(rng.integers(0, len(superset)))])]
         drawn.append((t, subset, superset.tolist()))
     return drawn
+
+
+def exact_count_groups(counts, columns, pad=None):
+    """Rows grouped by their exact count, as ``curves._count_groups`` grouped them
+    before rows of one count class shared a block padded with ``pad``: count by count,
+    the rows (ascending) and their (rows, count) entries; ``pad`` is not used.
+
+    Not independent of the package: this is its former code, a drop-in for
+    ``_count_groups`` that builds unpadded blocks, so every float the padded blocks
+    give can be checked bit for bit against the blocks it gave before.
+    """
+    order = np.argsort(counts, kind="stable")
+    start = np.cumsum(counts) - counts
+    cuts = np.flatnonzero(np.diff(counts[order])) + 1
+    for rows in np.split(order, cuts) if len(order) else ():
+        yield rows, columns[start[rows, None] + np.arange(counts[rows[0]])]

@@ -535,22 +535,25 @@ class TestDistinctThresholdPrices:
         sc = solar_day_scenario(4, n_members=12, horizon=24, with_bess=with_bess)
         shapes = self._recorded(monkeypatch)
         run_all(sc)
-        rates, bess = sc.rates, sc.bess or BessSpec(0.0)
-        ladder = np.concatenate(
-            (rates.buy, rates.sell, [rates.salvage / bess.discharge_eff, bess.charge_eff * rates.salvage])
-        )
-        # the community and the 12 members, each at 2 buy prices, 1 sell price and the
-        # 2 salvage prices, which are both 0.0 without a battery
-        assert shapes == [(len(np.unique(ladder)), 13)] == [(5 if with_bess else 4, 13)]
+        rates, bess = sc.rates, sc.bess
+        # the salvage prices only with a battery: no cell of an empty one reads them
+        salvage = [rates.salvage / bess.discharge_eff, bess.charge_eff * rates.salvage] if bess else []
+        ladder = np.concatenate((rates.buy, rates.sell, salvage))
+        # the community and the 12 members, each at 2 buy prices, 1 sell price and, with
+        # a battery, the 2 salvage prices
+        assert shapes == [(len(np.unique(ladder)), 13)] == [(5 if with_bess else 3, 13)]
 
     def test_rates_per_prosumer_keep_every_row(self, monkeypatch):
         sc = solar_day_scenario(4, n_members=12, horizon=24)
         n, horizon = 12, 6
         gen = folded_generation(sc)[:, :horizon]
         shapes = self._recorded(monkeypatch)
-        # a (1, N) row broadcast to every interval; never more than the (2T + 2) x N cells
+        # a (1, N) row broadcast to every interval; never more than the 2T x N cells of
+        # the rates, since an empty battery evaluates no salvage price
         buy, sell = np.linspace(0.2, 0.4, n)[None, :], np.full((1, n), 0.1)
         price_and_dispatch(DeviceBlocks(sc.members), BessSpec(0.0), np.ones(n), gen, buy, sell, 0.0)
-        # and one interval of the coalition audit's kind: 4 rows
+        # and one interval of the coalition audit's kind: 2 rows
         price_and_dispatch(DeviceBlocks(sc.members), BessSpec(0.0), np.ones(n), gen[:, :1], buy, sell, 0.0)
-        assert shapes == [(2 * horizon + 2, n), (4, n)]
+        # with storage, the 2 salvage rows follow
+        price_and_dispatch(DeviceBlocks(sc.members), SPEC, np.ones(n) / n, gen[:, :1], buy, sell, 0.15)
+        assert shapes == [(2 * horizon, n), (2, n), (4, n)]

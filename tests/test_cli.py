@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -989,6 +990,28 @@ class TestOutputFiles:
         assert "café" in json.loads((out / "summary.json").read_bytes().decode("utf-8"))[
             "per_member_surplus"
         ]
+
+    def test_compare_stdout_is_utf8_in_the_c_locale(self, tmp_path):
+        doc = json.loads(json.dumps(ONE_MEMBER))
+        doc["members"][0]["id"] = "café"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        argv = [sys.executable, "-m", "dnem.cli", "compare", "--config", str(path)]
+        proc = subprocess.run(argv, capture_output=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        # the bytes the table writes to a file
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == EXIT_OK
+        assert proc.stdout == (tmp_path / "t.csv").read_bytes()
+        assert "café".encode("utf-8") in proc.stdout.split(b"\n")[0]
+
+    def test_compare_writes_text_where_stdout_has_no_buffer(self, tmp_path):
+        path = write_config(tmp_path, ONE_MEMBER)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["compare", "--config", path]) == EXIT_OK
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "t.csv")]) == EXIT_OK
+        assert out.getvalue() == (tmp_path / "t.csv").read_text(encoding="utf-8")
 
 
 class TestPrice:

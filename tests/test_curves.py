@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnem import curves
+from dnem import curves, welfare
 from dnem.curves import (
     EPS_QUANTITY,
     AggregateResponseCurve,
@@ -21,6 +22,7 @@ from dnem.model import CommunityScenario, DeviceUtility, Member, RateSchedule
 from dnem.sim import run
 
 from oracles import (
+    exact_count_groups,
     full_scan_invert,
     grid_best_consumption,
     kink_prices,
@@ -29,6 +31,7 @@ from oracles import (
     quad_utility,
     reference_response,
 )
+from test_exports import _perfbench_module
 
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 DEV_B = DeviceUtility(3.0, 2.0, 0.0, 2.0)
@@ -599,7 +602,8 @@ class TestBatchedSolve:
     @settings(max_examples=60, deadline=None)
     @given(members=mixed_rows(max_rows=5))
     def test_kink_table_rows_are_each_members_unique_kinks(self, members):
-        # the kinks the solve sorts for each group's prosumers, row by row
+        # the kinks the solve sorts for each group's prosumers, row by row; a row padded
+        # to its count class's width adds only the kink 0, which every row has
         table = {}
         for rows, *params in DeviceBlocks(members)._groups:
             kinks, count = curves._sorted_kinks(params[:5])
@@ -733,3 +737,160 @@ class TestFirstFalse:
         got = first_false(lambda k: below(table[r, k], x), lo, hi)
         expected = [max(a, np.searchsorted(rows[i], v, side=side)) for i, v, a in cells]
         assert got.tolist() == expected
+
+
+#: the float specials a pad must leave in a sum: signed zeros, subnormals, the
+#: smallest normal, the infinities, NaN and the overflow edge
+SUM_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan, 1e308, -1e308])
+
+
+def class_end(k):
+    """The widest row of k's count class: k itself for 0 and above 127."""
+    return k if k == 0 or k > 127 else k // 8 * 8 + 7
+
+
+def seeded_members(seed, counts):
+    """Members of the given device counts with ``edge_device``'s kinds of devices,
+    drawn from a seed: signed zeros, an underflowing slope, tied bounds.  A third of
+    the members have no lower bounds, so at a high price they consume exactly 0."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for r, k in enumerate(counts):
+        alpha = np.where(rng.random(k) < 0.3, rng.choice([-0.0, 0.0, 1.0, 2.0], k), rng.uniform(0.0, 5.0, k))
+        beta = np.where(rng.random(k) < 0.2, rng.choice([0.5, 1.0, 1e308], k), rng.uniform(0.1, 3.0, k))
+        lo = np.where(rng.random(k) < 0.3, rng.choice([-0.0, 0.0, 1.0], k), rng.uniform(0.0, 3.0, k))
+        width, saturation = rng.uniform(0.0, 3.0, k), alpha / beta
+        kind = rng.integers(0, 4, k)
+        d_min = np.choose(kind, (lo, lo, lo * 0.0, saturation)) * (0.0 if r % 3 == 1 else 1.0)
+        d_max = np.choose(kind, (lo + width, lo, saturation, saturation + width))
+        devices = tuple(DeviceUtility(*map(float, p)) for p in zip(alpha, beta, d_min, d_max))
+        members.append(Member(f"m{r}", devices, ()))
+    return members
+
+
+def exact_blocks(build):
+    """``build()`` with blocks grouped by exact device count, as before count classes."""
+    with mock.patch.object(curves, "_count_groups", exact_count_groups):
+        return build()
+
+
+def solved(prices):
+    """Each solved price's type and bits."""
+    return [(type(v), np.float64(v).tobytes()) for v in prices]
+
+
+class TestCountClasses:
+    """Rows of one count class (count // 8, for 1 to 127 devices) share a block padded
+    with the neutral device, and every float is the one exact-count blocks give."""
+
+    def test_padded_sums_equal_unpadded_up_to_the_class_end(self):
+        rng = np.random.default_rng(35)
+
+        def draw(shape):
+            special = rng.choice(SUM_SPECIALS, shape)
+            wide = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+            return np.where(rng.random(shape) < 0.3, special, wide)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(136):
+                rows, block = draw((30, k)), draw((30, 3, k))
+                for w in range(k, class_end(k) + 1):
+                    for x in (*rows, block):
+                        padded = np.concatenate((x, np.zeros(x.shape[:-1] + (w - k,))), axis=-1)
+                        assert np.sum(padded, axis=-1).tobytes() == np.sum(x, axis=-1).tobytes(), (k, w)
+
+    def test_a_pad_past_the_class_end_can_change_a_sum(self):
+        # 9 terms: 8 pairwise, then 1.0; padded to 16, the 1.0 joins 1e16 first and is lost
+        x = np.zeros(9)
+        x[[0, 1, 8]] = 1e16, -1e16, 1.0
+        assert np.sum(x) == np.sum(np.append(x, np.zeros(class_end(9) - 9))) == 1.0
+        assert np.sum(np.append(x, np.zeros(class_end(9) - 8))) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(0, 20) | st.integers(128, 140), min_size=1, max_size=6),
+    )
+    def test_blocks_equal_exact_count_blocks_bit_for_bit(self, seed, counts):
+        members = seeded_members(seed, counts)
+        rng = np.random.default_rng(seed)
+        n, t = len(members), 3
+        blocks, exact = DeviceBlocks(members), exact_blocks(lambda: DeviceBlocks(members))
+        # prices at specials, at a member's kinks and in between
+        kinks = [kink_prices(m.devices) or [0.0] for m in members]
+        prices = rng.uniform(-1.0, 6.0, (t, n))
+        for (s, i), u in np.ndenumerate(rng.random((t, n))):
+            if u < 0.4:
+                prices[s, i] = rng.choice([-0.0, 0.0, np.nan, np.inf, -np.inf] + kinks[i])
+        with np.errstate(all="ignore"):
+            assert blocks.response(prices).tobytes() == exact.response(prices).tobytes()
+            got, want = blocks.evaluate(prices), exact.evaluate(prices)
+            assert [d.tobytes() for d in got[0]] == [d.tobytes() for d in want[0]]
+            assert [d.shape for d in got[0]] == [(t, k) for k in counts]
+            assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+
+            # coalitions of the members, then the members, as a run and an audit pool them
+            mask = rng.random((8, n)) < 0.6
+            pooled, pooled_exact = blocks.pooled(mask, True), exact_blocks(lambda: exact.pooled(mask, True))
+            assert len(pooled._groups) <= len(pooled_exact._groups)
+            wide = rng.uniform(-1.0, 6.0, (t, pooled.rows))
+            assert pooled.response(wide).tobytes() == pooled_exact.response(wide).tobytes()
+
+            # net-zero cells on the pooled curves, with brackets at 0, drawn or a point
+            cells, rows = np.arange(12), rng.integers(0, pooled.rows, 12)
+            lo = np.where(rng.random(12) < 0.3, 0.0, rng.uniform(-0.5, 3.0, 12))
+            hi = lo + np.where(rng.random(12) < 0.2, 0.0, rng.uniform(0.0, 4.0, 12))
+
+            def at_cells(y):
+                cell_prices = np.zeros((12, pooled.rows))
+                cell_prices[cells, rows] = y
+                return pooled.response(cell_prices)[cells, rows]
+
+            v_lo, v_hi = at_cells(lo), at_cells(hi)
+            target = v_hi + rng.choice([0.0, 1.0, 0.5, rng.random()], 12) * (v_lo - v_hi)
+            args = (rows, target, lo, hi, v_lo, v_hi)
+            assert solved(invert_rows(pooled, *args)) == solved(invert_rows(pooled_exact, *args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20) | st.integers(128, 140))
+    def test_coalition_generation_sums_equal_exact_count_sums(self, seed, n):
+        # the sums group coalitions by member count, so up to 140 members
+        rng = np.random.default_rng(seed)
+        members = [Member(f"m{i}", (DEV_A,), ()) for i in range(n)]
+        horizon, samples = 4, 12
+        # generation at signed zeros, subnormals and plain values of many scales
+        gen = np.where(
+            rng.random((n, horizon)) < 0.4,
+            rng.choice([0.0, -0.0, 5e-324, 1e-300], (n, horizon)),
+            rng.uniform(0.0, 30.0, (n, horizon)) * 10.0 ** rng.integers(-8, 8, (n, horizon)),
+        )
+        # coalitions of every size: each sample's own membership density
+        superset = rng.random((samples, n)) < rng.random((samples, 1))
+        subset = superset & (rng.random((samples, n)) < rng.random((samples, 1)))
+        first = np.argmax(superset | ~superset.any(axis=1, keepdims=True), axis=1)
+        superset[np.arange(samples), first] = subset[np.arange(samples), first] = True
+        drawn = (rng.integers(0, horizon, samples), superset, subset)
+        sums, original = [], welfare.price_and_dispatch
+
+        def recording(blocks, bess, shares, g_n, *rest):
+            sums.append(g_n.tobytes())
+            return original(blocks, bess, shares, g_n, *rest)
+
+        def audit():
+            return welfare.coalition_audits(DeviceBlocks(members), gen, [0.3] * horizon, [0.1] * horizon, *drawn)
+
+        with mock.patch.object(welfare, "price_and_dispatch", recording):
+            got, want = audit(), exact_blocks(audit)
+        assert sums[0] == sums[1]
+        assert got.subset_in_parent.tobytes() == want.subset_in_parent.tobytes()
+        assert got.subset_alone.tobytes() == want.subset_alone.tobytes()
+
+    def test_the_benchmark_audit_pools_its_coalitions_in_few_groups(self):
+        workloads = _perfbench_module("workloads")
+        scenario = workloads.quarter_hour_day(np.random.default_rng(1), workloads.DAY_MEMBERS, False)
+        times, superset, subset = welfare.sample_coalitions(0, len(scenario.members), scenario.horizon, 200)
+        mask = np.stack((superset, subset), axis=1).reshape(2 * len(times), -1)
+        pooled = DeviceBlocks(scenario.members).pooled(mask)
+        # coalitions of 2 to 50 devices: about 20 exact counts, in 5 classes
+        assert len(exact_blocks(lambda: DeviceBlocks(scenario.members).pooled(mask))._groups) >= 15
+        assert len(pooled._groups) <= 7
