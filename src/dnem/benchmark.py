@@ -23,7 +23,7 @@ import numpy as np
 
 from .bess import _BUY, _SELL, ZONES, Dispatch, price_and_dispatch
 from .curves import DeviceBlocks
-from .model import BessSpec, CommunityPrice, Member, RateSchedule
+from .model import BessSpec, CommunityPrice, Member, RateSchedule, member_table
 from .response import MemberOutcome, Settlement, _in_order, member_utility, nem_payment, settle_arrays
 
 __all__ = [
@@ -64,7 +64,7 @@ def standalone_optimum_with_bess(
     This is :func:`standalone_settlement` for a community of one.
     """
     gen = np.asarray(trace, dtype=float).reshape(1, -1)
-    blocks, horizon = DeviceBlocks([member]), gen.shape[1]
+    blocks, horizon = DeviceBlocks(*member_table([member])[:2]), gen.shape[1]
     alone = price_and_dispatch(
         blocks, spec, np.ones(1), gen, rates.buy[:horizon, None], rates.sell[:horizon, None],
         rates.salvage,

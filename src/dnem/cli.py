@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .bess import ZONES, price_and_dispatch
-from .curves import AggregateResponseCurve, DeviceBlocks
+from .curves import DeviceBlocks
 from .model import (
     BessSpec,
     CommunityScenario,
@@ -561,7 +561,7 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
     rates = scenario.rates
     # the community as one prosumer at interval t, its battery (if any) at the initial SoC
     bess = scenario.bess or BessSpec(0.0)
-    community = AggregateResponseCurve.from_members(scenario.members).blocks
+    community = DeviceBlocks(scenario.device_table, [len(scenario.device_table)])
     cell = price_and_dispatch(
         community, bess, np.ones(1), np.array([[g_n]]),
         rates.buy[t], rates.sell[t], rates.salvage,
@@ -645,7 +645,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
 
     if coalition_samples > 0:
         ids = [m.id for m in scenario.members]
-        blocks = DeviceBlocks(scenario.members)
+        blocks = DeviceBlocks(scenario.device_table, scenario.device_counts)
         gen = folded_generation(scenario)
         failures, worst, first_failure = 0, 0.0, None
         for seed in range(seeds):

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import DeviceUtility, Member, device_table
+from .model import DeviceUtility, Member, member_table
 
 __all__ = [
     "EPS_QUANTITY",
@@ -118,26 +118,26 @@ def mask_groups(mask: np.ndarray):
 class DeviceBlocks:
     """The prosumers' devices grouped by device count class, for (T, N) price arrays.
 
-    Built from members (anything with ``devices``), prosumer i is
-    ``members[i]``.  The devices' parameters are one table of ``(alpha, beta,
-    d_min, d_max)`` rows over the devices in member order, with each member's
-    device count; :meth:`pooled` gathers coalitions of the members from it (and, in
-    one batch, the members themselves), with no :class:`~dnem.model.Member` per
-    coalition.  A group holds a count class's row indices and (rows, width)
-    arrays of the device parameters, rows padded with the neutral device.
-    Totals are ``np.sum`` along the contiguous last axis of a group block, which
-    adds them exactly as ``np.sum`` adds one prosumer's device vector, pads and
-    all (see the module docstring).  Utilities add the devices one by one from
-    +0.0, as :func:`~dnem.response.member_utility` does, so a pad's +0.0 changes
-    none.  A prosumer without devices consumes nothing.  :func:`invert_rows`
+    Built from a (devices, 4) ``table`` of ``(alpha, beta, d_min, d_max)`` rows over
+    the devices in member order and each member's device count (a scenario's
+    ``device_table`` and ``device_counts``, or :func:`~dnem.model.member_table`'s
+    for a member list), prosumer i is member i.  :meth:`pooled` gathers coalitions
+    of the members from the table (and, in one batch, the members themselves), with
+    no :class:`~dnem.model.Member` per coalition.  A group holds a count class's row
+    indices and (rows, width) arrays of the device parameters, rows padded with the
+    neutral device.  Totals are ``np.sum`` along the contiguous last axis of a group
+    block, which adds them exactly as ``np.sum`` adds one prosumer's device vector,
+    pads and all (see the module docstring).  Utilities add the devices one by one
+    from +0.0, as :func:`~dnem.response.member_utility` does, so a pad's +0.0
+    changes none.  A prosumer without devices consumes nothing.  :func:`invert_rows`
     solves prices on these curves.
     """
 
-    def __init__(self, members: Sequence[Member]):
+    def __init__(self, table: np.ndarray, counts: np.ndarray):
         # alpha, beta, d_min and d_max, each a row over the devices and then the neutral one
-        self._table = np.vstack((device_table(members), [(0.0, 1.0, 0.0, 0.0)])).T.copy()
-        self._counts = np.array([len(m.devices) for m in members], dtype=np.intp)
-        self.rows = len(members)
+        self._table = np.vstack((table, [(0.0, 1.0, 0.0, 0.0)])).T.copy()
+        self._counts = np.asarray(counts, dtype=np.intp)
+        self.rows = len(self._counts)
         self._groups = self._gather(self._counts, np.arange(self._table.shape[1] - 1))
 
     def pooled(self, mask: np.ndarray, members: bool = False) -> "DeviceBlocks":
@@ -145,7 +145,7 @@ class DeviceBlocks:
         in member order, the devices of the members that ``mask[r]`` selects.  With
         ``members``, the N members follow as prosumers R..R+N-1, gathered from the
         table with no mask row each.  Its arrays, and so every float, are those of
-        ``DeviceBlocks([Member(...), ...])`` on those devices."""
+        ``DeviceBlocks`` built on those devices' table and counts."""
         # (R, devices): whether row r owns the device
         owned = np.asarray(mask, dtype=bool)[:, np.repeat(np.arange(self.rows), self._counts)]
         counts, columns = np.count_nonzero(owned, axis=1), np.nonzero(owned)[1]
@@ -198,12 +198,11 @@ class DeviceBlocks:
 
 class AggregateResponseCurve:
     """Total price response of a flat collection of quadratic devices, immutable: a
-    view of :attr:`blocks`, the one :class:`DeviceBlocks` row that owns every device
-    (blocks read only a member's ``devices``, so the curve is its own member)."""
+    view of :attr:`blocks`, the one :class:`DeviceBlocks` row that owns every device."""
 
     def __init__(self, devices: Iterable[DeviceUtility]):
         self.devices = tuple(devices)
-        self.blocks = DeviceBlocks([self])
+        self.blocks = DeviceBlocks(*member_table([Member("curve", self.devices, ())])[:2])
 
     @classmethod
     def from_members(cls, members: Sequence[Member]) -> "AggregateResponseCurve":

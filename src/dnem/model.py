@@ -7,18 +7,19 @@ vector with one entry per interval of the scenario horizon.
 All types are frozen dataclasses and trace arrays are marked read-only after
 construction, so scenarios can be shared freely across concurrent
 evaluations.  A :class:`CommunityScenario` (and each ``dataclasses.replace``
-copy) checks every invariant when it is built, through :func:`validate_scenario`,
-which reports every violation it finds rather than stopping at the first; so
-every scenario object is valid, and nothing downstream checks it again.  Each
-device rule is written once, in one table tested on every device's parameters at once.
+copy) builds its numbers once as read-only float64 arrays, with :func:`member_table`,
+which alone reads a value's type; then :func:`validate_scenario` checks every
+invariant on them and reports every violation it finds.  So every scenario object
+is valid, and nothing downstream checks it again.  Each device rule is written
+once, in one table tested on every device's parameters at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +34,8 @@ __all__ = [
     "CommunityPrice",
     "ScenarioValidationError",
     "validate_scenario",
-    "device_table",
+    "MemberTable",
+    "member_table",
     "salvage_rate_bounds",
     "stored_energy",
 ]
@@ -52,19 +54,11 @@ class PriceZone(str, Enum):
 
 
 #: Zones in which the community's aggregate net consumption is held at zero.
-NET_ZERO_ZONES = frozenset(
-    {
-        PriceZone.NET_ZERO_DISCHARGE_DYNAMIC,
-        PriceZone.NET_ZERO_DISCHARGE_FLAT,
-        PriceZone.NET_ZERO_IDLE,
-        PriceZone.NET_ZERO_CHARGE_FLAT,
-        PriceZone.NET_ZERO_CHARGE_DYNAMIC,
-    }
-)
+NET_ZERO_ZONES = frozenset(zone for zone in PriceZone if zone.name.startswith("NET_ZERO_"))
 
 
 def _as_readonly_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True).reshape(-1)
+    arr = np.atleast_1d(np.array(values, dtype=float, copy=True))  # a scalar is one entry; no other shape changes
     arr.setflags(write=False)
     return arr
 
@@ -147,20 +141,20 @@ class BessSpec:
 
     def scaled(self, share: float) -> "BessSpec":
         """The slice of this battery owned by a member with fraction ``share``."""
-        return BessSpec(
-            capacity=share * self.capacity,
-            charge_eff=self.charge_eff,
-            discharge_eff=self.discharge_eff,
-            max_charge=share * self.max_charge,
-            max_discharge=share * self.max_discharge,
-            initial_soc=share * self.initial_soc,
+        return replace(
+            self, capacity=share * self.capacity, max_charge=share * self.max_charge,
+            max_discharge=share * self.max_discharge, initial_soc=share * self.initial_soc,
         )
 
 
 @dataclass(frozen=True)
 class CommunityScenario:
     """A complete simulation input: members, tariff, optional storage, horizon;
-    valid by construction, since the constructor runs :func:`validate_scenario`."""
+    valid by construction, since the constructor runs :func:`validate_scenario`.
+
+    It also holds, outside the fields (which alone are compared, shown and hashed), the
+    :class:`MemberTable` of its members, salvage rate and battery, and the (N, T) ``pv_traces``.
+    """
 
     members: tuple[Member, ...]
     rates: RateSchedule
@@ -170,13 +164,18 @@ class CommunityScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        trace = self.central_pv_trace
-        if trace is None or (hasattr(trace, "__len__") and len(trace) == 0):
+        trace = _as_readonly_array([] if self.central_pv_trace is None else self.central_pv_trace)
+        if not trace.size:
             horizon = _positive_horizon(self.horizon)
-            # no central PV, sized only by a horizon the rates match: the rates report
-            # any other, which may be too long to allocate
-            trace = np.zeros(horizon if len(self.rates.buy) == horizon else 0)
-        object.__setattr__(self, "central_pv_trace", _as_readonly_array(trace))
+            # sized only by a horizon the rates match: any other, maybe too long, is reported
+            trace = _as_readonly_array(np.zeros(horizon if len(self.rates.buy) == horizon else 0))
+        object.__setattr__(self, "central_pv_trace", trace)
+        battery = [getattr(self.bess, f.name) for f in fields(BessSpec)] if self.bess else []
+        traces, pv = [m.pv_trace for m in self.members], None
+        if traces and all(t.shape == (self.horizon,) for t in traces):  # else they are reported
+            pv = _as_readonly_array(traces)
+        numbers = member_table(self.members, [self.rates.salvage, *battery])
+        vars(self).update(numbers._asdict(), pv_traces=pv)
         validate_scenario(self)
 
 
@@ -222,24 +221,50 @@ def salvage_rate_bounds(rates: RateSchedule, bess: BessSpec) -> tuple[float, flo
     return lo, hi
 
 
-def _device_values(members: Sequence[Member]) -> list:
-    return [v for m in members for d in m.devices for v in (d.alpha, d.beta, d.d_min, d.d_max)]
+class MemberTable(NamedTuple):
+    """:func:`member_table`'s read-only float64 arrays, and where it found no number."""
+
+    device_table: np.ndarray  #: (devices, 4): alpha, beta, d_min, d_max, in member order
+    device_counts: np.ndarray  #: (N,): each member's device count, as a float
+    central_pv_shares: np.ndarray  #: (N,)
+    bess_shares: np.ndarray  #: (N,)
+    scalars: np.ndarray  #: the scalars given, in their order
+    odd: np.ndarray  #: per value (devices, shares as above, scalars): not a number
+    exact: dict  #: index as in ``odd`` -> the number, where float64 does not hold it
 
 
-def device_table(members: Sequence[Member]) -> np.ndarray:
-    """Every device's ``(alpha, beta, d_min, d_max)`` as one (devices, 4) float table,
-    in member order."""
-    values = _device_values(members)
-    return np.fromiter(values, dtype=float, count=len(values)).reshape(-1, 4)
+def member_table(members: Sequence[Member], scalars: Sequence = ()) -> MemberTable:
+    """The members' numbers, and ``scalars``, read by the package's one type rule
+    (``DeviceBlocks(*member_table(members)[:2])`` holds the members' devices).
 
-
-#: Types of which float64 holds every value exactly
-_FLOATS = frozenset({float, np.float64, np.float32, np.float16})
-
-
-def _numeric(value) -> bool:
-    """A number of a scenario: a Python or numpy int or float, not a ``bool`` (an ``int`` too)."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    A number is a Python or numpy int or float; a ``bool``, a string or anything else
+    reads as NaN, flagged in ``odd``.  An int past float range reads as inf, whatever
+    its sign.  ``exact`` keeps each number float64 rounds, for the comparisons
+    made again exactly: a device's bounds, and a battery's initial_soc and capacity.
+    """
+    values = [v for m in members for d in m.devices for v in (d.alpha, d.beta, d.d_min, d.d_max)]
+    cut, n = len(values), len(members)
+    values += [m.central_pv_share for m in members] + [m.bess_share for m in members] + list(scalars)
+    odd, exact = np.zeros(len(values), dtype=bool), {}
+    if set(map(type, values)) <= {float, np.float64, np.float32, np.float16}:  # held exactly
+        floats = np.fromiter(values, dtype=float, count=len(values))
+    else:
+        floats = np.full(len(values), math.nan)
+        for i, v in enumerate(values):
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                odd[i] = True
+                continue
+            number = v.item() if isinstance(v, np.generic) else v  # compares exactly
+            try:
+                floats[i] = value = float(number)
+            except OverflowError:  # a Python int past float range
+                floats[i] = value = math.inf
+            if number == number != value:  # rounded (a NaN is not)
+                exact[i] = number
+    floats.setflags(write=False)
+    counts = _as_readonly_array([len(m.devices) for m in members])
+    shares = floats[cut : cut + n], floats[cut + n : cut + 2 * n]
+    return MemberTable(floats[:cut].reshape(-1, 4), counts, *shares, floats[cut + 2 * n :], odd, exact)
 
 
 #: The device rules, in the order of their messages: each message, formatted with the
@@ -257,44 +282,27 @@ _DEVICE_RULES = {
 }
 
 
-def _float(value) -> float:
-    try:
-        return float(value)
-    except OverflowError:  # a Python int past float range
-        return math.inf
-
-
-def _device_issues(members: Sequence[Member]) -> dict[int, list[str]]:
+def _device_issues(scenario: CommunityScenario) -> dict[int, list[str]]:
     """Each member's device issues by member index: one for a non-numeric parameter, else one
     for a non-finite one, else one per rule of :data:`_DEVICE_RULES` that the device breaks."""
-    values = _device_values(members)
-    floats, numeric = values, np.ones(len(values) // 4, dtype=bool)
-    if not set(map(type, values)) <= _FLOATS:
-        held = list(map(_numeric, values))
-        numeric = np.array(held, dtype=bool).reshape(-1, 4).all(axis=1)
-        floats = [_float(v) if ok else math.nan for v, ok in zip(values, held)]
-    table = np.fromiter(floats, dtype=float, count=len(floats)).reshape(-1, 4)
+    table, members, exact = scenario.device_table, scenario.members, scenario.exact
+    numeric = ~scenario.odd[: table.size].reshape(-1, 4).any(axis=1)
     columns, usable = tuple(table.T), np.isfinite(table).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rules = [test(*columns) & usable for test in _DEVICE_RULES.values()]
-    if floats is not values:
-        # float64 rounds an int past 2**53, so bounds equal as floats are compared as numbers
-        for i in np.flatnonzero(usable & (table[:, 2] == table[:, 3])).tolist():
-            pair = values[4 * i + 2 : 4 * i + 4]
-            d_min, d_max = (v.item() if isinstance(v, np.generic) else v for v in pair)
-            rules[3][i] |= d_min > d_max  # the bounds rule
+    # float64 rounds an int past 2**53, so a device with such a bound compares them as numbers
+    for i in {j // 4 for j in exact if j < table.size and j % 4 > 1}:  # d_min or d_max
+        d_min, d_max = (exact.get(4 * i + k, table[i, k].item()) for k in (2, 3))
+        rules[3][i] |= usable[i] and d_min > d_max  # the bounds rule
     fails = np.array([~numeric, numeric & ~usable, *rules])
     flagged = np.flatnonzero(fails.any(axis=0))
-    if not flagged.size:
-        return {}
     messages = ["non-numeric utility parameter", "non-finite utility parameter", *_DEVICE_RULES]
 
     # each flagged device's member, found among the members' running device counts
-    ends = np.cumsum([len(m.devices) for m in members], dtype=np.intp)
+    ends = np.cumsum(scenario.device_counts)
     found: dict[int, list[str]] = {}
     for row, i in zip(flagged.tolist(), np.searchsorted(ends, flagged, side="right").tolist()):
-        member = members[i]
-        k = row - int(ends[i]) + len(member.devices)
+        member, k = members[i], row - int(ends[i] - scenario.device_counts[i])
         found.setdefault(i, []).extend(
             f"member {member.id!r} device {k}: {message.format(d=member.devices[k])}"
             for message, bad in zip(messages, fails[:, row])
@@ -304,19 +312,20 @@ def _device_issues(members: Sequence[Member]) -> dict[int, list[str]]:
 
 
 def _check_trace(issues: list[str], name: str, trace: np.ndarray, horizon: int) -> None:
-    """A trace's length, then its non-finite entries or else each negative entry."""
+    """A trace's length, then its non-finite or else its negative entries; past 1-D, its shape."""
+    if trace.ndim > 1:
+        issues.append(f"{name} has shape {trace.shape}, expected ({horizon},)")
+        return
     if len(trace) != horizon:
         issues.append(f"{name} has length {len(trace)}, expected {horizon}")
     if not np.all(np.isfinite(trace)):
         issues.append(f"{name} has non-finite entries")
     else:
-        for t in np.nonzero(trace < 0)[0]:
-            issues.append(f"{name}[{t}] is negative")
+        issues.extend(f"{name}[{t}] is negative" for t in np.nonzero(trace < 0)[0])
 
 
 def _positive_horizon(horizon):
-    integral = isinstance(horizon, (int, np.integer)) and not isinstance(horizon, bool)
-    if not integral or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise ScenarioValidationError([f"horizon must be a positive integer (got {horizon})"])
     return horizon
 
@@ -324,27 +333,22 @@ def _positive_horizon(horizon):
 def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     """Check every scenario invariant; return the scenario if all hold.
 
-    :class:`CommunityScenario` runs it when it is built.  Raises
-    :class:`ScenarioValidationError` carrying the full list of violations with
-    member/interval coordinates.  Anything that passes here can be fed to the
-    pricing, dispatch and simulation code without further error handling.
+    :class:`CommunityScenario` runs it when it is built, on its arrays; a message
+    shows a value as it was given.  Raises :class:`ScenarioValidationError` carrying
+    the full list of violations with member/interval coordinates.
     """
-    issues: list[str] = []
     horizon = _positive_horizon(scenario.horizon)
+    issues = [] if scenario.members else ["scenario has no members"]
 
-    if len(scenario.members) == 0:
-        issues.append("scenario has no members")
-
-    members = scenario.members
-    device_issues = _device_issues(members)
+    members, pv, odd, exact = scenario.members, scenario.pv_traces, scenario.odd, scenario.exact
+    device_issues = _device_issues(scenario)
+    d, n = scenario.device_table.size, len(members)
     # the members whose traces pass every trace check, from one pass over all of them
-    clean = np.zeros(len(members), dtype=bool)
-    if members and all(len(m.pv_trace) == horizon for m in members):
-        traces = np.stack([m.pv_trace for m in members])
-        clean = ((traces >= 0) & (traces < np.inf)).all(axis=1)
+    clean = ((pv >= 0) & (pv < np.inf)).all(axis=1) if pv is not None else np.zeros(n, bool)
+    odd_shares = odd[d : d + 2 * n].tolist()  # member i's: [i] and [n + i]
+    shares = [scenario.central_pv_shares.tolist(), scenario.bess_shares.tolist()]
 
     seen_ids = set()
-    odd_shares = set()  # the share fields some member holds as a non-number
     for i, member in enumerate(members):
         if member.id in seen_ids:
             issues.append(f"duplicate member id {member.id!r}")
@@ -352,34 +356,31 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
         issues.extend(device_issues.get(i, ()))
         if not clean[i]:
             _check_trace(issues, f"member {member.id!r}: pv_trace", member.pv_trace, horizon)
-        for name in ("central_pv_share", "bess_share"):
-            share = getattr(member, name)
-            if type(share) not in _FLOATS and not _numeric(share):  # a float passes at once
+        for k, name in enumerate(("central_pv_share", "bess_share")):
+            if odd_shares[k * n + i]:
                 issues.append(f"member {member.id!r}: non-numeric {name}")
-                odd_shares.add(name)
-            elif not 0 <= share <= 1:
+            elif not 0 <= shares[k][i] <= 1:
                 issues.append(f"member {member.id!r}: {name} outside [0, 1]")
 
     rates = scenario.rates
     for name, arr in (("buy", rates.buy), ("sell", rates.sell)):
         _check_trace(issues, f"rates.{name}", arr, horizon)
-    if len(rates.buy) == len(rates.sell):
+    if rates.buy.ndim == 1 and rates.buy.shape == rates.sell.shape:
         for t in np.nonzero(rates.sell > rates.buy)[0]:
-            issues.append(
-                f"interval {t}: sell exceeds buy ({rates.sell[t]} > {rates.buy[t]})"
-            )
-    salvage = _numeric(rates.salvage)
-    if not salvage:
+            issues.append(f"interval {t}: sell exceeds buy ({rates.sell[t]} > {rates.buy[t]})")
+    salvage, *battery = scenario.scalars.tolist()
+    at = d + 2 * n  # the salvage rate's index in odd; the battery's fields follow
+    if odd[at]:
         issues.append("non-numeric salvage rate")
-    elif not np.isfinite(_float(rates.salvage)) or rates.salvage < 0:
+    elif not (math.isfinite(salvage) and salvage >= 0):
         issues.append(f"salvage rate must be finite and >= 0 (got {rates.salvage})")
 
     central = scenario.central_pv_trace
     # an empty trace is the constructor's default for a horizon the rates miss
     if len(central) or len(rates.buy) == horizon:
         _check_trace(issues, "central_pv_trace", central, horizon)
-    if np.any(central > 0) and "central_pv_share" not in odd_shares:
-        total = sum(_float(m.central_pv_share) for m in scenario.members)
+    if np.any(central > 0) and not any(odd_shares[:n]):
+        total = sum(shares[0])
         if abs(total - 1.0) > 1e-9:
             issues.append(
                 f"central PV shares must sum to 1 when central output is nonzero (got {total})"
@@ -387,42 +388,39 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
 
     bess = scenario.bess
     if bess is not None:
-        odd = [f.name for f in fields(bess) if not _numeric(getattr(bess, f.name))]
-        issues.extend(f"non-numeric bess {name}" for name in odd)
-        if not odd:  # as a device's, a non-numeric field skips the battery's other checks
-            if not np.isfinite(_float(bess.capacity)) or bess.capacity < 0:
+        names, no_number = [f.name for f in fields(bess)], odd[at + 1 :].tolist()
+        issues.extend(f"non-numeric bess {name}" for name, bad in zip(names, no_number) if bad)
+        capacity, charge_eff, discharge_eff, max_charge, max_discharge, soc = battery
+        if not any(no_number):  # as a device's, a non-numeric field skips the other checks
+            if not (math.isfinite(capacity) and capacity >= 0):
                 issues.append(f"bess capacity must be >= 0 (got {bess.capacity})")
-            if not 0 < bess.charge_eff <= 1:
-                issues.append(f"bess charge_eff outside (0, 1] (got {bess.charge_eff})")
-            if not 0 < bess.discharge_eff <= 1:
-                issues.append(f"bess discharge_eff outside (0, 1] (got {bess.discharge_eff})")
-            if not (bess.max_charge >= 0 and bess.max_discharge >= 0):  # NaN too
+            for name, eff in zip(names[1:3], (charge_eff, discharge_eff)):
+                if not 0 < eff <= 1:
+                    issues.append(f"bess {name} outside (0, 1] (got {getattr(bess, name)})")
+            # NaN fails too; an int past float range is compared as given
+            if not (exact.get(at + 4, max_charge) >= 0 and exact.get(at + 5, max_discharge) >= 0):
                 issues.append("bess power limits must be >= 0")
-            for name in ("max_charge", "max_discharge"):  # an int past float range
-                if _float(getattr(bess, name)) == math.inf != getattr(bess, name):
-                    issues.append(f"bess {name} is past float range")
-            if not 0 <= bess.initial_soc <= bess.capacity:
-                issues.append(
-                    f"bess initial_soc {bess.initial_soc} outside [0, {bess.capacity}]"
-                )
-        if "bess_share" not in odd_shares:
-            total = sum(_float(m.bess_share) for m in scenario.members)
+            for j in (3, 4):  # max_charge, max_discharge: an int past float range
+                if math.isinf(battery[j]) and at + 1 + j in exact:
+                    issues.append(f"bess {names[j]} is past float range")
+            if not 0 <= exact.get(at + 6, soc) <= exact.get(at + 1, capacity):
+                issues.append(f"bess initial_soc {bess.initial_soc} outside [0, {bess.capacity}]")
+        if not any(odd_shares[n:]):
+            total = sum(shares[1])
             if abs(total - 1.0) > 1e-9:
                 issues.append(f"bess shares must sum to 1 (got {total})")
         # the salvage window divides by charge_eff, so it needs valid efficiencies
-        efficient = not odd and 0 < bess.charge_eff <= 1 and 0 < bess.discharge_eff <= 1
-        rates_ok = len(rates.buy) == horizon and len(rates.sell) == horizon
-        if efficient and rates_ok and salvage and np.isfinite(_float(rates.salvage)):
-            lo, hi = salvage_rate_bounds(rates, bess)
+        efficient = not any(no_number) and 0 < charge_eff <= 1 and 0 < discharge_eff <= 1
+        if efficient and rates.buy.shape == rates.sell.shape == (horizon,) and math.isfinite(salvage):
+            lo, hi = salvage_rate_bounds(rates, BessSpec(*battery))
             if lo > hi + 1e-12:
                 issues.append(
                     f"no admissible salvage rate: need max(sell)/charge_eff <= "
                     f"discharge_eff*min(buy), got [{lo:.6g}, {hi:.6g}]"
                 )
-            elif not lo - 1e-12 <= rates.salvage <= hi + 1e-12:
+            elif not lo - 1e-12 <= salvage <= hi + 1e-12:
                 issues.append(
-                    f"salvage rate {rates.salvage} outside admissible range "
-                    f"[{lo:.6g}, {hi:.6g}]"
+                    f"salvage rate {rates.salvage} outside admissible range [{lo:.6g}, {hi:.6g}]"
                 )
 
     if issues:

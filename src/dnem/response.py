@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import DeviceBlocks, device_utility
-from .model import CommunityPrice, Member, device_table, stored_energy
+from .model import CommunityPrice, Member, member_table, stored_energy
 
 __all__ = [
     "MemberOutcome",
@@ -55,7 +55,7 @@ class MemberOutcome:
 def member_utility(member: Member, consumption: np.ndarray) -> float:
     """Total utility ($) of a consumption bundle: its devices' :func:`device_utility`,
     added one by one as :meth:`DeviceBlocks.evaluate` adds them."""
-    alpha, beta = device_table([member])[:, :2].T
+    alpha, beta = member_table([member]).device_table[:, :2].T
     utilities = device_utility((alpha, 0.5 * beta, alpha / beta), consumption)
     return float(sum(utilities.tolist()))
 
@@ -77,7 +77,8 @@ def member_outcome(
     the salvage-valued energy stored (withdrawn).  This is
     :func:`settle_arrays` for one member at one interval.
     """
-    response = DeviceBlocks([member]).evaluate(np.array([[price.value]], dtype=float))
+    blocks = DeviceBlocks(*member_table([member])[:2])
+    response = blocks.evaluate(np.array([[price.value]], dtype=float))
     battery = np.array([[battery_output_share]], dtype=float)
     net = response[1] + battery - generation
     cell = settle_arrays(response, net, battery, price.value * net, salvage, charge_eff, discharge_eff)

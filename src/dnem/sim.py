@@ -101,10 +101,7 @@ def folded_generation(scenario: CommunityScenario) -> np.ndarray:
     """Per-member effective generation, shape (members, horizon): each member's
     ``pv_trace`` plus its ``central_pv_share`` of the central PV output, which is
     credited as if that share were generated behind the member's own meter."""
-    members = scenario.members
-    pv = np.stack([m.pv_trace for m in members])
-    shares = np.array([m.central_pv_share for m in members], dtype=float)
-    return pv + shares[:, None] * scenario.central_pv_trace
+    return scenario.pv_traces + scenario.central_pv_shares[:, None] * scenario.central_pv_trace
 
 
 class Run(Sequence[IntervalRecord]):
@@ -163,12 +160,12 @@ def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, R
     # each interval's members added pairwise along one contiguous row, as np.sum
     # adds one interval's column of ``gen``
     g_n = np.sum(np.ascontiguousarray(gen.T), axis=1)
-    blocks = DeviceBlocks(scenario.members)
+    blocks = DeviceBlocks(scenario.device_table, scenario.device_counts)
     # one price-and-dispatch pass: the community (every device, g_n and the whole
     # battery) is row 0 when D-NEM runs, then the members alone when a baseline runs
     dnem = int("dnem" in mechanisms)
     baselines = "sign_based" in mechanisms or "standalone" in mechanisms
-    shares = np.array([m.bess_share for m in scenario.members])
+    shares = scenario.bess_shares
     rows = [(np.ones(1), g_n[None, :])] * dnem + [(shares, gen)] * baselines
     # a storage-free scenario owns an empty battery: the storage-free rule
     bess, rates = scenario.bess or BessSpec(0.0), scenario.rates

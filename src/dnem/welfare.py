@@ -20,7 +20,7 @@ import numpy as np
 
 from .bess import price_and_dispatch
 from .curves import AggregateResponseCurve, DeviceBlocks, first_false, invert_aggregate, mask_groups
-from .model import BessSpec, Member
+from .model import BessSpec, Member, member_table
 from .response import _in_order, nem_payment, settle_arrays
 
 __all__ = [
@@ -42,7 +42,8 @@ RATIONALITY_TOL = 1e-9
 
 
 def _total_utility_at_price(members: Sequence[Member], price: float) -> float:
-    _, _, utility = DeviceBlocks(members).evaluate(np.full((1, len(members)), price))
+    blocks = DeviceBlocks(*member_table(members)[:2])
+    _, _, utility = blocks.evaluate(np.full((1, len(members)), price))
     return sum(utility[0].tolist())
 
 
@@ -321,11 +322,12 @@ def coalition_audits(
     """Whether any of S sampled sub-coalitions gains by seceding from its parent.
 
     The samples are (S,) intervals and (S, N) superset and subset masks of the N
-    members of ``blocks`` (``DeviceBlocks(members)``); ``gen`` is the members' (N, T)
-    generation and ``buy``/``sell`` the T rates.  Returns one :class:`CoalitionAudit`
-    of (S,) arrays.  Raises ``ValueError`` for the first interval that is not an
-    integer in [0, T), then for masks or ``gen`` not of N members, then for the
-    first sample whose subset is outside its superset or empty.
+    members of ``blocks`` (a scenario's, or :func:`~dnem.model.member_table`'s of a
+    member list); ``gen`` is the members' (N, T) generation and ``buy``/``sell`` the
+    T rates.  Returns one :class:`CoalitionAudit` of (S,) arrays.  Raises
+    ``ValueError`` for the first interval that is not an integer in [0, T), then for
+    masks or ``gen`` not of N members, then for the first sample whose subset is
+    outside its superset or empty.
 
     Each of the 2S communities (a sample's parent, then its subset) is one prosumer
     owning its members' devices, in member order, and an empty battery, gathered by
@@ -407,7 +409,7 @@ def coalition_audit(
             raise ValueError(f"member id {i} outside [0, {n})")
     ids = sorted({*subset, *superset})
     parent, seceding = (np.isin(ids, list(group))[None] for group in (superset, subset))
-    blocks = DeviceBlocks([members[i] for i in ids])
+    blocks = DeviceBlocks(*member_table([members[i] for i in ids])[:2])
     audit = coalition_audits(blocks, gen[ids, None], [buy], [sell], [0], parent, seceding)
     return CoalitionAudit(float(audit.subset_in_parent[0]), float(audit.subset_alone[0]))
 

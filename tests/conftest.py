@@ -5,8 +5,11 @@ import warnings
 import pytest
 from hypothesis import settings
 
+import dnem.benchmark
+import dnem.curves
 import dnem.model
 import dnem.response
+import dnem.welfare
 from dnem.curves import AggregateResponseCurve
 from dnem.model import Member
 
@@ -58,6 +61,25 @@ def curves_built(monkeypatch):
 
     monkeypatch.setattr(AggregateResponseCurve, "__init__", counting)
     return built
+
+
+#: the modules that bind ``member_table``, the one table builder
+TABLE_BUILDERS = (dnem.model, dnem.curves, dnem.response, dnem.welfare, dnem.benchmark)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The member lists that ``member_table`` reads while the test runs, by any module."""
+    read = []
+    original = dnem.model.member_table
+
+    def counting(members, scalars=()):
+        read.append(members)
+        return original(members, scalars)
+
+    for module in TABLE_BUILDERS:
+        monkeypatch.setattr(module, "member_table", counting)
+    return read
 
 
 @pytest.fixture

@@ -15,7 +15,9 @@ import pytest
 from dnem.bess import ZONES, generalized_dnem_price, price_and_dispatch, soc_step
 from dnem.cli import EXIT_AUDIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from dnem.curves import AggregateResponseCurve, DeviceBlocks
-from dnem.model import NET_ZERO_ZONES, BessSpec, CommunityPrice, CommunityScenario, Member, PriceZone
+from dnem.model import (
+    NET_ZERO_ZONES, BessSpec, CommunityPrice, CommunityScenario, Member, PriceZone, member_table,
+)
 from dnem.pricing import dnem_price, nem_payment
 from dnem.sim import (
     folded_generation, random_scenario, rate_ratio_sweep, run, run_all, solar_day_scenario,
@@ -84,7 +86,9 @@ def test_criterion_3_group_rationality():
             subset = [i for i in superset if rng.random() < 0.6] or [superset[0]]
             samples.append((t, subset, superset))
         masks = coalition_masks(samples, n)
-        audit = coalition_audits(DeviceBlocks(sc.members), gen, sc.rates.buy, sc.rates.sell, *masks)
+        audit = coalition_audits(
+            DeviceBlocks(sc.device_table, sc.device_counts), gen, sc.rates.buy, sc.rates.sell, *masks
+        )
         for (_, subset, superset), slack in zip(samples, audit.slack.tolist()):
             assert slack >= -1e-9, (seed, subset, superset, slack)
 
@@ -134,7 +138,7 @@ def test_criterion_5_storage_consistency():
         max_slope = max(d.beta for m in sc.members for d in m.devices)
         # the sweep as one interval of 1200 prosumers, each owning the whole battery at soc
         cells = price_and_dispatch(
-            DeviceBlocks([Member("pooled", curve.devices, ())] * len(sweep)),
+            DeviceBlocks(*member_table([Member("pooled", curve.devices, ())] * len(sweep))[:2]),
             replace(spec, initial_soc=soc), np.ones(len(sweep)), sweep[:, None], buy, sell, salvage,
         )
         values = []

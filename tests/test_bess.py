@@ -21,6 +21,7 @@ from dnem.model import (
     DeviceUtility,
     Member,
     PriceZone,
+    member_table,
 )
 from dnem.pricing import dnem_price, nem_payment
 from dnem import welfare
@@ -176,7 +177,7 @@ def _priced_at_soc_1(sweep):
     interval of prosumers that each own the whole battery at SoC 1.  The one-cell wrapper
     prices and dispatches a stride of the sweep bit for bit."""
     cells = price_and_dispatch(
-        DeviceBlocks([Member("pooled", CURVE.devices, ())] * len(sweep)),
+        DeviceBlocks(*member_table([Member("pooled", CURVE.devices, ())] * len(sweep))[:2]),
         SPEC, np.ones(len(sweep)), sweep[:, None], 0.4, 0.2, 0.3,
     )
     values, zones, battery = cells.price[0], [ZONES[z] for z in cells.zone[0]], cells.battery[0]
@@ -332,7 +333,7 @@ def _both_passes(sc):
     shares = np.array([m.bess_share for m in sc.members])
     return [
         (AggregateResponseCurve(devices).blocks, bess, np.ones(1), np.sum(gen, axis=0)[None, :]),
-        (DeviceBlocks(sc.members), bess, shares, gen),
+        (DeviceBlocks(sc.device_table, sc.device_counts), bess, shares, gen),
     ], rates
 
 
@@ -442,7 +443,8 @@ class TestPriceLevelOracle:
         monkeypatch.setattr(welfare, "price_and_dispatch", recording)
         masks = coalition_masks(samples, 20)
         welfare.coalition_audits(
-            DeviceBlocks(sc.members), folded_generation(sc), sc.rates.buy, sc.rates.sell, *masks
+            DeviceBlocks(sc.device_table, sc.device_counts), folded_generation(sc), sc.rates.buy,
+            sc.rates.sell, *masks,
         )
         (blocks, bess, shares, gen, buy, sell, salvage), = calls
         assert blocks.rows == 400
@@ -472,7 +474,7 @@ class TestNoCurveObjects:
         gen = folded_generation(sc)
         masks = coalition_masks([(t, [0, 1], list(range(12))) for t in range(24)], 12)
         curves_built.clear()
-        blocks = DeviceBlocks(sc.members)
+        blocks = DeviceBlocks(sc.device_table, sc.device_counts)
         audit = welfare.coalition_audits(blocks, gen, sc.rates.buy, sc.rates.sell, *masks)
         assert audit.slack.shape == (24,)
         assert curves_built == []
@@ -507,7 +509,8 @@ def rated_batches(draw):
     gen = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=n * horizon, max_size=n * horizon)))
     shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     bess = BATTERY if draw(st.booleans()) else BessSpec(0.0)
-    return DeviceBlocks(members), bess, shares, gen.reshape(n, horizon), buy, sell, 0.15, members
+    blocks = DeviceBlocks(*member_table(members)[:2])
+    return blocks, bess, shares, gen.reshape(n, horizon), buy, sell, 0.15, members
 
 
 class TestDistinctThresholdPrices:
@@ -551,9 +554,10 @@ class TestDistinctThresholdPrices:
         # a (1, N) row broadcast to every interval; never more than the 2T x N cells of
         # the rates, since an empty battery evaluates no salvage price
         buy, sell = np.linspace(0.2, 0.4, n)[None, :], np.full((1, n), 0.1)
-        price_and_dispatch(DeviceBlocks(sc.members), BessSpec(0.0), np.ones(n), gen, buy, sell, 0.0)
+        table = sc.device_table, sc.device_counts
+        price_and_dispatch(DeviceBlocks(*table), BessSpec(0.0), np.ones(n), gen, buy, sell, 0.0)
         # and one interval of the coalition audit's kind: 2 rows
-        price_and_dispatch(DeviceBlocks(sc.members), BessSpec(0.0), np.ones(n), gen[:, :1], buy, sell, 0.0)
+        price_and_dispatch(DeviceBlocks(*table), BessSpec(0.0), np.ones(n), gen[:, :1], buy, sell, 0.0)
         # with storage, the 2 salvage rows follow
-        price_and_dispatch(DeviceBlocks(sc.members), SPEC, np.ones(n) / n, gen[:, :1], buy, sell, 0.15)
+        price_and_dispatch(DeviceBlocks(*table), SPEC, np.ones(n) / n, gen[:, :1], buy, sell, 0.15)
         assert shapes == [(2 * horizon, n), (2, n), (4, n)]

@@ -1136,6 +1136,13 @@ class TestValidatesOnce:
         assert main([argv[0], "--config", path, *argv[1:]]) in (EXIT_OK, EXIT_AUDIT)
         assert len(validations) == 1
 
+    @pytest.mark.parametrize("doc", [FIVE_MEMBERS, BESS_CONFIG], ids=["no_bess", "bess"])
+    def test_simulate_builds_the_table_once(self, tmp_path, tables, doc):
+        # when load_config builds the scenario: the run reads the scenario's arrays
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(tables) == 1
+
     @pytest.mark.parametrize(
         "doc, with_bess", [(FIVE_MEMBERS, [False]), (BESS_CONFIG, [True, False])],
         ids=["no_bess", "bess"],
@@ -1148,14 +1155,16 @@ class TestValidatesOnce:
 
 class TestAudit:
     @pytest.mark.parametrize("doc", [FIVE_MEMBERS, BESS_CONFIG])
-    def test_one_standalone_schedule_per_member(self, tmp_path, monkeypatch, capsys, doc):
+    def test_one_standalone_schedule_per_member(self, tmp_path, monkeypatch, capsys, validations, doc):
         # the audit reads the one standalone settlement of run_all
         original = dnem.sim.standalone_settlement
         settled = []
 
-        def building(members):
-            blocks = DeviceBlocks(members)
-            blocks.ids = [m.id for m in members]  # the members it was built from
+        def building(table, counts):
+            blocks = DeviceBlocks(table, counts)
+            # the members it was built from: the loaded scenario's, when it is given their table
+            (scenario,) = validations
+            blocks.ids = [m.id for m in scenario.members] if table is scenario.device_table else None
             return blocks
 
         def counting(blocks, *args):

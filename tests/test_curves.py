@@ -18,7 +18,7 @@ from dnem.curves import (
     invert_aggregate,
     invert_rows,
 )
-from dnem.model import CommunityScenario, DeviceUtility, Member, RateSchedule
+from dnem.model import CommunityScenario, DeviceUtility, Member, RateSchedule, member_table
 from dnem.sim import run
 
 from oracles import (
@@ -469,7 +469,7 @@ class TestBatchedSolve:
                     "nan": float("nan"),
                 }[kind]
             )
-        blocks = DeviceBlocks(members)
+        blocks = DeviceBlocks(*member_table(members)[:2])
         expected = full_scan_cells(curves_by_row, rows, target, lo, hi)
         errors = [e for e in expected if isinstance(e, TargetOutsideRangeError)]
         if errors:
@@ -488,7 +488,7 @@ class TestBatchedSolve:
         # per device-count group, only the prosumers with a cell are solved; the cells
         # come shuffled and repeated, and each keeps its place
         members = data.draw(mixed_rows(max_rows=8))
-        blocks = DeviceBlocks(members)
+        blocks = DeviceBlocks(*member_table(members)[:2])
         chosen = data.draw(st.lists(st.integers(0, len(members) - 1), min_size=1, max_size=5, unique=True))
         cells = []
         for r in chosen:
@@ -510,7 +510,7 @@ class TestBatchedSolve:
     def test_first_bad_cell_wins_across_groups(self):
         # the one-device group comes first, but its bad cell is the later one
         members = [Member("a", (DEV_A,), ()), Member("b", (DEV_A, DEV_B), ())]
-        blocks = DeviceBlocks(members)
+        blocks = DeviceBlocks(*member_table(members)[:2])
         rows, target, lo, hi = [0, 1, 0], [1.7, 99.0, 99.0], [0.2, 0.2, 0.2], [0.4, 0.4, 0.4]
         expected = full_scan_cells([AggregateResponseCurve(m.devices) for m in members], rows, target, lo, hi)
         assert str(expected[1]).startswith("target outside range: 99.0 not in [2.9")
@@ -547,7 +547,7 @@ class TestBatchedSolve:
         members = [Member("pinned", (pinned,), ()), Member("ab", (DEV_A, DEV_B), ()), Member("c", (capped,), ())]
         rows, target = [0, 1, 0, 1, 2], [1.3, 3.0, 1.3, 3.2, 1.0]
         lo, hi = [0.1, 0.2, 0.0, 0.2, 0.2], [0.9, 0.4, 0.0, 0.2, 1.5]
-        got = solve(DeviceBlocks(members), rows, target, lo, hi)
+        got = solve(DeviceBlocks(*member_table(members)[:2]), rows, target, lo, hi)
         assert [type(p) for p in got] == [float, np.float64, float, float, np.float64]
         expected = full_scan_cells([AggregateResponseCurve(m.devices) for m in members], rows, target, lo, hi)
         assert [repr(p) for p in got] == [repr(p) for p in expected]
@@ -605,7 +605,7 @@ class TestBatchedSolve:
         # the kinks the solve sorts for each group's prosumers, row by row; a row padded
         # to its count class's width adds only the kink 0, which every row has
         table = {}
-        for rows, *params in DeviceBlocks(members)._groups:
+        for rows, *params in DeviceBlocks(*member_table(members)[:2])._groups:
             kinks, count = curves._sorted_kinks(params[:5])
             table.update((r, kinks[k, : count[k]]) for k, r in enumerate(rows.tolist()))
         for r, member in enumerate(members):
@@ -665,7 +665,7 @@ class TestOneClamp:
         rows = [data.draw(st.lists(edge_device(), min_size=k, max_size=k)) for _ in range(m)]
         prices = np.array([[data.draw(edge_price(row[0])) for row in rows] for _ in range(t)])
         members = [Member(f"m{i}", tuple(DeviceUtility(*p) for p in row), ()) for i, row in enumerate(rows)]
-        blocks = DeviceBlocks(members)
+        blocks = DeviceBlocks(*member_table(members)[:2])
         (group,) = blocks._groups
         params = group[1:6]
         with np.errstate(invalid="ignore", over="ignore", under="ignore"):
@@ -815,7 +815,8 @@ class TestCountClasses:
         members = seeded_members(seed, counts)
         rng = np.random.default_rng(seed)
         n, t = len(members), 3
-        blocks, exact = DeviceBlocks(members), exact_blocks(lambda: DeviceBlocks(members))
+        table = member_table(members)[:2]
+        blocks, exact = DeviceBlocks(*table), exact_blocks(lambda: DeviceBlocks(*table))
         # prices at specials, at a member's kinks and in between
         kinks = [kink_prices(m.devices) or [0.0] for m in members]
         prices = rng.uniform(-1.0, 6.0, (t, n))
@@ -877,7 +878,8 @@ class TestCountClasses:
             return original(blocks, bess, shares, g_n, *rest)
 
         def audit():
-            return welfare.coalition_audits(DeviceBlocks(members), gen, [0.3] * horizon, [0.1] * horizon, *drawn)
+            blocks = DeviceBlocks(*member_table(members)[:2])
+            return welfare.coalition_audits(blocks, gen, [0.3] * horizon, [0.1] * horizon, *drawn)
 
         with mock.patch.object(welfare, "price_and_dispatch", recording):
             got, want = audit(), exact_blocks(audit)
@@ -890,7 +892,8 @@ class TestCountClasses:
         scenario = workloads.quarter_hour_day(np.random.default_rng(1), workloads.DAY_MEMBERS, False)
         times, superset, subset = welfare.sample_coalitions(0, len(scenario.members), scenario.horizon, 200)
         mask = np.stack((superset, subset), axis=1).reshape(2 * len(times), -1)
-        pooled = DeviceBlocks(scenario.members).pooled(mask)
+        table = scenario.device_table, scenario.device_counts
+        pooled = DeviceBlocks(*table).pooled(mask)
         # coalitions of 2 to 50 devices: about 20 exact counts, in 5 classes
-        assert len(exact_blocks(lambda: DeviceBlocks(scenario.members).pooled(mask))._groups) >= 15
+        assert len(exact_blocks(lambda: DeviceBlocks(*table).pooled(mask))._groups) >= 15
         assert len(pooled._groups) <= 7

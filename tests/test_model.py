@@ -14,6 +14,7 @@ from dnem.model import (
     salvage_rate_bounds,
     stored_energy,
     validate_scenario,
+    member_table,
 )
 from dnem.response import member_utility
 from dnem.sim import folded_generation, random_scenario, run
@@ -121,7 +122,7 @@ class TestDeviceUtility:
             Member(f"m{i}", [next(devices) for _ in range(c)], [0.0]) for i, c in enumerate(counts)
         ]
         prices = rng.uniform(-0.5, 3.5, (6, len(members)))
-        consumption, _, utility = DeviceBlocks(members).evaluate(prices)
+        consumption, _, utility = DeviceBlocks(*member_table(members)[:2]).evaluate(prices)
         above = 0
         for i, member in enumerate(members):
             reference = lambda d: float(
@@ -303,6 +304,23 @@ class TestValidateScenario:
         device = DeviceUtility(1.0, 1.0, np.int64(2**53 + 1), np.int64(2**53))
         with pytest.raises(ScenarioValidationError, match="d_min <= d_max"):
             make_scenario(members=(make_member("a", devices=(device,)),))
+
+    def test_initial_soc_past_two_to_the_53_compared_exactly(self):
+        # both are 2**53 as floats; as ints initial_soc exceeds the capacity
+        bess = BessSpec(2**53, initial_soc=2**53 + 1)
+        rates = RateSchedule([0.4], [0.2], 0.3)
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(make_member("a", bess_share=1.0),), rates=rates, bess=bess)
+        assert err.value.issues == ["bess initial_soc 9007199254740993 outside [0, 9007199254740992]"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_initial_soc_past_a_numpy_floats_range_compared_without_a_warning(self):
+        # numpy cast the int to float32 to compare it with the capacity, with an overflow warning
+        bess = BessSpec(np.float32(1.0), initial_soc=10**39)
+        rates = RateSchedule([0.4], [0.2], 0.3)
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(make_member("a", bess_share=1.0),), rates=rates, bess=bess)
+        assert err.value.issues == [f"bess initial_soc {10**39} outside [0, 1.0]"]
 
     @pytest.mark.parametrize(
         "bad", ["1.5", None, [1.0], True, np.bool_(False)],
@@ -518,6 +536,35 @@ class TestValidateScenario:
             "rates.sell[1] is negative",
             *central_issues,
         ]
+
+    @pytest.mark.parametrize(
+        "fields, issue",
+        [
+            (
+                dict(members=(make_member("a", trace=np.ones((2, 2)), central_pv_share=1.0),)),
+                "member 'a': pv_trace has shape (2, 2), expected (4,)",
+            ),
+            (
+                dict(rates=RateSchedule(np.ones((2, 2)), np.zeros(4))),
+                "rates.buy has shape (2, 2), expected (4,)",
+            ),
+            (dict(central_pv_trace=np.ones((2, 2))), "central_pv_trace has shape (2, 2), expected (4,)"),
+        ],
+        ids=["pv_trace", "rates_buy", "central_pv_trace"],
+    )
+    def test_trace_of_more_than_one_dimension_is_an_issue(self, fields, issue):
+        # it was flattened, and ran as a trace of 4 intervals
+        scenario = dict(
+            members=(make_member("a", trace=np.zeros(4), central_pv_share=1.0),),
+            rates=RateSchedule.flat(0.4, 0.2, 4),
+            horizon=4,
+        )
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(**{**scenario, **fields})
+        assert err.value.issues == [issue]
+        # a scalar still reads as a trace of one interval
+        sc = make_scenario(members=(make_member("a", trace=2.0),), rates=RateSchedule(0.4, 0.2))
+        assert sc.members[0].pv_trace.shape == sc.rates.buy.shape == (1,)
 
     def test_duplicate_member_ids(self):
         with pytest.raises(ScenarioValidationError, match="duplicate"):

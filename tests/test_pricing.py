@@ -5,7 +5,7 @@ import pytest
 
 from dnem.bess import ZONES, generalized_dnem_price, price_and_dispatch
 from dnem.curves import AggregateResponseCurve, DeviceBlocks, invert_aggregate
-from dnem.model import BessSpec, CommunityPrice, DeviceUtility, Member, PriceZone
+from dnem.model import BessSpec, CommunityPrice, DeviceUtility, Member, PriceZone, member_table
 from dnem.pricing import dnem_price, nem_payment
 from dnem.response import member_outcome
 
@@ -112,7 +112,7 @@ class TestOneLadder:
             columns += [(devices, curve, g, buy, sell) for g in ladder_targets(curve, buy, sell, rng)]
         devices, curves, gen, buy, sell = zip(*columns)
         cells = price_and_dispatch(
-            DeviceBlocks([Member("coalition", d, ()) for d in devices]),
+            DeviceBlocks(*member_table([Member("coalition", d, ()) for d in devices])[:2]),
             BessSpec(0.0), np.ones(len(columns)), np.array(gen)[:, None],
             np.array(buy)[None], np.array(sell)[None], 0.0,
         )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dnem.curves import DeviceBlocks
-from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone
+from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone, member_table
 from dnem.response import member_outcome, member_utility
 from dnem.sim import folded_generation, random_scenario, run
 
@@ -21,7 +21,7 @@ def one_device_member(dev=DEV_A):
 
 def consumption_at(member, price):
     """The member's device vector at ``price``, from a one-cell DeviceBlocks evaluation."""
-    consumption, _, _ = DeviceBlocks([member]).evaluate(np.array([[price]]))
+    consumption, _, _ = DeviceBlocks(*member_table([member])[:2]).evaluate(np.array([[price]]))
     return consumption[0][0]
 
 

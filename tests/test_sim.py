@@ -39,6 +39,8 @@ from dnem.welfare import (
     welfare_gain,
 )
 
+from conftest import TABLE_BUILDERS
+
 DEV_A = DeviceUtility(2.0, 1.0, 0.0, 2.0)
 
 
@@ -211,9 +213,10 @@ class TestRunAll:
         original = dnem.sim.standalone_settlement
         settled = []
 
-        def building(members):
-            blocks = DeviceBlocks(members)
-            blocks.ids = [m.id for m in members]  # the members it was built from
+        def building(table, counts):
+            blocks = DeviceBlocks(table, counts)
+            # the members it was built from: the scenario's, when it is given their table
+            blocks.ids = [m.id for m in sc.members] if table is sc.device_table else None
             return blocks
 
         def counting(blocks, *args):
@@ -328,6 +331,24 @@ class TestRunAllDigest:
         scenarios += [mixed_device_counts(b) for b in (False, True)]
         dump = "\n".join(float_hex_dump(run_all(sc)) for sc in scenarios)
         assert hashlib.sha256(dump.encode()).hexdigest() == self.DIGEST
+
+    def test_a_run_builds_no_table_and_stacks_no_trace(self, monkeypatch):
+        # a run reads the arrays its scenario built: the device table, the traces, the shares
+        scenarios = [random_scenario(seed, with_bess=b) for seed in range(20) for b in (False, True)]
+        scenarios += [mixed_device_counts(b) for b in (False, True)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run rebuilt an array of its scenario")
+
+        for module in TABLE_BUILDERS:
+            monkeypatch.setattr(module, "member_table", forbidden)
+        monkeypatch.setattr(dnem.sim.np, "stack", forbidden)
+        results = [run_all(sc) for sc in scenarios]
+        dump = "\n".join(map(float_hex_dump, results))
+        assert hashlib.sha256(dump.encode()).hexdigest() == self.DIGEST
+        for sc, result in zip(scenarios, results):
+            for mech in MECHANISMS:
+                assert exact(run(sc, mech, compute_gains=False)[0]) == exact(result[mech][0])
 
 
 class TestRunIsLazy:
@@ -501,7 +522,7 @@ def _audit_slacks(scenario, results):
         report = axiom_audit(s.net, s.payment, s.surplus, rates.buy, rates.sell, benchmark)
         checks[mechanism] = [(c.axiom, c.slack, c.interval) for c in report.checks]
     drawn = sample_coalitions(0, len(scenario.members), scenario.horizon, 50)
-    blocks, gen = DeviceBlocks(scenario.members), folded_generation(scenario)
+    blocks, gen = DeviceBlocks(scenario.device_table, scenario.device_counts), folded_generation(scenario)
     return checks, coalition_audits(blocks, gen, rates.buy, rates.sell, *drawn).slack
 
 

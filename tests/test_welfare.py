@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dnem.benchmark import standalone_optimum
 from dnem.curves import AggregateResponseCurve, DeviceBlocks
-from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone
+from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone, member_table
 from dnem.pricing import dnem_price, nem_payment
 from dnem.response import MemberOutcome, member_outcome, settle_arrays
 from dnem.sim import folded_generation, random_scenario, run_all, solar_day_scenario
@@ -407,7 +407,7 @@ def _community_surpluses(members, generations, buy, sell):
     # by the scalar ladder
     curve = AggregateResponseCurve.from_members(members)
     price = scalar_dnem_price(curve, float(np.sum(generations)), buy, sell).value
-    response = DeviceBlocks(members).evaluate(np.full((1, len(members)), price))
+    response = DeviceBlocks(*member_table(members)[:2]).evaluate(np.full((1, len(members)), price))
     battery = np.zeros((1, len(members)))
     net = response[1] + battery - generations
     return settle_arrays(response, net, battery, price * net, 0.0, 1.0, 1.0).surplus[0]
@@ -449,7 +449,7 @@ class TestCoalitionBatch:
     def _audits(members, gen, buy, sell, samples):
         # the batch on the samples' masks, one float CoalitionAudit per sample
         masks = coalition_masks(samples, len(members))
-        audit = coalition_audits(DeviceBlocks(members), gen, buy, sell, *masks)
+        audit = coalition_audits(DeviceBlocks(*member_table(members)[:2]), gen, buy, sell, *masks)
         assert audit.slack.shape == (len(samples),)
         return list(map(CoalitionAudit, audit.subset_in_parent.tolist(), audit.subset_alone.tolist()))
 
@@ -538,7 +538,7 @@ class TestCoalitionBatch:
         # an interval is refused, not truncated to the interval below it
         members = single_member() * 3
         times, superset, subset = coalition_masks([(0, [0], [0]), (0, [1], [0, 1])], 3)
-        blocks, gen = DeviceBlocks(members), np.zeros((3, 2))
+        blocks, gen = DeviceBlocks(*member_table(members)[:2]), np.zeros((3, 2))
         with pytest.raises(ValueError) as raised:
             coalition_audits(blocks, gen, [0.4, 0.4], [0.2, 0.2], [1, bad], superset, subset)
         assert str(raised.value) == f"sample 1: interval {bad} is not an integer"
@@ -632,7 +632,7 @@ class TestCoalitionBatch:
     def test_rejects_masks_and_generation_not_of_the_members(self, columns, rows):
         # three members: masks one column short, gen one row short or one row long
         masks = coalition_masks([(0, [0], [0, 1])], columns)
-        blocks = DeviceBlocks(single_member() * 3)
+        blocks = DeviceBlocks(*member_table(single_member() * 3)[:2])
         with pytest.raises(ValueError, match="masks must be"):
             coalition_audits(blocks, np.zeros((rows, 1)), [0.4], [0.2], *masks)
 
@@ -640,7 +640,7 @@ class TestCoalitionBatch:
         # both sides add the same surpluses in member order, so they tie to the bit
         sc = solar_day_scenario(0, n_members=25, horizon=96)
         everyone = np.ones((96, 25), dtype=bool)
-        blocks, gen, rates = DeviceBlocks(sc.members), folded_generation(sc), sc.rates
+        blocks, gen, rates = DeviceBlocks(sc.device_table, sc.device_counts), folded_generation(sc), sc.rates
         audit = coalition_audits(blocks, gen, rates.buy, rates.sell, np.arange(96), everyone, everyone)
         assert audit.slack.tolist() == [0.0] * 96
 
