@@ -471,10 +471,11 @@ def _atomic_write(path: Path, text: str) -> None:
     try:
         st = os.lstat(path)
         if stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_size == len(data):
-            view, step = memoryview(data), 1 << 16
+            step = 1 << 16
             with open(path, "rb") as fh:  # block by block, stopping at the first that differs
+                # bytes == bytes is one memcmp; a memoryview compares item by item
                 chunks = range(0, len(data), step)
-                if all(fh.read(step) == view[i : i + step] for i in chunks) and not fh.read(1):
+                if all(fh.read(step) == data[i : i + step] for i in chunks) and not fh.read(1):
                     os.utime(path)
                     return
     except OSError:

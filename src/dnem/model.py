@@ -238,8 +238,8 @@ def member_table(members: Sequence[Member], scalars: Sequence = ()) -> MemberTab
     (``DeviceBlocks(*member_table(members)[:2])`` holds the members' devices).
 
     A number is a Python or numpy int or float; a ``bool``, a string or anything else
-    reads as NaN, flagged in ``odd``.  An int past float range reads as inf, whatever
-    its sign.  ``exact`` keeps each number float64 rounds, for the comparisons
+    reads as NaN, flagged in ``odd``.  An int past float range reads as inf of its
+    sign.  ``exact`` keeps each number float64 rounds, for the comparisons
     made again exactly: a device's bounds, and a battery's initial_soc and capacity.
     """
     values = [v for m in members for d in m.devices for v in (d.alpha, d.beta, d.d_min, d.d_max)]
@@ -258,7 +258,7 @@ def member_table(members: Sequence[Member], scalars: Sequence = ()) -> MemberTab
             try:
                 floats[i] = value = float(number)
             except OverflowError:  # a Python int past float range
-                floats[i] = value = math.inf
+                floats[i] = value = math.inf if number > 0 else -math.inf
             if number == number != value:  # rounded (a NaN is not)
                 exact[i] = number
     floats.setflags(write=False)

@@ -57,7 +57,7 @@ def member_utility(member: Member, consumption: np.ndarray) -> float:
     added one by one as :meth:`DeviceBlocks.evaluate` adds them."""
     alpha, beta = member_table([member]).device_table[:, :2].T
     utilities = device_utility((alpha, 0.5 * beta, alpha / beta), consumption)
-    return float(sum(utilities.tolist()))
+    return float(_in_order(utilities))
 
 
 def member_outcome(
@@ -86,14 +86,17 @@ def member_outcome(
 
 
 def _in_order(values: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in index order, as Python's ``sum`` adds.
+    """Sum over the first axis in index order from +0.0, as Python's ``sum`` adds floats
+    before 3.12 (which compensates), so a total is the same on every Python.
 
-    ``np.sum`` adds pairwise from 8 terms on, which can differ in the last bit.
+    ``np.sum`` adds pairwise from 8 terms on, which can differ in the last bit; a
+    cumulative sum adds each row to the total so far.  An overflow gives inf or NaN, as
+    ``sum`` does, without a warning.
     """
-    total = np.zeros(values.shape[1:])
-    for row in values:
-        total += row
-    return total
+    if not len(values):
+        return np.zeros(values.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(values, axis=0)[-1] + 0.0  # + 0.0: a start of +0.0, not values[0]
 
 
 class Settlement(NamedTuple):

@@ -120,7 +120,7 @@ class Run(Sequence[IntervalRecord]):
         self.price, self.zone, self.settlement = price, zone, settlement
         self.g_n, self.d_n, self.b_n, self.soc = g_n, d_n, b_n, soc
         self.z_n = d_n + b_n - g_n
-        self.welfare = sum(settlement.reward.ravel().tolist())
+        self.welfare = float(_in_order(settlement.reward.ravel()))
 
     def __len__(self) -> int:
         return len(self.g_n)

@@ -44,7 +44,7 @@ RATIONALITY_TOL = 1e-9
 def _total_utility_at_price(members: Sequence[Member], price: float) -> float:
     blocks = DeviceBlocks(*member_table(members)[:2])
     _, _, utility = blocks.evaluate(np.full((1, len(members)), price))
-    return sum(utility[0].tolist())
+    return float(_in_order(utility[0]))
 
 
 def centralized_welfare_closed_form(

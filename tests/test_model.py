@@ -442,6 +442,17 @@ class TestValidateScenario:
             make_scenario(members=members, rates=rates, **fields)
         assert err.value.issues == [issue.format(0.1 + 0.2)]
 
+    def test_negative_int_past_float_range_reads_as_minus_inf(self):
+        # it read as +inf, and the share sum as inf
+        member = make_member("a", bess_share=-(10**400))
+        assert member_table([member]).bess_shares.tolist() == [-np.inf]
+        rates = RateSchedule([0.4], [0.2], 0.3)
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(member,), rates=rates, bess=BessSpec(1.0))
+        assert err.value.issues == [
+            "member 'a': bess_share outside [0, 1]", "bess shares must sum to 1 (got -inf)"
+        ]
+
     @pytest.mark.filterwarnings("error")
     def test_numpy_float_and_int_past_its_range_compared_exactly(self):
         # numpy would cast the int to float32 to compare, with an overflow warning

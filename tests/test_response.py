@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from dnem.curves import DeviceBlocks
 from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone, member_table
-from dnem.response import member_outcome, member_utility
-from dnem.sim import folded_generation, random_scenario, run
+from dnem.response import Settlement, _in_order, member_outcome, member_utility
+from dnem.sim import Run, folded_generation, random_scenario, run
 
 from oracles import grid_best_consumption, quad_utility
 
@@ -158,3 +160,42 @@ def test_member_utility_matches_direct_formula():
     d = np.array([1.2, 0.7])
     expected = float(quad_utility(2, 1, 1.2)) + float(quad_utility(3, 2, 0.7))
     assert member_utility(m, d) == pytest.approx(expected)
+
+
+class TestInOrderSum:
+    """Totals add left to right from +0.0, as ``sum`` adds floats before Python 3.12; 3.12's
+    compensated ``sum`` (and ``math.fsum``) would give 1.0 for these rewards."""
+
+    REWARDS = [1e16, 1.0, -1e16]
+
+    def test_left_to_right_not_compensated(self):
+        assert math.fsum(self.REWARDS) == 1.0
+        assert float(_in_order(np.array(self.REWARDS))) == 0.0
+
+    def test_run_welfare(self):
+        zeros = np.zeros(3)
+        reward = np.array(self.REWARDS)[:, None]  # three intervals of one member
+        settlement = Settlement(*[None] * (len(Settlement._fields) - 1), reward)
+        assert Run(None, None, zeros, zeros, zeros, zeros, settlement).welfare == 0.0
+
+    def test_member_utility(self):
+        # utilities 1e16, 1.0 and 1.0: 1e16 + 1.0 rounds back to 1e16 twice
+        one = DeviceUtility(2.0, 2.0, 0.0, 1.0)
+        member = Member("m1", (DeviceUtility(2e8, 2.0, 0.0, 1e8), one, one), np.array([0.0]))
+        assert math.fsum([1e16, 1.0, 1.0]) == 1e16 + 2.0
+        assert member_utility(member, np.array([1e8, 1.0, 1.0])) == 1e16
+
+    @pytest.mark.parametrize(
+        "values, total",
+        [([], 0.0), ([-0.0], 0.0), ([1e308, 1e308], math.inf), ([math.inf, -math.inf], math.nan)],
+    )
+    def test_edges_as_sum_gives_them_without_a_warning(self, values, total):
+        # tier-1 turns a RuntimeWarning into an error
+        got = float(_in_order(np.array(values, dtype=float)))
+        assert str(got) == str(total)  # -0.0 and nan as sum gives them
+
+    def test_rows_add_in_order(self):
+        # each column of a 2-D array adds its rows as the 1-D sum does
+        rows = np.array([self.REWARDS, [1.0, -0.0, 2.0]]).T
+        assert _in_order(rows).tolist() == [0.0, 3.0]
+        assert _in_order(np.zeros((0, 2))).tolist() == [0.0, 0.0]
