@@ -111,7 +111,8 @@ def _count_groups(counts: np.ndarray, columns: np.ndarray, pad: int):
 def mask_groups(mask: np.ndarray):
     """The rows of a boolean (R, C) mask grouped by the count class of how many columns
     they select: per class, the rows (ascending) and the (rows, width) columns they
-    select (ascending), each row padded with column C."""
+    select (ascending), each row padded with column C.  It stays here so that coalitions
+    sum their generation in the count classes (``_count_groups``) that pool their devices."""
     return _count_groups(np.count_nonzero(mask, axis=1), np.nonzero(mask)[1], mask.shape[1])
 
 
@@ -135,35 +136,32 @@ class DeviceBlocks:
 
     def __init__(self, table: np.ndarray, counts: np.ndarray):
         # alpha, beta, d_min and d_max, each a row over the devices and then the neutral one
-        self._table = np.vstack((table, [(0.0, 1.0, 0.0, 0.0)])).T.copy()
-        self._counts = np.asarray(counts, dtype=np.intp)
-        self.rows = len(self._counts)
-        self._groups = self._gather(self._counts, np.arange(self._table.shape[1] - 1))
+        table = np.vstack((table, [(0.0, 1.0, 0.0, 0.0)])).T.copy()
+        self._build(table, np.asarray(counts, dtype=np.intp), np.arange(table.shape[1] - 1))
 
     def pooled(self, mask: np.ndarray, members: bool = False) -> "DeviceBlocks":
-        """R pooled prosumers from an (R, N) boolean membership mask: prosumer r owns,
-        in member order, the devices of the members that ``mask[r]`` selects.  With
-        ``members``, the N members follow as prosumers R..R+N-1, gathered from the
-        table with no mask row each.  Its arrays, and so every float, are those of
-        ``DeviceBlocks`` built on those devices' table and counts."""
+        """R pooled prosumers from an (R, N) boolean mask: prosumer r owns, in row order,
+        the devices of the rows that ``mask[r]`` selects; with ``members``, the N rows
+        follow.  Every float, pooled again or not, is that of blocks built on its devices."""
         # (R, devices): whether row r owns the device
         owned = np.asarray(mask, dtype=bool)[:, np.repeat(np.arange(self.rows), self._counts)]
-        counts, columns = np.count_nonzero(owned, axis=1), np.nonzero(owned)[1]
+        counts = np.count_nonzero(owned, axis=1)
+        columns = self._columns[np.nonzero(owned)[1]]
         if members:
             counts = np.concatenate((counts, self._counts))
-            columns = np.concatenate((columns, np.arange(self._table.shape[1] - 1)))
+            columns = np.concatenate((columns, self._columns))
         blocks = object.__new__(DeviceBlocks)
-        blocks.rows, blocks._counts = len(counts), counts
-        blocks._groups = self._gather(counts, columns)
+        blocks._build(self._table, counts, columns)
         return blocks
 
-    def _gather(self, counts, columns) -> list:
-        # each group's (rows, width) parameters, each contiguous, from the table columns
-        groups = []
-        for rows, index in _count_groups(counts, columns, self._table.shape[1] - 1):
-            alpha, beta, d_min, d_max = np.take(self._table, index, axis=1)
-            groups.append((rows, alpha, beta, alpha / beta, d_min, d_max, 0.5 * beta))
-        return groups
+    def _build(self, table: np.ndarray, counts: np.ndarray, columns: np.ndarray) -> None:
+        # row r owns ``counts[r]`` columns of the one table, back to back in ``columns``
+        self._table, self._counts, self._columns = table, counts, columns
+        self.rows = len(counts)
+        self._groups = []
+        for rows, index in _count_groups(counts, columns, table.shape[1] - 1):
+            alpha, beta, d_min, d_max = np.take(table, index, axis=1)
+            self._groups.append((rows, alpha, beta, alpha / beta, d_min, d_max, 0.5 * beta))
 
     def response(self, prices: np.ndarray) -> np.ndarray:
         """Each prosumer's total consumption at (T, N) prices: per cell, its devices'

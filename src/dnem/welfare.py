@@ -397,8 +397,8 @@ def coalition_audit(
     and ``generations`` the N members' generation.  Both communities are priced
     independently with their own aggregate generation and thresholds; the audit
     compares the subset members' total surplus inside the parent against the total
-    they would get alone.  This is :func:`coalition_audits` of one sample, with
-    float surpluses, on the members of either set alone.
+    they would get alone.  This is :func:`coalition_audits` of one sample on the
+    blocks of all N members, with float surpluses.
     """
     n = len(members)
     gen = np.asarray(generations, dtype=float)
@@ -407,10 +407,9 @@ def coalition_audit(
     for i in (*subset, *superset):
         if not 0 <= i < n:
             raise ValueError(f"member id {i} outside [0, {n})")
-    ids = sorted({*subset, *superset})
-    parent, seceding = (np.isin(ids, list(group))[None] for group in (superset, subset))
-    blocks = DeviceBlocks(*member_table([members[i] for i in ids])[:2])
-    audit = coalition_audits(blocks, gen[ids, None], [buy], [sell], [0], parent, seceding)
+    parent, seceding = (np.isin(range(n), list(group))[None] for group in (superset, subset))
+    blocks = DeviceBlocks(*member_table(members)[:2])
+    audit = coalition_audits(blocks, gen[:, None], [buy], [sell], [0], parent, seceding)
     return CoalitionAudit(float(audit.subset_in_parent[0]), float(audit.subset_alone[0]))
 
 

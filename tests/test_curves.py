@@ -853,6 +853,38 @@ class TestCountClasses:
             assert solved(invert_rows(pooled, *args)) == solved(invert_rows(pooled_exact, *args))
 
     @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(0, 20) | st.integers(128, 140), min_size=1, max_size=5),
+        nesting=st.lists(st.booleans(), min_size=1, max_size=3),
+    )
+    def test_pooled_blocks_pool_again_as_blocks_built_on_their_devices(self, seed, counts, nesting):
+        members = seeded_members(seed, counts)
+        rng = np.random.default_rng(seed)
+        table, member_counts = member_table(members)[:2]
+        blocks = DeviceBlocks(table, member_counts)
+        # each prosumer's devices, as rows of the members' table
+        ends = np.cumsum(counts).tolist()
+        devices = [list(range(end - k, end)) for end, k in zip(ends, counts)]
+        for members_too in nesting:
+            # pool the last level's prosumers, with or without them following
+            mask = rng.random((int(rng.integers(0, 6)), blocks.rows)) < rng.random()
+            blocks = blocks.pooled(mask, members_too)
+            pooled = [sum((devices[i] for i in np.flatnonzero(row)), []) for row in mask]
+            devices = pooled + devices if members_too else pooled
+            own = np.array(sum(devices, []), dtype=np.intp)
+            direct = DeviceBlocks(table[own], [len(d) for d in devices])
+            prices = rng.uniform(-1.0, 6.0, (3, blocks.rows))
+            specials = rng.choice([-0.0, 0.0, np.nan, np.inf, -np.inf], prices.shape)
+            prices = np.where(rng.random(prices.shape) < 0.3, specials, prices)
+            with np.errstate(all="ignore"):
+                assert blocks.response(prices).tobytes() == direct.response(prices).tobytes()
+                got, want = blocks.evaluate(prices), direct.evaluate(prices)
+            assert [d.tobytes() for d in got[0]] == [d.tobytes() for d in want[0]]
+            assert [d.shape for d in got[0]] == [(3, len(d)) for d in devices]
+            assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+
+    @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20) | st.integers(128, 140))
     def test_coalition_generation_sums_equal_exact_count_sums(self, seed, n):
         # the sums group coalitions by member count, so up to 140 members
@@ -883,7 +915,11 @@ class TestCountClasses:
 
         with mock.patch.object(welfare, "price_and_dispatch", recording):
             got, want = audit(), exact_blocks(audit)
-        assert sums[0] == sums[1]
+        # each community, a sample's parent then its subset, as np.sum adds its own members'
+        # vector of generation at the sample's interval
+        times, mask = np.repeat(drawn[0], 2), np.stack(drawn[1:], axis=1).reshape(2 * samples, n)
+        own = np.array([np.sum(gen[coalition, t]) for coalition, t in zip(mask, times)])
+        assert sums[0] == sums[1] == own.tobytes()
         assert got.subset_in_parent.tobytes() == want.subset_in_parent.tobytes()
         assert got.subset_alone.tobytes() == want.subset_alone.tobytes()
 

@@ -11,6 +11,7 @@ import dnem.benchmark
 import dnem.sim
 from dnem.benchmark import standalone_optimum_with_bess
 from dnem.bess import ZONES
+from dnem.cli import scenario_hash
 from dnem.curves import DeviceBlocks
 from dnem.model import (
     BessSpec,
@@ -460,10 +461,22 @@ class TestGainsAndSweep:
         for p in points:
             assert p.welfare_gain_dnem >= p.welfare_gain_sign_based - 1e-9
 
-    def test_sweep_requires_flat_buy(self):
-        sc = solar_day_scenario(7)  # time-of-use buy rate
-        with pytest.raises(ValueError, match="flat buy"):
-            rate_ratio_sweep(sc, [0.5])
+    @pytest.mark.parametrize("with_bess", [False, True], ids=["no_bess", "bess"])
+    def test_time_of_use_sweep_equals_one_run_all_per_ratio(self, with_bess):
+        sc = solar_day_scenario(7, n_members=6, with_bess=with_bess)  # time-of-use buy rate
+        buy = sc.rates.buy
+        assert len(set(buy.tolist())) == 2
+        # with a battery, the salvage rate 0.15 needs max(sell) / 0.95 <= 0.15
+        ratios = [0.35, 0.2, 0.0] if with_bess else [1.0, 0.8, 0.5, 0.2, 0.0]
+        for point, ratio in zip(rate_ratio_sweep(sc, ratios), ratios, strict=True):
+            rates = RateSchedule(buy, ratio * buy, sc.rates.salvage)
+            results = run_all(dataclasses.replace(sc, rates=rates))
+            want = [results[m][1].welfare_gain_vs_standalone for m in ("dnem", "sign_based")]
+            got = [point.welfare_gain_dnem, point.welfare_gain_sign_based]
+            assert point.ratio == ratio and [x.hex() for x in got] == [x.hex() for x in want]
+        if with_bess:
+            with pytest.raises(ValueError, match="rate ratio 0.5 infeasible: invalid scenario"):
+                rate_ratio_sweep(sc, [0.5])
 
     def test_gamma_infeasible_ratio_raises(self):
         sc = solar_day_scenario(8, flat_buy=True, with_bess=True)
@@ -837,7 +850,64 @@ class TestWelfareReport:
             assert ref == 0 or welfare_gain(mine, ref) >= -1e-9
 
 
+#: the generators' pinned seeds: the first few, some the tests use, and the largest seed
+#: the property tests draw
+PIN_SEEDS = (*range(8), 42, 1000, 41_000, 2**32 - 1)
+
+#: per call the tests make, the sha256 of the comma-joined ``scenario_hash`` of every pinned
+#: seed; a ``solar_day_scenario`` shape covers each seed with and without a battery, then
+#: with and without a flat buy rate
+GENERATOR_PINS = [
+    (random_scenario, {}, "fc0cb04dddc67d44c4a06369680185683877ac13c6f19819533d9acba520d7a2"),
+    (random_scenario, {"with_bess": True}, "786f9315f0cfa2082d40c570bbda6ac82c715c93d524b66370b45f0e42fa369d"),
+    (random_scenario, {"wide_bounds": True}, "698cfe65f2515d6d7d76e4621c6b80fc2e0dfb0529b732239be7183ed7548721"),
+    (random_scenario, {"with_bess": True, "wide_bounds": True}, "e72edf824a77b2338b1089da1630716b10c5a561c022bc3107a8efa4ce0981de"),
+    (random_scenario, {"with_bess": True, "wide_bounds": True, "horizon": 12}, "d012871018783a9b8c55fbf8be6f2f8c4182784addfb3c68e5f283fac088ac91"),
+    (random_scenario, {"with_bess": True, "wide_bounds": True, "horizon": 24}, "77d3f828f98a40cf912e42a410c67fd7bb21233bd095e3eccd107782e149b1e8"),
+    (random_scenario, {"horizon": 1}, "d20513f38bfc278da70185e2f972970554f2b5d966ef950825229fa872a4e085"),
+    (random_scenario, {"horizon": 6}, "2a8b4e20f31888fff5eb6cc1b995b3d2b39266a70e5b82b5766f986704c8322c"),
+    (random_scenario, {"horizon": 12}, "9417eb15a991b2fc06c658c5d83846d92e7dd2d31e821524ba4a2d33bb7d137f"),
+    (random_scenario, {"max_total_devices": 4}, "e267b2a4448896712523c8583c1822786b9e0287437cc98d85c271016aae42c9"),
+    (random_scenario, {"max_total_devices": 4, "horizon": 1}, "eff468085dc536ac0a7505f5d3ad39dcdf283c4fcd4ee7e0f9d7e5c710ea93ad"),
+    (random_scenario, {"n_members": 1, "allow_central_pv": False}, "0d9003810164d5af22729e8746441580b3a9d079c932e3612300dfe172dd9718"),
+    (solar_day_scenario, {"n_members": 3, "horizon": 4}, "30a9f3897780e38ac34b61efab48bf7999ebc4b444d70b2de4f433961b8a44c6"),
+    (solar_day_scenario, {"n_members": 4, "horizon": 6}, "243dce5e18184ccf74175bfb4be5bf6c08c12830080c41735d05205a8f716fa5"),
+    (solar_day_scenario, {"n_members": 7, "horizon": 9}, "579437406d98e5e4a35491341aeae5565bd51c45dc1f0a2e95f095b2ab004a20"),
+    (solar_day_scenario, {"n_members": 4, "horizon": 12}, "502c91e48dedc08769ace4a1945f937c0e1e9c737c58bd0fa1b75096be14f0e5"),
+    (solar_day_scenario, {"n_members": 6, "horizon": 24}, "fffc5223e9dc89711c41a6e2cb147fe8ce54c44a84cca0c045affba4bba133f6"),
+    (solar_day_scenario, {"n_members": 8, "horizon": 24}, "e2997b695cfe6416a01d0d66c8df0a6979d72d5705e8cc21f70ae742335c20bb"),
+    (solar_day_scenario, {"n_members": 10, "horizon": 24}, "9074f7244a33042ea5c25902860a340250baec53273bd3c3874f06ec8433b551"),
+    (solar_day_scenario, {"n_members": 12, "horizon": 24}, "454e82a307c72aed1f4f740bc300d194eda1a7e7e1a99491f9224a174972a107"),
+    (solar_day_scenario, {"n_members": 20, "horizon": 24}, "664303caa05ce4ad73bddf241f612351dbdaaed3ad36af2a7467381ed2e409c3"),
+    (solar_day_scenario, {"n_members": 30, "horizon": 24}, "92ed3741cab79d510d6c07e8b5f8e758cdb8eec64aae573ec028686cf15ad617"),
+    (solar_day_scenario, {"n_members": 40, "horizon": 24}, "d49dab03c5fc6bfdfd09dc8865daccb0ac3d5f07627bc4a7be886fcb4566da56"),
+    (solar_day_scenario, {"n_members": 6, "horizon": 48}, "54822638ab02b0a78710b3f54b3b38ffe0f377eedc67bb1bc1f29ca05c16a89c"),
+    (solar_day_scenario, {"n_members": 25, "horizon": 96}, "25bff8e2bca9614e157213af5d561f3d62a99f3614b885a1b3ea25ba4c910013"),
+    (solar_day_scenario, {"n_members": 60, "horizon": 96}, "2b2baa3583352135beb1cbdc5a937ffc3f19fc57f62af1c67e9c60efcb5a0f37"),
+    (solar_day_scenario, {"n_members": 100, "horizon": 96}, "046da13f5f565a9877ff93e0cd5abcfcca0b1dc9b705a5f772b9bc81024d8d6f"),
+]
+
+
 class TestGenerators:
+    def test_generators_are_pinned(self):
+        # the acceptance criteria and the property tests draw from these streams, so a
+        # change to either generator's draws changes what they sample
+        flags = (False, True)
+        variants = {
+            random_scenario: [{}],
+            solar_day_scenario: [{"with_bess": b, "flat_buy": f} for b in flags for f in flags],
+        }
+        got, want = {}, {}
+        for generator, options, digest in GENERATOR_PINS:
+            hashes = [
+                scenario_hash(generator(seed, **options, **variant))
+                for seed in PIN_SEEDS
+                for variant in variants[generator]
+            ]
+            call = f"{generator.__name__}({options})"
+            got[call], want[call] = hashlib.sha256(",".join(hashes).encode()).hexdigest(), digest
+        assert got == want
+
     def test_random_scenario_is_deterministic(self):
         a = random_scenario(123)
         b = random_scenario(123)
