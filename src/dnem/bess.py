@@ -41,6 +41,7 @@ __all__ = [
     "Dispatch",
     "effective_limits",
     "soc_step",
+    "zone_ladder",
     "price_and_dispatch",
     "generalized_dnem_price",
 ]
@@ -101,6 +102,18 @@ def soc_step(spec: BessSpec, soc, b):
         nxt, capacity = _first(out[t], *row[4:])
         raise StorageLimitError(f"state of charge {nxt} leaves [0, {capacity}]")
     return np.minimum(np.maximum(nxt, 0.0), spec.capacity)
+
+
+def zone_ladder(lower, upper, follow_discharge, follow_charge, discharge, charge):
+    """The zone thresholds δ+, σ+, σ+z, σ−z, σ− and δ− on generation g, elementwise from the
+    last six fields of a :class:`Dispatch`, in their order.  With usable storage, g is in the
+    zone of the first of g ≤ δ+, g < σ+, g < σ+z, g ≤ σ−z, g ≤ σ−, g < δ− that holds, else in
+    the sell zone.  The SoC loop of :func:`price_and_dispatch` compares g with σ+ and σ−
+    itself, at each interval's limits as the loop computes them."""
+    return (
+        lower - discharge, follow_discharge - discharge, follow_discharge,
+        follow_charge, follow_charge + charge, upper + charge,
+    )
 
 
 def _check_salvage(salvage: float, spec: BessSpec, buy: np.ndarray, sell: np.ndarray) -> None:
@@ -188,11 +201,11 @@ def price_and_dispatch(
         lower, upper = response[:horizon], response[horizon : 2 * horizon]
         follow_discharge, follow_charge = response[-2:] if follow else np.full((2, n), np.nan)
 
-        # the parts of the policy and the zones that depend on neither the limits nor the SoC
-        scarce, idle = g < follow_discharge, g <= follow_charge
         discharge, charge, battery, soc = (np.zeros(g.shape) for _ in range(4))
         # an empty battery has no usable storage at any interval
         if bess.capacity != 0:
+            # the parts of the policy that depend on neither the limits nor the SoC
+            scarce, idle = g < follow_discharge, g <= follow_charge
             own = bess.scaled(shares)
             short, spare = g - follow_discharge, g - follow_charge
             level = own.initial_soc
@@ -216,11 +229,12 @@ def price_and_dispatch(
         live = (discharge != 0.0) | (charge != 0.0)
         # the first cell, in interval order, where usable storage meets rates outside its window
         _check_salvage(salvage, bess, buy[live], sell[live])
+        parts = lower, upper, follow_discharge, follow_charge, discharge, charge
+        d_plus, s_plus, s_plus_z, s_minus_z, s_minus, d_minus = zone_ladder(*parts)
         zone = np.where(
             live,
             np.select(
-                [g <= lower - discharge, g < follow_discharge - discharge, scarce,
-                 idle, g <= follow_charge + charge, g < upper + charge],
+                [g <= d_plus, g < s_plus, g < s_plus_z, g <= s_minus_z, g <= s_minus, g < d_minus],
                 [_BUY, _DISCHARGE_DYNAMIC, _DISCHARGE_FLAT, _IDLE, _CHARGE_FLAT, _CHARGE_DYNAMIC],
                 _SELL,
             ),
@@ -242,9 +256,7 @@ def price_and_dispatch(
         v_lo = np.where(dis, follow_discharge[i], np.where(held, follow_charge[i], upper[t, i]))
         v_hi = np.where(chg, follow_charge[i], np.where(held, follow_discharge[i], lower[t, i]))
         price[t, i] = invert_rows(blocks, i, target, lo, hi, v_lo, v_hi)
-    return Dispatch(
-        price, zone, battery, soc, lower, upper, follow_discharge, follow_charge, discharge, charge
-    )
+    return Dispatch(price, zone, battery, soc, *parts)
 
 
 def generalized_dnem_price(

@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bess import ZONES, price_and_dispatch
+from .bess import ZONES, price_and_dispatch, zone_ladder
 from .curves import DeviceBlocks
 from .model import (
     BessSpec,
@@ -59,8 +59,8 @@ EXIT_AUDIT = 3
 #: the horizon before anything else is checked, so a larger value is refused
 #: up front instead of exhausting memory (10**6 quarter-hours is 28 years).
 MAX_HORIZON = 10**6
-#: Largest accepted ``--coalition-samples`` times members: one seed's samples are
-#: audited at once, at about 160 bytes per (sample, member) cell
+#: Largest accepted ``--seeds`` times ``--coalition-samples`` times members: every seed's
+#: samples are audited at once, at about 160 bytes per (sample, member) cell
 MAX_COALITION_CELLS = 10**7
 
 
@@ -471,11 +471,8 @@ def _atomic_write(path: Path, text: str) -> None:
     try:
         st = os.lstat(path)
         if stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_size == len(data):
-            step = 1 << 16
-            with open(path, "rb") as fh:  # block by block, stopping at the first that differs
-                # bytes == bytes is one memcmp; a memoryview compares item by item
-                chunks = range(0, len(data), step)
-                if all(fh.read(step) == data[i : i + step] for i in chunks) and not fh.read(1):
+            with open(path, "rb") as fh:  # one read and one memcmp
+                if fh.read() == data:
                     os.utime(path)
                     return
     except OSError:
@@ -568,22 +565,13 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
         rates.buy[t], rates.sell[t], rates.salvage,
     )
     lower, upper = cell.lower[0, 0], cell.upper[0, 0]
-    discharge, charge = cell.discharge[0, 0], cell.charge[0, 0]
     doc = {"g_N": g_n, "t": t, "thresholds": {"lower": round(lower, 6), "upper": round(upper, 6)}}
-    if scenario.bess is not None:
-        # the responses at the salvage prices, which an empty battery's dispatch skips
-        salvage = [[rates.salvage / bess.discharge_eff], [bess.charge_eff * rates.salvage]]
-        follow_discharge, follow_charge = community.response(np.array(salvage))[:, 0]
-        doc["storage"] = {
-            "soc": round(bess.initial_soc, 6),
-            "b": round(cell.battery[0, 0], 6),
-            "sigma_plus": round(follow_discharge - discharge, 6),
-            "sigma_plus_z": round(follow_discharge, 6),
-            "sigma_minus_z": round(follow_charge, 6),
-            "sigma_minus": round(follow_charge + charge, 6),
-            "delta_plus": round(lower - discharge, 6),
-            "delta_minus": round(upper + charge, 6),
-        }
+    # the storage ladder, where usable storage at the initial SoC put the zone on it
+    if cell.discharge[0, 0] != 0.0 or cell.charge[0, 0] != 0.0:
+        names = "delta_plus sigma_plus sigma_plus_z sigma_minus_z sigma_minus delta_minus".split()
+        storage = dict(zip(names, zone_ladder(*cell[4:])), b=cell.battery)
+        doc["storage"] = {name: round(value.flat[0], 6) for name, value in storage.items()}
+        doc["storage"]["soc"] = round(bess.initial_soc, 6)
     doc["value"] = round(cell.price[0, 0], 6)
     doc["zone"] = ZONES[cell.zone[0, 0]].value
     print(_dumps(doc))
@@ -602,7 +590,7 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
             "coalition audits are only defined for storage-free scenarios; "
             "rerun with --coalition-samples 0 or drop the bess section"
         )
-    most = MAX_COALITION_CELLS // len(scenario.members)
+    most = MAX_COALITION_CELLS // (seeds * len(scenario.members))
     if coalition_samples > most:
         raise ConfigError(f"--coalition-samples: expected at most {most} (got {coalition_samples})")
 
@@ -648,31 +636,30 @@ def cmd_audit(config: str, mechanism: str, seeds: int, coalition_samples: int) -
         ids = [m.id for m in scenario.members]
         blocks = DeviceBlocks(scenario.device_table, scenario.device_counts)
         gen = folded_generation(scenario)
-        failures, worst, first_failure = 0, 0.0, None
-        for seed in range(seeds):
-            drawn = sample_coalitions(seed, len(ids), scenario.horizon, coalition_samples)
-            times, superset, subset = drawn
-            audit = coalition_audits(blocks, gen, scenario.rates.buy, scenario.rates.sell, *drawn)
-            failed = ~audit.passed
-            if first_failure is None and failed.any():
-                s = int(np.argmax(failed))
-                first_failure = {
-                    "interval": int(times[s]),
-                    "subset": [ids[i] for i in np.flatnonzero(subset[s])],
-                    "superset": [ids[i] for i in np.flatnonzero(superset[s])],
-                    "slack": round(float(audit.slack[s]), 12),
-                }
-            failures += int(np.count_nonzero(failed))
-            # the largest positive shortfall (a NaN slack is none)
-            gap = -audit.slack
-            worst = max(worst, float(np.max(gap, initial=0.0, where=gap > 0)))
+        # each seed's samples, joined in seed order (then dropped) and audited in one batch
+        draws = (sample_coalitions(k, len(ids), scenario.horizon, coalition_samples)
+                 for k in range(seeds))
+        times, superset, subset = drawn = [np.concatenate(part) for part in zip(*draws)]
+        audit = coalition_audits(blocks, gen, scenario.rates.buy, scenario.rates.sell, *drawn)
+        failed = ~audit.passed
+        first_failure = None
+        if failed.any():
+            s = int(np.argmax(failed))
+            first_failure = {
+                "interval": int(times[s]),
+                "subset": [ids[i] for i in np.flatnonzero(subset[s])],
+                "superset": [ids[i] for i in np.flatnonzero(superset[s])],
+                "slack": round(float(audit.slack[s]), 12),
+            }
+        # the largest positive shortfall (a NaN slack is none)
+        gap = -audit.slack
         doc["coalitions"] = {
             "samples": seeds * coalition_samples,
-            "failures": failures,
-            "worst_slack": round(worst, 12),
+            "failures": int(np.count_nonzero(failed)),
+            "worst_slack": round(float(np.max(gap, initial=0.0, where=gap > 0)), 12),
             "first_failure": first_failure,
         }
-        passed &= not failures
+        passed &= not failed.any()
 
     doc["passed"] = passed
     print(_dumps(doc, indent=2))

@@ -426,6 +426,15 @@ class TestPriceLevelOracle:
         ]
         assert min(solved) > 0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_storage_days(self, seed):
+        # every cell with usable storage is in the zone of the oracle's own ladder
+        sc = solar_day_scenario(seed, n_members=8, horizon=24, with_bess=True)
+        passes, rates = _both_passes(sc)
+        args = (rates.buy[:, None], rates.sell[:, None], rates.salvage)
+        for members, (blocks, bess, shares, gen) in zip(_prosumers(sc), passes):
+            self._assert_matches(blocks, bess, shares, gen, *args, members)
+
     def test_coalition_batch_of_200_samples(self, monkeypatch):
         sc = solar_day_scenario(1, n_members=20, horizon=24)
         rng = np.random.default_rng(200)

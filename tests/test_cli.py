@@ -6,6 +6,7 @@ import errno
 import hashlib
 import io
 import json
+import operator
 import os
 import re
 import shlex
@@ -1071,6 +1072,38 @@ class TestPrice:
         assert main(["price", "--config", path, "--g", g, "--t", "0"]) == EXIT_OK
         assert capsys.readouterr().out == line + "\n"
 
+    #: the ladder's comparisons of g, in zone order: the first that holds names the zone
+    _LADDER = [
+        ("delta_plus", operator.le), ("sigma_plus", operator.lt), ("sigma_plus_z", operator.lt),
+        ("sigma_minus_z", operator.le), ("sigma_minus", operator.le), ("delta_minus", operator.lt),
+    ]
+
+    @pytest.mark.parametrize(
+        "bess",
+        [
+            BESS_CONFIG["bess"],
+            # the README example's battery, without power limits: no usable storage
+            {"capacity": 2.0, "charge_eff": 0.95, "discharge_eff": 0.95},
+            {"capacity": 0.0},
+            {"capacity": 2.0, "max_charge": 0.5, "max_discharge": 0.0, "initial_soc": 0.0},
+            {"capacity": 2.0, "max_charge": 0.4, "max_discharge": 0.7, "initial_soc": 2.0},
+        ],
+    )
+    def test_storage_block_names_the_zone(self, tmp_path, capsys, bess):
+        path = write_config(tmp_path, {**BESS_CONFIG, "bess": bess})
+        zones = [zone.value for zone in PriceZone]
+        for g in np.round(np.arange(0.0, 3.0, 0.05), 2).tolist() + [1.7]:
+            assert main(["price", "--config", path, "--g", repr(g), "--t", "0"]) == EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            if "storage" not in doc:
+                continue
+            ladder = [doc["storage"][name] for name, _ in self._LADDER]
+            if min(abs(g - x) for x in ladder) < 1e-6:
+                continue  # too close to a threshold rounded to six decimals
+            tests = [holds(g, doc["storage"][name]) for name, holds in self._LADDER]
+            # the first that holds, else the sell zone
+            assert doc["zone"] == zones[tests.index(True) if True in tests else 6], (g, doc)
+
     @pytest.mark.parametrize("g", ["nan", "inf"])
     def test_non_finite_generation_exit_1(self, tmp_path, g):
         path = write_config(tmp_path, ONE_MEMBER)
@@ -1232,6 +1265,16 @@ class TestAudit:
         most = MAX_COALITION_CELLS // 5
         assert err == f"--coalition-samples: expected at most {most} (got 100000000000)\n"
         assert "Traceback" not in err
+
+    def test_seeds_times_samples_past_the_cell_budget_exit_1(self, tmp_path, capsys):
+        # every seed's samples are held at once: 4 seeds may take a quarter of one seed's
+        path = write_config(tmp_path, FIVE_MEMBERS)
+        most = MAX_COALITION_CELLS // (4 * 5)
+        argv = ["audit", "--config", path, "--seeds", "4", "--coalition-samples", str(most + 1)]
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"--coalition-samples: expected at most {most} (got {most + 1})\n"
 
     def test_bess_coalition_refused(self, tmp_path, capsys):
         path = write_config(tmp_path, BESS_CONFIG)
