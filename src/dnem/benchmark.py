@@ -23,8 +23,8 @@ import numpy as np
 
 from .bess import _BUY, _SELL, ZONES, Dispatch, price_and_dispatch
 from .curves import DeviceBlocks
-from .model import BessSpec, CommunityPrice, Member, RateSchedule, member_table
-from .response import MemberOutcome, Settlement, _in_order, member_utility, nem_payment, settle_arrays
+from .model import BessSpec, CommunityPrice, Member, RateSchedule, _in_order, member_table
+from .response import MemberOutcome, Settlement, member_utility, nem_payment, settle_arrays
 
 __all__ = [
     "standalone_optimum",
@@ -92,7 +92,7 @@ def standalone_settlement(
     horizon = gen.shape[1]
     buy, sell = rates.buy[:horizon, None], rates.sell[:horizon, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        response = blocks.evaluate(alone.price.astype(float))
+        response = blocks.evaluate(alone.price)
         # every zone between passing through the buy rate and the sell rate is net-zero
         net_zero = (0 < alone.zone) & (alone.zone < len(ZONES) - 1)
         net = np.where(net_zero, 0.0, response[1] + alone.battery - gen.T)

@@ -129,10 +129,7 @@ def _check_salvage(salvage: float, spec: BessSpec, buy: np.ndarray, sell: np.nda
 class Dispatch(NamedTuple):
     """The rule's outcome for N prosumers over T intervals, as (T, N) arrays."""
 
-    # objects: a rate or a salvage price (Python floats), or a solved price typed as
-    # invert_aggregate types it: a numpy float64 when a plateau edge is interpolated
-    # between kinks, a Python float when both edges are bracket ends
-    price: np.ndarray
+    price: np.ndarray  # a passed-through rate, a flat salvage price or a solved price
     zone: np.ndarray  # index into ZONES
     battery: np.ndarray  # storage output, positive = charging
     soc: np.ndarray  # state of charge after the interval
@@ -240,9 +237,8 @@ def price_and_dispatch(
             ),
             np.where(g < lower, _BUY, np.where(g > upper, _SELL, _IDLE)),
         )
-        # the passed-through rates and the flat salvage prices, as Python floats
+        # the passed-through rates and the flat salvage prices
         price = np.choose(zone, (buy, 0.0, discharge_price, 0.0, charge_price, 0.0, sell))
-        price = price.astype(object)
         # the dynamic and idle zones announce the price at which consumption absorbs
         # the target, each on the prosumer's own curve, all in one solve
         t, i = np.nonzero((zone == _DISCHARGE_DYNAMIC) | (zone == _IDLE) | (zone == _CHARGE_DYNAMIC))

@@ -41,6 +41,7 @@ from .bess import ZONES, price_and_dispatch, zone_ladder
 from .curves import DeviceBlocks
 from .model import (
     BessSpec,
+    CommunityPrice,
     CommunityScenario,
     DeviceUtility,
     Member,
@@ -572,8 +573,9 @@ def cmd_price(config: str, g_n: float, t: int) -> int:
         storage = dict(zip(names, zone_ladder(*cell[4:])), b=cell.battery)
         doc["storage"] = {name: round(value.flat[0], 6) for name, value in storage.items()}
         doc["storage"]["soc"] = round(bess.initial_soc, 6)
-    doc["value"] = round(cell.price[0, 0], 6)
-    doc["zone"] = ZONES[cell.zone[0, 0]].value
+    price = CommunityPrice(cell.price[0, 0], ZONES[cell.zone[0, 0]])
+    doc["value"] = round(price.value, 6)
+    doc["zone"] = price.zone.value
     print(_dumps(doc))
     return EXIT_OK
 

@@ -26,9 +26,7 @@ kink pair as a scan of every kink would, and returns the same float.
 
 :func:`invert_rows` runs that search for many curves and targets at once, in
 lockstep, and :func:`invert_aggregate` is its call for one curve and one
-target.  A solved price is a numpy ``float64`` when either plateau edge is
-interpolated between two kinks, and a Python ``float`` when both edges are
-bracket ends; callers hash its ``repr``, so the rule is kept as it is.
+target.
 """
 
 from __future__ import annotations
@@ -249,8 +247,8 @@ def invert_rows(blocks: DeviceBlocks, rows, target, lo, hi, v_lo, v_hi) -> np.nd
     ``blocks`` holds the curves; ``v_lo[k]`` and ``v_hi[k]`` are the curve's
     responses at ``lo[k]`` and ``hi[k]``, as :meth:`DeviceBlocks.response`
     gives them; the caller has usually priced the cell from them already.
-    Returns an object array of the M prices, in the cells' order, each equal
-    to and typed as :func:`invert_aggregate`'s.  Raises
+    Returns the M prices as a float64 array, in the cells' order, each equal
+    to :func:`invert_aggregate`'s.  Raises
     :class:`TargetOutsideRangeError` for the first bad k, checking its
     bracket before its target.
 
@@ -379,18 +377,12 @@ def invert_rows(blocks: DeviceBlocks, rows, target, lo, hi, v_lo, v_hi) -> np.nd
         y[cut] = y_a + (v_a - target[cut]) * (y_b - y_a) / (v_a - v_b)
         return y
 
-    cut_left, cut_right = b > 0, b2 < n
-    price = 0.5 * (edge(lo, cut_left, a, va, b, vb) + edge(end, cut_right, a2, va2, b2, vb2))
-    # Python floats where both edges are bracket ends, numpy float64 otherwise
-    solved = price.astype(object)
-    interpolated = cut_left | cut_right
-    solved[interpolated] = list(price[interpolated])
-    return solved
+    return 0.5 * (edge(lo, b > 0, a, va, b, vb) + edge(end, b2 < n, a2, va2, b2, vb2))
 
 
 def invert_aggregate(
     curve: AggregateResponseCurve, target: float, lo: float, hi: float
-) -> float:
+) -> np.float64:
     """Price at which the aggregate response equals ``target`` kWh.
 
     Requires ``response(hi) <= target <= response(lo)`` (the curve is
@@ -403,9 +395,7 @@ def invert_aggregate(
     the target, the right edge before the first kink with a response below
     it.  The float response is non-increasing at the kinks with no tolerance
     (see the module docstring), so both searches find the kinks a full scan
-    would.  The result is a numpy ``float64`` when either edge is
-    interpolated between two kinks, and a Python ``float`` when both edges
-    are bracket ends.  This is :func:`invert_rows` for one cell.
+    would.  This is :func:`invert_rows` for one cell.
     """
     v_lo, v_hi = curve.blocks.response(np.array([[lo], [hi]], dtype=float))[:, 0]
     return invert_rows(curve.blocks, [0], [target], [lo], [hi], [v_lo], [v_hi])[0]

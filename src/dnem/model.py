@@ -7,8 +7,8 @@ vector with one entry per interval of the scenario horizon.
 All types are frozen dataclasses and trace arrays are marked read-only after
 construction, so scenarios can be shared freely across concurrent
 evaluations.  A :class:`CommunityScenario` (and each ``dataclasses.replace``
-copy) builds its numbers once as read-only float64 arrays, with :func:`member_table`,
-which alone reads a value's type; then :func:`validate_scenario` checks every
+copy) builds its numbers once as read-only float64 arrays, each read by the one type
+rule (:func:`member_table`); then :func:`validate_scenario` checks every
 invariant on them and reports every violation it finds.  So every scenario object
 is valid, and nothing downstream checks it again.  Each device rule is written
 once, in one table tested on every device's parameters at once.
@@ -57,10 +57,35 @@ class PriceZone(str, Enum):
 NET_ZERO_ZONES = frozenset(zone for zone in PriceZone if zone.name.startswith("NET_ZERO_"))
 
 
-def _as_readonly_array(values) -> np.ndarray:
-    arr = np.atleast_1d(np.array(values, dtype=float, copy=True))  # a scalar is one entry; no other shape changes
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr = np.atleast_1d(arr)  # a scalar is one entry; no other shape changes
     arr.setflags(write=False)
     return arr
+
+
+def _set_traces(owner, label: str, **traces) -> None:
+    """Set each field of ``owner`` named in ``traces`` to its values as a read-only float64
+    array, and raise :class:`ScenarioValidationError` listing every entry that is not a
+    number.  A numeric array or a list of floats and ints converts at once; anything else
+    entry by entry, by :func:`member_table`'s type rule."""
+    issues = []
+    for name, values in traces.items():
+        plain = type(values) in (list, tuple) and set(map(type, values)) <= {float, int}
+        numeric = plain or isinstance(values, np.ndarray) and values.dtype.kind in "fiu"
+        try:
+            arr = np.array(values, dtype=float) if numeric else None
+        except OverflowError:  # an int past float range, read entry by entry
+            arr = None
+        if arr is None:
+            entries = np.atleast_1d(np.array(values, dtype=object))
+            floats, odd, _ = _numbers(entries.ravel().tolist())
+            for k in np.flatnonzero(odd).tolist():
+                at = ", ".join(map(str, np.unravel_index(k, entries.shape)))
+                issues.append(f"{label}{name}[{at}] is not a number (got {entries.flat[k]!r})")
+            arr = floats.reshape(entries.shape)
+        object.__setattr__(owner, name, _readonly(arr))
+    if issues:
+        raise ScenarioValidationError(issues)
 
 
 @dataclass(frozen=True)
@@ -97,7 +122,7 @@ class Member:
 
     def __post_init__(self):
         object.__setattr__(self, "devices", tuple(self.devices))
-        object.__setattr__(self, "pv_trace", _as_readonly_array(self.pv_trace))
+        _set_traces(self, f"member {self.id!r}: ", pv_trace=self.pv_trace)
 
 
 @dataclass(frozen=True)
@@ -114,8 +139,7 @@ class RateSchedule:
     salvage: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "buy", _as_readonly_array(self.buy))
-        object.__setattr__(self, "sell", _as_readonly_array(self.sell))
+        _set_traces(self, "rates.", buy=self.buy, sell=self.sell)
 
     @classmethod
     def flat(cls, buy: float, sell: float, horizon: int, salvage: float = 0.0) -> "RateSchedule":
@@ -164,27 +188,36 @@ class CommunityScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        trace = _as_readonly_array([] if self.central_pv_trace is None else self.central_pv_trace)
-        if not trace.size:
+        _set_traces(self, "", central_pv_trace=[] if self.central_pv_trace is None else self.central_pv_trace)
+        if not self.central_pv_trace.size:
             horizon = _positive_horizon(self.horizon)
             # sized only by a horizon the rates match: any other, maybe too long, is reported
-            trace = _as_readonly_array(np.zeros(horizon if len(self.rates.buy) == horizon else 0))
-        object.__setattr__(self, "central_pv_trace", trace)
+            trace = np.zeros(horizon if len(self.rates.buy) == horizon else 0)
+            object.__setattr__(self, "central_pv_trace", _readonly(trace))
         battery = [getattr(self.bess, f.name) for f in fields(BessSpec)] if self.bess else []
         traces, pv = [m.pv_trace for m in self.members], None
         if traces and all(t.shape == (self.horizon,) for t in traces):  # else they are reported
-            pv = _as_readonly_array(traces)
+            pv = _readonly(np.array(traces))
         numbers = member_table(self.members, [self.rates.salvage, *battery])
         vars(self).update(numbers._asdict(), pv_traces=pv)
         validate_scenario(self)
 
 
+#: The zones whose price is solved on the response curve, not a rate or a salvage price
+_SOLVED = {PriceZone(z) for z in ("NetZeroDischargeDynamic", "NetZeroIdle", "NetZeroChargeDynamic")}
+
+
 @dataclass(frozen=True)
 class CommunityPrice:
-    """An announced community price ($/kWh) together with its zone label."""
+    """An announced community price ($/kWh) together with its zone label.  The one place a
+    price is typed: a solved price is a numpy ``float64``, any other a Python ``float``."""
 
     value: float
     zone: PriceZone
+
+    def __post_init__(self):  # a price's repr shows its type, and recorded digests hash it
+        kind = np.float64 if self.zone in _SOLVED else float
+        object.__setattr__(self, "value", kind(self.value))
 
     @property
     def is_net_zero(self) -> bool:
@@ -207,6 +240,20 @@ def stored_energy(b, charge_eff, discharge_eff):
     over arrays.
     """
     return charge_eff * np.maximum(b, 0.0) - np.maximum(-b, 0.0) / discharge_eff
+
+
+def _in_order(values: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order from +0.0, as Python's ``sum`` adds floats
+    before 3.12 (which compensates), so a total is the same on every Python.
+
+    ``np.sum`` adds pairwise from 8 terms on, which can differ in the last bit; a
+    cumulative sum adds each row to the total so far.  An overflow gives inf or NaN, as
+    ``sum`` does, without a warning.
+    """
+    if not len(values):
+        return np.zeros(values.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(values, axis=0)[-1] + 0.0  # + 0.0: a start of +0.0, not values[0]
 
 
 def salvage_rate_bounds(rates: RateSchedule, bess: BessSpec) -> tuple[float, float]:
@@ -233,36 +280,45 @@ class MemberTable(NamedTuple):
     exact: dict  #: index as in ``odd`` -> the number, where float64 does not hold it
 
 
+def _numbers(values: list) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``values`` read by the package's one type rule: their floats, where they hold no
+    number, and each number float64 rounds, by index.
+
+    A number is a Python or numpy int or float; a ``bool``, a string or anything else
+    reads as NaN, flagged.  An int past float range reads as inf of its sign.
+    """
+    odd, exact = np.zeros(len(values), dtype=bool), {}
+    if set(map(type, values)) <= {float, np.float64, np.float32, np.float16}:  # held exactly
+        return np.fromiter(values, dtype=float, count=len(values)), odd, exact
+    floats = np.full(len(values), math.nan)
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            odd[i] = True
+            continue
+        number = v.item() if isinstance(v, np.generic) else v  # compares exactly
+        try:
+            floats[i] = value = float(number)
+        except OverflowError:  # a Python int past float range
+            floats[i] = value = math.inf if number > 0 else -math.inf
+        if number == number != value:  # rounded (a NaN is not)
+            exact[i] = number
+    return floats, odd, exact
+
+
 def member_table(members: Sequence[Member], scalars: Sequence = ()) -> MemberTable:
     """The members' numbers, and ``scalars``, read by the package's one type rule
     (``DeviceBlocks(*member_table(members)[:2])`` holds the members' devices).
 
-    A number is a Python or numpy int or float; a ``bool``, a string or anything else
-    reads as NaN, flagged in ``odd``.  An int past float range reads as inf of its
-    sign.  ``exact`` keeps each number float64 rounds, for the comparisons
-    made again exactly: a device's bounds, and a battery's initial_soc and capacity.
+    A value that is not a number (:func:`_numbers`) reads as NaN, flagged in ``odd``.
+    ``exact`` keeps each number float64 rounds, for the comparisons made again
+    exactly: a device's bounds, and a battery's initial_soc and capacity.
     """
     values = [v for m in members for d in m.devices for v in (d.alpha, d.beta, d.d_min, d.d_max)]
     cut, n = len(values), len(members)
     values += [m.central_pv_share for m in members] + [m.bess_share for m in members] + list(scalars)
-    odd, exact = np.zeros(len(values), dtype=bool), {}
-    if set(map(type, values)) <= {float, np.float64, np.float32, np.float16}:  # held exactly
-        floats = np.fromiter(values, dtype=float, count=len(values))
-    else:
-        floats = np.full(len(values), math.nan)
-        for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-                odd[i] = True
-                continue
-            number = v.item() if isinstance(v, np.generic) else v  # compares exactly
-            try:
-                floats[i] = value = float(number)
-            except OverflowError:  # a Python int past float range
-                floats[i] = value = math.inf if number > 0 else -math.inf
-            if number == number != value:  # rounded (a NaN is not)
-                exact[i] = number
+    floats, odd, exact = _numbers(values)
     floats.setflags(write=False)
-    counts = _as_readonly_array([len(m.devices) for m in members])
+    counts = _readonly(np.array([len(m.devices) for m in members], dtype=float))
     shares = floats[cut : cut + n], floats[cut + n : cut + 2 * n]
     return MemberTable(floats[:cut].reshape(-1, 4), counts, *shares, floats[cut + 2 * n :], odd, exact)
 
@@ -380,7 +436,8 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
     if len(central) or len(rates.buy) == horizon:
         _check_trace(issues, "central_pv_trace", central, horizon)
     if np.any(central > 0) and not any(odd_shares[:n]):
-        total = sum(shares[0])
+        # added in index order on every Python; with no members, the int 0 the message has shown
+        total = float(_in_order(scenario.central_pv_shares)) if n else 0
         if abs(total - 1.0) > 1e-9:
             issues.append(
                 f"central PV shares must sum to 1 when central output is nonzero (got {total})"
@@ -406,7 +463,7 @@ def validate_scenario(scenario: CommunityScenario) -> CommunityScenario:
             if not 0 <= exact.get(at + 6, soc) <= exact.get(at + 1, capacity):
                 issues.append(f"bess initial_soc {bess.initial_soc} outside [0, {bess.capacity}]")
         if not any(odd_shares[n:]):
-            total = sum(shares[1])
+            total = float(_in_order(scenario.bess_shares)) if n else 0
             if abs(total - 1.0) > 1e-9:
                 issues.append(f"bess shares must sum to 1 (got {total})")
         # the salvage window divides by charge_eff, so it needs valid efficiencies

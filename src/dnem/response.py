@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import DeviceBlocks, device_utility
-from .model import CommunityPrice, Member, member_table, stored_energy
+from .model import CommunityPrice, Member, _in_order, member_table, stored_energy
 
 __all__ = [
     "MemberOutcome",
@@ -83,20 +83,6 @@ def member_outcome(
     net = response[1] + battery - generation
     cell = settle_arrays(response, net, battery, price.value * net, salvage, charge_eff, discharge_eff)
     return cell.outcomes(0)[0]
-
-
-def _in_order(values: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in index order from +0.0, as Python's ``sum`` adds floats
-    before 3.12 (which compensates), so a total is the same on every Python.
-
-    ``np.sum`` adds pairwise from 8 terms on, which can differ in the last bit; a
-    cumulative sum adds each row to the total so far.  An overflow gives inf or NaN, as
-    ``sum`` does, without a warning.
-    """
-    if not len(values):
-        return np.zeros(values.shape[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumsum(values, axis=0)[-1] + 0.0  # + 0.0: a start of +0.0, not values[0]
 
 
 class Settlement(NamedTuple):

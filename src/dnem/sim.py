@@ -39,8 +39,9 @@ from .model import (
     Member,
     RateSchedule,
     ScenarioValidationError,
+    _in_order,
 )
-from .response import MemberOutcome, Settlement, _in_order, settle_arrays
+from .response import MemberOutcome, Settlement, settle_arrays
 from .welfare import welfare_gain
 
 __all__ = [
@@ -107,13 +108,13 @@ def folded_generation(scenario: CommunityScenario) -> np.ndarray:
 class Run(Sequence[IntervalRecord]):
     """One mechanism's run: (T,) community columns and the members' (T, N) settlement.
 
-    ``price`` holds the dispatch's community price of each interval, an
-    object array that keeps each price's type, and ``zone`` its index into
-    :data:`~dnem.bess.ZONES`; both are ``None`` for standalone runs, which
-    have no community price.  ``welfare`` is the reward total, added in
-    interval order.  Read as a sequence, the run is its T interval records;
-    ``run[t]`` builds record t, its price and its N member outcomes from row
-    t of the arrays, and nothing is built before.
+    ``price`` holds the dispatch's community price of each interval (float64)
+    and ``zone`` its index into :data:`~dnem.bess.ZONES`; both are ``None``
+    for standalone runs, which have no community price.  ``welfare`` is the
+    reward total, added in interval order.  Read as a sequence, the run is its
+    T interval records; ``run[t]`` builds record t, its price (a
+    :class:`~dnem.model.CommunityPrice`) and its N member outcomes from row t
+    of the arrays, and nothing is built before.
     """
 
     def __init__(self, price, zone, g_n, d_n, b_n, soc, settlement: Settlement):
@@ -179,7 +180,7 @@ def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, R
     with np.errstate(over="ignore", invalid="ignore"):
         if dnem:
             # every member settles at the community's price, with its share of the battery
-            price = priced.price[:, :1].astype(float)
+            price = priced.price[:, :1]
             b_n = priced.battery[:, 0]
             response = blocks.evaluate(np.broadcast_to(price, (len(g_n), blocks.rows)))
             battery = b_n[:, None] * shares
@@ -201,7 +202,7 @@ def _runs(scenario: CommunityScenario, mechanisms: Sequence[str]) -> dict[str, R
                 (alone.consumption, alone.total, alone.utility), alone.net, alone.battery,
                 rates.buy, rates.sell, *storage,
             )
-            runs["sign_based"] = Run(rate.astype(object), zone, g_n, d_n, b_n, soc, signed)
+            runs["sign_based"] = Run(rate, zone, g_n, d_n, b_n, soc, signed)
             runs["standalone"] = Run(None, None, g_n, d_n, b_n, soc, alone)
     return runs
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .bess import price_and_dispatch
 from .curves import AggregateResponseCurve, DeviceBlocks, first_false, invert_aggregate, mask_groups
-from .model import BessSpec, Member, member_table
-from .response import _in_order, nem_payment, settle_arrays
+from .model import BessSpec, Member, _in_order, member_table
+from .response import nem_payment, settle_arrays
 
 __all__ = [
     "centralized_welfare_closed_form",
@@ -369,7 +369,7 @@ def coalition_audits(
         blocks.pooled(mask), BessSpec(0.0), np.ones(len(mask)), g_n[:, None],
         np.asarray(buy, dtype=float)[None, times], np.asarray(sell, dtype=float)[None, times], 0.0,
     )
-    prices = priced.price[0].astype(float)
+    prices = priced.price[0]
     distinct, back = np.unique(prices.view(np.int64), return_inverse=True)
     distinct = np.broadcast_to(distinct.view(float)[:, None], (len(distinct), n))
     _, total, utility = blocks.evaluate(distinct)

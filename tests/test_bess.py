@@ -18,6 +18,7 @@ from dnem.curves import AggregateResponseCurve, DeviceBlocks
 from dnem.model import (
     NET_ZERO_ZONES,
     BessSpec,
+    CommunityPrice,
     DeviceUtility,
     Member,
     PriceZone,
@@ -389,8 +390,13 @@ class TestOnePass:
         TestPriceLevelOracle._assert_matches(*_one_pass(passes), *args, community + members)
 
 
+#: one-interval scenarios with a battery, for generation placed on the storage thresholds
+THRESHOLD_SCENARIOS = [solar_day_scenario(s, n_members=6, horizon=1, with_bess=True) for s in range(3)]
+THRESHOLD_SCENARIOS += [random_scenario(s, horizon=1, with_bess=True) for s in range(3)]
+
+
 class TestPriceLevelOracle:
-    """Every cell's zone and price (by ``repr``) against the per-cell ladder of
+    """Every cell's zone and price (by its bits) against the per-cell ladder of
     ``tests/oracles.py``, which solves each net-zero cell by a full kink scan."""
 
     @staticmethod
@@ -399,7 +405,13 @@ class TestPriceLevelOracle:
         got = price_and_dispatch(blocks, bess, shares, gen, buy, sell, salvage)
         zone, price = price_ladder_loop(members, got, gen, buy, sell, salvage, bess)
         assert got.zone.tolist() == zone.tolist()
-        assert [repr(p) for p in got.price.ravel()] == [repr(p) for p in price.ravel()]
+        assert got.price.dtype == np.float64
+        assert [p.hex() for p in got.price.ravel().tolist()] == [float(p).hex() for p in price.ravel()]
+        # read by its zone, a price has the oracle's type, but a solved price on a plateau
+        # that spans the whole bracket: the oracle's is a float, the zone's a float64
+        for p, z, want in zip(got.price.ravel(), zone.ravel().tolist(), price.ravel()):
+            typed = CommunityPrice(p, ZONES[z]).value
+            assert type(typed) is type(want) or (z in (1, 3, 5) and type(want) is float)
         return np.isin(zone, (1, 3, 5)).sum()
 
     @pytest.mark.parametrize("with_bess", [False, True])
@@ -434,6 +446,31 @@ class TestPriceLevelOracle:
         args = (rates.buy[:, None], rates.sell[:, None], rates.salvage)
         for members, (blocks, bess, shares, gen) in zip(_prosumers(sc), passes):
             self._assert_matches(blocks, bess, shares, gen, *args, members)
+
+    @pytest.mark.parametrize("sc", THRESHOLD_SCENARIOS)
+    def test_generation_on_each_storage_threshold(self, sc):
+        # one interval, so every cell's storage limits are those at the initial SoC: each
+        # prosumer with usable storage is copied once per generation value, exactly on
+        # each threshold of the oracle's ladder and one ulp either side
+        rates = sc.rates
+        args = (rates.buy[:, None], rates.sell[:, None], rates.salvage)
+        prosumers = [member for group in _prosumers(sc) for member in group]
+        shares = np.concatenate(([1.0], [m.bess_share for m in sc.members]))
+        blocks = DeviceBlocks(*member_table(prosumers)[:2])
+        at_zero = price_and_dispatch(blocks, sc.bess, shares, np.zeros((len(shares), 1)), *args)
+        lower, upper, fd, fc, dis, chg = (np.atleast_2d(v)[0] for v in at_zero[4:])
+        ladder = np.array([lower - dis, fd - dis, fd, fc, fc + chg, upper + chg])  # (6, N)
+        g = np.stack([np.nextafter(ladder, -np.inf), ladder, np.nextafter(ladder, np.inf)], axis=-1)
+        live = np.flatnonzero((dis != 0.0) | (chg != 0.0))
+        assert len(live) == len(shares)
+        rows = np.repeat(live, 18)
+        copies = [prosumers[i] for i in rows]
+        blocks = DeviceBlocks(*member_table(copies)[:2])
+        gen = g[:, live].transpose(1, 0, 2).reshape(-1, 1)
+        self._assert_matches(blocks, sc.bess, shares[rows], gen, *args, copies)
+        # at every threshold, for some prosumer, the zone steps
+        zone = price_and_dispatch(blocks, sc.bess, shares[rows], gen, *args).zone.reshape(-1, 6, 3)
+        assert np.all(np.any(zone[..., 0] != zone[..., 2], axis=0))
 
     def test_coalition_batch_of_200_samples(self, monkeypatch):
         sc = solar_day_scenario(1, n_members=20, horizon=24)

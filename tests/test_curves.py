@@ -269,7 +269,7 @@ class TestAgainstPiecewiseLinearOracle:
 
 class TestPinnedBitForBit:
     """The curve's response equals :func:`reference_response`, the formula over its 1-D
-    parameter arrays, by ``float.hex``, and its solve equals the full scan by ``repr``."""
+    parameter arrays, and its solve equals the full scan, both by ``float.hex``."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -287,7 +287,8 @@ class TestPinnedBitForBit:
         for y in (price, lo, hi, *kink_prices(curve.devices)):
             assert curve.response(y).hex() == reference_response(curve.devices, y).hex()
         target = curve.response(hi) + frac * (curve.response(lo) - curve.response(hi))
-        assert repr(invert_aggregate(curve, target, lo, hi)) == repr(full_scan_invert(curve, target, lo, hi))
+        got = invert_aggregate(curve, target, lo, hi)
+        assert float(got).hex() == float(full_scan_invert(curve, target, lo, hi)).hex()
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +335,7 @@ class TestBisectionMatchesFullScan:
                 invert_aggregate(curve, target, lo, hi)
             assert str(raised.value) == str(err)
             return
-        assert repr(invert_aggregate(curve, target, lo, hi)) == repr(expected)
+        assert float(invert_aggregate(curve, target, lo, hi)).hex() == float(expected).hex()
 
     @pytest.mark.parametrize(
         "devices, target, lo, hi, kind",
@@ -348,11 +349,12 @@ class TestBisectionMatchesFullScan:
         ids=["empty", "empty_point", "pinned", "pinned_point", "interpolated"],
     )
     def test_result_type_follows_the_edges(self, devices, target, lo, hi, kind):
-        # a bracket end is a Python float, an interpolated edge a numpy scalar
+        # a numpy float64 at every bracket; the full scan still types a price whose
+        # edges are both bracket ends as a Python float, an interpolated one as float64
         curve = AggregateResponseCurve(devices)
-        got = invert_aggregate(curve, target, lo, hi)
-        assert type(got) is kind
-        assert repr(got) == repr(full_scan_invert(curve, target, lo, hi))
+        got, expected = invert_aggregate(curve, target, lo, hi), full_scan_invert(curve, target, lo, hi)
+        assert type(got) is np.float64 and type(expected) is kind
+        assert got.hex() == float(expected).hex()
 
     def test_nan_target_is_outside_the_range(self):
         curve = AggregateResponseCurve([DEV_A])
@@ -480,7 +482,7 @@ class TestBatchedSolve:
         # the cells that solve, on their own
         good = [k for k, e in enumerate(expected) if not isinstance(e, TargetOutsideRangeError)]
         got = solve(blocks, *([v[k] for k in good] for v in (rows, target, lo, hi)))
-        assert [repr(p) for p in got] == [repr(expected[k]) for k in good]
+        assert [p.hex() for p in got.tolist()] == [float(expected[k]).hex() for k in good]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -539,8 +541,8 @@ class TestBatchedSolve:
         assert [repr(p) for p in got] == [repr(p) for p in expected]
 
     def test_result_type_rule_per_cell(self):
-        # a bracket end is a Python float, an interpolated edge a numpy float64,
-        # cell by cell within one batch
+        # every cell is float64: a bracket end, which the full scan types as a Python
+        # float, and an interpolated edge, cell by cell within one batch
         pinned = DeviceUtility(2.0, 1.0, 1.3, 1.3)
         # flat at 1.0 up to the price 1.0, so only the right edge is interpolated
         capped = DeviceUtility(2.0, 1.0, 0.0, 1.0)
@@ -548,9 +550,10 @@ class TestBatchedSolve:
         rows, target = [0, 1, 0, 1, 2], [1.3, 3.0, 1.3, 3.2, 1.0]
         lo, hi = [0.1, 0.2, 0.0, 0.2, 0.2], [0.9, 0.4, 0.0, 0.2, 1.5]
         got = solve(DeviceBlocks(*member_table(members)[:2]), rows, target, lo, hi)
-        assert [type(p) for p in got] == [float, np.float64, float, float, np.float64]
+        assert got.dtype == np.float64
         expected = full_scan_cells([AggregateResponseCurve(m.devices) for m in members], rows, target, lo, hi)
-        assert [repr(p) for p in got] == [repr(p) for p in expected]
+        assert [type(p) for p in expected] == [float, np.float64, float, float, np.float64]
+        assert [p.hex() for p in got.tolist()] == [p.hex() for p in map(float, expected)]
 
     @staticmethod
     def _evaluated(monkeypatch):

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dnem import model
 from dnem.curves import DeviceBlocks, device_consumption, device_utility
 from dnem.model import (
     BessSpec,
+    CommunityPrice,
     CommunityScenario,
     DeviceUtility,
     Member,
+    PriceZone,
     RateSchedule,
     ScenarioValidationError,
     salvage_rate_bounds,
@@ -442,6 +447,41 @@ class TestValidateScenario:
             make_scenario(members=members, rates=rates, **fields)
         assert err.value.issues == [issue.format(0.1 + 0.2)]
 
+    #: shares whose total Python 3.11's ``sum`` gives as 1.0000010000000001 and 3.12's
+    #: (compensated) as 1.000001
+    UNEVEN = [
+        0.17093062763369105, 0.18046105267328857, 0.05903795966375681, 0.1303217176988337,
+        0.20162503382717953, 0.08493292611945553, 0.17269168238379473,
+    ]
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_share_sums_add_in_index_order(self, monkeypatch, compensated):
+        # on every Python: the shares added one by one from +0.0, not a compensated sum
+        if compensated:
+            monkeypatch.setattr(model, "sum", math.fsum, raising=False)
+        total = 0.0
+        for share in self.UNEVEN:
+            total += share
+        assert repr(total) == "1.0000010000000001" != repr(math.fsum(self.UNEVEN))
+        rates = RateSchedule([0.4], [0.2], 0.3)
+        members = [make_member(f"m{i}", bess_share=v, central_pv_share=v) for i, v in enumerate(self.UNEVEN)]
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=members, rates=rates, bess=BessSpec(1.0), central_pv_trace=np.ones(1))
+        assert err.value.issues == [
+            f"central PV shares must sum to 1 when central output is nonzero (got {total})",
+            f"bess shares must sum to 1 (got {total})",
+        ]
+
+    def test_no_members_share_totals_read_0(self):
+        rates = RateSchedule([0.4], [0.2], 0.3)
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(), rates=rates, bess=BessSpec(1.0), central_pv_trace=np.ones(1))
+        assert err.value.issues == [
+            "scenario has no members",
+            "central PV shares must sum to 1 when central output is nonzero (got 0)",
+            "bess shares must sum to 1 (got 0)",
+        ]
+
     def test_negative_int_past_float_range_reads_as_minus_inf(self):
         # it read as +inf, and the share sum as inf
         member = make_member("a", bess_share=-(10**400))
@@ -618,3 +658,88 @@ def test_traces_are_read_only():
     m = make_member()
     with pytest.raises(ValueError):
         m.pv_trace[0] = 9.0
+
+
+class TestTracesReadByTheTypeRule:
+    """A library trace or rate list is read entry by entry by the type rule of a device
+    parameter: an entry that is not a number is refused, never coerced by numpy."""
+
+    def test_bools_and_numeric_strings_are_listed(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            Member("a", (DEV_OK,), [True, "2", " 3 "])
+        assert err.value.issues == [
+            "member 'a': pv_trace[0] is not a number (got True)",
+            "member 'a': pv_trace[1] is not a number (got '2')",
+            "member 'a': pv_trace[2] is not a number (got ' 3 ')",
+        ]
+
+    def test_rates_list_every_entry_of_both_lists(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            RateSchedule(["0.4", True, 0.4], [0.1, 0.1, False])
+        assert err.value.issues == [
+            "rates.buy[0] is not a number (got '0.4')",
+            "rates.buy[1] is not a number (got True)",
+            "rates.sell[2] is not a number (got False)",
+        ]
+
+    @pytest.mark.parametrize(
+        "entry", ["x", None, np.bool_(True), 1j, [1.0]], ids=["str", "None", "np_bool", "complex", "list"]
+    )
+    def test_central_trace_and_a_bad_entry_of_any_kind(self, entry):
+        # "x" and [1.0] were bare ValueErrors, 1j a bare TypeError, None read as NaN and
+        # np.True_ as 1.0
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(central_pv_trace=[0.0, entry])
+        assert err.value.issues == [f"central_pv_trace[1] is not a number (got {entry!r})"]
+
+    def test_int_past_float_range_reads_as_inf_of_its_sign(self):
+        # it raised a bare OverflowError
+        assert Member("a", (DEV_OK,), [10**400, 1, 2]).pv_trace.tolist() == [math.inf, 1.0, 2.0]
+        assert Member("a", (DEV_OK,), (-(10**400), 1)).pv_trace.tolist() == [-math.inf, 1.0]
+        with pytest.raises(ScenarioValidationError) as err:
+            make_scenario(members=(make_member("a", trace=[10**400]),))
+        assert err.value.issues == ["member 'a': pv_trace has non-finite entries"]
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([1, 2.5], [1.0, 2.5]),
+            (np.array([1, 2], dtype=np.int64), [1.0, 2.0]),
+            (np.array([1.5], dtype=np.float32), [1.5]),
+            ([np.float64(0.25), np.int64(3), 2**60], [0.25, 3.0, float(2**60)]),
+            (0.5, [0.5]),
+            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+        ],
+        ids=["floats_and_ints", "int_array", "float32_array", "numpy_scalars", "scalar", "nested"],
+    )
+    def test_numbers_read_as_float64(self, values, want):
+        trace = Member("a", (DEV_OK,), values).pv_trace
+        assert trace.dtype == np.float64 and trace.tolist() == want
+        assert not trace.flags.writeable
+
+
+#: each zone's price type: a solved price is a numpy float64, a rate or salvage price a float
+ZONE_TYPES = {
+    "NetConsumption": float,
+    "NetZeroDischargeDynamic": np.float64,
+    "NetZeroDischargeFlat": float,
+    "NetZeroIdle": np.float64,
+    "NetZeroChargeFlat": float,
+    "NetZeroChargeDynamic": np.float64,
+    "NetProduction": float,
+}
+
+
+class TestCommunityPriceType:
+    """A price's type follows its zone alone, whatever the type it is given; its bits stay."""
+
+    def test_every_zone_is_typed(self):
+        assert sorted(ZONE_TYPES) == sorted(zone.value for zone in PriceZone)
+
+    @pytest.mark.parametrize("zone", list(PriceZone), ids=lambda zone: zone.value)
+    @pytest.mark.parametrize("value", [0.1, np.float64(0.1), -0.0, np.float64(-0.0), 0.30000000000000004])
+    def test_type_follows_the_zone(self, zone, value):
+        price = CommunityPrice(value, zone)
+        assert type(price.value) is ZONE_TYPES[zone.value]
+        assert np.float64(price.value).tobytes() == np.float64(value).tobytes()
+        assert price.zone is zone

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dnem.curves import DeviceBlocks
-from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone, member_table
-from dnem.response import Settlement, _in_order, member_outcome, member_utility
+from dnem.model import CommunityPrice, DeviceUtility, Member, PriceZone, _in_order, member_table
+from dnem.response import Settlement, member_outcome, member_utility
 from dnem.sim import Run, folded_generation, random_scenario, run
 
 from oracles import grid_best_consumption, quad_utility

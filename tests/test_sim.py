@@ -785,6 +785,10 @@ class TestValidatedWhenBuilt:
             dataclasses.replace(sc, rates=infeasible)
 
 
+#: the zones whose price is solved on the response curve, not a rate or a salvage price
+SOLVED = {PriceZone.NET_ZERO_DISCHARGE_DYNAMIC, PriceZone.NET_ZERO_IDLE, PriceZone.NET_ZERO_CHARGE_DYNAMIC}
+
+
 class TestRunPriceColumns:
     """A run keeps the dispatch's price and zone columns; its records build the prices."""
 
@@ -798,15 +802,18 @@ class TestRunPriceColumns:
                 assert summary.zone_histogram == {}
                 continue
             assert records.price.shape == records.zone.shape == (len(records),)
+            assert records.price.dtype == np.float64
             for t, r in enumerate(records):
-                assert r.price.value is records.price[t]
+                assert np.float64(r.price.value).tobytes() == records.price[t].tobytes()
                 assert r.price.zone is ZONES[records.zone[t]]
+                # a record's price is typed by its zone
+                assert type(r.price.value) is (np.float64 if r.price.zone in SOLVED else float)
             histogram = Counter(r.price.zone.value for r in records)
             assert summary.zone_histogram == dict(sorted(histogram.items()))
 
     def test_record_price_types(self):
-        """``np.float64`` where a plateau edge is interpolated, ``float`` elsewhere: at
-        the rates, and on a plateau that spans the whole bracket."""
+        """``np.float64`` where the price is solved, on a plateau that spans the whole
+        bracket too, and ``float`` at the rates."""
         rng = np.random.default_rng(22)
         horizon = 12
         # on [0.3, 0.4] the curve is flat at 1.0; on [0.1, 0.2] it falls from 1.2 to 1.1
@@ -820,10 +827,10 @@ class TestRunPriceColumns:
         results = run_all(CommunityScenario(members, rates, horizon))
         kinds = set()
         for t, r in enumerate(results["dnem"][0]):
-            interpolated = r.price.is_net_zero and not high[t]
-            assert type(r.price.value) is (np.float64 if interpolated else float), t
-            kinds.add((r.price.is_net_zero, type(r.price.value)))
-        assert kinds == {(True, np.float64), (True, float), (False, float)}
+            assert type(r.price.value) is (np.float64 if r.price.is_net_zero else float), t
+            # the plateau [0.3, 0.4] spans the bracket: its midpoint
+            kinds.add((r.price.is_net_zero, bool(high[t]) and r.price.value == 0.35))
+        assert kinds == {(True, False), (True, True), (False, False)}
         assert all(type(r.price.value) is float for r in results["sign_based"][0])
 
 

@@ -1,4 +1,4 @@
-"""Mutation kill table: does tier-1 fail when a tolerance or a comparison is loosened?
+"""Mutation kill table: does tier-1 fail when a tolerance, a comparison or a rule is changed?
 
     python tools/mutants.py
 
@@ -63,6 +63,55 @@ MUTANTS = [
         "old": "EPS_QUANTITY = 1e-8",
         "new": "EPS_QUANTITY = 1e-5",
         "why": "a storage step 1e-6 kWh past its limit would pass soc_step",
+    },
+    {
+        "name": "ladder_delta_plus_open",
+        "file": "src/dnem/bess.py",
+        "old": "g <= d_plus,",
+        "new": "g < d_plus,",
+        "why": "generation exactly at delta+ would be solved in NetZeroDischargeDynamic, not passed the buy rate",
+    },
+    {
+        "name": "ladder_sigma_plus_closed",
+        "file": "src/dnem/bess.py",
+        "old": "g < s_plus,",
+        "new": "g <= s_plus,",
+        "why": "generation exactly at sigma+ would be solved, not held at the discharge-side salvage price",
+    },
+    {
+        "name": "ladder_sigma_plus_z_closed",
+        "file": "src/dnem/bess.py",
+        "old": "g < s_plus_z,",
+        "new": "g <= s_plus_z,",
+        "why": "generation exactly at sigma+z would be held at the salvage price, not solved with the battery idle",
+    },
+    {
+        "name": "ladder_sigma_minus_z_open",
+        "file": "src/dnem/bess.py",
+        "old": "g <= s_minus_z,",
+        "new": "g < s_minus_z,",
+        "why": "generation exactly at sigma-z would be held at the charge-side salvage price, not solved idle",
+    },
+    {
+        "name": "ladder_sigma_minus_open",
+        "file": "src/dnem/bess.py",
+        "old": "g <= s_minus,",
+        "new": "g < s_minus,",
+        "why": "generation exactly at sigma- would be solved in NetZeroChargeDynamic, not held at the salvage price",
+    },
+    {
+        "name": "ladder_delta_minus_closed",
+        "file": "src/dnem/bess.py",
+        "old": "g < d_minus]",
+        "new": "g <= d_minus]",
+        "why": "generation exactly at delta- would be solved, not passed the sell rate",
+    },
+    {
+        "name": "price_type_idle_as_rate",
+        "file": "src/dnem/model.py",
+        "old": '"NetZeroDischargeDynamic", "NetZeroIdle", "NetZeroChargeDynamic"',
+        "new": '"NetZeroDischargeDynamic", "NetZeroChargeDynamic"',
+        "why": "a price solved in NetZeroIdle would read as a Python float, which changes its repr",
     },
 ]
 
